@@ -1,6 +1,6 @@
 # Developer entry points; CI runs the same commands.
 
-.PHONY: all build test vet lint bench bench-smoke bench-diff fuzz fuzz-fused recovery-smoke transport-soak failover-smoke overload-smoke update-churn-smoke
+.PHONY: all build test vet lint benchmark bench-smoke fuzz fuzz-fused recovery-smoke transport-soak failover-smoke overload-smoke update-churn-smoke
 
 all: build vet test
 
@@ -19,30 +19,29 @@ vet:
 lint: vet
 	staticcheck ./...
 
-# bench runs the reproducible perf harness and records the hot-path numbers
-# (ns/op, allocs/op, bytes shipped) in BENCH_parbox.json, so the perf
-# trajectory is tracked in-repo commit over commit.
-bench:
-	go run ./cmd/parbox bench -out BENCH_parbox.json
+# benchmark builds and runs the repo benchmark (BENCHMARK.json): five
+# workloads, end-to-end metrics plus the per-layer trace. Numbers and how
+# to read them: benchmark/README.md; the recorded baseline:
+# benchmark/baseline/.
+benchmark:
+	bash benchmark/run.sh
 
-# bench-smoke compiles and runs every benchmark once — it validates that
-# the benchmarks still build and execute, without measuring anything.
+# bench-smoke compiles and runs every Go benchmark once and the repo
+# benchmark's own ~5 s smoke test — it validates that they still build
+# and execute, without measuring anything.
 bench-smoke:
 	go test -run '^$$' -bench . -benchtime=1x ./...
-
-# bench-diff re-measures the harness and fails on a >25% regression in
-# ns/op or allocs/op against the committed baseline. Run it before
-# touching BENCH_parbox.json; `make bench` re-records the baseline.
-bench-diff:
-	go run ./cmd/parbox bench -out /tmp/BENCH_parbox.json -quiet -compare BENCH_parbox.json
+	cd benchmark && go test ./...
 
 # fuzz runs every fuzz target for 30s each, matching CI's fuzz matrix:
 # the fused lane kernel differential, the spine-patch differential
-# (patched planes must stay byte-equal to full bottomUp), WAL replay,
-# and the v2 frame decoder (demux, torn frames, push frames, hostile
-# span blocks).
+# (patched planes must stay byte-equal to full bottomUp), the triplet
+# wire decoder (never panics, keeps rejecting the malformed seeds,
+# decode → encode → decode is a fixed point), WAL replay, and the v2
+# frame decoder (demux, torn frames, push frames, hostile span blocks).
 fuzz: fuzz-fused
 	go test ./internal/eval -run Fuzz -fuzz FuzzSpinePatch -fuzztime 30s
+	go test ./internal/eval -run Fuzz -fuzz FuzzDecodeTriplet -fuzztime 30s
 	go test ./internal/store -run Fuzz -fuzz FuzzWALReplay -fuzztime 30s
 	go test ./internal/cluster -run Fuzz -fuzz FuzzV2ResponseDemux -fuzztime 30s
 
@@ -67,7 +66,7 @@ recovery-smoke:
 # the race detector — plus the v2 frame-decoder unit tests.
 transport-soak:
 	go test -race -run 'TestTransport|TestSchedulerFairShare' ./internal/integration
-	go test -race -run 'TestV2|TestV1|TestRequireV2|TestHandshake|TestServerGracefulClose|TestConnFailure' ./internal/cluster
+	go test -race -run 'TestV2|TestHandshake|TestServerGracefulClose|TestConnFailure' ./internal/cluster
 
 # failover-smoke is CI's replica-failover gate: SIGKILL a real site
 # daemon with a workload in flight over a 2x-replicated deployment — the

@@ -15,7 +15,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/boolexpr"
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/eval"
@@ -359,20 +358,20 @@ func BenchmarkSelectEndToEnd(b *testing.B) {
 	}
 }
 
-// BenchmarkSelectRepeated quantifies what the prepared-query API fixes:
-// the legacy Select entry point re-parses and re-compiles the path query
-// on every call, while Exec on a Prepared reuses the automaton cached at
-// first use — repeated calls perform zero recompilation. The spread shows
-// up directly in allocs/op.
+// BenchmarkSelectRepeated quantifies what reusing a Prepared buys: a
+// caller that prepares the path query on every call re-parses and
+// re-compiles it each time, while Exec on one Prepared reuses the
+// automaton cached at first use — repeated calls perform zero
+// recompilation. The spread shows up directly in allocs/op.
 func BenchmarkSelectRepeated(b *testing.B) {
 	sys, _ := deployPortfolio(b)
 	ctx := context.Background()
 	const src = `//stock[code = "YHOO"]`
 
-	b.Run("legacy-recompile", func(b *testing.B) {
+	b.Run("prepare-each-call", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := sys.Select(ctx, src); err != nil {
+			if _, err := sys.Exec(ctx, MustPrepare(src), WithMode(ModeSelect)); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -398,10 +397,10 @@ func BenchmarkCountRepeated(b *testing.B) {
 	ctx := context.Background()
 	const src = `//stock`
 
-	b.Run("legacy-recompile", func(b *testing.B) {
+	b.Run("prepare-each-call", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := sys.Count(ctx, src); err != nil {
+			if _, err := sys.Exec(ctx, MustPrepare(src), WithMode(ModeCount)); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -484,17 +483,17 @@ func BenchmarkTripletCodec(b *testing.B) {
 		}
 		b.ReportMetric(float64(len(enc)), "triplet-bytes")
 	})
-	// The connection-shaped path: one slab serves the whole stream, so
-	// per-formula allocations amortize to one per chunk.
-	b.Run("slab", func(b *testing.B) {
-		slab := boolexpr.NewSlab()
+	// The coordinator-shaped path: a round's triplets decode into one
+	// pooled arena, the one the solve then runs in.
+	b.Run("shared-arena", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			buf := t.Encode()
-			if _, err := eval.DecodeTripletSlab(buf, slab); err != nil {
+			a := eval.GetArena()
+			if _, err := eval.DecodeTripletInto(a, buf); err != nil {
 				b.Fatal(err)
 			}
-			_ = buf
+			eval.PutArena(a)
 		}
 		b.ReportMetric(float64(len(enc)), "triplet-bytes")
 	})

@@ -24,7 +24,7 @@ func TestExecTimeoutAlreadyExpired(t *testing.T) {
 	defer sys.Close()
 	for _, d := range []time.Duration{0, -time.Second} {
 		start := time.Now()
-		_, err := sys.Exec(context.Background(), MustQuery(failoverQueries[0]), WithTimeout(d))
+		_, err := sys.Exec(context.Background(), MustPrepare(failoverQueries[0]), WithTimeout(d))
 		if !errors.Is(err, context.DeadlineExceeded) {
 			t.Fatalf("WithTimeout(%v): err = %v, want context.DeadlineExceeded", d, err)
 		}
@@ -85,7 +85,7 @@ func chaosRun(t *testing.T, ref map[string]bool, seed int64, faulted bool, budge
 			<-start
 			for i := 0; i < perWorker; i++ {
 				src := failoverQueries[(w+i)%len(failoverQueries)]
-				res, err := sys.Exec(context.Background(), MustQuery(src))
+				res, err := sys.Exec(context.Background(), MustPrepare(src))
 				if err != nil {
 					errc <- fmt.Errorf("worker %d %s: %w", w, src, err)
 					return

@@ -206,9 +206,8 @@ func setup(cfg config) (*daemon, error) {
 			st.Discard()
 			return fail(err)
 		}
-		restorer := core.NewTripletRestorer()
 		for _, te := range ts {
-			restorer.Restore(site, te.Frag, te.Version, te.FP, te.Enc)
+			core.RestoreTriplet(site, te.Frag, te.Version, te.FP, te.Enc)
 		}
 		stats := st.Stats()
 		count = stats.LiveFragments
@@ -271,7 +270,7 @@ func setup(cfg config) (*daemon, error) {
 	// the slow-request trace ring and pprof.
 	cluster.RegisterStatsHandler(site)
 
-	srv, err := cluster.ServeWith(site, listen, cluster.ServeConfig{RequireV2: true})
+	srv, err := cluster.Serve(site, listen)
 	if err != nil {
 		if st != nil {
 			st.Discard()

@@ -45,8 +45,6 @@ func main() {
 		err = cmdHealth(os.Args[2:])
 	case "top":
 		err = cmdTop(os.Args[2:])
-	case "bench":
-		err = cmdBench(os.Args[2:])
 	case "-h", "--help", "help":
 		usage()
 		return
@@ -73,8 +71,6 @@ func usage() {
           print per-site up/down + RTT            (-manifest -timeout)
   top     scrape sites' live counters and print the
           visits/messages/bytes/steps table       (-manifest -watch -timeout)
-  bench   run the core-procedure benchmarks and
-          write BENCH_parbox.json                 (-out -nodes -query -quiet)
 
 run 'parbox <subcommand> -h' for details`)
 }

@@ -401,7 +401,6 @@ func Restore(dir string, opts ...Option) (*System, error) {
 		deployed[siteID] = true
 	}
 	stores := make(map[SiteID]*store.Store, len(sites))
-	restorer := core.NewTripletRestorer()
 	for _, sr := range sites {
 		site := c.AddSite(sr.id)
 		if !deployed[sr.id] {
@@ -422,7 +421,7 @@ func Restore(dir string, opts ...Option) (*System, error) {
 				return nil, fmt.Errorf("parbox: restore: triplets at %s: %w", sr.id, err)
 			}
 			for _, te := range ts {
-				restorer.Restore(site, te.Frag, te.Version, te.FP, te.Enc)
+				core.RestoreTriplet(site, te.Frag, te.Version, te.FP, te.Enc)
 			}
 		}
 		stores[sr.id] = sr.st

@@ -84,10 +84,11 @@ func assertVersionsMonotonic(t *testing.T, prev, next map[SiteID]map[FragmentID]
 // with a never-redeployed reference must not split or merge.
 func applyUpdates(t *testing.T, ctx context.Context, s *System) *View {
 	t.Helper()
-	v, err := s.Materialize(ctx, MustPrepare(durableQueries[0]))
+	vRes, err := s.Exec(ctx, MustPrepare(durableQueries[0]), WithMode(ModeMaterialize))
 	if err != nil {
 		t.Fatal(err)
 	}
+	v := vRes.View
 	// Content update on fragment 2 (S1): the query's //d lives there.
 	if _, err := v.Update(ctx, 2, []UpdateOp{
 		{Op: OpSetText, Path: []int{0, 0}, Text: "w2"},
@@ -229,10 +230,11 @@ func TestVersionMonotonicityAndStaleCacheRejection(t *testing.T) {
 	}
 	snap0 := captureVersions(dur)
 
-	v, err := dur.Materialize(ctx, MustPrepare(durableQueries[0]))
+	vRes, err := dur.Exec(ctx, MustPrepare(durableQueries[0]), WithMode(ModeMaterialize))
 	if err != nil {
 		t.Fatal(err)
 	}
+	v := vRes.View
 	newID, _, err := v.Split(ctx, 1, []int{1}, "S2")
 	if err != nil {
 		t.Fatal(err)
@@ -253,10 +255,11 @@ func TestVersionMonotonicityAndStaleCacheRejection(t *testing.T) {
 	// Mutate fragment 1 AFTER its triplet was journaled, then crash
 	// without re-executing: recovery sees a cached entry at the old
 	// version and must reject it rather than serve the dead answer.
-	refV, err := ref.Materialize(ctx, MustPrepare(durableQueries[0]))
+	refVRes, err := ref.Exec(ctx, MustPrepare(durableQueries[0]), WithMode(ModeMaterialize))
 	if err != nil {
 		t.Fatal(err)
 	}
+	refV := refVRes.View
 	ops := []UpdateOp{{Op: OpDelete, Path: []int{1, 0}}} // delete <bb>
 	if _, err := v.Update(ctx, 1, ops); err != nil {
 		t.Fatal(err)
@@ -300,10 +303,11 @@ func TestVersionMonotonicityAndStaleCacheRejection(t *testing.T) {
 	}
 
 	// Versions keep climbing after the restart, too.
-	postV, err := rest.Materialize(ctx, MustPrepare(durableQueries[0]))
+	postVRes, err := rest.Exec(ctx, MustPrepare(durableQueries[0]), WithMode(ModeMaterialize))
 	if err != nil {
 		t.Fatal(err)
 	}
+	postV := postVRes.View
 	if _, err := postV.Update(ctx, 1, []UpdateOp{{Op: OpSetText, Path: []int{0}, Text: "zz"}}); err != nil {
 		t.Fatal(err)
 	}
@@ -547,10 +551,11 @@ func TestTopologyChangeRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := dur.Materialize(ctx, MustPrepare(durableQueries[0]))
+	vRes, err := dur.Exec(ctx, MustPrepare(durableQueries[0]), WithMode(ModeMaterialize))
 	if err != nil {
 		t.Fatal(err)
 	}
+	v := vRes.View
 	// Split <b> (with its <bb> child) out of fragment 1 over to S2, edit
 	// it at its new home, then dissolve fragment 3 into the root.
 	newID, _, err := v.Split(ctx, 1, []int{1}, "S2")
@@ -630,10 +635,11 @@ func TestRestoreTrustsSplitMovedParents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := dur.Materialize(ctx, MustPrepare(`//a`))
+	vRes, err := dur.Exec(ctx, MustPrepare(`//a`), WithMode(ModeMaterialize))
 	if err != nil {
 		t.Fatal(err)
 	}
+	v := vRes.View
 	// Split fragment 0 at <wrap>: the carved subtree carries both virtual
 	// nodes, so secA and secB now nest under the new fragment.
 	wrapID, _, err := v.Split(ctx, 0, []int{0}, "S1")

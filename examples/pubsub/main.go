@@ -87,10 +87,11 @@ func main() {
 	// appears at the Asian mirror; each update's maintenance runs only
 	// the touched spines at one site, and only subscriptions whose root
 	// formulas flip hear anything.
-	view, err := sys.Materialize(ctx, parbox.MustPrepare(`//item`))
+	viewRes, err := sys.Exec(ctx, parbox.MustPrepare(`//item`), parbox.WithMode(parbox.ModeMaterialize))
 	if err != nil {
 		log.Fatal(err)
 	}
+	view := viewRes.View
 	bitcoin := subs[5]
 	fmt.Println(`publisher: inserting <item><payment>Bitcoin</payment></item> at mirror-asia`)
 	frag := parbox.FragmentID(2)

@@ -79,10 +79,11 @@ func TestBuildSourceTreeFacade(t *testing.T) {
 func TestAddSiteEnablesSplitTarget(t *testing.T) {
 	sys, _ := deployPortfolio(t)
 	ctx := context.Background()
-	view, err := sys.Materialize(ctx, MustQuery(`//stock`))
+	viewRes, err := sys.Exec(ctx, MustPrepare(`//stock`), WithMode(ModeMaterialize))
 	if err != nil {
 		t.Fatal(err)
 	}
+	view := viewRes.View
 	sys.AddSite("fresh")
 	// F0's first market subtree is at path [1 1] (broker Bache, market).
 	newID, _, err := view.Split(ctx, 0, []int{1, 1}, "fresh")
@@ -101,11 +102,11 @@ func TestAddSiteEnablesSplitTarget(t *testing.T) {
 func TestSelectAndCountFacadeErrors(t *testing.T) {
 	sys, _ := deployPortfolio(t)
 	ctx := context.Background()
-	if _, err := sys.Select(ctx, `//a && //b`); err == nil {
+	if _, err := sys.Exec(ctx, MustPrepare(`//a && //b`), WithMode(ModeSelect)); err == nil {
 		t.Error("boolean query accepted as selection")
 	}
-	if _, err := sys.Count(ctx, `bad[`); err == nil {
-		t.Error("bad query accepted by Count")
+	if _, err := Prepare(`bad[`); err == nil {
+		t.Error("bad query accepted by Prepare")
 	}
 }
 

@@ -84,11 +84,11 @@ func referenceAnswers(t *testing.T) map[string]bool {
 	ctx := context.Background()
 	out := make(map[string]bool, len(failoverQueries))
 	for _, src := range failoverQueries {
-		ans, err := ref.Evaluate(ctx, MustQuery(src))
+		res, err := ref.Exec(ctx, MustPrepare(src))
 		if err != nil {
 			t.Fatal(err)
 		}
-		out[src] = ans
+		out[src] = res.Answer
 	}
 	return out
 }
@@ -123,7 +123,7 @@ func TestFailoverSingleSiteKill(t *testing.T) {
 	victim := pickVictim(t, sys)
 
 	ft.SiteDown(victim)
-	res, err := sys.Exec(ctx, MustQuery(failoverQueries[0]))
+	res, err := sys.Exec(ctx, MustPrepare(failoverQueries[0]))
 	if err != nil {
 		t.Fatalf("query with %s down: %v", victim, err)
 	}
@@ -148,7 +148,7 @@ func TestFailoverSingleSiteKill(t *testing.T) {
 	// and no victim visits for the default algorithm.
 	for _, src := range failoverQueries {
 		for _, algo := range Algorithms() {
-			res, err := sys.Exec(ctx, MustQuery(src), WithAlgorithm(algo))
+			res, err := sys.Exec(ctx, MustPrepare(src), WithAlgorithm(algo))
 			if err != nil {
 				t.Fatalf("%v %s with %s down: %v", algo, src, victim, err)
 			}
@@ -156,7 +156,7 @@ func TestFailoverSingleSiteKill(t *testing.T) {
 				t.Fatalf("%v: %s = %v, reference %v", algo, src, res.Answer, ref[src])
 			}
 		}
-		res, err := sys.Exec(ctx, MustQuery(src))
+		res, err := sys.Exec(ctx, MustPrepare(src))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -165,11 +165,11 @@ func TestFailoverSingleSiteKill(t *testing.T) {
 		}
 	}
 	// Select and count survive too (facade-level round retry).
-	cnt, err := sys.Exec(ctx, MustQuery(`//item`), WithMode(ModeCount))
+	cnt, err := sys.Exec(ctx, MustPrepare(`//item`), WithMode(ModeCount))
 	if err != nil {
 		t.Fatal(err)
 	}
-	sel, err := sys.Exec(ctx, MustQuery(`//item`), WithMode(ModeSelect))
+	sel, err := sys.Exec(ctx, MustPrepare(`//item`), WithMode(ModeSelect))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +186,7 @@ func TestFailoverSingleSiteKill(t *testing.T) {
 		t.Fatalf("revived victim state = %v, want up", got)
 	}
 	for _, src := range failoverQueries {
-		res, err := sys.Exec(ctx, MustQuery(src))
+		res, err := sys.Exec(ctx, MustPrepare(src))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -230,7 +230,7 @@ func TestFailoverFragmentUnavailable(t *testing.T) {
 
 	// In-flight path: health still says Up, so the round plans onto the
 	// dead sites, exhausts both replicas and fails loudly.
-	_, err := sys.Exec(ctx, MustQuery(failoverQueries[0]))
+	_, err := sys.Exec(ctx, MustPrepare(failoverQueries[0]))
 	if !errors.Is(err, ErrFragmentUnavailable) {
 		t.Fatalf("in-flight exhaustion: err = %v, want ErrFragmentUnavailable", err)
 	}
@@ -239,7 +239,7 @@ func TestFailoverFragmentUnavailable(t *testing.T) {
 	// to plan at all — same typed error.
 	sys.CheckHealth(ctx)
 	sys.CheckHealth(ctx)
-	_, err = sys.Exec(ctx, MustQuery(failoverQueries[0]))
+	_, err = sys.Exec(ctx, MustPrepare(failoverQueries[0]))
 	if !errors.Is(err, ErrFragmentUnavailable) {
 		t.Fatalf("planning: err = %v, want ErrFragmentUnavailable", err)
 	}
@@ -250,7 +250,7 @@ func TestFailoverFragmentUnavailable(t *testing.T) {
 	}
 	sys.CheckHealth(ctx)
 	sys.CheckHealth(ctx)
-	if _, err := sys.Exec(ctx, MustQuery(failoverQueries[0])); err != nil {
+	if _, err := sys.Exec(ctx, MustPrepare(failoverQueries[0])); err != nil {
 		t.Fatalf("post-revive: %v", err)
 	}
 }
@@ -298,7 +298,7 @@ func TestFailoverConcurrentKillRevive(t *testing.T) {
 			for i := 0; i < 12; i++ {
 				src := failoverQueries[(w+i)%len(failoverQueries)]
 				algo := algos[(w*3+i)%len(algos)]
-				res, err := sys.Exec(ctx, MustQuery(src), WithAlgorithm(algo))
+				res, err := sys.Exec(ctx, MustPrepare(src), WithAlgorithm(algo))
 				if err != nil {
 					errc <- fmt.Errorf("%v %s: %w", algo, src, err)
 					return
@@ -324,7 +324,7 @@ func TestFailoverConcurrentKillRevive(t *testing.T) {
 	sys.CheckHealth(ctx)
 	sys.CheckHealth(ctx)
 	for _, src := range failoverQueries {
-		res, err := sys.Exec(ctx, MustQuery(src))
+		res, err := sys.Exec(ctx, MustPrepare(src))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -359,7 +359,7 @@ func TestRebalanceMovesHotFragment(t *testing.T) {
 	ctx := context.Background()
 
 	for i := 0; i < 20; i++ {
-		if _, err := sys.Exec(ctx, MustQuery(failoverQueries[i%len(failoverQueries)])); err != nil {
+		if _, err := sys.Exec(ctx, MustPrepare(failoverQueries[i%len(failoverQueries)])); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -396,7 +396,7 @@ func TestRebalanceMovesHotFragment(t *testing.T) {
 	// Service is still exact after the move.
 	ref := referenceAnswers(t)
 	for _, src := range failoverQueries {
-		res, err := sys.Exec(ctx, MustQuery(src))
+		res, err := sys.Exec(ctx, MustPrepare(src))
 		if err != nil {
 			t.Fatal(err)
 		}

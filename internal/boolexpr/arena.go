@@ -84,31 +84,6 @@ func (a *Arena) Reset() {
 	a.substKids = a.substKids[:0]
 }
 
-// Reserve pre-grows the arena's node, operand and memo storage for about n
-// additional nodes. Bulk importers with a size estimate in hand (Solve
-// interning a whole round's triplets) call it once up front instead of
-// paying repeated append regrowth and per-Subst memo re-allocation.
-func (a *Arena) Reserve(n int) {
-	if need := len(a.nodes) + n; cap(a.nodes) < need {
-		grown := make([]arenaNode, len(a.nodes), need)
-		copy(grown, a.nodes)
-		a.nodes = grown
-	}
-	if need := len(a.kids) + n; cap(a.kids) < need {
-		grown := make([]NodeID, len(a.kids), need)
-		copy(grown, a.kids)
-		a.kids = grown
-	}
-	if need := len(a.nodes) + n; len(a.memo) < need {
-		memo := make([]NodeID, need)
-		copy(memo, a.memo)
-		a.memo = memo
-		gen := make([]uint32, need)
-		copy(gen, a.memoGen)
-		a.memoGen = gen
-	}
-}
-
 // Const returns the id of the constant b.
 func (a *Arena) Const(b bool) NodeID {
 	if b {
@@ -501,7 +476,47 @@ func (a *Arena) Vars(x NodeID, visit func(Var)) {
 	}
 }
 
+// Copy interns node x of arena src into a and returns its id there. It is
+// the one arena-to-arena move: a solve that gathers triplets computed in
+// separate arenas, and the compaction of a long-lived arena into a fresh
+// one, both go through it. memo (keyed by src id) may be shared across
+// calls for the same src so a shared subformula is copied once; nil
+// disables memoization. Arena invariants hold in src, so re-combining in a
+// only re-interns — the copy is structurally identical to the original.
+func (a *Arena) Copy(src *Arena, x NodeID, memo map[NodeID]NodeID) NodeID {
+	if x == IDFalse || x == IDTrue {
+		return x
+	}
+	if id, ok := memo[x]; ok {
+		return id
+	}
+	n := src.nodes[x]
+	var id NodeID
+	switch n.op {
+	case OpVar:
+		id = a.Var(src.vars[n.aux])
+	case OpNot:
+		id = a.Not(a.Copy(src, NodeID(n.aux), memo))
+	case OpAnd, OpOr:
+		ks := make([]NodeID, n.nkid)
+		for i, k := range src.kids[n.aux : n.aux+n.nkid] {
+			ks[i] = a.Copy(src, k, memo)
+		}
+		id = a.combine(n.op, ks)
+	default:
+		panic(fmt.Sprintf("boolexpr: unknown Op %d", n.op))
+	}
+	if memo != nil {
+		memo[x] = id
+	}
+	return id
+}
+
 // --- conversion to/from the pointer representation -----------------------
+//
+// The pointer Formula is the differential reference only (eval/legacy.go
+// and the tests that compare against it); nothing on a serving path
+// exports or imports.
 
 // Export converts x to an immutable pointer Formula. memo (keyed by id) may
 // be shared across calls on the same arena so that shared subformulas

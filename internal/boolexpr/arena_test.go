@@ -182,37 +182,29 @@ func TestArenaSubstMatchesFormulaSubst(t *testing.T) {
 	}
 }
 
-// TestArenaCodecParity: the arena encoder emits byte-identical output to
-// the pointer encoder for the same structure, and DecodeID round-trips.
-func TestArenaCodecParity(t *testing.T) {
+// TestArenaCopy: Copy moves a formula between arenas structurally intact
+// (same encoding), interns it on arrival (copying twice yields one id), and
+// leaves the source untouched.
+func TestArenaCopy(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		g := randFormula(r, 4)
-		a := NewArena()
-		id := a.Import(g, nil)
-		// Encode the EXPORTED formula with the pointer codec: both sides
-		// describe the identical structure.
-		want := Encode(a.Export(id, nil))
-		got := a.AppendEncodedID(nil, id)
-		if !bytes.Equal(want, got) {
-			t.Logf("codec divergence for %v", g)
+		src := NewArena()
+		id := src.Import(randFormula(r, 4), nil)
+		want := src.AppendEncodedID(nil, id)
+		srcLen := src.Len()
+		dst := NewArena()
+		dst.Import(randFormula(r, 3), nil) // ids differ between the arenas
+		memo := make(map[NodeID]NodeID)
+		got := dst.Copy(src, id, memo)
+		if !bytes.Equal(dst.AppendEncodedID(nil, got), want) {
+			t.Logf("copy of %v encodes differently", src.String(id))
 			return false
 		}
-		if a.EncodedSizeID(id) != len(got) {
-			t.Logf("EncodedSizeID %d != len %d", a.EncodedSizeID(id), len(got))
+		if dst.Copy(src, id, nil) != got {
+			t.Logf("second copy of %v interned to a new id", src.String(id))
 			return false
 		}
-		b := NewArena()
-		back, err := NewDecoder(got).DecodeID(b)
-		if err != nil {
-			t.Logf("DecodeID: %v", err)
-			return false
-		}
-		if !bytes.Equal(b.AppendEncodedID(nil, back), got) {
-			t.Logf("DecodeID round trip diverges for %v", g)
-			return false
-		}
-		return true
+		return src.Len() == srcLen
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
 		t.Error(err)
@@ -220,26 +212,20 @@ func TestArenaCodecParity(t *testing.T) {
 }
 
 // TestDecoderDepthGuard: a hostile buffer of chained NOT opcodes must be
-// rejected by both decoders instead of overflowing the stack, while a
-// legitimate (modest) nesting depth still decodes.
+// rejected instead of overflowing the stack, while a legitimate (modest)
+// nesting depth still decodes.
 func TestDecoderDepthGuard(t *testing.T) {
 	hostile := bytes.Repeat([]byte{wireNot}, 1<<20)
 	hostile = append(hostile, wireTrue)
-	if _, err := DecodeOne(hostile); !errors.Is(err, ErrBadFormula) {
-		t.Errorf("pointer decoder accepted a %d-deep NOT chain: %v", 1<<20, err)
-	}
 	if _, err := NewDecoder(hostile).DecodeID(NewArena()); !errors.Is(err, ErrBadFormula) {
-		t.Errorf("arena decoder accepted a %d-deep NOT chain: %v", 1<<20, err)
+		t.Errorf("decoder accepted a %d-deep NOT chain: %v", 1<<20, err)
 	}
 
 	okDepth := 1000
 	buf := bytes.Repeat([]byte{wireNot}, okDepth)
 	buf = append(buf, wireVar, 1, byte(VecV), 2)
-	if _, err := DecodeOne(buf); err != nil {
-		t.Errorf("pointer decoder rejected legitimate depth %d: %v", okDepth, err)
-	}
 	if _, err := NewDecoder(buf).DecodeID(NewArena()); err != nil {
-		t.Errorf("arena decoder rejected legitimate depth %d: %v", okDepth, err)
+		t.Errorf("decoder rejected legitimate depth %d: %v", okDepth, err)
 	}
 
 	// The guard resets between formulas of one stream: many shallow
@@ -248,9 +234,9 @@ func TestDecoderDepthGuard(t *testing.T) {
 	for i := 0; i < maxDepth+10; i++ {
 		stream = append(stream, wireNot, wireVar, 1, byte(VecV), 2)
 	}
-	d := NewDecoder(stream)
+	d, a := NewDecoder(stream), NewArena()
 	for i := 0; i < maxDepth+10; i++ {
-		if _, err := d.Decode(); err != nil {
+		if _, err := d.DecodeID(a); err != nil {
 			t.Fatalf("formula %d of a shallow stream rejected: %v", i, err)
 		}
 	}

@@ -13,6 +13,11 @@ import (
 // self-delimiting, so vectors of formulas can be concatenated; its exact
 // byte length is what the cluster layer charges against the network cost
 // model.
+//
+// The codec speaks arena ids only: the encoding is the one interchange
+// form of a formula and the Arena the one compute form. Decoding
+// hash-conses as it goes, so structurally equal formulas arriving from
+// different sites intern to the same id.
 const (
 	wireFalse byte = 0
 	wireTrue  byte = 1
@@ -37,62 +42,10 @@ const maxDepth = 1 << 13
 // ErrBadFormula is wrapped by all decoding failures.
 var ErrBadFormula = errors.New("boolexpr: malformed formula encoding")
 
-// AppendEncoded appends the wire encoding of f to dst and returns the
-// extended slice.
-func AppendEncoded(dst []byte, f *Formula) []byte {
-	switch f.op {
-	case OpFalse:
-		return append(dst, wireFalse)
-	case OpTrue:
-		return append(dst, wireTrue)
-	case OpVar:
-		dst = append(dst, wireVar)
-		dst = binary.AppendUvarint(dst, uint64(uint32(f.v.Frag)))
-		dst = append(dst, byte(f.v.Vec))
-		return binary.AppendUvarint(dst, uint64(uint32(f.v.Q)))
-	case OpNot:
-		dst = append(dst, wireNot)
-		return AppendEncoded(dst, f.kids[0])
-	case OpAnd, OpOr:
-		op := wireAnd
-		if f.op == OpOr {
-			op = wireOr
-		}
-		dst = append(dst, op)
-		dst = binary.AppendUvarint(dst, uint64(len(f.kids)))
-		for _, k := range f.kids {
-			dst = AppendEncoded(dst, k)
-		}
-		return dst
-	default:
-		panic(fmt.Sprintf("boolexpr: unknown Op %d", f.op))
-	}
-}
-
-// Encode returns the wire encoding of f.
-func Encode(f *Formula) []byte { return AppendEncoded(nil, f) }
-
-// EncodedSize returns len(Encode(f)) without allocating.
-func EncodedSize(f *Formula) int {
-	switch f.op {
-	case OpFalse, OpTrue:
-		return 1
-	case OpVar:
-		return 1 + uvarintLen(uint64(uint32(f.v.Frag))) + 1 + uvarintLen(uint64(uint32(f.v.Q)))
-	case OpNot:
-		return 1 + EncodedSize(f.kids[0])
-	case OpAnd, OpOr:
-		n := 1 + uvarintLen(uint64(len(f.kids)))
-		for _, k := range f.kids {
-			n += EncodedSize(k)
-		}
-		return n
-	default:
-		panic(fmt.Sprintf("boolexpr: unknown Op %d", f.op))
-	}
-}
-
-func uvarintLen(v uint64) int {
+// UvarintLen returns the encoded length of v as a uvarint, for callers
+// presizing wire buffers that mix formula encodings with their own
+// framing.
+func UvarintLen(v uint64) int {
 	n := 1
 	for v >= 0x80 {
 		v >>= 7
@@ -100,215 +53,6 @@ func uvarintLen(v uint64) int {
 	}
 	return n
 }
-
-// UvarintLen returns the encoded length of v as a uvarint, for callers
-// presizing wire buffers that mix formula encodings with their own
-// framing.
-func UvarintLen(v uint64) int { return uvarintLen(v) }
-
-// Decoder decodes a stream of concatenated formula encodings.
-type Decoder struct {
-	buf   []byte
-	pos   int
-	depth int
-
-	// Slab-backed decoding (NewDecoderSlab): nodes come from slab, operand
-	// lists are staged in scratch (stack-disciplined across the recursion)
-	// and seen is the reusable variable-dedup set of the n-ary folding.
-	slab    *Slab
-	scratch []*Formula
-	seen    map[Var]bool
-}
-
-// NewDecoder returns a decoder over buf.
-func NewDecoder(buf []byte) *Decoder { return &Decoder{buf: buf} }
-
-// NewDecoderSlab returns a decoder over buf that allocates decoded formulas
-// from slab, for callers decoding many formulas on a long-lived connection
-// or run (see Slab). Decoded formulas are semantically identical to the
-// plain decoder's — same folding, flattening and dedup.
-func NewDecoderSlab(buf []byte, slab *Slab) *Decoder {
-	return &Decoder{buf: buf, slab: slab, seen: make(map[Var]bool, 8)}
-}
-
-// Reset rebinds the decoder to a new buffer, keeping the slab and scratch
-// state, so one decoder serves a whole stream of messages.
-func (d *Decoder) Reset(buf []byte) {
-	d.buf = buf
-	d.pos = 0
-	d.depth = 0
-}
-
-// Remaining reports how many bytes have not been consumed yet.
-func (d *Decoder) Remaining() int { return len(d.buf) - d.pos }
-
-func (d *Decoder) byte() (byte, error) {
-	if d.pos >= len(d.buf) {
-		return 0, fmt.Errorf("%w: truncated at offset %d", ErrBadFormula, d.pos)
-	}
-	b := d.buf[d.pos]
-	d.pos++
-	return b, nil
-}
-
-func (d *Decoder) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(d.buf[d.pos:])
-	if n <= 0 {
-		return 0, fmt.Errorf("%w: bad uvarint at offset %d", ErrBadFormula, d.pos)
-	}
-	d.pos += n
-	return v, nil
-}
-
-// Decode decodes the next formula from the stream.
-func (d *Decoder) Decode() (*Formula, error) {
-	op, err := d.byte()
-	if err != nil {
-		return nil, err
-	}
-	if d.depth++; d.depth > maxDepth {
-		return nil, fmt.Errorf("%w: nesting depth exceeds %d", ErrBadFormula, maxDepth)
-	}
-	defer func() { d.depth-- }()
-	switch op {
-	case wireFalse:
-		return falseF, nil
-	case wireTrue:
-		return trueF, nil
-	case wireVar:
-		frag, err := d.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		vec, err := d.byte()
-		if err != nil {
-			return nil, err
-		}
-		if vec > byte(VecDV) {
-			return nil, fmt.Errorf("%w: bad vector kind %d", ErrBadFormula, vec)
-		}
-		q, err := d.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		v := Var{Frag: int32(uint32(frag)), Vec: VecKind(vec), Q: int32(uint32(q))}
-		if d.slab != nil {
-			return d.slab.newVar(v), nil
-		}
-		return NewVar(v), nil
-	case wireNot:
-		k, err := d.Decode()
-		if err != nil {
-			return nil, err
-		}
-		if d.slab != nil {
-			return d.slab.not(k), nil
-		}
-		return Not(k), nil
-	case wireAnd, wireOr:
-		n, err := d.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		if n > maxOperands || n > uint64(d.Remaining()) {
-			return nil, fmt.Errorf("%w: operand count %d exceeds remaining input", ErrBadFormula, n)
-		}
-		fop := OpAnd
-		if op == wireOr {
-			fop = OpOr
-		}
-		if d.slab != nil {
-			// Stage operands on the shared scratch stack; the recursion
-			// below may push and pop its own frames above base.
-			base := len(d.scratch)
-			for i := uint64(0); i < n; i++ {
-				k, err := d.Decode()
-				if err != nil {
-					d.scratch = d.scratch[:base]
-					return nil, err
-				}
-				d.scratch = append(d.scratch, k)
-			}
-			f, trimmed := d.slab.nary(fop, d.scratch[base:], d.scratch, d.seen)
-			d.scratch = trimmed[:base]
-			return f, nil
-		}
-		ks := make([]*Formula, n)
-		for i := range ks {
-			if ks[i], err = d.Decode(); err != nil {
-				return nil, err
-			}
-		}
-		if fop == OpAnd {
-			return And(ks...), nil
-		}
-		return Or(ks...), nil
-	default:
-		return nil, fmt.Errorf("%w: unknown opcode %d at offset %d", ErrBadFormula, op, d.pos-1)
-	}
-}
-
-// DecodeOne decodes exactly one formula occupying the whole of buf.
-func DecodeOne(buf []byte) (*Formula, error) {
-	d := NewDecoder(buf)
-	f, err := d.Decode()
-	if err != nil {
-		return nil, err
-	}
-	if d.Remaining() != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrBadFormula, d.Remaining())
-	}
-	return f, nil
-}
-
-// EncodedSizeVector returns len(EncodeVector(fs)) without allocating, so
-// callers on the wire path can presize their buffers exactly.
-func EncodedSizeVector(fs []*Formula) int {
-	n := uvarintLen(uint64(len(fs)))
-	for _, f := range fs {
-		n += EncodedSize(f)
-	}
-	return n
-}
-
-// EncodeVector encodes a slice of formulas as a uvarint count followed by
-// the concatenated encodings.
-func EncodeVector(fs []*Formula) []byte { return AppendEncodedVector(nil, fs) }
-
-// AppendEncodedVector appends the encoding of EncodeVector to dst.
-func AppendEncodedVector(dst []byte, fs []*Formula) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(fs)))
-	for _, f := range fs {
-		dst = AppendEncoded(dst, f)
-	}
-	return dst
-}
-
-// DecodeVector decodes a vector produced by EncodeVector from the decoder.
-func (d *Decoder) DecodeVector() ([]*Formula, error) {
-	n, err := d.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if n > uint64(d.Remaining())+1 {
-		return nil, fmt.Errorf("%w: vector length %d exceeds buffer", ErrBadFormula, n)
-	}
-	fs := make([]*Formula, n)
-	for i := range fs {
-		if fs[i], err = d.Decode(); err != nil {
-			return nil, fmt.Errorf("vector entry %d: %w", i, err)
-		}
-	}
-	return fs, nil
-}
-
-// --- codec over arena ids --------------------------------------------------
-//
-// The arena speaks the exact same wire format as the pointer Formula codec,
-// so a site evaluating with the arena and a coordinator decoding into a
-// pointer triplet (or vice versa) interoperate byte-for-byte. Decoding into
-// an arena hash-conses as it goes: structurally equal formulas arriving
-// from different sites intern to the same id.
 
 // AppendEncodedID appends the wire encoding of arena node x to dst.
 func (a *Arena) AppendEncodedID(dst []byte, x NodeID) []byte {
@@ -351,11 +95,11 @@ func (a *Arena) EncodedSizeID(x NodeID) int {
 		return 1
 	case OpVar:
 		v := a.vars[n.aux]
-		return 1 + uvarintLen(uint64(uint32(v.Frag))) + 1 + uvarintLen(uint64(uint32(v.Q)))
+		return 1 + UvarintLen(uint64(uint32(v.Frag))) + 1 + UvarintLen(uint64(uint32(v.Q)))
 	case OpNot:
 		return 1 + a.EncodedSizeID(NodeID(n.aux))
 	case OpAnd, OpOr:
-		s := 1 + uvarintLen(uint64(n.nkid))
+		s := 1 + UvarintLen(uint64(n.nkid))
 		for _, k := range a.kids[n.aux : n.aux+n.nkid] {
 			s += a.EncodedSizeID(k)
 		}
@@ -363,6 +107,61 @@ func (a *Arena) EncodedSizeID(x NodeID) int {
 	default:
 		panic(fmt.Sprintf("boolexpr: unknown Op %d", n.op))
 	}
+}
+
+// AppendEncodedVector appends a vector of formulas to dst: a uvarint count
+// followed by the concatenated encodings.
+func (a *Arena) AppendEncodedVector(dst []byte, ids []NodeID) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(ids)))
+	for _, x := range ids {
+		dst = a.AppendEncodedID(dst, x)
+	}
+	return dst
+}
+
+// EncodedSizeVector returns the length AppendEncodedVector would add,
+// without allocating, so callers on the wire path can presize their
+// buffers exactly.
+func (a *Arena) EncodedSizeVector(ids []NodeID) int {
+	n := UvarintLen(uint64(len(ids)))
+	for _, x := range ids {
+		n += a.EncodedSizeID(x)
+	}
+	return n
+}
+
+// Decoder decodes a stream of concatenated formula encodings.
+type Decoder struct {
+	buf   []byte
+	pos   int
+	depth int
+	// scratch stages the operands of AND/OR nodes, stack-disciplined
+	// across the recursion, instead of one slice per node.
+	scratch []NodeID
+}
+
+// NewDecoder returns a decoder over buf.
+func NewDecoder(buf []byte) *Decoder { return &Decoder{buf: buf} }
+
+// Remaining reports how many bytes have not been consumed yet.
+func (d *Decoder) Remaining() int { return len(d.buf) - d.pos }
+
+func (d *Decoder) byte() (byte, error) {
+	if d.pos >= len(d.buf) {
+		return 0, fmt.Errorf("%w: truncated at offset %d", ErrBadFormula, d.pos)
+	}
+	b := d.buf[d.pos]
+	d.pos++
+	return b, nil
+}
+
+func (d *Decoder) uvarint() (uint64, error) {
+	v, n := binary.Uvarint(d.buf[d.pos:])
+	if n <= 0 {
+		return 0, fmt.Errorf("%w: bad uvarint at offset %d", ErrBadFormula, d.pos)
+	}
+	d.pos += n
+	return v, nil
 }
 
 // DecodeID decodes the next formula from the stream, interning it into a.
@@ -411,23 +210,31 @@ func (d *Decoder) DecodeID(a *Arena) (NodeID, error) {
 		if n > maxOperands || n > uint64(d.Remaining()) {
 			return IDFalse, fmt.Errorf("%w: operand count %d exceeds remaining input", ErrBadFormula, n)
 		}
-		ks := make([]NodeID, n)
-		for i := range ks {
-			if ks[i], err = d.DecodeID(a); err != nil {
+		// The recursion below pushes and pops its own frames above base.
+		base := len(d.scratch)
+		for i := uint64(0); i < n; i++ {
+			k, err := d.DecodeID(a)
+			if err != nil {
+				d.scratch = d.scratch[:base]
 				return IDFalse, err
 			}
+			d.scratch = append(d.scratch, k)
 		}
+		var id NodeID
 		if op == wireAnd {
-			return a.And(ks...), nil
+			id = a.And(d.scratch[base:]...)
+		} else {
+			id = a.Or(d.scratch[base:]...)
 		}
-		return a.Or(ks...), nil
+		d.scratch = d.scratch[:base]
+		return id, nil
 	default:
 		return IDFalse, fmt.Errorf("%w: unknown opcode %d at offset %d", ErrBadFormula, op, d.pos-1)
 	}
 }
 
-// DecodeVectorID decodes a vector produced by EncodeVector, interning every
-// entry into a.
+// DecodeVectorID decodes a vector produced by AppendEncodedVector,
+// interning every entry into a.
 func (d *Decoder) DecodeVectorID(a *Arena) ([]NodeID, error) {
 	n, err := d.uvarint()
 	if err != nil {

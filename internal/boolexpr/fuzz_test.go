@@ -23,7 +23,7 @@ func fuzzSeeds() [][]byte {
 	}
 	seeds := make([][]byte, 0, len(formulas)+4)
 	for _, f := range formulas {
-		seeds = append(seeds, Encode(f))
+		seeds = append(seeds, encode(f))
 	}
 	seeds = append(seeds,
 		[]byte{},                          // empty
@@ -34,56 +34,35 @@ func fuzzSeeds() [][]byte {
 	return seeds
 }
 
-// FuzzDecodeFormula drives the pointer decoder, the slab decoder and the
-// arena decoder with the same input: none may panic, all three must agree
-// on accept/reject, and accepted inputs must survive a re-encode/re-decode
-// round trip structurally intact.
+// FuzzDecodeFormula drives the decoder with arbitrary bytes: it must never
+// panic, must keep rejecting the malformed seeds, and for accepted input
+// decode → encode → decode is a fixed point — the first decode normalizes
+// (hostile input may be unnormalized), after which bytes and formula are
+// stable.
 func FuzzDecodeFormula(f *testing.F) {
 	for _, seed := range fuzzSeeds() {
 		f.Add(seed)
 	}
+	for _, bad := range [][]byte{{}, {wireNot}, {wireAnd, 0xff, 0xff}} {
+		if _, err := decodeOne(bad); err == nil {
+			f.Fatalf("decoder accepted malformed seed % x", bad)
+		}
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		plain, errPlain := DecodeOne(data)
-
-		slab := NewSlab()
-		d := NewDecoderSlab(data, slab)
-		slabbed, errSlab := d.Decode()
-		if errSlab == nil && d.Remaining() != 0 {
-			errSlab = ErrBadFormula
-		}
-
-		arena := NewArena()
-		da := NewDecoder(data)
-		id, errArena := da.DecodeID(arena)
-		if errArena == nil && da.Remaining() != 0 {
-			errArena = ErrBadFormula
-		}
-
-		if (errPlain == nil) != (errSlab == nil) || (errPlain == nil) != (errArena == nil) {
-			t.Fatalf("decoders disagree: plain=%v slab=%v arena=%v", errPlain, errSlab, errArena)
-		}
-		if errPlain != nil {
+		first, err := decodeOne(data)
+		if err != nil {
 			return
 		}
-		// Slab-decoded formulas must be structurally identical to the plain
-		// decoder's (the slab constructors mirror the folding ones).
-		if !plain.Equal(slabbed) {
-			t.Fatalf("slab decode differs: %v vs %v", plain, slabbed)
-		}
-		// The arena speaks the same algebra: exporting must reproduce the
-		// pointer formula.
-		if exported := arena.Export(id, nil); !plain.Equal(exported) {
-			t.Fatalf("arena decode differs: %v vs %v", plain, exported)
-		}
-		// Round trip: decoded formulas are constructor-normalized, so their
-		// encoding must decode to an equal formula (encoding itself need not
-		// be byte-identical to hostile input, which may be unnormalized).
-		again, err := DecodeOne(Encode(plain))
+		enc := encode(first)
+		again, err := decodeOne(enc)
 		if err != nil {
 			t.Fatalf("re-decode failed: %v", err)
 		}
-		if !plain.Equal(again) {
-			t.Fatalf("round trip changed the formula: %v vs %v", plain, again)
+		if !first.Equal(again) {
+			t.Fatalf("round trip changed the formula: %v vs %v", first, again)
+		}
+		if !bytes.Equal(encode(again), enc) {
+			t.Fatalf("re-encoding %v is not stable", again)
 		}
 	})
 }

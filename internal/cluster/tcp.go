@@ -16,29 +16,28 @@ import (
 	"repro/internal/obs"
 )
 
-// The legacy (v1) TCP wire format, shared by server and client:
+// The transport speaks the multiplexed v2 wire protocol only (see
+// wirev2.go). Of the legacy v1 format — one request in flight per
+// connection —
 //
 //	request:  uvarint kind length, kind bytes, uvarint payload length, payload
 //	response: one status byte (0 ok, 1 error), uvarint steps,
 //	          uvarint cache hits, uvarint cache misses,
 //	          uvarint body length, body (payload or error text)
 //
-// Frames are written through a bufio.Writer and flushed per message; one
-// request is in flight per connection at a time. The transport speaks
-// the multiplexed v2 protocol by default (see wirev2.go); v1 remains as
-// the compatibility path (TCPTransport.ForceV1) and the server sniffs
-// the first byte of every connection to serve both.
+// the server keeps exactly enough to tell a version-skewed peer so in its
+// own framing (rejectV1): it sniffs the first byte of every connection.
 
 const (
 	tcpStatusOK  byte = 0
 	tcpStatusErr byte = 1
-	// tcpStatusDeadline (v2 only) reports the request's wire-propagated
+	// tcpStatusDeadline reports the request's wire-propagated
 	// deadline expired at the site; work was aborted or never started.
 	tcpStatusDeadline byte = 2
-	// tcpStatusOverload (v2 only) reports admission control shed the
+	// tcpStatusOverload reports admission control shed the
 	// request; the body carries a uvarint retry-after hint in µs.
 	tcpStatusOverload byte = 3
-	// tcpStatusPush (v2 only, version ≥ 4) marks a server-initiated frame:
+	// tcpStatusPush (version ≥ 4) marks a server-initiated frame:
 	// not a reply to any request, but a maintenance delta pushed to a
 	// connection that subscribed with SubscribeDeltasKind. Push frames
 	// carry request ID 0 — client-assigned IDs start at 1 — and the body
@@ -80,26 +79,10 @@ func writeBytes(w *bufio.Writer, b []byte) error {
 	return err
 }
 
-func readBytes(r *bufio.Reader) ([]byte, error) {
-	n, err := readUvarint(r)
-	if err != nil {
-		return nil, err
-	}
-	if n > maxFrame {
-		return nil, errFrameTooBig
-	}
-	b := make([]byte, n)
-	if _, err := io.ReadFull(r, b); err != nil {
-		return nil, err
-	}
-	return b, nil
-}
-
-// readBytesReuse is readBytes into a connection-scoped scratch buffer: the
-// buffer grows to the high-water mark of the connection's frames and is
-// reused for every subsequent frame, so a long-lived site connection stops
-// allocating per message. The returned slice aliases *scratch and is only
-// valid until the next call.
+// readBytesReuse reads one length-prefixed field into a connection-scoped
+// scratch buffer, which grows to the high-water mark of the connection's
+// fields. The returned slice aliases *scratch and is only valid until the
+// next call.
 func readBytesReuse(r *bufio.Reader, scratch *[]byte) ([]byte, error) {
 	n, err := readUvarint(r)
 	if err != nil {
@@ -118,31 +101,17 @@ func readBytesReuse(r *bufio.Reader, scratch *[]byte) ([]byte, error) {
 	return b, nil
 }
 
-// ServeConfig tunes a Server beyond the defaults.
-type ServeConfig struct {
-	// RequireV2 rejects legacy v1 peers with a clean v1-framed error
-	// response ("wire protocol v2 required") instead of serving them.
-	// The site daemon sets it so a version-skewed coordinator gets a
-	// readable error, not interleaved-frame corruption.
-	RequireV2 bool
-	// DrainTimeout bounds how long Close waits for in-flight requests to
-	// finish and their responses to flush before force-closing
-	// connections. Zero means DefaultDrainTimeout.
-	DrainTimeout time.Duration
-}
+// drainTimeout bounds how long Server.Close waits for in-flight requests
+// to finish and their responses to flush before force-closing connections.
+const drainTimeout = 5 * time.Second
 
-// DefaultDrainTimeout is how long Server.Close waits for in-flight
-// requests to drain before force-closing connections.
-const DefaultDrainTimeout = 5 * time.Second
-
-// Server exposes one site over TCP. v2 connections serve any number of
+// Server exposes one site over TCP. A connection serves any number of
 // requests concurrently (per-request handler goroutines, responses
-// multiplexed by request ID); v1 connections serve sequentially.
-// Multiple connections always serve concurrently.
+// multiplexed by request ID), and multiple connections serve
+// concurrently.
 type Server struct {
 	site *Site
 	ln   net.Listener
-	cfg  ServeConfig
 
 	mu     sync.Mutex
 	closed bool
@@ -151,22 +120,14 @@ type Server struct {
 }
 
 // Serve starts serving the site on addr ("host:port"; ":0" picks a free
-// port) with the default configuration. It returns immediately; use Addr
-// for the bound address and Close to stop.
+// port). It returns immediately; use Addr for the bound address and Close
+// to stop.
 func Serve(site *Site, addr string) (*Server, error) {
-	return ServeWith(site, addr, ServeConfig{})
-}
-
-// ServeWith is Serve with an explicit configuration.
-func ServeWith(site *Site, addr string, cfg ServeConfig) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: listen %s: %w", addr, err)
 	}
-	if cfg.DrainTimeout <= 0 {
-		cfg.DrainTimeout = DefaultDrainTimeout
-	}
-	s := &Server{site: site, ln: ln, cfg: cfg, conns: make(map[net.Conn]bool)}
+	s := &Server{site: site, ln: ln, conns: make(map[net.Conn]bool)}
 	s.wg.Add(1)
 	go s.acceptLoop()
 	return s, nil
@@ -199,7 +160,7 @@ func (s *Server) Close() error {
 	}()
 	select {
 	case <-done:
-	case <-time.After(s.cfg.DrainTimeout):
+	case <-time.After(drainTimeout):
 		s.mu.Lock()
 		for c := range s.conns {
 			c.Close()
@@ -207,7 +168,7 @@ func (s *Server) Close() error {
 		s.mu.Unlock()
 		select {
 		case <-done:
-		case <-time.After(s.cfg.DrainTimeout):
+		case <-time.After(drainTimeout):
 		}
 	}
 	return err
@@ -239,9 +200,10 @@ func (s *Server) forget(conn net.Conn) {
 	s.mu.Unlock()
 }
 
-// serveConn sniffs the connection's protocol version off its first byte
-// (a v2 handshake opens with v2Magic ≥ 0x80; a v1 request opens with a
-// short kind length < 0x80) and dispatches to the matching loop.
+// serveConn sniffs the connection's protocol version off its first byte:
+// a v2 handshake opens with v2Magic ≥ 0x80, whereas a legacy v1 request
+// opens with a short kind length < 0x80 and gets a readable rejection,
+// not interleaved-frame corruption.
 func (s *Server) serveConn(conn net.Conn) {
 	defer s.wg.Done()
 	defer s.forget(conn)
@@ -255,16 +217,12 @@ func (s *Server) serveConn(conn net.Conn) {
 		s.serveV2(conn, r)
 		return
 	}
-	if s.cfg.RequireV2 {
-		s.rejectV1(conn, r)
-		return
-	}
-	s.serveV1(conn, r)
+	s.rejectV1(conn, r)
 }
 
 // rejectV1 answers a legacy peer's every request with a v1-framed error
 // — the one clean thing a v2-only server can say in v1. The connection
-// is kept (v1 clients pool a connection that answered, even with an
+// is kept (v1 clients pooled a connection that answered, even with an
 // error) and each request on it gets the same readable message, so a
 // retrying peer sees "requires wire protocol v2" consistently instead
 // of alternating with EOFs from a closed socket.
@@ -281,38 +239,6 @@ func (s *Server) rejectV1(conn net.Conn, r *bufio.Reader) {
 			return
 		}
 		if writeResponse(w, tcpStatusErr, Response{Payload: []byte(msg)}) != nil {
-			return
-		}
-	}
-}
-
-// serveV1 is the legacy sequential loop: one request in flight per
-// connection.
-func (s *Server) serveV1(conn net.Conn, r *bufio.Reader) {
-	defer conn.Close()
-	w := bufio.NewWriter(conn)
-	// Per-connection scratch buffers: request frames are consumed
-	// synchronously by dispatch (handlers copy what they keep — decoded
-	// programs, trees and formulas own their memory), so the same two
-	// buffers serve every request on the connection.
-	var kindBuf, payloadBuf []byte
-	for {
-		kind, err := readBytesReuse(r, &kindBuf)
-		if err != nil {
-			return // EOF, broken frame, or drain kick: drop the connection
-		}
-		payload, err := readBytesReuse(r, &payloadBuf)
-		if err != nil {
-			return
-		}
-		resp, herr := s.site.dispatch(context.Background(), Request{Kind: string(kind), Payload: payload})
-		if herr != nil {
-			if writeResponse(w, tcpStatusErr, Response{Payload: []byte(herr.Error())}) != nil {
-				return
-			}
-			continue
-		}
-		if writeResponse(w, tcpStatusOK, resp) != nil {
 			return
 		}
 	}
@@ -518,7 +444,7 @@ func writeResponse(w *bufio.Writer, status byte, resp Response) error {
 var ErrRemote = errors.New("cluster: remote error")
 
 // TCPTransport implements Transport over real sockets, speaking the
-// multiplexed v2 wire protocol by default: one connection per peer
+// multiplexed v2 wire protocol: one connection per peer
 // carries any number of concurrent requests (single writer goroutine,
 // demux reader), so concurrent rounds to the same site pipeline instead
 // of queueing on a per-connection lock. Site names map to addresses;
@@ -528,29 +454,15 @@ var ErrRemote = errors.New("cluster: remote error")
 type TCPTransport struct {
 	mu     sync.Mutex
 	addrs  map[frag.SiteID]string
-	conns  map[frag.SiteID]*tcpConn // v1 pool (ForceV1 only)
-	muxes  map[frag.SiteID]*muxConn // v2 pool
+	muxes  map[frag.SiteID]*muxConn
 	locals map[frag.SiteID]*Site
 
 	// DialTimeout bounds connection establishment, including the v2
 	// handshake (default 5s).
 	DialTimeout time.Duration
 
-	// ForceV1 pins the transport to the legacy wire protocol: one
-	// request in flight per connection, the connection held exclusively
-	// across the round trip. It exists for the differential tests and
-	// the serialized baseline of the fan-out benchmark; leave it false.
-	ForceV1 bool
-
 	metrics *Metrics
 	cost    CostModel
-}
-
-type tcpConn struct {
-	mu   sync.Mutex
-	conn net.Conn
-	r    *bufio.Reader
-	w    *bufio.Writer
 }
 
 // NewTCPTransport creates a transport over the given site→address map.
@@ -561,7 +473,6 @@ func NewTCPTransport(addrs map[frag.SiteID]string) *TCPTransport {
 	}
 	return &TCPTransport{
 		addrs:       cp,
-		conns:       make(map[frag.SiteID]*tcpConn),
 		muxes:       make(map[frag.SiteID]*muxConn),
 		locals:      make(map[frag.SiteID]*Site),
 		DialTimeout: 5 * time.Second,
@@ -601,16 +512,9 @@ func (t *TCPTransport) Site(id frag.SiteID) (*Site, bool) {
 // Metrics returns the transport's accounting.
 func (t *TCPTransport) Metrics() *Metrics { return t.metrics }
 
-// Close closes all pooled connections; pending v2 calls fail.
+// Close closes all pooled connections; pending calls fail.
 func (t *TCPTransport) Close() error {
 	t.mu.Lock()
-	var first error
-	for id, c := range t.conns {
-		if err := c.conn.Close(); err != nil && first == nil {
-			first = err
-		}
-		delete(t.conns, id)
-	}
 	muxes := make([]*muxConn, 0, len(t.muxes))
 	for id, c := range t.muxes {
 		muxes = append(muxes, c)
@@ -622,7 +526,7 @@ func (t *TCPTransport) Close() error {
 	for _, c := range muxes {
 		c.close()
 	}
-	return first
+	return nil
 }
 
 func (t *TCPTransport) dial(to frag.SiteID) (net.Conn, error) {
@@ -677,49 +581,14 @@ func (t *TCPTransport) dropMux(to frag.SiteID, c *muxConn) {
 	t.mu.Unlock()
 }
 
-func (t *TCPTransport) connFor(to frag.SiteID) (*tcpConn, error) {
-	t.mu.Lock()
-	if c, ok := t.conns[to]; ok {
-		t.mu.Unlock()
-		return c, nil
-	}
-	t.mu.Unlock()
-	conn, err := t.dial(to)
-	if err != nil {
-		return nil, err
-	}
-	c := &tcpConn{conn: conn, r: bufio.NewReader(conn), w: bufio.NewWriter(conn)}
-	t.mu.Lock()
-	if prev, ok := t.conns[to]; ok {
-		t.mu.Unlock()
-		conn.Close()
-		return prev, nil
-	}
-	t.conns[to] = c
-	t.mu.Unlock()
-	return c, nil
-}
-
-func (t *TCPTransport) drop(to frag.SiteID, c *tcpConn) {
-	t.mu.Lock()
-	if t.conns[to] == c {
-		delete(t.conns, to)
-	}
-	t.mu.Unlock()
-	c.conn.Close()
-}
-
-// Call implements Transport synchronously. Over v2 it is a thin wrapper
-// around Go — the call shares the peer connection with every other
-// in-flight request. Under ForceV1 it takes the legacy exclusive-
-// connection path.
+// Call implements Transport synchronously: a thin wrapper around Go — the
+// call shares the peer connection with every other in-flight request.
 func (t *TCPTransport) Call(ctx context.Context, from, to frag.SiteID, req Request) (Response, CallCost, error) {
 	if err := ctx.Err(); err != nil {
 		return Response{}, CallCost{}, err
 	}
 	t.mu.Lock()
 	local, isLocal := t.locals[to]
-	forceV1 := t.ForceV1
 	t.mu.Unlock()
 	var cost CallCost
 	cost.ReqBytes = len(req.Payload)
@@ -741,45 +610,19 @@ func (t *TCPTransport) Call(ctx context.Context, from, to frag.SiteID, req Reque
 		t.metrics.record(from, to, req, resp, cost, false)
 		return resp, cost, nil
 	}
-	if !forceV1 {
-		r := <-t.goRemote(ctx, from, to, req)
-		return r.Resp, r.Cost, r.Err
-	}
-	c, err := t.connFor(to)
-	if err != nil {
-		return Response{}, cost, err
-	}
-	start := time.Now()
-	resp, err := c.roundTrip(ctx, req)
-	cost.Wall = time.Since(start)
-	if err != nil {
-		if !errors.Is(err, ErrRemote) {
-			// Transport-level failure — including a context deadline or
-			// cancellation that fired mid-frame: the connection may hold
-			// a half-read response, so it must never be reused.
-			t.drop(to, c)
-		}
-		t.metrics.recordError(to)
-		return Response{}, cost, err
-	}
-	cost.RespBytes = len(resp.Payload)
-	cost.Steps = resp.Steps
-	cost.Net = cost.Wall // real network: measured, not modeled
-	t.metrics.record(from, to, req, resp, cost, true)
-	return resp, cost, nil
+	r := <-t.goRemote(ctx, from, to, req)
+	return r.Resp, r.Cost, r.Err
 }
 
 // Go implements AsyncTransport: the request is pipelined onto the
 // peer's multiplexed connection and the reply delivered on the returned
-// channel. Calls to local sites (and every call under ForceV1) run Call
-// in a goroutine instead. The first call to a peer may block briefly to
+// channel. Calls to local sites run Call in a goroutine instead. The first call to a peer may block briefly to
 // dial and handshake its connection.
 func (t *TCPTransport) Go(ctx context.Context, from, to frag.SiteID, req Request) <-chan Reply {
 	t.mu.Lock()
 	_, isLocal := t.locals[to]
-	forceV1 := t.ForceV1
 	t.mu.Unlock()
-	if (isLocal && from == to) || forceV1 {
+	if isLocal && from == to {
 		ch := make(chan Reply, 1)
 		go func() {
 			resp, cost, err := t.Call(ctx, from, to, req)
@@ -804,13 +647,9 @@ func (t *TCPTransport) Go(ctx context.Context, from, to frag.SiteID, req Request
 func (t *TCPTransport) SubscribeDeltas(ctx context.Context, from, to frag.SiteID, fn func([]byte)) (func(), error) {
 	t.mu.Lock()
 	local, isLocal := t.locals[to]
-	forceV1 := t.ForceV1
 	t.mu.Unlock()
 	if isLocal {
 		return local.SubscribeDeltas(fn), nil
-	}
-	if forceV1 {
-		return nil, errors.New("cluster: delta subscriptions require wire protocol v2")
 	}
 	c, err := t.muxFor(to)
 	if err != nil {
@@ -881,76 +720,4 @@ func (t *TCPTransport) goRemote(ctx context.Context, from, to frag.SiteID, req R
 		ch <- Reply{Resp: resp, Cost: cost}
 	})
 	return ch
-}
-
-// roundTrip is the v1 exclusive-connection exchange. The caller's
-// context interrupts a blocked read or write via the socket deadline —
-// both an expiring deadline and a plain cancellation — and the
-// resulting error surfaces as the context's; the caller must then drop
-// the connection, which may hold a half-read frame.
-func (c *tcpConn) roundTrip(ctx context.Context, req Request) (Response, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	// The context may have expired while this caller queued on the
-	// connection mutex; fail now rather than run an unbounded exchange.
-	if err := ctx.Err(); err != nil {
-		return Response{}, err
-	}
-	// Clear any stale deadline BEFORE registering the watcher: in the
-	// other order, a context firing in between would have its
-	// deadline-kick overwritten and the exchange would run unbounded.
-	if err := c.conn.SetDeadline(time.Time{}); err != nil {
-		return Response{}, err
-	}
-	// Interrupt the socket the moment the context fires. time.Unix(1, 0)
-	// is an already-expired deadline: pending and future I/O fails
-	// immediately.
-	stop := context.AfterFunc(ctx, func() {
-		c.conn.SetDeadline(time.Unix(1, 0))
-	})
-	defer stop()
-	resp, err := c.exchange(req)
-	if err != nil {
-		if ctxErr := ctx.Err(); ctxErr != nil && !errors.Is(err, ErrRemote) {
-			return Response{}, ctxErr
-		}
-		return Response{}, err
-	}
-	return resp, nil
-}
-
-func (c *tcpConn) exchange(req Request) (Response, error) {
-	if err := writeBytes(c.w, []byte(req.Kind)); err != nil {
-		return Response{}, err
-	}
-	if err := writeBytes(c.w, req.Payload); err != nil {
-		return Response{}, err
-	}
-	if err := c.w.Flush(); err != nil {
-		return Response{}, err
-	}
-	status, err := c.r.ReadByte()
-	if err != nil {
-		return Response{}, err
-	}
-	steps, err := readUvarint(c.r)
-	if err != nil {
-		return Response{}, err
-	}
-	hits, err := readUvarint(c.r)
-	if err != nil {
-		return Response{}, err
-	}
-	misses, err := readUvarint(c.r)
-	if err != nil {
-		return Response{}, err
-	}
-	body, err := readBytes(c.r)
-	if err != nil {
-		return Response{}, err
-	}
-	if status == tcpStatusErr {
-		return Response{}, fmt.Errorf("%w: %s", ErrRemote, body)
-	}
-	return Response{Payload: body, Steps: int64(steps), CacheHits: int64(hits), CacheMisses: int64(misses)}, nil
 }

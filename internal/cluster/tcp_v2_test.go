@@ -1,7 +1,9 @@
 package cluster
 
 import (
+	"bufio"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -132,103 +134,60 @@ func TestV2PipelinedSoak(t *testing.T) {
 	}
 }
 
-// TestV1DeadlineDropsConn is the regression test for the legacy path: a
-// context that expires mid-response must drop the pooled connection —
-// reusing it would leave the next caller reading the first call's
-// half-delivered frame.
-func TestV1DeadlineDropsConn(t *testing.T) {
+// TestHandshakeRejectsV1Peer pins the daemon-facing guarantee: a legacy
+// v1 peer gets a readable v1-framed error response to every request on its
+// connection, not frame corruption — while a v2 peer of the same server
+// works.
+func TestHandshakeRejectsV1Peer(t *testing.T) {
 	site := NewSite("R")
-	site.Handle("slowbig", func(context.Context, *Site, Request) (Response, error) {
-		time.Sleep(150 * time.Millisecond)
-		return Response{Payload: []byte(strings.Repeat("z", 1<<20))}, nil
-	})
 	site.Handle("echo", echoHandler)
 	srv, err := Serve(site, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	tr := NewTCPTransport(map[frag.SiteID]string{"R": srv.Addr()})
-	tr.ForceV1 = true
-	defer tr.Close()
 
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
-	defer cancel()
-	if _, _, err := tr.Call(ctx, "C", "R", Request{Kind: "slowbig"}); err == nil {
-		t.Fatal("expired call succeeded")
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
 	}
-	// The timed-out connection held (or was about to receive) a 1 MiB
-	// frame this caller never consumed. The next call must see a fresh
-	// connection and a correct, un-torn response.
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(5 * time.Second))
+	r, w := bufio.NewReader(conn), bufio.NewWriter(conn)
+	// Every request must see the readable error — v1 clients pooled a
+	// connection that answered, so the server must keep answering it, not
+	// close it.
 	for i := 0; i < 3; i++ {
-		payload := []byte(fmt.Sprintf("after-%d", i))
-		resp, _, err := tr.Call(context.Background(), "C", "R", Request{Kind: "echo", Payload: payload})
+		// A v1 request frame: kind, then payload, each length-prefixed.
+		if err := writeBytes(w, []byte("echo")); err != nil {
+			t.Fatal(err)
+		}
+		if err := writeBytes(w, []byte("hi")); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		// A v1 response frame: status, steps, cache hits, cache misses, body.
+		status, err := r.ReadByte()
 		if err != nil {
-			t.Fatalf("call %d after deadline: %v", i, err)
+			t.Fatalf("attempt %d: reading the rejection: %v", i, err)
 		}
-		if string(resp.Payload) != string(payload) {
-			t.Fatalf("call %d read a torn frame: got %d bytes %q...", i, len(resp.Payload), resp.Payload[:min(16, len(resp.Payload))])
+		for range 3 {
+			if _, err := binary.ReadUvarint(r); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-}
-
-// TestV1RemoteErrorKeepsConn: a handler error is a protocol-level
-// response, fully consumed off the wire — the v1 connection stays
-// pooled and is reused.
-func TestV1RemoteErrorKeepsConn(t *testing.T) {
-	site := NewSite("R")
-	site.Handle("boom", func(context.Context, *Site, Request) (Response, error) {
-		return Response{}, errors.New("kaput")
-	})
-	site.Handle("echo", echoHandler)
-	srv, err := Serve(site, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	tr := NewTCPTransport(map[frag.SiteID]string{"R": srv.Addr()})
-	tr.ForceV1 = true
-	defer tr.Close()
-	if _, _, err := tr.Call(context.Background(), "C", "R", Request{Kind: "boom"}); !errors.Is(err, ErrRemote) {
-		t.Fatalf("want ErrRemote, got %v", err)
-	}
-	tr.mu.Lock()
-	pooled := len(tr.conns)
-	tr.mu.Unlock()
-	if pooled != 1 {
-		t.Errorf("connection pool after remote error: %d conns, want 1 (kept)", pooled)
-	}
-	if resp, _, err := tr.Call(context.Background(), "C", "R", Request{Kind: "echo", Payload: []byte("x")}); err != nil || string(resp.Payload) != "x" {
-		t.Fatalf("reuse after remote error: %v", err)
-	}
-}
-
-// TestRequireV2RejectsV1 pins the daemon-facing handshake guarantee: a
-// v1 peer of a RequireV2 server gets a readable error response, not
-// frame corruption.
-func TestRequireV2RejectsV1(t *testing.T) {
-	site := NewSite("R")
-	site.Handle("echo", echoHandler)
-	srv, err := ServeWith(site, "127.0.0.1:0", ServeConfig{RequireV2: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	v1 := NewTCPTransport(map[frag.SiteID]string{"R": srv.Addr()})
-	v1.ForceV1 = true
-	defer v1.Close()
-	// Every attempt must see the readable error — including retries on
-	// the pooled connection (an ErrRemote response keeps a v1 conn
-	// pooled, so the server must keep answering it, not close it).
-	for i := 0; i < 3; i++ {
-		_, _, err = v1.Call(context.Background(), "C", "R", Request{Kind: "echo", Payload: []byte("hi")})
-		if !errors.Is(err, ErrRemote) || !strings.Contains(err.Error(), "wire protocol v2") {
-			t.Fatalf("v1 peer rejection (attempt %d) = %v, want ErrRemote mentioning wire protocol v2", i, err)
+		var scratch []byte
+		body, err := readBytesReuse(r, &scratch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if status != tcpStatusErr || !strings.Contains(string(body), "wire protocol v2") {
+			t.Fatalf("v1 peer rejection (attempt %d) = status %d %q, want an error mentioning wire protocol v2", i, status, body)
 		}
 	}
 
-	// A v2 peer of the same server works.
 	v2 := NewTCPTransport(map[frag.SiteID]string{"R": srv.Addr()})
 	defer v2.Close()
 	if resp, _, err := v2.Call(context.Background(), "C", "R", Request{Kind: "echo", Payload: []byte("hi")}); err != nil || string(resp.Payload) != "hi" {
@@ -502,10 +461,9 @@ func TestV2PushDeltaRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSubscribeDeltasLocalAndV1: the local fast path registers directly
-// on the site, and the v1 wire (no push frames) refuses subscriptions
-// instead of silently dropping them.
-func TestSubscribeDeltasLocalAndV1(t *testing.T) {
+// TestSubscribeDeltasLocal: the local fast path registers directly on the
+// site.
+func TestSubscribeDeltasLocal(t *testing.T) {
 	local := NewSite("L")
 	tr := NewTCPTransport(nil)
 	tr.Local(local)
@@ -524,12 +482,5 @@ func TestSubscribeDeltasLocalAndV1(t *testing.T) {
 		}
 	case <-time.After(time.Second):
 		t.Fatal("local push never delivered")
-	}
-
-	v1 := NewTCPTransport(map[frag.SiteID]string{"R": "127.0.0.1:1"})
-	v1.ForceV1 = true
-	defer v1.Close()
-	if _, err := v1.SubscribeDeltas(context.Background(), "C", "R", func([]byte) {}); err == nil {
-		t.Fatal("v1 SubscribeDeltas succeeded, want error")
 	}
 }

@@ -1,7 +1,7 @@
 package cluster
 
 // Wire protocol v2: the multiplexed, pipelined framing the TCP transport
-// speaks by default. Where v1 holds a connection exclusively for one
+// speaks. Where the retired v1 held a connection exclusively for one
 // request/response round trip (head-of-line blocking every concurrent
 // caller to the same site), v2 tags every frame with a varint request ID
 // so unlimited requests are in flight per connection and responses
@@ -16,8 +16,8 @@ package cluster
 // v2Magic (0xB2) is unambiguous against v1 traffic: a v1 request begins
 // with the uvarint length of its kind string, and kinds are short ASCII
 // names, so a v1 first byte is always < 0x80. A server therefore sniffs
-// the first byte to serve both protocols on one port (or to reject v1
-// peers cleanly when configured to, see ServeConfig.RequireV2).
+// the first byte and rejects a v1 peer cleanly, in v1 framing
+// (Server.rejectV1).
 //
 // Frames after the handshake:
 //
@@ -114,8 +114,8 @@ func appendV2Request(dst []byte, id, deadlineMicros, traceID, parentSpan uint64,
 }
 
 // readV2Request reads one request frame. kind and payload are freshly
-// allocated: v2 handlers run concurrently with the reader, so frames
-// cannot share a connection-scoped scratch buffer the way v1 does.
+// allocated: handlers run concurrently with the reader, so frames cannot
+// share a connection-scoped scratch buffer.
 // deadlineMicros is clamped like the encoder clamps it.
 func readV2Request(r *bufio.Reader) (id, deadlineMicros, traceID, parentSpan uint64, kind string, payload []byte, err error) {
 	if id, err = binary.ReadUvarint(r); err != nil {

@@ -61,11 +61,11 @@ func (e *Engine) ParBoXBatch(ctx context.Context, prog *xpath.Program, roots []i
 	if err != nil {
 		return BatchReport{}, err
 	}
+	arena := eval.GetArena()
+	defer eval.PutArena(arena)
 	triplets := make(map[xmltree.FragmentID]eval.Triplet, e.st.Count())
-	for _, fts := range perSite {
-		for _, ft := range fts {
-			triplets[ft.id] = ft.triplet
-		}
+	if err := internTriplets(arena, perSite, triplets); err != nil {
+		return BatchReport{}, err
 	}
 	answers, work, err := eval.SolveMulti(e.st, triplets, prog, roots)
 	if err != nil {

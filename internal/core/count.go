@@ -63,13 +63,7 @@ func (e *Engine) CountParBoX(ctx context.Context, sp *xpath.SelectProgram) (Coun
 	if err != nil {
 		return CountReport{}, err
 	}
-	triplets := make(map[xmltree.FragmentID]eval.Triplet, e.st.Count())
-	for _, fts := range perSite {
-		for _, ft := range fts {
-			triplets[ft.id] = ft.triplet
-		}
-	}
-	vecs, solveWork, err := eval.SolveAll(e.st, triplets, sp.Bool)
+	vecs, solveWork, err := e.solveAll(perSite, sp.Bool)
 	if err != nil {
 		return CountReport{}, err
 	}

@@ -42,7 +42,7 @@ func TestPropAlgorithmsMatchLegacyEvaluator(t *testing.T) {
 		prog := xpath.Compile(q)
 
 		// Reference answer: the legacy pointer-formula pipeline.
-		legacyTriplets := make(map[xmltree.FragmentID]eval.Triplet, forest.Count())
+		legacyTriplets := make(map[xmltree.FragmentID]eval.LegacyTriplet, forest.Count())
 		for _, id := range forest.IDs() {
 			fr, _ := forest.Fragment(id)
 			lt, _, err := eval.LegacyBottomUp(fr.Root, prog)

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"repro/internal/backoff"
-	"repro/internal/boolexpr"
 	"repro/internal/cluster"
 	"repro/internal/eval"
 	"repro/internal/frag"
@@ -340,10 +339,8 @@ func (e *Engine) evalQualJob(prog *xpath.Program, fp uint64, site frag.SiteID, i
 			Kind:    KindEvalQual,
 			Payload: encodeEvalQualReq(evalQualReq{prog: prog, ids: ids, fp: fp}),
 		},
-		// One slab per site response: every triplet of the response
-		// decodes into chunked storage instead of node-by-node allocs.
 		dec: func(resp cluster.Response, _ cluster.CallCost) ([]fragTriplet, error) {
-			return decodeEvalQualResp(resp.Payload, boolexpr.NewSlab())
+			return decodeEvalQualResp(resp.Payload)
 		},
 	}
 }
@@ -453,11 +450,11 @@ func (e *Engine) ParBoX(ctx context.Context, prog *xpath.Program) (Report, error
 	if err != nil {
 		return Report{}, err
 	}
+	arena := eval.GetArena()
+	defer eval.PutArena(arena)
 	triplets := make(map[xmltree.FragmentID]eval.Triplet, e.st.Count())
-	for _, fts := range perSite {
-		for _, ft := range fts {
-			triplets[ft.id] = ft.triplet
-		}
+	if err := internTriplets(arena, perSite, triplets); err != nil {
+		return Report{}, err
 	}
 
 	// Stage 3: solve the equation system at the coordinator.
@@ -602,10 +599,9 @@ func (e *Engine) NaiveDistributed(ctx context.Context, prog *xpath.Program) (Rep
 	if err != nil {
 		return Report{}, err
 	}
-	ansF := t.V[prog.Root()]
-	ans, okc := ansF.ConstValue()
-	if !okc {
-		return Report{}, fmt.Errorf("core: NaiveDistributed produced a residual answer %v", ansF)
+	ans, err := resolvedAnswer(t, prog, AlgoNaiveDistributed)
+	if err != nil {
+		return Report{}, err
 	}
 	rep := Report{
 		Algorithm: AlgoNaiveDistributed,
@@ -621,6 +617,20 @@ func (e *Engine) NaiveDistributed(ctx context.Context, prog *xpath.Program) (Rep
 	rep.Bytes += stats.bytes
 	rep.Messages += stats.messages
 	return rep, nil
+}
+
+// resolvedAnswer reads the query answer off the root fragment's resolved
+// triplet, as the site-side unification of algo returned it.
+func resolvedAnswer(t eval.Triplet, prog *xpath.Program, algo Algorithm) (bool, error) {
+	if len(t.V) != len(prog.Subs) {
+		return false, fmt.Errorf("%w: %s resolved triplet has arity %d, want %d", ErrBadMessage, algo, len(t.V), len(prog.Subs))
+	}
+	ansF := t.V[prog.Root()]
+	ans, ok := t.A.ConstValue(ansF)
+	if !ok {
+		return false, fmt.Errorf("core: %s produced a residual answer %v", algo, t.A.String(ansF))
+	}
+	return ans, nil
 }
 
 // Hybrid is HybridParBoX (Section 4): ParBoX while card(F) < |T|/|q|,
@@ -707,10 +717,9 @@ func (e *Engine) FullDist(ctx context.Context, prog *xpath.Program) (Report, err
 	// No cleanup on success: run states self-destruct once each site's
 	// last fragment has been resolved, keeping the per-site visit count at
 	// the paper's 1 + card(F_Si).
-	ansF := t.V[prog.Root()]
-	ans, okc := ansF.ConstValue()
-	if !okc {
-		return Report{}, fmt.Errorf("core: FullDistParBoX produced a residual answer %v", ansF)
+	ans, err := resolvedAnswer(t, prog, AlgoFullDist)
+	if err != nil {
+		return Report{}, err
 	}
 	rep := Report{
 		Algorithm: AlgoFullDist,
@@ -758,6 +767,8 @@ func (e *Engine) Lazy(ctx context.Context, prog *xpath.Program) (Report, error) 
 	}
 	start := time.Now()
 	rec := newRecorder()
+	arena := eval.GetArena()
+	defer eval.PutArena(arena)
 	triplets := make(map[xmltree.FragmentID]eval.Triplet, e.st.Count())
 	var simTotal time.Duration
 	var solveWork int64
@@ -795,10 +806,8 @@ func (e *Engine) Lazy(ctx context.Context, prog *xpath.Program) (Report, error) 
 		if err != nil {
 			return Report{}, err
 		}
-		for _, fts := range perSite {
-			for _, ft := range fts {
-				triplets[ft.id] = ft.triplet
-			}
+		if err := internTriplets(arena, perSite, triplets); err != nil {
+			return Report{}, err
 		}
 		simTotal += simLevel
 

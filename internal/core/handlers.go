@@ -18,12 +18,13 @@ import (
 
 // runState is the per-query state FullDistParBoX caches at a site between
 // stage 2 (evalQualKeep) and stage 3 (resolve): the program, the site's
-// copy of the source tree, and the local triplets.
+// copy of the source tree, and the local triplets — kept encoded; each
+// resolve decodes its fragment's into an arena of its own.
 type runState struct {
 	prog     *xpath.Program
 	st       *frag.SourceTree
 	mu       sync.Mutex
-	triplets map[xmltree.FragmentID]eval.Triplet
+	triplets map[xmltree.FragmentID][]byte
 	// remaining counts the local fragments not yet resolved; the state
 	// self-destructs at zero, since evalDistrST resolves every fragment
 	// exactly once — no cleanup round trip is needed on the happy path.
@@ -111,7 +112,7 @@ func handleEvalQual(keep bool) cluster.Handler {
 			if q.st == nil {
 				return cluster.Response{}, fmt.Errorf("%w: evalQualKeep without source tree", ErrBadMessage)
 			}
-			state = &runState{prog: q.prog, st: q.st, triplets: make(map[xmltree.FragmentID]eval.Triplet)}
+			state = &runState{prog: q.prog, st: q.st, triplets: make(map[xmltree.FragmentID][]byte)}
 		}
 		if q.fp != 0 && !keep {
 			return evalQualCached(ctx, site, q)
@@ -128,7 +129,7 @@ func handleEvalQual(keep bool) cluster.Handler {
 		}
 		if keep {
 			for _, ft := range fts {
-				state.triplets[ft.id] = ft.triplet
+				state.triplets[ft.id] = ft.enc
 			}
 			state.remaining = len(state.triplets)
 			site.Put(runStateKey(q.runKey), state)
@@ -181,12 +182,11 @@ func evalQualCached(ctx context.Context, site *cluster.Site, q evalQualReq) (clu
 		}
 		steps = s
 		for j, i := range missIdx {
-			enc := mfts[j].triplet.Encode()
-			fts[i] = fragTriplet{id: q.ids[i], enc: enc}
-			cache.store(q.ids[i], vers[i], q.fp, enc)
+			fts[i] = mfts[j]
+			cache.store(q.ids[i], vers[i], q.fp, fts[i].enc)
 			// Journal the fill so a restarted site warm-starts its cache
 			// (no-op without an attached durable store).
-			site.PersistTriplet(q.ids[i], vers[i], q.fp, enc)
+			site.PersistTriplet(q.ids[i], vers[i], q.fp, fts[i].enc)
 		}
 	}
 	_, esp := obs.StartSpan(ctx, string(site.ID()), "encode")
@@ -201,8 +201,10 @@ func evalQualCached(ctx context.Context, site *cluster.Site, q evalQualReq) (clu
 }
 
 // evalFragments runs BottomUp over the given locally stored fragments,
-// fanning out over a bounded worker pool, and returns the triplets in
-// request order plus the summed step count.
+// fanning out over a bounded worker pool, and returns the encoded triplets
+// in request order plus the summed step count. Each triplet is encoded
+// straight from the arena it was computed in, which then goes back to the
+// evaluator's pool.
 func evalFragments(ctx context.Context, site *cluster.Site, prog *xpath.Program, ids []xmltree.FragmentID) ([]fragTriplet, int64, error) {
 	// Programs decoded off the wire arrive without a compiled lane kernel;
 	// compile it once here rather than racing to build it (each winning
@@ -222,7 +224,8 @@ func evalFragments(ctx context.Context, site *cluster.Site, prog *xpath.Program,
 		if err != nil {
 			return s, fmt.Errorf("core: fragment %d: %w", id, err)
 		}
-		fts[i] = fragTriplet{id: id, triplet: t}
+		fts[i] = fragTriplet{id: id, enc: t.Encode()}
+		eval.PutArena(t.A)
 		return s, nil
 	}
 	workers := runtime.GOMAXPROCS(0)
@@ -304,10 +307,14 @@ func handleResolve(tr cluster.Transport, cost cluster.CostModel) cluster.Handler
 		}
 		state := stateAny.(*runState)
 		state.mu.Lock()
-		own, ok := state.triplets[id]
+		ownEnc, ok := state.triplets[id]
 		state.mu.Unlock()
 		if !ok {
 			return cluster.Response{}, fmt.Errorf("core: run %q has no triplet for fragment %d at %s", runKey, id, site.ID())
+		}
+		own, err := eval.DecodeTriplet(ownEnc)
+		if err != nil {
+			return cluster.Response{}, err
 		}
 		entry, ok := state.st.Entry(id)
 		if !ok {

@@ -181,50 +181,34 @@ func decodeEvalQualReq(buf []byte) (evalQualReq, error) {
 }
 
 // evalQualResp: per fragment, its ID and encoded triplet. A fragTriplet
-// carries either a live triplet or its pre-computed encoding (enc != nil;
-// the cache hit path hands back memoized bytes without re-encoding).
+// carries the triplet in its interchange form only: a site encodes straight
+// from the arena bottomUp ran in (or hands back memoized bytes on a cache
+// hit), and the coordinator decodes the bytes into its solve arena at
+// gather — the scatter dec callbacks run concurrently, one arena must not.
 type fragTriplet struct {
-	id      xmltree.FragmentID
-	triplet eval.Triplet
-	enc     []byte
-}
-
-// encodedSize returns the entry's wire size without encoding.
-func (ft *fragTriplet) encodedSize() int {
-	if ft.enc != nil {
-		return len(ft.enc)
-	}
-	return ft.triplet.EncodedSize()
+	id  xmltree.FragmentID
+	enc []byte
 }
 
 func encodeEvalQualResp(fts []fragTriplet) []byte {
-	// Presize exactly (triplet sizes are known without encoding) so the
-	// whole response is one allocation and triplets append in place
-	// instead of each being encoded into a throwaway buffer first.
-	sizes := make([]int, len(fts))
 	size := boolexpr.UvarintLen(uint64(len(fts)))
 	for i := range fts {
-		sizes[i] = fts[i].encodedSize()
-		size += boolexpr.UvarintLen(uint64(uint32(fts[i].id))) + boolexpr.UvarintLen(uint64(sizes[i])) + sizes[i]
+		n := len(fts[i].enc)
+		size += boolexpr.UvarintLen(uint64(uint32(fts[i].id))) + boolexpr.UvarintLen(uint64(n)) + n
 	}
 	dst := make([]byte, 0, size)
 	dst = binary.AppendUvarint(dst, uint64(len(fts)))
 	for i := range fts {
 		dst = binary.AppendUvarint(dst, uint64(uint32(fts[i].id)))
-		dst = binary.AppendUvarint(dst, uint64(sizes[i]))
-		if fts[i].enc != nil {
-			dst = append(dst, fts[i].enc...)
-		} else {
-			dst = fts[i].triplet.AppendEncoded(dst)
-		}
+		dst = appendBytes(dst, fts[i].enc)
 	}
 	return dst
 }
 
-// decodeEvalQualResp parses an evalQual response. A non-nil slab receives
-// the decoded formulas (the coordinator drains a whole site's triplets —
-// often a whole run's — through one slab; see boolexpr.Slab).
-func decodeEvalQualResp(buf []byte, slab *boolexpr.Slab) ([]fragTriplet, error) {
+// decodeEvalQualResp splits an evalQual response into its per-fragment
+// encodings, which alias buf. The formulas themselves are validated when
+// the caller interns them (internTriplets).
+func decodeEvalQualResp(buf []byte) ([]fragTriplet, error) {
 	r := &reader{buf: buf}
 	n, err := r.uvarint()
 	if err != nil {
@@ -243,18 +227,25 @@ func decodeEvalQualResp(buf []byte, slab *boolexpr.Slab) ([]fragTriplet, error) 
 		if err != nil {
 			return nil, err
 		}
-		var t eval.Triplet
-		if slab != nil {
-			t, err = eval.DecodeTripletSlab(tb, slab)
-		} else {
-			t, err = eval.DecodeTriplet(tb)
-		}
-		if err != nil {
-			return nil, err
-		}
-		fts = append(fts, fragTriplet{id: xmltree.FragmentID(uint32(idRaw)), triplet: t})
+		fts = append(fts, fragTriplet{id: xmltree.FragmentID(uint32(idRaw)), enc: tb})
 	}
 	return fts, r.done()
+}
+
+// internTriplets decodes a gathered round's triplets into the arena a and
+// files them under their fragment ids in into, so the solve that follows
+// runs in a with no further copying.
+func internTriplets(a *boolexpr.Arena, perSite [][]fragTriplet, into map[xmltree.FragmentID]eval.Triplet) error {
+	for _, fts := range perSite {
+		for _, ft := range fts {
+			t, err := eval.DecodeTripletInto(a, ft.enc)
+			if err != nil {
+				return fmt.Errorf("core: fragment %d: %w", ft.id, err)
+			}
+			into[ft.id] = t
+		}
+	}
+	return nil
 }
 
 // --- resolve ---------------------------------------------------------------
@@ -289,7 +280,9 @@ type resolveStats struct {
 	steps    int64
 }
 
-// resolveResp: the resolved triplet plus the sub-computation's stats.
+// resolveResp: the resolved triplet plus the sub-computation's stats. The
+// decoded triplet lives in a fresh arena of its own: handleResolve decodes
+// its children's responses concurrently.
 func encodeResolveResp(t eval.Triplet, st resolveStats) []byte {
 	dst := binary.AppendUvarint(nil, uint64(st.simNanos))
 	dst = binary.AppendUvarint(dst, uint64(st.bytes))

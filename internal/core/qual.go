@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 
+	"repro/internal/boolexpr"
 	"repro/internal/cluster"
 	"repro/internal/eval"
 	"repro/internal/frag"
@@ -10,39 +11,15 @@ import (
 	"repro/internal/xpath"
 )
 
-// RequestTriplets asks one site to run Procedure evalQual over the given
-// locally stored fragments and returns the resulting triplets by fragment.
-// The view-maintenance layer uses it to (re)compute partial answers for
-// exactly one fragment after an update — the paper's localized
-// recomputation.
-func RequestTriplets(ctx context.Context, tr cluster.Transport, from, to frag.SiteID,
-	prog *xpath.Program, ids []xmltree.FragmentID) (map[xmltree.FragmentID]eval.Triplet, cluster.CallCost, error) {
-	resp, cost, err := tr.Call(ctx, from, to, cluster.Request{
-		Kind:    KindEvalQual,
-		Payload: encodeEvalQualReq(evalQualReq{prog: prog, ids: ids}),
-	})
-	if err != nil {
-		return nil, cost, err
-	}
-	fts, err := decodeEvalQualResp(resp.Payload, nil)
-	if err != nil {
-		return nil, cost, err
-	}
-	out := make(map[xmltree.FragmentID]eval.Triplet, len(fts))
-	for _, ft := range fts {
-		out[ft.id] = ft.triplet
-	}
-	return out, cost, nil
-}
-
 // GatherTriplets runs Procedure evalQual at every site of the source
 // tree through the engine's scatter/gather layer — one visit per site,
 // at most maxInflight calls in flight at once (0 = all together), first
-// error cancels the round — and returns every fragment's triplet. The
-// views layer materializes and refreshes through it; accounting flows
-// through whatever metering transport tr wraps.
+// error cancels the round — and returns every fragment's triplet, decoded
+// into the caller's arena a. The views layer materializes and refreshes
+// through it; accounting flows through whatever metering transport tr
+// wraps.
 func GatherTriplets(ctx context.Context, tr cluster.Transport, from frag.SiteID,
-	st *frag.SourceTree, prog *xpath.Program, maxInflight int) (map[xmltree.FragmentID]eval.Triplet, error) {
+	st *frag.SourceTree, prog *xpath.Program, maxInflight int, a *boolexpr.Arena) (map[xmltree.FragmentID]eval.Triplet, error) {
 	sites := st.Sites()
 	jobs := make([]scatterJob[[]fragTriplet], len(sites))
 	for i, site := range sites {
@@ -53,7 +30,7 @@ func GatherTriplets(ctx context.Context, tr cluster.Transport, from frag.SiteID,
 				Payload: encodeEvalQualReq(evalQualReq{prog: prog, ids: st.FragmentsAt(site)}),
 			},
 			dec: func(resp cluster.Response, _ cluster.CallCost) ([]fragTriplet, error) {
-				return decodeEvalQualResp(resp.Payload, nil)
+				return decodeEvalQualResp(resp.Payload)
 			},
 		}
 	}
@@ -62,10 +39,8 @@ func GatherTriplets(ctx context.Context, tr cluster.Transport, from frag.SiteID,
 		return nil, err
 	}
 	out := make(map[xmltree.FragmentID]eval.Triplet, st.Count())
-	for _, fts := range perSite {
-		for _, ft := range fts {
-			out[ft.id] = ft.triplet
-		}
+	if err := internTriplets(a, perSite, out); err != nil {
+		return nil, err
 	}
 	return out, nil
 }

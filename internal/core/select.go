@@ -73,13 +73,7 @@ func (e *Engine) SelectParBoX(ctx context.Context, sp *xpath.SelectProgram) (Sel
 	if err != nil {
 		return SelectReport{}, err
 	}
-	triplets := make(map[xmltree.FragmentID]eval.Triplet, e.st.Count())
-	for _, fts := range perSite {
-		for _, ft := range fts {
-			triplets[ft.id] = ft.triplet
-		}
-	}
-	vecs, solveWork, err := eval.SolveAll(e.st, triplets, sp.Bool)
+	vecs, solveWork, err := e.solveAll(perSite, sp.Bool)
 	if err != nil {
 		return SelectReport{}, err
 	}
@@ -417,4 +411,17 @@ func decodeSelectResp(buf []byte) ([][]int, map[xmltree.FragmentID]eval.Arrival,
 		forward[xmltree.FragmentID(uint32(cRaw))] = eval.Arrival{States: states, Sticky: sticky}
 	}
 	return paths, forward, r.done()
+}
+
+// solveAll is pass 1's third phase, shared by Select and Count: intern the
+// gathered triplets into one pooled arena and resolve every fragment's
+// V/DV vectors there.
+func (e *Engine) solveAll(perSite [][]fragTriplet, prog *xpath.Program) (map[xmltree.FragmentID]eval.BoolVecs, int64, error) {
+	arena := eval.GetArena()
+	defer eval.PutArena(arena)
+	triplets := make(map[xmltree.FragmentID]eval.Triplet, e.st.Count())
+	if err := internTriplets(arena, perSite, triplets); err != nil {
+		return nil, 0, err
+	}
+	return eval.SolveAll(e.st, triplets, prog)
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"sync"
 
-	"repro/internal/boolexpr"
 	"repro/internal/cluster"
 	"repro/internal/eval"
 	"repro/internal/xmltree"
@@ -115,31 +114,20 @@ func StoreTriplet(site *cluster.Site, id xmltree.FragmentID, version, fp uint64,
 	siteTripletCache(site).store(id, version, fp, enc)
 }
 
-// TripletRestorer installs recovered triplet-cache entries at restarted
-// sites, sharing one decode slab across the whole restore loop (the
-// decoded formulas are validation-only and discarded; the slab's chunks
-// amortize to one allocation per batch). Not safe for concurrent use —
-// restores run during single-threaded site setup.
-type TripletRestorer struct {
-	slab *boolexpr.Slab
-}
-
-// NewTripletRestorer creates a restorer for one recovery pass.
-func NewTripletRestorer() *TripletRestorer {
-	return &TripletRestorer{slab: boolexpr.NewSlab()}
-}
-
-// Restore installs one recovered entry, provided it is still alive: the
-// fragment's restored version must equal the version the entry was
-// computed at, and the encoding must decode — a dead or undecodable entry
-// is rejected (and reported false) rather than ever served. Restore
-// entries after the site's fragment versions (cluster.Site.RestoreVersion)
-// and before it serves queries.
-func (r *TripletRestorer) Restore(site *cluster.Site, id xmltree.FragmentID, version, fp uint64, enc []byte) bool {
+// RestoreTriplet installs one recovered triplet-cache entry at a restarted
+// site, provided it is still alive: the fragment's restored version must
+// equal the version the entry was computed at, and the encoding must
+// decode — a dead or undecodable entry is rejected (and reported false)
+// rather than ever served. Restore entries after the site's fragment
+// versions (cluster.Site.RestoreVersion) and before it serves queries.
+func RestoreTriplet(site *cluster.Site, id xmltree.FragmentID, version, fp uint64, enc []byte) bool {
 	if fp == 0 || version == 0 || site.FragmentVersion(id) != version {
 		return false
 	}
-	if _, err := eval.DecodeTripletSlab(enc, r.slab); err != nil {
+	a := eval.GetArena()
+	_, err := eval.DecodeTripletInto(a, enc) // validation only
+	eval.PutArena(a)
+	if err != nil {
 		return false
 	}
 	siteTripletCache(site).store(id, version, fp, enc)

@@ -10,7 +10,7 @@
 //     with the computed triplets of its sub-fragments, solving the linear
 //     system of Boolean equations.
 //
-// The evaluator runs on two representations with an automatic switch (see
+// The evaluator runs on two planes with an automatic switch (see
 // DESIGN.md, "Constant plane / variable plane"):
 //
 //   - The CONSTANT PLANE: while no virtual-node variable is in scope —
@@ -30,9 +30,11 @@
 package eval
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/bits"
+	"slices"
 	"sync"
 
 	"repro/internal/boolexpr"
@@ -43,92 +45,40 @@ import (
 
 // Triplet is the partial answer of one fragment: the vectors of subquery
 // values at the fragment root (V), the disjunction over its children (CV)
-// and over its descendants-or-self (DV). Entries are Boolean formulas over
-// the variables of the fragment's virtual nodes; on a fragment without
-// virtual nodes every entry is constant.
+// and over its descendants-or-self (DV). Entries are ids into the arena A —
+// Boolean formulas over the variables of the fragment's virtual nodes; on
+// a fragment without virtual nodes every entry is a constant.
+//
+// The arena is the one compute form of a triplet and Encode's bytes the
+// one interchange form. Triplets of one arena share hash-consed
+// subformulas and compare by id; Solve accepts triplets of any mix of
+// arenas.
 type Triplet struct {
-	V, CV, DV []*boolexpr.Formula
+	A         *boolexpr.Arena
+	V, CV, DV []boolexpr.NodeID
 }
 
-// Equal reports entry-wise structural equality; the incremental
-// maintenance algorithm compares a recomputed triplet against the cached
-// one to decide whether the view can change at all.
+// Equal reports entry-wise structural equality. Within one arena
+// hash-consing makes that id equality — the O(1) compare the incremental
+// maintenance algorithm uses to decide whether the view can change at all;
+// across arenas the encodings are compared.
 func (t Triplet) Equal(u Triplet) bool {
-	eq := func(a, b []*boolexpr.Formula) bool {
-		if len(a) != len(b) {
-			return false
-		}
-		for i := range a {
-			if !a[i].Equal(b[i]) {
-				return false
-			}
-		}
-		return true
+	if t.A != u.A {
+		return bytes.Equal(t.Encode(), u.Encode())
 	}
-	return eq(t.V, u.V) && eq(t.CV, u.CV) && eq(t.DV, u.DV)
+	return slices.Equal(t.V, u.V) && slices.Equal(t.CV, u.CV) && slices.Equal(t.DV, u.DV)
 }
 
 // Size returns the total formula size of the triplet, the unit of the
 // paper's O(|q|·card(F_j)) communication bound.
 func (t Triplet) Size() int {
 	n := 0
-	for _, vec := range [][]*boolexpr.Formula{t.V, t.CV, t.DV} {
+	for _, vec := range [][]boolexpr.NodeID{t.V, t.CV, t.DV} {
 		for _, f := range vec {
-			n += f.Size()
+			n += t.A.Size(f)
 		}
 	}
 	return n
-}
-
-// ArenaTriplet is a triplet whose entries are ids into a shared
-// boolexpr.Arena. Within one arena, hash-consing makes structural equality
-// id equality, so comparing two arena triplets is a few integer compares —
-// the O(1) Equal the view-maintenance layer leans on.
-type ArenaTriplet struct {
-	V, CV, DV []boolexpr.NodeID
-}
-
-// Equal reports entry-wise equality of two triplets of the SAME arena.
-func (t ArenaTriplet) Equal(u ArenaTriplet) bool {
-	eq := func(a, b []boolexpr.NodeID) bool {
-		if len(a) != len(b) {
-			return false
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				return false
-			}
-		}
-		return true
-	}
-	return eq(t.V, u.V) && eq(t.CV, u.CV) && eq(t.DV, u.DV)
-}
-
-// Export converts the triplet to the pointer representation, preserving
-// sharing across all three vectors.
-func (t ArenaTriplet) Export(a *boolexpr.Arena) Triplet {
-	memo := make(map[boolexpr.NodeID]*boolexpr.Formula)
-	conv := func(ids []boolexpr.NodeID) []*boolexpr.Formula {
-		fs := make([]*boolexpr.Formula, len(ids))
-		for i, id := range ids {
-			fs[i] = a.Export(id, memo)
-		}
-		return fs
-	}
-	return Triplet{V: conv(t.V), CV: conv(t.CV), DV: conv(t.DV)}
-}
-
-// ImportTriplet interns a pointer triplet into the arena.
-func ImportTriplet(a *boolexpr.Arena, t Triplet) ArenaTriplet {
-	memo := make(map[*boolexpr.Formula]boolexpr.NodeID)
-	conv := func(fs []*boolexpr.Formula) []boolexpr.NodeID {
-		ids := make([]boolexpr.NodeID, len(fs))
-		for i, f := range fs {
-			ids[i] = a.Import(f, memo)
-		}
-		return ids
-	}
-	return ArenaTriplet{V: conv(t.V), CV: conv(t.CV), DV: conv(t.DV)}
 }
 
 // arenaPool recycles formula arenas across BottomUp/Solve calls: a
@@ -136,27 +86,45 @@ func ImportTriplet(a *boolexpr.Arena, t Triplet) ArenaTriplet {
 // of re-growing it per fragment. Arenas are Reset before going back in.
 var arenaPool = sync.Pool{New: func() any { return boolexpr.NewArena() }}
 
-func getArena() *boolexpr.Arena { return arenaPool.Get().(*boolexpr.Arena) }
+// GetArena returns an empty arena from the evaluator's pool, for a caller
+// that decodes a round's triplets into one arena (DecodeTripletInto) and
+// solves there.
+func GetArena() *boolexpr.Arena { return arenaPool.Get().(*boolexpr.Arena) }
 
-func putArena(a *boolexpr.Arena) {
+// PutArena resets a and returns it to the pool: a site that has encoded
+// the triplet BottomUp gave it hands back t.A, a coordinator the arena it
+// solved in. Every triplet bound to a is invalid afterwards. Returning is
+// optional — an arena that is simply dropped is garbage collected.
+func PutArena(a *boolexpr.Arena) {
 	a.Reset()
 	arenaPool.Put(a)
 }
 
 // BottomUp is Procedure bottomUp of the paper, run over the fragment rooted
-// at root for the compiled QList prog. It returns the fragment's triplet
-// and the number of computation steps performed (node × subquery units, the
-// paper's total-computation measure).
+// at root for the compiled QList prog. It returns the fragment's triplet,
+// bound to a pooled arena of its own (see PutArena), and the number of
+// computation steps performed (node × subquery units, the paper's
+// total-computation measure).
+//
+// The traversal is iterative so that arbitrarily deep fragments cannot
+// overflow the stack, and — like the paper's formulation — keeps only one
+// accumulator pair (CV, DV) per tree level, not per node. Frames live in a
+// value-slice stack and popped frames' vectors are recycled through free
+// lists, so the whole traversal allocates O(depth) small objects instead of
+// O(|F_j|).
+//
+// Constant-plane nodes evaluate through the program's fused lane kernel
+// (xpath.LaneKernel): the whole QList in a few masked word ops per node
+// instead of a per-lane loop. Frames forced onto the variable plane fall
+// back to the per-lane arena body, which is the only representation that
+// can hold residual formulas.
+//
+// Virtual nodes do not recurse: a virtual child standing for fragment k
+// contributes the variables x(k,V,i) to the parent's CV and x(k,DV,i) to
+// the parent's DV. (A parent never consumes a child's CV vector, so no CV
+// variables are ever created; see DESIGN.md.)
 func BottomUp(root *xmltree.Node, prog *xpath.Program) (Triplet, int64, error) {
-	a := getArena()
-	at, steps, err := BottomUpArena(a, root, prog)
-	if err != nil {
-		putArena(a)
-		return Triplet{}, steps, err
-	}
-	t := at.Export(a)
-	putArena(a)
-	return t, steps, nil
+	return bottomUpPooled(root, prog, prog.Kernel())
 }
 
 // BottomUpPerLane is BottomUp evaluated with the scalar per-lane loop
@@ -164,15 +132,16 @@ func BottomUp(root *xmltree.Node, prog *xpath.Program) (Triplet, int64, error) {
 // the kernel (as LegacyBottomUp is for the bitset representation): the two
 // must agree entry-wise on every (tree, program) pair.
 func BottomUpPerLane(root *xmltree.Node, prog *xpath.Program) (Triplet, int64, error) {
-	a := getArena()
-	at, steps, err := BottomUpArenaPerLane(a, root, prog)
+	return bottomUpPooled(root, prog, nil)
+}
+
+func bottomUpPooled(root *xmltree.Node, prog *xpath.Program, kern *xpath.LaneKernel) (Triplet, int64, error) {
+	a := GetArena()
+	t, steps, err := bottomUpIn(a, root, prog, kern)
 	if err != nil {
-		putArena(a)
-		return Triplet{}, steps, err
+		PutArena(a)
 	}
-	t := at.Export(a)
-	putArena(a)
-	return t, steps, nil
+	return t, steps, err
 }
 
 // buFrame is one traversal frame. A frame starts on the constant plane
@@ -212,44 +181,14 @@ type buScratch struct {
 
 var buScratchPool = sync.Pool{New: func() any { return new(buScratch) }}
 
-// BottomUpArena is BottomUp producing arena ids in a caller-provided arena,
-// for callers that keep working symbolically (Solve, the view layer) and
-// don't want the pointer export.
-//
-// The traversal is iterative so that arbitrarily deep fragments cannot
-// overflow the stack, and — like the paper's formulation — keeps only one
-// accumulator pair (CV, DV) per tree level, not per node. Frames live in a
-// value-slice stack and popped frames' vectors are recycled through free
-// lists, so the whole traversal allocates O(depth) small objects instead of
-// O(|F_j|).
-//
-// Constant-plane nodes evaluate through the program's fused lane kernel
-// (xpath.LaneKernel): the whole QList in a few masked word ops per node
-// instead of a per-lane loop. Frames forced onto the variable plane fall
-// back to the per-lane arena body, which is the only representation that
-// can hold residual formulas.
-//
-// Virtual nodes do not recurse: a virtual child standing for fragment k
-// contributes the variables x(k,V,i) to the parent's CV and x(k,DV,i) to
-// the parent's DV. (A parent never consumes a child's CV vector, so no CV
-// variables are ever created; see DESIGN.md.)
-func BottomUpArena(a *boolexpr.Arena, root *xmltree.Node, prog *xpath.Program) (ArenaTriplet, int64, error) {
-	return bottomUpArena(a, root, prog, prog.Kernel())
-}
-
-// BottomUpArenaPerLane is BottomUpArena with the fused kernel disabled —
-// the constant plane runs the scalar per-lane loop. Differential reference
-// for the kernel path.
-func BottomUpArenaPerLane(a *boolexpr.Arena, root *xmltree.Node, prog *xpath.Program) (ArenaTriplet, int64, error) {
-	return bottomUpArena(a, root, prog, nil)
-}
-
-func bottomUpArena(a *boolexpr.Arena, root *xmltree.Node, prog *xpath.Program, kern *xpath.LaneKernel) (ArenaTriplet, int64, error) {
+// bottomUpIn is BottomUp into the caller's arena; a nil kern selects the
+// scalar per-lane loop on the constant plane.
+func bottomUpIn(a *boolexpr.Arena, root *xmltree.Node, prog *xpath.Program, kern *xpath.LaneKernel) (Triplet, int64, error) {
 	if root == nil {
-		return ArenaTriplet{}, 0, errors.New("eval: nil fragment root")
+		return Triplet{}, 0, errors.New("eval: nil fragment root")
 	}
 	if root.Virtual {
-		return ArenaTriplet{}, 0, errors.New("eval: fragment root is a virtual node")
+		return Triplet{}, 0, errors.New("eval: fragment root is a virtual node")
 	}
 	n := len(prog.Subs)
 	words := (n + 63) / 64
@@ -257,7 +196,7 @@ func bottomUpArena(a *boolexpr.Arena, root *xmltree.Node, prog *xpath.Program, k
 
 	sc := buScratchPool.Get().(*buScratch)
 	if kern != nil && kern.Words() == 1 {
-		result, steps := bottomUpArena1(a, root, prog, kern, sc)
+		result, steps := bottomUpIn1(a, root, prog, kern, sc)
 		buScratchPool.Put(sc)
 		return result, steps, nil
 	}
@@ -302,7 +241,7 @@ func bottomUpArena(a *boolexpr.Arena, root *xmltree.Node, prog *xpath.Program, k
 	}
 
 	stack := append(sc.stack[:0], buFrame{node: root, cvb: newBits(), dvb: newBits()})
-	var result ArenaTriplet
+	var result Triplet
 
 	for len(stack) > 0 {
 		f := &stack[len(stack)-1]
@@ -361,7 +300,7 @@ func bottomUpArena(a *boolexpr.Arena, root *xmltree.Node, prog *xpath.Program, k
 				evalCasesBits(vb, child.node, prog, child.cvb, child.dvb)
 			}
 			if len(stack) == 0 {
-				result = constArenaTriplet(a, n, vb, child.cvb, child.dvb)
+				result = constTriplet(a, n, vb, child.cvb, child.dvb)
 				sc.bits = append(sc.bits, vb, child.cvb, child.dvb)
 				break
 			}
@@ -380,7 +319,7 @@ func bottomUpArena(a *boolexpr.Arena, root *xmltree.Node, prog *xpath.Program, k
 			if len(stack) == 0 {
 				// The result vectors escape to the caller; they cannot
 				// return to the free lists.
-				result = ArenaTriplet{V: v, CV: child.cv, DV: child.dv}
+				result = Triplet{A: a, V: v, CV: child.cv, DV: child.dv}
 				break
 			}
 			p := &stack[len(stack)-1]
@@ -409,7 +348,7 @@ func bottomUpArena(a *boolexpr.Arena, root *xmltree.Node, prog *xpath.Program, k
 	return result, steps, nil
 }
 
-// bottomUpArena1 is the traversal specialized for single-word kernels: the
+// bottomUpIn1 is the traversal specialized for single-word kernels: the
 // dominant serving shape (≤64 fused lanes). Constant-plane frames carry
 // their CV/DV accumulators as two uint64 fields — the entire per-node
 // evaluation is kern.EvalConstWord in registers plus two word ORs into the
@@ -417,7 +356,7 @@ func bottomUpArena(a *boolexpr.Arena, root *xmltree.Node, prog *xpath.Program, k
 // is computed from (CV, DV) = (0, 0) and folded straight into the frame on
 // top of the stack. The variable plane (virtual children) falls back to
 // the same per-lane arena body as the general path.
-func bottomUpArena1(a *boolexpr.Arena, root *xmltree.Node, prog *xpath.Program, kern *xpath.LaneKernel, sc *buScratch) (ArenaTriplet, int64) {
+func bottomUpIn1(a *boolexpr.Arena, root *xmltree.Node, prog *xpath.Program, kern *xpath.LaneKernel, sc *buScratch) (Triplet, int64) {
 	n := len(prog.Subs)
 	var steps int64
 	newIDs := func() []boolexpr.NodeID {
@@ -442,7 +381,7 @@ func bottomUpArena1(a *boolexpr.Arena, root *xmltree.Node, prog *xpath.Program, 
 	}
 
 	stack := append(sc.stack1[:0], buFrame1{node: root})
-	var result ArenaTriplet
+	var result Triplet
 
 	// Leaf-plan memo: EvalLeafPlan is a pure function of the base self-test
 	// word, and a document's leaves collapse to a handful of distinct bases
@@ -510,7 +449,7 @@ func bottomUpArena1(a *boolexpr.Arena, root *xmltree.Node, prog *xpath.Program, 
 			vw := kern.EvalConstWord(child.cw, child.dw, child.node.Label, child.node.Text)
 			dw := child.dw | vw
 			if top == 0 {
-				result = constArenaTriplet1(a, n, vw, child.cw, dw)
+				result = constTriplet1(a, n, vw, child.cw, dw)
 				break
 			}
 			p := &stack[top-1]
@@ -525,7 +464,7 @@ func bottomUpArena1(a *boolexpr.Arena, root *xmltree.Node, prog *xpath.Program, 
 			v := newIDs()
 			evalCasesArena(a, v, child.node, prog, child.cv, child.dv)
 			if top == 0 {
-				result = ArenaTriplet{V: v, CV: child.cv, DV: child.dv}
+				result = Triplet{A: a, V: v, CV: child.cv, DV: child.dv}
 				break
 			}
 			p := &stack[top-1]
@@ -555,9 +494,10 @@ func orWordInto(dst []boolexpr.NodeID, w uint64) {
 	}
 }
 
-// constArenaTriplet1 is constArenaTriplet from single-word vectors.
-func constArenaTriplet1(a *boolexpr.Arena, n int, vw, cw, dw uint64) ArenaTriplet {
-	t := ArenaTriplet{
+// constTriplet1 is constTriplet from single-word vectors.
+func constTriplet1(a *boolexpr.Arena, n int, vw, cw, dw uint64) Triplet {
+	t := Triplet{
+		A:  a,
 		V:  make([]boolexpr.NodeID, n),
 		CV: make([]boolexpr.NodeID, n),
 		DV: make([]boolexpr.NodeID, n),
@@ -570,10 +510,11 @@ func constArenaTriplet1(a *boolexpr.Arena, n int, vw, cw, dw uint64) ArenaTriple
 	return t
 }
 
-// constArenaTriplet converts the root frame's bitsets into an all-constant
+// constTriplet converts the root frame's bitsets into an all-constant
 // triplet — the result shape of every virtual-free fragment.
-func constArenaTriplet(a *boolexpr.Arena, n int, v, cv, dv boolexpr.BitVec) ArenaTriplet {
-	t := ArenaTriplet{
+func constTriplet(a *boolexpr.Arena, n int, v, cv, dv boolexpr.BitVec) Triplet {
+	t := Triplet{
+		A:  a,
 		V:  make([]boolexpr.NodeID, n),
 		CV: make([]boolexpr.NodeID, n),
 		DV: make([]boolexpr.NodeID, n),
@@ -675,19 +616,15 @@ func evalCasesArena(a *boolexpr.Arena, v []boolexpr.NodeID, node *xmltree.Node, 
 // truth value. Over a complete tree the evaluation never leaves the
 // constant plane: the whole run is bitwise arithmetic.
 func Evaluate(root *xmltree.Node, prog *xpath.Program) (bool, int64, error) {
-	a := getArena()
-	t, steps, err := BottomUpArena(a, root, prog)
+	t, steps, err := BottomUp(root, prog)
 	if err != nil {
-		putArena(a)
 		return false, steps, err
 	}
-	ans, ok := a.ConstValue(t.V[prog.Root()])
+	defer PutArena(t.A)
+	ans, ok := t.A.ConstValue(t.V[prog.Root()])
 	if !ok {
-		err := fmt.Errorf("eval: residual answer %v (tree has virtual nodes)", a.String(t.V[prog.Root()]))
-		putArena(a)
-		return false, steps, err
+		return false, steps, fmt.Errorf("eval: residual answer %v (tree has virtual nodes)", t.A.String(t.V[prog.Root()]))
 	}
-	putArena(a)
 	return ans, steps, nil
 }
 

@@ -17,43 +17,39 @@ func (t Triplet) Encode() []byte {
 // AppendEncoded appends the wire encoding of the triplet to dst, for
 // callers batching several triplets into one pooled message buffer.
 func (t Triplet) AppendEncoded(dst []byte) []byte {
-	dst = boolexpr.AppendEncodedVector(dst, t.V)
-	dst = boolexpr.AppendEncodedVector(dst, t.CV)
-	return boolexpr.AppendEncodedVector(dst, t.DV)
+	dst = t.A.AppendEncodedVector(dst, t.V)
+	dst = t.A.AppendEncodedVector(dst, t.CV)
+	return t.A.AppendEncodedVector(dst, t.DV)
 }
 
 // EncodedSize returns len(Encode()) without building the buffer, cheaply
 // enough for accounting and presizing.
 func (t Triplet) EncodedSize() int {
-	return boolexpr.EncodedSizeVector(t.V) +
-		boolexpr.EncodedSizeVector(t.CV) +
-		boolexpr.EncodedSizeVector(t.DV)
+	return t.A.EncodedSizeVector(t.V) + t.A.EncodedSizeVector(t.CV) + t.A.EncodedSizeVector(t.DV)
 }
 
-// DecodeTriplet parses a triplet produced by Encode, requiring all three
-// vectors to have the same arity.
+// DecodeTriplet parses a triplet produced by Encode into a fresh arena of
+// its own, requiring all three vectors to have the same arity.
 func DecodeTriplet(buf []byte) (Triplet, error) {
-	return decodeTriplet(boolexpr.NewDecoder(buf))
+	return DecodeTripletInto(boolexpr.NewArena(), buf)
 }
 
-// DecodeTripletSlab is DecodeTriplet allocating the decoded formulas from
-// slab — the per-connection (or per-run) scratch-slab decode path: a
-// coordinator draining many triplets through one slab pays one heap
-// allocation per slab chunk instead of one per formula node.
-func DecodeTripletSlab(buf []byte, slab *boolexpr.Slab) (Triplet, error) {
-	return decodeTriplet(boolexpr.NewDecoderSlab(buf, slab))
-}
-
-func decodeTriplet(d *boolexpr.Decoder) (Triplet, error) {
-	var t Triplet
+// DecodeTripletInto is DecodeTriplet interning into the caller's arena:
+// every formula is hash-consed on arrival, so triplets decoded from many
+// sites into one coordinator arena share their common subformulas, compare
+// by id, and solve in place with no copying. Not safe for concurrent use
+// of one arena — a coordinator decodes a round's triplets serially.
+func DecodeTripletInto(a *boolexpr.Arena, buf []byte) (Triplet, error) {
+	d := boolexpr.NewDecoder(buf)
+	t := Triplet{A: a}
 	var err error
-	if t.V, err = d.DecodeVector(); err != nil {
+	if t.V, err = d.DecodeVectorID(a); err != nil {
 		return Triplet{}, fmt.Errorf("eval: triplet V: %w", err)
 	}
-	if t.CV, err = d.DecodeVector(); err != nil {
+	if t.CV, err = d.DecodeVectorID(a); err != nil {
 		return Triplet{}, fmt.Errorf("eval: triplet CV: %w", err)
 	}
-	if t.DV, err = d.DecodeVector(); err != nil {
+	if t.DV, err = d.DecodeVectorID(a); err != nil {
 		return Triplet{}, fmt.Errorf("eval: triplet DV: %w", err)
 	}
 	if d.Remaining() != 0 {
@@ -61,33 +57,6 @@ func decodeTriplet(d *boolexpr.Decoder) (Triplet, error) {
 	}
 	if len(t.CV) != len(t.V) || len(t.DV) != len(t.V) {
 		return Triplet{}, fmt.Errorf("eval: triplet vectors disagree on arity (%d/%d/%d)",
-			len(t.V), len(t.CV), len(t.DV))
-	}
-	return t, nil
-}
-
-// DecodeTripletArena parses the same wire format directly into an arena:
-// every formula is hash-consed on arrival, so triplets decoded from many
-// sites into one coordinator arena share their common subformulas and
-// compare by id. The view-maintenance layer decodes through this path.
-func DecodeTripletArena(a *boolexpr.Arena, buf []byte) (ArenaTriplet, error) {
-	d := boolexpr.NewDecoder(buf)
-	var t ArenaTriplet
-	var err error
-	if t.V, err = d.DecodeVectorID(a); err != nil {
-		return ArenaTriplet{}, fmt.Errorf("eval: triplet V: %w", err)
-	}
-	if t.CV, err = d.DecodeVectorID(a); err != nil {
-		return ArenaTriplet{}, fmt.Errorf("eval: triplet CV: %w", err)
-	}
-	if t.DV, err = d.DecodeVectorID(a); err != nil {
-		return ArenaTriplet{}, fmt.Errorf("eval: triplet DV: %w", err)
-	}
-	if d.Remaining() != 0 {
-		return ArenaTriplet{}, fmt.Errorf("eval: triplet has %d trailing bytes", d.Remaining())
-	}
-	if len(t.CV) != len(t.V) || len(t.DV) != len(t.V) {
-		return ArenaTriplet{}, fmt.Errorf("eval: triplet vectors disagree on arity (%d/%d/%d)",
 			len(t.V), len(t.CV), len(t.DV))
 	}
 	return t, nil

@@ -83,7 +83,7 @@ func TestExample33(t *testing.T) {
 	// Leaf fragments (F2, F3) must have fully constant triplets: "the
 	// vectors of leaf fragments in the source tree contain no variables".
 	for _, leaf := range []xmltree.FragmentID{2, 3} {
-		tr := triplets[leaf]
+		tr := legacyOf(triplets[leaf])
 		for _, vec := range [][]*boolexpr.Formula{tr.V, tr.CV, tr.DV} {
 			for q, f := range vec {
 				if !f.IsConst() {
@@ -95,7 +95,7 @@ func TestExample33(t *testing.T) {
 	// F1 holds the virtual node for F2, so its formulas may only mention
 	// F2's variables — and never CV variables (a parent consumes only V
 	// and DV of a child).
-	tr1 := triplets[1]
+	tr1 := legacyOf(triplets[1])
 	for _, vec := range [][]*boolexpr.Formula{tr1.V, tr1.CV, tr1.DV} {
 		for _, f := range vec {
 			for _, v := range f.VarSet() {
@@ -205,7 +205,7 @@ func TestResolveTriplet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for q, f := range resolved.V {
+	for q, f := range legacyOf(resolved).V {
 		if !f.IsConst() {
 			t.Errorf("resolved V[%d] not constant: %v", q, f)
 		}

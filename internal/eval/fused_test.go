@@ -60,7 +60,7 @@ func TestPropFusedMatchesPerLane(t *testing.T) {
 			if err != nil {
 				return false
 			}
-			if !equivalentTriplets(r, fused, legacy) {
+			if !equivalentTriplets(r, legacyOf(fused), legacy) {
 				t.Logf("F%d fused vs legacy diverge (seed %d)", id, seed)
 				return false
 			}
@@ -123,7 +123,7 @@ func TestFusedMultiWordBatch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !equivalentTriplets(r, fused, legacy) {
+		if !equivalentTriplets(r, legacyOf(fused), legacy) {
 			t.Fatalf("fragment %d: fused vs legacy diverge", id)
 		}
 		triplets[id] = fused
@@ -146,7 +146,7 @@ func TestFusedMultiWordBatch(t *testing.T) {
 }
 
 // TestBottomUpSteadyStateAllocs pins the pooled scratch: after a warm-up
-// pass, repeated BottomUpArena over the same fragment runs with zero
+// pass, repeated BottomUp over the same fragment runs with zero
 // traversal allocations on the constant plane (the arena, scratch vectors
 // and frame stack all come from pools).
 func TestBottomUpSteadyStateAllocs(t *testing.T) {
@@ -161,11 +161,11 @@ func TestBottomUpSteadyStateAllocs(t *testing.T) {
 	}
 	prog, _ := b.Program()
 	run := func() {
-		a := getArena()
-		if _, _, err := BottomUpArena(a, tree, prog); err != nil {
+		tr, _, err := BottomUp(tree, prog)
+		if err != nil {
 			t.Fatal(err)
 		}
-		putArena(a)
+		PutArena(tr.A)
 	}
 	run() // warm pools
 	if allocs := testing.AllocsPerRun(30, run); allocs > 4 {

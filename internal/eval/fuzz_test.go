@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 
@@ -10,10 +11,26 @@ import (
 	"repro/internal/xpath"
 )
 
+// rejectedTriplets are encodings the decoder has always refused, one per
+// bound it enforces. They seed FuzzDecodeTriplet and are asserted rejected
+// on every run, so a decoder change cannot quietly start accepting them.
+var rejectedTriplets = [][]byte{
+	{},                          // empty
+	{1, 0, 1, 0},                // truncated: DV vector missing
+	{1, 0, 1, 0, 1, 0, 0},       // trailing byte
+	{1, 0, 2, 0, 0, 1, 0},       // vectors disagree on arity
+	{1, 9, 1, 0, 1, 0},          // unknown opcode
+	{1, 2, 1, 7, 0, 1, 0, 1, 0}, // bad vector kind
+	{1, 2, 1, 0, 1, 0},          // variable cut short
+	{1, 4, 200, 1, 0, 1, 0},     // operand count exceeds remaining input
+	{200, 1, 0, 1, 0, 1, 0},     // vector length exceeds buffer
+	append(append([]byte{1}, bytes.Repeat([]byte{3}, 1<<13+1)...), 0, 1, 0, 1, 0), // nesting past the depth bound
+}
+
 // FuzzDecodeTriplet drives the triplet wire decoder (the path every
-// evalQual response crosses) with arbitrary bytes: no panics, slab and
-// fresh decoding agree, and accepted triplets survive an encode/decode
-// round trip.
+// evalQual response crosses) with arbitrary bytes: no panics, decoding into
+// a fresh arena and into an already-populated shared one accept and reject
+// alike, and for accepted input decode → encode → decode is a fixed point.
 func FuzzDecodeTriplet(f *testing.F) {
 	// Seed with genuine triplets: an all-constant fragment and one with
 	// virtual nodes (variables on the wire).
@@ -29,30 +46,42 @@ func FuzzDecodeTriplet(f *testing.F) {
 		xmltree.NewElement("b", ""),
 		xmltree.NewVirtual(1),
 		xmltree.NewVirtual(2))
+	var populated []byte
 	if t, _, err := BottomUp(virt, prog); err == nil {
-		f.Add(t.Encode())
+		populated = t.Encode()
+		f.Add(populated)
 	}
-	f.Add([]byte{})
 	f.Add([]byte{1, 0, 1, 0, 1, 0})
+	for _, bad := range rejectedTriplets {
+		if _, err := DecodeTriplet(bad); err == nil {
+			f.Fatalf("DecodeTriplet accepted malformed seed % x", bad[:min(len(bad), 16)])
+		}
+		f.Add(bad)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fresh, errFresh := DecodeTriplet(data)
-		slabbed, errSlab := DecodeTripletSlab(data, boolexpr.NewSlab())
-		if (errFresh == nil) != (errSlab == nil) {
-			t.Fatalf("decoders disagree: fresh=%v slab=%v", errFresh, errSlab)
+		shared := boolexpr.NewArena()
+		if _, err := DecodeTripletInto(shared, populated); err != nil {
+			t.Fatal(err)
+		}
+		into, errInto := DecodeTripletInto(shared, data)
+		if (errFresh == nil) != (errInto == nil) {
+			t.Fatalf("decoders disagree: fresh=%v shared=%v", errFresh, errInto)
 		}
 		if errFresh != nil {
 			return
 		}
-		if !fresh.Equal(slabbed) {
-			t.Fatal("slab-decoded triplet differs from fresh decode")
+		enc := fresh.Encode()
+		if !bytes.Equal(enc, into.Encode()) {
+			t.Fatal("shared-arena decode differs from fresh decode")
 		}
-		again, err := DecodeTriplet(fresh.Encode())
+		again, err := DecodeTriplet(enc)
 		if err != nil {
 			t.Fatalf("re-decode failed: %v", err)
 		}
-		if !fresh.Equal(again) {
-			t.Fatal("round trip changed the triplet")
+		if !bytes.Equal(again.Encode(), enc) || !fresh.Equal(again) {
+			t.Fatal("decode → encode → decode is not a fixed point")
 		}
 	})
 }
@@ -106,7 +135,7 @@ func FuzzFusedBottomUp(f *testing.F) {
 			if err != nil {
 				t.Fatalf("fragment %d legacy: %v", id, err)
 			}
-			if !equivalentTriplets(r, fused, legacy) {
+			if !equivalentTriplets(r, legacyOf(fused), legacy) {
 				t.Fatalf("fragment %d: fused kernel not equivalent to LegacyBottomUp", id)
 			}
 		}

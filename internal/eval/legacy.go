@@ -11,22 +11,29 @@ import (
 )
 
 // This file preserves the original pointer-formula evaluator verbatim. It
-// is NOT on any production path: BottomUp and Solve now run on the
-// bitset/arena planes (see bottomup.go, solve.go). The legacy code is kept
-// as the reference implementation that the differential property tests
-// compare against — two independently written evaluators agreeing on
-// random trees, fragmentations and QLists is the correctness argument for
-// the optimized core.
+// is NOT on any production path: BottomUp and Solve run on the
+// bitset/arena planes (see bottomup.go, solve.go), and this file is the
+// only place outside package boolexpr that still speaks the pointer
+// Formula. The legacy code is kept as the reference implementation that
+// the differential property tests compare against — two independently
+// written evaluators agreeing on random trees, fragmentations and QLists
+// is the correctness argument for the optimized core.
+
+// LegacyTriplet is the reference evaluator's triplet: one pointer Formula
+// per entry.
+type LegacyTriplet struct {
+	V, CV, DV []*boolexpr.Formula
+}
 
 // LegacyBottomUp is the original Procedure bottomUp: one pointer Formula
 // per node×subquery, with constant folding in the constructors. Semantics
 // and step accounting are identical to BottomUp.
-func LegacyBottomUp(root *xmltree.Node, prog *xpath.Program) (Triplet, int64, error) {
+func LegacyBottomUp(root *xmltree.Node, prog *xpath.Program) (LegacyTriplet, int64, error) {
 	if root == nil {
-		return Triplet{}, 0, errors.New("eval: nil fragment root")
+		return LegacyTriplet{}, 0, errors.New("eval: nil fragment root")
 	}
 	if root.Virtual {
-		return Triplet{}, 0, errors.New("eval: fragment root is a virtual node")
+		return LegacyTriplet{}, 0, errors.New("eval: fragment root is a virtual node")
 	}
 	n := len(prog.Subs)
 	var steps int64
@@ -55,7 +62,7 @@ func LegacyBottomUp(root *xmltree.Node, prog *xpath.Program) (Triplet, int64, er
 		return v
 	}
 	stack := []*frame{{node: root, cv: newVec(), dv: newVec()}}
-	var result Triplet
+	var result LegacyTriplet
 
 	for len(stack) > 0 {
 		f := stack[len(stack)-1]
@@ -87,7 +94,7 @@ func LegacyBottomUp(root *xmltree.Node, prog *xpath.Program) (Triplet, int64, er
 		legacyEvalCasesInto(v, f.node, prog, f.cv, f.dv)
 		stack = stack[:len(stack)-1]
 		if len(stack) == 0 {
-			result = Triplet{V: v, CV: f.cv, DV: f.dv}
+			result = LegacyTriplet{V: v, CV: f.cv, DV: f.dv}
 			break
 		}
 		p := stack[len(stack)-1]
@@ -143,7 +150,7 @@ func legacyEvalCasesInto(v []*boolexpr.Formula, node *xmltree.Node, prog *xpath.
 // LegacySolve is the original Procedure evalST over pointer formulas:
 // per-entry Formula.Subst re-walks with no memoization. Reference
 // implementation for the differential tests.
-func LegacySolve(st *frag.SourceTree, triplets map[xmltree.FragmentID]Triplet, prog *xpath.Program) (bool, int64, error) {
+func LegacySolve(st *frag.SourceTree, triplets map[xmltree.FragmentID]LegacyTriplet, prog *xpath.Program) (bool, int64, error) {
 	n := len(prog.Subs)
 	root := st.Root()
 	env := make(map[boolexpr.Var]*boolexpr.Formula, 2*n*len(triplets))

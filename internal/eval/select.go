@@ -24,26 +24,6 @@ type BoolVecs struct {
 	V, DV []bool
 }
 
-// BoolVecsOf extracts constant vectors from a resolved triplet.
-func BoolVecsOf(t Triplet) (BoolVecs, error) {
-	out := BoolVecs{V: make([]bool, len(t.V)), DV: make([]bool, len(t.DV))}
-	for i, f := range t.V {
-		v, ok := f.ConstValue()
-		if !ok {
-			return BoolVecs{}, fmt.Errorf("eval: V[%d] not constant: %v", i, f)
-		}
-		out.V[i] = v
-	}
-	for i, f := range t.DV {
-		v, ok := f.ConstValue()
-		if !ok {
-			return BoolVecs{}, fmt.Errorf("eval: DV[%d] not constant: %v", i, f)
-		}
-		out.DV[i] = v
-	}
-	return out, nil
-}
-
 // Arrival is the NFA state set crossing a fragment boundary.
 type Arrival struct {
 	// States has bit i set when chain step i is a candidate to match at

@@ -15,19 +15,19 @@ import (
 // reduced to constants — some referenced fragment's triplet is missing.
 var ErrUnresolved = errors.New("eval: unresolved variables in the equation system")
 
-// solveScratch pools the substitution environment and the import memo of
+// solveScratch pools the substitution environment and the copy memo of
 // one evalST run. A steady-state serving round solves one system per
 // flush; clear() keeps the maps' bucket storage, so the round reuses the
 // previous round's capacity instead of re-growing two maps per solve.
 type solveScratch struct {
 	env  map[boolexpr.Var]boolexpr.NodeID
-	memo map[*boolexpr.Formula]boolexpr.NodeID
+	memo map[boolexpr.NodeID]boolexpr.NodeID
 }
 
 var solveScratchPool = sync.Pool{New: func() any {
 	return &solveScratch{
 		env:  make(map[boolexpr.Var]boolexpr.NodeID),
-		memo: make(map[*boolexpr.Formula]boolexpr.NodeID),
+		memo: make(map[boolexpr.NodeID]boolexpr.NodeID),
 	}
 }}
 
@@ -39,6 +39,71 @@ func putSolveScratch(s *solveScratch) {
 	solveScratchPool.Put(s)
 }
 
+// solveSpace is the single arena one evalST run computes in, with the
+// triplets bound to it.
+type solveSpace struct {
+	a        *boolexpr.Arena
+	triplets map[xmltree.FragmentID]Triplet
+	sc       *solveScratch
+	pooled   bool // a came from the pool (the triplets did not share an arena)
+}
+
+// gather readies a set of triplets for solving. Triplets that already live
+// in one arena — a coordinator decodes a whole round into one — are solved
+// in place, with no copying; triplets of separate arenas (each BottomUp
+// owns its own) are first copied into a pooled arena, V and DV only, since
+// evalST never reads a sub-fragment's CV.
+func gather(triplets map[xmltree.FragmentID]Triplet) solveSpace {
+	sp := solveSpace{triplets: triplets, sc: getSolveScratch()}
+	shared := true
+	for _, t := range triplets {
+		if sp.a == nil {
+			sp.a = t.A
+		} else if t.A != sp.a {
+			shared = false
+			break
+		}
+	}
+	if shared && sp.a != nil {
+		return sp
+	}
+	sp.a, sp.pooled = solveArenaPool.Get().(*boolexpr.Arena), true
+	sp.triplets = make(map[xmltree.FragmentID]Triplet, len(triplets))
+	for id, t := range triplets {
+		sp.triplets[id] = Triplet{A: sp.a, V: copyVector(sp.a, t.A, t.V, sp.sc.memo), DV: copyVector(sp.a, t.A, t.DV, sp.sc.memo)}
+		// The memo is keyed by t.A's ids and the next triplet may live
+		// elsewhere. Most triplets are all-constant and leave it empty;
+		// clearing a pooled map costs its capacity, so skip those.
+		if len(sp.sc.memo) > 0 {
+			clear(sp.sc.memo)
+		}
+	}
+	return sp
+}
+
+func (sp solveSpace) release() {
+	putSolveScratch(sp.sc)
+	if sp.pooled {
+		sp.a.Reset()
+		solveArenaPool.Put(sp.a)
+	}
+}
+
+// solveArenaPool holds the arenas gather copies into. They are kept apart
+// from arenaPool because returning a BottomUp arena is optional: a caller
+// that never does would otherwise have its next BottomUp take the arena a
+// solve just grown and warmed, and every solve start from a cold one.
+var solveArenaPool = sync.Pool{New: func() any { return boolexpr.NewArena() }}
+
+// copyVector interns the ids of arena src into dst.
+func copyVector(dst, src *boolexpr.Arena, ids []boolexpr.NodeID, memo map[boolexpr.NodeID]boolexpr.NodeID) []boolexpr.NodeID {
+	out := make([]boolexpr.NodeID, len(ids))
+	for i, x := range ids {
+		out[i] = dst.Copy(src, x, memo)
+	}
+	return out
+}
+
 // Solve is Procedure evalST: a single bottom-up traversal of the source
 // tree that unifies the variables of each fragment's triplet with its
 // sub-fragments' computed values, and returns the answer — the value of
@@ -46,33 +111,13 @@ func putSolveScratch(s *solveScratch) {
 // a triplet; the returned work is the number of formula nodes visited,
 // which realizes the paper's O(|q|·card(F)) bound for the third phase.
 //
-// Internally the triplets are interned into one arena (deduplicating
-// structurally equal formulas across fragments) and substitution is
-// memoized per (node, fragment-generation), so shared subformulas are
-// rewritten once instead of once per occurrence.
+// The system is solved in one arena (see gather: the triplets' own when
+// they share one, which substitution then grows), where structurally equal
+// formulas across fragments are one node and substitution is memoized per
+// (node, fragment-generation), so shared subformulas are rewritten once
+// instead of once per occurrence.
 func Solve(st *frag.SourceTree, triplets map[xmltree.FragmentID]Triplet, prog *xpath.Program) (bool, int64, error) {
-	a := getArena()
-	defer putArena(a)
-	sc := getSolveScratch()
-	defer putSolveScratch(sc)
-	ats := importTriplets(a, triplets, sc.memo)
-	ans, work, resolved, err := solveArenaEnv(st, a, ats, prog, true, sc.env)
-	if err != nil {
-		return false, work, err
-	}
-	if !resolved {
-		return false, work, ErrUnresolved
-	}
-	return ans, work, nil
-}
-
-// SolveArena is Solve over triplets already interned in a shared arena —
-// the entry point for callers that keep long-lived arena state (the view
-// layer) and skip the pointer round trip entirely.
-func SolveArena(st *frag.SourceTree, a *boolexpr.Arena, triplets map[xmltree.FragmentID]ArenaTriplet, prog *xpath.Program) (bool, int64, error) {
-	sc := getSolveScratch()
-	defer putSolveScratch(sc)
-	ans, work, resolved, err := solveArenaEnv(st, a, triplets, prog, true, sc.env)
+	ans, work, resolved, err := solve(st, triplets, prog, true)
 	if err != nil {
 		return false, work, err
 	}
@@ -87,50 +132,15 @@ func SolveArena(st *frag.SourceTree, a *boolexpr.Arena, triplets map[xmltree.Fra
 // reports whether the root answer already folded to a constant (in which
 // case deeper fragments need not be evaluated at all).
 func SolvePartial(st *frag.SourceTree, triplets map[xmltree.FragmentID]Triplet, prog *xpath.Program) (ans bool, work int64, resolved bool, err error) {
-	a := getArena()
-	defer putArena(a)
-	sc := getSolveScratch()
-	defer putSolveScratch(sc)
-	return solveArenaEnv(st, a, importTriplets(a, triplets, sc.memo), prog, false, sc.env)
+	return solve(st, triplets, prog, false)
 }
 
-// importTriplets interns the pointer triplets into the arena through the
-// caller's (empty) memo map.
-func importTriplets(a *boolexpr.Arena, triplets map[xmltree.FragmentID]Triplet, memo map[*boolexpr.Formula]boolexpr.NodeID) map[xmltree.FragmentID]ArenaTriplet {
-	// One sizing pass so everything downstream is allocated exactly once:
-	// the arena's node/kid/memo storage (Reserve) and a single id slab that
-	// every per-fragment vector is carved from.
-	var entries, nodes int
-	for _, t := range triplets {
-		entries += len(t.V) + len(t.DV)
-		for _, f := range t.V {
-			nodes += f.Size()
-		}
-		for _, f := range t.DV {
-			nodes += f.Size()
-		}
-	}
-	a.Reserve(nodes)
-	slab := make([]boolexpr.NodeID, 0, entries)
-	out := make(map[xmltree.FragmentID]ArenaTriplet, len(triplets))
-	conv := func(fs []*boolexpr.Formula) []boolexpr.NodeID {
-		base := len(slab)
-		for _, f := range fs {
-			slab = append(slab, a.Import(f, memo))
-		}
-		return slab[base:len(slab):len(slab)]
-	}
-	for id, t := range triplets {
-		// CV is never consumed by evalST (a parent reads only V and DV of a
-		// sub-fragment), so it is not interned here.
-		out[id] = ArenaTriplet{V: conv(t.V), DV: conv(t.DV)}
-	}
-	return out
-}
-
-// solveArenaEnv is the evalST core; env must arrive empty (it is the
-// substitution environment, filled fragment by fragment).
-func solveArenaEnv(st *frag.SourceTree, a *boolexpr.Arena, triplets map[xmltree.FragmentID]ArenaTriplet, prog *xpath.Program, needAll bool, env map[boolexpr.Var]boolexpr.NodeID) (bool, int64, bool, error) {
+// solve is the evalST core. The substitution environment is filled
+// fragment by fragment, children before parents.
+func solve(st *frag.SourceTree, triplets map[xmltree.FragmentID]Triplet, prog *xpath.Program, needAll bool) (bool, int64, bool, error) {
+	sp := gather(triplets)
+	defer sp.release()
+	a, triplets, env := sp.a, sp.triplets, sp.sc.env
 	n := len(prog.Subs)
 	root := st.Root()
 	lookup := func(v boolexpr.Var) (boolexpr.NodeID, bool) {
@@ -221,12 +231,9 @@ func SolveMulti(st *frag.SourceTree, triplets map[xmltree.FragmentID]Triplet, pr
 // booleans.
 func SolveAll(st *frag.SourceTree, triplets map[xmltree.FragmentID]Triplet, prog *xpath.Program) (map[xmltree.FragmentID]BoolVecs, int64, error) {
 	n := len(prog.Subs)
-	a := getArena()
-	defer putArena(a)
-	sc := getSolveScratch()
-	defer putSolveScratch(sc)
-	ats := importTriplets(a, triplets, sc.memo)
-	env := sc.env
+	sp := gather(triplets)
+	defer sp.release()
+	a, ats, env := sp.a, sp.triplets, sp.sc.env
 	lookup := func(v boolexpr.Var) (boolexpr.NodeID, bool) {
 		f, ok := env[v]
 		return f, ok
@@ -266,11 +273,15 @@ func SolveAll(st *frag.SourceTree, triplets map[xmltree.FragmentID]Triplet, prog
 // ResolveTriplet substitutes the fully resolved triplets of a fragment's
 // sub-fragments into its own triplet, producing a variable-free triplet.
 // This is the per-site unification step of Procedure evalDistrST
-// (FullDistParBoX): "no variables appear in the resulting triplet".
+// (FullDistParBoX): "no variables appear in the resulting triplet". The
+// work happens in own's arena, which the result is bound to; sub-fragment
+// triplets of other arenas are copied in.
 func ResolveTriplet(id xmltree.FragmentID, own Triplet, subs map[xmltree.FragmentID]Triplet, prog *xpath.Program) (Triplet, int64, error) {
 	n := len(prog.Subs)
-	a := getArena()
-	defer putArena(a)
+	if len(own.V) != n || len(own.CV) != n || len(own.DV) != n {
+		return Triplet{}, 0, fmt.Errorf("eval: fragment %d triplet has wrong arity", id)
+	}
+	a := own.A
 	sc := getSolveScratch()
 	defer putSolveScratch(sc)
 	memo, env := sc.memo, sc.env
@@ -278,12 +289,21 @@ func ResolveTriplet(id xmltree.FragmentID, own Triplet, subs map[xmltree.Fragmen
 		if len(t.V) != n || len(t.DV) != n {
 			return Triplet{}, 0, fmt.Errorf("eval: sub-fragment %d triplet has wrong arity", sub)
 		}
-		for q := 0; q < n; q++ {
-			env[boolexpr.Var{Frag: int32(sub), Vec: boolexpr.VecV, Q: int32(q)}] = a.Import(t.V[q], memo)
-			env[boolexpr.Var{Frag: int32(sub), Vec: boolexpr.VecDV, Q: int32(q)}] = a.Import(t.DV[q], memo)
-			if q < len(t.CV) {
-				env[boolexpr.Var{Frag: int32(sub), Vec: boolexpr.VecCV, Q: int32(q)}] = a.Import(t.CV[q], memo)
+		intern := func(x boolexpr.NodeID) boolexpr.NodeID {
+			if t.A == a {
+				return x
 			}
+			return a.Copy(t.A, x, memo)
+		}
+		for q := 0; q < n; q++ {
+			env[boolexpr.Var{Frag: int32(sub), Vec: boolexpr.VecV, Q: int32(q)}] = intern(t.V[q])
+			env[boolexpr.Var{Frag: int32(sub), Vec: boolexpr.VecDV, Q: int32(q)}] = intern(t.DV[q])
+			if q < len(t.CV) {
+				env[boolexpr.Var{Frag: int32(sub), Vec: boolexpr.VecCV, Q: int32(q)}] = intern(t.CV[q])
+			}
+		}
+		if len(memo) > 0 {
+			clear(memo) // keyed by t.A's ids
 		}
 	}
 	lookup := func(v boolexpr.Var) (boolexpr.NodeID, bool) {
@@ -292,16 +312,17 @@ func ResolveTriplet(id xmltree.FragmentID, own Triplet, subs map[xmltree.Fragmen
 	}
 	var work int64
 	a.NewGen()
-	out := ArenaTriplet{
+	out := Triplet{
+		A:  a,
 		V:  make([]boolexpr.NodeID, n),
 		CV: make([]boolexpr.NodeID, n),
 		DV: make([]boolexpr.NodeID, n),
 	}
 	for q := 0; q < n; q++ {
-		work += int64(own.V[q].Size() + own.CV[q].Size() + own.DV[q].Size())
-		out.V[q] = a.Subst(a.Import(own.V[q], memo), lookup)
-		out.CV[q] = a.Subst(a.Import(own.CV[q], memo), lookup)
-		out.DV[q] = a.Subst(a.Import(own.DV[q], memo), lookup)
+		work += int64(a.Size(own.V[q]) + a.Size(own.CV[q]) + a.Size(own.DV[q]))
+		out.V[q] = a.Subst(own.V[q], lookup)
+		out.CV[q] = a.Subst(own.CV[q], lookup)
+		out.DV[q] = a.Subst(own.DV[q], lookup)
 	}
 	for q := 0; q < n; q++ {
 		for _, f := range []boolexpr.NodeID{out.V[q], out.CV[q], out.DV[q]} {
@@ -310,5 +331,34 @@ func ResolveTriplet(id xmltree.FragmentID, own Triplet, subs map[xmltree.Fragmen
 			}
 		}
 	}
-	return out.Export(a), work, nil
+	return out, work, nil
+}
+
+// CompactAt is the arena size, in nodes, at which CompactTriplets compacts.
+const CompactAt = 1 << 16
+
+// CompactTriplets bounds arena growth across the updates of a long-lived
+// coordinator state (a materialized view, a subscription's solver state),
+// whose arena accumulates the nodes of superseded triplets and of every
+// re-solve. Once a holds CompactAt nodes, the live triplets — all bound to
+// a — are copied into a fresh arena, rebound in place, and the fresh arena
+// is returned; below the threshold a itself is. Compaction invalidates
+// every id of the old arena, so it must run before any triplet of the
+// current operation is decoded: a decoded-but-not-yet-stored triplet must
+// never straddle it.
+func CompactTriplets(a *boolexpr.Arena, triplets map[xmltree.FragmentID]Triplet) *boolexpr.Arena {
+	if a.Len() < CompactAt {
+		return a
+	}
+	fresh := boolexpr.NewArena()
+	memo := make(map[boolexpr.NodeID]boolexpr.NodeID)
+	for id, t := range triplets {
+		triplets[id] = Triplet{
+			A:  fresh,
+			V:  copyVector(fresh, a, t.V, memo),
+			CV: copyVector(fresh, a, t.CV, memo),
+			DV: copyVector(fresh, a, t.DV, memo),
+		}
+	}
+	return fresh
 }

@@ -220,13 +220,11 @@ func (p *Plane) Patch(fresh, dirty, removed []*xmltree.Node) (steps int64, ok bo
 }
 
 // ConstTriplet materializes the single-word root words as an all-constant
-// pointer triplet — the same shape (and therefore the same encoding) a
-// full BottomUp produces for a virtual-free fragment.
+// triplet — the same shape (and therefore the same encoding) a full
+// BottomUp produces for a virtual-free fragment — bound, like BottomUp's,
+// to a pooled arena of its own (see PutArena).
 func ConstTriplet(n int, vw, cw, dw uint64) Triplet {
-	a := getArena()
-	t := constArenaTriplet1(a, n, vw, cw, dw).Export(a)
-	putArena(a)
-	return t
+	return constTriplet1(GetArena(), n, vw, cw, dw)
 }
 
 // TripletDelta reports which lanes flipped at a fragment root after an

@@ -83,7 +83,7 @@ func TestUpdateChurnSubscriptions(t *testing.T) {
 		siteTr.Local(site)
 		core.RegisterHandlers(site, siteTr, cost)
 		views.RegisterHandlers(site, siteTr)
-		srv, err := cluster.ServeWith(site, "127.0.0.1:0", cluster.ServeConfig{RequireV2: true})
+		srv, err := cluster.Serve(site, "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -145,11 +145,11 @@ func TestUpdateChurnSubscriptions(t *testing.T) {
 	// client-side solver state from the registration baselines.
 	arena := boolexpr.NewArena()
 	var stateMu sync.Mutex
-	triplets := make([]map[xmltree.FragmentID]eval.ArenaTriplet, len(progs))
+	triplets := make([]map[xmltree.FragmentID]eval.Triplet, len(progs))
 	versions := make([]map[xmltree.FragmentID]uint64, len(progs))
 	answers := make([]bool, len(progs))
 	for qi, p := range progs {
-		triplets[qi] = make(map[xmltree.FragmentID]eval.ArenaTriplet)
+		triplets[qi] = make(map[xmltree.FragmentID]eval.Triplet)
 		versions[qi] = make(map[xmltree.FragmentID]uint64)
 		for _, id := range st.Sites() {
 			items, err := views.RegisterProg(ctx, coordTr, "S0", id, p, st.FragmentsAt(id))
@@ -157,7 +157,7 @@ func TestUpdateChurnSubscriptions(t *testing.T) {
 				t.Fatalf("register %q at %s: %v", p, id, err)
 			}
 			for _, it := range items {
-				tr, err := eval.DecodeTripletArena(arena, it.Triplet)
+				tr, err := eval.DecodeTripletInto(arena, it.Triplet)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -165,7 +165,7 @@ func TestUpdateChurnSubscriptions(t *testing.T) {
 				versions[qi][it.Frag] = it.Version
 			}
 		}
-		ans, _, err := eval.SolveArena(st, arena, triplets[qi], p)
+		ans, _, err := eval.Solve(st, triplets[qi], p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -219,14 +219,14 @@ func TestUpdateChurnSubscriptions(t *testing.T) {
 				continue
 			}
 			versions[qi][d.Frag] = d.Version
-			tr, err := eval.DecodeTripletArena(arena, d.Triplet)
+			tr, err := eval.DecodeTripletInto(arena, d.Triplet)
 			if err != nil {
 				stateMu.Unlock()
 				t.Errorf("delta triplet: %v", err)
 				continue
 			}
 			triplets[qi][d.Frag] = tr
-			ans, _, err := eval.SolveArena(st, arena, triplets[qi], progs[qi])
+			ans, _, err := eval.Solve(st, triplets[qi], progs[qi])
 			if err != nil {
 				stateMu.Unlock()
 				t.Errorf("solve: %v", err)

@@ -24,7 +24,7 @@ import (
 // server-side handle/queue spans that rode back piggybacked on the v2
 // response — all linked into one tree under one trace ID.
 func TestSpanTreeOverTCP(t *testing.T) {
-	w := newTCPWorld(t, false)
+	w := newTCPWorld(t)
 	col := obs.NewCollector()
 	root := obs.Span{TraceID: obs.NewTraceID(), ID: obs.NewSpanID(), Site: "coord", Name: "test-root"}
 	ctx := obs.WithTrace(context.Background(), obs.TraceContext{
@@ -115,7 +115,7 @@ func TestSpanTreeOverTCP(t *testing.T) {
 // TestUntracedCarriesNoSpans: the same TCP round without a trace
 // context must piggyback nothing (the zero-cost-when-off contract).
 func TestUntracedCarriesNoSpans(t *testing.T) {
-	w := newTCPWorld(t, false)
+	w := newTCPWorld(t)
 	prog := xpath.MustCompileString(xmark.Queries[8])
 	if _, err := w.tcpEng.ParBoX(context.Background(), prog); err != nil {
 		t.Fatal(err)

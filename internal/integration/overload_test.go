@@ -20,7 +20,7 @@ import (
 // with context.DeadlineExceeded, and the sites performed zero bottomUp
 // steps — the next (warm-capable) run still misses every cache entry.
 func TestDeadlineExpiredOverTCP(t *testing.T) {
-	w := newTCPWorld(t, false)
+	w := newTCPWorld(t)
 	w.tcpEng.EnableTripletCache(true)
 	prog := xpath.MustCompileString(xmark.Queries[8])
 
@@ -65,7 +65,7 @@ func TestDeadlineExpiredOverTCP(t *testing.T) {
 // server, not a client-side socket teardown), while a generous one
 // succeeds.
 func TestDeadlineBudgetPropagates(t *testing.T) {
-	w := newTCPWorld(t, false)
+	w := newTCPWorld(t)
 	prog := xpath.MustCompileString(xmark.Queries[8])
 
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Microsecond)

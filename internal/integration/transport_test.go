@@ -37,7 +37,7 @@ const tcpWorldSites = 8
 // process behind a real listener with the full handler set and its own
 // peer transport (the recursive algorithms hop site-to-site), exactly
 // like a parbox-site daemon.
-func newTCPWorld(t *testing.T, forceV1 bool) *tcpWorld {
+func newTCPWorld(t *testing.T) *tcpWorld {
 	t.Helper()
 	root, siteRoots, err := xmark.BuildDoc(xmark.TreeSpec{
 		Seed:       11,
@@ -88,7 +88,7 @@ func newTCPWorld(t *testing.T, forceV1 bool) *tcpWorld {
 		siteTr := cluster.NewTCPTransport(nil)
 		siteTr.Local(site)
 		core.RegisterHandlers(site, siteTr, cost)
-		srv, err := cluster.ServeWith(site, "127.0.0.1:0", cluster.ServeConfig{RequireV2: !forceV1})
+		srv, err := cluster.Serve(site, "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -103,11 +103,9 @@ func newTCPWorld(t *testing.T, forceV1 bool) *tcpWorld {
 	// after every listener was bound.
 	for _, siteTr := range siteTrs {
 		siteTr.SetAddrs(addrs)
-		siteTr.ForceV1 = forceV1
 		t.Cleanup(func() { siteTr.Close() })
 	}
 	coordTr := cluster.NewTCPTransport(addrs)
-	coordTr.ForceV1 = forceV1
 	// The coordinator reads its own fragments in process, as the
 	// in-memory deployment does — local work stays free on both sides,
 	// so the byte/message/visit counters must match exactly.
@@ -136,7 +134,7 @@ var differentialQueries = []string{
 // and Visits (SimTime is excluded — TCP measures real network time
 // where the in-process cluster models it).
 func TestTransportDifferential(t *testing.T) {
-	w := newTCPWorld(t, false)
+	w := newTCPWorld(t)
 	ctx := context.Background()
 	for _, src := range differentialQueries {
 		prog := xpath.MustCompileString(src)
@@ -179,7 +177,7 @@ func TestTransportDifferential(t *testing.T) {
 // cold round misses everywhere, a warm round hits everywhere, and both
 // deployments report identical numbers.
 func TestTransportCacheCountersDifferential(t *testing.T) {
-	w := newTCPWorld(t, false)
+	w := newTCPWorld(t)
 	w.tcpEng.EnableTripletCache(true)
 	w.memEng.EnableTripletCache(true)
 	ctx := context.Background()
@@ -216,7 +214,7 @@ func TestTransportCacheCountersDifferential(t *testing.T) {
 // reference. Run under -race this is the multiplexer's interleaving
 // test.
 func TestTransportSoak(t *testing.T) {
-	w := newTCPWorld(t, false)
+	w := newTCPWorld(t)
 	ctx := context.Background()
 	soakAlgos := []core.Algorithm{core.AlgoParBoX, core.AlgoFullDist, core.AlgoLazy}
 
@@ -365,33 +363,5 @@ func TestSchedulerFairShareInvariant(t *testing.T) {
 	}
 	if stats := sys.SchedulerStats(); stats.Queries != callers {
 		t.Errorf("scheduler served %d queries, want %d", stats.Queries, callers)
-	}
-}
-
-// TestTransportDifferentialV1 re-runs the core differential over the
-// legacy v1 path (ForceV1 transport against dual-stack servers): the
-// compatibility path must stay answer- and accounting-identical too.
-func TestTransportDifferentialV1(t *testing.T) {
-	if testing.Short() {
-		t.Skip("v1 compatibility differential skipped in -short")
-	}
-	w := newTCPWorld(t, true)
-	ctx := context.Background()
-	prog := xpath.MustCompileString(xmark.Queries[8])
-	for _, algo := range core.Algorithms() {
-		memRep, err := w.memEng.Run(ctx, algo, prog)
-		if err != nil {
-			t.Fatalf("%v mem: %v", algo, err)
-		}
-		tcpRep, err := w.tcpEng.Run(ctx, algo, prog)
-		if err != nil {
-			t.Fatalf("%v tcp/v1: %v", algo, err)
-		}
-		if tcpRep.Answer != memRep.Answer || tcpRep.Bytes != memRep.Bytes ||
-			tcpRep.Messages != memRep.Messages || tcpRep.TotalSteps != memRep.TotalSteps {
-			t.Errorf("%v: v1 (ans %v, bytes %d, msgs %d, steps %d) != mem (ans %v, bytes %d, msgs %d, steps %d)",
-				algo, tcpRep.Answer, tcpRep.Bytes, tcpRep.Messages, tcpRep.TotalSteps,
-				memRep.Answer, memRep.Bytes, memRep.Messages, memRep.TotalSteps)
-		}
 	}
 }

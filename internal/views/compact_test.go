@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/boolexpr"
 	"repro/internal/core"
+	"repro/internal/eval"
 	"repro/internal/xpath"
 )
 
@@ -26,7 +27,7 @@ func TestArenaCompactionKeepsViewConsistent(t *testing.T) {
 
 	inflate := func() {
 		v.mu.Lock()
-		for i := 0; v.arena.Len() < arenaCompactAt; i++ {
+		for i := 0; v.arena.Len() < eval.CompactAt; i++ {
 			x := v.arena.Var(boolexpr.Var{Frag: 9000, Vec: boolexpr.VecV, Q: int32(i)})
 			y := v.arena.Var(boolexpr.Var{Frag: 9001, Vec: boolexpr.VecDV, Q: int32(i)})
 			v.arena.Or2(x, y)
@@ -47,7 +48,7 @@ func TestArenaCompactionKeepsViewConsistent(t *testing.T) {
 			t.Fatalf("round %d: Answer = %v, oracle %v", round, got, want)
 		}
 		v.mu.Lock()
-		if v.arena.Len() >= arenaCompactAt {
+		if v.arena.Len() >= eval.CompactAt {
 			t.Fatalf("round %d: arena not compacted (%d nodes)", round, v.arena.Len())
 		}
 		v.mu.Unlock()
@@ -78,7 +79,7 @@ func TestArenaCompactionKeepsViewConsistent(t *testing.T) {
 		t.Fatal(err)
 	}
 	engineOracle("after split")
-	// Updating after the split exercises SolveArena over the mix of
+	// Updating after the split exercises Solve over the mix of
 	// re-interned and freshly decoded triplets.
 	inflate()
 	if _, err := v.Update(ctx, 3, []UpdateOp{{Op: OpSetText, Path: PathOf(sell), Text: "373"}}); err != nil {

@@ -183,6 +183,7 @@ func (pm *progMaint) recompute(site *cluster.Site, fr *frag.Fragment, fresh, dir
 				return nil, delta, false, steps, err
 			}
 			enc = t.Encode()
+			eval.PutArena(t.A)
 			pm.haveWords = false
 			changed = oldEnc == nil || !bytes.Equal(oldEnc, enc)
 			if !changed {
@@ -209,7 +210,9 @@ func (pm *progMaint) recompute(site *cluster.Site, fr *frag.Fragment, fresh, dir
 		stats.NoopUpdates.Add(1)
 		enc = oldEnc
 	} else {
-		enc = eval.ConstTriplet(len(pm.prog.Subs), vw, cw, dw).Encode()
+		t := eval.ConstTriplet(len(pm.prog.Subs), vw, cw, dw)
+		enc = t.Encode()
+		eval.PutArena(t.A)
 	}
 	pm.lastVW, pm.lastCW, pm.lastDW, pm.haveWords = vw, cw, dw, true
 	pm.lastEnc = enc

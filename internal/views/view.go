@@ -48,45 +48,16 @@ type View struct {
 	mu       sync.Mutex
 	st       *frag.SourceTree
 	arena    *boolexpr.Arena
-	triplets map[xmltree.FragmentID]eval.ArenaTriplet
+	triplets map[xmltree.FragmentID]eval.Triplet
 	ans      bool
 	nextID   xmltree.FragmentID
 }
 
-// arenaCompactAt bounds arena growth across a long-lived view's updates:
-// once the arena holds this many nodes, the live triplets are re-interned
-// into a fresh arena and the garbage of superseded triplets is dropped.
-const arenaCompactAt = 1 << 16
-
-// maybeCompact re-interns the live triplets into a fresh arena once the
-// current one has accumulated too many dead nodes. It must run at most
-// once per maintenance operation, BEFORE any triplet of that operation is
-// decoded: compaction invalidates every id of the old arena, so decoded-
-// but-not-yet-stored triplets must never straddle it. Callers hold v.mu.
-func (v *View) maybeCompact() {
-	if v.arena.Len() < arenaCompactAt {
-		return
-	}
-	fresh := boolexpr.NewArena()
-	memo := make(map[boolexpr.NodeID]*boolexpr.Formula)
-	reintern := make(map[*boolexpr.Formula]boolexpr.NodeID)
-	conv := func(ids []boolexpr.NodeID) []boolexpr.NodeID {
-		out := make([]boolexpr.NodeID, len(ids))
-		for i, id := range ids {
-			out[i] = fresh.Import(v.arena.Export(id, memo), reintern)
-		}
-		return out
-	}
-	for id, t := range v.triplets {
-		v.triplets[id] = eval.ArenaTriplet{V: conv(t.V), CV: conv(t.CV), DV: conv(t.DV)}
-	}
-	v.arena = fresh
-}
-
-// decodeTriplet interns a wire triplet into the view arena. Callers hold
-// v.mu and have called maybeCompact at the top of the operation.
-func (v *View) decodeTriplet(buf []byte) (eval.ArenaTriplet, error) {
-	return eval.DecodeTripletArena(v.arena, buf)
+// compact bounds the view arena's growth (eval.CompactTriplets). It must
+// run at most once per maintenance operation, BEFORE any triplet of that
+// operation is decoded into the arena. Callers hold v.mu.
+func (v *View) compact() {
+	v.arena = eval.CompactTriplets(v.arena, v.triplets)
 }
 
 // Materialize computes the view's initial state by running stage 2 of
@@ -108,7 +79,6 @@ func MaterializeBounded(ctx context.Context, tr cluster.Transport, home frag.Sit
 		maxInflight: maxInflight,
 		st:          st.Clone(),
 		arena:       boolexpr.NewArena(),
-		triplets:    make(map[xmltree.FragmentID]eval.ArenaTriplet, st.Count()),
 	}
 	for _, id := range st.Fragments() {
 		if id >= v.nextID {
@@ -116,17 +86,13 @@ func MaterializeBounded(ctx context.Context, tr cluster.Transport, home frag.Sit
 		}
 	}
 	// One scatter/gather round over all sites (the same fan-out layer the
-	// query engine uses), then intern the triplets into the view arena.
-	ts, err := core.GatherTriplets(ctx, tr, home, st, prog, maxInflight)
+	// query engine uses), the triplets interned into the view arena.
+	var err error
+	v.triplets, err = core.GatherTriplets(ctx, tr, home, st, prog, maxInflight, v.arena)
 	if err != nil {
 		return nil, fmt.Errorf("views: materialize: %w", err)
 	}
-	for _, id := range st.Fragments() {
-		if t, ok := ts[id]; ok {
-			v.triplets[id] = eval.ImportTriplet(v.arena, t)
-		}
-	}
-	ans, _, err := eval.SolveArena(v.st, v.arena, v.triplets, prog)
+	ans, _, err := eval.Solve(v.st, v.triplets, prog)
 	if err != nil {
 		return nil, err
 	}
@@ -169,7 +135,7 @@ func (v *View) Update(ctx context.Context, id xmltree.FragmentID, ops []UpdateOp
 	start := time.Now()
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	v.maybeCompact()
+	v.compact()
 	var mc MaintenanceCost
 	entry, ok := v.st.Entry(id)
 	if !ok {
@@ -194,7 +160,7 @@ func (v *View) Update(ctx context.Context, id xmltree.FragmentID, ops []UpdateOp
 	if err != nil {
 		return mc, err
 	}
-	t, err := v.decodeTriplet(tb)
+	t, err := eval.DecodeTripletInto(v.arena, tb)
 	if err != nil {
 		return mc, err
 	}
@@ -207,7 +173,7 @@ func (v *View) Update(ctx context.Context, id xmltree.FragmentID, ops []UpdateOp
 		return mc, nil
 	}
 	v.triplets[id] = t
-	ans, work, err := eval.SolveArena(v.st, v.arena, v.triplets, v.prog)
+	ans, work, err := eval.Solve(v.st, v.triplets, v.prog)
 	if err != nil {
 		return mc, err
 	}
@@ -227,7 +193,7 @@ func (v *View) Split(ctx context.Context, id xmltree.FragmentID, path []int, tar
 	start := time.Now()
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	v.maybeCompact()
+	v.compact()
 	var mc MaintenanceCost
 	entry, ok := v.st.Entry(id)
 	if !ok {
@@ -255,11 +221,11 @@ func (v *View) Split(ctx context.Context, id xmltree.FragmentID, path []int, tar
 	if err != nil {
 		return 0, mc, err
 	}
-	own, err := v.decodeTriplet(ownB)
+	own, err := eval.DecodeTripletInto(v.arena, ownB)
 	if err != nil {
 		return 0, mc, err
 	}
-	nw, err := v.decodeTriplet(newB)
+	nw, err := eval.DecodeTripletInto(v.arena, newB)
 	if err != nil {
 		return 0, mc, err
 	}
@@ -316,7 +282,7 @@ func (v *View) Merge(ctx context.Context, id, child xmltree.FragmentID) (Mainten
 	start := time.Now()
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	v.maybeCompact()
+	v.compact()
 	var mc MaintenanceCost
 	entry, ok := v.st.Entry(id)
 	if !ok {
@@ -353,7 +319,7 @@ func (v *View) Merge(ctx context.Context, id, child xmltree.FragmentID) (Mainten
 	if err != nil {
 		return mc, err
 	}
-	t, err := v.decodeTriplet(tb)
+	t, err := eval.DecodeTripletInto(v.arena, tb)
 	if err != nil {
 		return mc, err
 	}
@@ -374,17 +340,11 @@ func (v *View) Refresh(ctx context.Context) error {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	arena := boolexpr.NewArena()
-	triplets := make(map[xmltree.FragmentID]eval.ArenaTriplet, v.st.Count())
-	ts, err := core.GatherTriplets(ctx, v.tr, v.home, v.st, v.prog, v.maxInflight)
+	triplets, err := core.GatherTriplets(ctx, v.tr, v.home, v.st, v.prog, v.maxInflight, arena)
 	if err != nil {
 		return err
 	}
-	for _, id := range v.st.Fragments() {
-		if t, ok := ts[id]; ok {
-			triplets[id] = eval.ImportTriplet(arena, t)
-		}
-	}
-	ans, _, err := eval.SolveArena(v.st, arena, triplets, v.prog)
+	ans, _, err := eval.Solve(v.st, triplets, v.prog)
 	if err != nil {
 		return err
 	}

@@ -456,89 +456,14 @@ func (s *System) AddSite(id SiteID) {
 	cluster.RegisterStatsHandler(site)
 }
 
-// Evaluate runs the query with the ParBoX algorithm and returns the
-// Boolean answer.
-//
-// Deprecated: use Exec — Evaluate(ctx, q) is Exec(ctx, q) reading
-// Result.Answer.
-func (s *System) Evaluate(ctx context.Context, q *Prepared) (bool, error) {
-	res, err := s.Exec(ctx, q)
-	if err != nil {
-		return false, err
-	}
-	return res.Answer, nil
-}
-
-// EvaluateWith runs the query with the given algorithm and returns the
-// full report.
-//
-// Deprecated: use Exec with WithAlgorithm and read Result.Boolean.
-func (s *System) EvaluateWith(ctx context.Context, algo Algorithm, q *Prepared) (Report, error) {
-	res, err := s.Exec(ctx, q, WithAlgorithm(algo))
-	if err != nil {
-		return Report{}, err
-	}
-	return *res.Boolean, nil
-}
-
 // SelectionResult is the outcome of a distributed data-selection query.
 type SelectionResult = core.SelectReport
-
-// Select evaluates a data-selection path query (the Section 8 extension):
-// the result identifies every selected node by its fragment and
-// child-index path within that fragment.
-//
-// Deprecated: use Prepare once and Exec with WithMode(ModeSelect) — this
-// wrapper re-prepares (and so recompiles) the query on every call.
-func (s *System) Select(ctx context.Context, pathQuery string) (SelectionResult, error) {
-	q, err := Prepare(pathQuery)
-	if err != nil {
-		return SelectionResult{}, err
-	}
-	res, err := s.Exec(ctx, q, WithMode(ModeSelect))
-	if err != nil {
-		return SelectionResult{}, err
-	}
-	return *res.Selection, nil
-}
 
 // BatchResult is the outcome of one batch evaluation round.
 type BatchResult = core.BatchReport
 
-// EvaluateBatch answers many Boolean queries with a single ParBoX round.
-// An empty batch is answered for free: no round runs.
-//
-// Deprecated: use Exec with WithBatch and read Result.Answers.
-func (s *System) EvaluateBatch(ctx context.Context, queries []*Prepared) (BatchResult, error) {
-	if len(queries) == 0 {
-		return BatchResult{}, nil
-	}
-	res, err := s.Exec(ctx, queries[0], WithBatch(queries[1:]...))
-	if err != nil {
-		return BatchResult{}, err
-	}
-	return *res.Batch, nil
-}
-
 // CountResult is the outcome of a distributed COUNT aggregation.
 type CountResult = core.CountReport
-
-// Count counts the nodes a path query selects without shipping their
-// identities anywhere.
-//
-// Deprecated: use Prepare once and Exec with WithMode(ModeCount) — this
-// wrapper re-prepares (and so recompiles) the query on every call.
-func (s *System) Count(ctx context.Context, pathQuery string) (CountResult, error) {
-	q, err := Prepare(pathQuery)
-	if err != nil {
-		return CountResult{}, err
-	}
-	res, err := s.Exec(ctx, q, WithMode(ModeCount))
-	if err != nil {
-		return CountResult{}, err
-	}
-	return *res.Counting, nil
-}
 
 // SourceTree returns the deployed document's source tree.
 func (s *System) SourceTree() *SourceTree { return s.eng().SourceTree() }
@@ -568,20 +493,6 @@ func (s *System) MetricsTable() string { return s.cluster.Metrics().String() }
 // View is a materialized, incrementally maintained Boolean XPath view.
 type View struct {
 	v *views.View
-}
-
-// Materialize computes and caches the query's answer as a view
-// (Section 5): subsequent Answer calls are free; Update/Split/Merge
-// maintain it with recomputation localized to the changed fragment.
-//
-// Deprecated: use Exec with WithMode(ModeMaterialize) and read
-// Result.View.
-func (s *System) Materialize(ctx context.Context, q *Prepared) (*View, error) {
-	res, err := s.Exec(ctx, q, WithMode(ModeMaterialize))
-	if err != nil {
-		return nil, err
-	}
-	return res.View, nil
 }
 
 // Answer returns the cached answer.

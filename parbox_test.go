@@ -219,48 +219,46 @@ func TestExecInputErrors(t *testing.T) {
 	}
 }
 
-// TestLegacyWrappers pins the deprecated surface: each of the six legacy
-// entry points must keep working as a delegation to Exec.
-func TestLegacyWrappers(t *testing.T) {
+// TestExecModesAgree drives every Exec mode the former one-per-mode entry
+// points covered — default, explicit algorithm, select, count, batch,
+// materialize — over one deployment, each pinned to local evaluation.
+func TestExecModesAgree(t *testing.T) {
 	sys, orig := deployPortfolio(t)
 	ctx := context.Background()
-	q := MustQuery(`//stock[code = "YHOO"]`)
+	q := MustPrepare(`//stock[code = "YHOO"]`)
 	want, err := EvaluateLocal(orig, q)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	ans, err := sys.Evaluate(ctx, q)
-	if err != nil || ans != want {
-		t.Errorf("Evaluate = %v, %v; want %v", ans, err, want)
+	res, err := sys.Exec(ctx, q)
+	if err != nil || res.Answer != want {
+		t.Errorf("Exec = %+v, %v; want %v", res, err, want)
 	}
-	rep, err := sys.EvaluateWith(ctx, AlgoFullDist, q)
-	if err != nil || rep.Answer != want || rep.Algorithm != AlgoFullDist {
-		t.Errorf("EvaluateWith = %+v, %v", rep, err)
+	res, err = sys.Exec(ctx, q, WithAlgorithm(AlgoFullDist))
+	if err != nil || res.Boolean.Answer != want || res.Boolean.Algorithm != AlgoFullDist {
+		t.Errorf("Exec WithAlgorithm = %+v, %v", res, err)
 	}
-	sel, err := sys.Select(ctx, `//stock`)
-	if err != nil || sel.Count == 0 {
-		t.Errorf("Select = %+v, %v", sel, err)
+	stocks := MustPrepare(`//stock`)
+	sel, err := sys.Exec(ctx, stocks, WithMode(ModeSelect))
+	if err != nil || sel.Selection.Count == 0 {
+		t.Errorf("ModeSelect = %+v, %v", sel, err)
 	}
-	cnt, err := sys.Count(ctx, `//stock`)
-	if err != nil || cnt.Count != int64(sel.Count) {
-		t.Errorf("Count = %+v, %v", cnt, err)
+	cnt, err := sys.Exec(ctx, stocks, WithMode(ModeCount))
+	if err != nil || cnt.Counting.Count != int64(sel.Selection.Count) {
+		t.Errorf("ModeCount = %+v, %v", cnt, err)
 	}
-	batch, err := sys.EvaluateBatch(ctx, []*Query{q, MustQuery(`//market`)})
-	if err != nil || len(batch.Answers) != 2 || batch.Answers[0] != want {
-		t.Errorf("EvaluateBatch = %+v, %v", batch, err)
+	batch, err := sys.Exec(ctx, q, WithBatch(MustPrepare(`//market`)))
+	if err != nil || len(batch.Batch.Answers) != 2 || batch.Batch.Answers[0] != want {
+		t.Errorf("WithBatch = %+v, %v", batch, err)
 	}
-	empty, err := sys.EvaluateBatch(ctx, nil)
-	if err != nil || len(empty.Answers) != 0 {
-		t.Errorf("empty batch = %+v, %v; want empty result", empty, err)
-	}
-	single, err := sys.EvaluateBatch(ctx, []*Query{q})
+	single, err := sys.Exec(ctx, q, WithBatch())
 	if err != nil || len(single.Answers) != 1 || single.Answers[0] != want {
 		t.Errorf("single-query batch = %+v, %v", single, err)
 	}
-	view, err := sys.Materialize(ctx, q)
-	if err != nil || view.Answer() != want {
-		t.Errorf("Materialize answer = %v, %v", view, err)
+	mat, err := sys.Exec(ctx, q, WithMode(ModeMaterialize))
+	if err != nil || mat.View.Answer() != want {
+		t.Errorf("ModeMaterialize answer = %+v, %v", mat, err)
 	}
 }
 

@@ -106,19 +106,3 @@ func (q *Prepared) selectProgram() (*xpath.SelectProgram, error) {
 	})
 	return q.sel, q.selErr
 }
-
-// Query is the former name of the Prepared artifact.
-//
-// Deprecated: use Prepared.
-type Query = Prepared
-
-// ParseQuery parses an XBL query.
-//
-// Deprecated: use Prepare, which documents the grammar and caches every
-// compiled form.
-func ParseQuery(src string) (*Query, error) { return Prepare(src) }
-
-// MustQuery is ParseQuery panicking on error.
-//
-// Deprecated: use MustPrepare.
-func MustQuery(src string) *Query { return MustPrepare(src) }

@@ -31,11 +31,12 @@ func TestReplicatedDeployAndReplan(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	q := MustQuery(`//item[quantity]`)
-	ok, err := sys.Evaluate(ctx, q)
+	q := MustPrepare(`//item[quantity]`)
+	res, err := sys.Exec(ctx, q)
 	if err != nil {
 		t.Fatal(err)
 	}
+	ok := res.Answer
 	if !ok {
 		t.Error("expected true")
 	}
@@ -43,28 +44,29 @@ func TestReplicatedDeployAndReplan(t *testing.T) {
 	if err := sys.Replan(PlaceMinSites); err != nil {
 		t.Fatal(err)
 	}
-	ok2, err := sys.Evaluate(ctx, q)
+	res, err = sys.Exec(ctx, q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ok2 != ok {
+	if res.Answer != ok {
 		t.Error("replan changed the answer")
 	}
 	// Count aggregation over the replicated deployment.
-	cnt, err := sys.Count(ctx, `//item`)
+	items := MustPrepare(`//item`)
+	cnt, err := sys.Exec(ctx, items, WithMode(ModeCount))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cnt.Count <= 0 {
-		t.Errorf("count = %d", cnt.Count)
+	if cnt.Counting.Count <= 0 {
+		t.Errorf("count = %d", cnt.Counting.Count)
 	}
 	// Selection agrees with the count.
-	sel, err := sys.Select(ctx, `//item`)
+	sel, err := sys.Exec(ctx, items, WithMode(ModeSelect))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if int64(sel.Count) != cnt.Count {
-		t.Errorf("select %d != count %d", sel.Count, cnt.Count)
+	if int64(sel.Selection.Count) != cnt.Counting.Count {
+		t.Errorf("select %d != count %d", sel.Selection.Count, cnt.Counting.Count)
 	}
 }
 

@@ -96,34 +96,11 @@ type subState struct {
 	mu       sync.Mutex
 	st       *frag.SourceTree
 	arena    *boolexpr.Arena
-	triplets map[xmltree.FragmentID]eval.ArenaTriplet
+	triplets map[xmltree.FragmentID]eval.Triplet
 	versions map[xmltree.FragmentID]uint64
 	ans      bool
 
 	subs map[uint64]*Subscription
-}
-
-// maybeCompact bounds arena growth across a long-lived subscription's
-// deltas, exactly as views.View does for its arena.
-func (st *subState) maybeCompact() {
-	const compactAt = 1 << 16
-	if st.arena.Len() < compactAt {
-		return
-	}
-	fresh := boolexpr.NewArena()
-	memo := make(map[boolexpr.NodeID]*boolexpr.Formula)
-	reintern := make(map[*boolexpr.Formula]boolexpr.NodeID)
-	conv := func(ids []boolexpr.NodeID) []boolexpr.NodeID {
-		out := make([]boolexpr.NodeID, len(ids))
-		for i, id := range ids {
-			out[i] = fresh.Import(st.arena.Export(id, memo), reintern)
-		}
-		return out
-	}
-	for id, t := range st.triplets {
-		st.triplets[id] = eval.ArenaTriplet{V: conv(t.V), CV: conv(t.CV), DV: conv(t.DV)}
-	}
-	st.arena = fresh
 }
 
 // subManager is the coordinator side of standing subscriptions: one per
@@ -242,17 +219,19 @@ func (m *subManager) process(body []byte) {
 		st.mu.Unlock()
 		return // replica re-push or reordered duplicate: already applied
 	}
-	st.versions[d.Frag] = d.Version
-	st.maybeCompact()
-	t, err := eval.DecodeTripletArena(st.arena, d.Triplet)
+	// Bound the long-lived arena before decoding into it (compaction
+	// invalidates the old arena's ids).
+	st.arena = eval.CompactTriplets(st.arena, st.triplets)
+	t, err := eval.DecodeTripletInto(st.arena, d.Triplet)
 	if err != nil {
 		st.mu.Unlock()
-		return
+		return // undecodable push: leave the version unmarked so a valid re-push applies
 	}
+	st.versions[d.Frag] = d.Version
 	flipped := false
 	if old, ok := st.triplets[d.Frag]; !ok || !old.Equal(t) {
 		st.triplets[d.Frag] = t
-		ans, _, err := eval.SolveArena(st.st, st.arena, st.triplets, st.prog)
+		ans, _, err := eval.Solve(st.st, st.triplets, st.prog)
 		if err == nil {
 			flipped = ans != st.ans
 			st.ans = ans
@@ -337,7 +316,7 @@ func (s *System) Subscribe(ctx context.Context, q *Prepared) (*Subscription, err
 			fp:       fp,
 			prog:     prog,
 			arena:    boolexpr.NewArena(),
-			triplets: make(map[xmltree.FragmentID]eval.ArenaTriplet),
+			triplets: make(map[xmltree.FragmentID]eval.Triplet),
 			versions: make(map[xmltree.FragmentID]uint64),
 			subs:     make(map[uint64]*Subscription),
 		}
@@ -396,7 +375,7 @@ func (m *subManager) baseline(ctx context.Context, st *subState) error {
 			return fmt.Errorf("parbox: registering subscription at %s: %w", siteID, err)
 		}
 		for _, it := range items {
-			t, err := eval.DecodeTripletArena(st.arena, it.Triplet)
+			t, err := eval.DecodeTripletInto(st.arena, it.Triplet)
 			if err != nil {
 				return err
 			}
@@ -406,7 +385,7 @@ func (m *subManager) baseline(ctx context.Context, st *subState) error {
 			}
 		}
 	}
-	ans, _, err := eval.SolveArena(st.st, st.arena, st.triplets, st.prog)
+	ans, _, err := eval.Solve(st.st, st.triplets, st.prog)
 	if err != nil {
 		return err
 	}

@@ -4,6 +4,10 @@ import (
 	"context"
 	"testing"
 	"time"
+
+	"repro/internal/boolexpr"
+	"repro/internal/eval"
+	"repro/internal/views"
 )
 
 // subRecv reads one notification with a timeout.
@@ -51,10 +55,11 @@ func TestSubscribePushesFlips(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	view, err := sys.Materialize(ctx, q)
+	viewRes, err := sys.Exec(ctx, q, WithMode(ModeMaterialize))
 	if err != nil {
 		t.Fatal(err)
 	}
+	view := viewRes.View
 	// Insert a <b> into fragment 1: the site's standing program flips and
 	// pushes; both subscribers are notified without any further calls.
 	if _, err := view.Update(ctx, 1, []UpdateOp{{Op: OpInsert, Label: "b"}}); err != nil {
@@ -174,10 +179,11 @@ func TestSubscribeAgainstOracle(t *testing.T) {
 			}
 		}(s)
 	}
-	view, err := sys.Materialize(ctx, MustPrepare(`//r`))
+	viewRes, err := sys.Exec(ctx, MustPrepare(`//r`), WithMode(ModeMaterialize))
 	if err != nil {
 		t.Fatal(err)
 	}
+	view := viewRes.View
 
 	steps := []struct {
 		frag FragmentID
@@ -208,6 +214,133 @@ func TestSubscribeAgainstOracle(t *testing.T) {
 				}
 				time.Sleep(time.Millisecond)
 			}
+		}
+	}
+}
+
+// TestSubscribeMalformedPushDoesNotMaskRepush is the regression test for
+// the version high-water mark advancing before the delta's triplet
+// decoded: an undecodable push used to be swallowed AND make the
+// replica's valid re-push of the same version look "already applied", so
+// subscribers kept a stale answer. The mark must only advance on a
+// successful decode.
+func TestSubscribeMalformedPushDoesNotMaskRepush(t *testing.T) {
+	doc := NewElement("r", "", NewElement("a", ""))
+	forest := NewForest(doc)
+	if _, err := forest.Split(doc.Children[0]); err != nil {
+		t.Fatal(err)
+	}
+	sys, err := Deploy(forest, Assignment{0: "S0", 1: "S1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	q := MustPrepare(`//b`)
+	sub, err := sys.Subscribe(context.Background(), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sub.Answer() {
+		t.Fatal("baseline answer true, want false (no <b> yet)")
+	}
+
+	// What fragment 1 would ship after gaining a <b>, pushed by hand at the
+	// next version: first cut short, then — the replica's re-push — whole.
+	tr, _, err := eval.BottomUp(NewElement("a", "", NewElement("b", "")), q.program())
+	if err != nil {
+		t.Fatal(err)
+	}
+	valid := tr.Encode()
+	site, ok := sys.cluster.Site("S1")
+	if !ok {
+		t.Fatal("no site S1")
+	}
+	version := site.FragmentVersion(1) + 1
+	push := func(triplet []byte) {
+		site.PushDelta(views.Delta{Frag: 1, Version: version, FP: q.program().Fingerprint(), Triplet: triplet}.Encode())
+	}
+	push(valid[:len(valid)-1])
+	push(valid)
+	if n := subRecv(t, sub); !n.Flipped || !n.Answer || n.Version != version {
+		t.Fatalf("re-push notification = %+v, want Flipped && Answer at version %d", n, version)
+	}
+}
+
+// TestSubscriptionArenaCompaction drives the one compaction helper
+// (eval.CompactTriplets) through a subscription's solver state, as
+// views.TestArenaCompactionKeepsViewConsistent does through View.Update:
+// before every update the state's arena is inflated past the 64k-node
+// threshold with junk — standing in for the accumulated garbage of many
+// deltas. The state must compact, keep working on valid ids, and — like
+// the view the updates go through — answer exactly as local evaluation of
+// the edited document does.
+func TestSubscriptionArenaCompaction(t *testing.T) {
+	doc := NewElement("r", "", NewElement("a", ""), NewElement("c", ""))
+	mirror := doc.Clone()
+	forest := NewForest(doc)
+	for _, c := range []*Node{doc.Children[0], doc.Children[1]} {
+		if _, err := forest.Split(c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sys, err := Deploy(forest, Assignment{0: "S0", 1: "S1", 2: "S2"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	ctx := context.Background()
+	q := MustPrepare(`//a[b] && //c`)
+	sub, err := sys.Subscribe(ctx, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := sys.Exec(ctx, q, WithMode(ModeMaterialize))
+	if err != nil {
+		t.Fatal(err)
+	}
+	view := res.View
+
+	st := sub.state
+	inflate := func() {
+		st.mu.Lock()
+		for i := int32(0); st.arena.Len() < eval.CompactAt; i++ {
+			x := st.arena.Var(boolexpr.Var{Frag: 9000, Vec: boolexpr.VecV, Q: i})
+			y := st.arena.Var(boolexpr.Var{Frag: 9001, Vec: boolexpr.VecDV, Q: i})
+			st.arena.Or2(x, y)
+		}
+		st.mu.Unlock()
+	}
+
+	mirrorA := mirror.Children[0]
+	steps := []struct {
+		ops  []UpdateOp
+		edit func()
+	}{
+		{[]UpdateOp{{Op: OpInsert, Label: "b"}}, func() { mirrorA.AppendChild(NewElement("b", "")) }},
+		{[]UpdateOp{{Op: OpDelete, Path: []int{0}}}, func() { mirrorA.RemoveChild(mirrorA.Children[0]) }},
+		{[]UpdateOp{{Op: OpInsert, Label: "b"}}, func() { mirrorA.AppendChild(NewElement("b", "")) }},
+	}
+	for i, step := range steps {
+		inflate()
+		if _, err := view.Update(ctx, 1, step.ops); err != nil {
+			t.Fatalf("step %d: %v", i, err)
+		}
+		step.edit()
+		want, err := EvaluateLocal(mirror, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := view.Answer(); got != want {
+			t.Fatalf("step %d: view answer %v, local evaluation %v", i, got, want)
+		}
+		if n := subRecv(t, sub); !n.Flipped || n.Answer != want {
+			t.Fatalf("step %d: notification %+v, local evaluation %v", i, n, want)
+		}
+		st.mu.Lock()
+		subLen := st.arena.Len()
+		st.mu.Unlock()
+		if subLen >= eval.CompactAt {
+			t.Fatalf("step %d: subscription arena not compacted (%d nodes)", i, subLen)
 		}
 	}
 }
