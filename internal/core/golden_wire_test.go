@@ -3,22 +3,17 @@ package core
 import (
 	"bytes"
 	"context"
-	"encoding/hex"
-	"flag"
 	"fmt"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/cluster"
 	"repro/internal/frag"
+	"repro/internal/golden"
 	"repro/internal/xmark"
 	"repro/internal/xmltree"
 	"repro/internal/xpath"
 )
-
-var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/evalqual_*.hex from the current encoder")
 
 // goldenQueries mix every connective over the XMark vocabulary so the
 // fragments with virtual children ship AND, OR and NOT nodes over both V
@@ -105,27 +100,7 @@ func TestEvalQualWireGolden(t *testing.T) {
 				}
 				got = resp.Payload
 			}
-			path := filepath.Join("testdata", "evalqual_"+tc.name+".hex")
-			if *updateGolden {
-				if err := os.MkdirAll("testdata", 0o755); err != nil {
-					t.Fatal(err)
-				}
-				if err := os.WriteFile(path, []byte(hex.EncodeToString(got)+"\n"), 0o644); err != nil {
-					t.Fatal(err)
-				}
-				return
-			}
-			raw, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := hex.DecodeString(strings.TrimSpace(string(raw)))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(got, want) {
-				t.Errorf("evalQual response changed: %d bytes, golden %d bytes\n got %x\nwant %x", len(got), len(want), got, want)
-			}
+			golden.Check(t, "evalqual_"+tc.name, got)
 		})
 	}
 }

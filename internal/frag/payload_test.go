@@ -1,0 +1,44 @@
+package frag
+
+import (
+	"testing"
+
+	"repro/internal/golden"
+)
+
+// payloadCodec is one payload format of this package: sample encodes a
+// fixed value, recode decodes a buffer and re-encodes what it read.
+type payloadCodec struct {
+	name   string
+	sample func() []byte
+	recode func([]byte) ([]byte, error)
+}
+
+var payloadCodecs = []payloadCodec{
+	{"sourcetree", func() []byte {
+		st, err := SourceTreeFromEntries([]Entry{
+			{Frag: 0, Parent: NoParent, Site: "S0", Size: 10007},
+			{Frag: 1, Parent: 0, Site: "S1", Size: 130},
+			{Frag: 2, Parent: 1, Site: "site-with-a-long-name:7002", Size: 1},
+			{Frag: 300, Parent: 0, Site: "S", Size: 0},
+		})
+		if err != nil {
+			panic(err)
+		}
+		return st.Encode()
+	}, func(buf []byte) ([]byte, error) {
+		st, err := DecodeSourceTree(buf)
+		if err != nil {
+			return nil, err
+		}
+		return st.Encode(), nil
+	}},
+}
+
+// TestPayloadGoldens pins the source-tree encoding to the bytes recorded
+// before the codec moved onto internal/wire.
+func TestPayloadGoldens(t *testing.T) {
+	for _, c := range payloadCodecs {
+		t.Run(c.name, func(t *testing.T) { golden.Pin(t, c.name, c.sample(), c.recode) })
+	}
+}
