@@ -13,10 +13,11 @@ test:
 vet:
 	go vet ./...
 
-# lint mirrors CI's lint job: vet plus staticcheck at the version CI
-# pins (install once with
+# lint mirrors CI's lint job: any file gofmt would rewrite fails it, then
+# vet plus staticcheck at the version CI pins (install once with
 # `go install honnef.co/go/tools/cmd/staticcheck@2024.1.1`).
 lint: vet
+	@unformatted="$$(gofmt -l .)"; if [ -n "$$unformatted" ]; then echo "gofmt wants to rewrite:"; echo "$$unformatted"; exit 1; fi
 	staticcheck ./...
 
 # benchmark builds and runs the repo benchmark (BENCHMARK.json): five
@@ -37,13 +38,24 @@ bench-smoke:
 # the fused lane kernel differential, the spine-patch differential
 # (patched planes must stay byte-equal to full bottomUp), the triplet
 # wire decoder (never panics, keeps rejecting the malformed seeds,
-# decode → encode → decode is a fixed point), WAL replay, and the v2
-# frame decoder (demux, torn frames, push frames, hostile span blocks).
+# decode → encode → decode is a fixed point), WAL replay, the v2 frame
+# decoder (demux, torn frames, push frames, hostile span blocks), and
+# every other payload decoder, one FuzzPayloadDecoders per package over
+# that package's codec table (never panics, errors wrap the package
+# sentinel, decode → encode → decode is a fixed point). The payload
+# targets cap the engine's minimisation of interesting inputs: their
+# decoders run in microseconds, and left alone it spends most of the 30s
+# minimising instead of executing.
+PAYLOAD_FUZZ_PACKAGES = core views serve obs frag xpath xmltree
+
 fuzz: fuzz-fused
 	go test ./internal/eval -run Fuzz -fuzz FuzzSpinePatch -fuzztime 30s
 	go test ./internal/eval -run Fuzz -fuzz FuzzDecodeTriplet -fuzztime 30s
 	go test ./internal/store -run Fuzz -fuzz FuzzWALReplay -fuzztime 30s
 	go test ./internal/cluster -run Fuzz -fuzz FuzzV2ResponseDemux -fuzztime 30s
+	for p in $(PAYLOAD_FUZZ_PACKAGES); do \
+		go test ./internal/$$p -run Fuzz -fuzz FuzzPayloadDecoders -fuzztime 30s -fuzzminimizetime 2s || exit 1; \
+	done
 
 # fuzz-fused differentially fuzzes the fused lane kernel: arbitrary
 # (tree, fragmentation, query batch) triples must evaluate identically

@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+
+	"repro/internal/wire"
 )
 
 // Wire format: a pre-order bytecode. Each node is one opcode byte followed
@@ -41,18 +43,6 @@ const maxDepth = 1 << 13
 
 // ErrBadFormula is wrapped by all decoding failures.
 var ErrBadFormula = errors.New("boolexpr: malformed formula encoding")
-
-// UvarintLen returns the encoded length of v as a uvarint, for callers
-// presizing wire buffers that mix formula encodings with their own
-// framing.
-func UvarintLen(v uint64) int {
-	n := 1
-	for v >= 0x80 {
-		v >>= 7
-		n++
-	}
-	return n
-}
 
 // AppendEncodedID appends the wire encoding of arena node x to dst.
 func (a *Arena) AppendEncodedID(dst []byte, x NodeID) []byte {
@@ -95,11 +85,11 @@ func (a *Arena) EncodedSizeID(x NodeID) int {
 		return 1
 	case OpVar:
 		v := a.vars[n.aux]
-		return 1 + UvarintLen(uint64(uint32(v.Frag))) + 1 + UvarintLen(uint64(uint32(v.Q)))
+		return 1 + wire.UvarintLen(uint64(uint32(v.Frag))) + 1 + wire.UvarintLen(uint64(uint32(v.Q)))
 	case OpNot:
 		return 1 + a.EncodedSizeID(NodeID(n.aux))
 	case OpAnd, OpOr:
-		s := 1 + UvarintLen(uint64(n.nkid))
+		s := 1 + wire.UvarintLen(uint64(n.nkid))
 		for _, k := range a.kids[n.aux : n.aux+n.nkid] {
 			s += a.EncodedSizeID(k)
 		}
@@ -123,7 +113,7 @@ func (a *Arena) AppendEncodedVector(dst []byte, ids []NodeID) []byte {
 // without allocating, so callers on the wire path can presize their
 // buffers exactly.
 func (a *Arena) EncodedSizeVector(ids []NodeID) int {
-	n := UvarintLen(uint64(len(ids)))
+	n := wire.UvarintLen(uint64(len(ids)))
 	for _, x := range ids {
 		n += a.EncodedSizeID(x)
 	}
@@ -132,8 +122,7 @@ func (a *Arena) EncodedSizeVector(ids []NodeID) int {
 
 // Decoder decodes a stream of concatenated formula encodings.
 type Decoder struct {
-	buf   []byte
-	pos   int
+	r     wire.Reader
 	depth int
 	// scratch stages the operands of AND/OR nodes, stack-disciplined
 	// across the recursion, instead of one slice per node.
@@ -141,113 +130,83 @@ type Decoder struct {
 }
 
 // NewDecoder returns a decoder over buf.
-func NewDecoder(buf []byte) *Decoder { return &Decoder{buf: buf} }
+func NewDecoder(buf []byte) *Decoder { return &Decoder{r: wire.NewReader(buf, ErrBadFormula)} }
 
 // Remaining reports how many bytes have not been consumed yet.
-func (d *Decoder) Remaining() int { return len(d.buf) - d.pos }
+func (d *Decoder) Remaining() int { return d.r.Len() }
 
-func (d *Decoder) byte() (byte, error) {
-	if d.pos >= len(d.buf) {
-		return 0, fmt.Errorf("%w: truncated at offset %d", ErrBadFormula, d.pos)
-	}
-	b := d.buf[d.pos]
-	d.pos++
-	return b, nil
-}
-
-func (d *Decoder) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(d.buf[d.pos:])
-	if n <= 0 {
-		return 0, fmt.Errorf("%w: bad uvarint at offset %d", ErrBadFormula, d.pos)
-	}
-	d.pos += n
-	return v, nil
-}
+// Done returns the stream's first failure, or an error if bytes are left
+// over.
+func (d *Decoder) Done() error { return d.r.Done() }
 
 // DecodeID decodes the next formula from the stream, interning it into a.
 func (d *Decoder) DecodeID(a *Arena) (NodeID, error) {
-	op, err := d.byte()
-	if err != nil {
+	id := d.node(a)
+	if err := d.r.Err(); err != nil {
 		return IDFalse, err
 	}
+	return id, nil
+}
+
+// node decodes one formula. After a failure the reader yields zero bytes,
+// which read as wireFalse, so the recursion unwinds on its own.
+func (d *Decoder) node(a *Arena) NodeID {
+	op := d.r.Byte()
 	if d.depth++; d.depth > maxDepth {
-		return IDFalse, fmt.Errorf("%w: nesting depth exceeds %d", ErrBadFormula, maxDepth)
+		d.r.Fail("nesting depth exceeds %d", maxDepth)
 	}
 	defer func() { d.depth-- }()
 	switch op {
 	case wireFalse:
-		return IDFalse, nil
+		return IDFalse
 	case wireTrue:
-		return IDTrue, nil
+		return IDTrue
 	case wireVar:
-		frag, err := d.uvarint()
-		if err != nil {
-			return IDFalse, err
-		}
-		vec, err := d.byte()
-		if err != nil {
-			return IDFalse, err
-		}
+		frag, vec, q := d.r.Uvarint(), d.r.Byte(), d.r.Uvarint()
 		if vec > byte(VecDV) {
-			return IDFalse, fmt.Errorf("%w: bad vector kind %d", ErrBadFormula, vec)
+			d.r.Fail("bad vector kind %d", vec)
 		}
-		q, err := d.uvarint()
-		if err != nil {
-			return IDFalse, err
+		if d.r.Err() != nil {
+			return IDFalse
 		}
-		return a.Var(Var{Frag: int32(uint32(frag)), Vec: VecKind(vec), Q: int32(uint32(q))}), nil
+		return a.Var(Var{Frag: int32(uint32(frag)), Vec: VecKind(vec), Q: int32(uint32(q))})
 	case wireNot:
-		k, err := d.DecodeID(a)
-		if err != nil {
-			return IDFalse, err
-		}
-		return a.Not(k), nil
+		return a.Not(d.node(a))
 	case wireAnd, wireOr:
-		n, err := d.uvarint()
-		if err != nil {
-			return IDFalse, err
-		}
-		if n > maxOperands || n > uint64(d.Remaining()) {
-			return IDFalse, fmt.Errorf("%w: operand count %d exceeds remaining input", ErrBadFormula, n)
+		n := d.r.Count(1)
+		if n > maxOperands {
+			d.r.Fail("operand count %d exceeds %d", n, maxOperands)
 		}
 		// The recursion below pushes and pops its own frames above base.
 		base := len(d.scratch)
-		for i := uint64(0); i < n; i++ {
-			k, err := d.DecodeID(a)
-			if err != nil {
-				d.scratch = d.scratch[:base]
-				return IDFalse, err
-			}
-			d.scratch = append(d.scratch, k)
+		for i := 0; i < n && d.r.Err() == nil; i++ {
+			d.scratch = append(d.scratch, d.node(a))
 		}
-		var id NodeID
-		if op == wireAnd {
-			id = a.And(d.scratch[base:]...)
-		} else {
-			id = a.Or(d.scratch[base:]...)
+		id := IDFalse
+		if d.r.Err() == nil {
+			if op == wireAnd {
+				id = a.And(d.scratch[base:]...)
+			} else {
+				id = a.Or(d.scratch[base:]...)
+			}
 		}
 		d.scratch = d.scratch[:base]
-		return id, nil
+		return id
 	default:
-		return IDFalse, fmt.Errorf("%w: unknown opcode %d at offset %d", ErrBadFormula, op, d.pos-1)
+		d.r.Fail("unknown opcode %d at offset %d", op, d.r.Offset()-1)
+		return IDFalse
 	}
 }
 
 // DecodeVectorID decodes a vector produced by AppendEncodedVector,
 // interning every entry into a.
 func (d *Decoder) DecodeVectorID(a *Arena) ([]NodeID, error) {
-	n, err := d.uvarint()
-	if err != nil {
+	ids := make([]NodeID, d.r.Count(1))
+	for i := 0; i < len(ids) && d.r.Err() == nil; i++ {
+		ids[i] = d.node(a)
+	}
+	if err := d.r.Err(); err != nil {
 		return nil, err
-	}
-	if n > uint64(d.Remaining())+1 {
-		return nil, fmt.Errorf("%w: vector length %d exceeds buffer", ErrBadFormula, n)
-	}
-	ids := make([]NodeID, n)
-	for i := range ids {
-		if ids[i], err = d.DecodeID(a); err != nil {
-			return nil, fmt.Errorf("vector entry %d: %w", i, err)
-		}
 	}
 	return ids, nil
 }

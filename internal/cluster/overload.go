@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"repro/internal/frag"
+	"repro/internal/wire"
 )
 
 // ErrOverloaded matches (errors.Is) every shed response: the site (or
@@ -90,11 +91,8 @@ func appendRetryAfter(dst []byte, d time.Duration) []byte {
 // to maxRetryAfter. A torn body decodes to a zero hint rather than an
 // error: the shed itself is already the signal, the hint is advisory.
 func decodeRetryAfter(body []byte) time.Duration {
-	v, n := binary.Uvarint(body)
-	if n <= 0 {
-		return 0
-	}
-	d := time.Duration(v) * time.Microsecond
+	r := wire.NewReader(body, ErrOverloaded)
+	d := time.Duration(r.Uvarint()) * time.Microsecond // 0 on a torn body
 	if d < 0 || d > maxRetryAfter {
 		d = maxRetryAfter
 	}

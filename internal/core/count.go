@@ -9,6 +9,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/eval"
 	"repro/internal/frag"
+	"repro/internal/wire"
 	"repro/internal/xmltree"
 	"repro/internal/xpath"
 )
@@ -155,23 +156,19 @@ func handleCount(_ context.Context, site *cluster.Site, req cluster.Request) (cl
 	}, nil
 }
 
+// countResp is the count followed by a selectResp that carries no paths.
 func encodeCountResp(count int64, forward map[xmltree.FragmentID]eval.Arrival) []byte {
 	dst := binary.AppendUvarint(nil, uint64(count))
-	return append(dst, encodeSelectResp(nil, forward)...)
+	dst = binary.AppendUvarint(dst, 0)
+	return appendForward(dst, forward)
 }
 
 func decodeCountResp(buf []byte) (int64, map[xmltree.FragmentID]eval.Arrival, error) {
-	r := &reader{buf: buf}
-	count, err := r.uvarint()
-	if err != nil {
-		return 0, nil, err
+	r := wire.NewReader(buf, ErrBadMessage)
+	count := r.Uvarint()
+	if np := r.Uvarint(); np != 0 {
+		r.Fail("count response carries %d paths", np)
 	}
-	paths, fwd, err := decodeSelectResp(buf[r.pos:])
-	if err != nil {
-		return 0, nil, err
-	}
-	if len(paths) != 0 {
-		return 0, nil, fmt.Errorf("%w: count response carries paths", ErrBadMessage)
-	}
-	return int64(count), fwd, nil
+	forward := forwardMap(&r)
+	return int64(count), forward, r.Done()
 }

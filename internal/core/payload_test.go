@@ -1,23 +1,19 @@
 package core
 
 import (
+	"encoding/binary"
+	"errors"
 	"testing"
 
+	"repro/internal/boolexpr"
 	"repro/internal/eval"
 	"repro/internal/fixtures"
 	"repro/internal/frag"
 	"repro/internal/golden"
+	"repro/internal/wire"
 	"repro/internal/xmltree"
 	"repro/internal/xpath"
 )
-
-// payloadCodec is one payload format of this package: sample encodes a
-// fixed value, recode decodes a buffer and re-encodes what it read.
-type payloadCodec struct {
-	name   string
-	sample func() []byte
-	recode func([]byte) ([]byte, error)
-}
 
 // payloadFixture is the fixed input the samples are built from: the
 // paper's Fig. 2 fragmentation, a Boolean program and a selection program.
@@ -58,100 +54,100 @@ var fixtureForward = map[xmltree.FragmentID]eval.Arrival{
 	1: {States: 1 << 40, Sticky: 1 << 40},
 }
 
-var payloadCodecs = []payloadCodec{
-	{"evalqual_req", func() []byte {
+var payloadCodecs = []golden.Codec{
+	{Name: "evalqual_req", Sample: func() []byte {
 		_, _, prog, _ := payloadFixture()
 		return encodeEvalQualReq(evalQualReq{prog: prog, ids: []xmltree.FragmentID{2, 3}, fp: prog.Fingerprint()})
-	}, recodeEvalQualReq},
-	{"evalqual_keep_req", func() []byte {
+	}, Recode: recodeEvalQualReq},
+	{Name: "evalqual_keep_req", Sample: func() []byte {
 		_, st, prog, _ := payloadFixture()
 		return encodeEvalQualReq(evalQualReq{prog: prog, ids: []xmltree.FragmentID{0}, runKey: "run-0000000007", st: st})
-	}, recodeEvalQualReq},
-	{"evalqual_resp", func() []byte {
+	}, Recode: recodeEvalQualReq},
+	{Name: "evalqual_resp", Sample: func() []byte {
 		forest, _, prog, _ := payloadFixture()
 		return encodeEvalQualResp([]fragTriplet{
 			{id: 0, enc: fixtureTriplet(forest, prog, 0).Encode()},
 			{id: 2, enc: fixtureTriplet(forest, prog, 2).Encode()},
 		})
-	}, func(buf []byte) ([]byte, error) {
+	}, Recode: func(buf []byte) ([]byte, error) {
 		fts, err := decodeEvalQualResp(buf)
 		if err != nil {
 			return nil, err
 		}
 		return encodeEvalQualResp(fts), nil
 	}},
-	{"resolve_req", func() []byte {
+	{Name: "resolve_req", Sample: func() []byte {
 		return encodeResolveReq("run-0000000007", 3)
-	}, func(buf []byte) ([]byte, error) {
+	}, Recode: func(buf []byte) ([]byte, error) {
 		rk, id, err := decodeResolveReq(buf)
 		if err != nil {
 			return nil, err
 		}
 		return encodeResolveReq(rk, id), nil
 	}},
-	{"resolve_resp", func() []byte {
+	{Name: "resolve_resp", Sample: func() []byte {
 		forest, _, prog, _ := payloadFixture()
 		return encodeResolveResp(fixtureTriplet(forest, prog, 1), resolveStats{simNanos: 1234567, bytes: 890, messages: 4, steps: 321})
-	}, func(buf []byte) ([]byte, error) {
+	}, Recode: func(buf []byte) ([]byte, error) {
 		t, st, err := decodeResolveResp(buf)
 		if err != nil {
 			return nil, err
 		}
 		return encodeResolveResp(t, st), nil
 	}},
-	{"fetch_req", func() []byte {
+	{Name: "fetch_req", Sample: func() []byte {
 		return encodeFetchReq([]xmltree.FragmentID{0, 3, 200})
-	}, func(buf []byte) ([]byte, error) {
+	}, Recode: func(buf []byte) ([]byte, error) {
 		ids, err := decodeFetchReq(buf)
 		if err != nil {
 			return nil, err
 		}
 		return encodeFetchReq(ids), nil
 	}},
-	{"fetch_resp", func() []byte {
+	{Name: "fetch_resp", Sample: func() []byte {
 		forest, _, _, _ := payloadFixture()
 		f0, _ := forest.Fragment(0)
 		f2, _ := forest.Fragment(2)
 		return encodeFetchResp([]*frag.Fragment{f0, f2})
-	}, func(buf []byte) ([]byte, error) {
+	}, Recode: func(buf []byte) ([]byte, error) {
 		frs, err := decodeFetchResp(buf)
 		if err != nil {
 			return nil, err
 		}
 		return encodeFetchResp(frs), nil
 	}},
-	{"evalfragdist_req", func() []byte {
+	{Name: "evalfragdist_req", Sample: func() []byte {
 		_, st, prog, _ := payloadFixture()
 		return encodeEvalFragDistReq(prog, st, 1)
-	}, func(buf []byte) ([]byte, error) {
+	}, Recode: func(buf []byte) ([]byte, error) {
 		prog, st, id, err := decodeEvalFragDistReq(buf)
 		if err != nil {
 			return nil, err
 		}
 		return encodeEvalFragDistReq(prog, st, id), nil
 	}},
-	{"select_req", func() []byte {
+	{Name: "select_req", Sample: func() []byte {
 		_, _, _, sp := payloadFixture()
 		return encodeSelectReq(encodeSelectProgram(sp), 1, eval.Arrival{States: 5, Sticky: 4}, fixtureVecs)
-	}, func(buf []byte) ([]byte, error) {
+	}, Recode: func(buf []byte) ([]byte, error) {
 		sp, id, arr, vecs, err := decodeSelectReq(buf)
 		if err != nil {
 			return nil, err
 		}
 		return encodeSelectReq(encodeSelectProgram(sp), id, arr, vecs), nil
 	}},
-	{"select_resp", func() []byte {
+	{Name: "select_resp", Sample: func() []byte {
 		return encodeSelectResp([][]int{{}, {0, 1, 2}, {300, 0}}, fixtureForward)
-	}, func(buf []byte) ([]byte, error) {
+	}, Recode: func(buf []byte) ([]byte, error) {
 		paths, fwd, err := decodeSelectResp(buf)
 		if err != nil {
 			return nil, err
 		}
 		return encodeSelectResp(paths, fwd), nil
 	}},
-	{"count_resp", func() []byte {
+	{Name: "count_resp", Sample: func() []byte {
 		return encodeCountResp(4711, fixtureForward)
-	}, func(buf []byte) ([]byte, error) {
+	}, Recode: func(buf []byte) ([]byte, error) {
 		n, fwd, err := decodeCountResp(buf)
 		if err != nil {
 			return nil, err
@@ -171,7 +167,37 @@ func recodeEvalQualReq(buf []byte) ([]byte, error) {
 // TestPayloadGoldens pins every payload format of the ParBoX protocol to
 // the bytes recorded before the codecs moved onto internal/wire.
 func TestPayloadGoldens(t *testing.T) {
-	for _, c := range payloadCodecs {
-		t.Run(c.name, func(t *testing.T) { golden.Pin(t, c.name, c.sample(), c.recode) })
+	golden.Pin(t, payloadCodecs)
+}
+
+// FuzzPayloadDecoders drives every payload decoder of the ParBoX protocol
+// with arbitrary bytes (see golden.Fuzz for the properties). A nested
+// program, source tree, fragment or triplet fails with its own codec's
+// sentinel.
+func FuzzPayloadDecoders(f *testing.F) {
+	golden.Fuzz(f, payloadCodecs, ErrBadMessage, xpath.ErrBadProgram, frag.ErrBadSourceTree, xmltree.ErrBadTree, boolexpr.ErrBadFormula)
+}
+
+// TestDecodeSelectProgramRejectsBadChainTests: a chain step carries Test+1
+// on the wire, so only 0 ("no guard") up to the program's subquery count
+// name something. A raw 0xFFFFFFFE used to decode to Test = -3, which the
+// selection automaton reads as "no guard".
+func TestDecodeSelectProgramRejectsBadChainTests(t *testing.T) {
+	_, _, prog, _ := payloadFixture()
+	encode := func(rawTest uint64) []byte {
+		dst := wire.AppendBytes(nil, prog.Encode())
+		dst = append(dst, 1, byte(xpath.SChild)) // one step
+		return binary.AppendUvarint(dst, rawTest)
+	}
+	for _, raw := range []uint64{0, 1, uint64(len(prog.Subs))} {
+		sp, err := decodeSelectProgram(encode(raw))
+		if err != nil || sp.Chain[0].Test != int32(raw)-1 {
+			t.Errorf("raw test %d: %v, %v", raw, sp, err)
+		}
+	}
+	for _, raw := range []uint64{uint64(len(prog.Subs)) + 1, 0xFFFFFFFE, 0xFFFFFFFF, 1 << 32, ^uint64(0)} {
+		if sp, err := decodeSelectProgram(encode(raw)); !errors.Is(err, ErrBadMessage) {
+			t.Errorf("raw test %#x accepted: %+v, %v", raw, sp, err)
+		}
 	}
 }

@@ -22,6 +22,7 @@ import (
 	"repro/internal/boolexpr"
 	"repro/internal/eval"
 	"repro/internal/frag"
+	"repro/internal/wire"
 	"repro/internal/xmltree"
 	"repro/internal/xpath"
 )
@@ -51,76 +52,10 @@ const (
 	KindEvalFragDist = "parbox.evalFragDist"
 )
 
-// ErrBadMessage is wrapped by all payload decoding failures.
+// ErrBadMessage is wrapped by every failure to read this package's own
+// payload framing. A program, source tree, fragment or triplet nested in a
+// payload fails with its own codec's sentinel instead.
 var ErrBadMessage = errors.New("core: malformed message payload")
-
-// --- small codec helpers -------------------------------------------------
-
-type reader struct {
-	buf []byte
-	pos int
-}
-
-func (r *reader) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(r.buf[r.pos:])
-	if n <= 0 {
-		return 0, fmt.Errorf("%w: bad uvarint at offset %d", ErrBadMessage, r.pos)
-	}
-	r.pos += n
-	return v, nil
-}
-
-func (r *reader) bytes() ([]byte, error) {
-	n, err := r.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if n > uint64(len(r.buf)-r.pos) {
-		return nil, fmt.Errorf("%w: length %d exceeds buffer", ErrBadMessage, n)
-	}
-	b := r.buf[r.pos : r.pos+int(n)]
-	r.pos += int(n)
-	return b, nil
-}
-
-func (r *reader) done() error {
-	if r.pos != len(r.buf) {
-		return fmt.Errorf("%w: %d trailing bytes", ErrBadMessage, len(r.buf)-r.pos)
-	}
-	return nil
-}
-
-func appendBytes(dst, b []byte) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(b)))
-	return append(dst, b...)
-}
-
-func appendFragIDs(dst []byte, ids []xmltree.FragmentID) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(ids)))
-	for _, id := range ids {
-		dst = binary.AppendUvarint(dst, uint64(uint32(id)))
-	}
-	return dst
-}
-
-func (r *reader) fragIDs() ([]xmltree.FragmentID, error) {
-	n, err := r.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if n > uint64(len(r.buf)-r.pos)+1 {
-		return nil, fmt.Errorf("%w: fragment count %d exceeds buffer", ErrBadMessage, n)
-	}
-	ids := make([]xmltree.FragmentID, n)
-	for i := range ids {
-		v, err := r.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		ids[i] = xmltree.FragmentID(uint32(v))
-	}
-	return ids, nil
-}
 
 // --- evalQual ------------------------------------------------------------
 
@@ -136,48 +71,34 @@ type evalQualReq struct {
 }
 
 func encodeEvalQualReq(q evalQualReq) []byte {
-	dst := appendBytes(nil, q.prog.Encode())
-	dst = appendFragIDs(dst, q.ids)
-	dst = appendBytes(dst, []byte(q.runKey))
+	dst := wire.AppendBytes(nil, q.prog.Encode())
+	dst = xmltree.AppendFragmentIDs(dst, q.ids)
+	dst = wire.AppendString(dst, q.runKey)
 	if q.st != nil {
-		dst = appendBytes(dst, q.st.Encode())
+		dst = wire.AppendBytes(dst, q.st.Encode())
 	} else {
-		dst = appendBytes(dst, nil)
+		dst = wire.AppendBytes(dst, nil)
 	}
 	return binary.AppendUvarint(dst, q.fp)
 }
 
-func decodeEvalQualReq(buf []byte) (evalQualReq, error) {
-	r := &reader{buf: buf}
-	var q evalQualReq
-	pb, err := r.bytes()
-	if err != nil {
+func decodeEvalQualReq(buf []byte) (q evalQualReq, err error) {
+	r := wire.NewReader(buf, ErrBadMessage)
+	pb := r.Bytes()
+	q.ids = xmltree.ReadFragmentIDs(&r)
+	q.runKey = r.String()
+	stb := r.Bytes()
+	q.fp = r.Uvarint()
+	if err := r.Done(); err != nil {
 		return q, err
 	}
 	if q.prog, err = xpath.DecodeProgram(pb); err != nil {
 		return q, err
 	}
-	if q.ids, err = r.fragIDs(); err != nil {
-		return q, err
-	}
-	rk, err := r.bytes()
-	if err != nil {
-		return q, err
-	}
-	q.runKey = string(rk)
-	stb, err := r.bytes()
-	if err != nil {
-		return q, err
-	}
 	if len(stb) > 0 {
-		if q.st, err = frag.DecodeSourceTree(stb); err != nil {
-			return q, err
-		}
+		q.st, err = frag.DecodeSourceTree(stb)
 	}
-	if q.fp, err = r.uvarint(); err != nil {
-		return q, err
-	}
-	return q, r.done()
+	return q, err
 }
 
 // evalQualResp: per fragment, its ID and encoded triplet. A fragTriplet
@@ -191,16 +112,16 @@ type fragTriplet struct {
 }
 
 func encodeEvalQualResp(fts []fragTriplet) []byte {
-	size := boolexpr.UvarintLen(uint64(len(fts)))
+	size := wire.UvarintLen(uint64(len(fts)))
 	for i := range fts {
 		n := len(fts[i].enc)
-		size += boolexpr.UvarintLen(uint64(uint32(fts[i].id))) + boolexpr.UvarintLen(uint64(n)) + n
+		size += wire.UvarintLen(uint64(uint32(fts[i].id))) + wire.UvarintLen(uint64(n)) + n
 	}
 	dst := make([]byte, 0, size)
 	dst = binary.AppendUvarint(dst, uint64(len(fts)))
 	for i := range fts {
-		dst = binary.AppendUvarint(dst, uint64(uint32(fts[i].id)))
-		dst = appendBytes(dst, fts[i].enc)
+		dst = xmltree.AppendFragmentID(dst, fts[i].id)
+		dst = wire.AppendBytes(dst, fts[i].enc)
 	}
 	return dst
 }
@@ -209,27 +130,13 @@ func encodeEvalQualResp(fts []fragTriplet) []byte {
 // encodings, which alias buf. The formulas themselves are validated when
 // the caller interns them (internTriplets).
 func decodeEvalQualResp(buf []byte) ([]fragTriplet, error) {
-	r := &reader{buf: buf}
-	n, err := r.uvarint()
-	if err != nil {
-		return nil, err
+	r := wire.NewReader(buf, ErrBadMessage)
+	fts := make([]fragTriplet, r.Count(2))
+	for i := range fts {
+		fts[i].id = xmltree.ReadFragmentID(&r)
+		fts[i].enc = r.Bytes()
 	}
-	if n > uint64(len(r.buf))+1 {
-		return nil, fmt.Errorf("%w: triplet count %d exceeds buffer", ErrBadMessage, n)
-	}
-	fts := make([]fragTriplet, 0, n)
-	for i := uint64(0); i < n; i++ {
-		idRaw, err := r.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		tb, err := r.bytes()
-		if err != nil {
-			return nil, err
-		}
-		fts = append(fts, fragTriplet{id: xmltree.FragmentID(uint32(idRaw)), enc: tb})
-	}
-	return fts, r.done()
+	return fts, r.Done()
 }
 
 // internTriplets decodes a gathered round's triplets into the arena a and
@@ -252,21 +159,14 @@ func internTriplets(a *boolexpr.Arena, perSite [][]fragTriplet, into map[xmltree
 
 // resolveReq: run key plus the fragment to resolve.
 func encodeResolveReq(runKey string, id xmltree.FragmentID) []byte {
-	dst := appendBytes(nil, []byte(runKey))
-	return binary.AppendUvarint(dst, uint64(uint32(id)))
+	return xmltree.AppendFragmentID(wire.AppendString(nil, runKey), id)
 }
 
 func decodeResolveReq(buf []byte) (string, xmltree.FragmentID, error) {
-	r := &reader{buf: buf}
-	rk, err := r.bytes()
-	if err != nil {
-		return "", 0, err
-	}
-	idRaw, err := r.uvarint()
-	if err != nil {
-		return "", 0, err
-	}
-	return string(rk), xmltree.FragmentID(uint32(idRaw)), r.done()
+	r := wire.NewReader(buf, ErrBadMessage)
+	runKey := r.String()
+	id := xmltree.ReadFragmentID(&r)
+	return runKey, id, r.Done()
 }
 
 // resolveStats is the accounting a recursive computation reports upward:
@@ -288,125 +188,84 @@ func encodeResolveResp(t eval.Triplet, st resolveStats) []byte {
 	dst = binary.AppendUvarint(dst, uint64(st.bytes))
 	dst = binary.AppendUvarint(dst, uint64(st.messages))
 	dst = binary.AppendUvarint(dst, uint64(st.steps))
-	return appendBytes(dst, t.Encode())
+	return wire.AppendBytes(dst, t.Encode())
 }
 
 func decodeResolveResp(buf []byte) (eval.Triplet, resolveStats, error) {
-	r := &reader{buf: buf}
+	r := wire.NewReader(buf, ErrBadMessage)
 	var st resolveStats
-	sim, err := r.uvarint()
-	if err != nil {
-		return eval.Triplet{}, st, err
-	}
-	st.simNanos = int64(sim)
-	b, err := r.uvarint()
-	if err != nil {
-		return eval.Triplet{}, st, err
-	}
-	st.bytes = int64(b)
-	m, err := r.uvarint()
-	if err != nil {
-		return eval.Triplet{}, st, err
-	}
-	st.messages = int64(m)
-	sp, err := r.uvarint()
-	if err != nil {
-		return eval.Triplet{}, st, err
-	}
-	st.steps = int64(sp)
-	tb, err := r.bytes()
-	if err != nil {
+	st.simNanos = int64(r.Uvarint())
+	st.bytes = int64(r.Uvarint())
+	st.messages = int64(r.Uvarint())
+	st.steps = int64(r.Uvarint())
+	tb := r.Bytes()
+	if err := r.Done(); err != nil {
 		return eval.Triplet{}, st, err
 	}
 	t, err := eval.DecodeTriplet(tb)
-	if err != nil {
-		return eval.Triplet{}, st, err
-	}
-	return t, st, r.done()
+	return t, st, err
 }
 
 // --- fetchFragments --------------------------------------------------------
 
 func encodeFetchReq(ids []xmltree.FragmentID) []byte {
-	return appendFragIDs(nil, ids)
+	return xmltree.AppendFragmentIDs(nil, ids)
 }
 
 func decodeFetchReq(buf []byte) ([]xmltree.FragmentID, error) {
-	r := &reader{buf: buf}
-	ids, err := r.fragIDs()
-	if err != nil {
-		return nil, err
-	}
-	return ids, r.done()
+	r := wire.NewReader(buf, ErrBadMessage)
+	ids := xmltree.ReadFragmentIDs(&r)
+	return ids, r.Done()
 }
 
 // fetchResp: per fragment: ID, parent+1, encoded subtree.
 func encodeFetchResp(frs []*frag.Fragment) []byte {
 	dst := binary.AppendUvarint(nil, uint64(len(frs)))
 	for _, fr := range frs {
-		dst = binary.AppendUvarint(dst, uint64(uint32(fr.ID)))
-		dst = binary.AppendUvarint(dst, uint64(fr.Parent+1))
-		dst = appendBytes(dst, xmltree.Encode(fr.Root))
+		dst = xmltree.AppendFragmentID(dst, fr.ID)
+		dst = xmltree.AppendFragmentID(dst, fr.Parent+1)
+		dst = wire.AppendBytes(dst, xmltree.Encode(fr.Root))
 	}
 	return dst
 }
 
 func decodeFetchResp(buf []byte) ([]*frag.Fragment, error) {
-	r := &reader{buf: buf}
-	n, err := r.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if n > uint64(len(r.buf))+1 {
-		return nil, fmt.Errorf("%w: fragment count %d exceeds buffer", ErrBadMessage, n)
-	}
+	r := wire.NewReader(buf, ErrBadMessage)
+	n := r.Count(3)
 	frs := make([]*frag.Fragment, 0, n)
-	for i := uint64(0); i < n; i++ {
-		idRaw, err := r.uvarint()
-		if err != nil {
+	for i := 0; i < n; i++ {
+		fr := &frag.Fragment{ID: xmltree.ReadFragmentID(&r)}
+		fr.Parent = xmltree.ReadFragmentID(&r) - 1
+		tb := r.Bytes()
+		if r.Err() != nil {
+			break
+		}
+		var err error
+		if fr.Root, err = xmltree.Decode(tb); err != nil {
 			return nil, err
 		}
-		parentRaw, err := r.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		tb, err := r.bytes()
-		if err != nil {
-			return nil, err
-		}
-		root, err := xmltree.Decode(tb)
-		if err != nil {
-			return nil, err
-		}
-		frs = append(frs, &frag.Fragment{
-			ID:     xmltree.FragmentID(uint32(idRaw)),
-			Parent: xmltree.FragmentID(uint32(parentRaw)) - 1,
-			Root:   root,
-		})
+		frs = append(frs, fr)
 	}
-	return frs, r.done()
+	return frs, r.Done()
 }
 
 // --- evalFragDist ------------------------------------------------------------
 
 // evalFragDistReq: program, source tree, fragment to evaluate.
 func encodeEvalFragDistReq(prog *xpath.Program, st *frag.SourceTree, id xmltree.FragmentID) []byte {
-	dst := appendBytes(nil, prog.Encode())
-	dst = appendBytes(dst, st.Encode())
-	return binary.AppendUvarint(dst, uint64(uint32(id)))
+	dst := wire.AppendBytes(nil, prog.Encode())
+	dst = wire.AppendBytes(dst, st.Encode())
+	return xmltree.AppendFragmentID(dst, id)
 }
 
 func decodeEvalFragDistReq(buf []byte) (*xpath.Program, *frag.SourceTree, xmltree.FragmentID, error) {
-	r := &reader{buf: buf}
-	pb, err := r.bytes()
-	if err != nil {
+	r := wire.NewReader(buf, ErrBadMessage)
+	pb, stb := r.Bytes(), r.Bytes()
+	id := xmltree.ReadFragmentID(&r)
+	if err := r.Done(); err != nil {
 		return nil, nil, 0, err
 	}
 	prog, err := xpath.DecodeProgram(pb)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	stb, err := r.bytes()
 	if err != nil {
 		return nil, nil, 0, err
 	}
@@ -414,9 +273,5 @@ func decodeEvalFragDistReq(buf []byte) (*xpath.Program, *frag.SourceTree, xmltre
 	if err != nil {
 		return nil, nil, 0, err
 	}
-	idRaw, err := r.uvarint()
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	return prog, st, xmltree.FragmentID(uint32(idRaw)), r.done()
+	return prog, st, id, nil
 }

@@ -9,6 +9,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/eval"
 	"repro/internal/frag"
+	"repro/internal/wire"
 	"repro/internal/xmltree"
 	"repro/internal/xpath"
 )
@@ -168,7 +169,7 @@ func handleSelect(_ context.Context, site *cluster.Site, req cluster.Request) (c
 // --- codecs ------------------------------------------------------------
 
 func encodeSelectProgram(sp *xpath.SelectProgram) []byte {
-	dst := appendBytes(nil, sp.Bool.Encode())
+	dst := wire.AppendBytes(nil, sp.Bool.Encode())
 	dst = binary.AppendUvarint(dst, uint64(len(sp.Chain)))
 	for _, s := range sp.Chain {
 		dst = append(dst, byte(s.Kind))
@@ -177,43 +178,35 @@ func encodeSelectProgram(sp *xpath.SelectProgram) []byte {
 	return dst
 }
 
-func decodeSelectProgram(r *reader) (*xpath.SelectProgram, error) {
-	pb, err := r.bytes()
-	if err != nil {
+func decodeSelectProgram(buf []byte) (*xpath.SelectProgram, error) {
+	r := wire.NewReader(buf, ErrBadMessage)
+	pb := r.Bytes()
+	n := r.Count(2)
+	if n == 0 || n > xpath.MaxSelectChain {
+		r.Fail("chain length %d", n)
+	}
+	if err := r.Err(); err != nil {
 		return nil, err
 	}
 	prog, err := xpath.DecodeProgram(pb)
 	if err != nil {
 		return nil, err
 	}
-	n, err := r.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if n == 0 || n > xpath.MaxSelectChain {
-		return nil, fmt.Errorf("%w: chain length %d", ErrBadMessage, n)
-	}
 	sp := &xpath.SelectProgram{Bool: prog, Chain: make([]xpath.SelectStep, n)}
 	for i := range sp.Chain {
-		if r.pos >= len(r.buf) {
-			return nil, fmt.Errorf("%w: truncated chain", ErrBadMessage)
-		}
-		kind := xpath.SelectKind(r.buf[r.pos])
-		r.pos++
+		kind := xpath.SelectKind(r.Byte())
 		if kind > xpath.SDescOrSelf {
-			return nil, fmt.Errorf("%w: bad select kind %d", ErrBadMessage, kind)
+			r.Fail("bad select kind %d", kind)
 		}
-		testRaw, err := r.uvarint()
-		if err != nil {
-			return nil, err
+		// Test+1 rides on the wire: 0 is "no guard", anything past the
+		// program's last subquery names nothing.
+		test := r.Uvarint()
+		if test > uint64(len(prog.Subs)) {
+			r.Fail("chain test %d out of range", test)
 		}
-		test := int32(testRaw) - 1
-		if test >= int32(len(prog.Subs)) {
-			return nil, fmt.Errorf("%w: chain test %d out of range", ErrBadMessage, test)
-		}
-		sp.Chain[i] = xpath.SelectStep{Kind: kind, Test: test}
+		sp.Chain[i] = xpath.SelectStep{Kind: kind, Test: int32(test) - 1}
 	}
-	return sp, nil
+	return sp, r.Done()
 }
 
 func appendBoolVec(dst []byte, v []bool) []byte {
@@ -236,44 +229,43 @@ func appendBoolVec(dst []byte, v []bool) []byte {
 	return dst
 }
 
-func (r *reader) boolVec() ([]bool, error) {
-	n, err := r.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	nbytes := (int(n) + 7) / 8
-	if n > uint64(8*(len(r.buf)-r.pos)) {
-		return nil, fmt.Errorf("%w: bool vector overruns buffer", ErrBadMessage)
+// boolVec reads a bit count and the bits, eight to a byte.
+func boolVec(r *wire.Reader) []bool {
+	n := r.Uvarint()
+	if n > 8*uint64(r.Len()) {
+		r.Fail("bool vector of %d bits overruns buffer", n)
+		return nil
 	}
 	v := make([]bool, n)
+	var cur byte
 	for i := range v {
-		v[i] = r.buf[r.pos+i/8]&(1<<(i%8)) != 0
+		if i%8 == 0 {
+			cur = r.Byte()
+		}
+		v[i] = cur&(1<<(i%8)) != 0
 	}
-	r.pos += nbytes
-	return v, nil
+	return v
+}
+
+func appendArrival(dst []byte, arr eval.Arrival) []byte {
+	dst = binary.AppendUvarint(dst, arr.States)
+	return binary.AppendUvarint(dst, arr.Sticky)
+}
+
+func arrival(r *wire.Reader) eval.Arrival {
+	states := r.Uvarint()
+	return eval.Arrival{States: states, Sticky: r.Uvarint()}
 }
 
 func encodeSelectReq(spBytes []byte, id xmltree.FragmentID, arr eval.Arrival,
 	childVecs map[xmltree.FragmentID]eval.BoolVecs) []byte {
-	dst := appendBytes(nil, spBytes)
-	dst = binary.AppendUvarint(dst, uint64(uint32(id)))
-	dst = binary.AppendUvarint(dst, arr.States)
-	dst = binary.AppendUvarint(dst, arr.Sticky)
+	dst := wire.AppendBytes(nil, spBytes)
+	dst = xmltree.AppendFragmentID(dst, id)
+	dst = appendArrival(dst, arr)
 	dst = binary.AppendUvarint(dst, uint64(len(childVecs)))
 	// Deterministic order for reproducible byte counts.
-	ids := make([]xmltree.FragmentID, 0, len(childVecs))
-	for c := range childVecs {
-		ids = append(ids, c)
-	}
-	for i := 0; i < len(ids)-1; i++ {
-		for j := i + 1; j < len(ids); j++ {
-			if ids[j] < ids[i] {
-				ids[i], ids[j] = ids[j], ids[i]
-			}
-		}
-	}
-	for _, c := range ids {
-		dst = binary.AppendUvarint(dst, uint64(uint32(c)))
+	for _, c := range sortedFragmentIDs(childVecs) {
+		dst = xmltree.AppendFragmentID(dst, c)
 		dst = appendBoolVec(dst, childVecs[c].V)
 		dst = appendBoolVec(dst, childVecs[c].DV)
 	}
@@ -281,54 +273,44 @@ func encodeSelectReq(spBytes []byte, id xmltree.FragmentID, arr eval.Arrival,
 }
 
 func decodeSelectReq(buf []byte) (*xpath.SelectProgram, xmltree.FragmentID, eval.Arrival, map[xmltree.FragmentID]eval.BoolVecs, error) {
-	r := &reader{buf: buf}
-	spb, err := r.bytes()
-	if err != nil {
-		return nil, 0, eval.Arrival{}, nil, err
-	}
-	sp, err := decodeSelectProgram(&reader{buf: spb})
-	if err != nil {
-		return nil, 0, eval.Arrival{}, nil, err
-	}
-	idRaw, err := r.uvarint()
-	if err != nil {
-		return nil, 0, eval.Arrival{}, nil, err
-	}
-	states, err := r.uvarint()
-	if err != nil {
-		return nil, 0, eval.Arrival{}, nil, err
-	}
-	sticky, err := r.uvarint()
-	if err != nil {
-		return nil, 0, eval.Arrival{}, nil, err
-	}
-	nc, err := r.uvarint()
-	if err != nil {
-		return nil, 0, eval.Arrival{}, nil, err
-	}
-	if nc > uint64(len(buf)) {
-		return nil, 0, eval.Arrival{}, nil, fmt.Errorf("%w: child count %d", ErrBadMessage, nc)
-	}
+	r := wire.NewReader(buf, ErrBadMessage)
+	spb := r.Bytes()
+	id := xmltree.ReadFragmentID(&r)
+	arr := arrival(&r)
+	nc := r.Count(3)
 	childVecs := make(map[xmltree.FragmentID]eval.BoolVecs, nc)
-	for i := uint64(0); i < nc; i++ {
-		cRaw, err := r.uvarint()
-		if err != nil {
-			return nil, 0, eval.Arrival{}, nil, err
-		}
-		v, err := r.boolVec()
-		if err != nil {
-			return nil, 0, eval.Arrival{}, nil, err
-		}
-		dv, err := r.boolVec()
-		if err != nil {
-			return nil, 0, eval.Arrival{}, nil, err
-		}
-		childVecs[xmltree.FragmentID(uint32(cRaw))] = eval.BoolVecs{V: v, DV: dv}
+	for i := 0; i < nc; i++ {
+		c := xmltree.ReadFragmentID(&r)
+		v := boolVec(&r)
+		childVecs[c] = eval.BoolVecs{V: v, DV: boolVec(&r)}
 	}
-	if err := r.done(); err != nil {
+	if err := r.Done(); err != nil {
 		return nil, 0, eval.Arrival{}, nil, err
 	}
-	return sp, xmltree.FragmentID(uint32(idRaw)), eval.Arrival{States: states, Sticky: sticky}, childVecs, nil
+	sp, err := decodeSelectProgram(spb)
+	if err != nil {
+		return nil, 0, eval.Arrival{}, nil, err
+	}
+	return sp, id, arr, childVecs, nil
+}
+
+func appendForward(dst []byte, forward map[xmltree.FragmentID]eval.Arrival) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(forward)))
+	for _, c := range sortedFragmentIDs(forward) {
+		dst = xmltree.AppendFragmentID(dst, c)
+		dst = appendArrival(dst, forward[c])
+	}
+	return dst
+}
+
+func forwardMap(r *wire.Reader) map[xmltree.FragmentID]eval.Arrival {
+	nf := r.Count(3)
+	forward := make(map[xmltree.FragmentID]eval.Arrival, nf)
+	for i := 0; i < nf; i++ {
+		c := xmltree.ReadFragmentID(r)
+		forward[c] = arrival(r)
+	}
+	return forward
 }
 
 func encodeSelectResp(paths [][]int, forward map[xmltree.FragmentID]eval.Arrival) []byte {
@@ -339,78 +321,20 @@ func encodeSelectResp(paths [][]int, forward map[xmltree.FragmentID]eval.Arrival
 			dst = binary.AppendUvarint(dst, uint64(i))
 		}
 	}
-	dst = binary.AppendUvarint(dst, uint64(len(forward)))
-	ids := make([]xmltree.FragmentID, 0, len(forward))
-	for c := range forward {
-		ids = append(ids, c)
-	}
-	for i := 0; i < len(ids)-1; i++ {
-		for j := i + 1; j < len(ids); j++ {
-			if ids[j] < ids[i] {
-				ids[i], ids[j] = ids[j], ids[i]
-			}
-		}
-	}
-	for _, c := range ids {
-		dst = binary.AppendUvarint(dst, uint64(uint32(c)))
-		dst = binary.AppendUvarint(dst, forward[c].States)
-		dst = binary.AppendUvarint(dst, forward[c].Sticky)
-	}
-	return dst
+	return appendForward(dst, forward)
 }
 
 func decodeSelectResp(buf []byte) ([][]int, map[xmltree.FragmentID]eval.Arrival, error) {
-	r := &reader{buf: buf}
-	np, err := r.uvarint()
-	if err != nil {
-		return nil, nil, err
-	}
-	if np > uint64(len(buf))+1 {
-		return nil, nil, fmt.Errorf("%w: path count %d", ErrBadMessage, np)
-	}
-	paths := make([][]int, 0, np)
-	for i := uint64(0); i < np; i++ {
-		plen, err := r.uvarint()
-		if err != nil {
-			return nil, nil, err
+	r := wire.NewReader(buf, ErrBadMessage)
+	paths := make([][]int, r.Count(1))
+	for i := range paths {
+		paths[i] = make([]int, r.Count(1))
+		for j := range paths[i] {
+			paths[i][j] = int(r.Uvarint())
 		}
-		if plen > uint64(len(buf)-r.pos)+1 {
-			return nil, nil, fmt.Errorf("%w: path length %d", ErrBadMessage, plen)
-		}
-		p := make([]int, plen)
-		for j := range p {
-			v, err := r.uvarint()
-			if err != nil {
-				return nil, nil, err
-			}
-			p[j] = int(v)
-		}
-		paths = append(paths, p)
 	}
-	nf, err := r.uvarint()
-	if err != nil {
-		return nil, nil, err
-	}
-	if nf > uint64(len(buf))+1 {
-		return nil, nil, fmt.Errorf("%w: forward count %d", ErrBadMessage, nf)
-	}
-	forward := make(map[xmltree.FragmentID]eval.Arrival, nf)
-	for i := uint64(0); i < nf; i++ {
-		cRaw, err := r.uvarint()
-		if err != nil {
-			return nil, nil, err
-		}
-		states, err := r.uvarint()
-		if err != nil {
-			return nil, nil, err
-		}
-		sticky, err := r.uvarint()
-		if err != nil {
-			return nil, nil, err
-		}
-		forward[xmltree.FragmentID(uint32(cRaw))] = eval.Arrival{States: states, Sticky: sticky}
-	}
-	return paths, forward, r.done()
+	forward := forwardMap(&r)
+	return paths, forward, r.Done()
 }
 
 // solveAll is pass 1's third phase, shared by Select and Count: intern the

@@ -52,12 +52,12 @@ func DecodeTripletInto(a *boolexpr.Arena, buf []byte) (Triplet, error) {
 	if t.DV, err = d.DecodeVectorID(a); err != nil {
 		return Triplet{}, fmt.Errorf("eval: triplet DV: %w", err)
 	}
-	if d.Remaining() != 0 {
-		return Triplet{}, fmt.Errorf("eval: triplet has %d trailing bytes", d.Remaining())
+	if err := d.Done(); err != nil {
+		return Triplet{}, fmt.Errorf("eval: triplet: %w", err)
 	}
 	if len(t.CV) != len(t.V) || len(t.DV) != len(t.V) {
-		return Triplet{}, fmt.Errorf("eval: triplet vectors disagree on arity (%d/%d/%d)",
-			len(t.V), len(t.CV), len(t.DV))
+		return Triplet{}, fmt.Errorf("eval: triplet: %w: vectors disagree on arity (%d/%d/%d)",
+			boolexpr.ErrBadFormula, len(t.V), len(t.CV), len(t.DV))
 	}
 	return t, nil
 }

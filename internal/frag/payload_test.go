@@ -6,16 +6,8 @@ import (
 	"repro/internal/golden"
 )
 
-// payloadCodec is one payload format of this package: sample encodes a
-// fixed value, recode decodes a buffer and re-encodes what it read.
-type payloadCodec struct {
-	name   string
-	sample func() []byte
-	recode func([]byte) ([]byte, error)
-}
-
-var payloadCodecs = []payloadCodec{
-	{"sourcetree", func() []byte {
+var payloadCodecs = []golden.Codec{
+	{Name: "sourcetree", Sample: func() []byte {
 		st, err := SourceTreeFromEntries([]Entry{
 			{Frag: 0, Parent: NoParent, Site: "S0", Size: 10007},
 			{Frag: 1, Parent: 0, Site: "S1", Size: 130},
@@ -26,7 +18,7 @@ var payloadCodecs = []payloadCodec{
 			panic(err)
 		}
 		return st.Encode()
-	}, func(buf []byte) ([]byte, error) {
+	}, Recode: func(buf []byte) ([]byte, error) {
 		st, err := DecodeSourceTree(buf)
 		if err != nil {
 			return nil, err
@@ -38,7 +30,11 @@ var payloadCodecs = []payloadCodec{
 // TestPayloadGoldens pins the source-tree encoding to the bytes recorded
 // before the codec moved onto internal/wire.
 func TestPayloadGoldens(t *testing.T) {
-	for _, c := range payloadCodecs {
-		t.Run(c.name, func(t *testing.T) { golden.Pin(t, c.name, c.sample(), c.recode) })
-	}
+	golden.Pin(t, payloadCodecs)
+}
+
+// FuzzPayloadDecoders drives the source-tree decoder with arbitrary bytes
+// (see golden.Fuzz for the properties).
+func FuzzPayloadDecoders(f *testing.F) {
+	golden.Fuzz(f, payloadCodecs, ErrBadSourceTree)
 }

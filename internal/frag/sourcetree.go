@@ -7,6 +7,7 @@ import (
 	"sort"
 	"strings"
 
+	"repro/internal/wire"
 	"repro/internal/xmltree"
 )
 
@@ -304,80 +305,42 @@ func (st *SourceTree) Encode() []byte {
 	dst := binary.AppendUvarint(nil, uint64(len(st.entries)))
 	for _, id := range st.Fragments() {
 		e := st.entries[id]
-		dst = binary.AppendUvarint(dst, uint64(uint32(e.Frag)))
-		dst = binary.AppendUvarint(dst, uint64(e.Parent+1))
+		dst = xmltree.AppendFragmentID(dst, e.Frag)
+		dst = xmltree.AppendFragmentID(dst, e.Parent+1)
 		dst = binary.AppendUvarint(dst, uint64(e.Size))
-		dst = binary.AppendUvarint(dst, uint64(len(e.Site)))
-		dst = append(dst, e.Site...)
+		dst = wire.AppendString(dst, string(e.Site))
 	}
 	return dst
 }
 
 // DecodeSourceTree parses an encoded source tree and validates it.
 func DecodeSourceTree(buf []byte) (*SourceTree, error) {
-	pos := 0
-	uvarint := func() (uint64, error) {
-		v, n := binary.Uvarint(buf[pos:])
-		if n <= 0 {
-			return 0, fmt.Errorf("%w: bad uvarint at offset %d", ErrBadSourceTree, pos)
-		}
-		pos += n
-		return v, nil
-	}
-	count, err := uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if count == 0 || count > uint64(len(buf)) {
-		return nil, fmt.Errorf("%w: bad entry count %d", ErrBadSourceTree, count)
-	}
+	r := wire.NewReader(buf, ErrBadSourceTree)
+	count := r.Count(4)
 	st := &SourceTree{entries: make(map[xmltree.FragmentID]*Entry, count)}
 	rootSet := false
-	for i := uint64(0); i < count; i++ {
-		fragRaw, err := uvarint()
-		if err != nil {
-			return nil, err
-		}
-		parentRaw, err := uvarint()
-		if err != nil {
-			return nil, err
-		}
-		size, err := uvarint()
-		if err != nil {
-			return nil, err
-		}
-		n, err := uvarint()
-		if err != nil {
-			return nil, err
-		}
-		if n > uint64(len(buf)-pos) {
-			return nil, fmt.Errorf("%w: site name length %d exceeds buffer", ErrBadSourceTree, n)
-		}
-		site := SiteID(buf[pos : pos+int(n)])
-		pos += int(n)
-		e := &Entry{
-			Frag:   xmltree.FragmentID(uint32(fragRaw)),
-			Parent: xmltree.FragmentID(uint32(parentRaw)) - 1,
-			Site:   site,
-			Size:   int(size),
-		}
+	for i := 0; i < count; i++ {
+		e := &Entry{Frag: xmltree.ReadFragmentID(&r)}
+		e.Parent = xmltree.ReadFragmentID(&r) - 1
+		e.Size = int(r.Uvarint())
+		e.Site = SiteID(r.String())
 		if _, dup := st.entries[e.Frag]; dup {
-			return nil, fmt.Errorf("%w: duplicate fragment %d", ErrBadSourceTree, e.Frag)
+			r.Fail("duplicate fragment %d", e.Frag)
 		}
 		st.entries[e.Frag] = e
 		if e.Parent == NoParent {
 			if rootSet {
-				return nil, fmt.Errorf("%w: multiple roots", ErrBadSourceTree)
+				r.Fail("multiple roots")
 			}
 			st.root = e.Frag
 			rootSet = true
 		}
 	}
-	if pos != len(buf) {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrBadSourceTree, len(buf)-pos)
-	}
 	if !rootSet {
-		return nil, fmt.Errorf("%w: no root entry", ErrBadSourceTree)
+		r.Fail("no root entry")
+	}
+	if err := r.Done(); err != nil {
+		return nil, err
 	}
 	if err := st.finish(); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadSourceTree, err)

@@ -2,10 +2,10 @@
 // spans propagated over wire v2, log-bucketed latency histograms, and
 // the live introspection plane (/metrics, /tracez, parbox top).
 //
-// The package is dependency-free (stdlib only) and deliberately does
-// not import any other internal package — sites are identified by
-// plain strings so cluster, core, serve, and the cmd binaries can all
-// depend on it without cycles.
+// The package imports the standard library and internal/wire (itself
+// stdlib only) and deliberately no other internal package — sites are
+// identified by plain strings so cluster, core, serve, and the cmd
+// binaries can all depend on it without cycles.
 package obs
 
 import (

@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"math/rand/v2"
+
+	"repro/internal/wire"
 )
 
 // Attr is one integer-valued span attribute (lane index, step count,
@@ -75,109 +77,61 @@ func EncodeSpans(dst []byte, spans []Span) []byte {
 		dst = binary.AppendUvarint(dst, s.TraceID)
 		dst = binary.AppendUvarint(dst, s.ID)
 		dst = binary.AppendUvarint(dst, s.Parent)
-		dst = appendString(dst, s.Site)
-		dst = appendString(dst, s.Name)
+		dst = wire.AppendString(dst, s.Site)
+		dst = wire.AppendString(dst, s.Name)
 		dst = binary.AppendUvarint(dst, uint64(s.Start))
 		dst = binary.AppendUvarint(dst, uint64(s.Dur))
 		dst = binary.AppendUvarint(dst, uint64(len(s.Attrs)))
 		for _, a := range s.Attrs {
-			dst = appendString(dst, a.Key)
+			dst = wire.AppendString(dst, a.Key)
 			dst = binary.AppendVarint(dst, a.Val)
 		}
 	}
 	return dst
 }
 
-func appendString(dst []byte, s string) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(s)))
-	return append(dst, s...)
-}
-
 var errSpanDecode = errors.New("obs: malformed span encoding")
+
+// spanString reads a string field, bounded like every span string.
+func spanString(r *wire.Reader) string {
+	b := r.Bytes()
+	if len(b) > maxWireSpanStr {
+		r.Fail("string of %d bytes", len(b))
+	}
+	return string(b)
+}
 
 // DecodeSpans decodes an EncodeSpans buffer. It returns the spans and
 // the number of bytes consumed.
 func DecodeSpans(buf []byte) ([]Span, int, error) {
-	off := 0
-	n, k := binary.Uvarint(buf[off:])
-	if k <= 0 || n > maxWireSpans {
-		return nil, 0, errSpanDecode
+	r := wire.NewReader(buf, errSpanDecode)
+	// A span spends eight bytes on itself, an attribute two.
+	n := r.Count(8)
+	if n > maxWireSpans {
+		r.Fail("%d spans", n)
 	}
-	off += k
-	if n == 0 {
-		return nil, off, nil
+	var spans []Span
+	if n > 0 && r.Err() == nil {
+		spans = make([]Span, n)
 	}
-	spans := make([]Span, 0, n)
-	for i := uint64(0); i < n; i++ {
-		var s Span
-		var err error
-		if s.TraceID, off, err = readUvarint(buf, off); err != nil {
-			return nil, 0, err
-		}
-		if s.ID, off, err = readUvarint(buf, off); err != nil {
-			return nil, 0, err
-		}
-		if s.Parent, off, err = readUvarint(buf, off); err != nil {
-			return nil, 0, err
-		}
-		if s.Site, off, err = readString(buf, off); err != nil {
-			return nil, 0, err
-		}
-		if s.Name, off, err = readString(buf, off); err != nil {
-			return nil, 0, err
-		}
-		var u uint64
-		if u, off, err = readUvarint(buf, off); err != nil {
-			return nil, 0, err
-		}
-		s.Start = int64(u)
-		if u, off, err = readUvarint(buf, off); err != nil {
-			return nil, 0, err
-		}
-		s.Dur = int64(u)
-		var na uint64
-		if na, off, err = readUvarint(buf, off); err != nil {
-			return nil, 0, err
-		}
+	for i := range spans {
+		s := &spans[i]
+		s.TraceID, s.ID, s.Parent = r.Uvarint(), r.Uvarint(), r.Uvarint()
+		s.Site, s.Name = spanString(&r), spanString(&r)
+		s.Start, s.Dur = int64(r.Uvarint()), int64(r.Uvarint())
+		na := r.Count(2)
 		if na > maxWireSpanAttr {
-			return nil, 0, errSpanDecode
+			r.Fail("%d attributes", na)
+		} else if na > 0 {
+			s.Attrs = make([]Attr, na)
 		}
-		if na > 0 {
-			s.Attrs = make([]Attr, 0, na)
-			for j := uint64(0); j < na; j++ {
-				var a Attr
-				if a.Key, off, err = readString(buf, off); err != nil {
-					return nil, 0, err
-				}
-				v, k := binary.Varint(buf[off:])
-				if k <= 0 {
-					return nil, 0, errSpanDecode
-				}
-				a.Val = v
-				off += k
-				s.Attrs = append(s.Attrs, a)
-			}
+		for j := range s.Attrs {
+			s.Attrs[j].Key = spanString(&r)
+			s.Attrs[j].Val = r.Varint()
 		}
-		spans = append(spans, s)
 	}
-	return spans, off, nil
-}
-
-func readUvarint(buf []byte, off int) (uint64, int, error) {
-	v, k := binary.Uvarint(buf[off:])
-	if k <= 0 {
-		return 0, 0, errSpanDecode
+	if err := r.Err(); err != nil {
+		return nil, 0, err
 	}
-	return v, off + k, nil
-}
-
-func readString(buf []byte, off int) (string, int, error) {
-	n, off, err := readUvarint(buf, off)
-	if err != nil {
-		return "", 0, err
-	}
-	if n > maxWireSpanStr || off+int(n) > len(buf) {
-		return "", 0, errSpanDecode
-	}
-	return string(buf[off : off+int(n)]), off + int(n), nil
+	return spans, r.Offset(), nil
 }

@@ -3,6 +3,8 @@ package obs
 import (
 	"encoding/binary"
 	"sync/atomic"
+
+	"repro/internal/wire"
 )
 
 // SiteStats is the always-on per-site counter block: the paper's four
@@ -81,7 +83,7 @@ func (s *SiteStats) Snapshot() SiteStatsSnapshot {
 // buckets are encoded sparsely (index,count pairs) since most of the
 // 64 log buckets are empty.
 func (s SiteStatsSnapshot) Encode(dst []byte) []byte {
-	dst = appendString(dst, s.Site)
+	dst = wire.AppendString(dst, s.Site)
 	for _, v := range [...]uint64{
 		s.Visits, s.MessagesIn, s.MessagesOut, s.BytesIn, s.BytesOut,
 		s.Steps, s.CacheHits, s.CacheMisses, s.Sheds, s.DeadlineExpired,
@@ -110,49 +112,30 @@ func (s SiteStatsSnapshot) Encode(dst []byte) []byte {
 
 // DecodeSiteStats decodes an Encode buffer.
 func DecodeSiteStats(buf []byte) (SiteStatsSnapshot, error) {
+	r := wire.NewReader(buf, errSpanDecode)
 	var s SiteStatsSnapshot
-	var err error
-	off := 0
-	if s.Site, off, err = readString(buf, off); err != nil {
-		return s, err
-	}
+	s.Site = spanString(&r)
 	for _, p := range [...]*uint64{
 		&s.Visits, &s.MessagesIn, &s.MessagesOut, &s.BytesIn, &s.BytesOut,
 		&s.Steps, &s.CacheHits, &s.CacheMisses, &s.Sheds, &s.DeadlineExpired,
 		&s.Errors, &s.SpineRecomputes, &s.FullRecomputes, &s.NoopUpdates,
 		&s.DeltasPushed,
 	} {
-		if *p, off, err = readUvarint(buf, off); err != nil {
-			return s, err
-		}
+		*p = r.Uvarint()
 	}
-	var u uint64
-	if u, off, err = readUvarint(buf, off); err != nil {
-		return s, err
-	}
-	s.Latency.Sum = int64(u)
-	if s.Latency.Count, off, err = readUvarint(buf, off); err != nil {
-		return s, err
-	}
-	var nonzero uint64
-	if nonzero, off, err = readUvarint(buf, off); err != nil {
-		return s, err
-	}
+	s.Latency.Sum = int64(r.Uvarint())
+	s.Latency.Count = r.Uvarint()
+	nonzero := r.Count(2)
 	if nonzero > HistBuckets {
-		return s, errSpanDecode
+		r.Fail("%d histogram buckets", nonzero)
 	}
-	for i := uint64(0); i < nonzero; i++ {
-		var idx, c uint64
-		if idx, off, err = readUvarint(buf, off); err != nil {
-			return s, err
-		}
+	for i := 0; i < nonzero; i++ {
+		idx, c := r.Uvarint(), r.Uvarint()
 		if idx >= HistBuckets {
-			return s, errSpanDecode
-		}
-		if c, off, err = readUvarint(buf, off); err != nil {
-			return s, err
+			r.Fail("histogram bucket %d", idx)
+			break
 		}
 		s.Latency.Counts[idx] = c
 	}
-	return s, nil
+	return s, r.Done()
 }

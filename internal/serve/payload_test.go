@@ -10,14 +10,6 @@ import (
 	"repro/internal/xmltree"
 )
 
-// payloadCodec is one payload format of this package: sample encodes a
-// fixed value, recode decodes a buffer and re-encodes what it read.
-type payloadCodec struct {
-	name   string
-	sample func() []byte
-	recode func([]byte) ([]byte, error)
-}
-
 func fixtureFragment() *frag.Fragment {
 	return &frag.Fragment{ID: 4, Parent: 1, Root: xmltree.NewElement("market", "",
 		xmltree.NewElement("name", "NASDAQ"), xmltree.NewVirtual(2))}
@@ -35,38 +27,38 @@ func cloneResp(fr *frag.Fragment) []byte {
 	return resp.Payload
 }
 
-var payloadCodecs = []payloadCodec{
-	{"fragid_req", func() []byte {
+var payloadCodecs = []golden.Codec{
+	{Name: "fragid_req", Sample: func() []byte {
 		return encodeFragIDReq(300)
-	}, func(buf []byte) ([]byte, error) {
+	}, Recode: func(buf []byte) ([]byte, error) {
 		id, err := decodeFragIDReq(buf)
 		if err != nil {
 			return nil, err
 		}
 		return encodeFragIDReq(id), nil
 	}},
-	{"clone_resp", func() []byte {
+	{Name: "clone_resp", Sample: func() []byte {
 		return cloneResp(fixtureFragment())
-	}, func(buf []byte) ([]byte, error) {
-		id, parent, root, err := decodeCloneResp(4, buf)
+	}, Recode: func(buf []byte) ([]byte, error) {
+		parent, root, err := decodeCloneResp(buf)
 		if err != nil {
 			return nil, err
 		}
-		return cloneResp(&frag.Fragment{ID: id, Parent: parent, Root: root}), nil
+		return cloneResp(&frag.Fragment{ID: 4, Parent: parent, Root: root}), nil
 	}},
-	{"clone_resp_root", func() []byte { // the root fragment's parent is -1: a signed varint
+	{Name: "clone_resp_root", Sample: func() []byte { // the root fragment's parent is -1: a signed varint
 		return cloneResp(&frag.Fragment{ID: 0, Parent: frag.NoParent, Root: xmltree.NewElement("site", "")})
-	}, func(buf []byte) ([]byte, error) {
-		id, parent, root, err := decodeCloneResp(0, buf)
+	}, Recode: func(buf []byte) ([]byte, error) {
+		parent, root, err := decodeCloneResp(buf)
 		if err != nil {
 			return nil, err
 		}
-		return cloneResp(&frag.Fragment{ID: id, Parent: parent, Root: root}), nil
+		return cloneResp(&frag.Fragment{ID: 0, Parent: parent, Root: root}), nil
 	}},
-	{"install_req", func() []byte {
+	{Name: "install_req", Sample: func() []byte {
 		fr := fixtureFragment()
 		return encodeInstallReq(fr.ID, fr.Parent, fr.Root)
-	}, func(buf []byte) ([]byte, error) {
+	}, Recode: func(buf []byte) ([]byte, error) {
 		id, parent, root, err := decodeInstallReq(buf)
 		if err != nil {
 			return nil, err
@@ -78,7 +70,12 @@ var payloadCodecs = []payloadCodec{
 // TestPayloadGoldens pins the serving tier's payload formats to the bytes
 // recorded before the codecs moved onto internal/wire.
 func TestPayloadGoldens(t *testing.T) {
-	for _, c := range payloadCodecs {
-		t.Run(c.name, func(t *testing.T) { golden.Pin(t, c.name, c.sample(), c.recode) })
-	}
+	golden.Pin(t, payloadCodecs)
+}
+
+// FuzzPayloadDecoders drives the serving tier's payload decoders with
+// arbitrary bytes (see golden.Fuzz for the properties); the shipped tree
+// fails with the tree codec's sentinel.
+func FuzzPayloadDecoders(f *testing.F) {
+	golden.Fuzz(f, payloadCodecs, ErrBadServeMessage, xmltree.ErrBadTree)
 }

@@ -10,6 +10,7 @@ import (
 	"repro/internal/backoff"
 	"repro/internal/cluster"
 	"repro/internal/frag"
+	"repro/internal/wire"
 	"repro/internal/xmltree"
 )
 
@@ -57,9 +58,7 @@ func handleCloneFragment(_ context.Context, site *cluster.Site, req cluster.Requ
 	if !ok {
 		return cluster.Response{}, fmt.Errorf("serve: site %s does not store fragment %d", site.ID(), id)
 	}
-	dst := binary.AppendVarint(nil, int64(int32(fr.Parent)))
-	dst = append(dst, xmltree.Encode(fr.Root)...)
-	return cluster.Response{Payload: dst}, nil
+	return cluster.Response{Payload: appendFragment(nil, fr.Parent, fr.Root)}, nil
 }
 
 func handleInstallFragment(_ context.Context, site *cluster.Site, req cluster.Request) (cluster.Response, error) {
@@ -72,38 +71,47 @@ func handleInstallFragment(_ context.Context, site *cluster.Site, req cluster.Re
 }
 
 func encodeFragIDReq(id xmltree.FragmentID) []byte {
-	return binary.AppendUvarint(nil, uint64(uint32(id)))
+	return xmltree.AppendFragmentID(nil, id)
 }
 
 func decodeFragIDReq(buf []byte) (xmltree.FragmentID, error) {
-	v, n := binary.Uvarint(buf)
-	if n <= 0 || n != len(buf) {
-		return 0, fmt.Errorf("%w: bad fragment id", ErrBadServeMessage)
+	r := wire.NewReader(buf, ErrBadServeMessage)
+	id := xmltree.ReadFragmentID(&r)
+	return id, r.Done()
+}
+
+// appendFragment appends a fragment's parent (a signed varint: the root's
+// is -1) and its tree, which runs unframed to the end of the payload. It
+// is the whole clone response and the tail of an install request.
+func appendFragment(dst []byte, parent xmltree.FragmentID, root *xmltree.Node) []byte {
+	dst = binary.AppendVarint(dst, int64(int32(parent)))
+	return xmltree.AppendEncoded(dst, root)
+}
+
+func readFragment(r *wire.Reader) (parent xmltree.FragmentID, root *xmltree.Node, err error) {
+	parent = xmltree.FragmentID(int32(r.Varint()))
+	tree := r.Rest()
+	if err := r.Done(); err != nil {
+		return 0, nil, err
 	}
-	return xmltree.FragmentID(uint32(v)), nil
+	root, err = xmltree.Decode(tree)
+	return parent, root, err
 }
 
 func encodeInstallReq(id, parent xmltree.FragmentID, root *xmltree.Node) []byte {
-	dst := binary.AppendUvarint(nil, uint64(uint32(id)))
-	dst = binary.AppendVarint(dst, int64(int32(parent)))
-	return append(dst, xmltree.Encode(root)...)
+	return appendFragment(xmltree.AppendFragmentID(nil, id), parent, root)
 }
 
 func decodeInstallReq(buf []byte) (id, parent xmltree.FragmentID, root *xmltree.Node, err error) {
-	idRaw, n := binary.Uvarint(buf)
-	if n <= 0 {
-		return 0, 0, nil, fmt.Errorf("%w: bad install id", ErrBadServeMessage)
-	}
-	buf = buf[n:]
-	parentRaw, n := binary.Varint(buf)
-	if n <= 0 {
-		return 0, 0, nil, fmt.Errorf("%w: bad install parent", ErrBadServeMessage)
-	}
-	root, err = xmltree.Decode(buf[n:])
-	if err != nil {
-		return 0, 0, nil, err
-	}
-	return xmltree.FragmentID(uint32(idRaw)), xmltree.FragmentID(int32(parentRaw)), root, nil
+	r := wire.NewReader(buf, ErrBadServeMessage)
+	id = xmltree.ReadFragmentID(&r)
+	parent, root, err = readFragment(&r)
+	return id, parent, root, err
+}
+
+func decodeCloneResp(buf []byte) (parent xmltree.FragmentID, root *xmltree.Node, err error) {
+	r := wire.NewReader(buf, ErrBadServeMessage)
+	return readFragment(&r)
 }
 
 // Recheck implements core.Tier: a synchronous probe sweep, used by the

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"encoding/binary"
 	"fmt"
 	"sort"
 	"time"
@@ -185,13 +184,13 @@ func (t *Tier) migrate(ctx context.Context, id xmltree.FragmentID, hot, cold fra
 	if err != nil {
 		return fmt.Errorf("serve: cloning fragment %d from %s: %w", id, src, err)
 	}
-	pid, parent, root, err := decodeCloneResp(id, resp.Payload)
+	parent, root, err := decodeCloneResp(resp.Payload)
 	if err != nil {
 		return err
 	}
 	if _, _, err := t.tr.Call(ctx, t.coord, cold, cluster.Request{
 		Kind:    KindInstallFragment,
-		Payload: encodeInstallReq(pid, parent, root),
+		Payload: encodeInstallReq(id, parent, root),
 	}); err != nil {
 		return fmt.Errorf("serve: installing fragment %d at %s: %w", id, cold, err)
 	}
@@ -214,16 +213,4 @@ func (t *Tier) migrate(ctx context.Context, id xmltree.FragmentID, hot, cold fra
 	}
 	t.replicas[id] = out
 	return nil
-}
-
-func decodeCloneResp(id xmltree.FragmentID, buf []byte) (xmltree.FragmentID, xmltree.FragmentID, *xmltree.Node, error) {
-	parentRaw, n := binary.Varint(buf)
-	if n <= 0 {
-		return 0, 0, nil, fmt.Errorf("%w: bad clone parent", ErrBadServeMessage)
-	}
-	root, err := xmltree.Decode(buf[n:])
-	if err != nil {
-		return 0, 0, nil, err
-	}
-	return id, xmltree.FragmentID(int32(parentRaw)), root, nil
 }

@@ -25,9 +25,9 @@ func fuzzRecordSeeds() [][]byte {
 	return [][]byte{
 		nil,
 		stream,
-		stream[:len(stream)-3],            // torn final record
-		append(bytes.Clone(stream), 0xff), // garbage tail
-		frameRecord(nil, snapEndBody(0)),  // snapshot footer inside a WAL
+		stream[:len(stream)-3],               // torn final record
+		append(bytes.Clone(stream), 0xff),    // garbage tail
+		frameRecord(nil, snapEndBody(0)),     // snapshot footer inside a WAL
 		{0xff, 0xff, 0xff, 0x7f, 0, 0, 0, 0}, // absurd length prefix
 	}
 }

@@ -35,6 +35,15 @@ func TestRecordGoldens(t *testing.T) {
 	put, _ := putBody(4, 1, 1<<33, tree)
 	rootPut, _ := putBody(0, -1, 1, tree) // frag.NoParent rides as uint32(-1)
 	triplet, _ := tripletBody(300, 17, 0xfeedfacecafebeef, []byte{1, 0, 1, 0, 1, 0})
+	recode := func(framed []byte) ([]byte, error) {
+		body := framed[recordHeaderLen:]
+		r, err := decodeRecord(body)
+		if err != nil {
+			return nil, err
+		}
+		return frameRecord(nil, rebodied(r, body)), nil
+	}
+	var codecs []golden.Codec
 	for _, c := range []struct {
 		name string
 		body []byte
@@ -46,15 +55,7 @@ func TestRecordGoldens(t *testing.T) {
 		{"rec_triplet", triplet},
 		{"rec_snapend", snapEndBody(4711)},
 	} {
-		t.Run(c.name, func(t *testing.T) {
-			golden.Pin(t, c.name, frameRecord(nil, c.body), func(framed []byte) ([]byte, error) {
-				body := framed[recordHeaderLen:]
-				r, err := decodeRecord(body)
-				if err != nil {
-					return nil, err
-				}
-				return frameRecord(nil, rebodied(r, body)), nil
-			})
-		})
+		codecs = append(codecs, golden.Codec{Name: c.name, Sample: func() []byte { return frameRecord(nil, c.body) }, Recode: recode})
 	}
+	golden.Pin(t, codecs)
 }

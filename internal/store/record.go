@@ -34,6 +34,7 @@ import (
 	"io"
 	"os"
 
+	"repro/internal/wire"
 	"repro/internal/xmltree"
 )
 
@@ -76,25 +77,16 @@ var ErrCorrupt = errors.New("store: corrupt log")
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-// rawID round-trips a FragmentID (including frag.NoParent, -1) through a
-// uvarint the way the xmltree codec encodes virtual-node ids.
-func rawID(id xmltree.FragmentID) uint64 { return uint64(uint32(id)) }
-
-func idFromRaw(v uint64) (xmltree.FragmentID, error) {
-	if v > 0xffffffff {
-		return 0, fmt.Errorf("%w: fragment id %d overflows", ErrCorrupt, v)
-	}
-	return xmltree.FragmentID(uint32(v)), nil
-}
-
 // putBody builds a recPut body around an already-encoded tree and returns
 // it with the offset of the tree bytes within the body (the byte range the
-// index remembers, so loads and snapshot copies never re-encode).
+// index remembers, so loads and snapshot copies never re-encode). Fragment
+// ids (including frag.NoParent, -1) ride the way the xmltree codec encodes
+// virtual-node ids.
 func putBody(id, parent xmltree.FragmentID, version uint64, tree []byte) (body []byte, payloadOff int) {
 	body = make([]byte, 0, 1+3*binary.MaxVarintLen64+len(tree))
 	body = append(body, recPut)
-	body = binary.AppendUvarint(body, rawID(id))
-	body = binary.AppendUvarint(body, rawID(parent))
+	body = xmltree.AppendFragmentID(body, id)
+	body = xmltree.AppendFragmentID(body, parent)
 	body = binary.AppendUvarint(body, version)
 	payloadOff = len(body)
 	body = append(body, tree...)
@@ -104,7 +96,7 @@ func putBody(id, parent xmltree.FragmentID, version uint64, tree []byte) (body [
 func deleteBody(id xmltree.FragmentID, version uint64) []byte {
 	body := make([]byte, 0, 1+2*binary.MaxVarintLen64)
 	body = append(body, recDelete)
-	body = binary.AppendUvarint(body, rawID(id))
+	body = xmltree.AppendFragmentID(body, id)
 	body = binary.AppendUvarint(body, version)
 	return body
 }
@@ -112,7 +104,7 @@ func deleteBody(id xmltree.FragmentID, version uint64) []byte {
 func versionBody(id xmltree.FragmentID, version uint64) []byte {
 	body := make([]byte, 0, 1+2*binary.MaxVarintLen64)
 	body = append(body, recVersion)
-	body = binary.AppendUvarint(body, rawID(id))
+	body = xmltree.AppendFragmentID(body, id)
 	body = binary.AppendUvarint(body, version)
 	return body
 }
@@ -120,7 +112,7 @@ func versionBody(id xmltree.FragmentID, version uint64) []byte {
 func tripletBody(id xmltree.FragmentID, version, fp uint64, enc []byte) (body []byte, payloadOff int) {
 	body = make([]byte, 0, 1+3*binary.MaxVarintLen64+len(enc))
 	body = append(body, recTriplet)
-	body = binary.AppendUvarint(body, rawID(id))
+	body = xmltree.AppendFragmentID(body, id)
 	body = binary.AppendUvarint(body, version)
 	body = binary.AppendUvarint(body, fp)
 	payloadOff = len(body)
@@ -153,72 +145,33 @@ type record struct {
 // here — a tree or triplet that passes the CRC but fails its own codec is
 // surfaced when first decoded (LoadFragment / triplet restore).
 func decodeRecord(body []byte) (record, error) {
-	if len(body) == 0 {
-		return record{}, fmt.Errorf("%w: empty record body", ErrCorrupt)
-	}
-	r := record{kind: body[0]}
-	pos := 1
-	uv := func() (uint64, error) {
-		v, n := binary.Uvarint(body[pos:])
-		if n <= 0 {
-			return 0, fmt.Errorf("%w: bad uvarint in record kind %d", ErrCorrupt, r.kind)
-		}
-		pos += n
-		return v, nil
-	}
-	uvID := func() (xmltree.FragmentID, error) {
-		v, err := uv()
-		if err != nil {
-			return 0, err
-		}
-		return idFromRaw(v)
-	}
-	var err error
-	switch r.kind {
+	r := wire.NewReader(body, ErrCorrupt)
+	rec := record{kind: r.Byte()}
+	switch rec.kind {
 	case recPut:
-		if r.id, err = uvID(); err != nil {
-			return record{}, err
-		}
-		if r.parent, err = uvID(); err != nil {
-			return record{}, err
-		}
-		if r.version, err = uv(); err != nil {
-			return record{}, err
-		}
-		r.payloadOff = pos
+		rec.id = xmltree.ReadFragmentID(&r)
+		rec.parent = xmltree.ReadFragmentID(&r)
+		rec.version = r.Uvarint()
+		rec.payloadOff = r.Offset()
+		r.Rest()
 	case recDelete, recVersion:
-		if r.id, err = uvID(); err != nil {
-			return record{}, err
-		}
-		if r.version, err = uv(); err != nil {
-			return record{}, err
-		}
-		if pos != len(body) {
-			return record{}, fmt.Errorf("%w: %d trailing bytes in record kind %d", ErrCorrupt, len(body)-pos, r.kind)
-		}
+		rec.id = xmltree.ReadFragmentID(&r)
+		rec.version = r.Uvarint()
 	case recTriplet:
-		if r.id, err = uvID(); err != nil {
-			return record{}, err
-		}
-		if r.version, err = uv(); err != nil {
-			return record{}, err
-		}
-		if r.fp, err = uv(); err != nil {
-			return record{}, err
-		}
-		r.payloadOff = pos
+		rec.id = xmltree.ReadFragmentID(&r)
+		rec.version = r.Uvarint()
+		rec.fp = r.Uvarint()
+		rec.payloadOff = r.Offset()
+		r.Rest()
 	case recSnapEnd:
-		if r.count, err = uv(); err != nil {
-			return record{}, err
-		}
-		if pos != len(body) {
-			return record{}, fmt.Errorf("%w: trailing bytes in snapshot footer", ErrCorrupt)
-		}
+		rec.count = r.Uvarint()
 	default:
-		return record{}, fmt.Errorf("%w: unknown record kind %d", ErrCorrupt, r.kind)
+		r.Fail("unknown record kind %d", rec.kind)
 	}
-	return record{kind: r.kind, id: r.id, parent: r.parent, version: r.version,
-		fp: r.fp, payloadOff: r.payloadOff, count: r.count}, nil
+	if err := r.Done(); err != nil {
+		return record{}, fmt.Errorf("%w (record kind %d)", err, rec.kind)
+	}
+	return rec, nil
 }
 
 // frameRecord appends the length+CRC header and body to dst.

@@ -49,9 +49,9 @@ type fragMaint struct {
 // both the words (for O(1) flip diffing) and the encoding (retained so a
 // no-op update re-stores the identical bytes instead of re-encoding).
 type progMaint struct {
-	prog     *xpath.Program
-	standing bool
-	plane    *eval.Plane
+	prog                   *xpath.Program
+	standing               bool
+	plane                  *eval.Plane
 	haveWords              bool
 	lastVW, lastCW, lastDW uint64
 	lastEnc                []byte

@@ -23,6 +23,7 @@ import (
 	"errors"
 	"fmt"
 
+	"repro/internal/wire"
 	"repro/internal/xmltree"
 )
 
@@ -170,82 +171,41 @@ func (op UpdateOp) ApplyTracked(root *xmltree.Node) (Touched, error) {
 
 // --- codecs ----------------------------------------------------------------
 
-func appendOp(dst []byte, op UpdateOp) []byte {
-	dst = append(dst, byte(op.Op))
-	dst = binary.AppendUvarint(dst, uint64(len(op.Path)))
-	for _, i := range op.Path {
+func appendPath(dst []byte, path []int) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(path)))
+	for _, i := range path {
 		dst = binary.AppendUvarint(dst, uint64(i))
 	}
-	dst = binary.AppendUvarint(dst, uint64(len(op.Label)))
-	dst = append(dst, op.Label...)
-	dst = binary.AppendUvarint(dst, uint64(len(op.Text)))
-	dst = append(dst, op.Text...)
 	return dst
 }
 
-type opReader struct {
-	buf []byte
-	pos int
+func childPath(r *wire.Reader) []int {
+	path := make([]int, r.Count(1))
+	for i := range path {
+		path[i] = int(r.Uvarint())
+	}
+	return path
 }
 
-func (r *opReader) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(r.buf[r.pos:])
-	if n <= 0 {
-		return 0, fmt.Errorf("%w: bad uvarint at %d", ErrBadUpdate, r.pos)
-	}
-	r.pos += n
-	return v, nil
+func appendOp(dst []byte, op UpdateOp) []byte {
+	dst = append(dst, byte(op.Op))
+	dst = appendPath(dst, op.Path)
+	dst = wire.AppendString(dst, op.Label)
+	return wire.AppendString(dst, op.Text)
 }
 
-func (r *opReader) str() (string, error) {
-	n, err := r.uvarint()
-	if err != nil {
-		return "", err
-	}
-	if n > uint64(len(r.buf)-r.pos) {
-		return "", fmt.Errorf("%w: string overruns buffer", ErrBadUpdate)
-	}
-	s := string(r.buf[r.pos : r.pos+int(n)])
-	r.pos += int(n)
-	return s, nil
-}
-
-func (r *opReader) op() (UpdateOp, error) {
-	var op UpdateOp
-	if r.pos >= len(r.buf) {
-		return op, fmt.Errorf("%w: truncated op", ErrBadUpdate)
-	}
-	op.Op = OpKind(r.buf[r.pos])
-	r.pos++
-	n, err := r.uvarint()
-	if err != nil {
-		return op, err
-	}
-	if n > uint64(len(r.buf)-r.pos) {
-		return op, fmt.Errorf("%w: path overruns buffer", ErrBadUpdate)
-	}
-	op.Path = make([]int, n)
-	for i := range op.Path {
-		v, err := r.uvarint()
-		if err != nil {
-			return op, err
-		}
-		op.Path[i] = int(v)
-	}
-	if op.Label, err = r.str(); err != nil {
-		return op, err
-	}
-	if op.Text, err = r.str(); err != nil {
-		return op, err
-	}
-	return op, nil
+func updateOp(r *wire.Reader) UpdateOp {
+	op := UpdateOp{Op: OpKind(r.Byte())}
+	op.Path = childPath(r)
+	op.Label = r.String()
+	op.Text = r.String()
+	return op
 }
 
 // applyUpdateReq: program, fragment ID, ops.
 func encodeApplyUpdateReq(prog []byte, id xmltree.FragmentID, ops []UpdateOp) []byte {
-	dst := binary.AppendUvarint(nil, uint64(len(prog)))
-	dst = append(dst, prog...)
-	dst = binary.AppendUvarint(dst, uint64(uint32(id)))
+	dst := wire.AppendBytes(nil, prog)
+	dst = xmltree.AppendFragmentID(dst, id)
 	dst = binary.AppendUvarint(dst, uint64(len(ops)))
 	for _, op := range ops {
 		dst = appendOp(dst, op)
@@ -254,109 +214,44 @@ func encodeApplyUpdateReq(prog []byte, id xmltree.FragmentID, ops []UpdateOp) []
 }
 
 func decodeApplyUpdateReq(buf []byte) (prog []byte, id xmltree.FragmentID, ops []UpdateOp, err error) {
-	r := &opReader{buf: buf}
-	pn, err := r.uvarint()
-	if err != nil {
-		return nil, 0, nil, err
-	}
-	if pn > uint64(len(buf)-r.pos) {
-		return nil, 0, nil, fmt.Errorf("%w: program overruns buffer", ErrBadUpdate)
-	}
-	prog = buf[r.pos : r.pos+int(pn)]
-	r.pos += int(pn)
-	idRaw, err := r.uvarint()
-	if err != nil {
-		return nil, 0, nil, err
-	}
-	id = xmltree.FragmentID(uint32(idRaw))
-	opn, err := r.uvarint()
-	if err != nil {
-		return nil, 0, nil, err
-	}
-	if opn > uint64(len(buf)-r.pos)+1 {
-		return nil, 0, nil, fmt.Errorf("%w: op count overruns buffer", ErrBadUpdate)
-	}
-	ops = make([]UpdateOp, opn)
+	r := wire.NewReader(buf, ErrBadUpdate)
+	prog = r.Bytes()
+	id = xmltree.ReadFragmentID(&r)
+	// An op spends four bytes on itself: kind, path length, label
+	// length, text length.
+	ops = make([]UpdateOp, r.Count(4))
 	for i := range ops {
-		if ops[i], err = r.op(); err != nil {
-			return nil, 0, nil, err
-		}
+		ops[i] = updateOp(&r)
 	}
-	if r.pos != len(buf) {
-		return nil, 0, nil, fmt.Errorf("%w: %d trailing bytes", ErrBadUpdate, len(buf)-r.pos)
-	}
-	return prog, id, ops, nil
+	return prog, id, ops, r.Done()
 }
 
 // tripletSizeResp: encoded triplet plus the fragment's new size.
 func encodeTripletSizeResp(triplet []byte, size int) []byte {
-	dst := binary.AppendUvarint(nil, uint64(size))
-	dst = binary.AppendUvarint(dst, uint64(len(triplet)))
-	return append(dst, triplet...)
+	return wire.AppendBytes(binary.AppendUvarint(nil, uint64(size)), triplet)
+}
+
+func tripletSize(r *wire.Reader) (triplet []byte, size int) {
+	size = int(r.Uvarint())
+	return r.Bytes(), size
 }
 
 func decodeTripletSizeResp(buf []byte) (triplet []byte, size int, err error) {
-	r := &opReader{buf: buf}
-	sz, err := r.uvarint()
-	if err != nil {
-		return nil, 0, err
-	}
-	n, err := r.uvarint()
-	if err != nil {
-		return nil, 0, err
-	}
-	if n > uint64(len(buf)-r.pos) {
-		return nil, 0, fmt.Errorf("%w: triplet overruns buffer", ErrBadUpdate)
-	}
-	triplet = buf[r.pos : r.pos+int(n)]
-	r.pos += int(n)
-	if r.pos != len(buf) {
-		return nil, 0, fmt.Errorf("%w: %d trailing bytes", ErrBadUpdate, len(buf)-r.pos)
-	}
-	return triplet, int(sz), nil
+	r := wire.NewReader(buf, ErrBadUpdate)
+	triplet, size = tripletSize(&r)
+	return triplet, size, r.Done()
 }
 
 // registerReq: program, fragment IDs.
 func encodeRegisterReq(prog []byte, ids []xmltree.FragmentID) []byte {
-	dst := binary.AppendUvarint(nil, uint64(len(prog)))
-	dst = append(dst, prog...)
-	dst = binary.AppendUvarint(dst, uint64(len(ids)))
-	for _, id := range ids {
-		dst = binary.AppendUvarint(dst, uint64(uint32(id)))
-	}
-	return dst
+	return xmltree.AppendFragmentIDs(wire.AppendBytes(nil, prog), ids)
 }
 
 func decodeRegisterReq(buf []byte) (prog []byte, ids []xmltree.FragmentID, err error) {
-	r := &opReader{buf: buf}
-	pn, err := r.uvarint()
-	if err != nil {
-		return nil, nil, err
-	}
-	if pn > uint64(len(buf)-r.pos) {
-		return nil, nil, fmt.Errorf("%w: program overruns buffer", ErrBadUpdate)
-	}
-	prog = buf[r.pos : r.pos+int(pn)]
-	r.pos += int(pn)
-	cnt, err := r.uvarint()
-	if err != nil {
-		return nil, nil, err
-	}
-	if cnt > uint64(len(buf)-r.pos)+1 {
-		return nil, nil, fmt.Errorf("%w: id list overruns buffer", ErrBadUpdate)
-	}
-	ids = make([]xmltree.FragmentID, cnt)
-	for i := range ids {
-		v, verr := r.uvarint()
-		if verr != nil {
-			return nil, nil, verr
-		}
-		ids[i] = xmltree.FragmentID(uint32(v))
-	}
-	if r.pos != len(buf) {
-		return nil, nil, fmt.Errorf("%w: %d trailing bytes", ErrBadUpdate, len(buf)-r.pos)
-	}
-	return prog, ids, nil
+	r := wire.NewReader(buf, ErrBadUpdate)
+	prog = r.Bytes()
+	ids = xmltree.ReadFragmentIDs(&r)
+	return prog, ids, r.Done()
 }
 
 // RegItem is one fragment's registration baseline: its triplet under the
@@ -370,47 +265,22 @@ type RegItem struct {
 func encodeRegisterResp(items []RegItem) []byte {
 	dst := binary.AppendUvarint(nil, uint64(len(items)))
 	for _, it := range items {
-		dst = binary.AppendUvarint(dst, uint64(uint32(it.Frag)))
+		dst = xmltree.AppendFragmentID(dst, it.Frag)
 		dst = binary.AppendUvarint(dst, it.Version)
-		dst = binary.AppendUvarint(dst, uint64(len(it.Triplet)))
-		dst = append(dst, it.Triplet...)
+		dst = wire.AppendBytes(dst, it.Triplet)
 	}
 	return dst
 }
 
 func decodeRegisterResp(buf []byte) ([]RegItem, error) {
-	r := &opReader{buf: buf}
-	cnt, err := r.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if cnt > uint64(len(buf)-r.pos)+1 {
-		return nil, fmt.Errorf("%w: item count overruns buffer", ErrBadUpdate)
-	}
-	items := make([]RegItem, cnt)
+	r := wire.NewReader(buf, ErrBadUpdate)
+	items := make([]RegItem, r.Count(3))
 	for i := range items {
-		idRaw, err := r.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		items[i].Frag = xmltree.FragmentID(uint32(idRaw))
-		if items[i].Version, err = r.uvarint(); err != nil {
-			return nil, err
-		}
-		n, err := r.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		if n > uint64(len(buf)-r.pos) {
-			return nil, fmt.Errorf("%w: triplet overruns buffer", ErrBadUpdate)
-		}
-		items[i].Triplet = buf[r.pos : r.pos+int(n)]
-		r.pos += int(n)
+		items[i].Frag = xmltree.ReadFragmentID(&r)
+		items[i].Version = r.Uvarint()
+		items[i].Triplet = r.Bytes()
 	}
-	if r.pos != len(buf) {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrBadUpdate, len(buf)-r.pos)
-	}
-	return items, nil
+	return items, r.Done()
 }
 
 // Delta is one pushed maintenance notification: after an update to Frag,
@@ -429,117 +299,47 @@ type Delta struct {
 
 // Encode renders the delta in the wire form DecodeDelta reads.
 func (d Delta) Encode() []byte {
-	dst := binary.AppendUvarint(nil, uint64(uint32(d.Frag)))
+	dst := xmltree.AppendFragmentID(nil, d.Frag)
 	dst = binary.AppendUvarint(dst, d.Version)
 	dst = binary.AppendUvarint(dst, d.FP)
 	dst = binary.AppendUvarint(dst, d.FlipV)
 	dst = binary.AppendUvarint(dst, d.FlipCV)
 	dst = binary.AppendUvarint(dst, d.FlipDV)
-	dst = binary.AppendUvarint(dst, uint64(len(d.Triplet)))
-	return append(dst, d.Triplet...)
+	return wire.AppendBytes(dst, d.Triplet)
 }
 
-// DecodeDelta parses a pushed delta payload.
+// DecodeDelta parses a pushed delta payload. The triplet aliases buf.
 func DecodeDelta(buf []byte) (Delta, error) {
+	r := wire.NewReader(buf, ErrBadUpdate)
 	var d Delta
-	r := &opReader{buf: buf}
-	idRaw, err := r.uvarint()
-	if err != nil {
-		return d, err
-	}
-	d.Frag = xmltree.FragmentID(uint32(idRaw))
-	if d.Version, err = r.uvarint(); err != nil {
-		return d, err
-	}
-	if d.FP, err = r.uvarint(); err != nil {
-		return d, err
-	}
-	if d.FlipV, err = r.uvarint(); err != nil {
-		return d, err
-	}
-	if d.FlipCV, err = r.uvarint(); err != nil {
-		return d, err
-	}
-	if d.FlipDV, err = r.uvarint(); err != nil {
-		return d, err
-	}
-	n, err := r.uvarint()
-	if err != nil {
-		return d, err
-	}
-	if n > uint64(len(buf)-r.pos) {
-		return d, fmt.Errorf("%w: delta triplet overruns buffer", ErrBadUpdate)
-	}
-	d.Triplet = buf[r.pos : r.pos+int(n)]
-	r.pos += int(n)
-	if r.pos != len(buf) {
-		return d, fmt.Errorf("%w: %d trailing bytes", ErrBadUpdate, len(buf)-r.pos)
-	}
-	return d, nil
+	d.Frag = xmltree.ReadFragmentID(&r)
+	d.Version = r.Uvarint()
+	d.FP = r.Uvarint()
+	d.FlipV = r.Uvarint()
+	d.FlipCV = r.Uvarint()
+	d.FlipDV = r.Uvarint()
+	d.Triplet = r.Bytes()
+	return d, r.Done()
 }
 
 // splitReq: program, fragment, path of the split node, the new fragment's
 // ID, and the site that should adopt it ("" keeps it at the same site).
 func encodeSplitReq(prog []byte, id xmltree.FragmentID, path []int, newID xmltree.FragmentID, target string) []byte {
-	dst := binary.AppendUvarint(nil, uint64(len(prog)))
-	dst = append(dst, prog...)
-	dst = binary.AppendUvarint(dst, uint64(uint32(id)))
-	dst = binary.AppendUvarint(dst, uint64(len(path)))
-	for _, i := range path {
-		dst = binary.AppendUvarint(dst, uint64(i))
-	}
-	dst = binary.AppendUvarint(dst, uint64(uint32(newID)))
-	dst = binary.AppendUvarint(dst, uint64(len(target)))
-	return append(dst, target...)
+	dst := wire.AppendBytes(nil, prog)
+	dst = xmltree.AppendFragmentID(dst, id)
+	dst = appendPath(dst, path)
+	dst = xmltree.AppendFragmentID(dst, newID)
+	return wire.AppendString(dst, target)
 }
 
 func decodeSplitReq(buf []byte) (prog []byte, id xmltree.FragmentID, path []int, newID xmltree.FragmentID, target string, err error) {
-	r := &opReader{buf: buf}
-	pn, err := r.uvarint()
-	if err != nil {
-		return
-	}
-	if pn > uint64(len(buf)-r.pos) {
-		err = fmt.Errorf("%w: program overruns buffer", ErrBadUpdate)
-		return
-	}
-	prog = buf[r.pos : r.pos+int(pn)]
-	r.pos += int(pn)
-	idRaw, err := r.uvarint()
-	if err != nil {
-		return
-	}
-	id = xmltree.FragmentID(uint32(idRaw))
-	n, err := r.uvarint()
-	if err != nil {
-		return
-	}
-	if n > uint64(len(buf)-r.pos) {
-		err = fmt.Errorf("%w: path overruns buffer", ErrBadUpdate)
-		return
-	}
-	path = make([]int, n)
-	for i := range path {
-		v, verr := r.uvarint()
-		if verr != nil {
-			err = verr
-			return
-		}
-		path[i] = int(v)
-	}
-	newRaw, err := r.uvarint()
-	if err != nil {
-		return
-	}
-	newID = xmltree.FragmentID(uint32(newRaw))
-	target, err = r.str()
-	if err != nil {
-		return
-	}
-	if r.pos != len(buf) {
-		err = fmt.Errorf("%w: %d trailing bytes", ErrBadUpdate, len(buf)-r.pos)
-	}
-	return
+	r := wire.NewReader(buf, ErrBadUpdate)
+	prog = r.Bytes()
+	id = xmltree.ReadFragmentID(&r)
+	path = childPath(&r)
+	newID = xmltree.ReadFragmentID(&r)
+	target = r.String()
+	return prog, id, path, newID, target, r.Done()
 }
 
 // splitResp: two (triplet, size) pairs — the revised fragment and the new
@@ -548,183 +348,71 @@ func decodeSplitReq(buf []byte) (prog []byte, id xmltree.FragmentID, path []int,
 func encodeSplitResp(ownTriplet []byte, ownSize int, newTriplet []byte, newSize int, moved []xmltree.FragmentID) []byte {
 	dst := encodeTripletSizeResp(ownTriplet, ownSize)
 	dst = append(dst, encodeTripletSizeResp(newTriplet, newSize)...)
-	dst = binary.AppendUvarint(dst, uint64(len(moved)))
-	for _, id := range moved {
-		dst = binary.AppendUvarint(dst, uint64(uint32(id)))
-	}
-	return dst
+	return xmltree.AppendFragmentIDs(dst, moved)
 }
 
 func decodeSplitResp(buf []byte) (own []byte, ownSize int, nw []byte, newSize int, moved []xmltree.FragmentID, err error) {
-	// encodeTripletSizeResp is self-delimiting; walk the boundaries.
-	r := &opReader{buf: buf}
-	block := func() ([]byte, int, error) {
-		sz, err := r.uvarint()
-		if err != nil {
-			return nil, 0, err
-		}
-		n, err := r.uvarint()
-		if err != nil {
-			return nil, 0, err
-		}
-		if n > uint64(len(buf)-r.pos) {
-			return nil, 0, fmt.Errorf("%w: triplet overruns buffer", ErrBadUpdate)
-		}
-		t := buf[r.pos : r.pos+int(n)]
-		r.pos += int(n)
-		return t, int(sz), nil
-	}
-	if own, ownSize, err = block(); err != nil {
-		return
-	}
-	if nw, newSize, err = block(); err != nil {
-		return
-	}
-	cnt, err := r.uvarint()
-	if err != nil {
-		return
-	}
-	if cnt > uint64(len(buf)-r.pos)+1 {
-		err = fmt.Errorf("%w: moved list overruns buffer", ErrBadUpdate)
-		return
-	}
-	for i := uint64(0); i < cnt; i++ {
-		v, verr := r.uvarint()
-		if verr != nil {
-			err = verr
-			return
-		}
-		moved = append(moved, xmltree.FragmentID(uint32(v)))
-	}
-	if r.pos != len(buf) {
-		err = fmt.Errorf("%w: %d trailing bytes", ErrBadUpdate, len(buf)-r.pos)
-	}
-	return
+	r := wire.NewReader(buf, ErrBadUpdate)
+	own, ownSize = tripletSize(&r)
+	nw, newSize = tripletSize(&r)
+	moved = xmltree.ReadFragmentIDs(&r)
+	return own, ownSize, nw, newSize, moved, r.Done()
 }
 
 // setParentReq: fragment ID and its new parent fragment ID.
 func encodeSetParentReq(id, parent xmltree.FragmentID) []byte {
-	dst := binary.AppendUvarint(nil, uint64(uint32(id)))
-	return binary.AppendUvarint(dst, uint64(uint32(parent)))
+	return xmltree.AppendFragmentID(xmltree.AppendFragmentID(nil, id), parent)
 }
 
 func decodeSetParentReq(buf []byte) (id, parent xmltree.FragmentID, err error) {
-	r := &opReader{buf: buf}
-	idRaw, err := r.uvarint()
-	if err != nil {
-		return
-	}
-	parentRaw, err := r.uvarint()
-	if err != nil {
-		return
-	}
-	if r.pos != len(buf) {
-		err = fmt.Errorf("%w: %d trailing bytes", ErrBadUpdate, len(buf)-r.pos)
-		return
-	}
-	return xmltree.FragmentID(uint32(idRaw)), xmltree.FragmentID(uint32(parentRaw)), nil
+	r := wire.NewReader(buf, ErrBadUpdate)
+	id = xmltree.ReadFragmentID(&r)
+	parent = xmltree.ReadFragmentID(&r)
+	return id, parent, r.Done()
 }
 
-// adoptReq: program, fragment ID, parent fragment ID, subtree bytes.
+// adoptReq: program, fragment ID, parent fragment ID + 1, subtree bytes.
 func encodeAdoptReq(prog []byte, id, parent xmltree.FragmentID, subtree []byte) []byte {
-	dst := binary.AppendUvarint(nil, uint64(len(prog)))
-	dst = append(dst, prog...)
-	dst = binary.AppendUvarint(dst, uint64(uint32(id)))
-	dst = binary.AppendUvarint(dst, uint64(parent+1))
-	dst = binary.AppendUvarint(dst, uint64(len(subtree)))
-	return append(dst, subtree...)
+	dst := wire.AppendBytes(nil, prog)
+	dst = xmltree.AppendFragmentID(dst, id)
+	dst = xmltree.AppendFragmentID(dst, parent+1)
+	return wire.AppendBytes(dst, subtree)
 }
 
 func decodeAdoptReq(buf []byte) (prog []byte, id, parent xmltree.FragmentID, subtree []byte, err error) {
-	r := &opReader{buf: buf}
-	pn, err := r.uvarint()
-	if err != nil {
-		return
-	}
-	if pn > uint64(len(buf)-r.pos) {
-		err = fmt.Errorf("%w: program overruns buffer", ErrBadUpdate)
-		return
-	}
-	prog = buf[r.pos : r.pos+int(pn)]
-	r.pos += int(pn)
-	idRaw, err := r.uvarint()
-	if err != nil {
-		return
-	}
-	id = xmltree.FragmentID(uint32(idRaw))
-	parentRaw, err := r.uvarint()
-	if err != nil {
-		return
-	}
-	parent = xmltree.FragmentID(uint32(parentRaw)) - 1
-	n, err := r.uvarint()
-	if err != nil {
-		return
-	}
-	if n > uint64(len(buf)-r.pos) {
-		err = fmt.Errorf("%w: subtree overruns buffer", ErrBadUpdate)
-		return
-	}
-	subtree = buf[r.pos : r.pos+int(n)]
-	r.pos += int(n)
-	if r.pos != len(buf) {
-		err = fmt.Errorf("%w: %d trailing bytes", ErrBadUpdate, len(buf)-r.pos)
-	}
-	return
+	r := wire.NewReader(buf, ErrBadUpdate)
+	prog = r.Bytes()
+	id = xmltree.ReadFragmentID(&r)
+	parent = xmltree.ReadFragmentID(&r) - 1
+	subtree = r.Bytes()
+	return prog, id, parent, subtree, r.Done()
 }
 
 // fragIDReq: a bare fragment ID (yield requests).
 func encodeFragIDReq(id xmltree.FragmentID) []byte {
-	return binary.AppendUvarint(nil, uint64(uint32(id)))
+	return xmltree.AppendFragmentID(nil, id)
 }
 
 func decodeFragIDReq(buf []byte) (xmltree.FragmentID, error) {
-	v, n := binary.Uvarint(buf)
-	if n <= 0 || n != len(buf) {
-		return 0, fmt.Errorf("%w: bad fragment id request", ErrBadUpdate)
-	}
-	return xmltree.FragmentID(uint32(v)), nil
+	r := wire.NewReader(buf, ErrBadUpdate)
+	id := xmltree.ReadFragmentID(&r)
+	return id, r.Done()
 }
 
 // mergeReq: program, parent fragment, child fragment, and the site holding
 // the child ("" = same site).
 func encodeMergeReq(prog []byte, id, child xmltree.FragmentID, childSite string) []byte {
-	dst := binary.AppendUvarint(nil, uint64(len(prog)))
-	dst = append(dst, prog...)
-	dst = binary.AppendUvarint(dst, uint64(uint32(id)))
-	dst = binary.AppendUvarint(dst, uint64(uint32(child)))
-	dst = binary.AppendUvarint(dst, uint64(len(childSite)))
-	return append(dst, childSite...)
+	dst := wire.AppendBytes(nil, prog)
+	dst = xmltree.AppendFragmentID(dst, id)
+	dst = xmltree.AppendFragmentID(dst, child)
+	return wire.AppendString(dst, childSite)
 }
 
 func decodeMergeReq(buf []byte) (prog []byte, id, child xmltree.FragmentID, childSite string, err error) {
-	r := &opReader{buf: buf}
-	pn, err := r.uvarint()
-	if err != nil {
-		return
-	}
-	if pn > uint64(len(buf)-r.pos) {
-		err = fmt.Errorf("%w: program overruns buffer", ErrBadUpdate)
-		return
-	}
-	prog = buf[r.pos : r.pos+int(pn)]
-	r.pos += int(pn)
-	idRaw, err := r.uvarint()
-	if err != nil {
-		return
-	}
-	id = xmltree.FragmentID(uint32(idRaw))
-	childRaw, err := r.uvarint()
-	if err != nil {
-		return
-	}
-	child = xmltree.FragmentID(uint32(childRaw))
-	childSite, err = r.str()
-	if err != nil {
-		return
-	}
-	if r.pos != len(buf) {
-		err = fmt.Errorf("%w: %d trailing bytes", ErrBadUpdate, len(buf)-r.pos)
-	}
-	return
+	r := wire.NewReader(buf, ErrBadUpdate)
+	prog = r.Bytes()
+	id = xmltree.ReadFragmentID(&r)
+	child = xmltree.ReadFragmentID(&r)
+	childSite = r.String()
+	return prog, id, child, childSite, r.Done()
 }

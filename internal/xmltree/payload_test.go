@@ -6,16 +6,8 @@ import (
 	"repro/internal/golden"
 )
 
-// payloadCodec is one payload format of this package: sample encodes a
-// fixed value, recode decodes a buffer and re-encodes what it read.
-type payloadCodec struct {
-	name   string
-	sample func() []byte
-	recode func([]byte) ([]byte, error)
-}
-
-var payloadCodecs = []payloadCodec{
-	{"tree", func() []byte {
+var payloadCodecs = []golden.Codec{
+	{Name: "tree", Sample: func() []byte {
 		return Encode(NewElement("market", "",
 			NewElement("name", "NASDAQ"),
 			NewElement("stock", "",
@@ -23,7 +15,7 @@ var payloadCodecs = []payloadCodec{
 				NewVirtual(300)),
 			NewVirtual(2),
 			NewElement("", "")))
-	}, func(buf []byte) ([]byte, error) {
+	}, Recode: func(buf []byte) ([]byte, error) {
 		n, err := Decode(buf)
 		if err != nil {
 			return nil, err
@@ -35,7 +27,11 @@ var payloadCodecs = []payloadCodec{
 // TestPayloadGoldens pins the tree encoding to the bytes recorded before
 // the codec moved onto internal/wire.
 func TestPayloadGoldens(t *testing.T) {
-	for _, c := range payloadCodecs {
-		t.Run(c.name, func(t *testing.T) { golden.Pin(t, c.name, c.sample(), c.recode) })
-	}
+	golden.Pin(t, payloadCodecs)
+}
+
+// FuzzPayloadDecoders drives the tree decoder with arbitrary bytes (see
+// golden.Fuzz for the properties).
+func FuzzPayloadDecoders(f *testing.F) {
+	golden.Fuzz(f, payloadCodecs, ErrBadTree)
 }

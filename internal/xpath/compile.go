@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"strings"
 	"sync/atomic"
+
+	"repro/internal/wire"
 )
 
 // Kind enumerates the nine normal-form subquery shapes of Procedure
@@ -490,59 +492,23 @@ func (p *Program) Encode() []byte {
 		dst = append(dst, byte(s.Kind))
 		dst = binary.AppendUvarint(dst, uint64(s.A+1))
 		dst = binary.AppendUvarint(dst, uint64(s.B+1))
-		dst = binary.AppendUvarint(dst, uint64(len(s.Str)))
-		dst = append(dst, s.Str...)
+		dst = wire.AppendString(dst, s.Str)
 	}
 	return dst
 }
 
 // DecodeProgram parses an encoded program and validates it.
 func DecodeProgram(buf []byte) (*Program, error) {
-	pos := 0
-	uvarint := func() (uint64, error) {
-		v, n := binary.Uvarint(buf[pos:])
-		if n <= 0 {
-			return 0, fmt.Errorf("%w: bad uvarint at offset %d", ErrBadProgram, pos)
-		}
-		pos += n
-		return v, nil
+	r := wire.NewReader(buf, ErrBadProgram)
+	p := &Program{Subs: make([]Subquery, r.Count(4))}
+	for i := range p.Subs {
+		s := &p.Subs[i]
+		s.Kind = Kind(r.Byte())
+		s.A, s.B = int32(r.Uvarint())-1, int32(r.Uvarint())-1
+		s.Str = r.String()
 	}
-	count, err := uvarint()
-	if err != nil {
+	if err := r.Done(); err != nil {
 		return nil, err
-	}
-	if count > uint64(len(buf)) {
-		return nil, fmt.Errorf("%w: count %d exceeds buffer", ErrBadProgram, count)
-	}
-	p := &Program{Subs: make([]Subquery, 0, count)}
-	for i := uint64(0); i < count; i++ {
-		if pos >= len(buf) {
-			return nil, fmt.Errorf("%w: truncated at subquery %d", ErrBadProgram, i)
-		}
-		s := Subquery{Kind: Kind(buf[pos])}
-		pos++
-		a, err := uvarint()
-		if err != nil {
-			return nil, err
-		}
-		b, err := uvarint()
-		if err != nil {
-			return nil, err
-		}
-		s.A, s.B = int32(a)-1, int32(b)-1
-		n, err := uvarint()
-		if err != nil {
-			return nil, err
-		}
-		if n > uint64(len(buf)-pos) {
-			return nil, fmt.Errorf("%w: string length %d exceeds buffer", ErrBadProgram, n)
-		}
-		s.Str = string(buf[pos : pos+int(n)])
-		pos += int(n)
-		p.Subs = append(p.Subs, s)
-	}
-	if pos != len(buf) {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrBadProgram, len(buf)-pos)
 	}
 	if err := p.Validate(); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadProgram, err)

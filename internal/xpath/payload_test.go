@@ -6,18 +6,10 @@ import (
 	"repro/internal/golden"
 )
 
-// payloadCodec is one payload format of this package: sample encodes a
-// fixed value, recode decodes a buffer and re-encodes what it read.
-type payloadCodec struct {
-	name   string
-	sample func() []byte
-	recode func([]byte) ([]byte, error)
-}
-
-var payloadCodecs = []payloadCodec{
-	{"program", func() []byte { // every subquery kind
+var payloadCodecs = []golden.Codec{
+	{Name: "program", Sample: func() []byte { // every subquery kind
 		return MustCompileString(`//stock[code = "GOOG" && !(sell = "373")]/buy || /portofolio/*[text() = "é"]//name`).Encode()
-	}, func(buf []byte) ([]byte, error) {
+	}, Recode: func(buf []byte) ([]byte, error) {
 		p, err := DecodeProgram(buf)
 		if err != nil {
 			return nil, err
@@ -29,7 +21,11 @@ var payloadCodecs = []payloadCodec{
 // TestPayloadGoldens pins the program encoding to the bytes recorded
 // before the codec moved onto internal/wire.
 func TestPayloadGoldens(t *testing.T) {
-	for _, c := range payloadCodecs {
-		t.Run(c.name, func(t *testing.T) { golden.Pin(t, c.name, c.sample(), c.recode) })
-	}
+	golden.Pin(t, payloadCodecs)
+}
+
+// FuzzPayloadDecoders drives the program decoder with arbitrary bytes (see
+// golden.Fuzz for the properties).
+func FuzzPayloadDecoders(f *testing.F) {
+	golden.Fuzz(f, payloadCodecs, ErrBadProgram)
 }
