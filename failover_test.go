@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/core"
 	"repro/internal/serve"
 	"repro/internal/xmark"
 )
@@ -402,6 +403,117 @@ func TestRebalanceMovesHotFragment(t *testing.T) {
 		}
 		if res.Answer != ref[src] {
 			t.Fatalf("post-migration: %s = %v, reference %v", src, res.Answer, ref[src])
+		}
+	}
+}
+
+// blipTransport fails the first remote evalQual call to each site exactly
+// once and is transparent otherwise: every site stays alive throughout,
+// so nothing it does may ever surface as ErrFragmentUnavailable.
+type blipTransport struct {
+	cluster.Transport
+
+	mu      sync.Mutex
+	blipped map[SiteID]bool
+}
+
+func (b *blipTransport) Call(ctx context.Context, from, to SiteID, req cluster.Request) (cluster.Response, cluster.CallCost, error) {
+	if from != to && req.Kind == core.KindEvalQual {
+		b.mu.Lock()
+		first := !b.blipped[to]
+		b.blipped[to] = true
+		b.mu.Unlock()
+		if first {
+			return cluster.Response{}, cluster.CallCost{}, fmt.Errorf("%w: blip at %s", cluster.ErrInjected, to)
+		}
+	}
+	return b.Transport.Call(ctx, from, to, req)
+}
+
+// TestFailoverEveryModeAbsorbsTransientBlip pins that every Exec call
+// shape recovers the same way: with one transient evalQual failure per
+// non-coordinator site and every replica alive, each mode returns the
+// reference result with the recovery visible in Result.Failovers, and
+// none reports a fragment unavailable. Under WithRetryBudget(1) a call
+// may run out of budget — failing with the injected error, never a false
+// ErrFragmentUnavailable — and one that succeeds spent at most the
+// budget.
+func TestFailoverEveryModeAbsorbsTransientBlip(t *testing.T) {
+	ref := referenceAnswers(t)
+	ctx := context.Background()
+
+	forest, assign := failoverForest(t)
+	refSys, err := Deploy(forest, assign)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { refSys.Close() })
+	items, err := refSys.Exec(ctx, MustPrepare(`//item`), WithMode(ModeCount))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	boolean := func(t *testing.T, res *Result) {
+		if res.Answer != ref[failoverQueries[0]] {
+			t.Fatalf("answer %v, reference %v", res.Answer, ref[failoverQueries[0]])
+		}
+	}
+	matched := func(t *testing.T, res *Result) {
+		if res.Matched != items.Matched {
+			t.Fatalf("matched %d, reference %d", res.Matched, items.Matched)
+		}
+	}
+	modes := []struct {
+		name  string
+		query string
+		opts  []ExecOption
+		check func(*testing.T, *Result)
+	}{
+		{"plain", failoverQueries[0], nil, boolean},
+		{"batch", failoverQueries[0], []ExecOption{WithBatch(MustPrepare(failoverQueries[1]), MustPrepare(failoverQueries[2]))},
+			func(t *testing.T, res *Result) {
+				for i, src := range failoverQueries[:3] {
+					if res.Answers[i] != ref[src] {
+						t.Fatalf("batch answer %d (%s) = %v, reference %v", i, src, res.Answers[i], ref[src])
+					}
+				}
+			}},
+		{"coalesced", failoverQueries[0], []ExecOption{WithCoalescing()}, boolean},
+		{"select", `//item`, []ExecOption{WithMode(ModeSelect)}, matched},
+		{"count", `//item`, []ExecOption{WithMode(ModeCount)}, matched},
+	}
+	for _, budget := range []int{0, 1} { // 0 = the default budget of 4
+		for _, m := range modes {
+			t.Run(fmt.Sprintf("%s/budget=%d", m.name, budget), func(t *testing.T) {
+				sys, _ := deployFaulty(t, WithRetryBudget(budget),
+					withTransportWrapper(func(tr cluster.Transport) cluster.Transport {
+						return &blipTransport{Transport: tr, blipped: make(map[SiteID]bool)}
+					}))
+				res, err := sys.Exec(ctx, MustPrepare(m.query), m.opts...)
+				if errors.Is(err, ErrFragmentUnavailable) {
+					t.Fatalf("every replica is alive, yet: %v", err)
+				}
+				if budget == 0 {
+					if err != nil {
+						t.Fatalf("blip not absorbed: %v", err)
+					}
+					if res.Failovers < 1 {
+						t.Fatalf("Failovers = %d, want the recovery counted", res.Failovers)
+					}
+					m.check(t, res)
+					return
+				}
+				if err == nil {
+					if res.Failovers > int64(budget) {
+						t.Fatalf("Failovers = %d under WithRetryBudget(%d)", res.Failovers, budget)
+					}
+					m.check(t, res)
+					return
+				}
+				if !errors.Is(err, cluster.ErrInjected) {
+					t.Fatalf("budget spent: err = %v, want the injected fault", err)
+				}
+			})
 		}
 	}
 }
