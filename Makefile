@@ -1,6 +1,6 @@
 # Developer entry points; CI runs the same commands.
 
-.PHONY: all build test vet lint benchmark bench-smoke fuzz fuzz-fused recovery-smoke transport-soak failover-smoke overload-smoke update-churn-smoke
+.PHONY: all build test vet lint loc benchmark bench-smoke fuzz fuzz-fused recovery-smoke transport-soak failover-smoke overload-smoke update-churn-smoke
 
 all: build vet test
 
@@ -19,6 +19,11 @@ vet:
 lint: vet
 	@unformatted="$$(gofmt -l .)"; if [ -n "$$unformatted" ]; then echo "gofmt wants to rewrite:"; echo "$$unformatted"; exit 1; fi
 	staticcheck ./...
+
+# loc prints the size the simplicity PRs are measured by: non-test Go
+# lines outside benchmark/ (CHANGES.md quotes it before and after).
+loc:
+	@git ls-files '*.go' | grep -v _test.go | grep -v '^benchmark/' | xargs cat | wc -l
 
 # benchmark builds and runs the repo benchmark (BENCHMARK.json): five
 # workloads, end-to-end metrics plus the per-layer trace. Numbers and how

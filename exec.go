@@ -7,11 +7,9 @@ import (
 	"io"
 	"time"
 
-	"repro/internal/backoff"
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/obs"
-	"repro/internal/serve"
 	"repro/internal/views"
 	"repro/internal/xpath"
 )
@@ -174,11 +172,12 @@ type Result struct {
 	// Matched is the number of selected nodes (ModeSelect, ModeCount).
 	Matched int64
 
-	// Common accounting, filled from the per-mode report. For a coalesced
-	// call, Bytes/Messages/TotalSteps/Visits (and the cache counters) are
-	// the caller's fair share of the shared round — shares across the
-	// round's callers sum exactly to the round totals; the full round
-	// lives in Sched.Round. SimTime is not split: it is the round's
+	// Common accounting, copied from the mode's Report by one rule
+	// (account), so callers can meter any mode the same way. For a
+	// coalesced call, Bytes/Messages/TotalSteps/Visits (and the cache
+	// counters) are the caller's fair share of the shared round — shares
+	// across the round's callers sum exactly to the round totals; the full
+	// round lives in Sched.Round. SimTime is not split: it is the round's
 	// modeled makespan, which every caller of the round experienced in
 	// full.
 	Bytes      int64
@@ -190,11 +189,14 @@ type Result struct {
 	// versioned triplet caches versus fragments that ran bottomUp (always
 	// zero unless the system was deployed with WithTripletCache).
 	CacheHits, CacheMisses int64
-	// Failovers counts recoveries this call needed: failed site calls
-	// re-placed onto surviving replicas plus full round retries (always
-	// zero unless the system was deployed with WithFailover). A non-zero
-	// value means the answer was computed despite failures — it is still
-	// exactly correct.
+	// Failovers is the Report's, in every mode: the retries this call
+	// drew from its per-query budget (WithRetryBudget) — failed site calls
+	// re-placed onto surviving replicas plus whole-round retries — so
+	// never more than the budget, and always zero unless the system was
+	// deployed with WithFailover. A coalesced call reports the shared
+	// round's, unsplit: every caller rode through the same recoveries. A
+	// non-zero value means the answer was computed despite failures — it
+	// is still exactly correct.
 	Failovers int64
 	// Hedges counts speculative duplicate calls this run issued against
 	// slow replicas' next-best siblings; HedgeWins counts how many of them
@@ -220,8 +222,9 @@ type Result struct {
 	// calls that ran their own round.
 	Sched *SchedInfo
 
-	// Per-mode reports; at most one is non-nil (all nil for a coalesced
-	// call, whose round report is Sched.Round).
+	// The mode's full report, under the mode's name; at most one is
+	// non-nil (all nil for a coalesced call, whose round report is
+	// Sched.Round).
 	Boolean   *Report
 	Batch     *BatchResult
 	Selection *SelectionResult
@@ -229,56 +232,24 @@ type Result struct {
 	View      *View
 }
 
-func (r *Result) account(sim time.Duration, bytes, messages, steps int64, visits map[SiteID]int64) {
-	r.SimTime = sim
-	r.Bytes = bytes
-	r.Messages = messages
-	r.TotalSteps = steps
-	// Copy: the per-mode report keeps its own map, so a caller mutating
+// account copies a report's accounting into the result — the one copy
+// rule, whatever the mode.
+func (r *Result) account(rep *Report) {
+	r.SimTime = rep.SimTime
+	r.Bytes = rep.Bytes
+	r.Messages = rep.Messages
+	r.TotalSteps = rep.TotalSteps
+	r.CacheHits, r.CacheMisses = rep.CacheHits, rep.CacheMisses
+	r.Failovers = rep.Failovers
+	r.Hedges, r.HedgeWins = rep.Hedges, rep.HedgeWins
+	// Copy: the report keeps its own map, so a caller mutating
 	// Result.Visits cannot corrupt the raw report (or vice versa).
-	if visits != nil {
-		r.Visits = make(map[SiteID]int64, len(visits))
-		for k, v := range visits {
+	if rep.Visits != nil {
+		r.Visits = make(map[SiteID]int64, len(rep.Visits))
+		for k, v := range rep.Visits {
 			r.Visits[k] = v
 		}
 	}
-}
-
-// retryRound runs one multi-round computation (select/count — Boolean
-// rounds retry inside core), retrying it against a freshly probed
-// serving tier when a retryable mid-stream failure aborts it. Mirrors
-// core's round-retry policy: cancellation, an expired deadline and
-// ErrFragmentUnavailable are final; every retry sleeps — exponential
-// backoff with full jitter, floored at any server-provided retry-after
-// hint — and draws from the deployment's per-query retry budget
-// (WithRetryBudget). Returns the attempts spent on retries for
-// Result.Failovers.
-func retryRound[T any](ctx context.Context, tier *serve.Tier, pol backoff.Policy, run func() (T, error)) (T, int64, error) {
-	rep, err := run()
-	if err == nil || tier == nil {
-		return rep, 0, err
-	}
-	rr := backoff.New(pol)
-	var attempts int64
-	for ctx.Err() == nil {
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) ||
-			errors.Is(err, core.ErrFragmentUnavailable) {
-			break
-		}
-		d, ok := rr.Next(cluster.RetryAfterHint(err))
-		if !ok {
-			break
-		}
-		if backoff.Sleep(ctx, d) != nil {
-			break
-		}
-		tier.Recheck(ctx)
-		attempts++
-		if rep, err = run(); err == nil {
-			return rep, attempts, nil
-		}
-	}
-	return rep, 0, err
 }
 
 // Exec runs a prepared query against the deployed document. With no
@@ -375,78 +346,49 @@ func (s *System) Exec(ctx context.Context, q *Prepared, opts ...ExecOption) (*Re
 
 	res := &Result{Mode: cfg.mode, Algorithm: cfg.algo}
 	start := time.Now()
+	// Every mode fills the one report; retries and failover happen inside
+	// core, the same way for all of them.
+	rep := new(Report)
+	var err error
 	switch cfg.mode {
 	case ModeBoolean:
-		if cfg.batchSet {
-			exprs := make([]xpath.Expr, 0, 1+len(cfg.batch))
-			exprs = append(exprs, q.expr)
-			for _, extra := range cfg.batch {
-				if extra == nil {
-					return nil, errors.New("parbox: WithBatch given a nil query")
-				}
-				exprs = append(exprs, extra.expr)
+		if !cfg.batchSet {
+			*rep, err = eng.Run(ctx, cfg.algo, q.program())
+			res.Boolean, res.Answer = rep, rep.Answer
+			break
+		}
+		exprs := make([]xpath.Expr, 0, 1+len(cfg.batch))
+		exprs = append(exprs, q.expr)
+		for _, extra := range cfg.batch {
+			if extra == nil {
+				return nil, errors.New("parbox: WithBatch given a nil query")
 			}
-			prog, roots := xpath.CompileBatch(exprs)
-			rep, err := eng.ParBoXBatch(ctx, prog, roots)
-			if err != nil {
-				return nil, err
-			}
-			res.Batch = &rep
+			exprs = append(exprs, extra.expr)
+		}
+		prog, roots := xpath.CompileBatch(exprs)
+		if *rep, err = eng.ParBoXBatch(ctx, prog, roots); err == nil {
+			res.Batch, res.Answer = rep, rep.Answers[0]
 			// Copy, like Visits in account: the raw report keeps its own
 			// slice so callers can post-process Result.Answers freely.
 			res.Answers = append([]bool(nil), rep.Answers...)
-			res.Answer = rep.Answers[0]
-			res.account(rep.SimTime, rep.Bytes, rep.Messages, rep.TotalSteps, rep.Visits)
-			res.CacheHits, res.CacheMisses = rep.CacheHits, rep.CacheMisses
-			res.Failovers = rep.Failovers
-			res.Hedges, res.HedgeWins = rep.Hedges, rep.HedgeWins
+		}
+	case ModeSelect, ModeCount:
+		var sp *xpath.SelectProgram
+		if sp, err = q.selectProgram(); err != nil {
+			return nil, err
+		}
+		if cfg.mode == ModeSelect {
+			*rep, err = eng.SelectParBoX(ctx, sp)
+			res.Selection = rep
 		} else {
-			rep, err := eng.Run(ctx, cfg.algo, q.program())
-			if err != nil {
-				return nil, err
-			}
-			res.Boolean = &rep
-			res.Answer = rep.Answer
-			res.account(rep.SimTime, rep.Bytes, rep.Messages, rep.TotalSteps, rep.Visits)
-			res.CacheHits, res.CacheMisses = rep.CacheHits, rep.CacheMisses
-			res.Failovers = rep.Failovers
-			res.Hedges, res.HedgeWins = rep.Hedges, rep.HedgeWins
+			*rep, err = eng.CountParBoX(ctx, sp)
+			res.Counting = rep
 		}
-	case ModeSelect:
-		sp, err := q.selectProgram()
-		if err != nil {
-			return nil, err
-		}
-		rep, retries, err := retryRound(ctx, s.tier, s.retryPol, func() (core.SelectReport, error) {
-			return eng.SelectParBoX(ctx, sp)
-		})
-		if err != nil {
-			return nil, err
-		}
-		res.Selection = &rep
-		res.Matched = int64(rep.Count)
-		res.account(rep.SimTime, rep.Bytes, rep.Messages, rep.TotalSteps, rep.Visits)
-		res.Failovers = rep.Failovers + retries
-		res.Hedges, res.HedgeWins = rep.Hedges, rep.HedgeWins
-	case ModeCount:
-		sp, err := q.selectProgram()
-		if err != nil {
-			return nil, err
-		}
-		rep, retries, err := retryRound(ctx, s.tier, s.retryPol, func() (core.CountReport, error) {
-			return eng.CountParBoX(ctx, sp)
-		})
-		if err != nil {
-			return nil, err
-		}
-		res.Counting = &rep
 		res.Matched = rep.Count
-		res.account(rep.SimTime, rep.Bytes, rep.Messages, rep.TotalSteps, rep.Visits)
-		res.Failovers = rep.Failovers + retries
-		res.Hedges, res.HedgeWins = rep.Hedges, rep.HedgeWins
 	case ModeMaterialize:
 		meter := core.NewMeteredTransport(tr)
-		v, err := views.MaterializeBounded(ctx, meter, eng.Coordinator(), eng.SourceTree(), q.program(), s.maxInflight)
+		var v *views.View
+		v, err = views.MaterializeBounded(ctx, meter, eng.Coordinator(), eng.SourceTree(), q.program(), s.maxInflight)
 		if err != nil {
 			return nil, err
 		}
@@ -454,12 +396,14 @@ func (s *System) Exec(ctx context.Context, q *Prepared, opts ...ExecOption) (*Re
 		// maintenance traffic does not keep flowing through this run's
 		// metering/tracing wrappers.
 		v.SetTransport(s.cluster)
-		var rep Report
-		meter.Fill(&rep)
-		res.account(rep.SimTime, rep.Bytes, rep.Messages, rep.TotalSteps, rep.Visits)
+		meter.Fill(rep)
 		res.View = &View{v: v}
 		res.Answer = v.Answer()
 	}
+	if err != nil {
+		return nil, err
+	}
+	res.account(rep)
 	res.Duration = time.Since(start)
 	if spanCol != nil {
 		rootSpan.Start = start.UnixNano()

@@ -165,7 +165,7 @@ func TestFailoverSingleSiteKill(t *testing.T) {
 			t.Fatalf("down victim %s still visited %d times", victim, res.Visits[victim])
 		}
 	}
-	// Select and count survive too (facade-level round retry).
+	// Select and count survive too (the same retry loop).
 	cnt, err := sys.Exec(ctx, MustPrepare(`//item`), WithMode(ModeCount))
 	if err != nil {
 		t.Fatal(err)
@@ -513,6 +513,11 @@ func TestFailoverEveryModeAbsorbsTransientBlip(t *testing.T) {
 				if !errors.Is(err, cluster.ErrInjected) {
 					t.Fatalf("budget spent: err = %v, want the injected fault", err)
 				}
+				// The blips are used up: the same call now goes through.
+				if res, err = sys.Exec(ctx, MustPrepare(m.query), m.opts...); err != nil {
+					t.Fatalf("after the blip: %v", err)
+				}
+				m.check(t, res)
 			})
 		}
 	}

@@ -1,11 +1,11 @@
 // Package backoff is the shared client-side retry discipline: exponential
 // delays with full jitter, a hard per-query retry budget, and room for a
-// server-provided retry-after hint. Every retry loop of the stack —
-// exec's round retries, core's round-level failover, the serving tier's
-// probes — draws its delays from here, so retries can never multiply load
-// during an incident: each attempt is strictly delayed and the budget
-// bounds the total number of attempts regardless of how long the incident
-// lasts.
+// server-provided retry-after hint. Both retry loops of the stack —
+// core's per-query loop (round retries and job re-placements) and the
+// serving tier's probes — draw their delays from here, so retries can
+// never multiply load during an incident: each attempt is strictly
+// delayed and the budget bounds the total number of attempts regardless
+// of how long the incident lasts.
 package backoff
 
 import (
@@ -61,7 +61,11 @@ type Retry struct {
 	mu      sync.Mutex
 	pol     Policy
 	attempt int
-	rng     *rand.Rand
+	// The jitter source is built from seed by the first Next that grants
+	// a retry: seeding math/rand costs microseconds and kilobytes, and
+	// nearly every sequence — one is started per query — never retries.
+	seed int64
+	rng  *rand.Rand
 }
 
 // New starts a retry sequence with a time-seeded jitter source.
@@ -72,7 +76,7 @@ func New(pol Policy) *Retry {
 // NewSeeded starts a retry sequence whose jitter replays deterministically
 // from the seed — the chaos tests script exact delay schedules with it.
 func NewSeeded(pol Policy, seed int64) *Retry {
-	return &Retry{pol: pol.withDefaults(), rng: rand.New(rand.NewSource(seed))}
+	return &Retry{pol: pol.withDefaults(), seed: seed}
 }
 
 // Next returns the delay to wait before the next retry and whether the
@@ -97,6 +101,9 @@ func (r *Retry) Next(hint time.Duration) (time.Duration, bool) {
 		}
 	}
 	r.attempt++
+	if r.rng == nil {
+		r.rng = rand.New(rand.NewSource(r.seed))
+	}
 	d := time.Duration(r.rng.Float64() * ceil)
 	if hint > d {
 		d = hint

@@ -121,3 +121,19 @@ func TestSleepHonorsContext(t *testing.T) {
 		t.Fatal("Sleep returned before the delay elapsed")
 	}
 }
+
+// TestNewAllocatesOnlyItself pins the success path's cost: a sequence
+// that never retries — nearly every query's — allocates the Retry and
+// nothing else; the jitter source waits for the first granted retry.
+func TestNewAllocatesOnlyItself(t *testing.T) {
+	var keep *Retry
+	if n := testing.AllocsPerRun(100, func() { keep = New(Policy{}) }); n != 1 {
+		t.Fatalf("New allocates %v objects, want 1", n)
+	}
+	if keep.rng != nil {
+		t.Fatal("New built the jitter source eagerly")
+	}
+	if _, ok := keep.Next(0); !ok || keep.rng == nil {
+		t.Fatal("first granted retry did not build the jitter source")
+	}
+}

@@ -5,7 +5,6 @@ import (
 	crand "crypto/rand"
 	"encoding/binary"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -18,17 +17,30 @@ import (
 	"repro/internal/xpath"
 )
 
-// Report is the outcome of one distributed evaluation: the answer plus the
-// accounting the paper's experiments plot.
+// Report is the outcome of one distributed evaluation, whatever its mode:
+// the result (Answer for a Boolean query, Answers for a batch, Paths and
+// Count for a selection, Count and PerSite for a count; the rest stay
+// zero) plus the accounting the paper's experiments plot.
 type Report struct {
 	Algorithm Algorithm
 	Answer    bool
+	// Answers are a batch's answers, in the order the queries were given
+	// to CompileBatch (ParBoXBatch only).
+	Answers []bool
+	// Paths holds, per fragment, the nodes a selection query selected, as
+	// child-index paths from the fragment root (SelectParBoX only).
+	Paths map[xmltree.FragmentID][][]int
+	// Count is the total number of selected nodes, and PerSite its
+	// breakdown by the site that found them (SelectParBoX, CountParBoX).
+	Count   int64
+	PerSite map[frag.SiteID]int64
 	// SimTime is the deterministic modeled elapsed (parallel) time: network
 	// transfers per the cost model plus per-site computation at
 	// StepsPerSecond, maxed over concurrent branches and summed over
 	// sequential phases. The figures are plotted from this.
 	SimTime time.Duration
-	// Wall is the measured wall-clock duration of the run.
+	// Wall is the measured wall-clock duration of the run (of its last
+	// attempt, when rounds were retried).
 	Wall time.Duration
 	// TotalSteps is the summed node×subquery computation over all sites,
 	// including the coordinator's solve work.
@@ -45,9 +57,11 @@ type Report struct {
 	// versioned triplet caches versus fragments that ran bottomUp, summed
 	// over the run (both zero when the cache is disabled).
 	CacheHits, CacheMisses int64
-	// Failovers counts recoveries this run needed: scatter jobs re-placed
-	// onto another replica after a site failure, plus whole-round retries.
-	// Zero without a serving tier.
+	// Failovers counts the retries the query drew from its retry budget:
+	// scatter jobs re-placed onto another replica after a site failure
+	// plus whole-round retries, over every attempt — so never more than
+	// the budget. Set in one place, withRetry; zero without a serving
+	// tier. The other counters describe the attempt that succeeded.
 	Failovers int64
 	// Hedges counts speculative duplicate calls this run issued against a
 	// slow replica's next-best sibling; HedgeWins counts how many of them
@@ -55,6 +69,9 @@ type Report struct {
 	// reflected in Bytes/Messages/TotalSteps. Zero with hedging disabled.
 	Hedges, HedgeWins int64
 }
+
+// BatchReport is the Report of a ParBoXBatch round (Answers filled).
+type BatchReport = Report
 
 // Engine evaluates queries over one fragmented document hosted on a
 // cluster. It is the coordinating site of the paper: it holds the source
@@ -80,22 +97,18 @@ type Engine struct {
 	// other live replicas (see tier.go). Set during setup (SetTier); read
 	// without synchronization.
 	tier Tier
-	// planned marks a per-round engine copy whose st already came from
-	// tier.PlanRound, so nested dispatches do not re-plan.
-	planned bool
-	// retryPol shapes the per-query retry discipline: round retries sleep
-	// with exponential backoff and full jitter, and round- plus job-level
-	// retries together draw from one budget per Run. Zero value = package
-	// defaults. Set during setup (SetRetryPolicy); read without
-	// synchronization.
+	// retryPol shapes the per-query retry discipline (see withRetry).
+	// Zero value = package defaults. Set during setup (SetRetryPolicy);
+	// read without synchronization.
 	retryPol backoff.Policy
-	// rr is the live retry budget of the Run this engine copy serves
-	// (nil on engines used outside Run — direct algorithm calls keep the
-	// old unbudgeted failover behavior, bounded by the exclusion set).
+	// rr is the live retry budget of the query this engine copy serves:
+	// withRetry sets it on the per-query copy whose st it planned through
+	// the tier, so non-nil also means "already inside a query" to nested
+	// dispatches. Always nil without a tier.
 	rr *backoff.Retry
 }
 
-// SetRetryPolicy shapes the engine's retry discipline: every Run gets a
+// SetRetryPolicy shapes the engine's retry discipline: every query gets a
 // fresh budget from the policy, consumed by both whole-round retries
 // (which sleep, exponential backoff + full jitter, floored at any
 // server-provided retry-after hint) and job-level failover re-placements
@@ -165,40 +178,6 @@ func (e *Engine) Coordinator() frag.SiteID { return e.coord }
 // recorder, and the state FullDistParBoX caches at the sites is keyed by a
 // unique run key.
 func (e *Engine) Run(ctx context.Context, algo Algorithm, prog *xpath.Program) (Report, error) {
-	// One retry budget per query, shared between the round retries below
-	// and job-level failover inside the rounds.
-	run := *e
-	run.rr = backoff.New(e.retryPol)
-	rep, err := run.runOnce(ctx, algo, prog)
-	if err == nil || e.tier == nil {
-		return rep, err
-	}
-	// Round-level failover: a failed round re-probes site health and
-	// re-plans onto the surviving replicas. This covers the algorithms
-	// without job-level failover (nested hops the coordinator never
-	// observed directly, e.g. FullDist's resolve cascade). Retries back
-	// off with jitter — immediate re-runs against a saturated or flapping
-	// site are the retry storms this exists to prevent — and honor any
-	// shed's retry-after hint as the delay floor.
-	for attempt := 1; retryableRoundErr(err) && ctx.Err() == nil; attempt++ {
-		d, ok := run.rr.Next(cluster.RetryAfterHint(err))
-		if !ok {
-			break // per-query budget spent
-		}
-		if backoff.Sleep(ctx, d) != nil {
-			break
-		}
-		e.tier.Recheck(ctx)
-		rep, err = run.runOnce(ctx, algo, prog)
-		if err == nil {
-			rep.Failovers += int64(attempt)
-			return rep, nil
-		}
-	}
-	return rep, err
-}
-
-func (e *Engine) runOnce(ctx context.Context, algo Algorithm, prog *xpath.Program) (Report, error) {
 	switch algo {
 	case AlgoParBoX:
 		return e.ParBoX(ctx, prog)
@@ -225,7 +204,6 @@ type recorder struct {
 	steps       int64
 	cacheHits   int64
 	cacheMisses int64
-	failovers   int64
 	hedges      int64
 	hedgeWins   int64
 	visits      map[frag.SiteID]int64
@@ -246,14 +224,6 @@ func (r *recorder) record(from, to frag.SiteID, cost cluster.CallCost, resp clus
 	}
 }
 
-// failover counts one job-level failover (a scatter job re-placed onto
-// another replica).
-func (r *recorder) failover() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.failovers++
-}
-
 // hedge counts one speculative duplicate launched; hedgeWin counts one
 // whose answer beat the primary's.
 func (r *recorder) hedge() {
@@ -268,47 +238,22 @@ func (r *recorder) hedgeWin() {
 	r.hedgeWins++
 }
 
-// accounting is a consistent copy of a recorder's counters; every report
-// type fills its common fields from one snapshot so the copy rules live
-// in a single place.
-type accounting struct {
-	bytes       int64
-	messages    int64
-	steps       int64
-	cacheHits   int64
-	cacheMisses int64
-	failovers   int64
-	hedges      int64
-	hedgeWins   int64
-	visits      map[frag.SiteID]int64
-}
-
-func (r *recorder) snapshot() accounting {
+// fill copies the counters into a report — the one rule by which
+// accounting reaches any Report.
+func (r *recorder) fill(rep *Report) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	visits := make(map[frag.SiteID]int64, len(r.visits))
+	rep.Bytes = r.bytes
+	rep.Messages = r.messages
+	rep.TotalSteps = r.steps
+	rep.CacheHits = r.cacheHits
+	rep.CacheMisses = r.cacheMisses
+	rep.Hedges = r.hedges
+	rep.HedgeWins = r.hedgeWins
+	rep.Visits = make(map[frag.SiteID]int64, len(r.visits))
 	for k, v := range r.visits {
-		visits[k] = v
+		rep.Visits[k] = v
 	}
-	return accounting{
-		bytes: r.bytes, messages: r.messages, steps: r.steps,
-		cacheHits: r.cacheHits, cacheMisses: r.cacheMisses,
-		failovers: r.failovers, hedges: r.hedges, hedgeWins: r.hedgeWins,
-		visits: visits,
-	}
-}
-
-func (r *recorder) fill(rep *Report) {
-	a := r.snapshot()
-	rep.Bytes = a.bytes
-	rep.Messages = a.messages
-	rep.TotalSteps = a.steps
-	rep.CacheHits = a.cacheHits
-	rep.CacheMisses = a.cacheMisses
-	rep.Failovers = a.failovers
-	rep.Hedges = a.hedges
-	rep.HedgeWins = a.hedgeWins
-	rep.Visits = a.visits
 }
 
 // call is a thin wrapper recording accounting (and, with a tier
@@ -329,149 +274,50 @@ func (e *Engine) call(ctx context.Context, rec *recorder, to frag.SiteID, req cl
 	return resp, cost, nil
 }
 
-// evalQualJob builds one stage-2 scatter job: ask site for the triplets
-// of ids. It carries the fragment list, so a failed job can fail over.
-func (e *Engine) evalQualJob(prog *xpath.Program, fp uint64, site frag.SiteID, ids []xmltree.FragmentID) scatterJob[[]fragTriplet] {
-	return scatterJob[[]fragTriplet]{
-		to:    site,
-		frags: ids,
-		req: cluster.Request{
-			Kind:    KindEvalQual,
-			Payload: encodeEvalQualReq(evalQualReq{prog: prog, ids: ids, fp: fp}),
-		},
-		dec: func(resp cluster.Response, _ cluster.CallCost) ([]fragTriplet, error) {
-			return decodeEvalQualResp(resp.Payload)
-		},
-	}
-}
-
-// failoverRetry returns scatterWith's in-flight failover hook (nil
-// without a tier): a job that failed at the transport re-places its
-// fragments onto other live replicas through the tier, excluding every
-// site that already failed this round. When some fragment has no replica
-// left, the round fails with (a wrapped) ErrFragmentUnavailable — the
-// loud-degradation contract. The hook runs serially on the round's
-// collector goroutine, so the exclusion set needs no lock.
-func (e *Engine) failoverRetry(rec *recorder, mk func(site frag.SiteID, ids []xmltree.FragmentID) scatterJob[[]fragTriplet]) scatterRetry[[]fragTriplet] {
-	return tierRetry(e.tier, e.rr, rec, mk)
-}
-
-// hedgeHook is tierHedge bound to this engine's tier, for the triplet
-// fan-outs (nil without a hedging-capable tier).
-func (e *Engine) hedgeHook(mk func(site frag.SiteID, ids []xmltree.FragmentID) scatterJob[[]fragTriplet]) scatterHedge[[]fragTriplet] {
-	return tierHedge(e.tier, mk)
-}
-
-// tierRetry is failoverRetry generalized over the job result type, for
-// fan-outs that carry something other than triplets (NaiveCentralized
-// fetches whole fragments). Sound only when the work is a pure function
-// of the fragment list — any replica can serve it; stages that depend on
-// per-site cached run state (FullDist's stage 2, the two-pass
-// propagation levels) must not re-place jobs and instead recover by
-// round retry.
-//
-// Re-placements draw on the query's shared retry budget (rr) but never
-// sleep — the hook runs on the round's collector goroutine, and the
-// re-placed job targets a different site, so the backoff delay belongs
-// to same-site retries only. With the budget spent the hook declines and
-// the original error stands; nil rr (a direct algorithm call outside
-// Run) keeps the unbudgeted behavior, naturally bounded by the growing
-// exclusion set.
-func tierRetry[T any](t Tier, rr *backoff.Retry, rec *recorder, mk func(site frag.SiteID, ids []xmltree.FragmentID) scatterJob[T]) scatterRetry[T] {
-	if t == nil {
-		return nil
-	}
-	excluded := make(map[frag.SiteID]bool)
-	return func(j scatterJob[T], _ error) ([]scatterJob[T], error) {
-		if len(j.frags) == 0 {
-			return nil, nil
-		}
-		if rr != nil {
-			if _, ok := rr.Next(0); !ok {
-				return nil, nil
-			}
-		}
-		excluded[j.to] = true
-		placement, err := t.Reassign(j.frags, excluded)
-		if err != nil {
-			// Exhausting this round's exclusion set does not mean the
-			// replicas are gone — a shed means "try later" and a flake may
-			// pass next time. With a retry budget, decline: the original
-			// transport error stands, and if it is retryable the round-level
-			// retry backs off (honoring any retry-after hint), re-probes and
-			// re-plans from scratch. Genuinely dead replicas still fail
-			// loudly — the re-planned round sees them Down and fails with
-			// ErrFragmentUnavailable at planning. Without a budget (legacy
-			// direct algorithm calls) keep the immediate loud failure.
-			if rr != nil {
-				return nil, nil
-			}
-			return nil, err
-		}
-		sites := make([]frag.SiteID, 0, len(placement))
-		for s := range placement {
-			sites = append(sites, s)
-		}
-		sort.Slice(sites, func(a, b int) bool { return sites[a] < sites[b] })
-		jobs := make([]scatterJob[T], 0, len(sites))
-		for _, s := range sites {
-			jobs = append(jobs, mk(s, placement[s]))
-		}
-		rec.failover()
-		return jobs, nil
-	}
-}
-
 // ParBoX is Algorithm ParBoX (Fig. 3a): broadcast the QList to every site
 // holding fragments (each visited exactly once), collect the triplets
 // computed in parallel, and solve the Boolean equation system over the
 // source tree.
 func (e *Engine) ParBoX(ctx context.Context, prog *xpath.Program) (Report, error) {
-	e, err := e.forRound()
-	if err != nil {
-		return Report{}, err
-	}
-	start := time.Now()
-	rec := newRecorder()
+	return e.withRetry(ctx, func(e *Engine) (Report, error) {
+		r := e.newRound()
+		defer r.release()
+		if err := r.gather(ctx, prog, e.fingerprint(prog), e.st.Fragments()); err != nil {
+			return Report{}, err
+		}
+		ans, work, err := eval.Solve(e.st, r.triplets, prog)
+		if err != nil {
+			return Report{}, err
+		}
+		r.solved(work)
+		rep := r.report(AlgoParBoX)
+		rep.Answer = ans
+		return rep, nil
+	})
+}
 
-	// Stage 1: identify the participating sites from the source tree.
-	sites := e.st.Sites()
-
-	// Stage 2: evalQual on every site, through the scatter/gather layer.
-	fp := e.fingerprint(prog)
-	mk := func(site frag.SiteID, ids []xmltree.FragmentID) scatterJob[[]fragTriplet] {
-		return e.evalQualJob(prog, fp, site, ids)
-	}
-	jobs := make([]scatterJob[[]fragTriplet], len(sites))
-	for i, site := range sites {
-		jobs[i] = mk(site, e.st.FragmentsAt(site))
-	}
-	perSite, simStage2, err := scatterHedged(ctx, e.tr, e.coord, e.maxInflight, rec, jobs, e.obs(), e.failoverRetry(rec, mk), e.hedgeHook(mk))
-	if err != nil {
-		return Report{}, err
-	}
-	arena := eval.GetArena()
-	defer eval.PutArena(arena)
-	triplets := make(map[xmltree.FragmentID]eval.Triplet, e.st.Count())
-	if err := internTriplets(arena, perSite, triplets); err != nil {
-		return Report{}, err
-	}
-
-	// Stage 3: solve the equation system at the coordinator.
-	ans, work, err := eval.Solve(e.st, triplets, prog)
-	if err != nil {
-		return Report{}, err
-	}
-	rep := Report{
-		Algorithm: AlgoParBoX,
-		Answer:    ans,
-		SimTime:   simStage2 + e.cost.ComputeTime(work),
-		Wall:      time.Since(start),
-		SolveWork: work,
-	}
-	rec.steps += work
-	rec.fill(&rep)
-	return rep, nil
+// ParBoXBatch answers a whole batch of Boolean queries with a single
+// ParBoX round: one shared QList (compiled with xpath.CompileBatch), one
+// visit per site, one equation solve. For a dissemination system with N
+// overlapping subscriptions, this costs one traversal of each fragment
+// instead of N — the per-node work is the shared program's size, which
+// hash-consing keeps below the sum of the individual sizes.
+func (e *Engine) ParBoXBatch(ctx context.Context, prog *xpath.Program, roots []int32) (BatchReport, error) {
+	return e.withRetry(ctx, func(e *Engine) (Report, error) {
+		r := e.newRound()
+		defer r.release()
+		if err := r.gather(ctx, prog, e.fingerprint(prog), e.st.Fragments()); err != nil {
+			return Report{}, err
+		}
+		answers, work, err := eval.SolveMulti(e.st, r.triplets, prog, roots)
+		if err != nil {
+			return Report{}, err
+		}
+		r.solved(work)
+		rep := r.report(AlgoParBoX)
+		rep.Answers = answers
+		return rep, nil
+	})
 }
 
 // NaiveCentralized collects every fragment at the coordinating site and
@@ -479,10 +325,10 @@ func (e *Engine) ParBoX(ctx context.Context, prog *xpath.Program) (Report, error
 // Fetches fan out in parallel, but the modeled time charges all transfers
 // to the coordinator's link, which is the bottleneck resource.
 func (e *Engine) NaiveCentralized(ctx context.Context, prog *xpath.Program) (Report, error) {
-	e, err := e.forRound()
-	if err != nil {
-		return Report{}, err
-	}
+	return e.withRetry(ctx, func(e *Engine) (Report, error) { return e.naiveCentralized(ctx, prog) })
+}
+
+func (e *Engine) naiveCentralized(ctx context.Context, prog *xpath.Program) (Report, error) {
 	start := time.Now()
 	rec := newRecorder()
 	sites := e.st.Sites()
@@ -525,7 +371,7 @@ func (e *Engine) NaiveCentralized(ctx context.Context, prog *xpath.Program) (Rep
 		}
 		jobs = append(jobs, mkFetch(site, ids))
 	}
-	fetched, _, err := scatterHedged(ctx, e.tr, e.coord, e.maxInflight, rec, jobs, e.obs(), tierRetry(e.tier, e.rr, rec, mkFetch), tierHedge(e.tier, mkFetch))
+	fetched, _, err := scatterHedged(ctx, e.tr, e.coord, e.maxInflight, rec, jobs, e.obs(), tierRetry(e.tier, e.rr, mkFetch), tierHedge(e.tier, mkFetch))
 	if err != nil {
 		return Report{}, err
 	}
@@ -578,10 +424,10 @@ func (e *Engine) localFragment(id xmltree.FragmentID) (*frag.Fragment, error) {
 // sub-fragments' sites in turn, so a site is visited once per fragment it
 // stores and nothing runs in parallel.
 func (e *Engine) NaiveDistributed(ctx context.Context, prog *xpath.Program) (Report, error) {
-	e, err := e.forRound()
-	if err != nil {
-		return Report{}, err
-	}
+	return e.withRetry(ctx, func(e *Engine) (Report, error) { return e.naiveDistributed(ctx, prog) })
+}
+
+func (e *Engine) naiveDistributed(ctx context.Context, prog *xpath.Program) (Report, error) {
 	start := time.Now()
 	rec := newRecorder()
 	rootEntry, ok := e.st.Entry(e.st.Root())
@@ -637,25 +483,18 @@ func resolvedAnswer(t eval.Triplet, prog *xpath.Program, algo Algorithm) (bool, 
 // NaiveCentralized past the tipping point (pathological fragmentations
 // where shipping formulas costs more than shipping the data).
 func (e *Engine) Hybrid(ctx context.Context, prog *xpath.Program) (Report, error) {
-	e, err0 := e.forRound()
-	if err0 != nil {
-		return Report{}, err0
-	}
-	cardF := e.st.Count()
-	sizeT := e.st.TotalSize()
-	q := prog.QListSize()
-	var rep Report
-	var err error
-	if cardF*q < sizeT {
-		rep, err = e.ParBoX(ctx, prog)
-	} else {
-		rep, err = e.NaiveCentralized(ctx, prog)
-	}
-	if err != nil {
-		return rep, err
-	}
-	rep.Algorithm = AlgoHybrid
-	return rep, nil
+	return e.withRetry(ctx, func(e *Engine) (Report, error) {
+		run := e.NaiveCentralized
+		if e.st.Count()*prog.QListSize() < e.st.TotalSize() {
+			run = e.ParBoX
+		}
+		rep, err := run(ctx, prog)
+		if err != nil {
+			return Report{}, err
+		}
+		rep.Algorithm = AlgoHybrid
+		return rep, nil
+	})
 }
 
 // FullDist is FullDistParBoX (Section 4): stage 2 caches the triplets at
@@ -663,10 +502,10 @@ func (e *Engine) Hybrid(ctx context.Context, prog *xpath.Program) (Report, error
 // runs evalDistrST — triplets are unified site-by-site up the source tree,
 // so no variables ever travel and the coordinator is no bottleneck.
 func (e *Engine) FullDist(ctx context.Context, prog *xpath.Program) (Report, error) {
-	e, err := e.forRound()
-	if err != nil {
-		return Report{}, err
-	}
+	return e.withRetry(ctx, func(e *Engine) (Report, error) { return e.fullDist(ctx, prog) })
+}
+
+func (e *Engine) fullDist(ctx context.Context, prog *xpath.Program) (Report, error) {
 	start := time.Now()
 	rec := newRecorder()
 	// Zero-padded so the key's wire length is independent of how many
@@ -692,9 +531,9 @@ func (e *Engine) FullDist(ctx context.Context, prog *xpath.Program) (Report, err
 			dec: func(cluster.Response, cluster.CallCost) (struct{}, error) { return struct{}{}, nil },
 		}
 	}
-	_, simStage2, err := scatterWith(ctx, e.tr, e.coord, e.maxInflight, rec, jobs, e.obs(), nil)
+	_, simStage2, err := scatter(ctx, e.tr, e.coord, e.maxInflight, rec, jobs, e.obs())
 	if err != nil {
-		e.cleanup(ctx, rec, runKey)
+		e.cleanup(ctx, runKey)
 		return Report{}, err
 	}
 
@@ -706,12 +545,12 @@ func (e *Engine) FullDist(ctx context.Context, prog *xpath.Program) (Report, err
 		Payload: encodeResolveReq(runKey, e.st.Root()),
 	})
 	if err != nil {
-		e.cleanup(ctx, rec, runKey)
+		e.cleanup(ctx, runKey)
 		return Report{}, err
 	}
 	t, stats, err := decodeResolveResp(resp.Payload)
 	if err != nil {
-		e.cleanup(ctx, rec, runKey)
+		e.cleanup(ctx, runKey)
 		return Report{}, err
 	}
 	// No cleanup on success: run states self-destruct once each site's
@@ -741,7 +580,7 @@ func (e *Engine) FullDist(ctx context.Context, prog *xpath.Program) (Report, err
 // asynchronously and best effort: failures must not mask the result,
 // and one site's failure must not stop the others' cleanup (so no
 // cancel-on-first-error scatter here).
-func (e *Engine) cleanup(ctx context.Context, rec *recorder, runKey string) {
+func (e *Engine) cleanup(ctx context.Context, runKey string) {
 	sites := e.st.Sites()
 	replies := make([]<-chan cluster.Reply, len(sites))
 	for i, site := range sites {
@@ -761,74 +600,30 @@ func (e *Engine) cleanup(ctx context.Context, rec *recorder, runKey string) {
 // descends one level. Within a step sites work in parallel; steps are
 // sequential.
 func (e *Engine) Lazy(ctx context.Context, prog *xpath.Program) (Report, error) {
-	e, err := e.forRound()
-	if err != nil {
-		return Report{}, err
-	}
-	start := time.Now()
-	rec := newRecorder()
-	arena := eval.GetArena()
-	defer eval.PutArena(arena)
-	triplets := make(map[xmltree.FragmentID]eval.Triplet, e.st.Count())
-	var simTotal time.Duration
-	var solveWork int64
-
-	levels := e.st.Levels()
-	var steps [][]xmltree.FragmentID
-	if len(levels) >= 2 {
-		first := append(append([]xmltree.FragmentID(nil), levels[0]...), levels[1]...)
-		steps = append([][]xmltree.FragmentID{first}, levels[2:]...)
-	} else {
-		steps = levels
-	}
-	for _, level := range steps {
-		// Group this level's fragments by site; each site evaluates its
-		// fragments of this level only. Sites sort for a deterministic
-		// scatter order.
-		yieldSites := make(map[frag.SiteID][]xmltree.FragmentID)
-		for _, id := range level {
-			entry, _ := e.st.Entry(id)
-			yieldSites[entry.Site] = append(yieldSites[entry.Site], id)
+	return e.withRetry(ctx, func(e *Engine) (Report, error) {
+		r := e.newRound()
+		defer r.release()
+		steps := e.st.Levels()
+		if len(steps) >= 2 {
+			first := append(append([]xmltree.FragmentID(nil), steps[0]...), steps[1]...)
+			steps = append([][]xmltree.FragmentID{first}, steps[2:]...)
 		}
-		levelSites := make([]frag.SiteID, 0, len(yieldSites))
-		for site := range yieldSites {
-			levelSites = append(levelSites, site)
-		}
-		sort.Slice(levelSites, func(i, j int) bool { return levelSites[i] < levelSites[j] })
-		mk := func(site frag.SiteID, ids []xmltree.FragmentID) scatterJob[[]fragTriplet] {
-			return e.evalQualJob(prog, 0, site, ids)
-		}
-		jobs := make([]scatterJob[[]fragTriplet], len(levelSites))
-		for i, site := range levelSites {
-			jobs[i] = mk(site, yieldSites[site])
-		}
-		perSite, simLevel, err := scatterHedged(ctx, e.tr, e.coord, e.maxInflight, rec, jobs, e.obs(), e.failoverRetry(rec, mk), e.hedgeHook(mk))
-		if err != nil {
-			return Report{}, err
-		}
-		if err := internTriplets(arena, perSite, triplets); err != nil {
-			return Report{}, err
-		}
-		simTotal += simLevel
-
-		ans, work, resolved, err := eval.SolvePartial(e.st, triplets, prog)
-		solveWork += work
-		simTotal += e.cost.ComputeTime(work)
-		if err != nil {
-			return Report{}, err
-		}
-		if resolved {
-			rep := Report{
-				Algorithm: AlgoLazy,
-				Answer:    ans,
-				SimTime:   simTotal,
-				Wall:      time.Since(start),
-				SolveWork: solveWork,
+		for _, level := range steps {
+			// Each site evaluates its fragments of this level only.
+			if err := r.gather(ctx, prog, 0, level); err != nil {
+				return Report{}, err
 			}
-			rec.steps += solveWork
-			rec.fill(&rep)
-			return rep, nil
+			ans, work, resolved, err := eval.SolvePartial(e.st, r.triplets, prog)
+			r.solved(work)
+			if err != nil {
+				return Report{}, err
+			}
+			if resolved {
+				rep := r.report(AlgoLazy)
+				rep.Answer = ans
+				return rep, nil
+			}
 		}
-	}
-	return Report{}, fmt.Errorf("core: LazyParBoX exhausted all levels without resolving (inconsistent source tree?)")
+		return Report{}, fmt.Errorf("core: LazyParBoX exhausted all levels without resolving (inconsistent source tree?)")
+	})
 }

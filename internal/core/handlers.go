@@ -47,8 +47,12 @@ func RegisterHandlers(site *cluster.Site, tr cluster.Transport, cost cluster.Cos
 	site.Handle(KindCleanup, handleCleanup)
 	site.Handle(KindFetchFragments, handleFetchFragments)
 	site.Handle(KindEvalFragDist, handleEvalFragDist(tr, cost))
-	site.Handle(KindSelect, handleSelect)
-	site.Handle(KindCount, handleCount)
+	site.Handle(KindSelect, handlePass2(func(res eval.SelectResult) []byte {
+		return encodeSelectResp(res.Selected, res.Forward)
+	}))
+	site.Handle(KindCount, handlePass2(func(res eval.SelectResult) []byte {
+		return encodeCountResp(int64(len(res.Selected)), res.Forward)
+	}))
 	site.SetAdmissionEstimator(admissionEstimate(site))
 }
 

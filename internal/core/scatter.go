@@ -34,9 +34,24 @@ type scatterJob[T any] struct {
 	req cluster.Request
 	dec func(resp cluster.Response, cost cluster.CallCost) (T, error)
 	// frags lists the fragments this job serves, for failover re-planning
-	// (scatterWith's retry hook); empty for jobs that are not per-fragment
+	// (scatterHedged's retry hook); empty for jobs that are not per-fragment
 	// work.
 	frags []xmltree.FragmentID
+}
+
+// jobsBySite builds one job per site of a placement, in site order — the
+// deterministic scatter order of per-site rounds.
+func jobsBySite[T any](placement map[frag.SiteID][]xmltree.FragmentID, mk func(site frag.SiteID, ids []xmltree.FragmentID) scatterJob[T]) []scatterJob[T] {
+	sites := make([]frag.SiteID, 0, len(placement))
+	for site := range placement {
+		sites = append(sites, site)
+	}
+	sort.Slice(sites, func(i, j int) bool { return sites[i] < sites[j] })
+	jobs := make([]scatterJob[T], len(sites))
+	for i, site := range sites {
+		jobs[i] = mk(site, placement[site])
+	}
+	return jobs
 }
 
 // tierObs is the serving tier's per-call observation hook: called with
@@ -45,13 +60,12 @@ type scatterJob[T any] struct {
 // observation.
 type tierObs func(to frag.SiteID) func(error)
 
-// scatterRetry is scatterWith's failover hook: given a job that failed at
+// scatterRetry is scatterHedged's failover hook: given a job that failed at
 // the transport (site dead, timeout — not a decode error), return the
-// replacement jobs that re-place its fragments on other replicas. A
-// non-nil error fails the round with that error (no replica left); an
+// replacement jobs that re-place its fragments on other replicas. An
 // empty replacement set declines, letting the original error stand. The
 // hook runs serially on the round's collector goroutine.
-type scatterRetry[T any] func(j scatterJob[T], err error) ([]scatterJob[T], error)
+type scatterRetry[T any] func(j scatterJob[T]) []scatterJob[T]
 
 // hedgePlan is one armed hedge: the equivalent job on the next-best
 // replica, the delay to arm the hedge timer with (the primary site's
@@ -87,30 +101,30 @@ type scatterHedge[T any] func(j scatterJob[T]) (hedgePlan[T], bool)
 //     so callers that fold them are deterministic regardless of
 //     completion order;
 //   - accounting goes to rec (nil to skip) exactly as Engine.call
-//     records it, and the returned duration is the round's modeled
-//     makespan: the max of the successful calls' cost.Total().
-func scatter[T any](ctx context.Context, tr cluster.Transport, from frag.SiteID, limit int, rec *recorder, jobs []scatterJob[T]) ([]T, time.Duration, error) {
-	return scatterWith(ctx, tr, from, limit, rec, jobs, nil, nil)
+//     records it, obs (nil to skip) observes every call for the serving
+//     tier's passive health tracking, and the returned duration is the
+//     round's modeled makespan: the max of the successful calls'
+//     cost.Total().
+//
+// It is for the stages whose jobs are bound to one site — they read run
+// state that site cached — so a failed job has nowhere else to go; pure
+// jobs take scatterHedged's hooks.
+func scatter[T any](ctx context.Context, tr cluster.Transport, from frag.SiteID, limit int, rec *recorder,
+	jobs []scatterJob[T], obs tierObs) ([]T, time.Duration, error) {
+	return scatterHedged(ctx, tr, from, limit, rec, jobs, obs, nil, nil)
 }
 
-// scatterWith is scatter plus the serving tier's hooks: obs observes
-// every call for passive health tracking, and retry turns a transport
-// failure into replacement jobs on other replicas (in-flight failover).
-// With a retry hook the job list is dynamic, so results merge in launch
-// order (originals first, replacements appended) — the serving callers
-// fold triplets into a map and are order-insensitive; without one the
-// out[i]-is-job-i contract of scatter holds exactly.
-func scatterWith[T any](ctx context.Context, tr cluster.Transport, from frag.SiteID, limit int, rec *recorder,
-	jobs []scatterJob[T], obs tierObs, retry scatterRetry[T]) ([]T, time.Duration, error) {
-	return scatterHedged(ctx, tr, from, limit, rec, jobs, obs, retry, nil)
-}
-
-// scatterHedged is scatterWith plus the hedging hook: jobs the hook
-// accepts race a speculative duplicate on another replica once the
-// primary has been quiet past the hedge delay. The first answer wins and
-// is the only one recorded (a hedge must never double-count bytes,
-// messages or steps); the loser is cancelled and its outcome feeds only
-// the tier's health observation (where cancellation is neutral).
+// scatterHedged is scatter plus the serving tier's two hooks for pure
+// jobs. retry turns a transport failure into replacement jobs on other
+// replicas (in-flight failover); the job list is then dynamic, so results
+// merge in launch order (originals first, replacements appended) — the
+// serving callers fold triplets into a map and are order-insensitive.
+// hedge races jobs it accepts against a speculative duplicate on another
+// replica once the primary has been quiet past the hedge delay. The
+// first answer wins and is the only one recorded (a hedge must never
+// double-count bytes, messages or steps); the loser is cancelled and its
+// outcome feeds only the tier's health observation (where cancellation
+// is neutral).
 func scatterHedged[T any](ctx context.Context, tr cluster.Transport, from frag.SiteID, limit int, rec *recorder,
 	jobs []scatterJob[T], obs tierObs, retry scatterRetry[T], hedge scatterHedge[T]) ([]T, time.Duration, error) {
 	n := len(jobs)
@@ -275,14 +289,7 @@ func scatterHedged[T any](ctx context.Context, tr cluster.Transport, from frag.S
 			continue
 		}
 		if retry != nil && a.transport && !failed && ctx.Err() == nil && !errors.Is(a.err, context.Canceled) {
-			repl, rerr := retry(a.job, a.err)
-			if rerr != nil {
-				errs[a.idx] = rerr
-				failed = true
-				cancel()
-				continue
-			}
-			if len(repl) > 0 {
+			if repl := retry(a.job); len(repl) > 0 {
 				for _, rj := range repl {
 					launch(next, rj)
 					next++

@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
-	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/eval"
@@ -19,151 +18,144 @@ import (
 // its sub-fragments.
 const KindSelect = "parbox.select"
 
-// SelectReport is the outcome of a distributed selection query (Section 8
-// extension: data-selection XPath with partial evaluation).
-type SelectReport struct {
-	// Paths holds, per fragment, the selected nodes as child-index paths
-	// from the fragment root.
-	Paths map[xmltree.FragmentID][][]int
-	// Count is the total number of selected nodes.
-	Count int
-	// Accounting, as in Report.
-	SimTime    time.Duration
-	Wall       time.Duration
-	Bytes      int64
-	Messages   int64
-	TotalSteps int64
-	Visits     map[frag.SiteID]int64
-	// Failovers counts failed site calls re-placed onto surviving
-	// replicas by the serving tier (always zero without one).
-	Failovers int64
-	// Hedges/HedgeWins count speculative duplicate calls issued and won
-	// (see Report; zero with hedging disabled).
-	Hedges, HedgeWins int64
-}
+// KindCount is the aggregation variant of pass 2: propagate the selection
+// automaton but return only the per-fragment match count. Section 8 of
+// the paper singles out "numerical and aggregating computations over
+// large data sets" as a natural beneficiary of partial evaluation — the
+// response shrinks from a path list to a single integer, so the traffic
+// bound drops back to O(|q|·card(F)) regardless of how many nodes match.
+const KindCount = "parbox.count"
 
-// SelectParBoX evaluates a data-selection path query:
+// SelectParBoX evaluates a data-selection path query (Section 8
+// extension: data-selection XPath with partial evaluation):
 //
-//	pass 1 — ordinary ParBoX stage 2 (each site visited once) plus a full
-//	         solve, yielding the constant V/DV vectors of every fragment;
+//	pass 1 — an ordinary ParBoX round (each site visited once) solved in
+//	         full, yielding the constant V/DV vectors of every fragment;
 //	pass 2 — top-down NFA propagation fragment by fragment down the source
 //	         tree; fragments no live state reaches are skipped entirely.
 //
-// With the per-fragment pass-2 scheduling used here a site is visited at
-// most 1 + card(F_Si) times; the paper's Section 8 remark sketches an "at
+// Report.Paths holds the selected nodes, Report.Count their number. With
+// the per-fragment pass-2 scheduling used here a site is visited at most
+// 1 + card(F_Si) times; the paper's Section 8 remark sketches an "at
 // most twice" schedule, which batches pass 2 per site (see DESIGN.md).
-func (e *Engine) SelectParBoX(ctx context.Context, sp *xpath.SelectProgram) (SelectReport, error) {
-	e, err := e.forRound()
-	if err != nil {
-		return SelectReport{}, err
-	}
-	start := time.Now()
-	rec := newRecorder()
-
-	// Pass 1: collect triplets from every site, through the
-	// scatter/gather layer.
-	sites := e.st.Sites()
-	mk := func(site frag.SiteID, ids []xmltree.FragmentID) scatterJob[[]fragTriplet] {
-		return e.evalQualJob(sp.Bool, 0, site, ids)
-	}
-	jobs := make([]scatterJob[[]fragTriplet], len(sites))
-	for i, site := range sites {
-		jobs[i] = mk(site, e.st.FragmentsAt(site))
-	}
-	perSite, simPass1, err := scatterHedged(ctx, e.tr, e.coord, e.maxInflight, rec, jobs, e.obs(), e.failoverRetry(rec, mk), e.hedgeHook(mk))
-	if err != nil {
-		return SelectReport{}, err
-	}
-	vecs, solveWork, err := e.solveAll(perSite, sp.Bool)
-	if err != nil {
-		return SelectReport{}, err
-	}
-	rec.steps += solveWork
-	sim := simPass1 + e.cost.ComputeTime(solveWork)
-
-	// Pass 2: walk the source tree top-down, level by level; fragments at
-	// one level run in parallel, levels are sequential (states flow
-	// downward).
-	rep := SelectReport{Paths: make(map[xmltree.FragmentID][][]int)}
-	pending := map[xmltree.FragmentID]eval.Arrival{e.st.Root(): eval.StartArrival()}
-	spBytes := encodeSelectProgram(sp)
-	type selResult struct {
-		paths   [][]int
-		forward map[xmltree.FragmentID]eval.Arrival
-	}
-	for len(pending) > 0 {
-		ids := sortedFragmentIDs(pending)
-		jobs := make([]scatterJob[selResult], len(ids))
-		for i, id := range ids {
-			entry, ok := e.st.Entry(id)
-			if !ok {
-				return SelectReport{}, fmt.Errorf("core: fragment %d not in source tree", id)
-			}
-			// Ship the resolved vectors of this fragment's children only.
-			childVecs := make(map[xmltree.FragmentID]eval.BoolVecs, len(entry.Children))
-			for _, c := range entry.Children {
-				childVecs[c] = vecs[c]
-			}
-			jobs[i] = scatterJob[selResult]{
-				to: entry.Site,
-				req: cluster.Request{
-					Kind:    KindSelect,
-					Payload: encodeSelectReq(spBytes, id, pending[id], childVecs),
-				},
-				dec: func(resp cluster.Response, _ cluster.CallCost) (selResult, error) {
-					paths, fwd, err := decodeSelectResp(resp.Payload)
-					return selResult{paths: paths, forward: fwd}, err
-				},
-			}
-		}
-		level, simLevel, err := scatterWith(ctx, e.tr, e.coord, e.maxInflight, rec, jobs, e.obs(), nil)
-		if err != nil {
-			return SelectReport{}, err
-		}
-		next := make(map[xmltree.FragmentID]eval.Arrival)
-		for i, res := range level {
-			if len(res.paths) > 0 {
-				rep.Paths[ids[i]] = res.paths
-				rep.Count += len(res.paths)
-			}
-			for c, arr := range res.forward {
-				prev := next[c]
-				prev.States |= arr.States
-				prev.Sticky |= arr.Sticky
-				next[c] = prev
-			}
-		}
-		sim += simLevel
-		pending = next
-	}
-	rep.SimTime = sim
-	rep.Wall = time.Since(start)
-	a := rec.snapshot()
-	rep.Bytes = a.bytes
-	rep.Messages = a.messages
-	rep.TotalSteps = a.steps
-	rep.Visits = a.visits
-	rep.Failovers = a.failovers
-	rep.Hedges = a.hedges
-	rep.HedgeWins = a.hedgeWins
-	return rep, nil
+func (e *Engine) SelectParBoX(ctx context.Context, sp *xpath.SelectProgram) (Report, error) {
+	return e.twoPass(ctx, sp, KindSelect)
 }
 
-// handleSelect is the site side of pass 2.
-func handleSelect(_ context.Context, site *cluster.Site, req cluster.Request) (cluster.Response, error) {
-	sp, id, arr, childVecs, err := decodeSelectReq(req.Payload)
-	if err != nil {
-		return cluster.Response{}, err
+// CountParBoX counts the nodes a path query selects, without materializing
+// their identities anywhere: SelectParBoX whose pass 2 returns one integer
+// per fragment. Report.Count is the total, Report.PerSite its breakdown.
+func (e *Engine) CountParBoX(ctx context.Context, sp *xpath.SelectProgram) (Report, error) {
+	return e.twoPass(ctx, sp, KindCount)
+}
+
+// fragSelection is one fragment's pass-2 outcome at the coordinator: the
+// selected paths (KindSelect) or only their number (KindCount), and the
+// arrivals forwarded to its sub-fragments.
+type fragSelection struct {
+	paths   [][]int
+	count   int64
+	forward map[xmltree.FragmentID]eval.Arrival
+}
+
+func (e *Engine) twoPass(ctx context.Context, sp *xpath.SelectProgram, kind string) (Report, error) {
+	return e.withRetry(ctx, func(e *Engine) (Report, error) {
+		r := e.newRound()
+		defer r.release()
+		if err := r.gather(ctx, sp.Bool, 0, e.st.Fragments()); err != nil {
+			return Report{}, err
+		}
+		vecs, work, err := eval.SolveAll(e.st, r.triplets, sp.Bool)
+		if err != nil {
+			return Report{}, err
+		}
+		r.solved(work)
+
+		dec := func(resp cluster.Response, _ cluster.CallCost) (fragSelection, error) {
+			if kind == KindCount {
+				count, fwd, err := decodeCountResp(resp.Payload)
+				return fragSelection{count: count, forward: fwd}, err
+			}
+			paths, fwd, err := decodeSelectResp(resp.Payload)
+			return fragSelection{paths: paths, count: int64(len(paths)), forward: fwd}, err
+		}
+		var paths map[xmltree.FragmentID][][]int
+		if kind == KindSelect {
+			paths = make(map[xmltree.FragmentID][][]int)
+		}
+		perSite := make(map[frag.SiteID]int64)
+		var total int64
+		// Pass 2: walk the source tree top-down, level by level; fragments at
+		// one level run in parallel, levels are sequential (states flow
+		// downward). The jobs read per-site state of this very round, so they
+		// take no failover hook; a failure here is recovered by round retry.
+		spBytes := encodeSelectProgram(sp)
+		pending := map[xmltree.FragmentID]eval.Arrival{e.st.Root(): eval.StartArrival()}
+		for len(pending) > 0 {
+			ids := sortedFragmentIDs(pending)
+			jobs := make([]scatterJob[fragSelection], len(ids))
+			for i, id := range ids {
+				entry, ok := e.st.Entry(id)
+				if !ok {
+					return Report{}, fmt.Errorf("core: fragment %d not in source tree", id)
+				}
+				// Ship the resolved vectors of this fragment's children only.
+				childVecs := make(map[xmltree.FragmentID]eval.BoolVecs, len(entry.Children))
+				for _, c := range entry.Children {
+					childVecs[c] = vecs[c]
+				}
+				jobs[i] = scatterJob[fragSelection]{
+					to:  entry.Site,
+					req: cluster.Request{Kind: kind, Payload: encodeSelectReq(spBytes, id, pending[id], childVecs)},
+					dec: dec,
+				}
+			}
+			level, simLevel, err := scatter(ctx, e.tr, e.coord, e.maxInflight, r.rec, jobs, e.obs())
+			if err != nil {
+				return Report{}, err
+			}
+			r.sim += simLevel
+			next := make(map[xmltree.FragmentID]eval.Arrival)
+			for i, res := range level {
+				if len(res.paths) > 0 {
+					paths[ids[i]] = res.paths
+				}
+				total += res.count
+				perSite[jobs[i].to] += res.count
+				for c, arr := range res.forward {
+					prev := next[c]
+					prev.States |= arr.States
+					prev.Sticky |= arr.Sticky
+					next[c] = prev
+				}
+			}
+			pending = next
+		}
+		rep := r.report(AlgoParBoX)
+		rep.Paths, rep.Count, rep.PerSite = paths, total, perSite
+		return rep, nil
+	})
+}
+
+// handlePass2 is the site side of pass 2, behind both KindSelect and
+// KindCount: propagate the arrival through one fragment. What leaves the
+// site — the selected paths or just their number — is encode's choice.
+func handlePass2(encode func(eval.SelectResult) []byte) cluster.Handler {
+	return func(_ context.Context, site *cluster.Site, req cluster.Request) (cluster.Response, error) {
+		sp, id, arr, childVecs, err := decodeSelectReq(req.Payload)
+		if err != nil {
+			return cluster.Response{}, err
+		}
+		fr, ok := site.Fragment(id)
+		if !ok {
+			return cluster.Response{}, fmt.Errorf("core: site %s does not store fragment %d", site.ID(), id)
+		}
+		res, err := eval.SelectFragment(fr.Root, sp, childVecs, arr)
+		if err != nil {
+			return cluster.Response{}, err
+		}
+		return cluster.Response{Payload: encode(res), Steps: res.Steps}, nil
 	}
-	fr, ok := site.Fragment(id)
-	if !ok {
-		return cluster.Response{}, fmt.Errorf("core: site %s does not store fragment %d", site.ID(), id)
-	}
-	res, err := eval.SelectFragment(fr.Root, sp, childVecs, arr)
-	if err != nil {
-		return cluster.Response{}, err
-	}
-	return cluster.Response{Payload: encodeSelectResp(res.Selected, res.Forward), Steps: res.Steps}, nil
 }
 
 // --- codecs ------------------------------------------------------------
@@ -337,15 +329,19 @@ func decodeSelectResp(buf []byte) ([][]int, map[xmltree.FragmentID]eval.Arrival,
 	return paths, forward, r.Done()
 }
 
-// solveAll is pass 1's third phase, shared by Select and Count: intern the
-// gathered triplets into one pooled arena and resolve every fragment's
-// V/DV vectors there.
-func (e *Engine) solveAll(perSite [][]fragTriplet, prog *xpath.Program) (map[xmltree.FragmentID]eval.BoolVecs, int64, error) {
-	arena := eval.GetArena()
-	defer eval.PutArena(arena)
-	triplets := make(map[xmltree.FragmentID]eval.Triplet, e.st.Count())
-	if err := internTriplets(arena, perSite, triplets); err != nil {
-		return nil, 0, err
+// countResp is the count followed by a selectResp that carries no paths.
+func encodeCountResp(count int64, forward map[xmltree.FragmentID]eval.Arrival) []byte {
+	dst := binary.AppendUvarint(nil, uint64(count))
+	dst = binary.AppendUvarint(dst, 0)
+	return appendForward(dst, forward)
+}
+
+func decodeCountResp(buf []byte) (int64, map[xmltree.FragmentID]eval.Arrival, error) {
+	r := wire.NewReader(buf, ErrBadMessage)
+	count := r.Uvarint()
+	if np := r.Uvarint(); np != 0 {
+		r.Fail("count response carries %d paths", np)
 	}
-	return eval.SolveAll(e.st, triplets, prog)
+	forward := forwardMap(&r)
+	return int64(count), forward, r.Done()
 }

@@ -97,7 +97,7 @@ func TestSelectParBoXOnFig2(t *testing.T) {
 		for _, n := range want {
 			wantSet[fmt.Sprint(absPath(n))] = true
 		}
-		if rep.Count != len(wantSet) {
+		if rep.Count != int64(len(wantSet)) {
 			t.Errorf("%q: selected %d, want %d", src, rep.Count, len(wantSet))
 			continue
 		}
@@ -221,7 +221,7 @@ func TestPropSelectDistributedMatchesOracle(t *testing.T) {
 		for _, n := range want {
 			wantSet[fmt.Sprint(absPath(n))] = true
 		}
-		if rep.Count != len(wantSet) {
+		if rep.Count != int64(len(wantSet)) {
 			t.Logf("%q: got %d, want %d (seed %d)", e.String(), rep.Count, len(wantSet), seed)
 			return false
 		}

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"time"
 
+	"repro/internal/backoff"
+	"repro/internal/cluster"
 	"repro/internal/frag"
 	"repro/internal/xmltree"
 )
@@ -87,33 +89,105 @@ func tierHedge[T any](t Tier, mk func(site frag.SiteID, ids []xmltree.FragmentID
 	}
 }
 
-// SetTier attaches a serving tier: from now on every run plans its own
-// source tree through the tier (per-round replica routing) and failed
-// scatter jobs fail over to other live replicas. Call during setup,
+// SetTier attaches a serving tier: from now on every query plans its own
+// source tree through the tier (per-round replica routing), failed
+// scatter jobs fail over to other live replicas and failed rounds are
+// retried (see withRetry). Call during setup,
 // before the engine serves; nil detaches.
 func (e *Engine) SetTier(t Tier) { e.tier = t }
 
 // Tier returns the attached serving tier (nil for static placement).
 func (e *Engine) Tier() Tier { return e.tier }
 
-// forRound returns the engine to run one round with: with a tier
-// attached, a shallow copy bound to a freshly planned source tree
-// (engines are cheap per-run views, so the copy is idiomatic); without
-// one — or when this engine already IS a per-round copy — the engine
-// itself. Every public algorithm entry calls it first, so nested
-// dispatches (Hybrid → ParBoX) do not double-plan.
-func (e *Engine) forRound() (*Engine, error) {
-	if e.tier == nil || e.planned {
-		return e, nil
+// withRetry is the engine's one retry loop, and the first thing every
+// public entry point runs its body through. Without a tier it is a plain
+// call: one attempt on the engine itself, nothing allocated. So is a
+// nested dispatch (Hybrid → ParBoX), recognised by the
+// budget the engine copy already carries — the outer call owns both
+// the plan and the budget, and retries do not nest. Otherwise the query
+// gets one budget (SetRetryPolicy), carried by a private engine copy
+// that each attempt binds to a source tree freshly planned through the
+// tier, and shared by the two ways a query recovers:
+//
+//   - job-level failover inside an attempt (tierRetry): a failed pure
+//     scatter job is re-placed onto other live replicas at once;
+//   - round-level retry here: a failed attempt backs off (exponential,
+//     full jitter, floored at a shed's retry-after hint — immediate
+//     re-runs against a saturated or flapping site are the retry storms
+//     this exists to prevent), re-probes site health and re-plans. This
+//     covers what job-level failover cannot: nested hops the coordinator
+//     never observed (FullDist's resolve cascade), stages bound to
+//     per-site run state, and jobs whose replicas were all excluded
+//     within one round.
+//
+// Cancellation, an expired deadline and ErrFragmentUnavailable are
+// final. Report.Failovers is set here and nowhere else.
+func (e *Engine) withRetry(ctx context.Context, attempt func(e *Engine) (Report, error)) (Report, error) {
+	if e.tier == nil || e.rr != nil {
+		return attempt(e)
 	}
-	st, err := e.tier.PlanRound()
-	if err != nil {
-		return nil, err
+	run := *e
+	run.rr = backoff.New(e.retryPol)
+	for {
+		var rep Report
+		st, err := e.tier.PlanRound()
+		if err == nil {
+			run.st = st
+			rep, err = attempt(&run)
+		}
+		if err == nil {
+			rep.Failovers = int64(run.rr.Attempts())
+			return rep, nil
+		}
+		if !retryableRoundErr(err) || ctx.Err() != nil {
+			return Report{}, err
+		}
+		d, ok := run.rr.Next(cluster.RetryAfterHint(err))
+		if !ok || backoff.Sleep(ctx, d) != nil {
+			return Report{}, err
+		}
+		e.tier.Recheck(ctx)
 	}
-	er := *e
-	er.st = st
-	er.planned = true
-	return &er, nil
+}
+
+// tierRetry returns a scatter round's in-flight failover hook (nil
+// without a tier): a job that failed at the transport re-places its
+// fragments onto other live replicas through the tier, excluding every
+// site that already failed this round. Sound only when the work is a
+// pure function of the fragment list — any replica can serve it (evalQual,
+// NaiveCentralized's fetches); stages that depend on per-site cached run
+// state (FullDist's stage 2, the two-pass propagation levels) must not
+// re-place jobs and instead recover by round retry.
+//
+// Re-placements draw on the query's retry budget rr but never sleep —
+// the hook runs serially on the round's collector goroutine (so the
+// exclusion set needs no lock), and the re-placed job targets a different
+// site, so the backoff delay belongs to same-site retries only. With the
+// budget spent, or no replica left outside this round's exclusion set,
+// the hook declines and the original transport error stands: exhausting
+// the exclusion set does not mean the replicas are gone — a shed means
+// "try later" and a flake may pass next time — so the round-level retry
+// re-probes and re-plans from scratch, and genuinely dead replicas still
+// fail loudly there, with ErrFragmentUnavailable at planning.
+func tierRetry[T any](t Tier, rr *backoff.Retry, mk func(site frag.SiteID, ids []xmltree.FragmentID) scatterJob[T]) scatterRetry[T] {
+	if t == nil {
+		return nil
+	}
+	excluded := make(map[frag.SiteID]bool)
+	return func(j scatterJob[T]) []scatterJob[T] {
+		if len(j.frags) == 0 {
+			return nil
+		}
+		if _, ok := rr.Next(0); !ok {
+			return nil
+		}
+		excluded[j.to] = true
+		placement, err := t.Reassign(j.frags, excluded)
+		if err != nil {
+			return nil
+		}
+		return jobsBySite(placement, mk)
+	}
 }
 
 // obs returns the scatter-level observation hook feeding the tier's
@@ -129,11 +203,6 @@ func (e *Engine) obs() tierObs {
 		return func(err error) { t.Finished(to, time.Since(start), err) }
 	}
 }
-
-// Round retries are bounded by the engine's per-query retry budget
-// (SetRetryPolicy; backoff.DefaultBudget without one) — sites can keep
-// dying mid-round, and each retry backs off, re-probes and excludes
-// them.
 
 // retryableRoundErr reports whether a failed round is worth re-planning:
 // cancellation is the caller's choice and ErrFragmentUnavailable cannot

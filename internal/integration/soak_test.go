@@ -175,7 +175,7 @@ func soak(t *testing.T, seed int64) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if sel.Count != len(want) {
+			if sel.Count != int64(len(want)) {
 				t.Fatalf("round %d: select(%q) = %d nodes, want %d", round, e.String(), sel.Count, len(want))
 			}
 		case action < 6: // batch of queries

@@ -456,14 +456,14 @@ func (s *System) AddSite(id SiteID) {
 	cluster.RegisterStatsHandler(site)
 }
 
-// SelectionResult is the outcome of a distributed data-selection query.
-type SelectionResult = core.SelectReport
-
-// BatchResult is the outcome of one batch evaluation round.
-type BatchResult = core.BatchReport
-
-// CountResult is the outcome of a distributed COUNT aggregation.
-type CountResult = core.CountReport
+// SelectionResult, BatchResult and CountResult are the per-mode names of
+// the one Report every evaluation returns: a selection fills Paths and
+// Count, a batch Answers, a count Count and PerSite.
+type (
+	SelectionResult = core.Report
+	BatchResult     = core.Report
+	CountResult     = core.Report
+)
 
 // SourceTree returns the deployed document's source tree.
 func (s *System) SourceTree() *SourceTree { return s.eng().SourceTree() }

@@ -319,7 +319,10 @@ func (sch *scheduler) detachCurrent() *schedWindow {
 // caller gets back to its own result). The round runs under
 // context.Background(): it serves every waiter, so no single caller's
 // cancellation may abort it (a caller whose context expires simply stops
-// waiting; see exec).
+// waiting; see exec). On a failover deployment the round recovers like
+// any other query — inside ParBoXBatch, from one retry budget — so what
+// bounds a struggling round is that budget times the backoff cap, not a
+// caller's deadline.
 func (sch *scheduler) flush(win *schedWindow, reason string) {
 	sch.rounds.Add(1)
 	sch.running.Add(1)
