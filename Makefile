@@ -43,7 +43,8 @@ bench-smoke:
 # the fused lane kernel differential, the spine-patch differential
 # (patched planes must stay byte-equal to full bottomUp), the triplet
 # wire decoder (never panics, keeps rejecting the malformed seeds,
-# decode → encode → decode is a fixed point), WAL replay, the v2 frame
+# decode → encode → decode is a fixed point), the XPath parser (print →
+# reparse is a fixed point and keeps EvalRaw's answer), WAL replay, the v2 frame
 # decoder (demux, torn frames, push frames, hostile span blocks), and
 # every other payload decoder, one FuzzPayloadDecoders per package over
 # that package's codec table (never panics, errors wrap the package
@@ -56,6 +57,7 @@ PAYLOAD_FUZZ_PACKAGES = core views serve obs frag xpath xmltree
 fuzz: fuzz-fused
 	go test ./internal/eval -run Fuzz -fuzz FuzzSpinePatch -fuzztime 30s
 	go test ./internal/eval -run Fuzz -fuzz FuzzDecodeTriplet -fuzztime 30s
+	go test ./internal/xpath -run Fuzz -fuzz FuzzParse -fuzztime 30s
 	go test ./internal/store -run Fuzz -fuzz FuzzWALReplay -fuzztime 30s
 	go test ./internal/cluster -run Fuzz -fuzz FuzzV2ResponseDemux -fuzztime 30s
 	for p in $(PAYLOAD_FUZZ_PACKAGES); do \
@@ -64,8 +66,9 @@ fuzz: fuzz-fused
 
 # fuzz-fused differentially fuzzes the fused lane kernel: arbitrary
 # (tree, fragmentation, query batch) triples must evaluate identically
-# through the word-parallel kernel, the scalar per-lane loop, and the
-# legacy pointer evaluator. CI runs the same target for 30s.
+# through the word-parallel kernel and the scalar per-lane loop, and the
+# solved triplets must match the AST interpreter EvalRaw at every
+# fragment root. CI runs the same target for 30s.
 fuzz-fused:
 	go test ./internal/eval -run Fuzz -fuzz FuzzFusedBottomUp -fuzztime 30s
 

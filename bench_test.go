@@ -194,24 +194,6 @@ func BenchmarkBottomUp(b *testing.B) {
 	}
 }
 
-// BenchmarkBottomUpLegacy runs the reference pointer-formula evaluator on
-// the same all-constant XMark fragments as BenchmarkBottomUp. The spread
-// between the two is the constant-plane win recorded in BENCH_parbox.json.
-func BenchmarkBottomUpLegacy(b *testing.B) {
-	for _, nodes := range []int{1000, 10000, 100000} {
-		doc := benchDoc(nodes)
-		prog := xpath.MustCompileString(xmark.Queries[8])
-		b.Run(fmt.Sprintf("nodes=%d", nodes), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := eval.LegacyBottomUp(doc, prog); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 func BenchmarkBottomUpQuerySizes(b *testing.B) {
 	doc := benchDoc(10000)
 	for _, size := range xmark.QuerySizes() {

@@ -113,7 +113,7 @@ func chaosRun(t *testing.T, ref map[string]bool, seed int64, faulted bool, budge
 // TestChaosDifferentialSeeded is the overload-safety differential (run
 // it under -race): against a seeded chaos script — one replica slow,
 // one flaky, one shedding every call, plus real per-site admission
-// limits — every answer must match the never-faulted reference, every
+// limits — every answer must match the oracle's reference, every
 // query must stay within its retry budget, hedges must never
 // double-count, and total transport traffic must stay within a small
 // constant factor of the unfaulted baseline (retries recover; they do

@@ -6,34 +6,17 @@ import (
 	"testing/quick"
 )
 
-// Algebraic laws, verified semantically (under every assignment of the
-// generator's variable universe). The constructors simplify, so the laws
-// must hold for the *values*, not the shapes.
-
-func holdsForAll(t *testing.T, f, g *Formula) bool {
-	t.Helper()
-	// 5 variables → 32 assignments; exhaustive.
-	n := len(genVars)
-	for bits := 0; bits < 1<<n; bits++ {
-		a := make(Assignment, n)
-		for i, v := range genVars {
-			a[v] = bits&(1<<i) != 0
-		}
-		if f.Eval(a.Total) != g.Eval(a.Total) {
-			return false
-		}
-	}
-	return true
-}
+// Algebraic laws, verified by exhaustive truth tables over the generator's
+// variable universe. The constructors simplify, so the laws must hold for
+// the *values*, not the shapes.
 
 func TestPropDeMorgan(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		a, b := genFormula(r, 4), genFormula(r, 4)
-		if !holdsForAll(t, Not(And(a, b)), Or(Not(a), Not(b))) {
-			return false
-		}
-		return holdsForAll(t, Not(Or(a, b)), And(Not(a), Not(b)))
+		a := NewArena()
+		x, y := genID(r, a, 4), genID(r, a, 4)
+		return equivalent(a, a.Not(a.And2(x, y)), a.Or2(a.Not(x), a.Not(y))) &&
+			equivalent(a, a.Not(a.Or2(x, y)), a.And2(a.Not(x), a.Not(y)))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
 		t.Error(err)
@@ -43,11 +26,12 @@ func TestPropDeMorgan(t *testing.T) {
 func TestPropAssociativityCommutativity(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		a, b, c := genFormula(r, 3), genFormula(r, 3), genFormula(r, 3)
-		return holdsForAll(t, And(a, And(b, c)), And(And(a, b), c)) &&
-			holdsForAll(t, Or(a, Or(b, c)), Or(Or(a, b), c)) &&
-			holdsForAll(t, And(a, b), And(b, a)) &&
-			holdsForAll(t, Or(a, b), Or(b, a))
+		a := NewArena()
+		x, y, z := genID(r, a, 3), genID(r, a, 3), genID(r, a, 3)
+		return equivalent(a, a.And2(x, a.And2(y, z)), a.And2(a.And2(x, y), z)) &&
+			equivalent(a, a.Or2(x, a.Or2(y, z)), a.Or2(a.Or2(x, y), z)) &&
+			equivalent(a, a.And2(x, y), a.And2(y, x)) &&
+			equivalent(a, a.Or2(x, y), a.Or2(y, x))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
 		t.Error(err)
@@ -57,10 +41,11 @@ func TestPropAssociativityCommutativity(t *testing.T) {
 func TestPropDistributivityAbsorption(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		a, b, c := genFormula(r, 3), genFormula(r, 3), genFormula(r, 3)
-		return holdsForAll(t, And(a, Or(b, c)), Or(And(a, b), And(a, c))) &&
-			holdsForAll(t, Or(a, And(a, b)), a) &&
-			holdsForAll(t, And(a, Or(a, b)), a)
+		a := NewArena()
+		x, y, z := genID(r, a, 3), genID(r, a, 3), genID(r, a, 3)
+		return equivalent(a, a.And2(x, a.Or2(y, z)), a.Or2(a.And2(x, y), a.And2(x, z))) &&
+			equivalent(a, a.Or2(x, a.And2(x, y)), x) &&
+			equivalent(a, a.And2(x, a.Or2(x, y)), x)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
 		t.Error(err)
@@ -70,15 +55,16 @@ func TestPropDistributivityAbsorption(t *testing.T) {
 func TestPropDoubleNegationExcludedMiddle(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		a := genFormula(r, 4)
-		if !holdsForAll(t, Not(Not(a)), a) {
+		a := NewArena()
+		x := genID(r, a, 4)
+		if a.Not(a.Not(x)) != x {
 			return false
 		}
-		if v, ok := Or(a, Not(a)).ConstValue(); ok && !v {
+		if v, ok := a.ConstValue(a.Or2(x, a.Not(x))); ok && !v {
 			return false // if it folds, it must fold to true
 		}
-		return holdsForAll(t, Or(a, Not(a)), True()) &&
-			holdsForAll(t, And(a, Not(a)), False())
+		return equivalent(a, a.Or2(x, a.Not(x)), IDTrue) &&
+			equivalent(a, a.And2(x, a.Not(x)), IDFalse)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
 		t.Error(err)
@@ -87,14 +73,15 @@ func TestPropDoubleNegationExcludedMiddle(t *testing.T) {
 
 // TestPropSubstComposition: substituting in two stages equals substituting
 // the composed environment — the property that makes evalST's bottom-up
-// order and LazyParBoX's incremental substitution interchangeable.
+// order and LazyParBoX's incremental substitution interchangeable. Each
+// environment gets its own generation, as Subst's memo requires.
 func TestPropSubstComposition(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		g := genFormula(r, 5)
+		a := NewArena()
+		x := genID(r, a, 5)
 		full := genAssignment(r)
-		first := make(Assignment)
-		second := make(Assignment)
+		first, second := make(assignment), make(assignment)
 		for v, b := range full {
 			if r.Intn(2) == 0 {
 				first[v] = b
@@ -102,11 +89,15 @@ func TestPropSubstComposition(t *testing.T) {
 				second[v] = b
 			}
 		}
-		staged := g.Subst(first.Lookup).Subst(second.Lookup)
-		direct := g.Subst(full.Lookup)
-		av, aok := staged.ConstValue()
-		bv, bok := direct.ConstValue()
-		return aok && bok && av == bv
+		a.NewGen()
+		mid := a.Subst(x, first.lookup(a))
+		a.NewGen()
+		staged := a.Subst(mid, second.lookup(a))
+		a.NewGen()
+		direct := a.Subst(x, full.lookup(a))
+		sv, sok := a.ConstValue(staged)
+		dv, dok := a.ConstValue(direct)
+		return sok && dok && sv == dv
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)

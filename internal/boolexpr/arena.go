@@ -1,6 +1,9 @@
 package boolexpr
 
-import "fmt"
+import (
+	"fmt"
+	"strings"
+)
 
 // NodeID names one formula node inside an Arena. The two constants are
 // pre-interned at fixed positions, so constant tests are integer compares.
@@ -26,9 +29,9 @@ type arenaNode struct {
 }
 
 // Arena is a hash-consed formula store — the "variable plane" of the
-// evaluator. All constructors perform the same constant folding as the
-// pointer-based Formula constructors, and additionally intern the result:
-// building a formula that already exists returns its existing id without
+// evaluator. All constructors fold constants, eliminate double negation,
+// and flatten and dedupe AND/OR operands, and intern the result: building
+// a formula that already exists returns its existing id without
 // allocating. An Arena is meant to live for one evaluation (one bottomUp
 // pass, one solve of the equation system) and be discarded wholesale; it is
 // not safe for concurrent use.
@@ -92,9 +95,6 @@ func (a *Arena) Const(b bool) NodeID {
 	return IDFalse
 }
 
-// Op reports the top-level operator of x.
-func (a *Arena) Op(x NodeID) Op { return a.nodes[x].op }
-
 // IsConst reports whether x is a constant.
 func (a *Arena) IsConst(x NodeID) bool { return x == IDFalse || x == IDTrue }
 
@@ -107,24 +107,6 @@ func (a *Arena) ConstValue(x NodeID) (value, ok bool) {
 		return false, true
 	default:
 		return false, false
-	}
-}
-
-// VarOf returns the variable of an OpVar node; meaningless otherwise.
-func (a *Arena) VarOf(x NodeID) Var { return a.vars[a.nodes[x].aux] }
-
-// Operands returns the operand ids of an OpAnd/OpOr node, or the single
-// operand of OpNot. The returned slice aliases arena storage and must not
-// be modified or held across constructor calls.
-func (a *Arena) Operands(x NodeID) []NodeID {
-	n := a.nodes[x]
-	switch n.op {
-	case OpNot:
-		return []NodeID{NodeID(n.aux)}
-	case OpAnd, OpOr:
-		return a.kids[n.aux : n.aux+n.nkid : n.aux+n.nkid]
-	default:
-		return nil
 	}
 }
 
@@ -234,8 +216,7 @@ func (a *Arena) Or(xs ...NodeID) NodeID {
 // node. Because constructors maintain the invariant that an AND/OR child is
 // never the same operator, flattening needs only one level. Duplicate
 // operands are dropped by id — hash-consing makes "structurally equal"
-// and "same id" the same thing, so this subsumes the pointer evaluator's
-// duplicate-variable elimination.
+// and "same id" the same thing.
 func (a *Arena) combine(op Op, xs []NodeID) NodeID {
 	absorb, identity := IDFalse, IDTrue
 	if op == OpOr {
@@ -443,8 +424,7 @@ func (a *Arena) subst(x NodeID, lookup func(Var) (NodeID, bool)) NodeID {
 }
 
 // Size returns the tree size of x (shared subformulas counted per
-// occurrence), matching Formula.Size — the unit of the paper's
-// communication bounds.
+// occurrence) — the unit of the paper's communication bounds.
 func (a *Arena) Size(x NodeID) int {
 	n := a.nodes[x]
 	switch n.op {
@@ -512,86 +492,49 @@ func (a *Arena) Copy(src *Arena, x NodeID, memo map[NodeID]NodeID) NodeID {
 	return id
 }
 
-// --- conversion to/from the pointer representation -----------------------
-//
-// The pointer Formula is the differential reference only (eval/legacy.go
-// and the tests that compare against it); nothing on a serving path
-// exports or imports.
+// String renders x with !, & and | and minimal parentheses, for error
+// messages and tests.
+func (a *Arena) String(x NodeID) string {
+	var b strings.Builder
+	a.write(&b, x, 0)
+	return b.String()
+}
 
-// Export converts x to an immutable pointer Formula. memo (keyed by id) may
-// be shared across calls on the same arena so that shared subformulas
-// export to shared pointers, keeping the exported DAG as compact as the
-// arena's. Arena invariants match Formula invariants, so nodes are rebuilt
-// directly without re-folding.
-func (a *Arena) Export(x NodeID, memo map[NodeID]*Formula) *Formula {
-	switch x {
-	case IDFalse:
-		return falseF
-	case IDTrue:
-		return trueF
-	}
-	if memo != nil {
-		if f, ok := memo[x]; ok {
-			return f
-		}
-	}
+// write renders x under a parent of precedence parent: Or 1, And 2, Not 3,
+// leaves 4.
+func (a *Arena) write(b *strings.Builder, x NodeID, parent int) {
 	n := a.nodes[x]
-	var f *Formula
+	prec, sep := 4, ""
 	switch n.op {
-	case OpVar:
-		f = &Formula{op: OpVar, v: a.vars[n.aux]}
+	case OpOr:
+		prec, sep = 1, " | "
+	case OpAnd:
+		prec, sep = 2, " & "
 	case OpNot:
-		f = &Formula{op: OpNot, kids: []*Formula{a.Export(NodeID(n.aux), memo)}}
-	case OpAnd, OpOr:
-		ks := make([]*Formula, n.nkid)
-		for i, k := range a.kids[n.aux : n.aux+n.nkid] {
-			ks[i] = a.Export(k, memo)
-		}
-		f = &Formula{op: n.op, kids: ks}
-	default:
-		panic(fmt.Sprintf("boolexpr: unknown Op %d", n.op))
+		prec = 3
 	}
-	if memo != nil {
-		memo[x] = f
+	if prec < parent {
+		b.WriteByte('(')
 	}
-	return f
-}
-
-// Import interns a pointer Formula into the arena. memo (keyed by formula
-// pointer) may be shared across calls so DAG-shaped inputs import in one
-// pass; structurally equal formulas intern to the same id regardless.
-func (a *Arena) Import(f *Formula, memo map[*Formula]NodeID) NodeID {
-	switch f.op {
+	switch n.op {
 	case OpFalse:
-		return IDFalse
+		b.WriteByte('0')
 	case OpTrue:
-		return IDTrue
-	}
-	if memo != nil {
-		if id, ok := memo[f]; ok {
-			return id
-		}
-	}
-	var id NodeID
-	switch f.op {
+		b.WriteByte('1')
 	case OpVar:
-		id = a.Var(f.v)
+		b.WriteString(a.vars[n.aux].String())
 	case OpNot:
-		id = a.Not(a.Import(f.kids[0], memo))
-	case OpAnd, OpOr:
-		ks := make([]NodeID, len(f.kids))
-		for i, k := range f.kids {
-			ks[i] = a.Import(k, memo)
-		}
-		id = a.combine(f.op, ks)
+		b.WriteByte('!')
+		a.write(b, NodeID(n.aux), prec+1)
 	default:
-		panic(fmt.Sprintf("boolexpr: unknown Op %d", f.op))
+		for i, k := range a.kids[n.aux : n.aux+n.nkid] {
+			if i > 0 {
+				b.WriteString(sep)
+			}
+			a.write(b, k, prec)
+		}
 	}
-	if memo != nil {
-		memo[f] = id
+	if prec < parent {
+		b.WriteByte(')')
 	}
-	return id
 }
-
-// String renders x, for tests and debugging.
-func (a *Arena) String(x NodeID) string { return a.Export(x, nil).String() }

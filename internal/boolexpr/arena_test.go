@@ -8,176 +8,24 @@ import (
 	"testing/quick"
 )
 
-// randFormula builds a random pointer formula over a small variable pool,
-// exercising every constructor.
-func randFormula(r *rand.Rand, depth int) *Formula {
-	if depth <= 0 {
-		switch r.Intn(4) {
-		case 0:
-			return Const(r.Intn(2) == 0)
-		default:
-			return NewVar(Var{Frag: int32(r.Intn(3)), Vec: VecKind(r.Intn(2) * 2), Q: int32(r.Intn(4))})
-		}
-	}
-	switch r.Intn(3) {
-	case 0:
-		return Not(randFormula(r, depth-1))
-	case 1:
-		return And(randFormula(r, depth-1), randFormula(r, depth-1))
-	default:
-		return Or(randFormula(r, depth-1), randFormula(r, depth-1))
-	}
-}
-
-// randBuildID replays the construction of f inside the arena through the
-// arena's own constructors (not Import), checking constructor parity.
-func randBuildID(a *Arena, f *Formula) NodeID {
-	switch f.op {
-	case OpFalse:
-		return IDFalse
-	case OpTrue:
-		return IDTrue
-	case OpVar:
-		return a.Var(f.v)
-	case OpNot:
-		return a.Not(randBuildID(a, f.kids[0]))
-	case OpAnd, OpOr:
-		ks := make([]NodeID, len(f.kids))
-		for i, k := range f.kids {
-			ks[i] = randBuildID(a, k)
-		}
-		if f.op == OpAnd {
-			return a.And(ks...)
-		}
-		return a.Or(ks...)
-	default:
-		panic("unreachable")
-	}
-}
-
 // TestArenaHashConsing: building the same structure twice yields the same
-// id — the O(1) structural equality the evaluator and view layer rely on.
+// id — the O(1) structural equality the evaluator and view layer rely on —
+// and building it in a fresh arena yields the same encoding.
 func TestArenaHashConsing(t *testing.T) {
 	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		g := randFormula(r, 4)
 		a := NewArena()
-		id1 := randBuildID(a, g)
-		id2 := randBuildID(a, g)
-		if id1 != id2 {
-			t.Logf("same build, different ids: %d vs %d for %v", id1, id2, g)
+		id1 := genID(rand.New(rand.NewSource(seed)), a, 4)
+		n := a.Len()
+		id2 := genID(rand.New(rand.NewSource(seed)), a, 4)
+		if id1 != id2 || a.Len() != n {
+			t.Logf("same build, different ids: %d vs %d for %s", id1, id2, a.String(id1))
 			return false
 		}
-		// Import must agree with direct construction too.
-		if id3 := a.Import(g, nil); id3 != id1 {
-			t.Logf("Import id %d != constructor id %d for %v", id3, id1, g)
-			return false
-		}
-		return true
+		b := NewArena()
+		id3 := genID(rand.New(rand.NewSource(seed)), b, 4)
+		return bytes.Equal(a.AppendEncodedID(nil, id1), b.AppendEncodedID(nil, id3))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Error(err)
-	}
-}
-
-// TestArenaExportEquivalence: Export inverts Import up to logical
-// equivalence (the arena may normalize operand lists), verified by
-// exhaustive evaluation over the variable set.
-func TestArenaExportEquivalence(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		g := randFormula(r, 4)
-		a := NewArena()
-		back := a.Export(a.Import(g, nil), nil)
-		vars := g.VarSet()
-		for _, v := range back.VarSet() {
-			found := false
-			for _, w := range vars {
-				if v == w {
-					found = true
-					break
-				}
-			}
-			if !found {
-				vars = append(vars, v)
-			}
-		}
-		if len(vars) > 12 {
-			return true // skip pathological variable explosions
-		}
-		for mask := 0; mask < 1<<len(vars); mask++ {
-			env := make(Assignment, len(vars))
-			for i, v := range vars {
-				env[v] = mask&(1<<i) != 0
-			}
-			if g.Eval(env.Total) != back.Eval(env.Total) {
-				t.Logf("round trip diverges under %v: %v vs %v", env, g, back)
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
-	}
-}
-
-// TestArenaSubstMatchesFormulaSubst: the generation-memoized substitution
-// agrees with the pointer implementation under random partial environments.
-func TestArenaSubstMatchesFormulaSubst(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		g := randFormula(r, 5)
-		env := make(Assignment)
-		for _, v := range g.VarSet() {
-			switch r.Intn(3) {
-			case 0:
-				env[v] = true
-			case 1:
-				env[v] = false
-			}
-		}
-		want := g.Subst(env.Lookup)
-		a := NewArena()
-		id := a.Import(g, nil)
-		a.NewGen()
-		got := a.Subst(id, func(v Var) (NodeID, bool) {
-			b, ok := env[v]
-			if !ok {
-				return IDFalse, false
-			}
-			return a.Const(b), true
-		})
-		// Substituting twice in the same generation must hit the memo and
-		// return the identical id.
-		if again := a.Subst(id, func(v Var) (NodeID, bool) {
-			b, ok := env[v]
-			if !ok {
-				return IDFalse, false
-			}
-			return a.Const(b), true
-		}); again != got {
-			t.Logf("memoized resubstitution diverged: %d vs %d", again, got)
-			return false
-		}
-		back := a.Export(got, nil)
-		rest := want.VarSet()
-		if len(rest) > 12 {
-			return true
-		}
-		for mask := 0; mask < 1<<len(rest); mask++ {
-			total := make(Assignment, len(rest))
-			for i, v := range rest {
-				total[v] = mask&(1<<i) != 0
-			}
-			if want.Eval(total.Total) != back.Eval(total.Total) {
-				t.Logf("subst diverges: legacy %v arena %v (input %v env %v)", want, back, g, env)
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
 		t.Error(err)
 	}
 }
@@ -189,11 +37,11 @@ func TestArenaCopy(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		src := NewArena()
-		id := src.Import(randFormula(r, 4), nil)
+		id := genID(r, src, 4)
 		want := src.AppendEncodedID(nil, id)
 		srcLen := src.Len()
 		dst := NewArena()
-		dst.Import(randFormula(r, 3), nil) // ids differ between the arenas
+		genID(r, dst, 3) // ids differ between the arenas
 		memo := make(map[NodeID]NodeID)
 		got := dst.Copy(src, id, memo)
 		if !bytes.Equal(dst.AppendEncodedID(nil, got), want) {

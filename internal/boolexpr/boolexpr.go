@@ -4,19 +4,15 @@
 // A formula is built from the constants true and false, variables, and the
 // connectives AND, OR and NOT. Variables are typed: a variable names one
 // entry of one of the three vectors (V, CV, DV) that Procedure bottomUp of
-// the paper computes for the root of a fragment. Formulas are immutable and
-// every constructor performs constant folding, so a formula that can be
-// decided locally is always represented by a constant. This is what keeps
-// the per-fragment partial answers compact: the size of a shipped formula is
-// bounded by the number of virtual nodes of the fragment, never by the size
-// of the fragment itself (Section 3.2 of the paper).
+// the paper computes for the root of a fragment. Formulas live in a
+// hash-consed Arena whose constructors fold constants, so a formula that
+// can be decided locally is always represented by a constant. This is what
+// keeps the per-fragment partial answers compact: the size of a shipped
+// formula is bounded by the number of virtual nodes of the fragment, never
+// by the size of the fragment itself (Section 3.2 of the paper).
 package boolexpr
 
-import (
-	"fmt"
-	"sort"
-	"strings"
-)
+import "fmt"
 
 // VecKind identifies which of the three per-node vectors a variable refers
 // to. A parent fragment only ever consumes the V and DV vectors of a
@@ -78,173 +74,6 @@ const (
 	OpOr
 )
 
-// Formula is an immutable Boolean formula. The zero value is the constant
-// false. Construct formulas with False, True, NewVar, Not, And and Or;
-// never mutate a Formula after it has been shared.
-type Formula struct {
-	op   Op
-	v    Var
-	kids []*Formula
-}
-
-var (
-	falseF = &Formula{op: OpFalse}
-	trueF  = &Formula{op: OpTrue}
-)
-
-// False returns the constant false formula.
-func False() *Formula { return falseF }
-
-// True returns the constant true formula.
-func True() *Formula { return trueF }
-
-// Const returns the constant formula for b.
-func Const(b bool) *Formula {
-	if b {
-		return trueF
-	}
-	return falseF
-}
-
-// NewVar returns a variable leaf formula.
-func NewVar(v Var) *Formula { return &Formula{op: OpVar, v: v} }
-
-// Op reports the top-level operator.
-func (f *Formula) Op() Op { return f.op }
-
-// Var returns the variable of an OpVar node; it is meaningless otherwise.
-func (f *Formula) Var() Var { return f.v }
-
-// Operands returns the operand list of an OpAnd/OpOr node, or the single
-// operand of OpNot. The returned slice must not be modified.
-func (f *Formula) Operands() []*Formula { return f.kids }
-
-// IsConst reports whether f is the constant true or false.
-func (f *Formula) IsConst() bool { return f.op == OpFalse || f.op == OpTrue }
-
-// ConstValue returns the value of a constant formula and whether f is
-// constant at all.
-func (f *Formula) ConstValue() (value, ok bool) {
-	switch f.op {
-	case OpTrue:
-		return true, true
-	case OpFalse:
-		return false, true
-	default:
-		return false, false
-	}
-}
-
-// Not returns the negation of f with constant folding and double-negation
-// elimination.
-func Not(f *Formula) *Formula {
-	switch f.op {
-	case OpTrue:
-		return falseF
-	case OpFalse:
-		return trueF
-	case OpNot:
-		return f.kids[0]
-	default:
-		return &Formula{op: OpNot, kids: []*Formula{f}}
-	}
-}
-
-// And returns the conjunction of fs. Constants are folded, nested
-// conjunctions are flattened and duplicate variable leaves are dropped.
-func And(fs ...*Formula) *Formula {
-	// Allocation-free fast path for the dominant case: binary composition
-	// with at least one constant (on complete trees everything is
-	// constant, and Procedure bottomUp calls this three times per
-	// subquery per node).
-	if len(fs) == 2 {
-		a, b := fs[0], fs[1]
-		if a == falseF || b == falseF {
-			return falseF
-		}
-		if a == trueF {
-			return b
-		}
-		if b == trueF {
-			return a
-		}
-		if a == b {
-			return a
-		}
-	}
-	return combine(OpAnd, fs)
-}
-
-// Or returns the disjunction of fs with the dual simplifications of And.
-func Or(fs ...*Formula) *Formula {
-	if len(fs) == 2 {
-		a, b := fs[0], fs[1]
-		if a == trueF || b == trueF {
-			return trueF
-		}
-		if a == falseF {
-			return b
-		}
-		if b == falseF {
-			return a
-		}
-		if a == b {
-			return a
-		}
-	}
-	return combine(OpOr, fs)
-}
-
-func combine(op Op, fs []*Formula) *Formula {
-	// Identity and absorbing constants for the operator.
-	absorb, identity := falseF, trueF
-	if op == OpOr {
-		absorb, identity = trueF, falseF
-	}
-	out := make([]*Formula, 0, len(fs))
-	var seenVar map[Var]bool      // allocated lazily: most calls see ≤1 variable
-	var add func(f *Formula) bool // reports whether the absorbing constant was hit
-	add = func(f *Formula) bool {
-		switch {
-		case f == absorb:
-			return true
-		case f == identity:
-			return false
-		case f.op == op:
-			for _, k := range f.kids {
-				if add(k) {
-					return true
-				}
-			}
-			return false
-		case f.op == OpVar:
-			if seenVar == nil {
-				seenVar = make(map[Var]bool, 4)
-			} else if seenVar[f.v] {
-				return false
-			}
-			seenVar[f.v] = true
-			out = append(out, f)
-			return false
-		default:
-			out = append(out, f)
-			return false
-		}
-	}
-	for _, f := range fs {
-		if add(f) {
-			return absorb
-		}
-	}
-	switch len(out) {
-	case 0:
-		return identity
-	case 1:
-		return out[0]
-	}
-	return &Formula{op: op, kids: out}
-}
-
 // BinOp is the operator argument of CompFm, mirroring Procedure compFm of
 // the paper (Fig. 3b).
 type BinOp uint8
@@ -257,218 +86,3 @@ const (
 	// NEG negates the first argument; the second is ignored.
 	NEG
 )
-
-// CompFm is Procedure compFm of the paper: it composes two partial answers
-// (truth values and/or residual formulas) under op, returning either a truth
-// value or a residual formula. The four cases (c0)-(c3) of the paper
-// collapse into the folding constructors above.
-func CompFm(f1, f2 *Formula, op BinOp) *Formula {
-	switch op {
-	case NEG:
-		return Not(f1)
-	case AND:
-		return And(f1, f2)
-	case OR:
-		return Or(f1, f2)
-	default:
-		panic(fmt.Sprintf("boolexpr: unknown BinOp %d", op))
-	}
-}
-
-// Eval evaluates f under a total assignment. env must return the value of
-// every variable that occurs in f.
-func (f *Formula) Eval(env func(Var) bool) bool {
-	switch f.op {
-	case OpTrue:
-		return true
-	case OpFalse:
-		return false
-	case OpVar:
-		return env(f.v)
-	case OpNot:
-		return !f.kids[0].Eval(env)
-	case OpAnd:
-		for _, k := range f.kids {
-			if !k.Eval(env) {
-				return false
-			}
-		}
-		return true
-	case OpOr:
-		for _, k := range f.kids {
-			if k.Eval(env) {
-				return true
-			}
-		}
-		return false
-	default:
-		panic(fmt.Sprintf("boolexpr: unknown Op %d", f.op))
-	}
-}
-
-// Subst substitutes variables for which env returns ok, folding constants as
-// it goes. Variables with no binding remain symbolic; if every variable is
-// bound the result is a constant. This is the unification step of Procedure
-// evalST: the coordinator substitutes a sub-fragment's computed triplet into
-// the parent fragment's formulas.
-func (f *Formula) Subst(env func(Var) (*Formula, bool)) *Formula {
-	switch f.op {
-	case OpTrue, OpFalse:
-		return f
-	case OpVar:
-		if g, ok := env(f.v); ok {
-			return g
-		}
-		return f
-	case OpNot:
-		k := f.kids[0].Subst(env)
-		if k == f.kids[0] {
-			return f
-		}
-		return Not(k)
-	case OpAnd, OpOr:
-		changed := false
-		ks := make([]*Formula, len(f.kids))
-		for i, k := range f.kids {
-			ks[i] = k.Subst(env)
-			if ks[i] != k {
-				changed = true
-			}
-		}
-		if !changed {
-			return f
-		}
-		if f.op == OpAnd {
-			return And(ks...)
-		}
-		return Or(ks...)
-	default:
-		panic(fmt.Sprintf("boolexpr: unknown Op %d", f.op))
-	}
-}
-
-// Size returns the number of nodes of the formula tree; it is the unit in
-// which the paper's communication bounds are stated.
-func (f *Formula) Size() int {
-	n := 1
-	for _, k := range f.kids {
-		n += k.Size()
-	}
-	return n
-}
-
-// Vars calls visit for every variable occurrence in f (duplicates included).
-func (f *Formula) Vars(visit func(Var)) {
-	switch f.op {
-	case OpVar:
-		visit(f.v)
-	default:
-		for _, k := range f.kids {
-			k.Vars(visit)
-		}
-	}
-}
-
-// VarSet returns the distinct variables of f in a deterministic order.
-func (f *Formula) VarSet() []Var {
-	seen := make(map[Var]bool)
-	var vs []Var
-	f.Vars(func(v Var) {
-		if !seen[v] {
-			seen[v] = true
-			vs = append(vs, v)
-		}
-	})
-	sort.Slice(vs, func(i, j int) bool {
-		a, b := vs[i], vs[j]
-		if a.Frag != b.Frag {
-			return a.Frag < b.Frag
-		}
-		if a.Vec != b.Vec {
-			return a.Vec < b.Vec
-		}
-		return a.Q < b.Q
-	})
-	return vs
-}
-
-// Equal reports structural equality of two formulas.
-func (f *Formula) Equal(g *Formula) bool {
-	if f == g {
-		return true
-	}
-	if f.op != g.op || f.v != g.v || len(f.kids) != len(g.kids) {
-		return false
-	}
-	for i := range f.kids {
-		if !f.kids[i].Equal(g.kids[i]) {
-			return false
-		}
-	}
-	return true
-}
-
-// String renders the formula with !, & and | and minimal parentheses.
-func (f *Formula) String() string {
-	var b strings.Builder
-	f.write(&b, 0)
-	return b.String()
-}
-
-// precedence: Or=1, And=2, Not=3, leaves=4.
-func (f *Formula) write(b *strings.Builder, parentPrec int) {
-	prec := 4
-	switch f.op {
-	case OpOr:
-		prec = 1
-	case OpAnd:
-		prec = 2
-	case OpNot:
-		prec = 3
-	}
-	if prec < parentPrec {
-		b.WriteByte('(')
-	}
-	switch f.op {
-	case OpTrue:
-		b.WriteByte('1')
-	case OpFalse:
-		b.WriteByte('0')
-	case OpVar:
-		b.WriteString(f.v.String())
-	case OpNot:
-		b.WriteByte('!')
-		f.kids[0].write(b, prec+1)
-	case OpAnd, OpOr:
-		sep := " & "
-		if f.op == OpOr {
-			sep = " | "
-		}
-		for i, k := range f.kids {
-			if i > 0 {
-				b.WriteString(sep)
-			}
-			k.write(b, prec)
-		}
-	}
-	if prec < parentPrec {
-		b.WriteByte(')')
-	}
-}
-
-// Assignment is a finite map from variables to truth values, used both as a
-// total environment (Eval) and a partial substitution (Subst).
-type Assignment map[Var]bool
-
-// Lookup adapts the assignment to the Subst callback signature.
-func (a Assignment) Lookup(v Var) (*Formula, bool) {
-	b, ok := a[v]
-	if !ok {
-		return nil, false
-	}
-	return Const(b), true
-}
-
-// Total adapts the assignment to the Eval callback signature; unbound
-// variables evaluate to false.
-func (a Assignment) Total(v Var) bool { return a[v] }

@@ -8,7 +8,8 @@ import (
 )
 
 // genVars is the small variable universe used by the generators, so random
-// formulas share variables often enough to exercise dedup and folding.
+// formulas share variables often enough to exercise dedup and folding, and
+// every truth table is exhaustive (2^5 assignments).
 var genVars = []Var{
 	{Frag: 1, Vec: VecV, Q: 0},
 	{Frag: 1, Vec: VecDV, Q: 1},
@@ -17,96 +18,128 @@ var genVars = []Var{
 	{Frag: 3, Vec: VecCV, Q: 5},
 }
 
-// genFormula builds a random formula of bounded depth using only the public
+// genID builds a random formula of bounded depth through the arena's own
 // constructors, so every generated formula is in constructor-normal form.
-func genFormula(r *rand.Rand, depth int) *Formula {
+// It is deterministic in r: replaying a seed rebuilds the same structure.
+func genID(r *rand.Rand, a *Arena, depth int) NodeID {
 	if depth <= 0 || r.Intn(4) == 0 {
 		switch r.Intn(4) {
 		case 0:
-			return True()
+			return IDTrue
 		case 1:
-			return False()
+			return IDFalse
 		default:
-			return NewVar(genVars[r.Intn(len(genVars))])
+			return a.Var(genVars[r.Intn(len(genVars))])
 		}
 	}
-	switch r.Intn(3) {
-	case 0:
-		return Not(genFormula(r, depth-1))
-	case 1:
-		n := 2 + r.Intn(3)
-		ks := make([]*Formula, n)
-		for i := range ks {
-			ks[i] = genFormula(r, depth-1)
-		}
-		return And(ks...)
-	default:
-		n := 2 + r.Intn(3)
-		ks := make([]*Formula, n)
-		for i := range ks {
-			ks[i] = genFormula(r, depth-1)
-		}
-		return Or(ks...)
+	if r.Intn(3) == 0 {
+		return a.Not(genID(r, a, depth-1))
+	}
+	and := r.Intn(2) == 0
+	ks := make([]NodeID, 2+r.Intn(3))
+	for i := range ks {
+		ks[i] = genID(r, a, depth-1)
+	}
+	if and {
+		return a.And(ks...)
+	}
+	return a.Or(ks...)
+}
+
+// assignment is a truth assignment over genVars.
+type assignment map[Var]bool
+
+func genAssignment(r *rand.Rand) assignment {
+	m := make(assignment, len(genVars))
+	for _, v := range genVars {
+		m[v] = r.Intn(2) == 0
+	}
+	return m
+}
+
+// total adapts m to Arena.Eval; unbound variables are false.
+func (m assignment) total(v Var) bool { return m[v] }
+
+// lookup adapts m to Arena.Subst, binding exactly m's variables.
+func (m assignment) lookup(a *Arena) func(Var) (NodeID, bool) {
+	return func(v Var) (NodeID, bool) {
+		b, ok := m[v]
+		return a.Const(b), ok
 	}
 }
 
-func genAssignment(r *rand.Rand) Assignment {
-	a := make(Assignment, len(genVars))
-	for _, v := range genVars {
-		a[v] = r.Intn(2) == 0
+// everyAssignment reports whether ok holds under all 2^5 assignments of
+// genVars.
+func everyAssignment(ok func(assignment) bool) bool {
+	for bits := 0; bits < 1<<len(genVars); bits++ {
+		m := make(assignment, len(genVars))
+		for i, v := range genVars {
+			m[v] = bits&(1<<i) != 0
+		}
+		if !ok(m) {
+			return false
+		}
 	}
-	return a
+	return true
+}
+
+// equivalent reports whether x and y agree under every assignment.
+func equivalent(a *Arena, x, y NodeID) bool {
+	return everyAssignment(func(m assignment) bool { return a.Eval(x, m.total) == a.Eval(y, m.total) })
 }
 
 func TestConstants(t *testing.T) {
-	if v, ok := True().ConstValue(); !ok || !v {
-		t.Errorf("True().ConstValue() = %v, %v; want true, true", v, ok)
+	a := NewArena()
+	if v, ok := a.ConstValue(IDTrue); !ok || !v {
+		t.Errorf("ConstValue(IDTrue) = %v, %v; want true, true", v, ok)
 	}
-	if v, ok := False().ConstValue(); !ok || v {
-		t.Errorf("False().ConstValue() = %v, %v; want false, true", v, ok)
+	if v, ok := a.ConstValue(IDFalse); !ok || v {
+		t.Errorf("ConstValue(IDFalse) = %v, %v; want false, true", v, ok)
 	}
-	if Const(true) != True() || Const(false) != False() {
+	if a.Const(true) != IDTrue || a.Const(false) != IDFalse {
 		t.Error("Const does not return the canonical constants")
 	}
-	if _, ok := NewVar(genVars[0]).ConstValue(); ok {
+	x := a.Var(genVars[0])
+	if _, ok := a.ConstValue(x); ok || a.IsConst(x) {
 		t.Error("a variable must not be constant")
 	}
 }
 
 func TestNotFolding(t *testing.T) {
-	if Not(True()) != False() || Not(False()) != True() {
+	a := NewArena()
+	if a.Not(IDTrue) != IDFalse || a.Not(IDFalse) != IDTrue {
 		t.Error("Not does not fold constants")
 	}
-	x := NewVar(genVars[0])
-	if Not(Not(x)) != x {
+	x := a.Var(genVars[0])
+	if a.Not(a.Not(x)) != x {
 		t.Error("double negation not eliminated")
 	}
-	if Not(x).Op() != OpNot {
-		t.Error("Not(x) should be a negation node")
+	if nx := a.Not(x); nx == x || a.IsConst(nx) || a.String(nx) != "!x(1,V,0)" {
+		t.Errorf("Not(x) should be a negation node, got %s", a.String(nx))
 	}
 }
 
 func TestAndOrFolding(t *testing.T) {
-	x, y := NewVar(genVars[0]), NewVar(genVars[1])
+	a := NewArena()
+	x, y := a.Var(genVars[0]), a.Var(genVars[1])
 	cases := []struct {
-		name string
-		got  *Formula
-		want *Formula
+		name      string
+		got, want NodeID
 	}{
-		{"and-false-absorbs", And(x, False(), y), False()},
-		{"and-true-identity", And(True(), x), x},
-		{"and-empty", And(), True()},
-		{"or-true-absorbs", Or(x, True()), True()},
-		{"or-false-identity", Or(False(), y), y},
-		{"or-empty", Or(), False()},
-		{"and-dedup", And(x, x), x},
-		{"or-dedup", Or(y, y, y), y},
-		{"and-flatten", And(And(x, y), x), And(x, y)},
-		{"or-flatten", Or(x, Or(y, x)), Or(x, y)},
+		{"and-false-absorbs", a.And(x, IDFalse, y), IDFalse},
+		{"and-true-identity", a.And(IDTrue, x), x},
+		{"and-empty", a.And(), IDTrue},
+		{"or-true-absorbs", a.Or(x, IDTrue), IDTrue},
+		{"or-false-identity", a.Or(IDFalse, y), y},
+		{"or-empty", a.Or(), IDFalse},
+		{"and-dedup", a.And(x, x), x},
+		{"or-dedup", a.Or(y, y, y), y},
+		{"and-flatten", a.And(a.And(x, y), x), a.And(x, y)},
+		{"or-flatten", a.Or(x, a.Or(y, x)), a.Or(x, y)},
 	}
 	for _, c := range cases {
-		if !c.got.Equal(c.want) {
-			t.Errorf("%s: got %v, want %v", c.name, c.got, c.want)
+		if c.got != c.want {
+			t.Errorf("%s: got %s, want %s", c.name, a.String(c.got), a.String(c.want))
 		}
 	}
 }
@@ -114,17 +147,18 @@ func TestAndOrFolding(t *testing.T) {
 func TestCompFmTruthTable(t *testing.T) {
 	// Procedure compFm on constants must agree with the Boolean operators;
 	// this is the (0,0) case of the paper's case analysis.
-	for _, a := range []bool{false, true} {
-		for _, b := range []bool{false, true} {
-			if got, _ := CompFm(Const(a), Const(b), AND).ConstValue(); got != (a && b) {
-				t.Errorf("CompFm(%v,%v,AND) = %v", a, b, got)
+	a := NewArena()
+	for _, p := range []bool{false, true} {
+		for _, q := range []bool{false, true} {
+			if got, _ := a.ConstValue(a.CompFm(a.Const(p), a.Const(q), AND)); got != (p && q) {
+				t.Errorf("CompFm(%v,%v,AND) = %v", p, q, got)
 			}
-			if got, _ := CompFm(Const(a), Const(b), OR).ConstValue(); got != (a || b) {
-				t.Errorf("CompFm(%v,%v,OR) = %v", a, b, got)
+			if got, _ := a.ConstValue(a.CompFm(a.Const(p), a.Const(q), OR)); got != (p || q) {
+				t.Errorf("CompFm(%v,%v,OR) = %v", p, q, got)
 			}
 		}
-		if got, _ := CompFm(Const(a), nil, NEG).ConstValue(); got != !a {
-			t.Errorf("CompFm(%v,-,NEG) = %v", a, got)
+		if got, _ := a.ConstValue(a.CompFm(a.Const(p), IDFalse, NEG)); got != !p {
+			t.Errorf("CompFm(%v,-,NEG) = %v", p, got)
 		}
 	}
 }
@@ -132,71 +166,63 @@ func TestCompFmTruthTable(t *testing.T) {
 func TestCompFmMixed(t *testing.T) {
 	// Cases (c1)-(c3): composing a constant with a residual formula must
 	// either short-circuit or keep the residual.
-	x := NewVar(genVars[0])
-	if CompFm(True(), x, AND) != x {
+	a := NewArena()
+	x := a.Var(genVars[0])
+	if a.CompFm(IDTrue, x, AND) != x {
 		t.Error("true AND f must be f")
 	}
-	if CompFm(False(), x, AND) != False() {
+	if a.CompFm(IDFalse, x, AND) != IDFalse {
 		t.Error("false AND f must be false")
 	}
-	if CompFm(True(), x, OR) != True() {
+	if a.CompFm(IDTrue, x, OR) != IDTrue {
 		t.Error("true OR f must be true")
 	}
-	if CompFm(False(), x, OR) != x {
+	if a.CompFm(IDFalse, x, OR) != x {
 		t.Error("false OR f must be f")
 	}
-	y := NewVar(genVars[1])
-	f := CompFm(x, y, AND)
-	if f.Op() != OpAnd || len(f.Operands()) != 2 {
-		t.Errorf("x AND y should stay residual, got %v", f)
+	y := a.Var(genVars[1])
+	if f := a.CompFm(x, y, AND); a.String(f) != "x(1,V,0) & x(1,DV,1)" {
+		t.Errorf("x AND y should stay residual, got %s", a.String(f))
 	}
 }
 
 // TestPropFoldingSoundness checks that the simplifying constructors preserve
 // semantics: a formula built with constructors evaluates exactly as its
-// un-simplified counterpart on every random assignment.
+// un-simplified counterpart under every assignment.
 func TestPropFoldingSoundness(t *testing.T) {
-	type spec struct {
-		Seed int64
-	}
-	f := func(s spec) bool {
-		r := rand.New(rand.NewSource(s.Seed))
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		a := NewArena()
 		// Build a random "raw" evaluation plan and its constructor version.
-		var build func(depth int) (func(Assignment) bool, *Formula)
-		build = func(depth int) (func(Assignment) bool, *Formula) {
+		var build func(depth int) (func(assignment) bool, NodeID)
+		build = func(depth int) (func(assignment) bool, NodeID) {
 			if depth <= 0 || r.Intn(4) == 0 {
 				switch r.Intn(4) {
 				case 0:
-					return func(Assignment) bool { return true }, True()
+					return func(assignment) bool { return true }, IDTrue
 				case 1:
-					return func(Assignment) bool { return false }, False()
+					return func(assignment) bool { return false }, IDFalse
 				default:
 					v := genVars[r.Intn(len(genVars))]
-					return func(a Assignment) bool { return a[v] }, NewVar(v)
+					return func(m assignment) bool { return m[v] }, a.Var(v)
 				}
 			}
 			switch r.Intn(3) {
 			case 0:
 				e, g := build(depth - 1)
-				return func(a Assignment) bool { return !e(a) }, Not(g)
+				return func(m assignment) bool { return !e(m) }, a.Not(g)
 			case 1:
 				e1, g1 := build(depth - 1)
 				e2, g2 := build(depth - 1)
-				return func(a Assignment) bool { return e1(a) && e2(a) }, And(g1, g2)
+				return func(m assignment) bool { return e1(m) && e2(m) }, a.And2(g1, g2)
 			default:
 				e1, g1 := build(depth - 1)
 				e2, g2 := build(depth - 1)
-				return func(a Assignment) bool { return e1(a) || e2(a) }, Or(g1, g2)
+				return func(m assignment) bool { return e1(m) || e2(m) }, a.Or2(g1, g2)
 			}
 		}
-		eval, formula := build(5)
-		for i := 0; i < 8; i++ {
-			a := genAssignment(r)
-			if formula.Eval(a.Total) != eval(a) {
-				return false
-			}
-		}
-		return true
+		eval, x := build(5)
+		return everyAssignment(func(m assignment) bool { return a.Eval(x, m.total) == eval(m) })
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
@@ -204,21 +230,34 @@ func TestPropFoldingSoundness(t *testing.T) {
 }
 
 // TestPropSubstThenEval checks that partially substituting some variables
-// and then evaluating the residual equals evaluating the original directly.
+// and then evaluating the residual equals evaluating the original directly,
+// under every completion of the partial assignment — and that substituting
+// again in the same generation hits the memo and returns the same id.
 func TestPropSubstThenEval(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		g := genFormula(r, 5)
-		full := genAssignment(r)
-		// Bind a random subset first.
-		partial := make(Assignment)
-		for v, b := range full {
+		a := NewArena()
+		x := genID(r, a, 5)
+		partial := make(assignment)
+		for _, v := range genVars {
 			if r.Intn(2) == 0 {
-				partial[v] = b
+				partial[v] = r.Intn(2) == 0
 			}
 		}
-		resid := g.Subst(partial.Lookup)
-		return resid.Eval(full.Total) == g.Eval(full.Total)
+		a.NewGen()
+		resid := a.Subst(x, partial.lookup(a))
+		if again := a.Subst(x, partial.lookup(a)); again != resid {
+			t.Logf("memoized resubstitution diverged: %d vs %d", again, resid)
+			return false
+		}
+		return everyAssignment(func(m assignment) bool {
+			for v, b := range partial {
+				if m[v] != b {
+					return true // not a completion of partial
+				}
+			}
+			return a.Eval(resid, m.total) == a.Eval(x, m.total)
+		})
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
@@ -231,11 +270,12 @@ func TestPropSubstThenEval(t *testing.T) {
 func TestPropSubstTotalIsConstant(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		g := genFormula(r, 5)
-		a := genAssignment(r)
-		resid := g.Subst(a.Lookup)
-		v, ok := resid.ConstValue()
-		return ok && v == g.Eval(a.Total)
+		a := NewArena()
+		x := genID(r, a, 5)
+		m := genAssignment(r)
+		a.NewGen()
+		v, ok := a.ConstValue(a.Subst(x, m.lookup(a)))
+		return ok && v == a.Eval(x, m.total)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
@@ -244,59 +284,83 @@ func TestPropSubstTotalIsConstant(t *testing.T) {
 
 func TestSubstNoBindingReturnsSame(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
+	a := NewArena()
 	for i := 0; i < 50; i++ {
-		g := genFormula(r, 4)
-		if got := g.Subst(func(Var) (*Formula, bool) { return nil, false }); got != g {
-			t.Fatalf("Subst with empty env must return the identical formula, got %v from %v", got, g)
+		x := genID(r, a, 4)
+		a.NewGen()
+		if got := a.Subst(x, func(Var) (NodeID, bool) { return IDFalse, false }); got != x {
+			t.Fatalf("Subst with empty env must return the identical formula, got %s from %s", a.String(got), a.String(x))
 		}
 	}
 }
 
-func TestVarSetSortedDistinct(t *testing.T) {
+// TestArenaVars: Vars visits every variable occurrence, duplicates
+// included, and nothing else.
+func TestArenaVars(t *testing.T) {
+	a := NewArena()
 	x, y := genVars[0], genVars[2]
-	g := And(NewVar(y), Or(NewVar(x), NewVar(y)))
-	vs := g.VarSet()
-	if len(vs) != 2 || vs[0] != x || vs[1] != y {
-		t.Errorf("VarSet = %v, want [%v %v]", vs, x, y)
+	g := a.And2(a.Var(y), a.Or2(a.Var(x), a.Not(a.Var(y))))
+	var got []Var
+	a.Vars(g, func(v Var) { got = append(got, v) })
+	if len(got) != 3 || got[0] != y || got[1] != x || got[2] != y {
+		t.Errorf("Vars visited %v, want [%v %v %v]", got, y, x, y)
 	}
+	a.Vars(IDTrue, func(v Var) { t.Errorf("Vars(true) visited %v", v) })
 }
 
 func TestString(t *testing.T) {
-	x, y, z := NewVar(genVars[0]), NewVar(genVars[1]), NewVar(genVars[2])
-	g := Or(And(x, Not(y)), z)
-	s := g.String()
-	for _, want := range []string{"&", "|", "!", "x(1,V,0)", "x(1,DV,1)", "x(2,V,2)"} {
-		if !strings.Contains(s, want) {
-			t.Errorf("String() = %q, missing %q", s, want)
+	a := NewArena()
+	x, y, z := a.Var(genVars[0]), a.Var(genVars[1]), a.Var(genVars[2])
+	cases := []struct {
+		f    NodeID
+		want string
+	}{
+		{IDTrue, "1"},
+		{IDFalse, "0"},
+		// An And under an Or needs no parentheses.
+		{a.Or2(a.And2(x, a.Not(y)), z), "x(1,V,0) & !x(1,DV,1) | x(2,V,2)"},
+		// An Or under an And, or under a Not, gets them.
+		{a.And2(a.Or2(x, y), z), "(x(1,V,0) | x(1,DV,1)) & x(2,V,2)"},
+		{a.Not(a.And2(x, z)), "!(x(1,V,0) & x(2,V,2))"},
+	}
+	for _, c := range cases {
+		if got := a.String(c.f); got != c.want {
+			t.Errorf("String = %q, want %q", got, c.want)
 		}
 	}
-	// Parenthesization must respect precedence: the Or operand that is an
-	// And must not need parens, but an Or under And must get them.
-	h := And(Or(x, y), z)
-	if hs := h.String(); !strings.Contains(hs, "(") {
-		t.Errorf("And(Or(..)) must parenthesize the Or: %q", hs)
+	if s := a.String(a.Var(genVars[4])); !strings.Contains(s, "CV") {
+		t.Errorf("String of a CV variable = %q", s)
 	}
 }
 
 func TestSize(t *testing.T) {
-	x, y := NewVar(genVars[0]), NewVar(genVars[1])
-	if got := True().Size(); got != 1 {
+	a := NewArena()
+	x, y := a.Var(genVars[0]), a.Var(genVars[1])
+	if got := a.Size(IDTrue); got != 1 {
 		t.Errorf("Size(true) = %d", got)
 	}
-	if got := And(x, Not(y)).Size(); got != 4 {
+	if got := a.Size(a.And2(x, a.Not(y))); got != 4 {
 		t.Errorf("Size(x & !y) = %d, want 4", got)
+	}
+	// Shared subformulas count once per occurrence.
+	nx := a.Not(x)
+	if got := a.Size(a.Or2(a.And2(nx, y), nx)); got != 7 {
+		t.Errorf("Size((!x & y) | !x) = %d, want 7", got)
 	}
 }
 
+// TestEqual: hash-consing makes structural equality id equality, and it is
+// structural (ordered), not semantic.
 func TestEqual(t *testing.T) {
-	x, y := NewVar(genVars[0]), NewVar(genVars[1])
-	if !And(x, y).Equal(And(x, y)) {
-		t.Error("structurally equal formulas reported unequal")
+	a := NewArena()
+	x, y := a.Var(genVars[0]), a.Var(genVars[1])
+	if a.And2(x, y) != a.And2(x, y) {
+		t.Error("structurally equal formulas got different ids")
 	}
-	if And(x, y).Equal(Or(x, y)) {
-		t.Error("And vs Or reported equal")
+	if a.And2(x, y) == a.Or2(x, y) {
+		t.Error("And vs Or got one id")
 	}
-	if And(x, y).Equal(And(y, x)) {
-		t.Error("Equal must be structural (ordered), not semantic")
+	if a.And2(x, y) == a.And2(y, x) {
+		t.Error("equality must be structural (ordered), not semantic")
 	}
 }

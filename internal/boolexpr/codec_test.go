@@ -8,54 +8,55 @@ import (
 	"testing/quick"
 )
 
-// The codec speaks arena ids only; the tests build their inputs with the
-// pointer constructors (the reference algebra) and cross the boundary with
-// these three helpers.
-
-// norm is f as the arena normalizes it: the pointer constructors dedupe
-// only variable leaves, the arena every repeated operand.
-func norm(f *Formula) *Formula {
-	a := NewArena()
-	return a.Export(a.Import(f, nil), nil)
-}
-
-// encode returns the wire encoding of f.
-func encode(f *Formula) []byte {
-	a := NewArena()
-	return a.AppendEncodedID(nil, a.Import(f, nil))
-}
-
-// decodeOne decodes exactly one formula occupying the whole of buf.
-func decodeOne(buf []byte) (*Formula, error) {
+// decodeOne decodes exactly one formula occupying the whole of buf into a
+// fresh arena.
+func decodeOne(buf []byte) (*Arena, NodeID, error) {
 	a := NewArena()
 	d := NewDecoder(buf)
 	id, err := d.DecodeID(a)
 	if err != nil {
-		return nil, err
+		return nil, IDFalse, err
 	}
 	if d.Remaining() != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrBadFormula, d.Remaining())
+		return nil, IDFalse, fmt.Errorf("%w: %d trailing bytes", ErrBadFormula, d.Remaining())
 	}
-	return a.Export(id, nil), nil
+	return a, id, nil
+}
+
+// roundTrips reports whether x of a survives encode → decode into a fresh
+// arena with the same rendering and the same bytes.
+func roundTrips(t *testing.T, a *Arena, x NodeID) bool {
+	t.Helper()
+	enc := a.AppendEncodedID(nil, x)
+	if len(enc) != a.EncodedSizeID(x) {
+		t.Logf("EncodedSizeID %d != len %d for %s", a.EncodedSizeID(x), len(enc), a.String(x))
+		return false
+	}
+	b, got, err := decodeOne(enc)
+	if err != nil {
+		t.Logf("decodeOne(%s): %v", a.String(x), err)
+		return false
+	}
+	if b.String(got) != a.String(x) || !bytes.Equal(b.AppendEncodedID(nil, got), enc) {
+		t.Logf("round trip of %s = %s", a.String(x), b.String(got))
+		return false
+	}
+	return true
 }
 
 func TestCodecRoundTripBasics(t *testing.T) {
-	x := NewVar(Var{Frag: 9, Vec: VecDV, Q: 300})
-	y := NewVar(Var{Frag: 130, Vec: VecV, Q: 2})
-	cases := []*Formula{
-		True(), False(), x, y,
-		Not(x),
-		And(x, y), Or(x, Not(y)),
-		Or(And(x, y), Not(And(x, Or(x, y)))),
+	a := NewArena()
+	x := a.Var(Var{Frag: 9, Vec: VecDV, Q: 300})
+	y := a.Var(Var{Frag: 130, Vec: VecV, Q: 2})
+	cases := []NodeID{
+		IDTrue, IDFalse, x, y,
+		a.Not(x),
+		a.And2(x, y), a.Or2(x, a.Not(y)),
+		a.Or2(a.And2(x, y), a.Not(a.And2(x, a.Or2(x, y)))),
 	}
 	for _, f := range cases {
-		got, err := decodeOne(encode(f))
-		if err != nil {
-			t.Errorf("decodeOne(%v): %v", f, err)
-			continue
-		}
-		if !got.Equal(norm(f)) {
-			t.Errorf("round trip of %v = %v", f, got)
+		if !roundTrips(t, a, f) {
+			t.Errorf("%s does not round-trip", a.String(f))
 		}
 	}
 }
@@ -65,19 +66,8 @@ func TestCodecRoundTripBasics(t *testing.T) {
 // and re-encoding the decoded formula reproduces the bytes.
 func TestPropCodecRoundTrip(t *testing.T) {
 	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		g := genFormula(r, 6)
 		a := NewArena()
-		id := a.Import(g, nil)
-		enc := a.AppendEncodedID(nil, id)
-		if len(enc) != a.EncodedSizeID(id) {
-			return false
-		}
-		got, err := decodeOne(enc)
-		if err != nil {
-			return false
-		}
-		return got.Equal(norm(g)) && bytes.Equal(encode(got), enc)
+		return roundTrips(t, a, genID(rand.New(rand.NewSource(seed)), a, 6))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
 		t.Error(err)
@@ -86,12 +76,10 @@ func TestPropCodecRoundTrip(t *testing.T) {
 
 func TestVectorRoundTrip(t *testing.T) {
 	r := rand.New(rand.NewSource(42))
-	fs := make([]*Formula, 17)
 	a := NewArena()
-	ids := make([]NodeID, len(fs))
-	for i := range fs {
-		fs[i] = genFormula(r, 4)
-		ids[i] = a.Import(fs[i], nil)
+	ids := make([]NodeID, 17)
+	for i := range ids {
+		ids[i] = genID(r, a, 4)
 	}
 	enc := a.AppendEncodedVector(nil, ids)
 	if len(enc) != a.EncodedSizeVector(ids) {
@@ -106,12 +94,12 @@ func TestVectorRoundTrip(t *testing.T) {
 	if d.Remaining() != 0 {
 		t.Errorf("%d trailing bytes", d.Remaining())
 	}
-	if len(got) != len(fs) {
-		t.Fatalf("got %d formulas, want %d", len(got), len(fs))
+	if len(got) != len(ids) {
+		t.Fatalf("got %d formulas, want %d", len(got), len(ids))
 	}
-	for i := range fs {
-		if g := b.Export(got[i], nil); !g.Equal(norm(fs[i])) {
-			t.Errorf("entry %d: got %v, want %v", i, g, fs[i])
+	for i := range ids {
+		if b.String(got[i]) != a.String(ids[i]) {
+			t.Errorf("entry %d: got %s, want %s", i, b.String(got[i]), a.String(ids[i]))
 		}
 	}
 }
@@ -135,11 +123,11 @@ func TestDecodeErrors(t *testing.T) {
 		{"bad-vec-kind", []byte{wireVar, 1, 7, 1}},
 		{"truncated-not", []byte{wireNot}},
 		{"and-count-too-big", []byte{wireAnd, 200, 1}},
-		{"trailing-bytes", append(encode(True()), 1)},
+		{"trailing-bytes", []byte{wireTrue, 1}},
 		{"and-missing-operand", []byte{wireAnd, 2, wireTrue}},
 	}
 	for _, c := range cases {
-		if _, err := decodeOne(c.buf); err == nil {
+		if _, _, err := decodeOne(c.buf); err == nil {
 			t.Errorf("%s: decodeOne succeeded, want error", c.name)
 		}
 	}
@@ -154,25 +142,26 @@ func TestDecodeVectorErrors(t *testing.T) {
 }
 
 func TestDecoderConcatenatedStream(t *testing.T) {
-	x := NewVar(Var{Frag: 1, Vec: VecV, Q: 0})
-	f := And(x, Not(NewVar(Var{Frag: 2, Vec: VecDV, Q: 3})))
-	g := Or(x, True()) // folds to true
-	buf := append(encode(f), encode(g)...)
 	a := NewArena()
+	x := a.Var(Var{Frag: 1, Vec: VecV, Q: 0})
+	f := a.And2(x, a.Not(a.Var(Var{Frag: 2, Vec: VecDV, Q: 3})))
+	g := a.Or2(x, IDTrue) // folds to true
+	buf := a.AppendEncodedID(a.AppendEncodedID(nil, f), g)
+	b := NewArena()
 	d := NewDecoder(buf)
-	g1, err := d.DecodeID(a)
+	g1, err := d.DecodeID(b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	g2, err := d.DecodeID(a)
+	g2, err := d.DecodeID(b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !a.Export(g1, nil).Equal(f) {
-		t.Errorf("first formula: got %v, want %v", a.String(g1), f)
+	if b.String(g1) != a.String(f) {
+		t.Errorf("first formula: got %s, want %s", b.String(g1), a.String(f))
 	}
 	if g2 != IDTrue {
-		t.Errorf("second formula: got %v, want true", a.String(g2))
+		t.Errorf("second formula: got %s, want true", b.String(g2))
 	}
 	if d.Remaining() != 0 {
 		t.Errorf("%d bytes left", d.Remaining())

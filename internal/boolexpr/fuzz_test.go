@@ -9,21 +9,22 @@ import (
 // codec tests exercise) plus malformed fragments, seeding the native fuzz
 // targets below.
 func fuzzSeeds() [][]byte {
-	v := func(frag int32, vec VecKind, q int32) *Formula {
-		return NewVar(Var{Frag: frag, Vec: vec, Q: q})
+	a := NewArena()
+	v := func(frag int32, vec VecKind, q int32) NodeID {
+		return a.Var(Var{Frag: frag, Vec: vec, Q: q})
 	}
-	formulas := []*Formula{
-		False(),
-		True(),
+	formulas := []NodeID{
+		IDFalse,
+		IDTrue,
 		v(0, VecV, 0),
-		Not(v(3, VecDV, 2)),
-		And(v(1, VecV, 0), v(2, VecV, 0)),
-		Or(v(1, VecV, 0), Not(And(v(2, VecDV, 1), v(3, VecV, 7)))),
-		And(v(1, VecV, 0), Or(v(2, VecCV, 1), v(2, VecCV, 2)), Not(v(4, VecV, 3))),
+		a.Not(v(3, VecDV, 2)),
+		a.And2(v(1, VecV, 0), v(2, VecV, 0)),
+		a.Or2(v(1, VecV, 0), a.Not(a.And2(v(2, VecDV, 1), v(3, VecV, 7)))),
+		a.And(v(1, VecV, 0), a.Or2(v(2, VecCV, 1), v(2, VecCV, 2)), a.Not(v(4, VecV, 3))),
 	}
 	seeds := make([][]byte, 0, len(formulas)+4)
 	for _, f := range formulas {
-		seeds = append(seeds, encode(f))
+		seeds = append(seeds, a.AppendEncodedID(nil, f))
 	}
 	seeds = append(seeds,
 		[]byte{},                          // empty
@@ -44,25 +45,25 @@ func FuzzDecodeFormula(f *testing.F) {
 		f.Add(seed)
 	}
 	for _, bad := range [][]byte{{}, {wireNot}, {wireAnd, 0xff, 0xff}} {
-		if _, err := decodeOne(bad); err == nil {
+		if _, _, err := decodeOne(bad); err == nil {
 			f.Fatalf("decoder accepted malformed seed % x", bad)
 		}
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		first, err := decodeOne(data)
+		a, first, err := decodeOne(data)
 		if err != nil {
 			return
 		}
-		enc := encode(first)
-		again, err := decodeOne(enc)
+		enc := a.AppendEncodedID(nil, first)
+		b, again, err := decodeOne(enc)
 		if err != nil {
 			t.Fatalf("re-decode failed: %v", err)
 		}
-		if !first.Equal(again) {
-			t.Fatalf("round trip changed the formula: %v vs %v", first, again)
+		if a.String(first) != b.String(again) {
+			t.Fatalf("round trip changed the formula: %s vs %s", a.String(first), b.String(again))
 		}
-		if !bytes.Equal(encode(again), enc) {
-			t.Fatalf("re-encoding %v is not stable", again)
+		if !bytes.Equal(b.AppendEncodedID(nil, again), enc) {
+			t.Fatalf("re-encoding %s is not stable", b.String(again))
 		}
 	})
 }

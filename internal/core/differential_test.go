@@ -7,25 +7,23 @@ import (
 	"testing/quick"
 
 	"repro/internal/cluster"
-	"repro/internal/eval"
 	"repro/internal/frag"
 	"repro/internal/xmltree"
 	"repro/internal/xpath"
 )
 
-// TestPropAlgorithmsMatchLegacyEvaluator is the end-to-end differential
-// test of the bitset/arena rewrite: on random trees, random fragmentations
-// and random QLists, the four paper algorithms — ParBoX, NaiveCentralized,
-// FullDistParBoX and LazyParBoX, all now running on the two-plane
-// evaluator — must each return the answer the preserved pointer-formula
-// reference implementation (LegacyBottomUp + LegacySolve) computes for the
-// same deployment.
-func TestPropAlgorithmsMatchLegacyEvaluator(t *testing.T) {
+// TestPropAlgorithmsMatchOracle is the end-to-end differential test of the
+// engine: on random trees, random fragmentations and random QLists, the
+// four paper algorithms — ParBoX, NaiveCentralized, FullDistParBoX and
+// LazyParBoX — must each return the answer xpath.EvalRaw, the AST
+// interpreter, gives on the unfragmented tree.
+func TestPropAlgorithmsMatchOracle(t *testing.T) {
 	algos := []Algorithm{AlgoParBoX, AlgoNaiveCentralized, AlgoFullDist, AlgoLazy}
 	ctx := context.Background()
 	f := func(seed int64, sizeRaw, splitRaw uint8) bool {
 		r := rand.New(rand.NewSource(seed))
 		tree := xmltree.RandomTree(r, xmltree.RandomSpec{Nodes: 2 + int(sizeRaw%60)})
+		orig := tree.Clone()
 		forest := frag.NewForest(tree)
 		if err := forest.SplitRandom(r, 1+int(splitRaw%8)); err != nil {
 			return false
@@ -41,25 +39,7 @@ func TestPropAlgorithmsMatchLegacyEvaluator(t *testing.T) {
 		q := xpath.RandomQuery(r, xpath.RandomSpec{AllowNot: true})
 		prog := xpath.Compile(q)
 
-		// Reference answer: the legacy pointer-formula pipeline.
-		legacyTriplets := make(map[xmltree.FragmentID]eval.LegacyTriplet, forest.Count())
-		for _, id := range forest.IDs() {
-			fr, _ := forest.Fragment(id)
-			lt, _, err := eval.LegacyBottomUp(fr.Root, prog)
-			if err != nil {
-				return false
-			}
-			legacyTriplets[id] = lt
-		}
-		st, err := frag.BuildSourceTree(forest, assign)
-		if err != nil {
-			return false
-		}
-		want, _, err := eval.LegacySolve(st, legacyTriplets, prog)
-		if err != nil {
-			t.Logf("LegacySolve(%q): %v", q.String(), err)
-			return false
-		}
+		want := xpath.EvalRaw(q, orig)
 
 		c := cluster.New(cluster.DefaultCostModel())
 		eng, err := Deploy(c, forest, assign)
@@ -73,7 +53,7 @@ func TestPropAlgorithmsMatchLegacyEvaluator(t *testing.T) {
 				return false
 			}
 			if rep.Answer != want {
-				t.Logf("%s(%q) = %v, legacy reference = %v (seed %d)", algo, q.String(), rep.Answer, want, seed)
+				t.Logf("%s(%q) = %v, EvalRaw = %v (seed %d)", algo, q.String(), rep.Answer, want, seed)
 				return false
 			}
 		}

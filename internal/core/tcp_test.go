@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
-	"repro/internal/eval"
 	"repro/internal/fixtures"
 	"repro/internal/frag"
 	"repro/internal/xpath"
@@ -67,10 +66,7 @@ func TestAlgorithmsOverTCP(t *testing.T) {
 		`//nothing`,
 	} {
 		prog := xpath.MustCompileString(src)
-		want, _, err := eval.Evaluate(orig, prog)
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := xpath.EvalRaw(xpath.MustParse(src), orig)
 		for _, algo := range Algorithms() {
 			rep, err := eng.Run(ctx, algo, prog)
 			if err != nil {

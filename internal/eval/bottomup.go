@@ -129,8 +129,9 @@ func BottomUp(root *xmltree.Node, prog *xpath.Program) (Triplet, int64, error) {
 
 // BottomUpPerLane is BottomUp evaluated with the scalar per-lane loop
 // instead of the fused lane kernel. It is the differential reference for
-// the kernel (as LegacyBottomUp is for the bitset representation): the two
-// must agree entry-wise on every (tree, program) pair.
+// the kernel: the two must agree entry-wise on every (tree, program) pair.
+// (Whether either is right is checked against xpath.EvalRaw, which shares
+// code with neither.)
 func BottomUpPerLane(root *xmltree.Node, prog *xpath.Program) (Triplet, int64, error) {
 	return bottomUpPooled(root, prog, nil)
 }

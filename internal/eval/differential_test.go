@@ -2,6 +2,7 @@ package eval
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -12,107 +13,97 @@ import (
 	"repro/internal/xpath"
 )
 
-// The differential property tests of the perf rewrite: the bitset/arena
-// evaluator (BottomUp, Solve) must agree with the preserved pointer-formula
-// reference implementation (LegacyBottomUp, LegacySolve) on random trees,
-// random fragmentations and random QLists. Structural identity of the
-// produced formulas is NOT required (the arena may normalize operand lists
-// differently); logical equivalence is, and is checked per entry.
+// The differential property tests of the evaluator: BottomUp, Solve and
+// SolveAll must agree with xpath.EvalRaw, the AST interpreter that shares
+// no code with Compile, the lane kernel or the arena, on random trees,
+// random fragmentations and random QLists.
 
-// equivalentFormulas reports logical equivalence of two formulas: equal
-// constants, or agreement under a battery of assignments over their
-// combined variables (exhaustive up to 10 variables, randomized above).
-func equivalentFormulas(r *rand.Rand, f, g *boolexpr.Formula) bool {
-	fv, fok := f.ConstValue()
-	gv, gok := g.ConstValue()
-	if fok || gok {
-		return fok && gok && fv == gv
+// twins clones tree and maps every node of tree to its copy, so that after
+// tree is split each fragment root still names its node in the unsplit
+// document.
+func twins(tree *xmltree.Node) (*xmltree.Node, map[*xmltree.Node]*xmltree.Node) {
+	orig := tree.Clone()
+	var from, to []*xmltree.Node
+	tree.Walk(func(n *xmltree.Node) { from = append(from, n) })
+	orig.Walk(func(n *xmltree.Node) { to = append(to, n) })
+	m := make(map[*xmltree.Node]*xmltree.Node, len(from))
+	for i, n := range from {
+		m[n] = to[i]
 	}
-	seen := make(map[boolexpr.Var]bool)
-	var vars []boolexpr.Var
-	for _, h := range []*boolexpr.Formula{f, g} {
-		for _, v := range h.VarSet() {
-			if !seen[v] {
-				seen[v] = true
-				vars = append(vars, v)
-			}
-		}
-	}
-	check := func(env boolexpr.Assignment) bool {
-		return f.Eval(env.Total) == g.Eval(env.Total)
-	}
-	if len(vars) <= 10 {
-		for mask := 0; mask < 1<<len(vars); mask++ {
-			env := make(boolexpr.Assignment, len(vars))
-			for i, v := range vars {
-				env[v] = mask&(1<<i) != 0
-			}
-			if !check(env) {
-				return false
-			}
-		}
-		return true
-	}
-	for trial := 0; trial < 64; trial++ {
-		env := make(boolexpr.Assignment, len(vars))
-		for _, v := range vars {
-			env[v] = r.Intn(2) == 0
-		}
-		if !check(env) {
-			return false
-		}
-	}
-	return true
+	return orig, m
 }
 
-func equivalentTriplets(r *rand.Rand, t, u LegacyTriplet) bool {
-	eq := func(a, b []*boolexpr.Formula) bool {
-		if len(a) != len(b) {
-			return false
-		}
-		for i := range a {
-			if !equivalentFormulas(r, a[i], b[i]) {
-				return false
+// oracleMismatch solves the forest's triplets with SolveAll and compares,
+// at every fragment root, the resolved value of each query's root lane
+// with EvalRaw of the query at that node of the unsplit document. It
+// returns a description of the first disagreement, or "".
+func oracleMismatch(forest *frag.Forest, triplets map[xmltree.FragmentID]Triplet, prog *xpath.Program,
+	exprs []xpath.Expr, roots []int32, twin map[*xmltree.Node]*xmltree.Node) string {
+	st, err := frag.BuildSourceTree(forest, frag.AssignAll(forest, "S0"))
+	if err != nil {
+		return err.Error()
+	}
+	vecs, _, err := SolveAll(st, triplets, prog)
+	if err != nil {
+		return "SolveAll: " + err.Error()
+	}
+	for _, id := range forest.IDs() {
+		fr, _ := forest.Fragment(id)
+		for i, e := range exprs {
+			if got, want := vecs[id].V[roots[i]], xpath.EvalRaw(e, twin[fr.Root]); got != want {
+				return fmt.Sprintf("fragment %d, query %q: solved %v, EvalRaw %v", id, e.String(), got, want)
 			}
 		}
-		return true
 	}
-	return eq(t.V, u.V) && eq(t.CV, u.CV) && eq(t.DV, u.DV)
+	return ""
 }
 
-// TestPropBottomUpMatchesLegacy: on every fragment of a random
-// fragmentation, the two-plane BottomUp and the pointer LegacyBottomUp
-// produce logically equivalent triplets and identical step counts.
-func TestPropBottomUpMatchesLegacy(t *testing.T) {
+// wantSteps is the paper's O(|Q|·|T|) as an exact count: one step per
+// subquery at every real node and at every virtual child of the fragment.
+func wantSteps(root *xmltree.Node, prog *xpath.Program) int64 {
+	var real, virtual int64
+	root.Walk(func(n *xmltree.Node) {
+		if n.Virtual {
+			virtual++
+		} else {
+			real++
+		}
+	})
+	return int64(len(prog.Subs)) * (real + virtual)
+}
+
+// TestPropBottomUpMatchesOracle: on every fragment of a random
+// fragmentation, BottomUp takes exactly |QList| steps per node and virtual
+// child, and its triplets, once solved, give at every fragment root the
+// answer EvalRaw gives at that node of the unsplit tree.
+func TestPropBottomUpMatchesOracle(t *testing.T) {
 	f := func(seed int64, sizeRaw, splitRaw uint8) bool {
 		r := rand.New(rand.NewSource(seed))
 		tree := xmltree.RandomTree(r, xmltree.RandomSpec{Nodes: 2 + int(sizeRaw%80)})
+		_, twin := twins(tree)
 		forest := frag.NewForest(tree)
 		if err := forest.SplitRandom(r, 1+int(splitRaw%10)); err != nil {
 			return false
 		}
 		q := xpath.RandomQuery(r, xpath.RandomSpec{AllowNot: true})
 		prog := xpath.Compile(q)
+		triplets := make(map[xmltree.FragmentID]Triplet, forest.Count())
 		for _, id := range forest.IDs() {
 			fr, _ := forest.Fragment(id)
-			got, gotSteps, err := BottomUp(fr.Root, prog)
+			tr, steps, err := BottomUp(fr.Root, prog)
 			if err != nil {
 				t.Logf("BottomUp(F%d): %v", id, err)
 				return false
 			}
-			want, wantSteps, err := LegacyBottomUp(fr.Root, prog)
-			if err != nil {
-				t.Logf("LegacyBottomUp(F%d): %v", id, err)
+			if want := wantSteps(fr.Root, prog); steps != want {
+				t.Logf("F%d steps: %d, want %d (query %q)", id, steps, want, q.String())
 				return false
 			}
-			if gotSteps != wantSteps {
-				t.Logf("F%d steps: arena=%d legacy=%d (query %q)", id, gotSteps, wantSteps, q.String())
-				return false
-			}
-			if !equivalentTriplets(r, legacyOf(got), want) {
-				t.Logf("F%d triplets diverge (query %q, seed %d)", id, q.String(), seed)
-				return false
-			}
+			triplets[id] = tr
+		}
+		if msg := oracleMismatch(forest, triplets, prog, []xpath.Expr{q}, []int32{int32(prog.Root())}, twin); msg != "" {
+			t.Logf("%s (seed %d)", msg, seed)
+			return false
 		}
 		return true
 	}
@@ -121,10 +112,11 @@ func TestPropBottomUpMatchesLegacy(t *testing.T) {
 	}
 }
 
-// TestPropSolveMatchesLegacy: the memoized arena solve agrees with the
-// reference per-entry substitution on the full pipeline — and both agree
-// with centralized evaluation of the unfragmented tree.
-func TestPropSolveMatchesLegacy(t *testing.T) {
+// TestPropSolveMatchesOracle: the full pipeline — BottomUp per fragment,
+// Solve over a random site assignment — answers what EvalRaw answers on the
+// unfragmented tree, and so does Solve over the same triplets re-decoded
+// into one shared arena.
+func TestPropSolveMatchesOracle(t *testing.T) {
 	f := func(seed int64, sizeRaw, splitRaw uint8) bool {
 		r := rand.New(rand.NewSource(seed))
 		tree := xmltree.RandomTree(r, xmltree.RandomSpec{Nodes: 2 + int(sizeRaw%80)})
@@ -145,48 +137,25 @@ func TestPropSolveMatchesLegacy(t *testing.T) {
 		q := xpath.RandomQuery(r, xpath.RandomSpec{AllowNot: true})
 		prog := xpath.Compile(q)
 
-		newTriplets, _, err := EvaluateAll(forest, prog)
+		triplets, _, err := EvaluateAll(forest, prog)
 		if err != nil {
 			return false
 		}
-		legacyTriplets := make(map[xmltree.FragmentID]LegacyTriplet, forest.Count())
-		for _, id := range forest.IDs() {
-			fr, _ := forest.Fragment(id)
-			lt, _, err := LegacyBottomUp(fr.Root, prog)
-			if err != nil {
+		want := xpath.EvalRaw(q, orig)
+		got, _, err := Solve(st, triplets, prog)
+		if err != nil || got != want {
+			t.Logf("query %q: Solve = %v/%v, EvalRaw %v (seed %d)", q.String(), got, err, want, seed)
+			return false
+		}
+		shared := boolexpr.NewArena()
+		decoded := make(map[xmltree.FragmentID]Triplet, len(triplets))
+		for id, tr := range triplets {
+			if decoded[id], err = DecodeTripletInto(shared, tr.Encode()); err != nil {
 				return false
 			}
-			legacyTriplets[id] = lt
 		}
-
-		got, _, err := Solve(st, newTriplets, prog)
-		if err != nil {
-			t.Logf("Solve(%q): %v", q.String(), err)
-			return false
-		}
-		want, _, err := LegacySolve(st, legacyTriplets, prog)
-		if err != nil {
-			t.Logf("LegacySolve(%q): %v", q.String(), err)
-			return false
-		}
-		central, _, err := Evaluate(orig, prog)
-		if err != nil {
-			return false
-		}
-		if got != want || got != central {
-			t.Logf("query %q: arena=%v legacy=%v central=%v (seed %d)", q.String(), got, want, central, seed)
-			return false
-		}
-		// Cross-wiring must also hold: legacy triplets through the arena
-		// solve and arena triplets through the legacy solve.
-		cross1, _, err := Solve(st, tripletOfAll(legacyTriplets), prog)
-		if err != nil || cross1 != want {
-			t.Logf("query %q: Solve over legacy triplets = %v/%v, want %v", q.String(), cross1, err, want)
-			return false
-		}
-		cross2, _, err := LegacySolve(st, legacyOfAll(newTriplets), prog)
-		if err != nil || cross2 != want {
-			t.Logf("query %q: LegacySolve over arena triplets = %v/%v, want %v", q.String(), cross2, err, want)
+		if got, _, err := Solve(st, decoded, prog); err != nil || got != want {
+			t.Logf("query %q: Solve over one shared arena = %v/%v, want %v", q.String(), got, err, want)
 			return false
 		}
 		return true
@@ -223,14 +192,14 @@ func TestPropTripletWireCompat(t *testing.T) {
 				return false
 			}
 			own, err := DecodeTriplet(enc)
-			if err != nil || !own.Equal(tr) || !equalLegacy(legacyOf(own), legacyOf(tr)) {
+			if err != nil || !own.Equal(tr) {
 				return false
 			}
 			at, err := DecodeTripletInto(shared, enc)
 			if err != nil {
 				return false
 			}
-			if !bytes.Equal(at.Encode(), enc) || !equalLegacy(legacyOf(at), legacyOf(tr)) {
+			if !bytes.Equal(at.Encode(), enc) || !at.Equal(tr) {
 				t.Logf("shared-arena decode diverges (seed %d)", seed)
 				return false
 			}

@@ -83,11 +83,11 @@ func TestExample33(t *testing.T) {
 	// Leaf fragments (F2, F3) must have fully constant triplets: "the
 	// vectors of leaf fragments in the source tree contain no variables".
 	for _, leaf := range []xmltree.FragmentID{2, 3} {
-		tr := legacyOf(triplets[leaf])
-		for _, vec := range [][]*boolexpr.Formula{tr.V, tr.CV, tr.DV} {
+		tr := triplets[leaf]
+		for _, vec := range [][]boolexpr.NodeID{tr.V, tr.CV, tr.DV} {
 			for q, f := range vec {
-				if !f.IsConst() {
-					t.Errorf("leaf F%d entry %d not constant: %v", leaf, q, f)
+				if !tr.A.IsConst(f) {
+					t.Errorf("leaf F%d entry %d not constant: %s", leaf, q, tr.A.String(f))
 				}
 			}
 		}
@@ -95,17 +95,17 @@ func TestExample33(t *testing.T) {
 	// F1 holds the virtual node for F2, so its formulas may only mention
 	// F2's variables — and never CV variables (a parent consumes only V
 	// and DV of a child).
-	tr1 := legacyOf(triplets[1])
-	for _, vec := range [][]*boolexpr.Formula{tr1.V, tr1.CV, tr1.DV} {
+	tr1 := triplets[1]
+	for _, vec := range [][]boolexpr.NodeID{tr1.V, tr1.CV, tr1.DV} {
 		for _, f := range vec {
-			for _, v := range f.VarSet() {
+			tr1.A.Vars(f, func(v boolexpr.Var) {
 				if v.Frag != 2 {
-					t.Errorf("F1 formula mentions fragment %d: %v", v.Frag, f)
+					t.Errorf("F1 formula mentions fragment %d: %s", v.Frag, tr1.A.String(f))
 				}
 				if v.Vec == boolexpr.VecCV {
-					t.Errorf("F1 formula mentions a CV variable: %v", f)
+					t.Errorf("F1 formula mentions a CV variable: %s", tr1.A.String(f))
 				}
-			}
+			})
 		}
 	}
 
@@ -119,12 +119,8 @@ func TestExample33(t *testing.T) {
 	if work <= 0 {
 		t.Error("Solve reported no work")
 	}
-	// Differential check against the centralized evaluation.
-	want, _, err := Evaluate(orig, prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ans != want {
+	// Differential check against the oracle on the unfragmented tree.
+	if want := xpath.EvalRaw(xpath.MustParse(example21), orig); ans != want {
 		t.Errorf("distributed answer %v != centralized %v", ans, want)
 	}
 }
@@ -205,9 +201,9 @@ func TestResolveTriplet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for q, f := range legacyOf(resolved).V {
-		if !f.IsConst() {
-			t.Errorf("resolved V[%d] not constant: %v", q, f)
+	for q, f := range resolved.V {
+		if !resolved.A.IsConst(f) {
+			t.Errorf("resolved V[%d] not constant: %s", q, resolved.A.String(f))
 		}
 	}
 	// Without the sub-triplet it must fail with ErrUnresolved.
@@ -305,10 +301,7 @@ func TestPropDistributedMatchesCentralized(t *testing.T) {
 			t.Logf("Solve(%q): %v", q.String(), err)
 			return false
 		}
-		want, _, err := Evaluate(orig, prog)
-		if err != nil {
-			return false
-		}
+		want := xpath.EvalRaw(q, orig)
 		if got != want {
 			t.Logf("query %q: distributed=%v centralized=%v (seed %d)", q.String(), got, want, seed)
 		}

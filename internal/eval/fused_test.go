@@ -11,31 +11,36 @@ import (
 )
 
 // randBatchProgram compiles 1..qMax random queries into one shared batch
-// program, the fused multi-lane shape the kernel exists for.
-func randBatchProgram(r *rand.Rand, qMax int) (*xpath.Program, []int32) {
+// program, the fused multi-lane shape the kernel exists for. It returns the
+// queries and each one's root lane too.
+func randBatchProgram(r *rand.Rand, qMax int, spec xpath.RandomSpec) (*xpath.Program, []xpath.Expr, []int32) {
 	b := xpath.NewBatchBuilder()
-	nq := 1 + r.Intn(qMax)
-	for i := 0; i < nq; i++ {
-		b.Add(xpath.RandomQuery(r, xpath.RandomSpec{AllowNot: true}))
+	exprs := make([]xpath.Expr, 1+r.Intn(qMax))
+	for i := range exprs {
+		exprs[i] = xpath.RandomQuery(r, spec)
+		b.Add(exprs[i])
 	}
-	return b.Program()
+	prog, roots := b.Program()
+	return prog, exprs, roots
 }
 
 // TestPropFusedMatchesPerLane: over random fragmented documents and random
 // BATCH programs, the fused-kernel BottomUp and the scalar per-lane
 // BottomUpPerLane produce identical triplets (exact structural equality —
 // the two paths differ only on the constant plane, where every entry is a
-// decided boolean) and identical step counts; both agree with
-// LegacyBottomUp up to logical equivalence.
+// decided boolean) and identical step counts, and the solved batch agrees
+// with EvalRaw at every fragment root.
 func TestPropFusedMatchesPerLane(t *testing.T) {
 	f := func(seed int64, sizeRaw, splitRaw uint8) bool {
 		r := rand.New(rand.NewSource(seed))
 		tree := xmltree.RandomTree(r, xmltree.RandomSpec{Nodes: 2 + int(sizeRaw%80)})
+		_, twin := twins(tree)
 		forest := frag.NewForest(tree)
 		if err := forest.SplitRandom(r, 1+int(splitRaw%10)); err != nil {
 			return false
 		}
-		prog, _ := randBatchProgram(r, 6)
+		prog, exprs, roots := randBatchProgram(r, 6, xpath.RandomSpec{AllowNot: true})
+		triplets := make(map[xmltree.FragmentID]Triplet, forest.Count())
 		for _, id := range forest.IDs() {
 			fr, _ := forest.Fragment(id)
 			fused, fusedSteps, err := BottomUp(fr.Root, prog)
@@ -56,14 +61,11 @@ func TestPropFusedMatchesPerLane(t *testing.T) {
 				t.Logf("F%d triplets diverge (seed %d)\nprogram:\n%s", id, seed, prog)
 				return false
 			}
-			legacy, _, err := LegacyBottomUp(fr.Root, prog)
-			if err != nil {
-				return false
-			}
-			if !equivalentTriplets(r, legacyOf(fused), legacy) {
-				t.Logf("F%d fused vs legacy diverge (seed %d)", id, seed)
-				return false
-			}
+			triplets[id] = fused
+		}
+		if msg := oracleMismatch(forest, triplets, prog, exprs, roots, twin); msg != "" {
+			t.Logf("%s (seed %d)", msg, seed)
+			return false
 		}
 		return true
 	}
@@ -74,12 +76,12 @@ func TestPropFusedMatchesPerLane(t *testing.T) {
 
 // TestFusedMultiWordBatch drives the multi-word (lanes > 64) kernel path,
 // which single queries never reach: 80 distinct subscriptions fused into
-// one program, fused vs per-lane vs legacy on every fragment, and the
-// solved batch answers must match per-query central evaluation.
+// one program, fused vs per-lane on every fragment, and the solved batch
+// answers must match EvalRaw at every fragment root.
 func TestFusedMultiWordBatch(t *testing.T) {
 	r := rand.New(rand.NewSource(99))
 	tree := xmltree.RandomTree(r, xmltree.RandomSpec{Nodes: 160, MaxChildren: 5})
-	orig := tree.Clone()
+	orig, twin := twins(tree)
 	forest := frag.NewForest(tree)
 	if err := forest.SplitRandom(r, 8); err != nil {
 		t.Fatal(err)
@@ -119,14 +121,10 @@ func TestFusedMultiWordBatch(t *testing.T) {
 		if fusedSteps != laneSteps || !fused.Equal(lane) {
 			t.Fatalf("fragment %d: fused and per-lane diverge on %d lanes", id, len(prog.Subs))
 		}
-		legacy, _, err := LegacyBottomUp(fr.Root, prog)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !equivalentTriplets(r, legacyOf(fused), legacy) {
-			t.Fatalf("fragment %d: fused vs legacy diverge", id)
-		}
 		triplets[id] = fused
+	}
+	if msg := oracleMismatch(forest, triplets, prog, exprs, roots, twin); msg != "" {
+		t.Fatal(msg)
 	}
 
 	answers, _, err := SolveMulti(st, triplets, prog, roots)
@@ -134,13 +132,8 @@ func TestFusedMultiWordBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, e := range exprs {
-		single := xpath.Compile(e)
-		want, _, err := Evaluate(orig, single)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if answers[i] != want {
-			t.Errorf("query %d (%q): batch=%v central=%v", i, e.String(), answers[i], want)
+		if want := xpath.EvalRaw(e, orig); answers[i] != want {
+			t.Errorf("query %d (%q): batch=%v EvalRaw=%v", i, e.String(), answers[i], want)
 		}
 	}
 }
@@ -155,11 +148,7 @@ func TestBottomUpSteadyStateAllocs(t *testing.T) {
 	}
 	r := rand.New(rand.NewSource(3))
 	tree := xmltree.RandomTree(r, xmltree.RandomSpec{Nodes: 300, MaxChildren: 4})
-	b := xpath.NewBatchBuilder()
-	for i := 0; i < 8; i++ {
-		b.Add(xpath.RandomQuery(r, xpath.RandomSpec{AllowNot: true}))
-	}
-	prog, _ := b.Program()
+	prog, _, _ := randBatchProgram(r, 8, xpath.RandomSpec{AllowNot: true})
 	run := func() {
 		tr, _, err := BottomUp(tree, prog)
 		if err != nil {

@@ -90,8 +90,9 @@ func FuzzDecodeTriplet(f *testing.F) {
 // an arbitrary (tree, fragmentation, query batch) triple must evaluate to
 // exactly the same triplets through the word-parallel kernel (BottomUp) as
 // through the scalar per-lane loop (BottomUpPerLane) — same step counts,
-// entry-wise equal vectors — and stay logically equivalent to the pointer
-// reference (LegacyBottomUp).
+// entry-wise equal vectors — and the solved triplets must give, at every
+// fragment root, the answer of every batch query that EvalRaw gives at
+// that node of the unsplit tree.
 func FuzzFusedBottomUp(f *testing.F) {
 	f.Add(int64(1), uint8(40), uint8(3), uint8(2))
 	f.Add(int64(7), uint8(120), uint8(8), uint8(10))
@@ -101,19 +102,22 @@ func FuzzFusedBottomUp(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, nodesRaw, splitRaw, queriesRaw uint8) {
 		r := rand.New(rand.NewSource(seed))
 		tree := xmltree.RandomTree(r, xmltree.RandomSpec{Nodes: 2 + int(nodesRaw)})
+		_, twin := twins(tree)
 		forest := frag.NewForest(tree)
 		if err := forest.SplitRandom(r, 1+int(splitRaw%14)); err != nil {
 			t.Skip()
 		}
 		b := xpath.NewBatchBuilder()
-		nq := 1 + int(queriesRaw)%48
-		for i := 0; i < nq; i++ {
-			b.Add(xpath.RandomQuery(r, xpath.RandomSpec{AllowNot: true, MaxDepth: 4, MaxSteps: 6}))
+		exprs := make([]xpath.Expr, 1+int(queriesRaw)%48)
+		for i := range exprs {
+			exprs[i] = xpath.RandomQuery(r, xpath.RandomSpec{AllowNot: true, MaxDepth: 4, MaxSteps: 6})
+			b.Add(exprs[i])
 		}
-		prog, _ := b.Program()
+		prog, roots := b.Program()
 		if err := prog.Validate(); err != nil {
 			t.Fatalf("batch program invalid: %v", err)
 		}
+		triplets := make(map[xmltree.FragmentID]Triplet, forest.Count())
 		for _, id := range forest.IDs() {
 			fr, _ := forest.Fragment(id)
 			fused, fusedSteps, err := BottomUp(fr.Root, prog)
@@ -131,13 +135,10 @@ func FuzzFusedBottomUp(f *testing.F) {
 				t.Fatalf("fragment %d: fused kernel diverges from per-lane evaluator (%d lanes)\n%s",
 					id, len(prog.Subs), prog)
 			}
-			legacy, _, err := LegacyBottomUp(fr.Root, prog)
-			if err != nil {
-				t.Fatalf("fragment %d legacy: %v", id, err)
-			}
-			if !equivalentTriplets(r, legacyOf(fused), legacy) {
-				t.Fatalf("fragment %d: fused kernel not equivalent to LegacyBottomUp", id)
-			}
+			triplets[id] = fused
+		}
+		if msg := oracleMismatch(forest, triplets, prog, exprs, roots, twin); msg != "" {
+			t.Fatal(msg)
 		}
 	})
 }

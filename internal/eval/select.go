@@ -3,6 +3,7 @@ package eval
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/xmltree"
 	"repro/internal/xpath"
@@ -249,16 +250,28 @@ func evalCasesBool(node *xmltree.Node, prog *xpath.Program, cv, dv []bool) []boo
 	return v
 }
 
-// SelectLocal evaluates a selection query over a complete tree (no virtual
-// nodes), returning selected nodes as paths — the centralized baseline and
-// test oracle adapter.
+// SelectLocal is the selection oracle: it reparses sp.Source and runs the
+// AST interpreter xpath.SelectRaw over a complete tree, returning the
+// selected nodes as child-index paths in document order. No guard program,
+// NFA chain or pass-2 code is involved, so comparing SelectFragment (or a
+// distributed ModeSelect) with it checks them instead of agreeing with
+// them. A tree holding virtual nodes is an error, not an answer.
 func SelectLocal(root *xmltree.Node, sp *xpath.SelectProgram) ([][]int, error) {
-	res, err := SelectFragment(root, sp, nil, StartArrival())
+	if root == nil || len(root.VirtualNodes()) > 0 {
+		return nil, errors.New("eval: SelectLocal over a fragmented tree")
+	}
+	e, err := xpath.Parse(sp.Source)
 	if err != nil {
 		return nil, err
 	}
-	if len(res.Forward) != 0 {
-		return nil, errors.New("eval: SelectLocal over a fragmented tree")
+	nodes, err := xpath.SelectRaw(e, root)
+	if err != nil {
+		return nil, err
 	}
-	return res.Selected, nil
+	paths := make([][]int, len(nodes))
+	for i, n := range nodes {
+		paths[i] = fragmentPath(root, n)
+	}
+	slices.SortFunc(paths, slices.Compare)
+	return paths, nil
 }

@@ -50,6 +50,22 @@ func selectOracle(t *testing.T, src string, root *xmltree.Node) map[string]bool 
 	return set
 }
 
+// selectComplete runs pass 2 over a complete tree: SelectFragment from the
+// start state, with no sub-fragments.
+func selectComplete(root *xmltree.Node, sp *xpath.SelectProgram) ([][]int, error) {
+	res, err := SelectFragment(root, sp, nil, StartArrival())
+	if err != nil {
+		return nil, err
+	}
+	if len(res.Forward) != 0 {
+		return nil, fmt.Errorf("complete tree forwarded states to %v", res.Forward)
+	}
+	return res.Selected, nil
+}
+
+// TestSelectLocalAgainstOracle: on the portfolio, pass 2 over the complete
+// tree selects exactly the oracle's node set, and SelectLocal — the oracle
+// adapter — returns that set as sorted paths.
 func TestSelectLocalAgainstOracle(t *testing.T) {
 	doc := fixtures.Portfolio()
 	queries := []string{
@@ -69,7 +85,7 @@ func TestSelectLocalAgainstOracle(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%q: %v", src, err)
 		}
-		got, err := SelectLocal(doc, sp)
+		got, err := selectComplete(doc, sp)
 		if err != nil {
 			t.Fatalf("%q: %v", src, err)
 		}
@@ -90,11 +106,18 @@ func TestSelectLocalAgainstOracle(t *testing.T) {
 				t.Errorf("%q: missing selection %s", src, k)
 			}
 		}
+		local, err := SelectLocal(doc, sp)
+		if err != nil {
+			t.Fatalf("SelectLocal(%q): %v", src, err)
+		}
+		if fmt.Sprint(local) != fmt.Sprint(got) {
+			t.Errorf("%q: SelectLocal = %v, pass 2 selected %v (both in document order)", src, local, got)
+		}
 	}
 }
 
-// TestPropSelectLocalMatchesOracle: random path queries over random trees
-// select exactly the oracle's node set.
+// TestPropSelectLocalMatchesOracle: random path queries over random trees:
+// pass 2 over the complete tree selects exactly the oracle's node set.
 func TestPropSelectLocalMatchesOracle(t *testing.T) {
 	f := func(seed int64, sizeRaw uint8) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -110,33 +133,41 @@ func TestPropSelectLocalMatchesOracle(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		got, err := SelectLocal(tree, sp)
+		got, err := selectComplete(tree, sp)
+		if err != nil {
+			t.Logf("pass 2 on %q: %v", e.String(), err)
+			return false
+		}
+		want, err := SelectLocal(tree, sp)
 		if err != nil {
 			t.Logf("SelectLocal(%q): %v", e.String(), err)
 			return false
 		}
-		want, err := xpath.SelectRaw(e, tree)
-		if err != nil {
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Logf("%q: pass 2 selected %v, oracle %v (seed %d)", e.String(), got, want, seed)
 			return false
-		}
-		wantSet := make(map[string]bool, len(want))
-		for _, n := range want {
-			wantSet[pathKey(absolutePathOf(n))] = true
-		}
-		if len(got) != len(wantSet) {
-			t.Logf("%q: got %d, want %d (seed %d)", e.String(), len(got), len(wantSet), seed)
-			return false
-		}
-		for _, p := range got {
-			if !wantSet[pathKey(p)] {
-				t.Logf("%q: spurious %v (seed %d)", e.String(), p, seed)
-				return false
-			}
 		}
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestSelectLocalRejectsFragment: the oracle never answers over a tree
+// that still holds virtual nodes — SelectRaw would silently skip them.
+func TestSelectLocalRejectsFragment(t *testing.T) {
+	forest, _, err := fixtures.Fig2Forest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	root, _ := forest.Fragment(0)
+	sp, err := xpath.CompileSelectString(`//stock`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := SelectLocal(root.Root, sp); err == nil {
+		t.Errorf("SelectLocal over the root fragment answered %v, want an error", got)
 	}
 }
 

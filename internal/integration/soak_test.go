@@ -13,7 +13,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/eval"
 	"repro/internal/frag"
 	"repro/internal/views"
 	"repro/internal/xmltree"
@@ -116,7 +115,8 @@ func soak(t *testing.T, seed int64) {
 	}
 	// A standing view drives the update machinery and carries the
 	// authoritative source tree across re-fragmentations.
-	viewQuery := xpath.MustCompileString(`//a[b] || //c`)
+	viewExpr := xpath.MustParse(`//a[b] || //c`)
+	viewQuery := xpath.Compile(viewExpr)
 	v, err := views.Materialize(ctx, c, "S0", eng.SourceTree(), viewQuery)
 	if err != nil {
 		t.Fatal(err)
@@ -141,10 +141,7 @@ func soak(t *testing.T, seed int64) {
 			if err != nil {
 				t.Fatalf("round %d: %s(%q): %v", round, algo, q.String(), err)
 			}
-			want, _, err := eval.Evaluate(w.oracle(), prog)
-			if err != nil {
-				t.Fatal(err)
-			}
+			want := xpath.EvalRaw(q, w.oracle())
 			if rep.Answer != want {
 				t.Fatalf("round %d: %s(%q) = %v, want %v", round, algo, q.String(), rep.Answer, want)
 			}
@@ -191,10 +188,7 @@ func soak(t *testing.T, seed int64) {
 			}
 			doc := w.oracle()
 			for i, e := range exprs {
-				want, _, err := eval.Evaluate(doc, xpath.Compile(e))
-				if err != nil {
-					t.Fatal(err)
-				}
+				want := xpath.EvalRaw(e, doc)
 				if rep.Answers[i] != want {
 					t.Fatalf("round %d: batch[%d] (%q) = %v, want %v", round, i, e.String(), rep.Answers[i], want)
 				}
@@ -217,10 +211,7 @@ func soak(t *testing.T, seed int64) {
 			if _, err := v.Update(ctx, id, []views.UpdateOp{op}); err != nil {
 				t.Fatalf("round %d: update: %v", round, err)
 			}
-			want, _, err := eval.Evaluate(w.oracle(), viewQuery)
-			if err != nil {
-				t.Fatal(err)
-			}
+			want := xpath.EvalRaw(viewExpr, w.oracle())
 			if v.Answer() != want {
 				t.Fatalf("round %d: view %v, oracle %v", round, v.Answer(), want)
 			}
@@ -233,10 +224,7 @@ func soak(t *testing.T, seed int64) {
 			if _, _, err := v.Split(ctx, id, views.PathOf(node), target); err != nil {
 				t.Fatalf("round %d: split: %v", round, err)
 			}
-			want, _, err := eval.Evaluate(w.oracle(), viewQuery)
-			if err != nil {
-				t.Fatal(err)
-			}
+			want := xpath.EvalRaw(viewExpr, w.oracle())
 			if v.Answer() != want {
 				t.Fatalf("round %d: view %v after split, oracle %v", round, v.Answer(), want)
 			}
@@ -263,10 +251,7 @@ func soak(t *testing.T, seed int64) {
 			t.Fatalf("final merge of %d into %d: %v", id, e.Parent, err)
 		}
 	}
-	want, _, err := eval.Evaluate(w.oracle(), viewQuery)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := xpath.EvalRaw(viewExpr, w.oracle())
 	if v.Answer() != want {
 		t.Fatalf("after merges: view %v, oracle %v", v.Answer(), want)
 	}

@@ -126,17 +126,44 @@ func (p *Path) String() string {
 
 func (t *TextCmp) String() string {
 	if t.Path == nil {
-		return fmt.Sprintf("text() = %q", t.Str)
+		return "text() = " + quote(t.Str)
 	}
 	ps := t.Path.String()
 	sep := "/"
 	if strings.HasSuffix(ps, "/") {
 		sep = "" // after a trailing "//" (or the bare "/"), no extra slash
 	}
-	return fmt.Sprintf("%s%stext() = %q", ps, sep, t.Str)
+	return ps + sep + "text() = " + quote(t.Str)
 }
 
-func (l *LabelCmp) String() string { return fmt.Sprintf("label() = %s", l.Label) }
+func (l *LabelCmp) String() string {
+	if isName(l.Label) {
+		return "label() = " + l.Label
+	}
+	return "label() = " + quote(l.Label)
+}
+
+// quote delimits a literal with whichever quote character it does not
+// contain: the lexer has no escapes, so this is the only spelling that
+// reparses to the same string. (A literal holding both cannot be written
+// at all, and so never comes out of Parse.)
+func quote(s string) string {
+	if strings.ContainsRune(s, '"') {
+		return "'" + s + "'"
+	}
+	return `"` + s + `"`
+}
+
+// isName reports whether s lexes as one name token, so a label() operand
+// can be printed bare.
+func isName(s string) bool {
+	for i, r := range s {
+		if i == 0 && !isNameStart(r) || !isNamePart(r) {
+			return false
+		}
+	}
+	return s != "" && s != "and" && s != "or" && s != "not"
+}
 
 func (n *Not) String() string { return fmt.Sprintf("!(%s)", n.Q.String()) }
 

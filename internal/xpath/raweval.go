@@ -3,14 +3,18 @@ package xpath
 import "repro/internal/xmltree"
 
 // EvalRaw evaluates a raw XBL expression at node v by direct, set-based
-// interpretation of the AST. It is deliberately naive (it materializes the
-// node sets paths reach) and serves as the reference oracle for the
-// differential property tests: the compiled Program evaluated by Procedure
-// bottomUp must agree with EvalRaw on every tree and query.
+// interpretation of the AST. It is the one answer oracle of the repository:
+// it shares no code with Compile, the lane kernel, BottomUp or Solve, so
+// the differential tests, parbox.EvaluateLocal and eval.SelectLocal (and
+// through them the benchmark's mirror check) catch a bug in any of those
+// instead of agreeing with it. It is deliberately plain — it materializes
+// the node sets paths reach — but folds each //label test into the walk, so
+// it costs about what one centralized bottomUp costs.
 //
 // EvalRaw must only be used on complete trees: virtual nodes have no
 // evaluable content, and the function ignores them entirely (they match no
-// test and have no children).
+// test and have no children). Callers that may see a fragment check for
+// virtual nodes first.
 func EvalRaw(e Expr, v *xmltree.Node) bool {
 	switch e := e.(type) {
 	case *Path:
@@ -89,14 +93,17 @@ func evalPath(p *Path, v *xmltree.Node) []*xmltree.Node {
 				cur = childrenOf(cur, pred)
 			}
 		case StepDescOrSelf:
-			cur = descOrSelf(cur, func(u *xmltree.Node) bool { return holdAll(s.Quals, u) })
+			pred := func(u *xmltree.Node) bool { return holdAll(s.Quals, u) }
 			if i+1 < len(steps) && steps[i+1].Kind == StepLabel {
+				// Test the merged label inside the walk, so //l never
+				// materializes the whole descendant-or-self set.
 				nxt := steps[i+1]
-				cur = filterSet(cur, func(u *xmltree.Node) bool {
-					return u.Label == nxt.Label && holdAll(nxt.Quals, u)
-				})
+				pred = func(u *xmltree.Node) bool {
+					return u.Label == nxt.Label && holdAll(s.Quals, u) && holdAll(nxt.Quals, u)
+				}
 				i++
 			}
+			cur = descOrSelf(cur, pred)
 		}
 	}
 	return cur.nodes

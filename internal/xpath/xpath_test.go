@@ -54,27 +54,30 @@ func TestLexErrors(t *testing.T) {
 	}
 }
 
+// parseAccepted are queries the parser must accept; FuzzParse seeds from
+// them too.
+var parseAccepted = []string{
+	`//a && //b`,
+	`[//a && //b]`,
+	`//stock[code/text() = "yhoo"]`,
+	`//broker[//stock/code = "goog" && !(//stock/code = "yhoo")]`,
+	`/portofolio/broker/name = "Merill Lynch"`,
+	`label() = broker`,
+	`text() = "42"`,
+	`.`,
+	`*`,
+	`/`,
+	`a//`,
+	`a//[label() = b]`,
+	`.//b[. = "x"]`,
+	`not (a or b) and c`,
+	`a[b][c]`,
+	`*[text() = "v"]/e`,
+	`//a//b//c`,
+}
+
 func TestParseAccepts(t *testing.T) {
-	cases := []string{
-		`//a && //b`,
-		`[//a && //b]`,
-		`//stock[code/text() = "yhoo"]`,
-		`//broker[//stock/code = "goog" && !(//stock/code = "yhoo")]`,
-		`/portofolio/broker/name = "Merill Lynch"`,
-		`label() = broker`,
-		`text() = "42"`,
-		`.`,
-		`*`,
-		`/`,
-		`a//`,
-		`a//[label() = b]`,
-		`.//b[. = "x"]`,
-		`not (a or b) and c`,
-		`a[b][c]`,
-		`*[text() = "v"]/e`,
-		`//a//b//c`,
-	}
-	for _, src := range cases {
+	for _, src := range parseAccepted {
 		if _, err := Parse(src); err != nil {
 			t.Errorf("Parse(%q): %v", src, err)
 		}
@@ -127,6 +130,30 @@ func TestParseStringRoundTrip(t *testing.T) {
 		}
 		if e1.String() != e2.String() {
 			t.Errorf("round trip of %q: %q != %q", src, e1.String(), e2.String())
+		}
+	}
+}
+
+// TestStringQuotesLiterals: the lexer has no escapes, so String must quote
+// each literal with the quote character it does not contain. An escaped
+// `\"` does not reparse at all, and an escaped `\\` reparses to a
+// different literal and flips the answer.
+func TestStringQuotesLiterals(t *testing.T) {
+	root := xmltree.NewElement("r", "",
+		xmltree.NewElement("a", `x"y`),
+		xmltree.NewElement("b", `C:\tmp`))
+	for _, src := range []string{`//a = 'x"y'`, `//b = 'C:\tmp'`, `label() = "two words"`} {
+		e := MustParse(src)
+		again, err := Parse(e.String())
+		if err != nil {
+			t.Errorf("%q prints as %q, which does not reparse: %v", src, e.String(), err)
+			continue
+		}
+		if again.String() != e.String() {
+			t.Errorf("%q: print %q reprints as %q", src, e.String(), again.String())
+		}
+		if EvalRaw(again, root) != EvalRaw(e, root) {
+			t.Errorf("%q: reparsing its print %q changes the answer", src, e.String())
 		}
 	}
 }

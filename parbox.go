@@ -41,6 +41,7 @@ package parbox
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -52,7 +53,6 @@ import (
 	"repro/internal/backoff"
 	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/eval"
 	"repro/internal/frag"
 	"repro/internal/obs"
 	"repro/internal/serve"
@@ -144,12 +144,16 @@ func WriteXML(w io.Writer, n *Node) error { return xmltree.WriteXML(w, n) }
 // Forest.Split to fragment it further.
 func NewForest(root *Node) *Forest { return frag.NewForest(root) }
 
-// EvaluateLocal evaluates the query at the root of a complete
-// (unfragmented) document — the paper's optimal centralized algorithm,
-// O(|T|·|q|).
+// EvaluateLocal answers the query at the root of a complete
+// (unfragmented) document with the AST interpreter xpath.EvalRaw. It is
+// the answer oracle: it shares no code with compilation, the lane kernel,
+// bottomUp or solve, so comparing Exec's answers with it checks all of
+// them. A tree holding virtual nodes is an error, not an answer.
 func EvaluateLocal(root *Node, q *Prepared) (bool, error) {
-	ans, _, err := eval.Evaluate(root, q.program())
-	return ans, err
+	if root == nil || len(root.VirtualNodes()) > 0 {
+		return false, errors.New("parbox: EvaluateLocal over a fragmented tree")
+	}
+	return xpath.EvalRaw(q.expr, root), nil
 }
 
 // Option configures Deploy.

@@ -297,6 +297,27 @@ func TestPrepareErrors(t *testing.T) {
 	}
 }
 
+// TestEvaluateLocalRejectsFragment: the oracle never answers over a tree
+// that still holds virtual nodes, even when the part it can see decides
+// the query — EvalRaw would silently skip them.
+func TestEvaluateLocalRejectsFragment(t *testing.T) {
+	doc, err := ParseXMLString(`<a><b/><c>hi</c></a>`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewForest(doc).Split(doc.Children[0]); err != nil {
+		t.Fatal(err)
+	}
+	for _, src := range []string{`//c`, `//b`} {
+		if got, err := EvaluateLocal(doc, MustPrepare(src)); err == nil {
+			t.Errorf("EvaluateLocal(%q) over the root fragment answered %v, want an error", src, got)
+		}
+	}
+	if _, err := EvaluateLocal(nil, MustPrepare(`//c`)); err == nil {
+		t.Error("EvaluateLocal(nil) answered")
+	}
+}
+
 func TestAlgorithmParsing(t *testing.T) {
 	if len(Algorithms()) != 6 {
 		t.Fatalf("Algorithms() = %v", Algorithms())

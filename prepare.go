@@ -102,7 +102,9 @@ func (q *Prepared) Optimized() *Prepared {
 // xpath.ErrNotSelection.
 func (q *Prepared) selectProgram() (*xpath.SelectProgram, error) {
 	q.selOnce.Do(func() {
-		q.sel, q.selErr = xpath.CompileSelect(q.expr)
+		if q.sel, q.selErr = xpath.CompileSelect(q.expr); q.selErr == nil {
+			q.sel.Source = q.src
+		}
 	})
 	return q.sel, q.selErr
 }
