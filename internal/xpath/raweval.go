@@ -9,7 +9,7 @@ import "repro/internal/xmltree"
 // through them the benchmark's mirror check) catch a bug in any of those
 // instead of agreeing with it. It is deliberately plain — it materializes
 // the node sets paths reach — but folds each //label test into the walk, so
-// it costs about what one centralized bottomUp costs.
+// each // in a query costs about one centralized bottomUp pass.
 //
 // EvalRaw must only be used on complete trees: virtual nodes have no
 // evaluable content, and the function ignores them entirely (they match no
@@ -42,25 +42,6 @@ func EvalRaw(e Expr, v *xmltree.Node) bool {
 	}
 }
 
-// nodeSet is an ordered set of nodes (document order is irrelevant for
-// Boolean results; the set property only prevents duplicate work).
-type nodeSet struct {
-	nodes []*xmltree.Node
-	seen  map[*xmltree.Node]bool
-}
-
-func newNodeSet() *nodeSet {
-	return &nodeSet{seen: make(map[*xmltree.Node]bool)}
-}
-
-func (s *nodeSet) add(n *xmltree.Node) {
-	if n.Virtual || s.seen[n] {
-		return
-	}
-	s.seen[n] = true
-	s.nodes = append(s.nodes, n)
-}
-
 // evalPath mirrors the normalization rules of Compile, so both definitions
 // of the semantics coincide by construction of the tests, not by sharing
 // code:
@@ -70,25 +51,32 @@ func (s *nodeSet) add(n *xmltree.Node) {
 //     leading "/" makes the first step test the context node itself;
 //   - qualifiers filter the current set;
 //   - // expands to descendant-or-self.
+//
+// Node sets are plain slices. A node has one parent, so the children of
+// distinct nodes are distinct, and so is any filtered subset; only
+// descendant-or-self walks from several nodes can overlap, and only they
+// dedupe.
 func evalPath(p *Path, v *xmltree.Node) []*xmltree.Node {
-	cur := newNodeSet()
-	cur.add(v)
+	if v.Virtual {
+		return nil
+	}
+	cur := []*xmltree.Node{v}
 	steps := p.Steps
 	for i := 0; i < len(steps); i++ {
 		s := steps[i]
 		switch s.Kind {
 		case StepSelf:
-			cur = filterSet(cur, func(u *xmltree.Node) bool { return holdAll(s.Quals, u) })
+			cur = filter(cur, func(u *xmltree.Node) bool { return holdAll(s.Quals, u) })
 		case StepWildcard:
 			if i == 0 && p.Rooted {
-				cur = filterSet(cur, func(u *xmltree.Node) bool { return holdAll(s.Quals, u) })
+				cur = filter(cur, func(u *xmltree.Node) bool { return holdAll(s.Quals, u) })
 			} else {
 				cur = childrenOf(cur, func(u *xmltree.Node) bool { return holdAll(s.Quals, u) })
 			}
 		case StepLabel:
 			pred := func(u *xmltree.Node) bool { return u.Label == s.Label && holdAll(s.Quals, u) }
 			if i == 0 && p.Rooted {
-				cur = filterSet(cur, pred)
+				cur = filter(cur, pred)
 			} else {
 				cur = childrenOf(cur, pred)
 			}
@@ -106,7 +94,7 @@ func evalPath(p *Path, v *xmltree.Node) []*xmltree.Node {
 			cur = descOrSelf(cur, pred)
 		}
 	}
-	return cur.nodes
+	return cur
 }
 
 func holdAll(quals []Expr, u *xmltree.Node) bool {
@@ -118,36 +106,54 @@ func holdAll(quals []Expr, u *xmltree.Node) bool {
 	return true
 }
 
-func filterSet(s *nodeSet, pred func(*xmltree.Node) bool) *nodeSet {
-	out := newNodeSet()
-	for _, n := range s.nodes {
+// filter keeps the nodes of s that satisfy pred, in place.
+func filter(s []*xmltree.Node, pred func(*xmltree.Node) bool) []*xmltree.Node {
+	out := s[:0]
+	for _, n := range s {
 		if pred(n) {
-			out.add(n)
+			out = append(out, n)
 		}
 	}
 	return out
 }
 
-func childrenOf(s *nodeSet, pred func(*xmltree.Node) bool) *nodeSet {
-	out := newNodeSet()
-	for _, n := range s.nodes {
+func childrenOf(s []*xmltree.Node, pred func(*xmltree.Node) bool) []*xmltree.Node {
+	var out []*xmltree.Node
+	for _, n := range s {
 		for _, c := range n.Children {
 			if !c.Virtual && pred(c) {
-				out.add(c)
+				out = append(out, c)
 			}
 		}
 	}
 	return out
 }
 
-func descOrSelf(s *nodeSet, pred func(*xmltree.Node) bool) *nodeSet {
-	out := newNodeSet()
-	for _, n := range s.nodes {
-		n.Walk(func(u *xmltree.Node) {
-			if !u.Virtual && pred(u) {
-				out.add(u)
+func descOrSelf(s []*xmltree.Node, pred func(*xmltree.Node) bool) []*xmltree.Node {
+	var out, stack []*xmltree.Node
+	var seen map[*xmltree.Node]bool
+	if len(s) > 1 {
+		seen = make(map[*xmltree.Node]bool)
+	}
+	for _, n := range s {
+		stack = append(stack[:0], n)
+		for len(stack) > 0 {
+			u := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			if u.Virtual {
+				continue
 			}
-		})
+			if pred(u) && !seen[u] {
+				if seen != nil {
+					seen[u] = true
+				}
+				out = append(out, u)
+			}
+			// Push children in reverse so they pop in document order.
+			for i := len(u.Children) - 1; i >= 0; i-- {
+				stack = append(stack, u.Children[i])
+			}
+		}
 	}
 	return out
 }
