@@ -13,11 +13,11 @@ import (
 // randBatchProgram compiles 1..qMax random queries into one shared batch
 // program, the fused multi-lane shape the kernel exists for. It returns the
 // queries and each one's root lane too.
-func randBatchProgram(r *rand.Rand, qMax int, spec xpath.RandomSpec) (*xpath.Program, []xpath.Expr, []int32) {
+func randBatchProgram(r *rand.Rand, qMax int) (*xpath.Program, []xpath.Expr, []int32) {
 	b := xpath.NewBatchBuilder()
 	exprs := make([]xpath.Expr, 1+r.Intn(qMax))
 	for i := range exprs {
-		exprs[i] = xpath.RandomQuery(r, spec)
+		exprs[i] = xpath.RandomQuery(r, xpath.RandomSpec{AllowNot: true})
 		b.Add(exprs[i])
 	}
 	prog, roots := b.Program()
@@ -39,7 +39,7 @@ func TestPropFusedMatchesPerLane(t *testing.T) {
 		if err := forest.SplitRandom(r, 1+int(splitRaw%10)); err != nil {
 			return false
 		}
-		prog, exprs, roots := randBatchProgram(r, 6, xpath.RandomSpec{AllowNot: true})
+		prog, exprs, roots := randBatchProgram(r, 6)
 		triplets := make(map[xmltree.FragmentID]Triplet, forest.Count())
 		for _, id := range forest.IDs() {
 			fr, _ := forest.Fragment(id)
@@ -148,7 +148,11 @@ func TestBottomUpSteadyStateAllocs(t *testing.T) {
 	}
 	r := rand.New(rand.NewSource(3))
 	tree := xmltree.RandomTree(r, xmltree.RandomSpec{Nodes: 300, MaxChildren: 4})
-	prog, _, _ := randBatchProgram(r, 8, xpath.RandomSpec{AllowNot: true})
+	b := xpath.NewBatchBuilder()
+	for i := 0; i < 8; i++ {
+		b.Add(xpath.RandomQuery(r, xpath.RandomSpec{AllowNot: true}))
+	}
+	prog, _ := b.Program()
 	run := func() {
 		tr, _, err := BottomUp(tree, prog)
 		if err != nil {
