@@ -30,6 +30,87 @@ func TestArenaHashConsing(t *testing.T) {
 	}
 }
 
+// TestArenaSubstMatchesFormulaSubst: the generation-memoized substitution
+// agrees with substitution on the formula's plain recursive meaning under
+// random partial environments. The reference is a closure tree built
+// alongside the arena formula, so it shares no code with Subst, Eval or the
+// folding constructors. The residual mentions no bound variable, and
+// substituting again in the same generation returns the identical id.
+func TestArenaSubstMatchesFormulaSubst(t *testing.T) {
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		a := NewArena()
+		var build func(depth int) (func(assignment) bool, NodeID)
+		build = func(depth int) (func(assignment) bool, NodeID) {
+			if depth <= 0 || r.Intn(4) == 0 {
+				switch r.Intn(4) {
+				case 0:
+					return func(assignment) bool { return true }, IDTrue
+				case 1:
+					return func(assignment) bool { return false }, IDFalse
+				default:
+					v := genVars[r.Intn(len(genVars))]
+					return func(m assignment) bool { return m[v] }, a.Var(v)
+				}
+			}
+			if r.Intn(3) == 0 {
+				e, g := build(depth - 1)
+				return func(m assignment) bool { return !e(m) }, a.Not(g)
+			}
+			e1, g1 := build(depth - 1)
+			e2, g2 := build(depth - 1)
+			if r.Intn(2) == 0 {
+				return func(m assignment) bool { return e1(m) && e2(m) }, a.And2(g1, g2)
+			}
+			return func(m assignment) bool { return e1(m) || e2(m) }, a.Or2(g1, g2)
+		}
+		ref, x := build(5)
+		env := make(assignment)
+		for _, v := range genVars {
+			switch r.Intn(3) {
+			case 0:
+				env[v] = true
+			case 1:
+				env[v] = false
+			}
+		}
+		a.NewGen()
+		got := a.Subst(x, env.lookup(a))
+		if again := a.Subst(x, env.lookup(a)); again != got {
+			t.Logf("memoized resubstitution diverged: %d vs %d", again, got)
+			return false
+		}
+		bound := false
+		a.Vars(got, func(v Var) {
+			if _, ok := env[v]; ok {
+				bound = true
+			}
+		})
+		if bound {
+			t.Logf("residual %s still mentions a variable of %v", a.String(got), env)
+			return false
+		}
+		return everyAssignment(func(m assignment) bool {
+			// The reference substitutes by overriding m with env.
+			sub := make(assignment, len(m))
+			for v, b := range m {
+				sub[v] = b
+			}
+			for v, b := range env {
+				sub[v] = b
+			}
+			if a.Eval(got, m.total) != ref(sub) {
+				t.Logf("subst diverges: residual %s of %s under %v, env %v", a.String(got), a.String(x), m, env)
+				return false
+			}
+			return true
+		})
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
+		t.Error(err)
+	}
+}
+
 // TestArenaCopy: Copy moves a formula between arenas structurally intact
 // (same encoding), interns it on arrival (copying twice yields one id), and
 // leaves the source untouched.
