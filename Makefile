@@ -10,8 +10,11 @@ build:
 test:
 	go test ./...
 
+# vet covers the nested benchmark/ module too: root `./...` stops at its
+# go.mod, and it reads the cluster API (Metrics) this module changes.
 vet:
 	go vet ./...
+	cd benchmark && go vet ./...
 
 # lint mirrors CI's lint job: any file gofmt would rewrite fails it, then
 # vet plus staticcheck at the version CI pins (install once with

@@ -208,7 +208,7 @@ func cmdRun(args []string) error {
 	query := fs.String("q", "", "Boolean XPath query (required)")
 	seed := fs.Int64("seed", 1, "seed")
 	verbose := fs.Bool("v", false, "print per-site metrics")
-	trace := fs.Bool("trace", false, "print every message exchanged")
+	trace := fs.Bool("trace", false, "print the call trace: every message exchanged, with its bytes")
 	fs.Parse(args)
 	if *query == "" {
 		return fmt.Errorf("-q is required")
@@ -243,42 +243,27 @@ func cmdRun(args []string) error {
 	}
 	assign := frag.AssignRoundRobin(forest, siteIDs)
 	c := cluster.New(cluster.DefaultCostModel())
-	var tracer *cluster.Tracer
-	var eng *core.Engine
-	if *trace {
-		// Trace mode: register handlers against the tracing transport so
-		// site-to-site hops are logged too.
-		tracer = cluster.NewTracer()
-		tt := &cluster.TracingTransport{Inner: c, Tracer: tracer}
-		st, err := frag.BuildSourceTree(forest, assign)
-		if err != nil {
-			return err
-		}
-		for _, siteID := range st.Sites() {
-			site := c.AddSite(siteID)
-			for _, id := range st.FragmentsAt(siteID) {
-				fr, _ := forest.Fragment(id)
-				site.AddFragment(fr)
-			}
-			core.RegisterHandlers(site, tt, c.Cost())
-		}
-		rootEntry, _ := st.Entry(st.Root())
-		eng = core.NewEngine(tt, rootEntry.Site, st, c.Cost())
-	} else {
-		var err error
-		eng, err = core.Deploy(c, forest, assign)
-		if err != nil {
-			return err
-		}
+	eng, err := core.Deploy(c, forest, assign)
+	if err != nil {
+		return err
 	}
-	rep, err := eng.Run(context.Background(), algo, prog)
+	// Tracing makes every call a span, the site-to-site hops of the
+	// recursive algorithms included, labelled with the bytes it moved.
+	ctx := context.Background()
+	tc := obs.TraceContext{TraceID: obs.NewTraceID(), SpanID: obs.NewSpanID()}
+	if *trace {
+		tc.Collector = obs.NewCollector()
+		ctx = obs.WithTrace(ctx, tc)
+	}
+	rep, err := eng.Run(ctx, algo, prog)
 	if err != nil {
 		return err
 	}
 	printReport(rep)
-	if tracer != nil {
-		fmt.Println("\nmessage trace:")
-		fmt.Print(tracer.String())
+	if *trace {
+		fmt.Println("\ncall trace:")
+		obs.RenderTrace(os.Stdout, obs.TraceRecord{TraceID: tc.TraceID, Root: "run " + algo.String(),
+			Dur: rep.Wall, Spans: tc.Collector.Spans()})
 	}
 	if *verbose {
 		fmt.Println(eng.SourceTree().String())

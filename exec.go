@@ -7,8 +7,6 @@ import (
 	"io"
 	"time"
 
-	"repro/internal/cluster"
-	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/views"
 	"repro/internal/xpath"
@@ -92,14 +90,15 @@ func WithTimeout(d time.Duration) ExecOption {
 	return func(c *execConfig) { c.timeout = d; c.timeoutSet = true }
 }
 
-// WithTrace logs this run's coordinator-side activity to w. A solo run
-// writes the message log (one line per remote call, in completion order)
-// followed by the reconstructed span tree; a coalesced run — where a
-// shared round has no per-caller transport to log messages from — writes
-// the round's span tree with this caller's lane attributed. Site-to-site
-// hops of the recursive algorithms (AlgoFullDist, AlgoNaiveDistributed)
-// happen behind the sites' own transport and are not logged. WithTrace
-// implies WithSpans: Result.Spans is filled either way.
+// WithTrace is WithSpans plus a rendering of the run's span tree to w
+// (obs.RenderTrace): every remote call appears as a "call <kind>" span
+// (an "rpc <kind>" span over TCP) at its callee, labelled with the
+// req_bytes and resp_bytes it moved, with the callee's handler spans
+// beneath it. On the in-process cluster that includes the site-to-site
+// hops of the recursive algorithms (AlgoFullDist, AlgoNaiveDistributed).
+// A coalesced run writes its shared round's tree with this caller's lane
+// attributed; a failed solo run writes the spans collected up to its
+// failure (and, like a successful one, is retained for /tracez).
 func WithTrace(w io.Writer) ExecOption {
 	return func(c *execConfig) { c.trace = w }
 }
@@ -311,26 +310,6 @@ func (s *System) Exec(ctx context.Context, q *Prepared, opts ...ExecOption) (*Re
 		return s.sched.exec(ctx, q, cfg.trace, cfg.spans)
 	}
 	eng := s.eng()
-	var tracer *cluster.Tracer
-	tr := cluster.Transport(s.cluster)
-	traceFlushed := false
-	if cfg.trace != nil {
-		// Route this run's coordinator through a tracing transport. The
-		// engine is just a view over (transport, coordinator, source
-		// tree), so a per-run engine costs nothing and other concurrent
-		// Exec calls stay untraced.
-		tracer = cluster.NewTracer()
-		tr = &cluster.TracingTransport{Inner: s.cluster, Tracer: tracer}
-		eng = core.NewEngine(tr, eng.Coordinator(), eng.SourceTree(), s.cluster.Cost())
-		// Flush whatever was traced even when the run fails — a failing
-		// run is exactly when the message log matters. (The success path
-		// flushes inline so the span tree can follow the message log.)
-		defer func() {
-			if !traceFlushed {
-				fmt.Fprint(cfg.trace, tracer.String())
-			}
-		}()
-	}
 	// Span collection: give the run a fresh trace identity so every hop it
 	// takes — transport calls here, and queue/admission/handler/bottomUp
 	// brackets on the sites, piggybacked back over the wire — lands in one
@@ -386,26 +365,18 @@ func (s *System) Exec(ctx context.Context, q *Prepared, opts ...ExecOption) (*Re
 		}
 		res.Matched = rep.Count
 	case ModeMaterialize:
-		meter := core.NewMeteredTransport(tr)
 		var v *views.View
-		v, err = views.MaterializeBounded(ctx, meter, eng.Coordinator(), eng.SourceTree(), q.program(), s.maxInflight)
-		if err != nil {
-			return nil, err
+		v, *rep, err = views.MaterializeBounded(ctx, s.cluster, eng.Coordinator(), eng.SourceTree(),
+			q.program(), s.maxInflight, s.cluster.Cost())
+		if err == nil {
+			res.View = &View{v: v}
+			res.Answer = v.Answer()
 		}
-		// The view outlives this run: hand it the durable transport so
-		// maintenance traffic does not keep flowing through this run's
-		// metering/tracing wrappers.
-		v.SetTransport(s.cluster)
-		meter.Fill(rep)
-		res.View = &View{v: v}
-		res.Answer = v.Answer()
 	}
-	if err != nil {
-		return nil, err
-	}
-	res.account(rep)
 	res.Duration = time.Since(start)
 	if spanCol != nil {
+		// A failed run keeps its trace too: that is exactly when it
+		// matters.
 		rootSpan.Start = start.UnixNano()
 		rootSpan.Dur = res.Duration.Nanoseconds()
 		spanCol.Add(rootSpan)
@@ -416,12 +387,12 @@ func (s *System) Exec(ctx context.Context, q *Prepared, opts ...ExecOption) (*Re
 			s.obsRing.Add(rec)
 		}
 		if cfg.trace != nil {
-			// Message log first (the historical WithTrace output), then
-			// the reconstructed span tree.
-			fmt.Fprint(cfg.trace, tracer.String())
-			traceFlushed = true
 			obs.RenderTrace(cfg.trace, rec)
 		}
 	}
+	if err != nil {
+		return nil, err
+	}
+	res.account(rep)
 	return res, nil
 }

@@ -172,9 +172,8 @@ type DeltaSubscriber interface {
 // Go issues a call asynchronously on any Transport: natively when tr
 // implements AsyncTransport (the TCP transport pipelines it onto the
 // peer's multiplexed connection), otherwise by running the synchronous
-// Call in a goroutine. Wrapper transports (fault injection, tracing,
-// metering) fall to the goroutine path and so keep observing every
-// call.
+// Call in a goroutine. Wrapper transports (fault injection) fall to the
+// goroutine path and so keep observing every call.
 func Go(ctx context.Context, tr Transport, from, to frag.SiteID, req Request) <-chan Reply {
 	if at, ok := tr.(AsyncTransport); ok {
 		return at.Go(ctx, from, to, req)
@@ -249,9 +248,9 @@ type Site struct {
 
 	// stats is the site's always-on observability counter block
 	// (visits, messages, bytes, steps, cache, sheds + a latency
-	// histogram), updated lock-free in dispatch and exposed over
-	// /metrics and the obs.stats RPC. ring retains recently traced
-	// requests for /tracez.
+	// histogram), updated lock-free in dispatch — the only per-site
+	// ledger: Cluster.Metrics reads it, and /metrics and the obs.stats
+	// RPC export it. ring retains recently traced requests for /tracez.
 	stats obs.SiteStats
 	ring  *obs.TraceRing
 
@@ -648,8 +647,11 @@ func (s *Site) Delete(key string) {
 // watermarks are shed with an OverloadError before any work happens, and
 // a context that is already expired is declined for free — both the
 // in-process transport and both TCP server paths funnel through here, so
-// admission is uniform across transports.
-func (s *Site) dispatch(ctx context.Context, req Request) (Response, error) {
+// admission and accounting are uniform across transports. remote says
+// whether the caller is another site: only remote calls count as visits,
+// messages and bytes (the paper's rule — local work costs no
+// communication); steps, cache, outcome and latency count every call.
+func (s *Site) dispatch(ctx context.Context, req Request, remote bool) (Response, error) {
 	if err := ctx.Err(); err != nil {
 		return Response{}, err
 	}
@@ -660,10 +662,15 @@ func (s *Site) dispatch(ctx context.Context, req Request) (Response, error) {
 	var start time.Time
 	if observe {
 		start = time.Now()
-		s.stats.Visits.Add(1)
-		s.stats.MessagesIn.Add(1)
-		s.stats.BytesIn.Add(uint64(len(req.Payload)))
+		if remote {
+			s.stats.Visits.Add(1)
+			s.stats.MessagesIn.Add(1)
+			s.stats.BytesIn.Add(uint64(len(req.Payload)))
+		}
 	}
+	// Span names are built only for traced calls: the untraced path
+	// allocates nothing.
+	_, traced := obs.FromContext(ctx)
 	s.mu.RLock()
 	h, ok := s.handlers[req.Kind]
 	adm := s.admit
@@ -682,13 +689,19 @@ func (s *Site) dispatch(ctx context.Context, req Request) (Response, error) {
 		// The admission decision is itself a span-worthy event: a
 		// traced request that was shed shows up in the tree as a
 		// zero-work "admit" span instead of vanishing.
-		_, asp := obs.StartSpan(ctx, string(s.id), "admit "+req.Kind)
-		asp.SetAttr("shed", 1)
-		asp.End()
+		if traced {
+			_, asp := obs.StartSpan(ctx, string(s.id), "admit "+req.Kind)
+			asp.SetAttr("shed", 1)
+			asp.End()
+		}
 		return Response{}, err
 	}
 	defer release()
-	hctx, hsp := obs.StartSpan(ctx, string(s.id), "handle "+req.Kind)
+	hctx := ctx
+	var hsp *obs.ActiveSpan
+	if traced {
+		hctx, hsp = obs.StartSpan(ctx, string(s.id), "handle "+req.Kind)
+	}
 	resp, err := h(hctx, s, req)
 	if hsp != nil {
 		hsp.SetAttr("steps", resp.Steps)
@@ -702,8 +715,10 @@ func (s *Site) dispatch(ctx context.Context, req Request) (Response, error) {
 				s.stats.Errors.Add(1)
 			}
 		} else {
-			s.stats.MessagesOut.Add(1)
-			s.stats.BytesOut.Add(uint64(len(resp.Payload)))
+			if remote {
+				s.stats.MessagesOut.Add(1)
+				s.stats.BytesOut.Add(uint64(len(resp.Payload)))
+			}
 			s.stats.Steps.Add(uint64(resp.Steps))
 			s.stats.CacheHits.Add(uint64(resp.CacheHits))
 			s.stats.CacheMisses.Add(uint64(resp.CacheMisses))
@@ -725,17 +740,23 @@ type Cluster struct {
 
 // New creates an empty cluster with the given cost model.
 func New(cost CostModel) *Cluster {
-	return &Cluster{
-		cost:    cost,
-		sites:   make(map[frag.SiteID]*Site),
-		metrics: NewMetrics(),
-	}
+	c := &Cluster{cost: cost, sites: make(map[frag.SiteID]*Site)}
+	c.metrics = &Metrics{blocks: func() map[frag.SiteID]*obs.SiteStats {
+		c.mu.RLock()
+		defer c.mu.RUnlock()
+		out := make(map[frag.SiteID]*obs.SiteStats, len(c.sites))
+		for id, s := range c.sites {
+			out[id] = &s.stats
+		}
+		return out
+	}}
+	return c
 }
 
 // Cost returns the cluster's cost model.
 func (c *Cluster) Cost() CostModel { return c.cost }
 
-// Metrics returns the cluster's accounting.
+// Metrics returns the live view of the sites' own SiteStats blocks.
 func (c *Cluster) Metrics() *Metrics { return c.metrics }
 
 // AddSite creates (or returns the existing) site with the given name.
@@ -776,7 +797,8 @@ var ErrUnknownSite = errors.New("cluster: unknown site")
 // Call sends a request from site `from` to site `to`, executing the
 // handler synchronously in the caller's goroutine. Local calls (from == to)
 // are free of network cost and are not counted as visits, matching the
-// paper's accounting.
+// paper's accounting. The callee's SiteStats block is the only ledger the
+// call touches: the success path takes no exclusive lock.
 func (c *Cluster) Call(ctx context.Context, from, to frag.SiteID, req Request) (Response, CallCost, error) {
 	if err := ctx.Err(); err != nil {
 		return Response{}, CallCost{}, err
@@ -788,12 +810,9 @@ func (c *Cluster) Call(ctx context.Context, from, to frag.SiteID, req Request) (
 		return Response{}, CallCost{}, fmt.Errorf("%w: %s", ErrUnknownSite, to)
 	}
 	remote := from != to
-	var cost CallCost
-	cost.ReqBytes = len(req.Payload)
-	if remote {
-		if c.cost.RealDelays {
-			sleepCtx(ctx, c.cost.Latency+c.cost.TransferTime(cost.ReqBytes))
-		}
+	cost := CallCost{ReqBytes: len(req.Payload)}
+	if remote && c.cost.RealDelays {
+		sleepCtx(ctx, c.cost.Latency+c.cost.TransferTime(cost.ReqBytes))
 	}
 	// A traced remote call gets a client-side "call" span; the callee's
 	// handler spans parent under it. The in-process transport shares the
@@ -801,7 +820,8 @@ func (c *Cluster) Call(ctx context.Context, from, to frag.SiteID, req Request) (
 	dctx := ctx
 	var callSpan obs.Span
 	tc, traced := obs.FromContext(ctx)
-	if traced && remote {
+	traced = traced && remote
+	if traced {
 		callSpan = obs.Span{
 			TraceID: tc.TraceID,
 			ID:      obs.NewSpanID(),
@@ -814,34 +834,35 @@ func (c *Cluster) Call(ctx context.Context, from, to frag.SiteID, req Request) (
 		dctx = obs.WithTrace(ctx, child)
 	}
 	start := time.Now()
-	resp, err := site.dispatch(dctx, req)
+	resp, err := site.dispatch(dctx, req, remote)
 	cost.Wall = time.Since(start)
-	if traced && remote {
-		callSpan.Start = start.UnixNano()
-		callSpan.Dur = cost.Wall.Nanoseconds()
-		tc.Collector.Add(callSpan)
-	}
 	cost.Steps = resp.Steps
 	cost.Compute = c.cost.ComputeTime(resp.Steps)
+	if err == nil {
+		cost.RespBytes = len(resp.Payload)
+	}
+	if traced {
+		callSpan.Start = start.UnixNano()
+		callSpan.Dur = cost.Wall.Nanoseconds()
+		callSpan.Attrs = bytesAttrs(cost)
+		tc.Collector.Add(callSpan)
+	}
 	if err != nil {
-		switch {
-		case errors.Is(err, ErrOverloaded):
-			c.metrics.recordShed(to)
-		case errors.Is(err, context.DeadlineExceeded):
-			c.metrics.recordExpired(to)
-		}
-		c.metrics.recordError(to)
 		return Response{}, cost, fmt.Errorf("cluster: %s→%s %s: %w", from, to, req.Kind, err)
 	}
-	cost.RespBytes = len(resp.Payload)
 	if remote {
 		cost.Net = c.cost.RoundTrip(cost.ReqBytes, cost.RespBytes)
 		if c.cost.RealDelays {
 			sleepCtx(ctx, c.cost.Latency+c.cost.TransferTime(cost.RespBytes))
 		}
 	}
-	c.metrics.record(from, to, req, resp, cost, remote)
 	return resp, cost, nil
+}
+
+// bytesAttrs labels a client-side call span with the payload sizes the
+// call moved, so a rendered trace shows each message's traffic.
+func bytesAttrs(cost CallCost) []obs.Attr {
+	return []obs.Attr{{Key: "req_bytes", Val: int64(cost.ReqBytes)}, {Key: "resp_bytes", Val: int64(cost.RespBytes)}}
 }
 
 // Go implements AsyncTransport for the in-process cluster: the handler

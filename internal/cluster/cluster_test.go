@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/frag"
+	"repro/internal/obs"
 	"repro/internal/xmltree"
 )
 
@@ -171,6 +172,87 @@ func TestConcurrentCalls(t *testing.T) {
 	wg.Wait()
 	if got := c.Metrics().Site("B").Visits; got != 64 {
 		t.Errorf("B visits = %d, want 64", got)
+	}
+}
+
+// TestUntracedCallAllocsNothing pins the untraced in-process hot path: a
+// remote Cluster.Call — admission, dispatch, the callee's SiteStats
+// ledger, the cost model — allocates nothing.
+func TestUntracedCallAllocsNothing(t *testing.T) {
+	c := New(DefaultCostModel())
+	c.AddSite("A")
+	c.AddSite("B").Handle("echo", echoHandler)
+	ctx := context.Background()
+	req := Request{Kind: "echo", Payload: []byte("hello")}
+	if n := testing.AllocsPerRun(100, func() { c.Call(ctx, "A", "B", req) }); n != 0 {
+		t.Errorf("untraced remote Call allocates %v times, want 0", n)
+	}
+	if got := c.Metrics().Site("B").Visits; got < 100 {
+		t.Errorf("B visits = %d, the calls were not counted", got)
+	}
+}
+
+// TestTracedCallSpans: a traced remote call records a client-side "call"
+// span at the callee, labelled with the bytes it moved, whether it
+// succeeded or failed; a local call records none (it costs no
+// communication); concurrent traced calls get distinct span IDs.
+func TestTracedCallSpans(t *testing.T) {
+	c := New(DefaultCostModel())
+	c.AddSite("A")
+	b := c.AddSite("B")
+	b.Handle("echo", echoHandler)
+	b.Handle("boom", func(context.Context, *Site, Request) (Response, error) {
+		return Response{}, errors.New("kaput")
+	})
+	col := obs.NewCollector()
+	ctx := obs.WithTrace(context.Background(), obs.TraceContext{TraceID: obs.NewTraceID(), SpanID: obs.NewSpanID(), Collector: col})
+	calls := func() map[string][]obs.Span {
+		out := make(map[string][]obs.Span)
+		for _, sp := range col.Spans() {
+			if strings.HasPrefix(sp.Name, "call ") {
+				out[sp.Name] = append(out[sp.Name], sp)
+			}
+		}
+		return out
+	}
+	if _, _, err := c.Call(ctx, "A", "B", Request{Kind: "echo", Payload: []byte("xy")}); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := c.Call(ctx, "B", "B", Request{Kind: "echo", Payload: []byte("local")}); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := c.Call(ctx, "A", "B", Request{Kind: "boom"}); err == nil {
+		t.Fatal("expected handler error")
+	}
+	got := calls()
+	if echo := got["call echo"]; len(echo) != 1 {
+		t.Fatalf("%d echo call spans, want 1 (local calls are not hops)", len(echo))
+	} else if req, _ := echo[0].Attr("req_bytes"); req != 2 || echo[0].Site != "B" {
+		t.Errorf("echo call span = %+v", echo[0])
+	} else if resp, _ := echo[0].Attr("resp_bytes"); resp != 2 {
+		t.Errorf("echo call span = %+v", echo[0])
+	}
+	if len(got["call boom"]) != 1 {
+		t.Errorf("failed call left %d spans, want 1", len(got["call boom"]))
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < 50; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			c.Call(ctx, "A", "B", Request{Kind: "echo"})
+		}()
+	}
+	wg.Wait()
+	seen := make(map[uint64]bool)
+	for _, sp := range col.Spans() {
+		if seen[sp.ID] {
+			t.Fatalf("duplicate span ID %x", sp.ID)
+		}
+		seen[sp.ID] = true
+	}
+	if n := len(calls()["call echo"]); n != 51 {
+		t.Errorf("%d echo call spans after 50 concurrent calls, want 51", n)
 	}
 }
 

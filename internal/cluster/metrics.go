@@ -5,232 +5,131 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"time"
 
 	"repro/internal/frag"
 	"repro/internal/obs"
 )
 
-// SiteMetrics aggregates one site's activity during a run.
-type SiteMetrics struct {
-	// Visits counts requests this site handled for other sites — the
-	// paper's "number of times each site is visited".
-	Visits int64
-	// MessagesIn/Out and BytesIn/Out count remote traffic touching the
-	// site (local from==to calls are free).
-	MessagesIn, MessagesOut int64
-	BytesIn, BytesOut       int64
-	// Steps is the node×subquery computation performed by handlers at this
-	// site (local calls included — local work is still work).
-	Steps int64
-	// Wall is the summed measured handler time at this site.
-	Wall time.Duration
-	// Errors counts failed handler dispatches.
-	Errors int64
-	// TripletCacheHits/Misses count, over the site's evalQual handling,
-	// fragments answered from the versioned triplet cache versus fragments
-	// that required a bottomUp pass (local calls included — a cache hit is
-	// a hit regardless of who asked).
-	TripletCacheHits, TripletCacheMisses int64
-	// ServiceEWMANanos is an exponentially-weighted moving average of the
-	// per-call service time observed at this site (the larger of measured
-	// handler wall time and modeled end-to-end time, so it is meaningful
-	// over both the simulated in-process transport and real TCP). The
-	// serving tier seeds its replica-routing score from it.
-	ServiceEWMANanos float64
-	// ServiceHist is the full log-bucketed distribution of the same
-	// per-call service-time samples the EWMA smooths: one sample per
-	// remote call handled by this site, so its count equals MessagesIn.
-	// p50/p95/p99 come from here (ServiceHist.Quantile); the EWMA
-	// survives as a cheap seed for code that wants one number.
-	ServiceHist obs.HistSnapshot
-	// Sheds counts requests the site's admission control declined
-	// (StatusOverloaded); over TCP the client transport records the sheds
-	// it observes, so the counter is meaningful on both ends.
-	Sheds int64
-	// DeadlineExpired counts requests whose wire-propagated deadline
-	// expired at the site (work aborted or never started).
-	DeadlineExpired int64
-}
-
-// Metrics is the cluster-wide accounting; safe for concurrent use.
+// Metrics is a live, read-only view of per-site obs.SiteStats blocks,
+// the only per-site ledger. On a Cluster it reads the sites' own blocks;
+// on a TCPTransport, where a callee's block lives in another process, it
+// reads the client-side block each peer connection keeps, plus the
+// blocks of locally registered sites. Every read sees the counters as
+// they are now, so a method value bound once stays live. Reset
+// re-baselines the view and never zeroes a counter, so the Prometheus
+// counters exported from the same blocks stay monotonic. Safe for
+// concurrent use.
 type Metrics struct {
-	mu    sync.Mutex
-	sites map[frag.SiteID]*SiteMetrics
+	// blocks returns the covered blocks, one per site.
+	blocks func() map[frag.SiteID]*obs.SiteStats
 
-	messages   int64
-	bytesTotal int64
+	mu   sync.Mutex
+	base map[frag.SiteID]obs.SiteStatsSnapshot
 }
 
-// NewMetrics returns empty accounting.
-func NewMetrics() *Metrics {
-	return &Metrics{sites: make(map[frag.SiteID]*SiteMetrics)}
-}
-
-func (m *Metrics) site(id frag.SiteID) *SiteMetrics {
-	s, ok := m.sites[id]
-	if !ok {
-		s = &SiteMetrics{}
-		m.sites[id] = s
+// counters lists a snapshot's counter fields, in obs's wire order.
+func counters(s *obs.SiteStatsSnapshot) [16]*uint64 {
+	return [...]*uint64{
+		&s.Visits, &s.MessagesIn, &s.MessagesOut, &s.BytesIn, &s.BytesOut,
+		&s.Steps, &s.CacheHits, &s.CacheMisses, &s.Sheds, &s.DeadlineExpired,
+		&s.Errors, &s.SpineRecomputes, &s.FullRecomputes, &s.NoopUpdates,
+		&s.DeltasPushed, &s.Latency.Count,
 	}
+}
+
+// since returns s minus base, counter by counter: the activity between
+// two snapshots of one block.
+func since(s, base obs.SiteStatsSnapshot) obs.SiteStatsSnapshot {
+	b := counters(&base)
+	for i, p := range counters(&s) {
+		*p -= *b[i]
+	}
+	for i := range s.Latency.Counts {
+		s.Latency.Counts[i] -= base.Latency.Counts[i]
+	}
+	s.Latency.Sum -= base.Latency.Sum
 	return s
 }
 
-func (m *Metrics) record(from, to frag.SiteID, req Request, resp Response, cost CallCost, remote bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	callee := m.site(to)
-	callee.Steps += resp.Steps
-	callee.Wall += cost.Wall
-	callee.TripletCacheHits += resp.CacheHits
-	callee.TripletCacheMisses += resp.CacheMisses
-	if !remote {
-		return
-	}
-	sample := float64(cost.Wall)
-	if t := float64(cost.Total()); t > sample {
-		sample = t
-	}
-	if callee.ServiceEWMANanos == 0 {
-		callee.ServiceEWMANanos = sample
-	} else {
-		const alpha = 0.3
-		callee.ServiceEWMANanos = (1-alpha)*callee.ServiceEWMANanos + alpha*sample
-	}
-	callee.ServiceHist.Observe(int64(sample))
-	caller := m.site(from)
-	callee.Visits++
-	callee.MessagesIn++
-	callee.BytesIn += int64(len(req.Payload))
-	callee.MessagesOut++
-	callee.BytesOut += int64(len(resp.Payload))
-	caller.MessagesOut++
-	caller.BytesOut += int64(len(req.Payload))
-	caller.MessagesIn++
-	caller.BytesIn += int64(len(resp.Payload))
-	m.messages += 2 // request + response
-	m.bytesTotal += int64(len(req.Payload) + len(resp.Payload))
-}
-
-func (m *Metrics) recordError(to frag.SiteID) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.site(to).Errors++
-}
-
-func (m *Metrics) recordShed(to frag.SiteID) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.site(to).Sheds++
-}
-
-func (m *Metrics) recordExpired(to frag.SiteID) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.site(to).DeadlineExpired++
-}
-
-// TotalSheds sums admission sheds over all sites.
-func (m *Metrics) TotalSheds() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	var n int64
-	for _, s := range m.sites {
-		n += s.Sheds
-	}
-	return n
-}
-
-// TotalDeadlineExpired sums remote deadline expiries over all sites.
-func (m *Metrics) TotalDeadlineExpired() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	var n int64
-	for _, s := range m.sites {
-		n += s.DeadlineExpired
-	}
-	return n
-}
-
-// Reset clears all counters; the harness resets between experiment
-// iterations.
-func (m *Metrics) Reset() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.sites = make(map[frag.SiteID]*SiteMetrics)
-	m.messages = 0
-	m.bytesTotal = 0
-}
-
-// Snapshot returns a copy of the per-site metrics.
-func (m *Metrics) Snapshot() map[frag.SiteID]SiteMetrics {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make(map[frag.SiteID]SiteMetrics, len(m.sites))
-	for id, s := range m.sites {
-		out[id] = *s
+// raw snapshots the covered blocks, ignoring the baseline.
+func (m *Metrics) raw() map[frag.SiteID]obs.SiteStatsSnapshot {
+	blocks := m.blocks()
+	out := make(map[frag.SiteID]obs.SiteStatsSnapshot, len(blocks))
+	for id, st := range blocks {
+		s := st.Snapshot()
+		s.Site = string(id)
+		out[id] = s
 	}
 	return out
 }
 
-// Site returns a copy of one site's metrics.
-func (m *Metrics) Site(id frag.SiteID) SiteMetrics {
+// Snapshot returns every covered site's activity since the last Reset.
+func (m *Metrics) Snapshot() map[frag.SiteID]obs.SiteStatsSnapshot {
+	out := m.raw()
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if s, ok := m.sites[id]; ok {
-		return *s
+	for id, s := range out {
+		out[id] = since(s, m.base[id])
 	}
-	return SiteMetrics{}
+	return out
+}
+
+// Site returns one site's activity since the last Reset.
+func (m *Metrics) Site(id frag.SiteID) obs.SiteStatsSnapshot { return m.Snapshot()[id] }
+
+// Reset makes the current counts the view's new zero.
+func (m *Metrics) Reset() {
+	base := m.raw()
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.base = base
+}
+
+// total sums one quantity over all sites.
+func (m *Metrics) total(f func(obs.SiteStatsSnapshot) uint64) int64 {
+	var n uint64
+	for _, s := range m.Snapshot() {
+		n += f(s)
+	}
+	return int64(n)
 }
 
 // TotalMessages returns the number of remote messages exchanged (requests
 // and responses each count once).
 func (m *Metrics) TotalMessages() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.messages
+	return m.total(func(s obs.SiteStatsSnapshot) uint64 { return s.MessagesIn + s.MessagesOut })
 }
 
 // TotalBytes returns the total remote payload bytes — the paper's network
 // traffic measure.
 func (m *Metrics) TotalBytes() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.bytesTotal
+	return m.total(func(s obs.SiteStatsSnapshot) uint64 { return s.BytesIn + s.BytesOut })
 }
 
 // TotalSteps sums computation over all sites — the paper's total
-// computation measure.
+// computation measure (local calls included: local work is still work).
 func (m *Metrics) TotalSteps() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	var n int64
-	for _, s := range m.sites {
-		n += s.Steps
-	}
-	return n
+	return m.total(func(s obs.SiteStatsSnapshot) uint64 { return s.Steps })
+}
+
+// TotalSheds sums admission sheds over all sites.
+func (m *Metrics) TotalSheds() int64 {
+	return m.total(func(s obs.SiteStatsSnapshot) uint64 { return s.Sheds })
+}
+
+// TotalDeadlineExpired sums deadline expiries over all sites.
+func (m *Metrics) TotalDeadlineExpired() int64 {
+	return m.total(func(s obs.SiteStatsSnapshot) uint64 { return s.DeadlineExpired })
 }
 
 // TotalTripletCacheHits sums triplet-cache hits over all sites.
 func (m *Metrics) TotalTripletCacheHits() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	var n int64
-	for _, s := range m.sites {
-		n += s.TripletCacheHits
-	}
-	return n
+	return m.total(func(s obs.SiteStatsSnapshot) uint64 { return s.CacheHits })
 }
 
 // TotalTripletCacheMisses sums triplet-cache misses over all sites.
 func (m *Metrics) TotalTripletCacheMisses() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	var n int64
-	for _, s := range m.sites {
-		n += s.TripletCacheMisses
-	}
-	return n
+	return m.total(func(s obs.SiteStatsSnapshot) uint64 { return s.CacheMisses })
 }
 
 // String renders a per-site table, for the experiment harness.

@@ -128,7 +128,6 @@ type admission struct {
 	estimate func(req Request) int64
 	inflight int
 	cost     int64
-	sheds    int64
 }
 
 // admit accepts the request (returning a release func) or sheds it with
@@ -157,7 +156,6 @@ func (a *admission) admit(site frag.SiteID, req Request) (func(), error) {
 		if hint > maxRetryAfter {
 			hint = maxRetryAfter
 		}
-		a.sheds++
 		a.mu.Unlock()
 		return nil, &OverloadError{Site: site, RetryAfter: hint}
 	}
@@ -170,16 +168,6 @@ func (a *admission) admit(site frag.SiteID, req Request) (func(), error) {
 		a.cost -= c
 		a.mu.Unlock()
 	}, nil
-}
-
-// Sheds reports how many requests this controller declined.
-func (a *admission) Sheds() int64 {
-	if a == nil {
-		return 0
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.sheds
 }
 
 // SetAdmission installs (or, with zero limits, removes) the site's
@@ -208,15 +196,6 @@ func (s *Site) SetAdmissionEstimator(est func(req Request) int64) {
 		s.admit.estimate = est
 		s.admit.mu.Unlock()
 	}
-}
-
-// AdmissionSheds reports how many requests the site's admission
-// controller has declined (0 without one).
-func (s *Site) AdmissionSheds() int64 {
-	s.mu.RLock()
-	a := s.admit
-	s.mu.RUnlock()
-	return a.Sheds()
 }
 
 // admissionEnabled reports whether the site runs admission control; the

@@ -33,9 +33,6 @@ func TestAdmissionInflightWatermark(t *testing.T) {
 	if hint := RetryAfterHint(errShed(t, a)); hint != 2*DefaultRetryAfterBase {
 		t.Fatalf("hint = %v, want %v (2 inflight × base)", hint, 2*DefaultRetryAfterBase)
 	}
-	if a.Sheds() != 2 {
-		t.Fatalf("sheds = %d, want 2", a.Sheds())
-	}
 	r1()
 	r3, err := a.admit("S", Request{})
 	if err != nil {
@@ -286,7 +283,7 @@ func TestAdmissionShedOverTCP(t *testing.T) {
 	if n := tr.Metrics().TotalSheds(); n != 1 {
 		t.Fatalf("client-side shed count = %d, want 1", n)
 	}
-	if n := site.AdmissionSheds(); n != 1 {
+	if n := site.Stats().Snapshot().Sheds; n != 1 {
 		t.Fatalf("server-side shed count = %d, want 1", n)
 	}
 }

@@ -384,7 +384,7 @@ func (s *Server) serveV2(conn net.Conn, r *bufio.Reader) {
 					Start: recv.UnixNano(), Dur: time.Since(recv).Nanoseconds(),
 				})
 			}
-			resp, herr := s.site.dispatch(ctx, Request{Kind: kind, Payload: payload})
+			resp, herr := s.site.dispatch(ctx, Request{Kind: kind, Payload: payload}, true)
 			if col != nil {
 				resp.Spans = col.Spans()
 				s.site.ring.Add(obs.TraceRecord{
@@ -456,13 +456,16 @@ type TCPTransport struct {
 	addrs  map[frag.SiteID]string
 	muxes  map[frag.SiteID]*muxConn
 	locals map[frag.SiteID]*Site
+	// peers holds the client-side SiteStats block of every remote site
+	// called so far: a reconnect's muxConn carries the same block, so
+	// the counts survive a broken connection.
+	peers map[frag.SiteID]*obs.SiteStats
 
 	// DialTimeout bounds connection establishment, including the v2
 	// handshake (default 5s).
 	DialTimeout time.Duration
 
 	metrics *Metrics
-	cost    CostModel
 }
 
 // NewTCPTransport creates a transport over the given site→address map.
@@ -471,13 +474,28 @@ func NewTCPTransport(addrs map[frag.SiteID]string) *TCPTransport {
 	for k, v := range addrs {
 		cp[k] = v
 	}
-	return &TCPTransport{
+	t := &TCPTransport{
 		addrs:       cp,
 		muxes:       make(map[frag.SiteID]*muxConn),
 		locals:      make(map[frag.SiteID]*Site),
+		peers:       make(map[frag.SiteID]*obs.SiteStats),
 		DialTimeout: 5 * time.Second,
-		metrics:     NewMetrics(),
 	}
+	t.metrics = &Metrics{blocks: func() map[frag.SiteID]*obs.SiteStats {
+		t.mu.Lock()
+		defer t.mu.Unlock()
+		out := make(map[frag.SiteID]*obs.SiteStats, len(t.peers)+len(t.locals))
+		for id, st := range t.peers {
+			out[id] = st
+		}
+		// A local site's own block counts every call it dispatched, those
+		// its server took over the wire included.
+		for id, s := range t.locals {
+			out[id] = &s.stats
+		}
+		return out
+	}}
+	return t
 }
 
 // SetAddrs replaces the site→address map. It exists for the bootstrap
@@ -509,7 +527,8 @@ func (t *TCPTransport) Site(id frag.SiteID) (*Site, bool) {
 	return s, ok
 }
 
-// Metrics returns the transport's accounting.
+// Metrics returns the live view of the transport's SiteStats blocks:
+// the local sites' own and the client-side block of every other peer.
 func (t *TCPTransport) Metrics() *Metrics { return t.metrics }
 
 // Close closes all pooled connections; pending calls fail.
@@ -561,15 +580,19 @@ func (t *TCPTransport) muxFor(to frag.SiteID) (*muxConn, error) {
 		conn.Close()
 		return nil, fmt.Errorf("cluster: %s: %w", to, err)
 	}
-	c := newMuxConn(conn, r, to, func(broken *muxConn) { t.dropMux(to, broken) })
 	t.mu.Lock()
+	defer t.mu.Unlock()
 	if prev, ok := t.muxes[to]; ok {
-		t.mu.Unlock()
-		c.close()
+		conn.Close() // a concurrent dial won
 		return prev, nil
 	}
+	stats, ok := t.peers[to]
+	if !ok {
+		stats = new(obs.SiteStats)
+		t.peers[to] = stats
+	}
+	c := newMuxConn(conn, r, to, stats, func(broken *muxConn) { t.dropMux(to, broken) })
 	t.muxes[to] = c
-	t.mu.Unlock()
 	return c, nil
 }
 
@@ -590,24 +613,16 @@ func (t *TCPTransport) Call(ctx context.Context, from, to frag.SiteID, req Reque
 	t.mu.Lock()
 	local, isLocal := t.locals[to]
 	t.mu.Unlock()
-	var cost CallCost
-	cost.ReqBytes = len(req.Payload)
 	if isLocal && from == to {
+		cost := CallCost{ReqBytes: len(req.Payload)}
 		start := time.Now()
-		resp, err := local.dispatch(ctx, req)
+		resp, err := local.dispatch(ctx, req, false)
 		cost.Wall = time.Since(start)
 		cost.Steps = resp.Steps
 		if err != nil {
-			if errors.Is(err, ErrOverloaded) {
-				t.metrics.recordShed(to)
-			} else if errors.Is(err, context.DeadlineExceeded) {
-				t.metrics.recordExpired(to)
-			}
-			t.metrics.recordError(to)
 			return Response{}, cost, err
 		}
 		cost.RespBytes = len(resp.Payload)
-		t.metrics.record(from, to, req, resp, cost, false)
 		return resp, cost, nil
 	}
 	r := <-t.goRemote(ctx, from, to, req)
@@ -616,19 +631,15 @@ func (t *TCPTransport) Call(ctx context.Context, from, to frag.SiteID, req Reque
 
 // Go implements AsyncTransport: the request is pipelined onto the
 // peer's multiplexed connection and the reply delivered on the returned
-// channel. Calls to local sites run Call in a goroutine instead. The first call to a peer may block briefly to
-// dial and handshake its connection.
+// channel. Calls to local sites run Call in a goroutine instead. The
+// first call to a peer may block briefly to dial and handshake its
+// connection.
 func (t *TCPTransport) Go(ctx context.Context, from, to frag.SiteID, req Request) <-chan Reply {
 	t.mu.Lock()
 	_, isLocal := t.locals[to]
 	t.mu.Unlock()
 	if isLocal && from == to {
-		ch := make(chan Reply, 1)
-		go func() {
-			resp, cost, err := t.Call(ctx, from, to, req)
-			ch <- Reply{Resp: resp, Cost: cost, Err: err}
-		}()
-		return ch
+		return goViaCall(ctx, t, from, to, req)
 	}
 	if err := ctx.Err(); err != nil {
 		ch := make(chan Reply, 1)
@@ -693,30 +704,46 @@ func (t *TCPTransport) goRemote(ctx context.Context, from, to frag.SiteID, req R
 	start := time.Now()
 	c.send(ctx, req.Kind, req.Payload, traceID, parentSpan, func(resp Response, err error) {
 		cost.Wall = time.Since(start)
+		if err == nil {
+			cost.RespBytes = len(resp.Payload)
+		}
 		if traced {
 			rpcSpan.Start = start.UnixNano()
 			rpcSpan.Dur = cost.Wall.Nanoseconds()
+			rpcSpan.Attrs = bytesAttrs(cost)
 			tc.Collector.Add(rpcSpan)
 			tc.Collector.Add(resp.Spans...)
 		}
+		// The peer's client-side block counts what this side saw: a
+		// successful call's traffic and work, or the failure by kind —
+		// typed overload/deadline responses included, since the
+		// coordinator's view is what the operator (and the smoke tests)
+		// can actually see. Latency stays with the callee's own block and
+		// the serving tier's health tracker.
+		st := c.stats
 		if err != nil {
-			// Typed overload/deadline responses count on the client side
-			// too — the coordinator's transport metrics are what the
-			// operator (and the smoke tests) can actually see.
 			var de *DeadlineError
-			if errors.Is(err, ErrOverloaded) {
-				t.metrics.recordShed(to)
-			} else if errors.As(err, &de) {
-				t.metrics.recordExpired(to)
+			switch {
+			case errors.Is(err, ErrOverloaded):
+				st.Sheds.Add(1)
+			case errors.As(err, &de):
+				st.DeadlineExpired.Add(1)
+			default:
+				st.Errors.Add(1)
 			}
-			t.metrics.recordError(to)
 			ch <- Reply{Cost: cost, Err: err}
 			return
 		}
-		cost.RespBytes = len(resp.Payload)
+		st.Visits.Add(1)
+		st.MessagesIn.Add(1)
+		st.BytesIn.Add(uint64(cost.ReqBytes))
+		st.MessagesOut.Add(1)
+		st.BytesOut.Add(uint64(cost.RespBytes))
+		st.Steps.Add(uint64(resp.Steps))
+		st.CacheHits.Add(uint64(resp.CacheHits))
+		st.CacheMisses.Add(uint64(resp.CacheMisses))
 		cost.Steps = resp.Steps
 		cost.Net = cost.Wall // real network: measured, not modeled
-		t.metrics.record(from, to, req, resp, cost, true)
 		ch <- Reply{Resp: resp, Cost: cost}
 	})
 	return ch

@@ -251,8 +251,11 @@ func readV2Response(r *bufio.Reader) (id uint64, status byte, resp Response, err
 type muxConn struct {
 	conn net.Conn
 	// peer identifies the site this connection serves; typed shed and
-	// deadline errors name it.
-	peer frag.SiteID
+	// deadline errors name it. stats is the client-side SiteStats block
+	// of that peer (owned by the transport, shared across reconnects):
+	// the callee's own block lives in another process.
+	peer  frag.SiteID
+	stats *obs.SiteStats
 
 	wr     chan []byte   // encoded request frames for the writer goroutine
 	broken chan struct{} // closed once the conn has failed
@@ -285,10 +288,11 @@ type muxPending struct {
 
 // newMuxConn wraps an already-handshaken connection and starts its
 // writer and reader goroutines.
-func newMuxConn(conn net.Conn, r *bufio.Reader, peer frag.SiteID, onBroken func(*muxConn)) *muxConn {
+func newMuxConn(conn net.Conn, r *bufio.Reader, peer frag.SiteID, stats *obs.SiteStats, onBroken func(*muxConn)) *muxConn {
 	c := &muxConn{
 		conn:     conn,
 		peer:     peer,
+		stats:    stats,
 		wr:       make(chan []byte, 16),
 		broken:   make(chan struct{}),
 		onBroken: onBroken,

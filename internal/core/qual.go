@@ -91,20 +91,30 @@ func (r *round) report(algo Algorithm) Report {
 	return rep
 }
 
-// GatherTriplets runs stage 2 alone (round.gather over every fragment of
-// st, from site from, no serving tier) and returns the triplets, decoded
-// into the caller's arena a. The views layer materializes and refreshes
-// through it; accounting flows through whatever metering transport tr
-// wraps.
-func GatherTriplets(ctx context.Context, tr cluster.Transport, from frag.SiteID,
-	st *frag.SourceTree, prog *xpath.Program, maxInflight int, a *boolexpr.Arena) (map[xmltree.FragmentID]eval.Triplet, error) {
+// GatherTriplets runs the ParBoX round of a materialized view: stage 2
+// over every fragment of st (round.gather from site from, no serving
+// tier, no triplet cache), decoded into the caller's arena a, then the
+// equation solve at from. The Report carries the answer and the round's
+// accounting, the solve's work included, by the same rules as a
+// ModeBoolean ParBoX run; cost prices that solve.
+func GatherTriplets(ctx context.Context, tr cluster.Transport, from frag.SiteID, st *frag.SourceTree,
+	prog *xpath.Program, maxInflight int, cost cluster.CostModel, a *boolexpr.Arena) (map[xmltree.FragmentID]eval.Triplet, Report, error) {
 	r := round{
-		e:        &Engine{tr: tr, coord: from, st: st, maxInflight: maxInflight},
+		e:        &Engine{tr: tr, coord: from, st: st, cost: cost, maxInflight: maxInflight},
+		start:    time.Now(),
+		rec:      newRecorder(),
 		arena:    a,
 		triplets: make(map[xmltree.FragmentID]eval.Triplet, st.Count()),
 	}
 	if err := r.gather(ctx, prog, 0, st.Fragments()); err != nil {
-		return nil, err
+		return nil, Report{}, err
 	}
-	return r.triplets, nil
+	ans, work, err := eval.Solve(st, r.triplets, prog)
+	if err != nil {
+		return nil, Report{}, err
+	}
+	r.solved(work)
+	rep := r.report(AlgoParBoX)
+	rep.Answer = ans
+	return r.triplets, rep, nil
 }

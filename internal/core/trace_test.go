@@ -5,58 +5,65 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/cluster"
-	"repro/internal/fixtures"
 	"repro/internal/frag"
+	"repro/internal/obs"
 	"repro/internal/xpath"
 )
 
-// deployTraced builds the Fig. 2 deployment behind a tracing transport.
-func deployTraced(t *testing.T) (*cluster.Tracer, *Engine) {
+// hop is one remote call as the span tree records it: a "call <kind>"
+// span at the callee, whose caller is the site of the enclosing handler
+// span (the coordinator when there is none).
+type hop struct {
+	from, to frag.SiteID
+	kind     string
+}
+
+// tracedRun runs algo traced and returns the collected spans and the
+// remote calls they record, in span order.
+func tracedRun(t *testing.T, eng *Engine, algo Algorithm, src string) ([]obs.Span, []hop) {
 	t.Helper()
-	forest, _, err := fixtures.Fig2Forest()
-	if err != nil {
+	col := obs.NewCollector()
+	ctx := obs.WithTrace(context.Background(), obs.TraceContext{TraceID: obs.NewTraceID(), SpanID: obs.NewSpanID(), Collector: col})
+	if _, err := eng.Run(ctx, algo, xpath.MustCompileString(src)); err != nil {
 		t.Fatal(err)
 	}
-	st, err := fixtures.Fig2SourceTree(forest)
-	if err != nil {
-		t.Fatal(err)
+	spans := col.Spans()
+	byID := make(map[uint64]obs.Span, len(spans))
+	for _, sp := range spans {
+		byID[sp.ID] = sp
 	}
-	c := cluster.New(cluster.DefaultCostModel())
-	tracer := cluster.NewTracer()
-	tt := &cluster.TracingTransport{Inner: c, Tracer: tracer}
-	for _, siteID := range st.Sites() {
-		site := c.AddSite(siteID)
-		for _, id := range st.FragmentsAt(siteID) {
-			fr, _ := forest.Fragment(id)
-			site.AddFragment(fr)
+	var hops []hop
+	for _, sp := range spans {
+		kind, ok := strings.CutPrefix(sp.Name, "call ")
+		if !ok {
+			continue
 		}
-		RegisterHandlers(site, tt, c.Cost())
+		from := eng.Coordinator()
+		if p, ok := byID[sp.Parent]; ok {
+			from = frag.SiteID(p.Site)
+		}
+		hops = append(hops, hop{from: from, to: frag.SiteID(sp.Site), kind: kind})
 	}
-	return tracer, NewEngine(tt, "S0", st, c.Cost())
+	return spans, hops
 }
 
 // TestTraceParBoXMessageFlow pins the protocol shape of ParBoX: exactly
 // one evalQual request per remote site and nothing else.
 func TestTraceParBoXMessageFlow(t *testing.T) {
-	tracer, eng := deployTraced(t)
-	prog := xpath.MustCompileString(`//stock[code = "YHOO"]`)
-	if _, err := eng.ParBoX(context.Background(), prog); err != nil {
-		t.Fatal(err)
-	}
-	events := tracer.Events()
-	if len(events) != 2 {
-		t.Fatalf("ParBoX produced %d remote calls, want 2:\n%s", len(events), tracer)
+	_, eng, _ := deployFig2(t)
+	_, hops := tracedRun(t, eng, AlgoParBoX, `//stock[code = "YHOO"]`)
+	if len(hops) != 2 {
+		t.Fatalf("ParBoX produced %d remote calls, want 2: %v", len(hops), hops)
 	}
 	targets := map[frag.SiteID]bool{}
-	for _, e := range events {
-		if e.Kind != KindEvalQual {
-			t.Errorf("unexpected message kind %s", e.Kind)
+	for _, h := range hops {
+		if h.kind != KindEvalQual {
+			t.Errorf("unexpected message kind %s", h.kind)
 		}
-		if e.From != "S0" {
-			t.Errorf("message from %s, want the coordinator", e.From)
+		if h.from != "S0" {
+			t.Errorf("message from %s, want the coordinator", h.from)
 		}
-		targets[e.To] = true
+		targets[h.to] = true
 	}
 	if !targets["S1"] || !targets["S2"] {
 		t.Errorf("targets = %v, want S1 and S2", targets)
@@ -67,12 +74,16 @@ func TestTraceParBoXMessageFlow(t *testing.T) {
 // site, then resolve hops following the source tree (S0→S1 for F1, S1→S2
 // for F2, S0→S2 for F3) — and no cleanup messages on the happy path.
 func TestTraceFullDistMessageFlow(t *testing.T) {
-	tracer, eng := deployTraced(t)
-	prog := xpath.MustCompileString(`//stock[code = "YHOO"]`)
-	if _, err := eng.FullDist(context.Background(), prog); err != nil {
-		t.Fatal(err)
+	_, eng, _ := deployFig2(t)
+	_, hops := tracedRun(t, eng, AlgoFullDist, `//stock[code = "YHOO"]`)
+	counts := map[string]int{}
+	found := false
+	for _, h := range hops {
+		counts[h.kind]++
+		if h.kind == KindResolve && h.from == "S1" && h.to == "S2" {
+			found = true
+		}
 	}
-	counts := tracer.KindCounts()
 	if counts[KindEvalQualKeep] != 2 {
 		t.Errorf("evalQualKeep count = %d, want 2", counts[KindEvalQualKeep])
 	}
@@ -83,29 +94,33 @@ func TestTraceFullDistMessageFlow(t *testing.T) {
 		t.Errorf("cleanup count = %d, want 0 on the happy path", counts[KindCleanup])
 	}
 	// The S1→S2 hop (resolving F2 from F1's site) must appear.
-	found := false
-	for _, e := range tracer.Events() {
-		if e.Kind == KindResolve && e.From == "S1" && e.To == "S2" {
-			found = true
-		}
-	}
 	if !found {
-		t.Errorf("missing S1→S2 resolve hop:\n%s", tracer)
+		t.Errorf("missing S1→S2 resolve hop: %v", hops)
 	}
 }
 
+// TestTracerRendering: the rendered tree names every remote call with
+// its callee and the bytes it moved, and the byte attributes add up to
+// the run's reported traffic.
 func TestTracerRendering(t *testing.T) {
-	tracer, eng := deployTraced(t)
-	prog := xpath.MustCompileString(`//broker`)
-	if _, err := eng.ParBoX(context.Background(), prog); err != nil {
-		t.Fatal(err)
-	}
-	s := tracer.String()
-	if !strings.Contains(s, "S0→S1") || !strings.Contains(s, KindEvalQual) {
+	_, eng, _ := deployFig2(t)
+	spans, _ := tracedRun(t, eng, AlgoParBoX, `//broker`)
+	var b strings.Builder
+	obs.RenderTrace(&b, obs.TraceRecord{Root: "test", Spans: spans})
+	if s := b.String(); !strings.Contains(s, "call "+KindEvalQual+" @S1") || !strings.Contains(s, "req_bytes=") {
 		t.Errorf("trace rendering:\n%s", s)
 	}
-	tracer.Reset()
-	if len(tracer.Events()) != 0 {
-		t.Error("Reset did not clear the trace")
+	var traffic int64
+	for _, sp := range spans {
+		req, _ := sp.Attr("req_bytes")
+		resp, _ := sp.Attr("resp_bytes")
+		traffic += req + resp
+	}
+	rep, err := eng.ParBoX(context.Background(), xpath.MustCompileString(`//broker`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if traffic != rep.Bytes {
+		t.Errorf("span byte attributes sum to %d, report says %d", traffic, rep.Bytes)
 	}
 }

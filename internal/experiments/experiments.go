@@ -381,16 +381,14 @@ func Table4(cfg Config) ([]Table4Row, error) {
 			return nil, err
 		}
 		snap := c.Metrics().Snapshot()
-		var maxVisits int64
+		var maxVisits uint64
 		for _, sm := range snap {
-			if sm.Visits > maxVisits {
-				maxVisits = sm.Visits
-			}
+			maxVisits = max(maxVisits, sm.Visits)
 		}
 		rows = append(rows, Table4Row{
 			Algorithm:          algo,
-			MaxVisitsPerSite:   maxVisits,
-			VisitsAtSharedSite: snap["S3"].Visits,
+			MaxVisitsPerSite:   int64(maxVisits),
+			VisitsAtSharedSite: int64(snap["S3"].Visits),
 			TotalSteps:         rep.TotalSteps,
 			Bytes:              rep.Bytes,
 			SimSeconds:         rep.SimTime.Seconds(),

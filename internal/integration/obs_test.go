@@ -1,7 +1,7 @@
 // Observability integration suite: span trees reconstructed across real
-// TCP sites (the piggybacked server-side spans of wire protocol v2),
-// and the metrics symmetry invariants that pin the histogram plumbing
-// to the existing message accounting.
+// TCP sites (the piggybacked server-side spans of wire protocol v2), and
+// the agreement of the per-query ledger (Report) with the per-site one
+// (SiteStats).
 package integration
 
 import (
@@ -11,10 +11,10 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/eval"
 	"repro/internal/frag"
 	"repro/internal/obs"
 	"repro/internal/xmark"
-	"repro/internal/xmltree"
 	"repro/internal/xpath"
 )
 
@@ -134,161 +134,84 @@ func TestUntracedCarriesNoSpans(t *testing.T) {
 	}
 }
 
-// obsWorld is a small in-memory deployment the symmetry tests meter.
-func obsWorld(t *testing.T) (*cluster.Cluster, *core.Engine) {
-	t.Helper()
-	root, siteRoots, err := xmark.BuildDoc(xmark.TreeSpec{
-		Seed:       17,
-		Parents:    xmark.StarParents(6),
-		MBs:        xmark.EvenMBs(0.3, 6),
-		NodesPerMB: 2500,
-	})
-	if err != nil {
-		t.Fatal(err)
+// siteTotals sums the sites' SiteStats blocks.
+func siteTotals(sites []*cluster.Site) (sum obs.SiteStatsSnapshot, visits map[frag.SiteID]uint64) {
+	visits = make(map[frag.SiteID]uint64, len(sites))
+	for _, site := range sites {
+		s := site.Stats().Snapshot()
+		visits[site.ID()] = s.Visits
+		sum.BytesIn += s.BytesIn
+		sum.BytesOut += s.BytesOut
+		sum.MessagesIn += s.MessagesIn
+		sum.MessagesOut += s.MessagesOut
+		sum.Steps += s.Steps
+		sum.CacheHits += s.CacheHits
+		sum.CacheMisses += s.CacheMisses
 	}
-	forest, err := xmark.Fragment(root, siteRoots)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assign := frag.Assignment{}
-	for i := 0; i < 6; i++ {
-		assign[xmltree.FragmentID(i)] = frag.SiteID(fmt.Sprintf("S%d", i))
-	}
-	c := cluster.New(cluster.DefaultCostModel())
-	eng, err := core.Deploy(c, forest, assign)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return c, eng
+	return sum, visits
 }
 
-// TestMetricsSymmetryInvariant pins the traffic accounting's pairwise
-// symmetry after a mixed workload: every byte sent was received
-// (global BytesIn == BytesOut, MessagesIn == MessagesOut), and in the
-// ParBoX star shape the coordinator's outbound request traffic equals
-// the callee sites' inbound traffic exactly.
-func TestMetricsSymmetryInvariant(t *testing.T) {
-	c, eng := obsWorld(t)
+// TestReportMatchesSiteStats ties the two ledgers together: the query's
+// Report (its recorder) must equal the delta of Σ SiteStats (the sites'
+// own blocks) across the run, for all six algorithms on both transports,
+// with no tier and no hedging. Bytes, messages and cache counters match
+// exactly; steps match once the coordinator-local work the report names
+// is taken out (SolveWork, and NaiveCentralized's evaluation of the
+// reassembled document — also Hybrid's, past its tipping point). Visits
+// match site by site for the algorithms whose every call the coordinator
+// makes; the recursive ones (NaiveDistributed, FullDist) report only the
+// coordinator's own calls per site, their nested hops entering Bytes and
+// Messages through the resolve responses — so there every reported visit
+// is a counted one, and the counted total is one per request message.
+func TestReportMatchesSiteStats(t *testing.T) {
+	w := newTCPWorld(t)
 	ctx := context.Background()
-	for _, src := range differentialQueries {
-		prog := xpath.MustCompileString(src)
-		for _, algo := range []core.Algorithm{core.AlgoParBoX, core.AlgoFullDist} {
-			if _, err := eng.Run(ctx, algo, prog); err != nil {
-				t.Fatalf("%v %q: %v", algo, src, err)
+	for _, tr := range []struct {
+		name  string
+		eng   *core.Engine
+		sites []*cluster.Site
+	}{{"mem", w.memEng, w.memSites}, {"tcp", w.tcpEng, w.tcpSites}} {
+		for _, src := range differentialQueries {
+			prog := xpath.MustCompileString(src)
+			_, centralSteps, err := eval.Evaluate(w.doc.Clone(), prog)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-	}
-	snap := c.Metrics().Snapshot()
-	var bytesIn, bytesOut, msgsIn, msgsOut int64
-	for _, s := range snap {
-		bytesIn += s.BytesIn
-		bytesOut += s.BytesOut
-		msgsIn += s.MessagesIn
-		msgsOut += s.MessagesOut
-	}
-	if bytesIn != bytesOut {
-		t.Errorf("global bytes asymmetric: in %d, out %d", bytesIn, bytesOut)
-	}
-	if msgsIn != msgsOut {
-		t.Errorf("global messages asymmetric: in %d, out %d", msgsIn, msgsOut)
-	}
-	if total := c.Metrics().TotalMessages(); msgsIn != total {
-		t.Errorf("sum of MessagesIn %d != TotalMessages %d", msgsIn, total)
-	}
-
-	// Star-shape pairwise check on a fresh meter: with ParBoX only the
-	// coordinator calls out, so its BytesOut must equal the callees'
-	// summed BytesIn (and likewise for messages).
-	c.Metrics().Reset()
-	coord := eng.Coordinator()
-	prog := xpath.MustCompileString(xmark.Queries[8])
-	if _, err := eng.ParBoX(ctx, prog); err != nil {
-		t.Fatal(err)
-	}
-	snap = c.Metrics().Snapshot()
-	var calleeBytesIn, calleeMsgsIn int64
-	for id, s := range snap {
-		if id == coord {
-			continue
-		}
-		calleeBytesIn += s.BytesIn
-		calleeMsgsIn += s.MessagesIn
-	}
-	if co := snap[coord]; co.BytesOut != calleeBytesIn || co.MessagesOut != calleeMsgsIn {
-		t.Errorf("coordinator out (bytes %d, msgs %d) != callees in (bytes %d, msgs %d)",
-			co.BytesOut, co.MessagesOut, calleeBytesIn, calleeMsgsIn)
-	}
-}
-
-// TestServiceHistogramCountInvariant pins the latency histogram to the
-// message accounting: the per-site ServiceHist holds exactly one sample
-// per remote call the site handled, so its count equals both Visits and
-// MessagesIn, and the cluster-wide sample count equals half the total
-// message count (each call is one request + one response).
-func TestServiceHistogramCountInvariant(t *testing.T) {
-	c, eng := obsWorld(t)
-	ctx := context.Background()
-	for _, src := range differentialQueries {
-		if _, err := eng.ParBoX(ctx, xpath.MustCompileString(src)); err != nil {
-			t.Fatalf("%q: %v", src, err)
-		}
-	}
-	snap := c.Metrics().Snapshot()
-	var samples uint64
-	for id, s := range snap {
-		samples += s.ServiceHist.Count
-		if uint64(s.Visits) != s.ServiceHist.Count {
-			t.Errorf("site %s: %d visits but %d histogram samples", id, s.Visits, s.ServiceHist.Count)
-		}
-		if id != eng.Coordinator() && s.MessagesIn != s.Visits {
-			t.Errorf("site %s: MessagesIn %d != Visits %d", id, s.MessagesIn, s.Visits)
-		}
-		if s.ServiceHist.Count > 0 {
-			// The quantiles must be well-formed: p50 <= p95 <= p99, all
-			// within the observed range.
-			p50, p95, p99 := s.ServiceHist.Quantile(0.50), s.ServiceHist.Quantile(0.95), s.ServiceHist.Quantile(0.99)
-			if p50 > p95 || p95 > p99 {
-				t.Errorf("site %s: quantiles not monotone (p50 %d, p95 %d, p99 %d)", id, p50, p95, p99)
+			for _, algo := range core.Algorithms() {
+				before, visitsBefore := siteTotals(tr.sites)
+				rep, err := tr.eng.Run(ctx, algo, prog)
+				if err != nil {
+					t.Fatalf("%s %v %q: %v", tr.name, algo, src, err)
+				}
+				after, visitsAfter := siteTotals(tr.sites)
+				name := fmt.Sprintf("%s %v %q", tr.name, algo, src)
+				eq := func(what string, report int64, stats uint64) {
+					if uint64(report) != stats {
+						t.Errorf("%s: %s report=%d site stats=%d", name, what, report, stats)
+					}
+				}
+				eq("bytes", rep.Bytes, after.BytesIn+after.BytesOut-before.BytesIn-before.BytesOut)
+				eq("messages", rep.Messages, after.MessagesIn+after.MessagesOut-before.MessagesIn-before.MessagesOut)
+				eq("cache hits", rep.CacheHits, after.CacheHits-before.CacheHits)
+				eq("cache misses", rep.CacheMisses, after.CacheMisses-before.CacheMisses)
+				local := rep.SolveWork
+				central := algo == core.AlgoNaiveCentralized ||
+					algo == core.AlgoHybrid && w.st.Count()*prog.QListSize() >= w.st.TotalSize()
+				if central {
+					local += centralSteps
+				}
+				eq("steps net of coordinator-local work", rep.TotalSteps-local, after.Steps-before.Steps)
+				recursive := algo == core.AlgoNaiveDistributed || algo == core.AlgoFullDist
+				var counted uint64
+				for site, n := range visitsAfter {
+					d := n - visitsBefore[site]
+					counted += d
+					if r := uint64(rep.Visits[site]); r != d && (!recursive || r > d) {
+						t.Errorf("%s: visits[%s] report=%d site stats=%d", name, site, r, d)
+					}
+				}
+				eq("visits (one per request)", rep.Messages/2, counted)
 			}
-		}
-	}
-	if total := c.Metrics().TotalMessages(); int64(samples)*2 != total {
-		t.Errorf("histogram samples %d != TotalMessages/2 = %d", samples, total/2)
-	}
-}
-
-// TestSiteStatsMatchClusterMetrics ties the sites' always-on SiteStats
-// counter blocks (the /metrics and `parbox top` source) to the cluster
-// meter: on non-coordinator sites every dispatch is a remote call, so
-// the two accountings must agree exactly.
-func TestSiteStatsMatchClusterMetrics(t *testing.T) {
-	c, eng := obsWorld(t)
-	ctx := context.Background()
-	for _, src := range differentialQueries {
-		if _, err := eng.ParBoX(ctx, xpath.MustCompileString(src)); err != nil {
-			t.Fatalf("%q: %v", src, err)
-		}
-	}
-	snap := c.Metrics().Snapshot()
-	for _, id := range c.Sites() {
-		if id == eng.Coordinator() {
-			continue
-		}
-		site, ok := c.Site(id)
-		if !ok {
-			t.Fatalf("cluster lost site %s", id)
-		}
-		stats := site.Stats().Snapshot()
-		m := snap[id]
-		if stats.Visits != uint64(m.Visits) {
-			t.Errorf("site %s: stats visits %d != metrics visits %d", id, stats.Visits, m.Visits)
-		}
-		if stats.Steps != uint64(m.Steps) {
-			t.Errorf("site %s: stats steps %d != metrics steps %d", id, stats.Steps, m.Steps)
-		}
-		if want := stats.Visits - stats.Errors - stats.Sheds - stats.DeadlineExpired; stats.Latency.Count != want {
-			t.Errorf("site %s: latency samples %d != successful dispatches %d",
-				id, stats.Latency.Count, want)
 		}
 	}
 }

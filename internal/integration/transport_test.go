@@ -30,6 +30,9 @@ type tcpWorld struct {
 	tcpEng *core.Engine // coordinator over TCP (site S0 local, 7 remote)
 	memEng *core.Engine // same document on the in-process cluster
 	tcpTr  *cluster.TCPTransport
+	// The sites of each deployment, whose SiteStats blocks are the
+	// per-site ledger.
+	memSites, tcpSites []*cluster.Site
 }
 
 const tcpWorldSites = 8
@@ -77,6 +80,7 @@ func newTCPWorld(t *testing.T) *tcpWorld {
 	addrs := make(map[frag.SiteID]string, tcpWorldSites)
 	var siteTrs []*cluster.TCPTransport
 	var coordLocal *cluster.Site
+	var tcpSites, memSites []*cluster.Site
 	for i := 0; i < tcpWorldSites; i++ {
 		id := frag.SiteID(fmt.Sprintf("S%d", i))
 		site := cluster.NewSite(id)
@@ -97,6 +101,9 @@ func newTCPWorld(t *testing.T) *tcpWorld {
 		t.Cleanup(func() { srv.Close() })
 		addrs[id] = srv.Addr()
 		siteTrs = append(siteTrs, siteTr)
+		tcpSites = append(tcpSites, site)
+		memSite, _ := memCluster.Site(id)
+		memSites = append(memSites, memSite)
 		if id == coord {
 			coordLocal = site
 		}
@@ -114,11 +121,13 @@ func newTCPWorld(t *testing.T) *tcpWorld {
 	coordTr.Local(coordLocal)
 	t.Cleanup(func() { coordTr.Close() })
 	return &tcpWorld{
-		doc:    doc,
-		st:     st,
-		tcpEng: core.NewEngine(coordTr, coord, st, cost),
-		memEng: memEng,
-		tcpTr:  coordTr,
+		doc:      doc,
+		st:       st,
+		tcpEng:   core.NewEngine(coordTr, coord, st, cost),
+		memEng:   memEng,
+		tcpTr:    coordTr,
+		memSites: memSites,
+		tcpSites: tcpSites,
 	}
 }
 

@@ -79,7 +79,7 @@ func (h *Histogram) Quantile(q float64) int64 { return h.Snapshot().Quantile(q) 
 
 // HistSnapshot is a plain (non-atomic) histogram value. It doubles as
 // a mutex-guarded accumulator for callers that already hold a lock
-// (cluster.Metrics, serve's health tracker) — call Observe under that
+// (serve's health tracker) — call Observe under that
 // lock — and as the copyable snapshot form of Histogram.
 type HistSnapshot struct {
 	Counts [HistBuckets]uint64

@@ -62,7 +62,6 @@ func (t *Tier) RebalanceOnce(ctx context.Context) (int, error) {
 	if !t.rebalance {
 		rb = rb.withDefaults()
 	}
-	snap := t.metrics.Snapshot()
 	sites := t.sites()
 	if len(sites) < 2 {
 		return 0, nil
@@ -75,8 +74,9 @@ func (t *Tier) RebalanceOnce(ctx context.Context) (int, error) {
 	}
 	load := make(map[frag.SiteID]int64, len(sites))
 	for _, s := range sites {
-		load[s] = snap[s].Visits - t.lastVisits[s]
-		t.lastVisits[s] = snap[s].Visits
+		visits := int64(t.metrics.Site(s).Visits)
+		load[s] = visits - t.lastVisits[s]
+		t.lastVisits[s] = visits
 	}
 	t.mu.Unlock()
 

@@ -32,14 +32,14 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/frag"
+	"repro/internal/obs"
 	"repro/internal/xmltree"
 )
 
 // MetricsSource is the slice of cluster.Metrics the tier reads: the
-// per-site service-time EWMA seeds routing scores for sites the tier has
-// not yet observed directly.
+// rebalancer's traffic window is each site's visit count.
 type MetricsSource interface {
-	Snapshot() map[frag.SiteID]cluster.SiteMetrics
+	Site(id frag.SiteID) obs.SiteStatsSnapshot
 }
 
 // Tier is the serving tier. It implements core.Tier; attach it with
@@ -98,7 +98,7 @@ func NewTier(tr cluster.Transport, coord frag.SiteID, forest *frag.Forest, repli
 	return t
 }
 
-// AttachMetrics feeds the cluster's accounting into routing scores.
+// AttachMetrics feeds the cluster's visit counts to the rebalancer.
 func (t *Tier) AttachMetrics(m MetricsSource) { t.metrics = m }
 
 // sites returns every site appearing in the replica map, sorted.
@@ -262,9 +262,8 @@ func (t *Tier) planAssign(only []xmltree.FragmentID, exclude map[frag.SiteID]boo
 }
 
 // baseScore is the latency assumed for sites never observed: the mean of
-// the known EWMAs (health first, cluster metrics as seed), or 1ns when
-// nothing is known anywhere — then the in-flight/plan-count term alone
-// balances the load.
+// the health tracker's known EWMAs, or 1ns when nothing is known
+// anywhere — then the in-flight/plan-count term alone balances the load.
 func (t *Tier) baseScore() float64 {
 	var sum float64
 	var n int
@@ -272,14 +271,6 @@ func (t *Tier) baseScore() float64 {
 		if e, _ := t.health.load(site); e > 0 {
 			sum += e
 			n++
-		}
-	}
-	if n == 0 && t.metrics != nil {
-		for _, sm := range t.metrics.Snapshot() {
-			if sm.ServiceEWMANanos > 0 {
-				sum += sm.ServiceEWMANanos
-				n++
-			}
 		}
 	}
 	if n == 0 {
@@ -293,11 +284,6 @@ func (t *Tier) baseScore() float64 {
 // already planned onto it this round). Lower is better.
 func (t *Tier) score(site frag.SiteID, base float64, planned int64) float64 {
 	ewma, inflight := t.health.load(site)
-	if ewma == 0 && t.metrics != nil {
-		if sm, ok := t.metrics.Snapshot()[site]; ok && sm.ServiceEWMANanos > 0 {
-			ewma = sm.ServiceEWMANanos
-		}
-	}
 	if ewma == 0 {
 		ewma = base
 	}

@@ -9,6 +9,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/frag"
+	"repro/internal/obs"
 	"repro/internal/xmltree"
 )
 
@@ -204,15 +205,9 @@ func TestReassignGroupsBySite(t *testing.T) {
 	}
 }
 
-type fakeMetrics map[frag.SiteID]cluster.SiteMetrics
+type fakeMetrics map[frag.SiteID]obs.SiteStatsSnapshot
 
-func (m fakeMetrics) Snapshot() map[frag.SiteID]cluster.SiteMetrics {
-	out := make(map[frag.SiteID]cluster.SiteMetrics, len(m))
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
-}
+func (m fakeMetrics) Site(id frag.SiteID) obs.SiteStatsSnapshot { return m[id] }
 
 // errTransport fails every call: a migration reaching the wire is
 // observable as errBoom.

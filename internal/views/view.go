@@ -64,14 +64,17 @@ func (v *View) compact() {
 // ParBoX over all sites and solving the equation system at the home site.
 func Materialize(ctx context.Context, tr cluster.Transport, home frag.SiteID,
 	st *frag.SourceTree, prog *xpath.Program) (*View, error) {
-	return MaterializeBounded(ctx, tr, home, st, prog, 0)
+	v, _, err := MaterializeBounded(ctx, tr, home, st, prog, 0, cluster.CostModel{})
+	return v, err
 }
 
 // MaterializeBounded is Materialize with the fan-out's in-flight site
 // calls capped at maxInflight (0 = unbounded); the bound sticks to the
-// view and applies to later Refresh calls too.
+// view and applies to later Refresh calls too. It also returns the
+// round's accounting (core.GatherTriplets), with the solve priced by
+// cost.
 func MaterializeBounded(ctx context.Context, tr cluster.Transport, home frag.SiteID,
-	st *frag.SourceTree, prog *xpath.Program, maxInflight int) (*View, error) {
+	st *frag.SourceTree, prog *xpath.Program, maxInflight int, cost cluster.CostModel) (*View, core.Report, error) {
 	v := &View{
 		tr:          tr,
 		home:        home,
@@ -87,22 +90,18 @@ func MaterializeBounded(ctx context.Context, tr cluster.Transport, home frag.Sit
 	}
 	// One scatter/gather round over all sites (the same fan-out layer the
 	// query engine uses), the triplets interned into the view arena.
-	var err error
-	v.triplets, err = core.GatherTriplets(ctx, tr, home, st, prog, maxInflight, v.arena)
+	triplets, rep, err := core.GatherTriplets(ctx, tr, home, v.st, prog, maxInflight, cost, v.arena)
 	if err != nil {
-		return nil, fmt.Errorf("views: materialize: %w", err)
+		return nil, core.Report{}, fmt.Errorf("views: materialize: %w", err)
 	}
-	ans, _, err := eval.Solve(v.st, v.triplets, prog)
-	if err != nil {
-		return nil, err
-	}
-	v.ans = ans
-	return v, nil
+	v.triplets, v.ans = triplets, rep.Answer
+	return v, rep, nil
 }
 
 // SetTransport replaces the transport used by subsequent maintenance
 // calls. Callers that materialize through a per-run wrapper (tracing,
-// metering) use it to hand the long-lived view the durable transport.
+// fault injection) use it to hand the long-lived view the durable
+// transport.
 func (v *View) SetTransport(tr cluster.Transport) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
@@ -340,16 +339,12 @@ func (v *View) Refresh(ctx context.Context) error {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	arena := boolexpr.NewArena()
-	triplets, err := core.GatherTriplets(ctx, v.tr, v.home, v.st, v.prog, v.maxInflight, arena)
-	if err != nil {
-		return err
-	}
-	ans, _, err := eval.Solve(v.st, triplets, v.prog)
+	triplets, rep, err := core.GatherTriplets(ctx, v.tr, v.home, v.st, v.prog, v.maxInflight, cluster.CostModel{}, arena)
 	if err != nil {
 		return err
 	}
 	v.arena = arena
 	v.triplets = triplets
-	v.ans = ans
+	v.ans = rep.Answer
 	return nil
 }

@@ -61,8 +61,7 @@ func (s *System) startIntrospection(addr string) error {
 }
 
 // fillMetrics renders the whole system's exposition: the per-site
-// always-on SiteStats blocks, the coordinator's per-call service-time
-// view (cluster metrics), and the scheduler counters.
+// always-on SiteStats blocks and the scheduler counters.
 func (s *System) fillMetrics(p *obs.Prom) {
 	ids := s.cluster.Sites()
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
@@ -77,21 +76,6 @@ func (s *System) fillMetrics(p *obs.Prom) {
 		snaps = append(snaps, snap)
 	}
 	p.SiteStatsProm(snaps...)
-
-	// The coordinator's remote-call view: service time as the caller
-	// experienced it, per callee site (count equals that site's remote
-	// MessagesIn — the symmetry the invariant tests pin).
-	mets := s.cluster.Metrics().Snapshot()
-	mids := make([]SiteID, 0, len(mets))
-	for id := range mets {
-		mids = append(mids, id)
-	}
-	sort.Slice(mids, func(i, j int) bool { return mids[i] < mids[j] })
-	for _, id := range mids {
-		p.Histogram("parbox_call_service_seconds",
-			"Per-call service time of remote calls, as observed by the coordinator.",
-			mets[id].ServiceHist, 1e9, "site", string(id))
-	}
 
 	st := s.sched.stats()
 	p.Counter("parbox_sched_rounds_total", "ParBoX rounds run by the coalescing scheduler.", float64(st.Rounds))

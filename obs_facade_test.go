@@ -110,8 +110,8 @@ func TestWithSpansSolo(t *testing.T) {
 	}
 }
 
-// TestWithTraceRendersSpans: WithTrace keeps its message log and now
-// appends the rendered span tree after it.
+// TestWithTraceRendersSpans: WithTrace renders the span tree, every
+// remote call in it.
 func TestWithTraceRendersSpans(t *testing.T) {
 	sys, _ := deployPortfolio(t)
 	q, err := Prepare(`//stock[price]`)
@@ -130,6 +130,39 @@ func TestWithTraceRendersSpans(t *testing.T) {
 	}
 	if !strings.Contains(out, "trace ") || !strings.Contains(out, "exec boolean") {
 		t.Errorf("trace output lacks the span tree:\n%s", out)
+	}
+}
+
+// TestWithTraceShowsSiteToSiteHops: under AlgoFullDist the in-process
+// trace shows the recursion's site-to-site resolve hops (S1 resolving F2
+// at S2) as call spans labelled with the bytes each moved.
+func TestWithTraceShowsSiteToSiteHops(t *testing.T) {
+	sys, _ := deployPortfolio(t)
+	var buf strings.Builder
+	res, err := sys.Exec(context.Background(), MustPrepare(`//stock[code = "YHOO"]`),
+		WithAlgorithm(AlgoFullDist), WithTrace(&buf))
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkSpanTree(t, res.Spans)
+	site := make(map[uint64]string, len(res.Spans))
+	for _, sp := range res.Spans {
+		site[sp.ID] = sp.Site
+	}
+	hop := false
+	for _, sp := range res.Spans {
+		if sp.Name == "call parbox.resolve" && sp.Site == "S2" && site[sp.Parent] == "S1" {
+			_, req := sp.Attr("req_bytes")
+			_, resp := sp.Attr("resp_bytes")
+			hop = req && resp
+		}
+	}
+	if !hop {
+		t.Errorf("no S1→S2 resolve hop with byte attributes among the spans")
+	}
+	out := buf.String()
+	if !strings.Contains(out, "call parbox.resolve @S2") || !strings.Contains(out, "req_bytes=") || !strings.Contains(out, "resp_bytes=") {
+		t.Errorf("rendered trace lacks the resolve hops and their bytes:\n%s", out)
 	}
 }
 

@@ -488,7 +488,9 @@ func (s *System) Sheds() int64 { return s.cluster.Metrics().TotalSheds() }
 // propagated deadline since deployment (or the last ResetMetrics).
 func (s *System) DeadlineExpired() int64 { return s.cluster.Metrics().TotalDeadlineExpired() }
 
-// ResetMetrics clears the cluster-wide accounting.
+// ResetMetrics makes the current counts the zero of TotalBytes, Sheds,
+// DeadlineExpired and MetricsTable; the sites' own counters (and
+// /metrics) keep counting.
 func (s *System) ResetMetrics() { s.cluster.Metrics().Reset() }
 
 // MetricsTable renders the per-site accounting as a table.

@@ -2,6 +2,7 @@ package parbox
 
 import (
 	"context"
+	"maps"
 	"strings"
 	"testing"
 
@@ -199,6 +200,35 @@ func TestExecMaterializeMode(t *testing.T) {
 	}
 	if !view.Answer() {
 		t.Error("view did not flip after the price update")
+	}
+}
+
+// TestMaterializeAccountingMatchesBoolean: materializing a view runs the
+// same ParBoX round as a Boolean query, so on a cache-less deployment
+// both modes must report the same traffic, visits, steps (the view's
+// solve included) and modeled time (a parallel makespan, not a sum of
+// the calls).
+func TestMaterializeAccountingMatchesBoolean(t *testing.T) {
+	sys, _ := deployPortfolio(t)
+	ctx := context.Background()
+	q := MustPrepare(`//stock[sell = "376"]`)
+	b, err := sys.Exec(ctx, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := sys.Exec(ctx, q, WithMode(ModeMaterialize))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Answer != b.Answer {
+		t.Errorf("answer materialize=%v boolean=%v", m.Answer, b.Answer)
+	}
+	if m.Bytes != b.Bytes || m.Messages != b.Messages || m.TotalSteps != b.TotalSteps || m.SimTime != b.SimTime {
+		t.Errorf("materialize (bytes %d, msgs %d, steps %d, sim %v) != boolean (%d, %d, %d, %v)",
+			m.Bytes, m.Messages, m.TotalSteps, m.SimTime, b.Bytes, b.Messages, b.TotalSteps, b.SimTime)
+	}
+	if !maps.Equal(m.Visits, b.Visits) {
+		t.Errorf("visits materialize=%v boolean=%v", m.Visits, b.Visits)
 	}
 }
 
