@@ -15,6 +15,7 @@ import (
 	"repro/internal/frag"
 	"repro/internal/obs"
 	"repro/internal/xmark"
+	"repro/internal/xmltree"
 	"repro/internal/xpath"
 )
 
@@ -212,6 +213,205 @@ func TestReportMatchesSiteStats(t *testing.T) {
 				}
 				eq("visits (one per request)", rep.Messages/2, counted)
 			}
+		}
+	}
+}
+
+// obsWorld is a small in-memory deployment the ledger tests meter.
+func obsWorld(t *testing.T) (*cluster.Cluster, *core.Engine) {
+	t.Helper()
+	root, siteRoots, err := xmark.BuildDoc(xmark.TreeSpec{
+		Seed:       17,
+		Parents:    xmark.StarParents(6),
+		MBs:        xmark.EvenMBs(0.3, 6),
+		NodesPerMB: 2500,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	forest, err := xmark.Fragment(root, siteRoots)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assign := frag.Assignment{}
+	for i := 0; i < 6; i++ {
+		assign[xmltree.FragmentID(i)] = frag.SiteID(fmt.Sprintf("S%d", i))
+	}
+	c := cluster.New(cluster.DefaultCostModel())
+	eng, err := core.Deploy(c, forest, assign)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c, eng
+}
+
+// TestMetricsSymmetryInvariant pins the traffic accounting's pairwise
+// symmetry. In process, after a mixed workload, every remote request
+// was answered (global MessagesIn == MessagesOut) and each call is one
+// request plus one response (TotalMessages == 2 × Σ Visits). Over TCP,
+// in the ParBoX star shape only the coordinator calls out, so the
+// coordinator's client-side view of each peer (the caller's ledger)
+// must equal that peer's own SiteStats block (the callee's) exactly.
+func TestMetricsSymmetryInvariant(t *testing.T) {
+	c, eng := obsWorld(t)
+	ctx := context.Background()
+	for _, src := range differentialQueries {
+		prog := xpath.MustCompileString(src)
+		for _, algo := range []core.Algorithm{core.AlgoParBoX, core.AlgoFullDist} {
+			if _, err := eng.Run(ctx, algo, prog); err != nil {
+				t.Fatalf("%v %q: %v", algo, src, err)
+			}
+		}
+	}
+	var msgsIn, msgsOut, visits int64
+	for _, s := range c.Metrics().Snapshot() {
+		msgsIn += int64(s.MessagesIn)
+		msgsOut += int64(s.MessagesOut)
+		visits += int64(s.Visits)
+	}
+	if visits == 0 {
+		t.Fatal("the workload made no remote call — the check is vacuous")
+	}
+	if msgsIn != msgsOut {
+		t.Errorf("global messages asymmetric: in %d, out %d", msgsIn, msgsOut)
+	}
+	if total := c.Metrics().TotalMessages(); total != 2*visits {
+		t.Errorf("TotalMessages %d != 2 × visits %d", total, visits)
+	}
+
+	w := newTCPWorld(t)
+	coord := w.tcpEng.Coordinator()
+	before := make(map[frag.SiteID]obs.SiteStatsSnapshot, len(w.tcpSites))
+	for _, site := range w.tcpSites {
+		before[site.ID()] = site.Stats().Snapshot()
+	}
+	w.tcpTr.Metrics().Reset()
+	if _, err := w.tcpEng.ParBoX(ctx, xpath.MustCompileString(xmark.Queries[8])); err != nil {
+		t.Fatal(err)
+	}
+	caller := w.tcpTr.Metrics().Snapshot()
+	var called int
+	for _, site := range w.tcpSites {
+		id := site.ID()
+		if id == coord {
+			continue
+		}
+		b, a := before[id], site.Stats().Snapshot()
+		m := caller[id]
+		for _, f := range []struct {
+			what           string
+			caller, callee uint64
+		}{
+			{"visits", m.Visits, a.Visits - b.Visits},
+			{"messages in", m.MessagesIn, a.MessagesIn - b.MessagesIn},
+			{"messages out", m.MessagesOut, a.MessagesOut - b.MessagesOut},
+			{"bytes in", m.BytesIn, a.BytesIn - b.BytesIn},
+			{"bytes out", m.BytesOut, a.BytesOut - b.BytesOut},
+			{"steps", m.Steps, a.Steps - b.Steps},
+		} {
+			if f.caller != f.callee {
+				t.Errorf("site %s: caller-side %s %d != callee-side %d", id, f.what, f.caller, f.callee)
+			}
+		}
+		if m.Visits > 0 {
+			called++
+		}
+	}
+	if called == 0 {
+		t.Fatal("ParBoX round called no remote site — the check is vacuous")
+	}
+}
+
+// TestServiceHistogramCountInvariant pins the per-site latency
+// histogram (SiteStats.Latency, exported as parbox_site_request_seconds)
+// to the message accounting: on a site that only the coordinator calls,
+// every dispatch is a successful remote call, so its sample count
+// equals both Visits and MessagesIn, and the samples over those sites
+// add up to half their messages (one request + one response per call).
+func TestServiceHistogramCountInvariant(t *testing.T) {
+	c, eng := obsWorld(t)
+	ctx := context.Background()
+	for _, src := range differentialQueries {
+		if _, err := eng.ParBoX(ctx, xpath.MustCompileString(src)); err != nil {
+			t.Fatalf("%q: %v", src, err)
+		}
+	}
+	var samples, messages uint64
+	for id, s := range c.Metrics().Snapshot() {
+		if id == eng.Coordinator() {
+			continue
+		}
+		samples += s.Latency.Count
+		messages += s.MessagesIn + s.MessagesOut
+		if s.Visits != s.Latency.Count {
+			t.Errorf("site %s: %d visits but %d histogram samples", id, s.Visits, s.Latency.Count)
+		}
+		if s.MessagesIn != s.Visits {
+			t.Errorf("site %s: MessagesIn %d != Visits %d", id, s.MessagesIn, s.Visits)
+		}
+		if s.Latency.Count > 0 {
+			// The quantiles must be well-formed: p50 <= p95 <= p99.
+			p50, p95, p99 := s.Latency.Quantile(0.50), s.Latency.Quantile(0.95), s.Latency.Quantile(0.99)
+			if p50 > p95 || p95 > p99 {
+				t.Errorf("site %s: quantiles not monotone (p50 %d, p95 %d, p99 %d)", id, p50, p95, p99)
+			}
+		}
+	}
+	if samples == 0 {
+		t.Fatal("no remote site dispatched anything")
+	}
+	if samples*2 != messages {
+		t.Errorf("histogram samples %d != messages/2 = %d", samples, messages/2)
+	}
+}
+
+// TestSiteStatsMatchClusterMetrics ties the sites' always-on SiteStats
+// blocks (the /metrics and `parbox top` source) to the Cluster's
+// Metrics view over them: after a Reset, the view must show exactly
+// each block's activity since, for every site, the coordinator
+// included; and on non-coordinator sites every dispatch is a remote
+// call, so the latency samples equal the successful visits.
+func TestSiteStatsMatchClusterMetrics(t *testing.T) {
+	c, eng := obsWorld(t)
+	ctx := context.Background()
+	// Activity before the Reset must not show up in the view.
+	if _, err := eng.ParBoX(ctx, xpath.MustCompileString(differentialQueries[0])); err != nil {
+		t.Fatal(err)
+	}
+	before := make(map[frag.SiteID]obs.SiteStatsSnapshot)
+	for _, id := range c.Sites() {
+		site, ok := c.Site(id)
+		if !ok {
+			t.Fatalf("cluster lost site %s", id)
+		}
+		before[id] = site.Stats().Snapshot()
+	}
+	c.Metrics().Reset()
+	for _, src := range differentialQueries {
+		if _, err := eng.ParBoX(ctx, xpath.MustCompileString(src)); err != nil {
+			t.Fatalf("%q: %v", src, err)
+		}
+	}
+	snap := c.Metrics().Snapshot()
+	for _, id := range c.Sites() {
+		site, _ := c.Site(id)
+		stats, b := site.Stats().Snapshot(), before[id]
+		m := snap[id]
+		if d := stats.Visits - b.Visits; m.Visits != d {
+			t.Errorf("site %s: stats visits %d != metrics visits %d", id, d, m.Visits)
+		}
+		if d := stats.Steps - b.Steps; m.Steps != d {
+			t.Errorf("site %s: stats steps %d != metrics steps %d", id, d, m.Steps)
+		}
+		if d := stats.BytesIn + stats.BytesOut - b.BytesIn - b.BytesOut; m.BytesIn+m.BytesOut != d {
+			t.Errorf("site %s: stats bytes %d != metrics bytes %d", id, d, m.BytesIn+m.BytesOut)
+		}
+		if id == eng.Coordinator() {
+			continue
+		}
+		if want := stats.Visits - stats.Errors - stats.Sheds - stats.DeadlineExpired; stats.Latency.Count != want {
+			t.Errorf("site %s: latency samples %d != successful dispatches %d",
+				id, stats.Latency.Count, want)
 		}
 	}
 }
