@@ -79,13 +79,13 @@ func TestAlgorithmsSurfaceCorruptResponses(t *testing.T) {
 
 func TestSelectSurfacesFailure(t *testing.T) {
 	ft, eng := deployFaulty(t)
-	ft.FailKinds = map[string]bool{KindSelect: true}
+	ft.FailKinds = map[string]bool{KindSelectTransfer: true}
 	sp, err := xpath.CompileSelectString(`//stock`)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := eng.SelectParBoX(context.Background(), sp); err == nil {
-		t.Error("selection succeeded with pass 2 blocked")
+		t.Error("selection succeeded with visit 2 blocked")
 	}
 }
 

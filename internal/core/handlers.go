@@ -47,12 +47,7 @@ func RegisterHandlers(site *cluster.Site, tr cluster.Transport, cost cluster.Cos
 	site.Handle(KindCleanup, handleCleanup)
 	site.Handle(KindFetchFragments, handleFetchFragments)
 	site.Handle(KindEvalFragDist, handleEvalFragDist(tr, cost))
-	site.Handle(KindSelect, handlePass2(func(res eval.SelectResult) []byte {
-		return encodeSelectResp(res.Selected, res.Forward)
-	}))
-	site.Handle(KindCount, handlePass2(func(res eval.SelectResult) []byte {
-		return encodeCountResp(int64(len(res.Selected)), res.Forward)
-	}))
+	site.Handle(KindSelectTransfer, handleSelectTransfer)
 	site.SetAdmissionEstimator(admissionEstimate(site))
 }
 
@@ -81,9 +76,13 @@ func admissionEstimate(site *cluster.Site) func(req cluster.Request) int64 {
 			if ids, err := decodeFetchReq(req.Payload); err == nil {
 				return sizeOf(ids)
 			}
-		case KindSelect, KindCount:
-			if _, id, _, _, err := decodeSelectReq(req.Payload); err == nil {
-				return sizeOf([]xmltree.FragmentID{id})
+		case KindSelectTransfer:
+			if _, q, err := decodeSelectTransferReq(req.Payload); err == nil {
+				ids := make([]xmltree.FragmentID, len(q.frags))
+				for i, f := range q.frags {
+					ids[i] = f.id
+				}
+				return sizeOf(ids)
 			}
 		}
 		return 1

@@ -49,9 +49,33 @@ var fixtureVecs = map[xmltree.FragmentID]eval.BoolVecs{
 	2: {V: []bool{false, false, false, false, false, false, false, true}, DV: []bool{true, true, true}},
 }
 
-var fixtureForward = map[xmltree.FragmentID]eval.Arrival{
-	3: {States: 6, Sticky: 2},
-	1: {States: 1 << 40, Sticky: 1 << 40},
+// fixtureTransfers is a visit-2 answer for two fragments: F1 forwards to
+// F3 and F4 and carries three candidates under two tags, F2 forwards
+// nothing and found nothing.
+func fixtureTransfers(paths bool) []fragTransfer {
+	f1 := fragTransfer{id: 1, Transfer: eval.Transfer{
+		Forward: map[xmltree.FragmentID]eval.ArrivalTransfer{
+			4: {States: []eval.Arrival{{}, {States: 2}, {}, {States: 8, Sticky: 8}}, Sticky: []eval.Arrival{{}, {}, {}, {Sticky: 8}}},
+			3: {States: []eval.Arrival{{}, {States: 6, Sticky: 2}}, Sticky: []eval.Arrival{{}, {Sticky: 1 << 40}}},
+		},
+		Tags:   []eval.Arrival{{States: 2}, {States: 4, Sticky: 4}},
+		Counts: []int64{2, 4711},
+	}}
+	if paths {
+		f1.Counts = []int64{2, 1}
+		f1.Paths = [][]int{{}, {0, 1, 2}, {300, 0}}
+		f1.PathTags = []int32{0, 1, 0}
+	}
+	f2 := fragTransfer{id: 2, Transfer: eval.Transfer{Forward: map[xmltree.FragmentID]eval.ArrivalTransfer{}}}
+	return []fragTransfer{f1, f2}
+}
+
+func recodeSelectTransferResp(buf []byte) ([]byte, error) {
+	fts, err := decodeSelectTransferResp(buf)
+	if err != nil {
+		return nil, err
+	}
+	return encodeSelectTransferResp(fts), nil
 }
 
 var payloadCodecs = []golden.Codec{
@@ -128,32 +152,24 @@ var payloadCodecs = []golden.Codec{
 	}},
 	{Name: "select_req", Sample: func() []byte {
 		_, _, _, sp := payloadFixture()
-		return encodeSelectReq(encodeSelectProgram(sp), 1, eval.Arrival{States: 5, Sticky: 4}, fixtureVecs)
+		return encodeSelectTransferReq(encodeSelectProgram(sp), selectTransferReq{
+			paths: true,
+			frags: []fragDomain{{id: 1, domain: eval.ArrivalDomain(sp)}, {id: 2, domain: eval.Arrival{States: 5, Sticky: 4}}},
+			vecs:  fixtureVecs,
+		})
 	}, Recode: func(buf []byte) ([]byte, error) {
-		sp, id, arr, vecs, err := decodeSelectReq(buf)
+		sp, q, err := decodeSelectTransferReq(buf)
 		if err != nil {
 			return nil, err
 		}
-		return encodeSelectReq(encodeSelectProgram(sp), id, arr, vecs), nil
+		return encodeSelectTransferReq(encodeSelectProgram(sp), q), nil
 	}},
 	{Name: "select_resp", Sample: func() []byte {
-		return encodeSelectResp([][]int{{}, {0, 1, 2}, {300, 0}}, fixtureForward)
-	}, Recode: func(buf []byte) ([]byte, error) {
-		paths, fwd, err := decodeSelectResp(buf)
-		if err != nil {
-			return nil, err
-		}
-		return encodeSelectResp(paths, fwd), nil
-	}},
+		return encodeSelectTransferResp(fixtureTransfers(true))
+	}, Recode: recodeSelectTransferResp},
 	{Name: "count_resp", Sample: func() []byte {
-		return encodeCountResp(4711, fixtureForward)
-	}, Recode: func(buf []byte) ([]byte, error) {
-		n, fwd, err := decodeCountResp(buf)
-		if err != nil {
-			return nil, err
-		}
-		return encodeCountResp(n, fwd), nil
-	}},
+		return encodeSelectTransferResp(fixtureTransfers(false))
+	}, Recode: recodeSelectTransferResp},
 }
 
 func recodeEvalQualReq(buf []byte) ([]byte, error) {

@@ -4,65 +4,77 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 
 	"repro/internal/cluster"
 	"repro/internal/eval"
 	"repro/internal/frag"
+	"repro/internal/obs"
 	"repro/internal/wire"
 	"repro/internal/xmltree"
 	"repro/internal/xpath"
 )
 
-// KindSelect is the pass-2 message of SelectParBoX: propagate NFA states
-// through one fragment and return the selected paths plus the arrivals for
-// its sub-fragments.
-const KindSelect = "parbox.select"
-
-// KindCount is the aggregation variant of pass 2: propagate the selection
-// automaton but return only the per-fragment match count. Section 8 of
-// the paper singles out "numerical and aggregating computations over
-// large data sets" as a natural beneficiary of partial evaluation — the
-// response shrinks from a path list to a single integer, so the traffic
-// bound drops back to O(|q|·card(F)) regardless of how many nodes match.
-const KindCount = "parbox.count"
+// KindSelectTransfer is visit 2 of SelectParBoX and CountParBoX: one call
+// per site covering all its fragments. The site evaluates the guards on the
+// resolved pass-1 vectors and propagates the selection automaton with the
+// fragments' arrivals still unknown, returning per fragment the arrival
+// transfer to each sub-fragment and the candidates tagged with the arrival
+// bits that select them — their paths for a selection, only their number
+// per tag for a count. Section 8 of the paper singles out "numerical and
+// aggregating computations over large data sets" as a natural beneficiary
+// of partial evaluation: a count's response is a few integers per
+// fragment however many nodes match.
+const KindSelectTransfer = "parbox.selectTransfer"
 
 // SelectParBoX evaluates a data-selection path query (Section 8
-// extension: data-selection XPath with partial evaluation):
+// extension: data-selection XPath with partial evaluation) in two visits
+// per site, as the paper's Section 8 remark sketches:
 //
-//	pass 1 — an ordinary ParBoX round (each site visited once) solved in
-//	         full, yielding the constant V/DV vectors of every fragment;
-//	pass 2 — top-down NFA propagation fragment by fragment down the source
-//	         tree; fragments no live state reaches are skipped entirely.
+//	visit 1 — an ordinary (fingerprinted, cacheable) ParBoX round over
+//	          the guard program, solved in full at the coordinator, which
+//	          yields the constant V/DV vectors of every fragment;
+//	visit 2 — one parallel scatter, one call per site whatever the depth
+//	          of the source tree, returning each fragment's selection as a
+//	          function of its arrival (KindSelectTransfer); the coordinator
+//	          composes the transfers down the source tree from the start
+//	          state and keeps the candidates their fragment's arrival
+//	          meets.
 //
-// Report.Paths holds the selected nodes, Report.Count their number. With
-// the per-fragment pass-2 scheduling used here a site is visited at most
-// 1 + card(F_Si) times; the paper's Section 8 remark sketches an "at
-// most twice" schedule, which batches pass 2 per site (see DESIGN.md).
+// Every site holding a fragment gets visit 2, so a site is visited at most
+// twice; a fragment no live state reaches contributes no paths (see
+// DESIGN.md, "Selection in two visits"). Report.Paths holds the selected
+// nodes, Report.Count their number.
 func (e *Engine) SelectParBoX(ctx context.Context, sp *xpath.SelectProgram) (Report, error) {
-	return e.twoPass(ctx, sp, KindSelect)
+	return e.twoVisits(ctx, sp, true)
 }
 
 // CountParBoX counts the nodes a path query selects, without materializing
-// their identities anywhere: SelectParBoX whose pass 2 returns one integer
-// per fragment. Report.Count is the total, Report.PerSite its breakdown.
+// their identities anywhere: SelectParBoX whose visit 2 returns a count
+// per tag instead of paths. Report.Count is the total, Report.PerSite its
+// breakdown.
 func (e *Engine) CountParBoX(ctx context.Context, sp *xpath.SelectProgram) (Report, error) {
-	return e.twoPass(ctx, sp, KindCount)
+	return e.twoVisits(ctx, sp, false)
 }
 
-// fragSelection is one fragment's pass-2 outcome at the coordinator: the
-// selected paths (KindSelect) or only their number (KindCount), and the
-// arrivals forwarded to its sub-fragments.
-type fragSelection struct {
-	paths   [][]int
-	count   int64
-	forward map[xmltree.FragmentID]eval.Arrival
+// siteTransfers is one site's visit-2 answer at the coordinator.
+type siteTransfers struct {
+	site  frag.SiteID
+	frags []fragTransfer
 }
 
-func (e *Engine) twoPass(ctx context.Context, sp *xpath.SelectProgram, kind string) (Report, error) {
+// fragTransfer is one fragment's visit-2 outcome on the wire: Transfer
+// without its step count (the response's Steps carries the site's total).
+type fragTransfer struct {
+	id xmltree.FragmentID
+	eval.Transfer
+}
+
+func (e *Engine) twoVisits(ctx context.Context, sp *xpath.SelectProgram, paths bool) (Report, error) {
 	return e.withRetry(ctx, func(e *Engine) (Report, error) {
 		r := e.newRound()
 		defer r.release()
-		if err := r.gather(ctx, sp.Bool, 0, e.st.Fragments()); err != nil {
+		if err := r.gather(ctx, sp.Bool, e.fingerprint(sp.Bool), e.st.Fragments()); err != nil {
 			return Report{}, err
 		}
 		vecs, work, err := eval.SolveAll(e.st, r.triplets, sp.Bool)
@@ -71,91 +83,144 @@ func (e *Engine) twoPass(ctx context.Context, sp *xpath.SelectProgram, kind stri
 		}
 		r.solved(work)
 
-		dec := func(resp cluster.Response, _ cluster.CallCost) (fragSelection, error) {
-			if kind == KindCount {
-				count, fwd, err := decodeCountResp(resp.Payload)
-				return fragSelection{count: count, forward: fwd}, err
-			}
-			paths, fwd, err := decodeSelectResp(resp.Payload)
-			return fragSelection{paths: paths, count: int64(len(paths)), forward: fwd}, err
-		}
-		var paths map[xmltree.FragmentID][][]int
-		if kind == KindSelect {
-			paths = make(map[xmltree.FragmentID][][]int)
-		}
-		perSite := make(map[frag.SiteID]int64)
-		var total int64
-		// Pass 2: walk the source tree top-down, level by level; fragments at
-		// one level run in parallel, levels are sequential (states flow
-		// downward). The jobs read per-site state of this very round, so they
-		// take no failover hook; a failure here is recovered by round retry.
+		// Visit 2 is a pure function of the fragment list (the vectors are
+		// fixed for this attempt), so its jobs fail over and hedge like
+		// evalQual's.
 		spBytes := encodeSelectProgram(sp)
-		pending := map[xmltree.FragmentID]eval.Arrival{e.st.Root(): eval.StartArrival()}
-		for len(pending) > 0 {
-			ids := sortedFragmentIDs(pending)
-			jobs := make([]scatterJob[fragSelection], len(ids))
-			for i, id := range ids {
-				entry, ok := e.st.Entry(id)
-				if !ok {
-					return Report{}, fmt.Errorf("core: fragment %d not in source tree", id)
+		domain := eval.ArrivalDomain(sp)
+		mk := func(site frag.SiteID, ids []xmltree.FragmentID) scatterJob[siteTransfers] {
+			q := selectTransferReq{paths: paths, vecs: make(map[xmltree.FragmentID]eval.BoolVecs)}
+			for _, id := range ids {
+				d := domain
+				if id == e.st.Root() {
+					d = eval.StartArrival()
 				}
-				// Ship the resolved vectors of this fragment's children only.
-				childVecs := make(map[xmltree.FragmentID]eval.BoolVecs, len(entry.Children))
-				for _, c := range entry.Children {
-					childVecs[c] = vecs[c]
-				}
-				jobs[i] = scatterJob[fragSelection]{
-					to:  entry.Site,
-					req: cluster.Request{Kind: kind, Payload: encodeSelectReq(spBytes, id, pending[id], childVecs)},
-					dec: dec,
+				q.frags = append(q.frags, fragDomain{id: id, domain: d})
+				if entry, ok := e.st.Entry(id); ok {
+					for _, c := range entry.Children {
+						q.vecs[c] = vecs[c]
+					}
 				}
 			}
-			level, simLevel, err := scatter(ctx, e.tr, e.coord, e.maxInflight, r.rec, jobs, e.obs())
-			if err != nil {
-				return Report{}, err
+			return scatterJob[siteTransfers]{
+				to:    site,
+				frags: ids,
+				req:   cluster.Request{Kind: KindSelectTransfer, Payload: encodeSelectTransferReq(spBytes, q)},
+				dec: func(resp cluster.Response, _ cluster.CallCost) (siteTransfers, error) {
+					fts, err := decodeSelectTransferResp(resp.Payload)
+					return siteTransfers{site: site, frags: fts}, err
+				},
 			}
-			r.sim += simLevel
-			next := make(map[xmltree.FragmentID]eval.Arrival)
-			for i, res := range level {
-				if len(res.paths) > 0 {
-					paths[ids[i]] = res.paths
-				}
-				total += res.count
-				perSite[jobs[i].to] += res.count
-				for c, arr := range res.forward {
-					prev := next[c]
-					prev.States |= arr.States
-					prev.Sticky |= arr.Sticky
-					next[c] = prev
-				}
-			}
-			pending = next
 		}
+		placement := make(map[frag.SiteID][]xmltree.FragmentID)
+		for _, site := range e.st.Sites() {
+			placement[site] = e.st.FragmentsAt(site)
+		}
+		jobs := jobsBySite(placement, mk)
+		answers, sim, err := scatterHedged(ctx, e.tr, e.coord, e.maxInflight, r.rec, jobs, e.obs(), tierRetry(e.tier, e.rr, mk), tierHedge(e.tier, mk))
+		if err != nil {
+			return Report{}, err
+		}
+		r.sim += sim
 		rep := r.report(AlgoParBoX)
-		rep.Paths, rep.Count, rep.PerSite = paths, total, perSite
+		if err := e.compose(answers, paths, &rep); err != nil {
+			return Report{}, err
+		}
 		return rep, nil
 	})
 }
 
-// handlePass2 is the site side of pass 2, behind both KindSelect and
-// KindCount: propagate the arrival through one fragment. What leaves the
-// site — the selected paths or just their number — is encode's choice.
-func handlePass2(encode func(eval.SelectResult) []byte) cluster.Handler {
-	return func(_ context.Context, site *cluster.Site, req cluster.Request) (cluster.Response, error) {
-		sp, id, arr, childVecs, err := decodeSelectReq(req.Payload)
-		if err != nil {
-			return cluster.Response{}, err
-		}
-		fr, ok := site.Fragment(id)
-		if !ok {
-			return cluster.Response{}, fmt.Errorf("core: site %s does not store fragment %d", site.ID(), id)
-		}
-		res, err := eval.SelectFragment(fr.Root, sp, childVecs, arr)
-		if err != nil {
-			return cluster.Response{}, err
-		}
-		return cluster.Response{Payload: encode(res), Steps: res.Steps}, nil
+// compose runs the transfers down the source tree from the start state:
+// a fragment's arrival selects the candidates whose tags it meets and,
+// through each sub-fragment's transfer, fixes that sub-fragment's arrival.
+// The work is |FT|·|chain| words, done at the coordinator.
+func (e *Engine) compose(answers []siteTransfers, paths bool, rep *Report) error {
+	type placed struct {
+		site frag.SiteID
+		ft   *fragTransfer
 	}
+	byID := make(map[xmltree.FragmentID]placed, e.st.Count())
+	for _, a := range answers {
+		for i := range a.frags {
+			byID[a.frags[i].id] = placed{a.site, &a.frags[i]}
+		}
+	}
+	if paths {
+		rep.Paths = make(map[xmltree.FragmentID][][]int)
+	}
+	rep.PerSite = make(map[frag.SiteID]int64)
+	arrivals := map[xmltree.FragmentID]eval.Arrival{e.st.Root(): eval.StartArrival()}
+	for _, id := range e.st.TopoOrder() {
+		p, ok := byID[id]
+		if !ok {
+			return fmt.Errorf("core: no selection transfer for fragment %d", id)
+		}
+		in := arrivals[id]
+		if in.IsZero() {
+			continue // dead: no state reaches it, nothing it found counts
+		}
+		ft := p.ft
+		var n int64
+		if paths {
+			var sel [][]int
+			for i, path := range ft.Paths {
+				if in.Meets(ft.Tags[ft.PathTags[i]]) {
+					sel = append(sel, path)
+				}
+			}
+			if len(sel) > 0 {
+				rep.Paths[id] = sel
+			}
+			n = int64(len(sel))
+		} else {
+			for i, tag := range ft.Tags {
+				if in.Meets(tag) {
+					n += ft.Counts[i]
+				}
+			}
+		}
+		rep.Count += n
+		rep.PerSite[p.site] += n
+		entry, _ := e.st.Entry(id)
+		for _, c := range entry.Children {
+			if tr, ok := ft.Forward[c]; ok {
+				arrivals[c] = tr.Apply(in)
+			}
+		}
+	}
+	return nil
+}
+
+// handleSelectTransfer is the site side of visit 2: SelectTransfer over
+// each requested fragment, in request order. It keeps nothing at the site.
+func handleSelectTransfer(ctx context.Context, site *cluster.Site, req cluster.Request) (cluster.Response, error) {
+	sp, q, err := decodeSelectTransferReq(req.Payload)
+	if err != nil {
+		return cluster.Response{}, err
+	}
+	_, sp2 := obs.StartSpan(ctx, string(site.ID()), "selectTransfer")
+	fts := make([]fragTransfer, len(q.frags))
+	var steps int64
+	for i, fd := range q.frags {
+		fr, ok := site.Fragment(fd.id)
+		if !ok {
+			sp2.End()
+			return cluster.Response{}, fmt.Errorf("core: site %s does not store fragment %d", site.ID(), fd.id)
+		}
+		t, err := eval.SelectTransfer(fr.Root, sp, q.vecs, fd.domain, q.paths)
+		if err != nil {
+			sp2.End()
+			return cluster.Response{}, fmt.Errorf("core: fragment %d: %w", fd.id, err)
+		}
+		steps += t.Steps
+		fts[i] = fragTransfer{id: fd.id, Transfer: t}
+	}
+	if sp2 != nil {
+		sp2.SetAttr("fragments", int64(len(fts)))
+		sp2.SetAttr("steps", steps)
+		sp2.End()
+	}
+	return cluster.Response{Payload: encodeSelectTransferResp(fts), Steps: steps}, nil
 }
 
 // --- codecs ------------------------------------------------------------
@@ -249,99 +314,188 @@ func arrival(r *wire.Reader) eval.Arrival {
 	return eval.Arrival{States: states, Sticky: r.Uvarint()}
 }
 
-func encodeSelectReq(spBytes []byte, id xmltree.FragmentID, arr eval.Arrival,
-	childVecs map[xmltree.FragmentID]eval.BoolVecs) []byte {
+// fragDomain names a fragment of a visit-2 request and the arrival bits
+// its transfer is computed over.
+type fragDomain struct {
+	id     xmltree.FragmentID
+	domain eval.Arrival
+}
+
+// selectTransferReq: the select program (encoded once per round and
+// shared by every site's request), whether paths are wanted, the site's
+// fragments with their domains, and the resolved vectors of their
+// sub-fragments.
+type selectTransferReq struct {
+	paths bool
+	frags []fragDomain
+	vecs  map[xmltree.FragmentID]eval.BoolVecs
+}
+
+func encodeSelectTransferReq(spBytes []byte, q selectTransferReq) []byte {
 	dst := wire.AppendBytes(nil, spBytes)
-	dst = xmltree.AppendFragmentID(dst, id)
-	dst = appendArrival(dst, arr)
-	dst = binary.AppendUvarint(dst, uint64(len(childVecs)))
+	var flag byte
+	if q.paths {
+		flag = 1
+	}
+	dst = append(dst, flag)
+	dst = binary.AppendUvarint(dst, uint64(len(q.frags)))
+	for _, f := range q.frags {
+		dst = xmltree.AppendFragmentID(dst, f.id)
+		dst = appendArrival(dst, f.domain)
+	}
+	dst = binary.AppendUvarint(dst, uint64(len(q.vecs)))
 	// Deterministic order for reproducible byte counts.
-	for _, c := range sortedFragmentIDs(childVecs) {
+	for _, c := range sortedFragmentIDs(q.vecs) {
 		dst = xmltree.AppendFragmentID(dst, c)
-		dst = appendBoolVec(dst, childVecs[c].V)
-		dst = appendBoolVec(dst, childVecs[c].DV)
+		dst = appendBoolVec(dst, q.vecs[c].V)
+		dst = appendBoolVec(dst, q.vecs[c].DV)
 	}
 	return dst
 }
 
-func decodeSelectReq(buf []byte) (*xpath.SelectProgram, xmltree.FragmentID, eval.Arrival, map[xmltree.FragmentID]eval.BoolVecs, error) {
+func decodeSelectTransferReq(buf []byte) (*xpath.SelectProgram, selectTransferReq, error) {
 	r := wire.NewReader(buf, ErrBadMessage)
+	var q selectTransferReq
 	spb := r.Bytes()
-	id := xmltree.ReadFragmentID(&r)
-	arr := arrival(&r)
+	switch r.Byte() {
+	case 0:
+	case 1:
+		q.paths = true
+	default:
+		r.Fail("bad paths flag")
+	}
+	q.frags = make([]fragDomain, r.Count(3))
+	for i := range q.frags {
+		q.frags[i].id = xmltree.ReadFragmentID(&r)
+		q.frags[i].domain = arrival(&r)
+	}
 	nc := r.Count(3)
-	childVecs := make(map[xmltree.FragmentID]eval.BoolVecs, nc)
+	q.vecs = make(map[xmltree.FragmentID]eval.BoolVecs, nc)
 	for i := 0; i < nc; i++ {
 		c := xmltree.ReadFragmentID(&r)
 		v := boolVec(&r)
-		childVecs[c] = eval.BoolVecs{V: v, DV: boolVec(&r)}
+		q.vecs[c] = eval.BoolVecs{V: v, DV: boolVec(&r)}
 	}
 	if err := r.Done(); err != nil {
-		return nil, 0, eval.Arrival{}, nil, err
+		return nil, q, err
 	}
 	sp, err := decodeSelectProgram(spb)
 	if err != nil {
-		return nil, 0, eval.Arrival{}, nil, err
+		return nil, q, err
 	}
-	return sp, id, arr, childVecs, nil
+	return sp, q, nil
 }
 
-func appendForward(dst []byte, forward map[xmltree.FragmentID]eval.Arrival) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(forward)))
-	for _, c := range sortedFragmentIDs(forward) {
-		dst = xmltree.AppendFragmentID(dst, c)
-		dst = appendArrival(dst, forward[c])
+// appendArrivalTransfer writes the bits of the output arrival some tag
+// reaches (States, then Sticky), then those tags in bit order.
+func appendArrivalTransfer(dst []byte, t eval.ArrivalTransfer) []byte {
+	live := func(tags []eval.Arrival) uint64 {
+		var m uint64
+		for j, tag := range tags {
+			if !tag.IsZero() {
+				m |= 1 << j
+			}
+		}
+		return m
+	}
+	ls, lk := live(t.States), live(t.Sticky)
+	dst = binary.AppendUvarint(dst, ls)
+	dst = binary.AppendUvarint(dst, lk)
+	for ; ls != 0; ls &= ls - 1 {
+		dst = appendArrival(dst, t.States[bits.TrailingZeros64(ls)])
+	}
+	for ; lk != 0; lk &= lk - 1 {
+		dst = appendArrival(dst, t.Sticky[bits.TrailingZeros64(lk)])
 	}
 	return dst
 }
 
-func forwardMap(r *wire.Reader) map[xmltree.FragmentID]eval.Arrival {
-	nf := r.Count(3)
-	forward := make(map[xmltree.FragmentID]eval.Arrival, nf)
-	for i := 0; i < nf; i++ {
-		c := xmltree.ReadFragmentID(r)
-		forward[c] = arrival(r)
-	}
-	return forward
-}
-
-func encodeSelectResp(paths [][]int, forward map[xmltree.FragmentID]eval.Arrival) []byte {
-	dst := binary.AppendUvarint(nil, uint64(len(paths)))
-	for _, p := range paths {
-		dst = binary.AppendUvarint(dst, uint64(len(p)))
-		for _, i := range p {
-			dst = binary.AppendUvarint(dst, uint64(i))
+func arrivalTransfer(r *wire.Reader) eval.ArrivalTransfer {
+	ls, lk := r.Uvarint(), r.Uvarint()
+	n := bits.Len64(ls | lk)
+	t := eval.ArrivalTransfer{States: make([]eval.Arrival, n), Sticky: make([]eval.Arrival, n)}
+	read := func(live uint64, into []eval.Arrival) {
+		for ; live != 0 && r.Err() == nil; live &= live - 1 {
+			tag := arrival(r)
+			if tag.IsZero() {
+				r.Fail("empty transfer tag")
+			}
+			into[bits.TrailingZeros64(live)] = tag
 		}
 	}
-	return appendForward(dst, forward)
+	read(ls, t.States)
+	read(lk, t.Sticky)
+	return t
 }
 
-func decodeSelectResp(buf []byte) ([][]int, map[xmltree.FragmentID]eval.Arrival, error) {
-	r := wire.NewReader(buf, ErrBadMessage)
-	paths := make([][]int, r.Count(1))
-	for i := range paths {
-		paths[i] = make([]int, r.Count(1))
-		for j := range paths[i] {
-			paths[i][j] = int(r.Uvarint())
+// selectTransferResp: per fragment its ID, the arrival transfer to each
+// sub-fragment some tag reaches, the distinct candidate tags with their
+// candidate counts, and (ModeSelect) the candidates' paths, each with the
+// index of its tag.
+func encodeSelectTransferResp(fts []fragTransfer) []byte {
+	dst := binary.AppendUvarint(nil, uint64(len(fts)))
+	for i := range fts {
+		ft := &fts[i]
+		dst = xmltree.AppendFragmentID(dst, ft.id)
+		dst = binary.AppendUvarint(dst, uint64(len(ft.Forward)))
+		for _, c := range sortedFragmentIDs(ft.Forward) {
+			dst = xmltree.AppendFragmentID(dst, c)
+			dst = appendArrivalTransfer(dst, ft.Forward[c])
+		}
+		dst = binary.AppendUvarint(dst, uint64(len(ft.Tags)))
+		for j, tag := range ft.Tags {
+			dst = appendArrival(dst, tag)
+			dst = binary.AppendUvarint(dst, uint64(ft.Counts[j]))
+		}
+		dst = binary.AppendUvarint(dst, uint64(len(ft.Paths)))
+		for j, p := range ft.Paths {
+			dst = binary.AppendUvarint(dst, uint64(ft.PathTags[j]))
+			dst = binary.AppendUvarint(dst, uint64(len(p)))
+			for _, k := range p {
+				dst = binary.AppendUvarint(dst, uint64(k))
+			}
 		}
 	}
-	forward := forwardMap(&r)
-	return paths, forward, r.Done()
+	return dst
 }
 
-// countResp is the count followed by a selectResp that carries no paths.
-func encodeCountResp(count int64, forward map[xmltree.FragmentID]eval.Arrival) []byte {
-	dst := binary.AppendUvarint(nil, uint64(count))
-	dst = binary.AppendUvarint(dst, 0)
-	return appendForward(dst, forward)
-}
-
-func decodeCountResp(buf []byte) (int64, map[xmltree.FragmentID]eval.Arrival, error) {
+func decodeSelectTransferResp(buf []byte) ([]fragTransfer, error) {
 	r := wire.NewReader(buf, ErrBadMessage)
-	count := r.Uvarint()
-	if np := r.Uvarint(); np != 0 {
-		r.Fail("count response carries %d paths", np)
+	fts := make([]fragTransfer, r.Count(4))
+	for i := range fts {
+		ft := &fts[i]
+		ft.id = xmltree.ReadFragmentID(&r)
+		nf := r.Count(3)
+		ft.Forward = make(map[xmltree.FragmentID]eval.ArrivalTransfer, nf)
+		for j := 0; j < nf; j++ {
+			c := xmltree.ReadFragmentID(&r)
+			ft.Forward[c] = arrivalTransfer(&r)
+		}
+		ft.Tags = make([]eval.Arrival, r.Count(3))
+		ft.Counts = make([]int64, len(ft.Tags))
+		for j := range ft.Tags {
+			ft.Tags[j] = arrival(&r)
+			if ft.Tags[j].IsZero() {
+				r.Fail("empty candidate tag")
+			}
+			ft.Counts[j] = int64(r.Uvarint())
+		}
+		np := r.Count(2)
+		ft.Paths, ft.PathTags = make([][]int, np), make([]int32, np)
+		for j := 0; j < np; j++ {
+			tag := r.Uvarint()
+			if tag >= uint64(len(ft.Tags)) {
+				r.Fail("path tag %d out of range", tag)
+			}
+			ft.PathTags[j] = int32(tag)
+			ft.Paths[j] = make([]int, r.Count(1))
+			for k := range ft.Paths[j] {
+				ft.Paths[j][k] = int(r.Uvarint())
+			}
+		}
+		if r.Err() != nil {
+			break
+		}
 	}
-	forward := forwardMap(&r)
-	return int64(count), forward, r.Done()
+	return fts, r.Done()
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -112,36 +113,93 @@ func TestSelectParBoXOnFig2(t *testing.T) {
 	}
 }
 
-// TestSelectVisitsBound: pass 1 visits each site once; pass 2 adds at most
-// one visit per fragment reached, so total visits per site ≤ 1+card(F_Si).
-func TestSelectVisitsBound(t *testing.T) {
-	forest, _, err := fixtures.Fig2Forest()
-	if err != nil {
-		t.Fatal(err)
+// selectShapes are the placements the visit bound is checked on: a star
+// (every sub-fragment a child of the root, one site each), a chain of
+// depth 4 (one site per fragment) and the same chain with all three
+// sub-fragments on one site, so card(F_S1) = 3 and depth(FT) = 3.
+func selectShapes(t *testing.T) map[string]*Engine {
+	t.Helper()
+	deploy := func(forest *frag.Forest, assign frag.Assignment) *Engine {
+		eng, err := Deploy(cluster.New(cluster.DefaultCostModel()), forest, assign)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return eng
 	}
-	c := cluster.New(cluster.DefaultCostModel())
-	eng, err := Deploy(c, forest, frag.Assignment{0: "S0", 1: "S1", 2: "S2", 3: "S2"})
-	if err != nil {
-		t.Fatal(err)
+	doc := fixtures.Portfolio()
+	star := frag.NewForest(doc)
+	starAssign := frag.Assignment{0: "S0"}
+	for _, broker := range append([]*xmltree.Node(nil), doc.Children...) {
+		id, err := star.Split(broker)
+		if err != nil {
+			t.Fatal(err)
+		}
+		starAssign[id] = frag.SiteID(fmt.Sprintf("S%d", id))
 	}
-	sp, err := xpath.CompileSelectString(`//stock`)
-	if err != nil {
-		t.Fatal(err)
+	chainForest := func() *frag.Forest {
+		// r/a/b/a/b/a/b/a with a stock leaf at every level; split at every a.
+		leaf := func() *xmltree.Node { return fixtures.Stock("GOOG", "1", "2") }
+		n := xmltree.NewElement("a", "", leaf())
+		for i := 0; i < 3; i++ {
+			n = xmltree.NewElement("a", "", leaf(), xmltree.NewElement("b", "", n))
+		}
+		root := xmltree.NewElement("r", "", n)
+		f := frag.NewForest(root)
+		for _, a := range root.FindAll("a")[1:] {
+			if _, err := f.Split(a); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if f.Count() != 4 {
+			t.Fatalf("chain has %d fragments, want 4", f.Count())
+		}
+		return f
 	}
-	rep, err := eng.SelectParBoX(context.Background(), sp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := rep.Visits["S2"]; got > 3 { // 1 (pass 1) + 2 fragments
-		t.Errorf("S2 visits = %d, want ≤ 3", got)
-	}
-	if got := rep.Visits["S1"]; got > 2 {
-		t.Errorf("S1 visits = %d, want ≤ 2", got)
+	return map[string]*Engine{
+		"star":      deploy(star, starAssign),
+		"chain":     deploy(chainForest(), frag.Assignment{0: "S0", 1: "S1", 2: "S2", 3: "S3"}),
+		"card(F)=3": deploy(chainForest(), frag.Assignment{0: "S0", 1: "S1", 2: "S1", 3: "S1"}),
 	}
 }
 
-// TestSelectSkipsDeadFragments: fragments no live state can reach are not
-// contacted in pass 2.
+// TestSelectVisitsBound: visit 1 is one evalQual per site and visit 2 one
+// selectTransfer per site, in one parallel scatter whatever the depth of
+// the source tree — so no site is visited more than twice, for select and
+// for count, on a star, a chain, and a chain whose three sub-fragments
+// share one site.
+func TestSelectVisitsBound(t *testing.T) {
+	ctx := context.Background()
+	for shape, eng := range selectShapes(t) {
+		for _, src := range []string{`//stock`, `//a/stock/code`, `r/a/b/a`} {
+			sp, err := xpath.CompileSelectString(src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for mode, run := range map[string]func(context.Context, *xpath.SelectProgram) (Report, error){
+				"select": eng.SelectParBoX, "count": eng.CountParBoX,
+			} {
+				rep, err := run(ctx, sp)
+				if err != nil {
+					t.Fatalf("%s %s %q: %v", shape, mode, src, err)
+				}
+				for _, site := range eng.SourceTree().Sites() {
+					want := int64(2)
+					if site == eng.Coordinator() {
+						want = 0 // the coordinator's calls to itself are not visits
+					}
+					if got := rep.Visits[site]; got != want {
+						t.Errorf("%s %s %q: %s visited %d times, want %d", shape, mode, src, site, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestSelectSkipsDeadFragments: a fragment no live state reaches still
+// gets visit 2 — it is part of its site's one call, sent before any
+// arrival is known — but contributes no paths and no count. Selecting
+// the root's broker children never enters a market fragment.
 func TestSelectSkipsDeadFragments(t *testing.T) {
 	forest, _, err := fixtures.Fig2Forest()
 	if err != nil {
@@ -152,10 +210,6 @@ func TestSelectSkipsDeadFragments(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Selecting broker names: paths of length ≤ 2 from the root never
-	// enter the market fragments F1/F2/F3... F1 is under broker, so the
-	// child chain dies at the market level. Use a path that cannot cross
-	// into any sub-fragment: the root's immediate broker children.
 	sp, err := xpath.CompileSelectString(`broker`)
 	if err != nil {
 		t.Fatal(err)
@@ -167,12 +221,18 @@ func TestSelectSkipsDeadFragments(t *testing.T) {
 	if rep.Count != 2 {
 		t.Fatalf("selected %d brokers, want 2", rep.Count)
 	}
-	// Pass 2 must not have visited S1/S2 at all: 1 visit each (pass 1).
-	if got := rep.Visits["S1"]; got != 1 {
-		t.Errorf("S1 visits = %d, want 1 (pass 2 should skip it)", got)
+	for id := range rep.Paths {
+		if id != 0 {
+			t.Errorf("dead fragment F%d contributed paths %v", id, rep.Paths[id])
+		}
 	}
-	if got := rep.Visits["S2"]; got != 1 {
-		t.Errorf("S2 visits = %d, want 1 (pass 2 should skip it)", got)
+	for _, site := range []frag.SiteID{"S1", "S2"} {
+		if got := rep.Visits[site]; got > 2 {
+			t.Errorf("%s visits = %d, want ≤ 2", site, got)
+		}
+		if rep.PerSite[site] != 0 {
+			t.Errorf("%s counted %d selections from dead fragments", site, rep.PerSite[site])
+		}
 	}
 }
 
@@ -241,35 +301,44 @@ func TestPropSelectDistributedMatchesOracle(t *testing.T) {
 }
 
 func TestSelectCodecErrors(t *testing.T) {
-	if _, _, _, _, err := decodeSelectReq(nil); err == nil {
+	if _, _, err := decodeSelectTransferReq(nil); err == nil {
 		t.Error("empty select request accepted")
 	}
-	if _, _, err := decodeSelectResp([]byte{200}); err == nil {
+	if _, err := decodeSelectTransferResp([]byte{200}); err == nil {
 		t.Error("bad select response accepted")
 	}
 	sp, err := xpath.CompileSelectString(`//a`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	req := encodeSelectReq(encodeSelectProgram(sp), 1, eval.StartArrival(), nil)
-	sp2, id, arr, cv, err := decodeSelectReq(req)
+	q := selectTransferReq{paths: true, frags: []fragDomain{{id: 1, domain: eval.StartArrival()}}}
+	sp2, got, err := decodeSelectTransferReq(encodeSelectTransferReq(encodeSelectProgram(sp), q))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if id != 1 || arr != eval.StartArrival() || len(cv) != 0 || len(sp2.Chain) != len(sp.Chain) {
-		t.Errorf("select request round trip mismatch: id=%d arr=%+v", id, arr)
+	if !got.paths || len(got.frags) != 1 || got.frags[0] != q.frags[0] || len(got.vecs) != 0 || len(sp2.Chain) != len(sp.Chain) {
+		t.Errorf("select request round trip mismatch: %+v", got)
 	}
-	// Response round trip with paths and forwards.
-	paths := [][]int{{0, 1}, {2}}
-	fwd := map[xmltree.FragmentID]eval.Arrival{7: {States: 5, Sticky: 4}}
-	gotPaths, gotFwd, err := decodeSelectResp(encodeSelectResp(paths, fwd))
+	// A path naming a tag the table does not have, and an empty tag.
+	for _, bad := range [][]byte{
+		{1, 0, 0, 1, 2, 0, 1, 1, 5, 0}, // F0, no forwards, tag {2,0}×1, one path with tag 5
+		{1, 0, 0, 1, 0, 0, 1, 0},       // F0, no forwards, an empty tag
+	} {
+		if _, err := decodeSelectTransferResp(bad); !errors.Is(err, ErrBadMessage) {
+			t.Errorf("decodeSelectTransferResp(%x) = %v, want ErrBadMessage", bad, err)
+		}
+	}
+	// Response round trip with paths, tags and transfers.
+	fts := fixtureTransfers(true)
+	back, err := decodeSelectTransferResp(encodeSelectTransferResp(fts))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(gotPaths) != 2 || fmt.Sprint(gotPaths) != fmt.Sprint(paths) {
-		t.Errorf("paths round trip: %v", gotPaths)
+	if len(back) != 2 || fmt.Sprint(back[0].Paths) != fmt.Sprint(fts[0].Paths) || fmt.Sprint(back[0].PathTags) != fmt.Sprint(fts[0].PathTags) {
+		t.Errorf("paths round trip: %+v", back)
 	}
-	if gotFwd[7] != (eval.Arrival{States: 5, Sticky: 4}) {
-		t.Errorf("forward round trip: %+v", gotFwd)
+	in := eval.Arrival{States: 2}
+	if got, want := back[0].Forward[4].Apply(in), fts[0].Forward[4].Apply(in); got != want {
+		t.Errorf("transfer round trip: %+v, want %+v", got, want)
 	}
 }

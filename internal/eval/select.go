@@ -3,21 +3,33 @@ package eval
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"slices"
+	"sync"
 
 	"repro/internal/xmltree"
 	"repro/internal/xpath"
 )
 
-// Selection evaluation (the Section 8 extension). Per fragment, the second
-// pass of SelectParBoX runs in two phases:
+// Selection evaluation (the Section 8 extension). Visit 2 of SelectParBoX
+// runs two sweeps over a fragment:
 //
-//  1. a bottom-up sweep evaluating every guard subquery at every node —
-//     virtual nodes contribute the (now known, constant) V/DV values of
-//     their sub-fragments, so guards are plain booleans;
-//  2. a top-down sweep propagating the chain's NFA states: a node reached
-//     in the final state is selected, and states arriving at a virtual
-//     node are recorded for forwarding to the sub-fragment's site.
+//  1. a bottom-up sweep evaluating the guard program at every node on the
+//     program's own lane kernel — virtual nodes contribute the (now known,
+//     constant) V/DV words of their sub-fragments, so guards are plain
+//     booleans — into a flat guard-mask array indexed by preorder position;
+//  2. a top-down sweep propagating the chain's NFA states. The states that
+//     will arrive at the fragment root are not known yet, so the sweep
+//     runs on tags instead (partial evaluation with the arrival bits as the
+//     unknowns): every state carries the set of arrival bits that bring it
+//     to the node. A node reached in the final state is a candidate tagged
+//     with that set; the tags reaching a virtual node are the sub-fragment's
+//     arrival as a function of this fragment's.
+//
+// Propagation is a union-homomorphism in the arrival (every arriving state
+// propagates on its own, and guards do not depend on arrival), so once the
+// arrival a is known, a candidate is selected iff a meets its tag and a
+// sub-fragment receives, bit by bit, the union of the tags a meets.
 
 // BoolVecs carries the resolved (constant) V and DV vectors of a
 // sub-fragment, produced by solving the pass-1 equation system.
@@ -25,7 +37,8 @@ type BoolVecs struct {
 	V, DV []bool
 }
 
-// Arrival is the NFA state set crossing a fragment boundary.
+// Arrival is the NFA state set crossing a fragment boundary. The same
+// shape doubles as a tag: a set of arrival bits.
 type Arrival struct {
 	// States has bit i set when chain step i is a candidate to match at
 	// the fragment root.
@@ -38,7 +51,75 @@ type Arrival struct {
 // StartArrival is the machine's start at the document root.
 func StartArrival() Arrival { return Arrival{States: 1} }
 
-// SelectResult is one fragment's pass-2 outcome.
+// Meets reports whether the arrival a shares a bit with tag.
+func (a Arrival) Meets(tag Arrival) bool { return a.States&tag.States|a.Sticky&tag.Sticky != 0 }
+
+// IsZero reports an empty arrival (no live state).
+func (a Arrival) IsZero() bool { return a.States|a.Sticky == 0 }
+
+func (a Arrival) or(b Arrival) Arrival { return Arrival{States: a.States | b.States, Sticky: a.Sticky | b.Sticky} }
+
+// ArrivalDomain is the set of arrival bits a fragment below the document
+// root can receive under sp: a state crosses into a child only by a child
+// or descendant-or-self move, and only a descendant-or-self state is
+// sticky. The document-root fragment receives exactly StartArrival.
+func ArrivalDomain(sp *xpath.SelectProgram) Arrival {
+	var d Arrival
+	for j, s := range sp.Chain {
+		switch s.Kind {
+		case xpath.SChild:
+			d.States |= 1 << j
+		case xpath.SDescOrSelf:
+			d.States |= 1 << j
+			d.Sticky |= 1 << j
+		}
+	}
+	return d
+}
+
+// ArrivalTransfer is a sub-fragment's arrival as a function of its
+// parent fragment's: bit j of the result's States is set iff the parent's
+// arrival meets States[j], likewise Sticky. Both slices are indexed by
+// chain position.
+type ArrivalTransfer struct {
+	States, Sticky []Arrival
+}
+
+// Apply evaluates the transfer at a known arrival.
+func (t ArrivalTransfer) Apply(in Arrival) Arrival {
+	var out Arrival
+	for j, tag := range t.States {
+		if in.Meets(tag) {
+			out.States |= 1 << j
+		}
+	}
+	for j, tag := range t.Sticky {
+		if in.Meets(tag) {
+			out.Sticky |= 1 << j
+		}
+	}
+	return out
+}
+
+// Transfer is one fragment's visit-2 outcome before its arrival is known.
+type Transfer struct {
+	// Forward is, per sub-fragment some tag reaches, its arrival transfer.
+	Forward map[xmltree.FragmentID]ArrivalTransfer
+	// Tags are the distinct candidate tags; Counts[i] candidates carry
+	// Tags[i].
+	Tags   []Arrival
+	Counts []int64
+	// Paths are the candidates as child-index paths from the fragment root,
+	// in document order, and PathTags the index into Tags of each. Filled
+	// only when SelectTransfer was asked for paths.
+	Paths    [][]int
+	PathTags []int32
+	// Steps is the computation performed (node×subquery units for the
+	// guard sweep plus one unit per node the tag sweep visits).
+	Steps int64
+}
+
+// SelectResult is one fragment's selection at a known arrival.
 type SelectResult struct {
 	// Selected are the selected nodes, as child-index paths from the
 	// fragment root (in document order, duplicates removed).
@@ -51,80 +132,383 @@ type SelectResult struct {
 	Steps int64
 }
 
-// SelectFragment runs both pass-2 phases over one fragment. subVals must
+// SelectFragment runs both sweeps over one fragment whose arrival in is
+// known: SelectTransfer over the domain in, evaluated at in. subVals must
 // contain the resolved vectors for every sub-fragment referenced by the
 // fragment's virtual nodes.
 func SelectFragment(root *xmltree.Node, sp *xpath.SelectProgram,
 	subVals map[xmltree.FragmentID]BoolVecs, in Arrival) (SelectResult, error) {
-	if root == nil || root.Virtual {
-		return SelectResult{}, errors.New("eval: bad fragment root")
-	}
-	masks, steps, err := guardMasks(root, sp, subVals)
+	t, err := SelectTransfer(root, sp, subVals, in, true)
 	if err != nil {
 		return SelectResult{}, err
 	}
-	res := SelectResult{Forward: make(map[xmltree.FragmentID]Arrival)}
-	res.Steps = steps
-
-	type frame struct {
-		node *xmltree.Node
-		in   Arrival
-	}
-	stack := []frame{{node: root, in: in}}
-	for len(stack) > 0 {
-		f := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		res.Steps++
-		arr, sticky := f.in.States, f.in.Sticky
-		var childStates uint64
-		mask := masks[f.node]
-		last := len(sp.Chain) - 1
-		for i := 0; i <= last; i++ {
-			bit := uint64(1) << i
-			if arr&bit == 0 {
-				continue
-			}
-			if mask&bit == 0 {
-				continue // guard failed: the state dies here
-			}
-			if i == last {
-				// Selected: materialize the path only now, by climbing to
-				// the fragment root — selections are typically sparse, and
-				// carrying paths through the traversal would cost
-				// O(depth²) on pathological chains.
-				res.Selected = append(res.Selected, fragmentPath(root, f.node))
-				continue
-			}
-			next := uint64(1) << (i + 1)
-			switch sp.Chain[i+1].Kind {
-			case xpath.SSelf:
-				arr |= next
-			case xpath.SDescOrSelf:
-				arr |= next
-				sticky |= next
-			case xpath.SChild:
-				childStates |= next
-			}
-		}
-		childArr := Arrival{States: childStates | sticky, Sticky: sticky}
-		if childArr.States == 0 {
-			continue
-		}
-		// Children in reverse so selection order stays document order.
-		for ci := len(f.node.Children) - 1; ci >= 0; ci-- {
-			c := f.node.Children[ci]
-			if c.Virtual {
-				prev := res.Forward[c.Frag]
-				prev.States |= childArr.States
-				prev.Sticky |= childArr.Sticky
-				res.Forward[c.Frag] = prev
-				continue
-			}
-			stack = append(stack, frame{node: c, in: childArr})
+	// Over the domain in every tag is a nonempty subset of in: all
+	// candidates are selected and every transfer is evaluated at in.
+	res := SelectResult{Selected: t.Paths, Forward: make(map[xmltree.FragmentID]Arrival, len(t.Forward)), Steps: t.Steps}
+	for c, tr := range t.Forward {
+		if arr := tr.Apply(in); !arr.IsZero() {
+			res.Forward[c] = arr
 		}
 	}
 	return res, nil
 }
+
+// selScratch is the pooled workspace of SelectTransfer: the per-node
+// guard masks and subtree sizes by preorder position, the bottom-up
+// accumulators by depth, and the tag sweep's per-depth tag slots.
+type selScratch struct {
+	masks []uint64
+	size  []int32
+	acc   []uint64 // 2·words per depth: the frame's CV then DV
+	v     []uint64 // one node's V, multi-word kernels
+	up    []upFrame
+	down  []downFrame
+	slots []Arrival // 2·len(chain) per depth: States tags then Sticky tags
+	live  []uint64  // 2 per depth: the live bits of the slot
+	a, k  []Arrival // one node's state and sticky tags
+	c     []Arrival // one node's child-move tags
+	path  []int
+}
+
+type upFrame struct {
+	node *xmltree.Node
+	next int
+	idx  int32
+}
+
+type downFrame struct {
+	node  *xmltree.Node
+	next  int
+	idx   int32 // preorder position of the next child
+	depth int
+}
+
+var selScratchPool = sync.Pool{New: func() any { return new(selScratch) }}
+
+// grow returns s resized to n, reusing its storage when it is big enough.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n, n+n/4)
+	}
+	return s[:n]
+}
+
+// SelectTransfer runs visit 2 over one fragment for every arrival in
+// domain at once: the result says, per arrival bit, what reaches each
+// sub-fragment and which candidates it selects. paths asks for the
+// candidates' paths (ModeSelect); without it only their count per tag is
+// kept (ModeCount).
+func SelectTransfer(root *xmltree.Node, sp *xpath.SelectProgram,
+	subVals map[xmltree.FragmentID]BoolVecs, domain Arrival, paths bool) (Transfer, error) {
+	if root == nil || root.Virtual {
+		return Transfer{}, errors.New("eval: bad fragment root")
+	}
+	sc := selScratchPool.Get().(*selScratch)
+	defer selScratchPool.Put(sc)
+	steps, err := sc.guardMasks(root, sp, subVals)
+	if err != nil {
+		return Transfer{}, err
+	}
+	t := sc.propagate(root, sp, domain, paths)
+	t.Steps += steps
+	return t, nil
+}
+
+// guardMasks evaluates the guard program bottom-up at every node on its
+// lane kernel and stores, per preorder position, the bitmask over chain
+// positions whose guard holds there (untested steps are always set), and
+// the subtree size. Virtual nodes take a position (mask 0, size 1) and fold
+// their sub-fragment's resolved V and DV into the parent.
+func (sc *selScratch) guardMasks(root *xmltree.Node, sp *xpath.SelectProgram, subVals map[xmltree.FragmentID]BoolVecs) (int64, error) {
+	n := len(sp.Bool.Subs)
+	kern := sp.Bool.Kernel()
+	words := kern.Words()
+	var untested uint64
+	for i, s := range sp.Chain {
+		if s.Test < 0 {
+			untested |= 1 << i
+		}
+	}
+	maskOf := func(v []uint64) uint64 {
+		m := untested
+		for i, s := range sp.Chain {
+			if s.Test >= 0 && v[s.Test>>6]>>(s.Test&63)&1 == 1 {
+				m |= 1 << i
+			}
+		}
+		return m
+	}
+	// frameAcc returns the CV and DV words of the frame at depth d.
+	frameAcc := func(d int) (cv, dv []uint64) {
+		off := 2 * words * d
+		if need := off + 2*words; need > len(sc.acc) {
+			sc.acc = append(sc.acc, make([]uint64, need-len(sc.acc))...)
+		}
+		return sc.acc[off : off+words], sc.acc[off+words : off+2*words]
+	}
+	resetAcc := func(d int) {
+		cv, dv := frameAcc(d)
+		clear(cv)
+		clear(dv)
+	}
+	sc.masks, sc.size = sc.masks[:0], sc.size[:0]
+	sc.v = grow(sc.v, words)
+	// newPos appends a preorder position; its mask and size are written
+	// when the node is evaluated.
+	newPos := func() int32 {
+		sc.masks = append(sc.masks, 0)
+		sc.size = append(sc.size, 1)
+		return int32(len(sc.masks) - 1)
+	}
+	var (
+		leafKey [4]uint64
+		leafVal [4]uint64
+		leafSet [4]bool
+	)
+	var steps int64
+	stack := append(sc.up[:0], upFrame{node: root, idx: newPos()})
+	resetAcc(0)
+	defer func() {
+		clear(stack[:cap(stack)])
+		sc.up = stack[:0]
+	}()
+	for len(stack) > 0 {
+		top := len(stack) - 1
+		f := &stack[top]
+		descended := false
+		for f.next < len(f.node.Children) {
+			c := f.node.Children[f.next]
+			f.next++
+			if c.Virtual {
+				newPos()
+				steps += int64(n)
+				sv, ok := subVals[c.Frag]
+				if !ok || len(sv.V) != n || len(sv.DV) != n {
+					return steps, fmt.Errorf("eval: missing resolved vectors for sub-fragment %d", c.Frag)
+				}
+				cv, dv := frameAcc(top)
+				for i := 0; i < n; i++ {
+					if sv.V[i] {
+						cv[i>>6] |= 1 << (i & 63)
+					}
+					if sv.DV[i] {
+						dv[i>>6] |= 1 << (i & 63)
+					}
+				}
+				continue
+			}
+			if len(c.Children) == 0 {
+				// Leaf: CV = DV = 0, and its outgoing DV is exactly its V.
+				idx := newPos()
+				steps += int64(n)
+				cv, dv := frameAcc(top)
+				if words == 1 {
+					base := kern.LeafBase(c.Label, c.Text)
+					s := (base * 0x9e3779b97f4a7c15) >> 62
+					if !leafSet[s] || leafKey[s] != base {
+						leafKey[s], leafVal[s], leafSet[s] = base, kern.EvalLeafPlan(base), true
+					}
+					sc.v[0] = leafVal[s]
+					sc.masks[idx] = maskOf(sc.v)
+					cv[0] |= sc.v[0]
+					dv[0] |= sc.v[0]
+					continue
+				}
+				clear(sc.v)
+				kern.EvalLeaf(sc.v, c.Label, c.Text)
+				sc.masks[idx] = maskOf(sc.v)
+				for w, x := range sc.v {
+					cv[w] |= x
+					dv[w] |= x
+				}
+				continue
+			}
+			stack = append(stack, upFrame{node: c, idx: newPos()})
+			resetAcc(len(stack) - 1)
+			descended = true
+			break
+		}
+		if descended {
+			continue
+		}
+		steps += int64(n)
+		cv, dv := frameAcc(top)
+		if words == 1 {
+			sc.v[0] = kern.EvalConstWord(cv[0], dv[0], f.node.Label, f.node.Text)
+			dv[0] |= sc.v[0]
+		} else {
+			clear(sc.v)
+			kern.EvalConst(sc.v, cv, dv, f.node.Label, f.node.Text) // dv |= v
+		}
+		sc.masks[f.idx] = maskOf(sc.v)
+		sc.size[f.idx] = int32(len(sc.masks)) - f.idx
+		stack = stack[:top]
+		if top == 0 {
+			break
+		}
+		pcv, pdv := frameAcc(top - 1)
+		for w := range pcv {
+			pcv[w] |= sc.v[w] // line 4 of bottomUp
+			pdv[w] |= dv[w]   // line 5
+		}
+	}
+	return steps, nil
+}
+
+// propagate is the top-down tag sweep over the guard masks guardMasks
+// left in sc. Slot d holds the tags arriving at the nodes of depth d: the
+// root's are the domain's bits one by one, a child's are what its parent
+// computed.
+func (sc *selScratch) propagate(root *xmltree.Node, sp *xpath.SelectProgram, domain Arrival, paths bool) Transfer {
+	L := len(sp.Chain)
+	last := L - 1
+	sc.a, sc.k, sc.c = grow(sc.a, L), grow(sc.k, L), grow(sc.c, L)
+	clear(sc.a)
+	clear(sc.k)
+	clear(sc.c)
+	slot := func(d int) (s, k []Arrival, live []uint64) {
+		if need := 2 * L * (d + 1); need > len(sc.slots) {
+			sc.slots = append(sc.slots, make([]Arrival, need-len(sc.slots))...)
+		}
+		if need := 2 * (d + 1); need > len(sc.live) {
+			sc.live = append(sc.live, make([]uint64, need-len(sc.live))...)
+		}
+		base := 2 * L * d
+		return sc.slots[base : base+L], sc.slots[base+L : base+2*L], sc.live[2*d : 2*d+2]
+	}
+	s0, k0, live0 := slot(0)
+	live0[0], live0[1] = domain.States, domain.Sticky
+	for w := domain.States; w != 0; w &= w - 1 {
+		j := bits.TrailingZeros64(w)
+		s0[j] = Arrival{States: 1 << j}
+	}
+	for w := domain.Sticky; w != 0; w &= w - 1 {
+		j := bits.TrailingZeros64(w)
+		k0[j] = Arrival{Sticky: 1 << j}
+	}
+
+	t := Transfer{Forward: make(map[xmltree.FragmentID]ArrivalTransfer)}
+	tagIdx := func(tag Arrival) int32 {
+		for i, x := range t.Tags {
+			if x == tag {
+				return int32(i)
+			}
+		}
+		t.Tags = append(t.Tags, tag)
+		t.Counts = append(t.Counts, 0)
+		return int32(len(t.Tags) - 1)
+	}
+	sc.path = sc.path[:0]
+
+	// visit runs the chain at one node of depth d from slot d and writes
+	// its children's tags to slot d+1; it reports whether any is live.
+	visit := func(idx int32, d int) bool {
+		t.Steps++
+		ins, ink, inLive := slot(d)
+		a, k, c := sc.a, sc.k, sc.c
+		liveA, liveK, liveC := inLive[0], inLive[1], uint64(0)
+		for w := liveA; w != 0; w &= w - 1 {
+			j := bits.TrailingZeros64(w)
+			a[j] = ins[j]
+		}
+		for w := liveK; w != 0; w &= w - 1 {
+			j := bits.TrailingZeros64(w)
+			k[j] = ink[j]
+		}
+		mask := sc.masks[idx]
+		// Bits join liveA only above the one being processed, so one
+		// ascending scan sees every state the node reaches.
+		for i := nextBit(liveA, 0); i < L; i = nextBit(liveA, i+1) {
+			if mask>>i&1 == 0 {
+				continue // guard failed: the state dies here
+			}
+			if i == last {
+				ti := tagIdx(a[i])
+				t.Counts[ti]++
+				if paths {
+					t.Paths = append(t.Paths, slices.Clone(sc.path[:d]))
+					t.PathTags = append(t.PathTags, ti)
+				}
+				continue
+			}
+			j := i + 1
+			switch sp.Chain[j].Kind {
+			case xpath.SSelf:
+				a[j] = a[j].or(a[i])
+				liveA |= 1 << j
+			case xpath.SDescOrSelf:
+				a[j] = a[j].or(a[i])
+				liveA |= 1 << j
+				k[j] = k[j].or(a[i])
+				liveK |= 1 << j
+			case xpath.SChild:
+				c[j] = c[j].or(a[i])
+				liveC |= 1 << j
+			}
+		}
+		outs, outk, outLive := slot(d + 1)
+		outLive[0], outLive[1] = liveC|liveK, liveK
+		for w := liveC | liveK; w != 0; w &= w - 1 {
+			j := bits.TrailingZeros64(w)
+			outs[j] = c[j].or(k[j])
+		}
+		for w := liveK; w != 0; w &= w - 1 {
+			j := bits.TrailingZeros64(w)
+			outk[j] = k[j]
+		}
+		for w := liveA | liveK | liveC; w != 0; w &= w - 1 {
+			j := bits.TrailingZeros64(w)
+			a[j], k[j], c[j] = Arrival{}, Arrival{}, Arrival{}
+		}
+		return outLive[0]|outLive[1] != 0
+	}
+
+	stack := sc.down[:0]
+	defer func() {
+		clear(stack[:cap(stack)])
+		sc.down = stack[:0]
+	}()
+	if visit(0, 0) {
+		stack = append(stack, downFrame{node: root, idx: 1})
+	}
+	for len(stack) > 0 {
+		f := &stack[len(stack)-1]
+		if f.next == len(f.node.Children) {
+			stack = stack[:len(stack)-1]
+			continue
+		}
+		ci, c := f.next, f.node.Children[f.next]
+		idx, d := f.idx, f.depth+1
+		f.next++
+		f.idx += sc.size[idx]
+		if c.Virtual {
+			s, k, live := slot(d)
+			fw, ok := t.Forward[c.Frag]
+			if !ok {
+				fw = ArrivalTransfer{States: make([]Arrival, L), Sticky: make([]Arrival, L)}
+				t.Forward[c.Frag] = fw
+			}
+			for w := live[0]; w != 0; w &= w - 1 {
+				j := bits.TrailingZeros64(w)
+				fw.States[j] = fw.States[j].or(s[j])
+			}
+			for w := live[1]; w != 0; w &= w - 1 {
+				j := bits.TrailingZeros64(w)
+				fw.Sticky[j] = fw.Sticky[j].or(k[j])
+			}
+			continue
+		}
+		sc.path = append(sc.path[:d-1], ci)
+		if visit(idx, d) && len(c.Children) > 0 {
+			stack = append(stack, downFrame{node: c, idx: idx + 1, depth: d})
+		}
+	}
+	return t
+}
+
+// nextBit is the position of the lowest set bit of w at or above from, 64
+// when there is none.
+func nextBit(w uint64, from int) int { return bits.TrailingZeros64(w >> uint(from) << uint(from)) }
 
 // fragmentPath climbs parent pointers up to the fragment root, producing
 // the node's child-index path.
@@ -147,113 +531,10 @@ func fragmentPath(root, node *xmltree.Node) []int {
 	return path
 }
 
-// guardMasks evaluates the Bool program bottom-up at every node, returning
-// per node a bitmask over chain positions: bit i set iff chain step i's
-// guard holds at the node (untested steps are always set).
-func guardMasks(root *xmltree.Node, sp *xpath.SelectProgram,
-	subVals map[xmltree.FragmentID]BoolVecs) (map[*xmltree.Node]uint64, int64, error) {
-	n := len(sp.Bool.Subs)
-	masks := make(map[*xmltree.Node]uint64)
-	var steps int64
-
-	type frame struct {
-		node   *xmltree.Node
-		next   int
-		cv, dv []bool
-	}
-	stack := []*frame{{node: root, cv: make([]bool, n), dv: make([]bool, n)}}
-	var badFrag xmltree.FragmentID = -1
-	for len(stack) > 0 {
-		f := stack[len(stack)-1]
-		descended := false
-		for f.next < len(f.node.Children) {
-			c := f.node.Children[f.next]
-			f.next++
-			if c.Virtual {
-				steps += int64(n)
-				sv, ok := subVals[c.Frag]
-				if !ok || len(sv.V) != n || len(sv.DV) != n {
-					badFrag = c.Frag
-					break
-				}
-				for i := 0; i < n; i++ {
-					f.cv[i] = f.cv[i] || sv.V[i]
-					f.dv[i] = f.dv[i] || sv.DV[i]
-				}
-				continue
-			}
-			stack = append(stack, &frame{node: c, cv: make([]bool, n), dv: make([]bool, n)})
-			descended = true
-			break
-		}
-		if badFrag >= 0 {
-			return nil, steps, fmt.Errorf("eval: missing resolved vectors for sub-fragment %d", badFrag)
-		}
-		if descended {
-			continue
-		}
-		steps += int64(n)
-		v := evalCasesBool(f.node, sp.Bool, f.cv, f.dv)
-		var mask uint64
-		for i, step := range sp.Chain {
-			if step.Test < 0 || v[step.Test] {
-				mask |= uint64(1) << i
-			}
-		}
-		masks[f.node] = mask
-		stack = stack[:len(stack)-1]
-		if len(stack) == 0 {
-			break
-		}
-		p := stack[len(stack)-1]
-		for i := 0; i < n; i++ {
-			p.cv[i] = p.cv[i] || v[i]
-			p.dv[i] = p.dv[i] || f.dv[i]
-		}
-	}
-	return masks, steps, nil
-}
-
-// evalCasesBool is evalCases over plain booleans (all inputs constant).
-func evalCasesBool(node *xmltree.Node, prog *xpath.Program, cv, dv []bool) []bool {
-	v := make([]bool, len(prog.Subs))
-	for i, sq := range prog.Subs {
-		var b bool
-		switch sq.Kind {
-		case xpath.KTrue:
-			b = true
-		case xpath.KLabel:
-			b = node.Label == sq.Str
-		case xpath.KText:
-			b = node.Text == sq.Str
-		case xpath.KChild:
-			b = cv[sq.A]
-		case xpath.KFilter:
-			b = v[sq.A]
-			if sq.B >= 0 {
-				b = b && v[sq.B]
-			}
-		case xpath.KDesc:
-			b = dv[sq.A]
-		case xpath.KOr:
-			b = v[sq.A] || v[sq.B]
-		case xpath.KAnd:
-			b = v[sq.A] && v[sq.B]
-		case xpath.KNot:
-			b = !v[sq.A]
-		default:
-			panic(fmt.Sprintf("eval: unknown subquery kind %v", sq.Kind))
-		}
-		v[i] = b
-		dv[i] = b || dv[i]
-	}
-	return v
-}
-
 // SelectLocal is the selection oracle: it reparses sp.Source and runs the
 // AST interpreter xpath.SelectRaw over a complete tree, returning the
 // selected nodes as child-index paths in document order. No guard program,
-// NFA chain or pass-2 code is involved, so comparing SelectFragment (or a
+// NFA chain or visit-2 code is involved, so comparing SelectFragment (or a
 // distributed ModeSelect) with it checks them instead of agreeing with
 // them. A tree holding virtual nodes is an error, not an answer.
 func SelectLocal(root *xmltree.Node, sp *xpath.SelectProgram) ([][]int, error) {
