@@ -344,3 +344,52 @@ func TestSubscriptionArenaCompaction(t *testing.T) {
 		}
 	}
 }
+
+// TestSubscriptionEndsLoudlyOnUnsolvableDelta reproduces a fragmentation
+// change the subscription's source tree does not know about: Deploy,
+// Subscribe, View.Split, then updates. The update inside the new fragment
+// reaches no subscription (the new fragment carries no standing
+// registration); the update inside the split fragment pushes its triplet,
+// which now mentions the new fragment's variables, so the re-solve over
+// the subscription's pre-split source tree fails. The subscription must
+// end — Done closes — instead of answering from the pre-split state.
+func TestSubscriptionEndsLoudlyOnUnsolvableDelta(t *testing.T) {
+	doc := NewElement("r", "", NewElement("a", "", NewElement("x", ""), NewElement("y", "", NewElement("w", ""))))
+	forest := NewForest(doc)
+	if _, err := forest.Split(doc.Children[0]); err != nil {
+		t.Fatal(err)
+	}
+	sys, err := Deploy(forest, Assignment{0: "S0", 1: "S1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	ctx := context.Background()
+	q := MustPrepare(`//z = "new"`)
+	sub, err := sys.Subscribe(ctx, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := sys.Exec(ctx, q, WithMode(ModeMaterialize))
+	if err != nil {
+		t.Fatal(err)
+	}
+	view := res.View
+	id, _, err := view.Split(ctx, 1, []int{1}, "S0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := view.Update(ctx, id, []UpdateOp{{Op: OpInsert, Label: "z", Text: "new"}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := view.Update(ctx, 1, []UpdateOp{{Op: OpInsert, Label: "x"}}); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-sub.Done():
+	case n := <-sub.C():
+		t.Fatalf("notified %+v from a source tree that lacks fragment %d", n, id)
+	case <-time.After(5 * time.Second):
+		t.Fatal("subscription still open and silent after an unsolvable delta")
+	}
+}
