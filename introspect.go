@@ -77,6 +77,17 @@ func (s *System) fillMetrics(p *obs.Prom) {
 	}
 	p.SiteStatsProm(snaps...)
 
+	s.mu.RLock()
+	subs := s.subs
+	s.mu.RUnlock()
+	for reason, name := range subFaultReasons {
+		var n int64
+		if subs != nil {
+			n = subs.faults[reason].Load()
+		}
+		p.Counter("parbox_subscription_faults_total", "Pushed deltas the subscription dispatcher could not apply, by reason.", float64(n), "reason", name)
+	}
+
 	st := s.sched.stats()
 	p.Counter("parbox_sched_rounds_total", "ParBoX rounds run by the coalescing scheduler.", float64(st.Rounds))
 	p.Counter("parbox_sched_queries_total", "Exec calls served through the scheduler.", float64(st.Queries))

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/boolexpr"
 	"repro/internal/cluster"
@@ -43,6 +44,7 @@ type Subscription struct {
 	done  chan struct{}
 
 	once sync.Once
+	err  error // why the subscription ended; written before done closes
 }
 
 // C returns the subscription's notification channel. Deliveries block —
@@ -52,9 +54,32 @@ type Subscription struct {
 // alongside Done, which closes when the subscription ends.
 func (s *Subscription) C() <-chan Notification { return s.ch }
 
-// Done closes when the subscription is cancelled (Cancel, System.Close);
-// after that no further notifications are delivered.
+// Done closes when the subscription ends — Cancel, System.Close, or a
+// pushed delta the coordinator cannot solve (see Err); after that no
+// further notifications are delivered.
 func (s *Subscription) Done() <-chan struct{} { return s.done }
+
+// Err returns why the subscription ended: nil while it is live and after
+// Cancel or System.Close, otherwise the failure that ended it — a
+// re-solve that fails, for instance with eval.ErrUnresolved once the
+// fragmentation changed under the subscription. The answer is then no
+// longer maintained; re-subscribe.
+func (s *Subscription) Err() error {
+	select {
+	case <-s.done:
+		return s.err
+	default:
+		return nil
+	}
+}
+
+// end closes the subscription with cause (nil for a plain cancel).
+func (s *Subscription) end(cause error) {
+	s.once.Do(func() {
+		s.err = cause
+		close(s.done)
+	})
+}
 
 // Answer returns the subscription's current answer.
 func (s *Subscription) Answer() bool {
@@ -125,7 +150,21 @@ type subManager struct {
 	cancels []func()
 	nextID  uint64
 	closed  bool
+
+	// faults counts the pushed deltas the dispatcher could not apply, by
+	// reason (the parbox_subscription_faults_total family).
+	faults [numSubFaults]atomic.Int64
 }
+
+// The reasons a pushed delta fails to apply.
+const (
+	faultDelta   = iota // the delta frame does not decode: it names no subscriber
+	faultTriplet        // its triplet does not decode: a valid re-push may still apply
+	faultSolve          // the re-solve fails: the program's subscriptions end
+	numSubFaults
+)
+
+var subFaultReasons = [numSubFaults]string{"undecodable_delta", "undecodable_triplet", "solve_failed"}
 
 // deltaTransport returns the transport subscriptions ride: the wrapped
 // transport when it supports push delivery, the in-process cluster
@@ -206,7 +245,8 @@ func (m *subManager) dispatch() {
 func (m *subManager) process(body []byte) {
 	d, err := views.DecodeDelta(body)
 	if err != nil {
-		return // a malformed push can't name a subscriber to fail
+		m.faults[faultDelta].Add(1) // a malformed push can't name a subscriber to fail
+		return
 	}
 	m.mu.Lock()
 	st := m.states[d.FP]
@@ -224,18 +264,25 @@ func (m *subManager) process(body []byte) {
 	st.arena = eval.CompactTriplets(st.arena, st.triplets)
 	t, err := eval.DecodeTripletInto(st.arena, d.Triplet)
 	if err != nil {
+		// Leave the version unmarked and the subscriptions open: a
+		// replica's valid re-push of this version still applies.
 		st.mu.Unlock()
-		return // undecodable push: leave the version unmarked so a valid re-push applies
+		m.faults[faultTriplet].Add(1)
+		return
 	}
 	st.versions[d.Frag] = d.Version
 	flipped := false
 	if old, ok := st.triplets[d.Frag]; !ok || !old.Equal(t) {
 		st.triplets[d.Frag] = t
 		ans, _, err := eval.Solve(st.st, st.triplets, st.prog)
-		if err == nil {
-			flipped = ans != st.ans
-			st.ans = ans
+		if err != nil {
+			st.mu.Unlock()
+			m.faults[faultSolve].Add(1)
+			m.fail(st, fmt.Errorf("parbox: subscription ended: re-solve after fragment %d version %d: %w", d.Frag, d.Version, err))
+			return
 		}
+		flipped = ans != st.ans
+		st.ans = ans
 	}
 	n := Notification{Frag: d.Frag, Version: d.Version, Answer: st.ans, Flipped: flipped}
 	subs := make([]*Subscription, 0, len(st.subs))
@@ -250,6 +297,24 @@ func (m *subManager) process(body []byte) {
 		case <-m.done:
 			return
 		}
+	}
+}
+
+// fail ends every subscription of st's program with cause and drops the
+// program's solver state, so later deltas for it find no subscriber. The
+// caller holds neither m.mu nor st.mu.
+func (m *subManager) fail(st *subState, cause error) {
+	m.mu.Lock()
+	if m.states[st.fp] == st {
+		delete(m.states, st.fp)
+	}
+	m.mu.Unlock()
+	st.mu.Lock()
+	subs := st.subs
+	st.subs = make(map[uint64]*Subscription)
+	st.mu.Unlock()
+	for _, sub := range subs {
+		sub.end(cause)
 	}
 }
 
@@ -280,7 +345,7 @@ func (m *subManager) close() {
 		c()
 	}
 	for _, sub := range subs {
-		sub.once.Do(func() { close(sub.done) })
+		sub.end(nil)
 	}
 }
 

@@ -2,11 +2,14 @@ package parbox
 
 import (
 	"context"
+	"errors"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/boolexpr"
 	"repro/internal/eval"
+	"repro/internal/obs"
 	"repro/internal/views"
 )
 
@@ -264,6 +267,27 @@ func TestSubscribeMalformedPushDoesNotMaskRepush(t *testing.T) {
 	if n := subRecv(t, sub); !n.Flipped || !n.Answer || n.Version != version {
 		t.Fatalf("re-push notification = %+v, want Flipped && Answer at version %d", n, version)
 	}
+	// The cut-short push was counted, and a frame that is not a delta at
+	// all is too.
+	site.PushDelta([]byte{0xff})
+	var p obs.Prom
+	for deadline := time.Now().Add(5 * time.Second); ; {
+		p = obs.Prom{}
+		sys.fillMetrics(&p)
+		if strings.Contains(p.String(), `parbox_subscription_faults_total{reason="undecodable_delta"} 1`) || time.Now().After(deadline) {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+	for _, want := range []string{
+		`parbox_subscription_faults_total{reason="undecodable_delta"} 1`,
+		`parbox_subscription_faults_total{reason="undecodable_triplet"} 1`,
+		`parbox_subscription_faults_total{reason="solve_failed"} 0`,
+	} {
+		if !strings.Contains(p.String(), want) {
+			t.Errorf("/metrics lacks %q:\n%s", want, p.String())
+		}
+	}
 }
 
 // TestSubscriptionArenaCompaction drives the one compaction helper
@@ -370,6 +394,15 @@ func TestSubscriptionEndsLoudlyOnUnsolvableDelta(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A cancelled subscription reports no cause.
+	other, err := sys.Subscribe(ctx, MustPrepare(`//w`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	other.Cancel()
+	if err := other.Err(); err != nil {
+		t.Errorf("cancelled subscription's Err() = %v, want nil", err)
+	}
 	res, err := sys.Exec(ctx, q, WithMode(ModeMaterialize))
 	if err != nil {
 		t.Fatal(err)
@@ -391,5 +424,13 @@ func TestSubscriptionEndsLoudlyOnUnsolvableDelta(t *testing.T) {
 		t.Fatalf("notified %+v from a source tree that lacks fragment %d", n, id)
 	case <-time.After(5 * time.Second):
 		t.Fatal("subscription still open and silent after an unsolvable delta")
+	}
+	if err := sub.Err(); !errors.Is(err, eval.ErrUnresolved) {
+		t.Errorf("Err() = %v, want the unresolved-variables error", err)
+	}
+	var p obs.Prom
+	sys.fillMetrics(&p)
+	if want := `parbox_subscription_faults_total{reason="solve_failed"} 1`; !strings.Contains(p.String(), want) {
+		t.Errorf("/metrics lacks %q:\n%s", want, p.String())
 	}
 }
