@@ -205,6 +205,38 @@ func TestLazyStopsEarly(t *testing.T) {
 	}
 }
 
+// TestLazyUsesTripletCache: Lazy gathers under the program's fingerprint,
+// so on an engine with the triplet cache a second identical call on an
+// unchanged deployment is answered from the sites' caches — a hit for
+// every fragment, no bottomUp step anywhere.
+func TestLazyUsesTripletCache(t *testing.T) {
+	_, eng, _ := deployFig2(t)
+	eng.EnableTripletCache(true)
+	prog := xpath.MustCompileString(`//stock[code = "GOOG" && buy = "370"]`) // needs every level
+	ctx := context.Background()
+	first, err := eng.Lazy(ctx, prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := eng.Lazy(ctx, prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := int64(eng.SourceTree().Count())
+	if first.CacheMisses != n || first.CacheHits != 0 {
+		t.Errorf("first call: %d hits, %d misses; want 0, %d", first.CacheHits, first.CacheMisses, n)
+	}
+	if second.CacheHits != n || second.CacheMisses != 0 {
+		t.Errorf("second call: %d hits, %d misses; want %d, 0", second.CacheHits, second.CacheMisses, n)
+	}
+	if steps := second.TotalSteps - second.SolveWork; steps != 0 {
+		t.Errorf("second call ran %d site steps, want 0", steps)
+	}
+	if second.Answer != first.Answer || !second.Answer {
+		t.Errorf("answers %v then %v, want true twice", first.Answer, second.Answer)
+	}
+}
+
 // TestHybridTippingPoint: with card(F)·|q| ≥ |T| Hybrid must choose the
 // centralized plan (shipping data beats shipping formulas in the
 // pathological regime).

@@ -609,8 +609,9 @@ func (e *Engine) Lazy(ctx context.Context, prog *xpath.Program) (Report, error) 
 			steps = append([][]xmltree.FragmentID{first}, steps[2:]...)
 		}
 		for _, level := range steps {
-			// Each site evaluates its fragments of this level only.
-			if err := r.gather(ctx, prog, 0, level); err != nil {
+			// Each site evaluates its fragments of this level only, through
+			// its triplet cache when the engine enables it.
+			if err := r.gather(ctx, prog, e.fingerprint(prog), level); err != nil {
 				return Report{}, err
 			}
 			ans, work, resolved, err := eval.SolvePartial(e.st, r.triplets, prog)

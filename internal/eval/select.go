@@ -57,7 +57,9 @@ func (a Arrival) Meets(tag Arrival) bool { return a.States&tag.States|a.Sticky&t
 // IsZero reports an empty arrival (no live state).
 func (a Arrival) IsZero() bool { return a.States|a.Sticky == 0 }
 
-func (a Arrival) or(b Arrival) Arrival { return Arrival{States: a.States | b.States, Sticky: a.Sticky | b.Sticky} }
+func (a Arrival) or(b Arrival) Arrival {
+	return Arrival{States: a.States | b.States, Sticky: a.Sticky | b.Sticky}
+}
 
 // ArrivalDomain is the set of arrival bits a fragment below the document
 // root can receive under sp: a state crosses into a child only by a child
