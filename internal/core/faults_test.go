@@ -8,10 +8,8 @@ import (
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/eval"
 	"repro/internal/fixtures"
 	"repro/internal/frag"
-	"repro/internal/xmltree"
 	"repro/internal/xpath"
 )
 
@@ -129,10 +127,7 @@ func TestConcurrentQueries(t *testing.T) {
 			go func(j job) {
 				defer wg.Done()
 				prog := xpath.MustCompileString(j.src)
-				want := false
-				if w, _, err := evalCentral(orig, prog); err == nil {
-					want = w
-				}
+				want := xpath.EvalRaw(xpath.MustParse(j.src), orig)
 				rep, err := eng.Run(ctx, j.algo, prog)
 				if err != nil {
 					t.Errorf("%s(%q): %v", j.algo, j.src, err)
@@ -145,9 +140,4 @@ func TestConcurrentQueries(t *testing.T) {
 		}
 	}
 	wg.Wait()
-}
-
-// evalCentral is a tiny adapter for the concurrency test.
-func evalCentral(root *xmltree.Node, prog *xpath.Program) (bool, int64, error) {
-	return eval.Evaluate(root, prog)
 }

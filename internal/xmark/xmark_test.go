@@ -62,20 +62,12 @@ func TestGenerateStructure(t *testing.T) {
 
 func TestBeacon(t *testing.T) {
 	doc := Generate(Spec{Seed: 3, MB: 0.5, Beacon: BeaconName(7)})
-	prog := xpath.MustCompileString(BeaconQuery(7))
-	ans, _, err := eval.Evaluate(doc, prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ans {
+	q := xpath.MustParse(BeaconQuery(7))
+	if !xpath.EvalRaw(q, doc) {
 		t.Error("beacon query false on its own site")
 	}
 	other := Generate(Spec{Seed: 3, MB: 0.5, Beacon: BeaconName(8)})
-	ans2, _, err := eval.Evaluate(other, prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ans2 {
+	if xpath.EvalRaw(q, other) {
 		t.Error("beacon query true on a different site")
 	}
 	plain := Generate(Spec{Seed: 3, MB: 0.5})
@@ -99,11 +91,7 @@ func TestQuerySizes(t *testing.T) {
 	// traverses everything.
 	doc := Generate(Spec{Seed: 11, MB: 3})
 	for size, src := range Queries {
-		ans, _, err := eval.Evaluate(doc, xpath.MustCompileString(src))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ans {
+		if !xpath.EvalRaw(xpath.MustParse(src), doc) {
 			t.Errorf("benchmark query (size %d) %q is false on a 3MB site", size, src)
 		}
 	}
@@ -218,17 +206,12 @@ func TestNamedQueries(t *testing.T) {
 	// guarantees "Ada Ahmed" appears in a 4MB site with overwhelming
 	// probability — pin it.
 	for name, src := range NamedQueries {
-		prog, err := xpath.CompileString(src)
+		e, err := xpath.Parse(src)
 		if err != nil {
 			t.Errorf("%s: %v", name, err)
 			continue
 		}
-		ans, _, err := eval.Evaluate(doc, prog)
-		if err != nil {
-			t.Errorf("%s: %v", name, err)
-			continue
-		}
-		if !ans {
+		if !xpath.EvalRaw(e, doc) {
 			t.Errorf("%s (%s) is false on a 4MB site — workload query should be satisfiable", name, src)
 		}
 	}
