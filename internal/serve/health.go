@@ -121,6 +121,9 @@ type siteHealth struct {
 	inflight    int64
 	totalFails  int64
 	transitions int64
+	// shedding marks a site whose last answer was an admission shed: it
+	// is alive, but refuses work until it next serves a call.
+	shedding bool
 }
 
 // histP95MinSamples gates the switch from the mean+2σ estimate to the
@@ -176,17 +179,22 @@ func (h *healthTracker) finished(id frag.SiteID, rtt time.Duration, err error) {
 // result feeds one observation — success or failure — through the state
 // machine. Used by both passive signals (finished) and probes.
 func (h *healthTracker) result(id frag.SiteID, rtt time.Duration, err error) {
-	// An admission shed — seen by a query or a probe — is neutral: the
-	// site answered, so it is alive, just saturated; marking it Suspect
-	// would push the router's load onto its siblings precisely when
-	// shedding asks for the opposite.
+	// An admission shed — seen by a query or a probe — is neutral for
+	// the state machine: the site answered, so it is alive, just
+	// saturated. It only marks the site as shedding until its next
+	// success, which routing ranks below every replica that serves (see
+	// rank).
 	if err != nil && errors.Is(err, cluster.ErrOverloaded) {
+		h.mu.Lock()
+		h.site(id).shedding = true
+		h.mu.Unlock()
 		return
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	s := h.site(id)
 	if err == nil {
+		s.shedding = false
 		s.fails = 0
 		s.oks++
 		if a := h.opt.EWMAAlpha; s.ewmaNanos == 0 {
@@ -224,6 +232,32 @@ func (h *healthTracker) result(id frag.SiteID, rtt time.Duration, err error) {
 			s.transitions++
 		}
 	}
+}
+
+// The routing ranks: lower is preferred.
+const (
+	rankUp = iota
+	rankSuspect
+	rankShedding
+)
+
+// rank orders a site for routing: Up before Suspect before shedding — a
+// site whose last answer was a shed refuses work, so a replica that
+// serves comes first, whatever its state. ok is false for a Down site,
+// which is not routable.
+func (h *healthTracker) rank(id frag.SiteID) (rank int, ok bool) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	s := h.site(id)
+	switch {
+	case s.state == Down:
+		return 0, false
+	case s.shedding:
+		return rankShedding, true
+	case s.state == Suspect:
+		return rankSuspect, true
+	}
+	return rankUp, true
 }
 
 func (h *healthTracker) state(id frag.SiteID) State {

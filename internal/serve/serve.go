@@ -178,9 +178,22 @@ func (t *Tier) PlanRound() (*frag.SourceTree, error) {
 }
 
 // Reassign implements core.Tier: re-place the given fragments excluding
-// the sites that already failed this round.
+// the sites that already failed this round, and every shedding site: a
+// re-placement runs at once, never after the retry-after a shed asked
+// for, so placing work on a shedding site only spends the query's retry
+// budget on a call certain to fail. A fragment whose other replicas all
+// shed is left to the round-level retry, which waits.
 func (t *Tier) Reassign(ids []xmltree.FragmentID, exclude map[frag.SiteID]bool) (map[frag.SiteID][]xmltree.FragmentID, error) {
-	assign, err := t.planAssign(ids, exclude)
+	skip := make(map[frag.SiteID]bool, len(exclude))
+	for site, ex := range exclude {
+		skip[site] = ex
+	}
+	for _, site := range t.sites() {
+		if rank, ok := t.health.rank(site); ok && rank == rankShedding {
+			skip[site] = true
+		}
+	}
+	assign, err := t.planAssign(ids, skip)
 	if err != nil {
 		return nil, err
 	}
@@ -198,8 +211,8 @@ func (t *Tier) Reassign(ids []xmltree.FragmentID, exclude map[frag.SiteID]bool) 
 
 // planAssign picks a site for each requested fragment (nil only = every
 // fragment in the replica map). Eligible replicas are the non-excluded,
-// non-Down ones; Up beats Suspect; among equals the load-balanced score
-// decides — smoothed latency × (1 + in-flight + already planned here) —
+// non-Down ones; Up beats Suspect beats shedding (see healthTracker.rank);
+// among equals the load-balanced score decides — smoothed latency × (1 + in-flight + already planned here) —
 // with the site ID as the deterministic tie-break. A fragment with no
 // eligible replica fails the plan with core.ErrFragmentUnavailable.
 func (t *Tier) planAssign(only []xmltree.FragmentID, exclude map[frag.SiteID]bool) (frag.Assignment, error) {
@@ -236,13 +249,9 @@ func (t *Tier) planAssign(only []xmltree.FragmentID, exclude map[frag.SiteID]boo
 			if exclude[site] {
 				continue
 			}
-			st := t.health.state(site)
-			if st == Down {
+			rank, ok := t.health.rank(site)
+			if !ok {
 				continue
-			}
-			rank := 0
-			if st == Suspect {
-				rank = 1
 			}
 			score := t.score(site, base, planLoad[site])
 			better := bestRank < 0 ||
@@ -336,13 +345,9 @@ func (t *Tier) PlanHedge(primary frag.SiteID, ids []xmltree.FragmentID) (frag.Si
 	bestRank := -1
 	var bestScore float64
 	for site := range cands {
-		st := t.health.state(site)
-		if st == Down {
-			continue
-		}
-		rank := 0
-		if st == Suspect {
-			rank = 1
+		rank, ok := t.health.rank(site)
+		if !ok || rank == rankShedding {
+			continue // a hedge to a shedding site is a call certain to fail
 		}
 		score := t.score(site, base, 0)
 		better := bestRank < 0 ||

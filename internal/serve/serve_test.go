@@ -158,6 +158,39 @@ func TestPlanAssignUpBeatsSuspect(t *testing.T) {
 	}
 }
 
+// TestShedDemotesUntilNextSuccess: a shed leaves the health state alone
+// but ranks the site below a Suspect sibling until it serves a call
+// again; in-flight re-placement and hedging skip it outright, while a
+// round plan still uses it when nothing else can serve.
+func TestShedDemotesUntilNextSuccess(t *testing.T) {
+	tier := routingTier(core.ReplicaMap{1: {"A", "B"}, 2: {"A"}})
+	tier.opt.Hedging, tier.opt.HedgeDelay = true, time.Millisecond
+	shed := &cluster.OverloadError{Site: "A", RetryAfter: time.Millisecond}
+	tier.health.result("A", 0, shed)
+	tier.health.result("B", 0, errBoom)
+	if a, b := tier.health.state("A"), tier.health.state("B"); a != Up || b != Suspect {
+		t.Fatalf("setup: A %v, B %v; want up, suspect", a, b)
+	}
+	assign, err := tier.planAssign(nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if assign[1] != "B" || assign[2] != "A" {
+		t.Fatalf("assign = %v, want 1->B (A sheds) and 2->A (its only replica)", assign)
+	}
+	if _, err := tier.Reassign([]xmltree.FragmentID{1}, map[frag.SiteID]bool{"B": true}); !errors.Is(err, core.ErrFragmentUnavailable) {
+		t.Fatalf("re-placement onto the shedding A: err = %v, want ErrFragmentUnavailable", err)
+	}
+	if alt, _, ok := tier.PlanHedge("B", []xmltree.FragmentID{1}); ok {
+		t.Fatalf("hedged onto the shedding %s", alt)
+	}
+	tier.health.result("A", time.Millisecond, nil)
+	placement, err := tier.Reassign([]xmltree.FragmentID{1}, map[frag.SiteID]bool{"B": true})
+	if err != nil || len(placement["A"]) != 1 {
+		t.Fatalf("after A served again: placement %v, err %v; want fragment 1 on A", placement, err)
+	}
+}
+
 func TestPlanAssignSkipsDownAndExcluded(t *testing.T) {
 	tier := routingTier(core.ReplicaMap{1: {"A", "B", "C"}})
 	for i := 0; i < 3; i++ {
