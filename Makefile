@@ -47,8 +47,11 @@ bench-smoke:
 # (patched planes must stay byte-equal to full bottomUp), the triplet
 # wire decoder (never panics, keeps rejecting the malformed seeds,
 # decode → encode → decode is a fixed point), the XPath parser (print →
-# reparse is a fixed point and keeps EvalRaw's answer), WAL replay, the v2 frame
-# decoder (demux, torn frames, push frames, hostile span blocks), and
+# reparse is a fixed point and keeps EvalRaw's answer), the selection
+# differential (distributed select and count over star, chain, random
+# and shared-site fragmentations must match the AST interpreter), WAL
+# replay, the v2 frame decoder (demux, torn frames, push frames, hostile
+# span blocks), and
 # every other payload decoder, one FuzzPayloadDecoders per package over
 # that package's codec table (never panics, errors wrap the package
 # sentinel, decode → encode → decode is a fixed point). The payload
@@ -61,6 +64,7 @@ fuzz: fuzz-fused
 	go test ./internal/eval -run Fuzz -fuzz FuzzSpinePatch -fuzztime 30s
 	go test ./internal/eval -run Fuzz -fuzz FuzzDecodeTriplet -fuzztime 30s
 	go test ./internal/xpath -run Fuzz -fuzz FuzzParse -fuzztime 30s
+	go test ./internal/core -run Fuzz -fuzz FuzzSelectTransfer -fuzztime 30s
 	go test ./internal/store -run Fuzz -fuzz FuzzWALReplay -fuzztime 30s
 	go test ./internal/cluster -run Fuzz -fuzz FuzzV2ResponseDemux -fuzztime 30s
 	for p in $(PAYLOAD_FUZZ_PACKAGES); do \
