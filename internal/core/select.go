@@ -198,28 +198,24 @@ func handleSelectTransfer(ctx context.Context, site *cluster.Site, req cluster.R
 	if err != nil {
 		return cluster.Response{}, err
 	}
-	_, sp2 := obs.StartSpan(ctx, string(site.ID()), "selectTransfer")
+	_, span := obs.StartSpan(ctx, string(site.ID()), "selectTransfer")
+	defer span.End()
 	fts := make([]fragTransfer, len(q.frags))
 	var steps int64
 	for i, fd := range q.frags {
 		fr, ok := site.Fragment(fd.id)
 		if !ok {
-			sp2.End()
 			return cluster.Response{}, fmt.Errorf("core: site %s does not store fragment %d", site.ID(), fd.id)
 		}
 		t, err := eval.SelectTransfer(fr.Root, sp, q.vecs, fd.domain, q.paths)
 		if err != nil {
-			sp2.End()
 			return cluster.Response{}, fmt.Errorf("core: fragment %d: %w", fd.id, err)
 		}
 		steps += t.Steps
 		fts[i] = fragTransfer{id: fd.id, Transfer: t}
 	}
-	if sp2 != nil {
-		sp2.SetAttr("fragments", int64(len(fts)))
-		sp2.SetAttr("steps", steps)
-		sp2.End()
-	}
+	span.SetAttr("fragments", int64(len(fts)))
+	span.SetAttr("steps", steps)
 	return cluster.Response{Payload: encodeSelectTransferResp(fts), Steps: steps}, nil
 }
 

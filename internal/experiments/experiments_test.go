@@ -288,10 +288,16 @@ func TestSelectionExp(t *testing.T) {
 				r.Query, r.Matches, r.CountBytes, r.SelectBytes)
 		}
 	}
-	// The no-match query must skip pass 2 everywhere beyond the root.
+	// The no-match query selects nothing, and every row's visit 2 is one
+	// call per remote site (3 of the 4 sites), whatever it selects.
 	last := rows[len(rows)-1]
 	if last.Matches != 0 {
 		t.Fatalf("no-match query matched %d", last.Matches)
+	}
+	for _, r := range rows {
+		if r.Pass2Visits != 3 {
+			t.Errorf("%s: %d visit-2 calls, want 3 (one per remote site)", r.Query, r.Pass2Visits)
+		}
 	}
 	if s := FormatSelection(rows); !strings.Contains(s, "SQ1") {
 		t.Error("rendering broken")

@@ -24,15 +24,15 @@ type SelectionRow struct {
 	CountBytes   int64
 	CentralBytes int64 // encoded size of all remote fragments (the baseline's transfer)
 	SelectSimSec float64
-	Pass2Visits  int64 // total pass-2 visits across sites (≤ card(F))
+	Pass2Visits  int64 // visit-2 calls across sites: one per remote site, whatever depth(FT)
 	SkippedFrags int
 	TotalFrags   int
 }
 
 // SelectionExp measures the selection extension over a 6-fragment FT3-ish
 // deployment: per named selection query, distributed selection/count
-// traffic versus the centralized baseline, plus how many fragments the
-// top-down pass never had to touch.
+// traffic versus the centralized baseline, plus how many fragments
+// contributed no selection.
 func SelectionExp(cfg Config) ([]SelectionRow, error) {
 	cfg = cfg.fill()
 	parents := []int{-1, 0, 0, 1, 1, 2}
@@ -103,14 +103,12 @@ func SelectionExp(cfg Config) ([]SelectionRow, error) {
 		for _, v := range sel.Visits {
 			pass2 += v
 		}
-		// Pass 1 is one visit per remote site; the rest are pass 2.
+		// Visit 1 is one call per remote site; the rest are visit 2, which
+		// also calls every remote site once — dead fragments included, as
+		// it is sent before any arrival is known.
 		remoteSites := len(eng.SourceTree().Sites()) - 1
 		pass2 -= int64(remoteSites)
 		touched := len(sel.Paths)
-		// Fragments with no selections may still have been visited; derive
-		// skipped from pass-2 visits: each visit handles one fragment, and
-		// coordinator-local fragments are handled for free. Report the
-		// conservative measure: fragments that produced selections.
 		rows = append(rows, SelectionRow{
 			Query:        name,
 			Matches:      cnt.Count,
@@ -131,7 +129,7 @@ func FormatSelection(rows []SelectionRow) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Selection extension (Section 8) — 6 fragments / 4 sites, 24 paper-MB\n")
 	fmt.Fprintf(&b, "%-18s %9s %12s %12s %14s %10s %12s\n",
-		"query", "matches", "select B", "count B", "central B", "model-s", "pass2 visits")
+		"query", "matches", "select B", "count B", "central B", "model-s", "visit-2 calls")
 	for _, r := range rows {
 		fmt.Fprintf(&b, "%-18s %9d %12d %12d %14d %10.4f %12d\n",
 			r.Query, r.Matches, r.SelectBytes, r.CountBytes, r.CentralBytes, r.SelectSimSec, r.Pass2Visits)
