@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
-	"math/bits"
 
 	"repro/internal/cluster"
 	"repro/internal/eval"
@@ -382,50 +381,35 @@ func decodeSelectTransferReq(buf []byte) (*xpath.SelectProgram, selectTransferRe
 	return sp, q, nil
 }
 
-// appendArrivalTransfer writes the bits of the output arrival some tag
-// reaches (States, then Sticky), then those tags in bit order.
+// appendArrivalTransfer writes the chain length, then the tag of every
+// States bit and of every Sticky bit of the sub-fragment's arrival.
 func appendArrivalTransfer(dst []byte, t eval.ArrivalTransfer) []byte {
-	live := func(tags []eval.Arrival) uint64 {
-		var m uint64
-		for j, tag := range tags {
-			if !tag.IsZero() {
-				m |= 1 << j
-			}
+	dst = binary.AppendUvarint(dst, uint64(len(t.States)))
+	for _, tags := range [][]eval.Arrival{t.States, t.Sticky} {
+		for _, tag := range tags {
+			dst = appendArrival(dst, tag)
 		}
-		return m
-	}
-	ls, lk := live(t.States), live(t.Sticky)
-	dst = binary.AppendUvarint(dst, ls)
-	dst = binary.AppendUvarint(dst, lk)
-	for ; ls != 0; ls &= ls - 1 {
-		dst = appendArrival(dst, t.States[bits.TrailingZeros64(ls)])
-	}
-	for ; lk != 0; lk &= lk - 1 {
-		dst = appendArrival(dst, t.Sticky[bits.TrailingZeros64(lk)])
 	}
 	return dst
 }
 
 func arrivalTransfer(r *wire.Reader) eval.ArrivalTransfer {
-	ls, lk := r.Uvarint(), r.Uvarint()
-	n := bits.Len64(ls | lk)
+	n := r.Count(4)
+	if n > xpath.MaxSelectChain {
+		r.Fail("transfer over %d chain positions", n)
+		n = 0
+	}
 	t := eval.ArrivalTransfer{States: make([]eval.Arrival, n), Sticky: make([]eval.Arrival, n)}
-	read := func(live uint64, into []eval.Arrival) {
-		for ; live != 0 && r.Err() == nil; live &= live - 1 {
-			tag := arrival(r)
-			if tag.IsZero() {
-				r.Fail("empty transfer tag")
-			}
-			into[bits.TrailingZeros64(live)] = tag
+	for _, tags := range [][]eval.Arrival{t.States, t.Sticky} {
+		for j := range tags {
+			tags[j] = arrival(r)
 		}
 	}
-	read(ls, t.States)
-	read(lk, t.Sticky)
 	return t
 }
 
 // selectTransferResp: per fragment its ID, the arrival transfer to each
-// sub-fragment some tag reaches, the distinct candidate tags with their
+// sub-fragment the sweep reached, the distinct candidate tags with their
 // candidate counts, and (ModeSelect) the candidates' paths, each with the
 // index of its tag.
 func encodeSelectTransferResp(fts []fragTransfer) []byte {
@@ -461,7 +445,7 @@ func decodeSelectTransferResp(buf []byte) ([]fragTransfer, error) {
 	for i := range fts {
 		ft := &fts[i]
 		ft.id = xmltree.ReadFragmentID(&r)
-		nf := r.Count(3)
+		nf := r.Count(2)
 		ft.Forward = make(map[xmltree.FragmentID]eval.ArrivalTransfer, nf)
 		for j := 0; j < nf; j++ {
 			c := xmltree.ReadFragmentID(&r)
@@ -471,9 +455,6 @@ func decodeSelectTransferResp(buf []byte) ([]fragTransfer, error) {
 		ft.Counts = make([]int64, len(ft.Tags))
 		for j := range ft.Tags {
 			ft.Tags[j] = arrival(&r)
-			if ft.Tags[j].IsZero() {
-				r.Fail("empty candidate tag")
-			}
 			ft.Counts[j] = int64(r.Uvarint())
 		}
 		np := r.Count(2)

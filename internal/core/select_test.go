@@ -319,10 +319,12 @@ func TestSelectCodecErrors(t *testing.T) {
 	if !got.paths || len(got.frags) != 1 || got.frags[0] != q.frags[0] || len(got.vecs) != 0 || len(sp2.Chain) != len(sp.Chain) {
 		t.Errorf("select request round trip mismatch: %+v", got)
 	}
-	// A path naming a tag the table does not have, and an empty tag.
+	// A path naming a tag the table does not have, and a transfer over more
+	// chain positions than a selection program can have.
+	tooLong := append([]byte{1, 0, 1, 3, xpath.MaxSelectChain + 1}, make([]byte, 4*(xpath.MaxSelectChain+1)+2)...)
 	for _, bad := range [][]byte{
 		{1, 0, 0, 1, 2, 0, 1, 1, 5, 0}, // F0, no forwards, tag {2,0}×1, one path with tag 5
-		{1, 0, 0, 1, 0, 0, 1, 0},       // F0, no forwards, an empty tag
+		tooLong,                        // F0 forwards to F3 over 65 positions
 	} {
 		if _, err := decodeSelectTransferResp(bad); !errors.Is(err, ErrBadMessage) {
 			t.Errorf("decodeSelectTransferResp(%x) = %v, want ErrBadMessage", bad, err)

@@ -3,7 +3,6 @@ package eval
 import (
 	"errors"
 	"fmt"
-	"math/bits"
 	"slices"
 	"sync"
 
@@ -166,9 +165,7 @@ type selScratch struct {
 	up    []upFrame
 	down  []downFrame
 	slots []Arrival // 2·len(chain) per depth: States tags then Sticky tags
-	live  []uint64  // 2 per depth: the live bits of the slot
-	a, k  []Arrival // one node's state and sticky tags
-	c     []Arrival // one node's child-move tags
+	tags  []Arrival // 3·len(chain): one node's state, sticky and child-move tags
 	path  []int
 }
 
@@ -358,36 +355,27 @@ func (sc *selScratch) guardMasks(root *xmltree.Node, sp *xpath.SelectProgram, su
 }
 
 // propagate is the top-down tag sweep over the guard masks guardMasks
-// left in sc. Slot d holds the tags arriving at the nodes of depth d: the
-// root's are the domain's bits one by one, a child's are what its parent
-// computed.
+// left in sc. Slot d holds the tags arriving at the nodes of depth d —
+// len(chain) States tags, then len(chain) Sticky tags: the root's are the
+// domain's bits one by one, a child's are what its parent computed.
 func (sc *selScratch) propagate(root *xmltree.Node, sp *xpath.SelectProgram, domain Arrival, paths bool) Transfer {
 	L := len(sp.Chain)
 	last := L - 1
-	sc.a, sc.k, sc.c = grow(sc.a, L), grow(sc.k, L), grow(sc.c, L)
-	clear(sc.a)
-	clear(sc.k)
-	clear(sc.c)
-	slot := func(d int) (s, k []Arrival, live []uint64) {
+	slot := func(d int) []Arrival {
 		if need := 2 * L * (d + 1); need > len(sc.slots) {
 			sc.slots = append(sc.slots, make([]Arrival, need-len(sc.slots))...)
 		}
-		if need := 2 * (d + 1); need > len(sc.live) {
-			sc.live = append(sc.live, make([]uint64, need-len(sc.live))...)
-		}
-		base := 2 * L * d
-		return sc.slots[base : base+L], sc.slots[base+L : base+2*L], sc.live[2*d : 2*d+2]
+		return sc.slots[2*L*d : 2*L*(d+1)]
 	}
-	s0, k0, live0 := slot(0)
-	live0[0], live0[1] = domain.States, domain.Sticky
-	for w := domain.States; w != 0; w &= w - 1 {
-		j := bits.TrailingZeros64(w)
-		s0[j] = Arrival{States: 1 << j}
+	in0 := slot(0)
+	for j := 0; j < L; j++ {
+		in0[j] = Arrival{States: domain.States & (1 << j)}
+		in0[L+j] = Arrival{Sticky: domain.Sticky & (1 << j)}
 	}
-	for w := domain.Sticky; w != 0; w &= w - 1 {
-		j := bits.TrailingZeros64(w)
-		k0[j] = Arrival{Sticky: 1 << j}
-	}
+	// One node's tags: a for its states, k for its sticky states, c for
+	// the child moves it makes.
+	sc.tags = grow(sc.tags, 3*L)
+	a, k, c := sc.tags[:L], sc.tags[L:2*L], sc.tags[2*L:]
 
 	t := Transfer{Forward: make(map[xmltree.FragmentID]ArrivalTransfer)}
 	tagIdx := func(tag Arrival) int32 {
@@ -406,23 +394,16 @@ func (sc *selScratch) propagate(root *xmltree.Node, sp *xpath.SelectProgram, dom
 	// its children's tags to slot d+1; it reports whether any is live.
 	visit := func(idx int32, d int) bool {
 		t.Steps++
-		ins, ink, inLive := slot(d)
-		a, k, c := sc.a, sc.k, sc.c
-		liveA, liveK, liveC := inLive[0], inLive[1], uint64(0)
-		for w := liveA; w != 0; w &= w - 1 {
-			j := bits.TrailingZeros64(w)
-			a[j] = ins[j]
-		}
-		for w := liveK; w != 0; w &= w - 1 {
-			j := bits.TrailingZeros64(w)
-			k[j] = ink[j]
-		}
+		in := slot(d)
+		copy(a, in[:L])
+		copy(k, in[L:])
+		clear(c)
 		mask := sc.masks[idx]
-		// Bits join liveA only above the one being processed, so one
+		// A state only ever moves to the next chain position, so one
 		// ascending scan sees every state the node reaches.
-		for i := nextBit(liveA, 0); i < L; i = nextBit(liveA, i+1) {
-			if mask>>i&1 == 0 {
-				continue // guard failed: the state dies here
+		for i := 0; i < L; i++ {
+			if a[i].IsZero() || mask>>i&1 == 0 {
+				continue // not reached, or the guard failed: the state dies here
 			}
 			if i == last {
 				ti := tagIdx(a[i])
@@ -433,36 +414,23 @@ func (sc *selScratch) propagate(root *xmltree.Node, sp *xpath.SelectProgram, dom
 				}
 				continue
 			}
-			j := i + 1
-			switch sp.Chain[j].Kind {
+			switch sp.Chain[i+1].Kind {
 			case xpath.SSelf:
-				a[j] = a[j].or(a[i])
-				liveA |= 1 << j
+				a[i+1] = a[i+1].or(a[i])
 			case xpath.SDescOrSelf:
-				a[j] = a[j].or(a[i])
-				liveA |= 1 << j
-				k[j] = k[j].or(a[i])
-				liveK |= 1 << j
+				a[i+1] = a[i+1].or(a[i])
+				k[i+1] = k[i+1].or(a[i])
 			case xpath.SChild:
-				c[j] = c[j].or(a[i])
-				liveC |= 1 << j
+				c[i+1] = c[i+1].or(a[i])
 			}
 		}
-		outs, outk, outLive := slot(d + 1)
-		outLive[0], outLive[1] = liveC|liveK, liveK
-		for w := liveC | liveK; w != 0; w &= w - 1 {
-			j := bits.TrailingZeros64(w)
-			outs[j] = c[j].or(k[j])
+		out := slot(d + 1)
+		live := false
+		for j := 0; j < L; j++ {
+			out[j], out[L+j] = c[j].or(k[j]), k[j] // sticky states reach every child
+			live = live || !out[j].IsZero()
 		}
-		for w := liveK; w != 0; w &= w - 1 {
-			j := bits.TrailingZeros64(w)
-			outk[j] = k[j]
-		}
-		for w := liveA | liveK | liveC; w != 0; w &= w - 1 {
-			j := bits.TrailingZeros64(w)
-			a[j], k[j], c[j] = Arrival{}, Arrival{}, Arrival{}
-		}
-		return outLive[0]|outLive[1] != 0
+		return live
 	}
 
 	stack := sc.down[:0]
@@ -479,38 +447,30 @@ func (sc *selScratch) propagate(root *xmltree.Node, sp *xpath.SelectProgram, dom
 			stack = stack[:len(stack)-1]
 			continue
 		}
-		ci, c := f.next, f.node.Children[f.next]
+		ci, ch := f.next, f.node.Children[f.next]
 		idx, d := f.idx, f.depth+1
 		f.next++
 		f.idx += sc.size[idx]
-		if c.Virtual {
-			s, k, live := slot(d)
-			fw, ok := t.Forward[c.Frag]
+		if ch.Virtual {
+			fw, ok := t.Forward[ch.Frag]
 			if !ok {
 				fw = ArrivalTransfer{States: make([]Arrival, L), Sticky: make([]Arrival, L)}
-				t.Forward[c.Frag] = fw
+				t.Forward[ch.Frag] = fw
 			}
-			for w := live[0]; w != 0; w &= w - 1 {
-				j := bits.TrailingZeros64(w)
-				fw.States[j] = fw.States[j].or(s[j])
-			}
-			for w := live[1]; w != 0; w &= w - 1 {
-				j := bits.TrailingZeros64(w)
-				fw.Sticky[j] = fw.Sticky[j].or(k[j])
+			in := slot(d)
+			for j := 0; j < L; j++ {
+				fw.States[j] = fw.States[j].or(in[j])
+				fw.Sticky[j] = fw.Sticky[j].or(in[L+j])
 			}
 			continue
 		}
 		sc.path = append(sc.path[:d-1], ci)
-		if visit(idx, d) && len(c.Children) > 0 {
-			stack = append(stack, downFrame{node: c, idx: idx + 1, depth: d})
+		if visit(idx, d) && len(ch.Children) > 0 {
+			stack = append(stack, downFrame{node: ch, idx: idx + 1, depth: d})
 		}
 	}
 	return t
 }
-
-// nextBit is the position of the lowest set bit of w at or above from, 64
-// when there is none.
-func nextBit(w uint64, from int) int { return bits.TrailingZeros64(w >> uint(from) << uint(from)) }
 
 // fragmentPath climbs parent pointers up to the fragment root, producing
 // the node's child-index path.
