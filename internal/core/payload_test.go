@@ -58,24 +58,26 @@ func fixtureTransfers(paths bool) []fragTransfer {
 			4: {States: []eval.Arrival{{}, {States: 2}, {}, {States: 8, Sticky: 8}}, Sticky: []eval.Arrival{{}, {}, {}, {Sticky: 8}}},
 			3: {States: []eval.Arrival{{}, {States: 6, Sticky: 2}}, Sticky: []eval.Arrival{{}, {Sticky: 1 << 40}}},
 		},
-		Tags:   []eval.Arrival{{States: 2}, {States: 4, Sticky: 4}},
-		Counts: []int64{2, 4711},
+		Tags: []eval.Arrival{{States: 2}, {States: 4, Sticky: 4}},
 	}}
 	if paths {
-		f1.Counts = []int64{2, 1}
 		f1.Paths = [][]int{{}, {0, 1, 2}, {300, 0}}
 		f1.PathTags = []int32{0, 1, 0}
+	} else {
+		f1.Counts = []int64{2, 4711}
 	}
 	f2 := fragTransfer{id: 2, Transfer: eval.Transfer{Forward: map[xmltree.FragmentID]eval.ArrivalTransfer{}}}
 	return []fragTransfer{f1, f2}
 }
 
-func recodeSelectTransferResp(buf []byte) ([]byte, error) {
-	fts, err := decodeSelectTransferResp(buf)
-	if err != nil {
-		return nil, err
+func recodeSelectTransferResp(paths bool) func([]byte) ([]byte, error) {
+	return func(buf []byte) ([]byte, error) {
+		fts, err := decodeSelectTransferResp(buf, paths)
+		if err != nil {
+			return nil, err
+		}
+		return encodeSelectTransferResp(fts, paths), nil
 	}
-	return encodeSelectTransferResp(fts), nil
 }
 
 var payloadCodecs = []golden.Codec{
@@ -165,11 +167,11 @@ var payloadCodecs = []golden.Codec{
 		return encodeSelectTransferReq(encodeSelectProgram(sp), q), nil
 	}},
 	{Name: "select_resp", Sample: func() []byte {
-		return encodeSelectTransferResp(fixtureTransfers(true))
-	}, Recode: recodeSelectTransferResp},
+		return encodeSelectTransferResp(fixtureTransfers(true), true)
+	}, Recode: recodeSelectTransferResp(true)},
 	{Name: "count_resp", Sample: func() []byte {
-		return encodeSelectTransferResp(fixtureTransfers(false))
-	}, Recode: recodeSelectTransferResp},
+		return encodeSelectTransferResp(fixtureTransfers(false), false)
+	}, Recode: recodeSelectTransferResp(false)},
 }
 
 func recodeEvalQualReq(buf []byte) ([]byte, error) {

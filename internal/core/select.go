@@ -106,7 +106,7 @@ func (e *Engine) twoVisits(ctx context.Context, sp *xpath.SelectProgram, paths b
 				frags: ids,
 				req:   cluster.Request{Kind: KindSelectTransfer, Payload: encodeSelectTransferReq(spBytes, q)},
 				dec: func(resp cluster.Response, _ cluster.CallCost) (siteTransfers, error) {
-					fts, err := decodeSelectTransferResp(resp.Payload)
+					fts, err := decodeSelectTransferResp(resp.Payload, paths)
 					return siteTransfers{site: site, frags: fts}, err
 				},
 			}
@@ -215,7 +215,7 @@ func handleSelectTransfer(ctx context.Context, site *cluster.Site, req cluster.R
 	}
 	span.SetAttr("fragments", int64(len(fts)))
 	span.SetAttr("steps", steps)
-	return cluster.Response{Payload: encodeSelectTransferResp(fts), Steps: steps}, nil
+	return cluster.Response{Payload: encodeSelectTransferResp(fts, q.paths), Steps: steps}, nil
 }
 
 // --- codecs ------------------------------------------------------------
@@ -409,10 +409,11 @@ func arrivalTransfer(r *wire.Reader) eval.ArrivalTransfer {
 }
 
 // selectTransferResp: per fragment its ID, the arrival transfer to each
-// sub-fragment the sweep reached, the distinct candidate tags with their
-// candidate counts, and (ModeSelect) the candidates' paths, each with the
-// index of its tag.
-func encodeSelectTransferResp(fts []fragTransfer) []byte {
+// sub-fragment the sweep reached and the distinct candidate tags; then,
+// for a selection (paths), the candidates' paths, each with the index of
+// its tag, and for a count each tag's candidate count beside it. The
+// request's paths flag tells both ends which of the two the frame holds.
+func encodeSelectTransferResp(fts []fragTransfer, paths bool) []byte {
 	dst := binary.AppendUvarint(nil, uint64(len(fts)))
 	for i := range fts {
 		ft := &fts[i]
@@ -425,7 +426,12 @@ func encodeSelectTransferResp(fts []fragTransfer) []byte {
 		dst = binary.AppendUvarint(dst, uint64(len(ft.Tags)))
 		for j, tag := range ft.Tags {
 			dst = appendArrival(dst, tag)
-			dst = binary.AppendUvarint(dst, uint64(ft.Counts[j]))
+			if !paths {
+				dst = binary.AppendUvarint(dst, uint64(ft.Counts[j]))
+			}
+		}
+		if !paths {
+			continue
 		}
 		dst = binary.AppendUvarint(dst, uint64(len(ft.Paths)))
 		for j, p := range ft.Paths {
@@ -439,9 +445,14 @@ func encodeSelectTransferResp(fts []fragTransfer) []byte {
 	return dst
 }
 
-func decodeSelectTransferResp(buf []byte) ([]fragTransfer, error) {
+func decodeSelectTransferResp(buf []byte, paths bool) ([]fragTransfer, error) {
 	r := wire.NewReader(buf, ErrBadMessage)
-	fts := make([]fragTransfer, r.Count(4))
+	// A fragment spends a byte on its ID and on each of its counts.
+	minFrag := 3
+	if paths {
+		minFrag = 4
+	}
+	fts := make([]fragTransfer, r.Count(minFrag))
 	for i := range fts {
 		ft := &fts[i]
 		ft.id = xmltree.ReadFragmentID(&r)
@@ -451,23 +462,30 @@ func decodeSelectTransferResp(buf []byte) ([]fragTransfer, error) {
 			c := xmltree.ReadFragmentID(&r)
 			ft.Forward[c] = arrivalTransfer(&r)
 		}
-		ft.Tags = make([]eval.Arrival, r.Count(3))
-		ft.Counts = make([]int64, len(ft.Tags))
-		for j := range ft.Tags {
-			ft.Tags[j] = arrival(&r)
-			ft.Counts[j] = int64(r.Uvarint())
-		}
-		np := r.Count(2)
-		ft.Paths, ft.PathTags = make([][]int, np), make([]int32, np)
-		for j := 0; j < np; j++ {
-			tag := r.Uvarint()
-			if tag >= uint64(len(ft.Tags)) {
-				r.Fail("path tag %d out of range", tag)
+		if !paths {
+			ft.Tags = make([]eval.Arrival, r.Count(3))
+			ft.Counts = make([]int64, len(ft.Tags))
+			for j := range ft.Tags {
+				ft.Tags[j] = arrival(&r)
+				ft.Counts[j] = int64(r.Uvarint())
 			}
-			ft.PathTags[j] = int32(tag)
-			ft.Paths[j] = make([]int, r.Count(1))
-			for k := range ft.Paths[j] {
-				ft.Paths[j][k] = int(r.Uvarint())
+		} else {
+			ft.Tags = make([]eval.Arrival, r.Count(2))
+			for j := range ft.Tags {
+				ft.Tags[j] = arrival(&r)
+			}
+			np := r.Count(2)
+			ft.Paths, ft.PathTags = make([][]int, np), make([]int32, np)
+			for j := 0; j < np; j++ {
+				tag := r.Uvarint()
+				if tag >= uint64(len(ft.Tags)) {
+					r.Fail("path tag %d out of range", tag)
+				}
+				ft.PathTags[j] = int32(tag)
+				ft.Paths[j] = make([]int, r.Count(1))
+				for k := range ft.Paths[j] {
+					ft.Paths[j][k] = int(r.Uvarint())
+				}
 			}
 		}
 		if r.Err() != nil {

@@ -304,7 +304,7 @@ func TestSelectCodecErrors(t *testing.T) {
 	if _, _, err := decodeSelectTransferReq(nil); err == nil {
 		t.Error("empty select request accepted")
 	}
-	if _, err := decodeSelectTransferResp([]byte{200}); err == nil {
+	if _, err := decodeSelectTransferResp([]byte{200}, true); err == nil {
 		t.Error("bad select response accepted")
 	}
 	sp, err := xpath.CompileSelectString(`//a`)
@@ -323,16 +323,16 @@ func TestSelectCodecErrors(t *testing.T) {
 	// chain positions than a selection program can have.
 	tooLong := append([]byte{1, 0, 1, 3, xpath.MaxSelectChain + 1}, make([]byte, 4*(xpath.MaxSelectChain+1)+2)...)
 	for _, bad := range [][]byte{
-		{1, 0, 0, 1, 2, 0, 1, 1, 5, 0}, // F0, no forwards, tag {2,0}×1, one path with tag 5
-		tooLong,                        // F0 forwards to F3 over 65 positions
+		{1, 0, 0, 1, 2, 0, 1, 5, 0}, // F0, no forwards, tag {2,0}, one path with tag 5
+		tooLong,                     // F0 forwards to F3 over 65 positions
 	} {
-		if _, err := decodeSelectTransferResp(bad); !errors.Is(err, ErrBadMessage) {
+		if _, err := decodeSelectTransferResp(bad, true); !errors.Is(err, ErrBadMessage) {
 			t.Errorf("decodeSelectTransferResp(%x) = %v, want ErrBadMessage", bad, err)
 		}
 	}
 	// Response round trip with paths, tags and transfers.
 	fts := fixtureTransfers(true)
-	back, err := decodeSelectTransferResp(encodeSelectTransferResp(fts))
+	back, err := decodeSelectTransferResp(encodeSelectTransferResp(fts, true), true)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -106,9 +106,10 @@ func (t ArrivalTransfer) Apply(in Arrival) Arrival {
 type Transfer struct {
 	// Forward is, per sub-fragment some tag reaches, its arrival transfer.
 	Forward map[xmltree.FragmentID]ArrivalTransfer
-	// Tags are the distinct candidate tags; Counts[i] candidates carry
-	// Tags[i].
-	Tags   []Arrival
+	// Tags are the distinct candidate tags.
+	Tags []Arrival
+	// Counts[i] candidates carry Tags[i]. Filled only when SelectTransfer
+	// was not asked for paths.
 	Counts []int64
 	// Paths are the candidates as child-index paths from the fragment root,
 	// in document order, and PathTags the index into Tags of each. Filled
@@ -195,8 +196,8 @@ func grow[T any](s []T, n int) []T {
 // SelectTransfer runs visit 2 over one fragment for every arrival in
 // domain at once: the result says, per arrival bit, what reaches each
 // sub-fragment and which candidates it selects. paths asks for the
-// candidates' paths (ModeSelect); without it only their count per tag is
-// kept (ModeCount).
+// candidates' paths, each with its tag (ModeSelect); without it only
+// their count per tag is kept (ModeCount).
 func SelectTransfer(root *xmltree.Node, sp *xpath.SelectProgram,
 	subVals map[xmltree.FragmentID]BoolVecs, domain Arrival, paths bool) (Transfer, error) {
 	if root == nil || root.Virtual {
@@ -259,11 +260,7 @@ func (sc *selScratch) guardMasks(root *xmltree.Node, sp *xpath.SelectProgram, su
 		sc.size = append(sc.size, 1)
 		return int32(len(sc.masks) - 1)
 	}
-	var (
-		leafKey [4]uint64
-		leafVal [4]uint64
-		leafSet [4]bool
-	)
+	var leaves leafMemo
 	var steps int64
 	stack := append(sc.up[:0], upFrame{node: root, idx: newPos()})
 	resetAcc(0)
@@ -302,12 +299,7 @@ func (sc *selScratch) guardMasks(root *xmltree.Node, sp *xpath.SelectProgram, su
 				steps += int64(n)
 				cv, dv := frameAcc(top)
 				if words == 1 {
-					base := kern.LeafBase(c.Label, c.Text)
-					s := (base * 0x9e3779b97f4a7c15) >> 62
-					if !leafSet[s] || leafKey[s] != base {
-						leafKey[s], leafVal[s], leafSet[s] = base, kern.EvalLeafPlan(base), true
-					}
-					sc.v[0] = leafVal[s]
+					sc.v[0] = leaves.plan(kern, kern.LeafBase(c.Label, c.Text))
 					sc.masks[idx] = maskOf(sc.v)
 					cv[0] |= sc.v[0]
 					dv[0] |= sc.v[0]
@@ -385,7 +377,9 @@ func (sc *selScratch) propagate(root *xmltree.Node, sp *xpath.SelectProgram, dom
 			}
 		}
 		t.Tags = append(t.Tags, tag)
-		t.Counts = append(t.Counts, 0)
+		if !paths {
+			t.Counts = append(t.Counts, 0)
+		}
 		return int32(len(t.Tags) - 1)
 	}
 	sc.path = sc.path[:0]
@@ -407,10 +401,11 @@ func (sc *selScratch) propagate(root *xmltree.Node, sp *xpath.SelectProgram, dom
 			}
 			if i == last {
 				ti := tagIdx(a[i])
-				t.Counts[ti]++
 				if paths {
 					t.Paths = append(t.Paths, slices.Clone(sc.path[:d]))
 					t.PathTags = append(t.PathTags, ti)
+				} else {
+					t.Counts[ti]++
 				}
 				continue
 			}

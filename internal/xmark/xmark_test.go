@@ -62,6 +62,9 @@ func TestGenerateStructure(t *testing.T) {
 
 func TestBeacon(t *testing.T) {
 	doc := Generate(Spec{Seed: 3, MB: 0.5, Beacon: BeaconName(7)})
+	// The beacon query must compile; its answers come from the AST
+	// interpreter.
+	xpath.MustCompileString(BeaconQuery(7))
 	q := xpath.MustParse(BeaconQuery(7))
 	if !xpath.EvalRaw(q, doc) {
 		t.Error("beacon query false on its own site")
@@ -206,6 +209,10 @@ func TestNamedQueries(t *testing.T) {
 	// guarantees "Ada Ahmed" appears in a 4MB site with overwhelming
 	// probability — pin it.
 	for name, src := range NamedQueries {
+		if _, err := xpath.CompileString(src); err != nil {
+			t.Errorf("%s: compile: %v", name, err)
+			continue
+		}
 		e, err := xpath.Parse(src)
 		if err != nil {
 			t.Errorf("%s: %v", name, err)
