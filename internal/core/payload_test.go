@@ -50,21 +50,22 @@ var fixtureVecs = map[xmltree.FragmentID]eval.BoolVecs{
 }
 
 // fixtureTransfers is a visit-2 answer for two fragments: F1 forwards to
-// F3 and F4 and carries three candidates under two tags, F2 forwards
-// nothing and found nothing.
+// F3 and F4 and carries candidates under two tags, F2 forwards nothing
+// and found nothing.
 func fixtureTransfers(paths bool) []fragTransfer {
 	f1 := fragTransfer{id: 1, Transfer: eval.Transfer{
 		Forward: map[xmltree.FragmentID]eval.ArrivalTransfer{
 			4: {States: []eval.Arrival{{}, {States: 2}, {}, {States: 8, Sticky: 8}}, Sticky: []eval.Arrival{{}, {}, {}, {Sticky: 8}}},
 			3: {States: []eval.Arrival{{}, {States: 6, Sticky: 2}}, Sticky: []eval.Arrival{{}, {Sticky: 1 << 40}}},
 		},
-		Tags: []eval.Arrival{{States: 2}, {States: 4, Sticky: 4}},
+		Cands: []eval.Candidates{
+			{Tag: eval.Arrival{States: 2}, Count: 2},
+			{Tag: eval.Arrival{States: 4, Sticky: 4}, Count: 4711},
+		},
 	}}
 	if paths {
-		f1.Paths = [][]int{{}, {0, 1, 2}, {300, 0}}
-		f1.PathTags = []int32{0, 1, 0}
-	} else {
-		f1.Counts = []int64{2, 4711}
+		f1.Cands[0].Paths = [][]int{{}, {300, 0}}
+		f1.Cands[1].Count, f1.Cands[1].Paths = 1, [][]int{{0, 1, 2}}
 	}
 	f2 := fragTransfer{id: 2, Transfer: eval.Transfer{Forward: map[xmltree.FragmentID]eval.ArrivalTransfer{}}}
 	return []fragTransfer{f1, f2}

@@ -158,31 +158,15 @@ func (e *Engine) compose(answers []siteTransfers, paths bool, rep *Report) error
 		if in.IsZero() {
 			continue // dead: no state reaches it, nothing it found counts
 		}
-		ft := p.ft
-		var n int64
-		if paths {
-			var sel [][]int
-			for i, path := range ft.Paths {
-				if in.Meets(ft.Tags[ft.PathTags[i]]) {
-					sel = append(sel, path)
-				}
-			}
-			if len(sel) > 0 {
-				rep.Paths[id] = sel
-			}
-			n = int64(len(sel))
-		} else {
-			for i, tag := range ft.Tags {
-				if in.Meets(tag) {
-					n += ft.Counts[i]
-				}
-			}
+		sel, n := p.ft.Select(in)
+		if len(sel) > 0 {
+			rep.Paths[id] = sel
 		}
 		rep.Count += n
 		rep.PerSite[p.site] += n
 		entry, _ := e.st.Entry(id)
 		for _, c := range entry.Children {
-			if tr, ok := ft.Forward[c]; ok {
+			if tr, ok := p.ft.Forward[c]; ok {
 				arrivals[c] = tr.Apply(in)
 			}
 		}
@@ -409,10 +393,10 @@ func arrivalTransfer(r *wire.Reader) eval.ArrivalTransfer {
 }
 
 // selectTransferResp: per fragment its ID, the arrival transfer to each
-// sub-fragment the sweep reached and the distinct candidate tags; then,
-// for a selection (paths), the candidates' paths, each with the index of
-// its tag, and for a count each tag's candidate count beside it. The
-// request's paths flag tells both ends which of the two the frame holds.
+// sub-fragment the sweep reached, and its candidates one tag group at a
+// time: the tag, the number of candidates carrying it and, for a selection
+// (paths), that many paths. The request's paths flag tells both ends
+// whether the paths are there.
 func encodeSelectTransferResp(fts []fragTransfer, paths bool) []byte {
 	dst := binary.AppendUvarint(nil, uint64(len(fts)))
 	for i := range fts {
@@ -423,22 +407,18 @@ func encodeSelectTransferResp(fts []fragTransfer, paths bool) []byte {
 			dst = xmltree.AppendFragmentID(dst, c)
 			dst = appendArrivalTransfer(dst, ft.Forward[c])
 		}
-		dst = binary.AppendUvarint(dst, uint64(len(ft.Tags)))
-		for j, tag := range ft.Tags {
-			dst = appendArrival(dst, tag)
+		dst = binary.AppendUvarint(dst, uint64(len(ft.Cands)))
+		for _, g := range ft.Cands {
+			dst = appendArrival(dst, g.Tag)
+			dst = binary.AppendUvarint(dst, uint64(g.Count))
 			if !paths {
-				dst = binary.AppendUvarint(dst, uint64(ft.Counts[j]))
+				continue
 			}
-		}
-		if !paths {
-			continue
-		}
-		dst = binary.AppendUvarint(dst, uint64(len(ft.Paths)))
-		for j, p := range ft.Paths {
-			dst = binary.AppendUvarint(dst, uint64(ft.PathTags[j]))
-			dst = binary.AppendUvarint(dst, uint64(len(p)))
-			for _, k := range p {
-				dst = binary.AppendUvarint(dst, uint64(k))
+			for _, p := range g.Paths {
+				dst = binary.AppendUvarint(dst, uint64(len(p)))
+				for _, k := range p {
+					dst = binary.AppendUvarint(dst, uint64(k))
+				}
 			}
 		}
 	}
@@ -447,12 +427,7 @@ func encodeSelectTransferResp(fts []fragTransfer, paths bool) []byte {
 
 func decodeSelectTransferResp(buf []byte, paths bool) ([]fragTransfer, error) {
 	r := wire.NewReader(buf, ErrBadMessage)
-	// A fragment spends a byte on its ID and on each of its counts.
-	minFrag := 3
-	if paths {
-		minFrag = 4
-	}
-	fts := make([]fragTransfer, r.Count(minFrag))
+	fts := make([]fragTransfer, r.Count(3))
 	for i := range fts {
 		ft := &fts[i]
 		ft.id = xmltree.ReadFragmentID(&r)
@@ -462,29 +437,21 @@ func decodeSelectTransferResp(buf []byte, paths bool) ([]fragTransfer, error) {
 			c := xmltree.ReadFragmentID(&r)
 			ft.Forward[c] = arrivalTransfer(&r)
 		}
-		if !paths {
-			ft.Tags = make([]eval.Arrival, r.Count(3))
-			ft.Counts = make([]int64, len(ft.Tags))
-			for j := range ft.Tags {
-				ft.Tags[j] = arrival(&r)
-				ft.Counts[j] = int64(r.Uvarint())
+		ft.Cands = make([]eval.Candidates, r.Count(3))
+		for j := range ft.Cands {
+			g := &ft.Cands[j]
+			g.Tag = arrival(&r)
+			if !paths {
+				g.Count = int64(r.Uvarint())
+				continue
 			}
-		} else {
-			ft.Tags = make([]eval.Arrival, r.Count(2))
-			for j := range ft.Tags {
-				ft.Tags[j] = arrival(&r)
-			}
-			np := r.Count(2)
-			ft.Paths, ft.PathTags = make([][]int, np), make([]int32, np)
-			for j := 0; j < np; j++ {
-				tag := r.Uvarint()
-				if tag >= uint64(len(ft.Tags)) {
-					r.Fail("path tag %d out of range", tag)
-				}
-				ft.PathTags[j] = int32(tag)
-				ft.Paths[j] = make([]int, r.Count(1))
-				for k := range ft.Paths[j] {
-					ft.Paths[j][k] = int(r.Uvarint())
+			// The count is the number of paths that follow.
+			g.Paths = make([][]int, r.Count(1))
+			g.Count = int64(len(g.Paths))
+			for k := range g.Paths {
+				g.Paths[k] = make([]int, r.Count(1))
+				for m := range g.Paths[k] {
+					g.Paths[k][m] = int(r.Uvarint())
 				}
 			}
 		}

@@ -319,12 +319,12 @@ func TestSelectCodecErrors(t *testing.T) {
 	if !got.paths || len(got.frags) != 1 || got.frags[0] != q.frags[0] || len(got.vecs) != 0 || len(sp2.Chain) != len(sp.Chain) {
 		t.Errorf("select request round trip mismatch: %+v", got)
 	}
-	// A path naming a tag the table does not have, and a transfer over more
-	// chain positions than a selection program can have.
+	// A tag group claiming more paths than the frame holds, and a transfer
+	// over more chain positions than a selection program can have.
 	tooLong := append([]byte{1, 0, 1, 3, xpath.MaxSelectChain + 1}, make([]byte, 4*(xpath.MaxSelectChain+1)+2)...)
 	for _, bad := range [][]byte{
-		{1, 0, 0, 1, 2, 0, 1, 5, 0}, // F0, no forwards, tag {2,0}, one path with tag 5
-		tooLong,                     // F0 forwards to F3 over 65 positions
+		{1, 0, 0, 1, 2, 0, 5, 0}, // F0, no forwards, tag {2,0} with 5 paths
+		tooLong,                  // F0 forwards to F3 over 65 positions
 	} {
 		if _, err := decodeSelectTransferResp(bad, true); !errors.Is(err, ErrBadMessage) {
 			t.Errorf("decodeSelectTransferResp(%x) = %v, want ErrBadMessage", bad, err)
@@ -336,8 +336,13 @@ func TestSelectCodecErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(back) != 2 || fmt.Sprint(back[0].Paths) != fmt.Sprint(fts[0].Paths) || fmt.Sprint(back[0].PathTags) != fmt.Sprint(fts[0].PathTags) {
+	if len(back) != 2 || fmt.Sprint(back[0].Cands) != fmt.Sprint(fts[0].Cands) {
 		t.Errorf("paths round trip: %+v", back)
+	}
+	// Both tag groups met: the paths come back merged in document order.
+	sel, n := back[0].Select(eval.Arrival{States: 6})
+	if fmt.Sprint(sel) != "[[] [0 1 2] [300 0]]" || n != 3 {
+		t.Errorf("Select over both groups = %v, %d", sel, n)
 	}
 	in := eval.Arrival{States: 2}
 	if got, want := back[0].Forward[4].Apply(in), fts[0].Forward[4].Apply(in); got != want {

@@ -106,19 +106,45 @@ func (t ArrivalTransfer) Apply(in Arrival) Arrival {
 type Transfer struct {
 	// Forward is, per sub-fragment some tag reaches, its arrival transfer.
 	Forward map[xmltree.FragmentID]ArrivalTransfer
-	// Tags are the distinct candidate tags.
-	Tags []Arrival
-	// Counts[i] candidates carry Tags[i]. Filled only when SelectTransfer
-	// was not asked for paths.
-	Counts []int64
-	// Paths are the candidates as child-index paths from the fragment root,
-	// in document order, and PathTags the index into Tags of each. Filled
-	// only when SelectTransfer was asked for paths.
-	Paths    [][]int
-	PathTags []int32
+	// Cands are the candidates grouped by tag, one group per distinct tag.
+	Cands []Candidates
 	// Steps is the computation performed (node×subquery units for the
 	// guard sweep plus one unit per node the tag sweep visits).
 	Steps int64
+}
+
+// Candidates are the candidates of a fragment that carry one tag.
+type Candidates struct {
+	Tag   Arrival
+	Count int64
+	// Paths are the candidates as child-index paths from the fragment
+	// root, in document order. Filled (Count of them) only when
+	// SelectTransfer was asked for paths.
+	Paths [][]int
+}
+
+// Select returns what an arrival in keeps of the candidates: their
+// number and, when the transfer holds paths, the paths in document order.
+func (t *Transfer) Select(in Arrival) ([][]int, int64) {
+	var sel [][]int
+	var n int64
+	groups := 0
+	for _, g := range t.Cands {
+		if !in.Meets(g.Tag) {
+			continue
+		}
+		n += g.Count
+		if len(g.Paths) > 0 {
+			groups++
+			sel = append(slices.Clip(sel), g.Paths...)
+		}
+	}
+	if groups > 1 {
+		// Child-index paths compare lexicographically in document order:
+		// an ancestor's path is a prefix of its descendants'.
+		slices.SortFunc(sel, slices.Compare[[]int])
+	}
+	return sel, n
 }
 
 // SelectResult is one fragment's selection at a known arrival.
@@ -146,7 +172,8 @@ func SelectFragment(root *xmltree.Node, sp *xpath.SelectProgram,
 	}
 	// Over the domain in every tag is a nonempty subset of in: all
 	// candidates are selected and every transfer is evaluated at in.
-	res := SelectResult{Selected: t.Paths, Forward: make(map[xmltree.FragmentID]Arrival, len(t.Forward)), Steps: t.Steps}
+	sel, _ := t.Select(in)
+	res := SelectResult{Selected: sel, Forward: make(map[xmltree.FragmentID]Arrival, len(t.Forward)), Steps: t.Steps}
 	for c, tr := range t.Forward {
 		if arr := tr.Apply(in); !arr.IsZero() {
 			res.Forward[c] = arr
@@ -370,17 +397,14 @@ func (sc *selScratch) propagate(root *xmltree.Node, sp *xpath.SelectProgram, dom
 	a, k, c := sc.tags[:L], sc.tags[L:2*L], sc.tags[2*L:]
 
 	t := Transfer{Forward: make(map[xmltree.FragmentID]ArrivalTransfer)}
-	tagIdx := func(tag Arrival) int32 {
-		for i, x := range t.Tags {
-			if x == tag {
-				return int32(i)
+	group := func(tag Arrival) *Candidates {
+		for i := range t.Cands {
+			if t.Cands[i].Tag == tag {
+				return &t.Cands[i]
 			}
 		}
-		t.Tags = append(t.Tags, tag)
-		if !paths {
-			t.Counts = append(t.Counts, 0)
-		}
-		return int32(len(t.Tags) - 1)
+		t.Cands = append(t.Cands, Candidates{Tag: tag})
+		return &t.Cands[len(t.Cands)-1]
 	}
 	sc.path = sc.path[:0]
 
@@ -400,12 +424,10 @@ func (sc *selScratch) propagate(root *xmltree.Node, sp *xpath.SelectProgram, dom
 				continue // not reached, or the guard failed: the state dies here
 			}
 			if i == last {
-				ti := tagIdx(a[i])
+				g := group(a[i])
+				g.Count++
 				if paths {
-					t.Paths = append(t.Paths, slices.Clone(sc.path[:d]))
-					t.PathTags = append(t.PathTags, ti)
-				} else {
-					t.Counts[ti]++
+					g.Paths = append(g.Paths, slices.Clone(sc.path[:d]))
 				}
 				continue
 			}
