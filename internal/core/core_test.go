@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"strings"
 	"testing"
@@ -234,6 +235,47 @@ func TestLazyUsesTripletCache(t *testing.T) {
 	}
 	if second.Answer != first.Answer || !second.Answer {
 		t.Errorf("answers %v then %v, want true twice", first.Answer, second.Answer)
+	}
+}
+
+// TestEvalQualRefusesForeignFingerprint: a site caches only under a
+// fingerprint it computed. An evalQual request that carries one program
+// under another program's fingerprint — a forged request, or a collision —
+// must be refused with a typed error the site counts, not answered from
+// the other program's cached triplets.
+func TestEvalQualRefusesForeignFingerprint(t *testing.T) {
+	c, eng, _ := deployFig2(t)
+	eng.EnableTripletCache(true)
+	ctx := context.Background()
+	goog := xpath.MustCompileString(`//stock[code = "GOOG"]`)
+	if rep, err := eng.ParBoX(ctx, goog); err != nil || !rep.Answer {
+		t.Fatalf("warm-up: %v, %v", rep.Answer, err)
+	}
+	nope := xpath.MustCompileString(`//stock[code = "NOPE"]`)
+	for _, site := range []frag.SiteID{"S1", "S2"} {
+		s, _ := c.Site(site)
+		before := s.Stats().Snapshot().Errors
+		resp, _, err := c.Call(ctx, "S0", site, cluster.Request{
+			Kind:    KindEvalQual,
+			Payload: encodeEvalQualReq(evalQualReq{prog: nope, ids: eng.SourceTree().FragmentsAt(site), fp: goog.Fingerprint()}),
+		})
+		if err == nil {
+			t.Errorf("%s answered a foreign fingerprint (%d cache hits)", site, resp.CacheHits)
+			continue
+		}
+		var mismatch *FingerprintMismatchError
+		if !errors.As(err, &mismatch) || !errors.Is(err, ErrBadMessage) {
+			t.Errorf("%s: error %v is not a FingerprintMismatchError wrapping ErrBadMessage", site, err)
+		} else if mismatch.Sent != goog.Fingerprint() || mismatch.Computed != nope.Fingerprint() {
+			t.Errorf("%s: mismatch %+v, want sent %x computed %x", site, mismatch, goog.Fingerprint(), nope.Fingerprint())
+		}
+		if got := s.Stats().Snapshot().Errors - before; got != 1 {
+			t.Errorf("%s counted %d errors, want 1", site, got)
+		}
+	}
+	// The refusal left the honest program's cache and answers intact.
+	if rep, err := eng.ParBoX(ctx, nope); err != nil || rep.Answer {
+		t.Errorf("NOPE after the forged requests: %v, %v; want false", rep.Answer, err)
 	}
 }
 

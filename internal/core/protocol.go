@@ -57,6 +57,20 @@ const (
 // payload fails with its own codec's sentinel instead.
 var ErrBadMessage = errors.New("core: malformed message payload")
 
+// FingerprintMismatchError refuses an evalQual request whose fingerprint
+// is not the one the site computes from the program it decoded: a site
+// caches only under a fingerprint it computed, so a forged (or colliding)
+// fingerprint can never read or write another program's triplets.
+type FingerprintMismatchError struct {
+	Sent, Computed uint64
+}
+
+func (e *FingerprintMismatchError) Error() string {
+	return fmt.Sprintf("%v: fingerprint %016x does not match the program's %016x", ErrBadMessage, e.Sent, e.Computed)
+}
+
+func (e *FingerprintMismatchError) Unwrap() error { return ErrBadMessage }
+
 // --- evalQual ------------------------------------------------------------
 
 // evalQualReq: program, fragment IDs, (for the Keep variant) the run key
