@@ -103,21 +103,26 @@ func admissionEstimate(site *cluster.Site) func(req cluster.Request) int64 {
 // program last visited answer from their memoized encoding with zero
 // bottomUp steps, and only the remaining fragments are evaluated. The
 // response reports hits and misses so coordinator- and cluster-level
-// accounting can see the cache working.
+// accounting can see the cache working. The cache is keyed only by a
+// fingerprint the site computed: a request whose fingerprint is not its
+// program's is refused with a FingerprintMismatchError.
+//
+// With keep=true (FullDistParBoX's stage 2) the triplets stay at the site
+// for the resolve that follows, and the response is an empty
+// acknowledgement: in FullDist no variable ever travels.
 func handleEvalQual(keep bool) cluster.Handler {
 	return func(ctx context.Context, site *cluster.Site, req cluster.Request) (cluster.Response, error) {
 		q, err := decodeEvalQualReq(req.Payload)
 		if err != nil {
 			return cluster.Response{}, err
 		}
-		var state *runState
-		if keep {
-			if q.st == nil {
-				return cluster.Response{}, fmt.Errorf("%w: evalQualKeep without source tree", ErrBadMessage)
-			}
-			state = &runState{prog: q.prog, st: q.st, triplets: make(map[xmltree.FragmentID][]byte)}
+		if keep && q.st == nil {
+			return cluster.Response{}, fmt.Errorf("%w: evalQualKeep without source tree", ErrBadMessage)
 		}
 		if q.fp != 0 && !keep {
+			if fp := q.prog.Fingerprint(); fp != q.fp {
+				return cluster.Response{}, &FingerprintMismatchError{Sent: q.fp, Computed: fp}
+			}
 			return evalQualCached(ctx, site, q)
 		}
 		bctx, bsp := obs.StartSpan(ctx, string(site.ID()), "bottomUp")
@@ -131,11 +136,13 @@ func handleEvalQual(keep bool) cluster.Handler {
 			return cluster.Response{}, err
 		}
 		if keep {
+			state := &runState{prog: q.prog, st: q.st, triplets: make(map[xmltree.FragmentID][]byte, len(fts))}
 			for _, ft := range fts {
 				state.triplets[ft.id] = ft.enc
 			}
 			state.remaining = len(state.triplets)
 			site.Put(runStateKey(q.runKey), state)
+			return cluster.Response{Steps: steps}, nil
 		}
 		_, esp := obs.StartSpan(ctx, string(site.ID()), "encode")
 		payload := encodeEvalQualResp(fts)

@@ -71,11 +71,21 @@ func TestTraceParBoXMessageFlow(t *testing.T) {
 }
 
 // TestTraceFullDistMessageFlow pins FullDist: one evalQualKeep per remote
-// site, then resolve hops following the source tree (S0→S1 for F1, S1→S2
-// for F2, S0→S2 for F3) — and no cleanup messages on the happy path.
+// site, answered with an empty acknowledgement (no triplet, so no
+// variable, travels in stage 2), then resolve hops following the source
+// tree (S0→S1 for F1, S1→S2 for F2, S0→S2 for F3) — and no cleanup
+// messages on the happy path.
 func TestTraceFullDistMessageFlow(t *testing.T) {
 	_, eng, _ := deployFig2(t)
-	_, hops := tracedRun(t, eng, AlgoFullDist, `//stock[code = "YHOO"]`)
+	spans, hops := tracedRun(t, eng, AlgoFullDist, `//stock[code = "YHOO"]`)
+	for _, sp := range spans {
+		if sp.Name != "call "+KindEvalQualKeep {
+			continue
+		}
+		if n, ok := sp.Attr("resp_bytes"); !ok || n != 0 {
+			t.Errorf("%s @%s: resp_bytes = %d (set %v), want 0", sp.Name, sp.Site, n, ok)
+		}
+	}
 	counts := map[string]int{}
 	found := false
 	for _, h := range hops {
