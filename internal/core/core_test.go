@@ -436,7 +436,7 @@ func TestErrorPaths(t *testing.T) {
 	// Resolve without prior evalQualKeep must fail.
 	_, _, err = c2.Call(ctx, "S0", "S1", cluster.Request{
 		Kind:    KindResolve,
-		Payload: encodeResolveReq("ghost", 1),
+		Payload: encodeResolveReq(resolveReq{runKey: "ghost", id: 1}),
 	})
 	if err == nil || !strings.Contains(err.Error(), "no state") {
 		t.Errorf("resolve without state: %v", err)

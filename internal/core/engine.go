@@ -424,19 +424,28 @@ func (e *Engine) localFragment(id xmltree.FragmentID) (*frag.Fragment, error) {
 // sub-fragments' sites in turn, so a site is visited once per fragment it
 // stores and nothing runs in parallel.
 func (e *Engine) NaiveDistributed(ctx context.Context, prog *xpath.Program) (Report, error) {
-	return e.withRetry(ctx, func(e *Engine) (Report, error) { return e.naiveDistributed(ctx, prog) })
+	return e.withRetry(ctx, func(e *Engine) (Report, error) {
+		return e.resolve(ctx, time.Now(), newRecorder(), AlgoNaiveDistributed, prog, "")
+	})
 }
 
-func (e *Engine) naiveDistributed(ctx context.Context, prog *xpath.Program) (Report, error) {
-	start := time.Now()
-	rec := newRecorder()
-	rootEntry, ok := e.st.Entry(e.st.Root())
+// resolve runs the site-to-site recursion from the root fragment — all of
+// NaiveDistributed (empty runKey: the sites evaluate on arrival) and
+// FullDist's third phase (the sites read the run state stage 2 left) — and
+// reports it, with SimTime the recursion's modeled time and Wall measured
+// from start. The nested hops travel in no message the coordinator sees:
+// their traffic and steps arrive in the root's resolveStats, and their
+// visits are the hops a successful recursion makes — one per fragment
+// whose parent fragment is stored at another site.
+func (e *Engine) resolve(ctx context.Context, start time.Time, rec *recorder, algo Algorithm, prog *xpath.Program, runKey string) (Report, error) {
+	root := e.st.Root()
+	rootEntry, ok := e.st.Entry(root)
 	if !ok {
 		return Report{}, fmt.Errorf("core: source tree has no root entry")
 	}
 	resp, cost, err := e.call(ctx, rec, rootEntry.Site, cluster.Request{
-		Kind:    KindEvalFragDist,
-		Payload: encodeEvalFragDistReq(prog, e.st, e.st.Root()),
+		Kind:    KindResolve,
+		Payload: encodeResolveReq(resolveReq{runKey: runKey, id: root, prog: prog, st: e.st}),
 	})
 	if err != nil {
 		return Report{}, err
@@ -445,23 +454,28 @@ func (e *Engine) naiveDistributed(ctx context.Context, prog *xpath.Program) (Rep
 	if err != nil {
 		return Report{}, err
 	}
-	ans, err := resolvedAnswer(t, prog, AlgoNaiveDistributed)
+	ans, err := resolvedAnswer(t, prog, algo)
 	if err != nil {
 		return Report{}, err
 	}
+	rec.mu.Lock()
+	rec.bytes += stats.bytes
+	rec.messages += stats.messages
+	rec.steps += stats.steps - resp.Steps // the root's own steps are recorded
+	for _, id := range e.st.Fragments() {
+		entry, _ := e.st.Entry(id)
+		if parent, ok := e.st.Entry(entry.Parent); ok && parent.Site != entry.Site {
+			rec.visits[entry.Site]++
+		}
+	}
+	rec.mu.Unlock()
 	rep := Report{
-		Algorithm: AlgoNaiveDistributed,
+		Algorithm: algo,
 		Answer:    ans,
 		SimTime:   time.Duration(stats.simNanos) + cost.Net,
 		Wall:      time.Since(start),
 	}
 	rec.fill(&rep)
-	// The recursion's nested calls are invisible to the coordinator's
-	// recorder; fold in what the response reported. (Per-site visit
-	// counts of the nested hops live in the cluster metrics.)
-	rep.TotalSteps = stats.steps
-	rep.Bytes += stats.bytes
-	rep.Messages += stats.messages
 	return rep, nil
 }
 
@@ -538,41 +552,16 @@ func (e *Engine) fullDist(ctx context.Context, prog *xpath.Program) (Report, err
 	}
 
 	// Stage 3: resolve the root fragment; unification cascades down/up the
-	// source tree between the sites themselves.
-	rootEntry, _ := e.st.Entry(e.st.Root())
-	resp, cost, err := e.call(ctx, rec, rootEntry.Site, cluster.Request{
-		Kind:    KindResolve,
-		Payload: encodeResolveReq(runKey, e.st.Root()),
-	})
+	// source tree between the sites themselves. No cleanup on success: run
+	// states self-destruct once each site's last fragment has been
+	// resolved, keeping the per-site visit count at the paper's
+	// 1 + card(F_Si).
+	rep, err := e.resolve(ctx, start, rec, AlgoFullDist, prog, runKey)
 	if err != nil {
 		e.cleanup(ctx, runKey)
 		return Report{}, err
 	}
-	t, stats, err := decodeResolveResp(resp.Payload)
-	if err != nil {
-		e.cleanup(ctx, runKey)
-		return Report{}, err
-	}
-	// No cleanup on success: run states self-destruct once each site's
-	// last fragment has been resolved, keeping the per-site visit count at
-	// the paper's 1 + card(F_Si).
-	ans, err := resolvedAnswer(t, prog, AlgoFullDist)
-	if err != nil {
-		return Report{}, err
-	}
-	rep := Report{
-		Algorithm: AlgoFullDist,
-		Answer:    ans,
-		SimTime:   simStage2 + time.Duration(stats.simNanos) + cost.Net,
-		Wall:      time.Since(start),
-	}
-	rec.fill(&rep)
-	rep.Bytes += stats.bytes
-	rep.Messages += stats.messages
-	// stats.steps covers the entire resolve recursion including the root
-	// frame, which the recorder also saw via the root call; remove the
-	// duplicate.
-	rep.TotalSteps += stats.steps - resp.Steps
+	rep.SimTime += simStage2
 	return rep, nil
 }
 

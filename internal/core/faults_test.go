@@ -63,7 +63,7 @@ func TestAlgorithmsSurfaceCorruptResponses(t *testing.T) {
 	for algo, kind := range map[Algorithm]string{
 		AlgoParBoX:           KindEvalQual,
 		AlgoNaiveCentralized: KindFetchFragments,
-		AlgoNaiveDistributed: KindEvalFragDist,
+		AlgoNaiveDistributed: KindResolve,
 		AlgoFullDist:         KindResolve,
 		AlgoLazy:             KindEvalQual,
 	} {

@@ -17,9 +17,11 @@ import (
 )
 
 // runState is the per-query state FullDistParBoX caches at a site between
-// stage 2 (evalQualKeep) and stage 3 (resolve): the program, the site's
-// copy of the source tree, and the local triplets — kept encoded; each
-// resolve decodes its fragment's into an arena of its own.
+// stage 2 (evalQualKeep) and stage 3 (a resolve that carries the run key):
+// the program, the site's copy of the source tree, and the local triplets
+// — kept encoded; each resolve decodes its fragment's into an arena of its
+// own. NaiveDistributed's resolve carries the program and source tree
+// itself and leaves no state behind.
 type runState struct {
 	prog     *xpath.Program
 	st       *frag.SourceTree
@@ -34,8 +36,8 @@ type runState struct {
 func runStateKey(runKey string) string { return "parbox.run." + runKey }
 
 // RegisterHandlers installs the ParBoX protocol handlers on a site. tr is
-// the transport the site uses to reach its peers (needed by the recursive
-// NaiveDistributed and FullDistParBoX handlers) and cost is the cost model
+// the transport the site uses to reach its peers (needed by the
+// site-to-site resolve of NaiveDistributed and FullDistParBoX) and cost is the cost model
 // the site uses to report modeled times for its own computation.
 //
 // The same registration serves the in-process cluster and a TCP site
@@ -46,7 +48,6 @@ func RegisterHandlers(site *cluster.Site, tr cluster.Transport, cost cluster.Cos
 	site.Handle(KindResolve, handleResolve(tr, cost))
 	site.Handle(KindCleanup, handleCleanup)
 	site.Handle(KindFetchFragments, handleFetchFragments)
-	site.Handle(KindEvalFragDist, handleEvalFragDist(tr, cost))
 	site.Handle(KindSelectTransfer, handleSelectTransfer)
 	site.SetAdmissionEstimator(admissionEstimate(site))
 }
@@ -54,7 +55,9 @@ func RegisterHandlers(site *cluster.Site, tr cluster.Transport, cost cluster.Cos
 // admissionEstimate prices a request for the site's admission controller
 // in fragment nodes: an evaluation or fetch touching big fragments
 // weighs proportionally more against the cost watermark than one
-// touching leaves. Unknown kinds (and undecodable payloads — they will
+// touching leaves. A resolve that evaluates its fragment on arrival
+// (NaiveDistributed) is priced by that fragment; one that reads run state
+// runs no bottomUp. Unknown kinds (and undecodable payloads — they will
 // fail in the handler anyway) weigh the minimum.
 func admissionEstimate(site *cluster.Site) func(req cluster.Request) int64 {
 	sizeOf := func(ids []xmltree.FragmentID) int64 {
@@ -75,6 +78,10 @@ func admissionEstimate(site *cluster.Site) func(req cluster.Request) int64 {
 		case KindFetchFragments:
 			if ids, err := decodeFetchReq(req.Payload); err == nil {
 				return sizeOf(ids)
+			}
+		case KindResolve:
+			if q, err := decodeResolveReq(req.Payload); err == nil && q.runKey == "" {
+				return sizeOf([]xmltree.FragmentID{q.id})
 			}
 		case KindSelectTransfer:
 			if _, q, err := decodeSelectTransferReq(req.Payload); err == nil {
@@ -299,110 +306,130 @@ func evalFragments(ctx context.Context, site *cluster.Site, prog *xpath.Program,
 	return fts, steps.Load(), nil
 }
 
-// handleResolve is the per-fragment unification step of Procedure
-// evalDistrST: gather the resolved triplets of the fragment's
-// sub-fragments from their sites (in parallel), substitute them into the
-// local triplet, and return a variable-free triplet. The paper formulates
-// this as children pushing triplets to parents; pulling from the parent
-// side is traffic- and topology-equivalent (see DESIGN.md).
+// handleResolve is the site-to-site recursion of NaiveDistributed and of
+// FullDistParBoX's third phase (Procedure evalDistrST): take the
+// fragment's own triplet, gather its sub-fragments' resolved triplets from
+// their sites, substitute them in, and return a variable-free triplet. The
+// two algorithms differ in two bits, both read off the run key:
+//
+//   - FullDist (run key set): the own triplet is the one stage 2 cached
+//     in the run state, and the children are resolved in parallel, as the
+//     sites at one level of S_T work concurrently in the paper;
+//   - NaiveDistributed (empty run key): the site runs bottomUp on arrival,
+//     and the children are visited one at a time — control passes "forth
+//     and back" between sites and nothing runs in parallel.
+//
+// The paper formulates evalDistrST as children pushing triplets to
+// parents; pulling from the parent side is traffic- and
+// topology-equivalent (see DESIGN.md). The response carries the
+// sub-computation's modeled time — the children's makespan, summed when
+// they ran in sequence — and its nested traffic and steps.
 func handleResolve(tr cluster.Transport, cost cluster.CostModel) cluster.Handler {
 	return func(ctx context.Context, site *cluster.Site, req cluster.Request) (cluster.Response, error) {
-		runKey, id, err := decodeResolveReq(req.Payload)
+		q, err := decodeResolveReq(req.Payload)
 		if err != nil {
 			return cluster.Response{}, err
 		}
-		stateAny, ok := site.Get(runStateKey(runKey))
+		var (
+			own   eval.Triplet
+			steps int64
+			state *runState
+			limit = 1
+		)
+		if q.runKey == "" {
+			fr, ok := site.Fragment(q.id)
+			if !ok {
+				return cluster.Response{}, fmt.Errorf("core: site %s does not store fragment %d", site.ID(), q.id)
+			}
+			if own, steps, err = eval.BottomUp(fr.Root, q.prog); err != nil {
+				return cluster.Response{}, err
+			}
+		} else {
+			stateAny, ok := site.Get(runStateKey(q.runKey))
+			if !ok {
+				return cluster.Response{}, fmt.Errorf("core: site %s has no state for run %q (evalQualKeep first)", site.ID(), q.runKey)
+			}
+			state = stateAny.(*runState)
+			state.mu.Lock()
+			ownEnc, ok := state.triplets[q.id]
+			state.mu.Unlock()
+			if !ok {
+				return cluster.Response{}, fmt.Errorf("core: run %q has no triplet for fragment %d at %s", q.runKey, q.id, site.ID())
+			}
+			if own, err = eval.DecodeTriplet(ownEnc); err != nil {
+				return cluster.Response{}, err
+			}
+			q.prog, q.st, limit = state.prog, state.st, 0
+		}
+		entry, ok := q.st.Entry(q.id)
 		if !ok {
-			return cluster.Response{}, fmt.Errorf("core: site %s has no state for run %q (evalQualKeep first)", site.ID(), runKey)
+			return cluster.Response{}, fmt.Errorf("core: fragment %d not in source tree", q.id)
 		}
-		state := stateAny.(*runState)
-		state.mu.Lock()
-		ownEnc, ok := state.triplets[id]
-		state.mu.Unlock()
-		if !ok {
-			return cluster.Response{}, fmt.Errorf("core: run %q has no triplet for fragment %d at %s", runKey, id, site.ID())
-		}
-		own, err := eval.DecodeTriplet(ownEnc)
-		if err != nil {
-			return cluster.Response{}, err
-		}
-		entry, ok := state.st.Entry(id)
-		if !ok {
-			return cluster.Response{}, fmt.Errorf("core: fragment %d not in source tree", id)
-		}
-
-		// Gather children in parallel, as the sites at one level of S_T
-		// work concurrently in the paper.
-		type childResult struct {
-			id    xmltree.FragmentID
+		type resolved struct {
 			t     eval.Triplet
 			stats resolveStats
-			err   error
 		}
-		results := make(chan childResult, len(entry.Children))
-		for _, child := range entry.Children {
-			go func(child xmltree.FragmentID) {
-				centry, ok := state.st.Entry(child)
-				if !ok {
-					results <- childResult{id: child, err: fmt.Errorf("core: fragment %d not in source tree", child)}
-					return
-				}
-				resp, cc, err := tr.Call(ctx, site.ID(), centry.Site, cluster.Request{
-					Kind:    KindResolve,
-					Payload: encodeResolveReq(runKey, child),
-				})
-				if err != nil {
-					results <- childResult{id: child, err: err}
-					return
-				}
-				t, cst, err := decodeResolveResp(resp.Payload)
-				// The child's reported makespan plus this round trip; the
-				// hop's own traffic joins the nested totals.
-				cst.simNanos += int64(cc.Net)
-				if site.ID() != centry.Site {
-					cst.bytes += int64(cc.ReqBytes + cc.RespBytes)
-					cst.messages += 2
-				}
-				results <- childResult{id: child, t: t, stats: cst, err: err}
-			}(child)
-		}
-		subs := make(map[xmltree.FragmentID]eval.Triplet, len(entry.Children))
-		var agg resolveStats
-		var firstErr error
-		for range entry.Children {
-			res := <-results
-			if res.err != nil && firstErr == nil {
-				firstErr = res.err
+		jobs := make([]scatterJob[resolved], len(entry.Children))
+		for i, child := range entry.Children {
+			centry, ok := q.st.Entry(child)
+			if !ok {
+				return cluster.Response{}, fmt.Errorf("core: fragment %d not in source tree", child)
 			}
-			if res.err == nil {
-				subs[res.id] = res.t
-				if res.stats.simNanos > agg.simNanos {
-					agg.simNanos = res.stats.simNanos // parallel: makespan is the max
-				}
-				agg.bytes += res.stats.bytes
-				agg.messages += res.stats.messages
-				agg.steps += res.stats.steps
+			creq := q
+			creq.id = child
+			remote := centry.Site != site.ID()
+			jobs[i] = scatterJob[resolved]{
+				to:  centry.Site,
+				req: cluster.Request{Kind: KindResolve, Payload: encodeResolveReq(creq)},
+				dec: func(resp cluster.Response, cc cluster.CallCost) (resolved, error) {
+					t, cst, err := decodeResolveResp(resp.Payload)
+					// The child's makespan plus this round trip; a remote
+					// hop's own traffic joins the nested totals.
+					cst.simNanos += int64(cc.Net)
+					if remote {
+						cst.bytes += int64(cc.ReqBytes + cc.RespBytes)
+						cst.messages += 2
+					}
+					return resolved{t, cst}, err
+				},
 			}
 		}
-		if firstErr != nil {
-			return cluster.Response{}, firstErr
-		}
-		resolved, work, err := eval.ResolveTriplet(id, own, subs, state.prog)
+		children, _, err := scatter(ctx, tr, site.ID(), limit, nil, jobs, nil)
 		if err != nil {
 			return cluster.Response{}, err
 		}
-		agg.simNanos += int64(cost.ComputeTime(work))
-		agg.steps += work
-		// Every fragment is resolved exactly once per run; drop the run
-		// state once this site's last fragment has been resolved.
-		state.mu.Lock()
-		state.remaining--
-		done := state.remaining <= 0
-		state.mu.Unlock()
-		if done {
-			site.Delete(runStateKey(runKey))
+		subs := make(map[xmltree.FragmentID]eval.Triplet, len(children))
+		var agg resolveStats
+		for i, c := range children {
+			subs[entry.Children[i]] = c.t
+			if limit == 1 {
+				agg.simNanos += c.stats.simNanos
+			} else {
+				agg.simNanos = max(agg.simNanos, c.stats.simNanos)
+			}
+			agg.bytes += c.stats.bytes
+			agg.messages += c.stats.messages
+			agg.steps += c.stats.steps
 		}
-		return cluster.Response{Payload: encodeResolveResp(resolved, agg), Steps: work}, nil
+		t, work, err := eval.ResolveTriplet(q.id, own, subs, q.prog)
+		if err != nil {
+			return cluster.Response{}, err
+		}
+		steps += work
+		agg.simNanos += int64(cost.ComputeTime(steps))
+		agg.steps += steps
+		if state != nil {
+			// Every fragment is resolved exactly once per run; drop the run
+			// state once this site's last fragment has been resolved.
+			state.mu.Lock()
+			state.remaining--
+			done := state.remaining <= 0
+			state.mu.Unlock()
+			if done {
+				site.Delete(runStateKey(q.runKey))
+			}
+		}
+		return cluster.Response{Payload: encodeResolveResp(t, agg), Steps: steps}, nil
 	}
 }
 
@@ -431,66 +458,4 @@ func handleFetchFragments(ctx context.Context, site *cluster.Site, req cluster.R
 		frs = append(frs, fr)
 	}
 	return cluster.Response{Payload: encodeFetchResp(frs)}, nil
-}
-
-// handleEvalFragDist is NaiveDistributed's per-fragment step: evaluate the
-// fragment locally, then sequentially descend into each sub-fragment's
-// site, blocking until it answers — the distributed bottom-up traversal
-// whose control passes "forth and back" between sites. The response is a
-// variable-free triplet plus the accumulated modeled time of the whole
-// (sequential) sub-computation.
-func handleEvalFragDist(tr cluster.Transport, cost cluster.CostModel) cluster.Handler {
-	return func(ctx context.Context, site *cluster.Site, req cluster.Request) (cluster.Response, error) {
-		prog, st, id, err := decodeEvalFragDistReq(req.Payload)
-		if err != nil {
-			return cluster.Response{}, err
-		}
-		fr, ok := site.Fragment(id)
-		if !ok {
-			return cluster.Response{}, fmt.Errorf("core: site %s does not store fragment %d", site.ID(), id)
-		}
-		own, steps, err := eval.BottomUp(fr.Root, prog)
-		if err != nil {
-			return cluster.Response{}, err
-		}
-		entry, ok := st.Entry(id)
-		if !ok {
-			return cluster.Response{}, fmt.Errorf("core: fragment %d not in source tree", id)
-		}
-		var agg resolveStats
-		subs := make(map[xmltree.FragmentID]eval.Triplet, len(entry.Children))
-		for _, child := range entry.Children {
-			centry, ok := st.Entry(child)
-			if !ok {
-				return cluster.Response{}, fmt.Errorf("core: fragment %d not in source tree", child)
-			}
-			resp, cc, err := tr.Call(ctx, site.ID(), centry.Site, cluster.Request{
-				Kind:    KindEvalFragDist,
-				Payload: encodeEvalFragDistReq(prog, st, child),
-			})
-			if err != nil {
-				return cluster.Response{}, err
-			}
-			t, cst, err := decodeResolveResp(resp.Payload)
-			if err != nil {
-				return cluster.Response{}, err
-			}
-			subs[child] = t
-			agg.simNanos += cst.simNanos + int64(cc.Net) // sequential: children add up
-			agg.bytes += cst.bytes
-			agg.messages += cst.messages
-			agg.steps += cst.steps
-			if site.ID() != centry.Site {
-				agg.bytes += int64(cc.ReqBytes + cc.RespBytes)
-				agg.messages += 2
-			}
-		}
-		resolved, work, err := eval.ResolveTriplet(id, own, subs, prog)
-		if err != nil {
-			return cluster.Response{}, err
-		}
-		agg.simNanos += int64(cost.ComputeTime(steps + work))
-		agg.steps += steps + work
-		return cluster.Response{Payload: encodeResolveResp(resolved, agg), Steps: steps + work}, nil
-	}
 }

@@ -104,14 +104,12 @@ var payloadCodecs = []golden.Codec{
 		return encodeEvalQualResp(fts), nil
 	}},
 	{Name: "resolve_req", Sample: func() []byte {
-		return encodeResolveReq("run-0000000007", 3)
-	}, Recode: func(buf []byte) ([]byte, error) {
-		rk, id, err := decodeResolveReq(buf)
-		if err != nil {
-			return nil, err
-		}
-		return encodeResolveReq(rk, id), nil
-	}},
+		return encodeResolveReq(resolveReq{runKey: "run-0000000007", id: 3})
+	}, Recode: recodeResolveReq},
+	{Name: "resolve_arrival_req", Sample: func() []byte {
+		_, st, prog, _ := payloadFixture()
+		return encodeResolveReq(resolveReq{id: 1, prog: prog, st: st})
+	}, Recode: recodeResolveReq},
 	{Name: "resolve_resp", Sample: func() []byte {
 		forest, _, prog, _ := payloadFixture()
 		return encodeResolveResp(fixtureTriplet(forest, prog, 1), resolveStats{simNanos: 1234567, bytes: 890, messages: 4, steps: 321})
@@ -143,16 +141,6 @@ var payloadCodecs = []golden.Codec{
 		}
 		return encodeFetchResp(frs), nil
 	}},
-	{Name: "evalfragdist_req", Sample: func() []byte {
-		_, st, prog, _ := payloadFixture()
-		return encodeEvalFragDistReq(prog, st, 1)
-	}, Recode: func(buf []byte) ([]byte, error) {
-		prog, st, id, err := decodeEvalFragDistReq(buf)
-		if err != nil {
-			return nil, err
-		}
-		return encodeEvalFragDistReq(prog, st, id), nil
-	}},
 	{Name: "select_req", Sample: func() []byte {
 		_, _, _, sp := payloadFixture()
 		return encodeSelectTransferReq(encodeSelectProgram(sp), selectTransferReq{
@@ -173,6 +161,14 @@ var payloadCodecs = []golden.Codec{
 	{Name: "count_resp", Sample: func() []byte {
 		return encodeSelectTransferResp(fixtureTransfers(false), false)
 	}, Recode: recodeSelectTransferResp(false)},
+}
+
+func recodeResolveReq(buf []byte) ([]byte, error) {
+	q, err := decodeResolveReq(buf)
+	if err != nil {
+		return nil, err
+	}
+	return encodeResolveReq(q), nil
 }
 
 func recodeEvalQualReq(buf []byte) ([]byte, error) {

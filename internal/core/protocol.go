@@ -35,21 +35,24 @@ const (
 	KindEvalQual = "parbox.evalQual"
 	// KindEvalQualKeep is KindEvalQual plus caching of the triplets (and
 	// the source tree) at the site under a run key, as FullDistParBoX
-	// requires for its distributed third phase.
+	// requires for its distributed third phase. The response is an empty
+	// acknowledgement: the triplets stay where they were computed.
 	KindEvalQualKeep = "parbox.evalQualKeep"
-	// KindResolve asks a site to produce the fully resolved
-	// (variable-free) triplet of one fragment, recursively gathering its
-	// sub-fragments' resolved triplets from their sites (Procedure
-	// evalDistrST; see DESIGN.md on the pull-vs-push inversion).
+	// KindResolve asks a site for the fully resolved (variable-free)
+	// triplet of one fragment, recursively gathering its sub-fragments'
+	// resolved triplets from their sites (Procedure evalDistrST; see
+	// DESIGN.md on the pull-vs-push inversion). A request with a run key
+	// is FullDistParBoX's stage 3: the fragment's own triplet is the one
+	// stage 2 cached, and the children resolve in parallel. A request with
+	// an empty run key is NaiveDistributed: it carries the program and the
+	// source tree, the site evaluates the fragment on arrival, and the
+	// children are visited one at a time.
 	KindResolve = "parbox.resolve"
 	// KindCleanup drops the cached state of a run key.
 	KindCleanup = "parbox.cleanup"
 	// KindFetchFragments ships whole fragments to the caller
 	// (NaiveCentralized).
 	KindFetchFragments = "parbox.fetchFragments"
-	// KindEvalFragDist evaluates one fragment and recursively descends
-	// into its sub-fragments' sites (NaiveDistributed).
-	KindEvalFragDist = "parbox.evalFragDist"
 )
 
 // ErrBadMessage is wrapped by every failure to read this package's own
@@ -171,22 +174,51 @@ func internTriplets(a *boolexpr.Arena, perSite [][]fragTriplet, into map[xmltree
 
 // --- resolve ---------------------------------------------------------------
 
-// resolveReq: run key plus the fragment to resolve.
-func encodeResolveReq(runKey string, id xmltree.FragmentID) []byte {
-	return xmltree.AppendFragmentID(wire.AppendString(nil, runKey), id)
+// resolveReq names the fragment to resolve. With a run key the site's own
+// triplet comes from the run state stage 2 left; with an empty run key the
+// request carries the program and the source tree, which travel on to the
+// children with it.
+type resolveReq struct {
+	runKey string
+	id     xmltree.FragmentID
+	prog   *xpath.Program   // only with an empty run key
+	st     *frag.SourceTree // only with an empty run key
 }
 
-func decodeResolveReq(buf []byte) (string, xmltree.FragmentID, error) {
+func encodeResolveReq(q resolveReq) []byte {
+	dst := xmltree.AppendFragmentID(wire.AppendString(nil, q.runKey), q.id)
+	if q.runKey != "" {
+		return dst
+	}
+	dst = wire.AppendBytes(dst, q.prog.Encode())
+	return wire.AppendBytes(dst, q.st.Encode())
+}
+
+func decodeResolveReq(buf []byte) (q resolveReq, err error) {
 	r := wire.NewReader(buf, ErrBadMessage)
-	runKey := r.String()
-	id := xmltree.ReadFragmentID(&r)
-	return runKey, id, r.Done()
+	q.runKey = r.String()
+	q.id = xmltree.ReadFragmentID(&r)
+	if q.runKey != "" {
+		return q, r.Done()
+	}
+	pb, stb := r.Bytes(), r.Bytes()
+	if err := r.Done(); err != nil {
+		return q, err
+	}
+	if q.prog, err = xpath.DecodeProgram(pb); err != nil {
+		return q, err
+	}
+	q.st, err = frag.DecodeSourceTree(stb)
+	return q, err
 }
 
-// resolveStats is the accounting a recursive computation reports upward:
-// the modeled time of the whole sub-computation (for the deterministic
-// parallel makespan) and the nested traffic, which the coordinator cannot
-// observe directly because sites call each other.
+// resolveStats is the accounting a resolve reports upward: the modeled
+// time of the whole sub-computation (for the deterministic parallel
+// makespan) and the nested traffic and steps, which the coordinator cannot
+// observe directly because sites call each other. It is a fixed-size
+// header: a per-site visit map carried up every hop would cost
+// O(card(F)·depth) bytes on a chain, so the coordinator derives the
+// nested visits from the source tree instead (Engine.resolve).
 type resolveStats struct {
 	simNanos int64
 	bytes    int64
@@ -261,31 +293,4 @@ func decodeFetchResp(buf []byte) ([]*frag.Fragment, error) {
 		frs = append(frs, fr)
 	}
 	return frs, r.Done()
-}
-
-// --- evalFragDist ------------------------------------------------------------
-
-// evalFragDistReq: program, source tree, fragment to evaluate.
-func encodeEvalFragDistReq(prog *xpath.Program, st *frag.SourceTree, id xmltree.FragmentID) []byte {
-	dst := wire.AppendBytes(nil, prog.Encode())
-	dst = wire.AppendBytes(dst, st.Encode())
-	return xmltree.AppendFragmentID(dst, id)
-}
-
-func decodeEvalFragDistReq(buf []byte) (*xpath.Program, *frag.SourceTree, xmltree.FragmentID, error) {
-	r := wire.NewReader(buf, ErrBadMessage)
-	pb, stb := r.Bytes(), r.Bytes()
-	id := xmltree.ReadFragmentID(&r)
-	if err := r.Done(); err != nil {
-		return nil, nil, 0, err
-	}
-	prog, err := xpath.DecodeProgram(pb)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	st, err := frag.DecodeSourceTree(stb)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	return prog, st, id, nil
 }

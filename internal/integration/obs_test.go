@@ -159,11 +159,8 @@ func siteTotals(sites []*cluster.Site) (sum obs.SiteStatsSnapshot, visits map[fr
 // exactly; steps match once the coordinator-local work the report names
 // is taken out (SolveWork, and NaiveCentralized's evaluation of the
 // reassembled document — also Hybrid's, past its tipping point). Visits
-// match site by site for the algorithms whose every call the coordinator
-// makes; the recursive ones (NaiveDistributed, FullDist) report only the
-// coordinator's own calls per site, their nested hops entering Bytes and
-// Messages through the resolve responses — so there every reported visit
-// is a counted one, and the counted total is one per request message.
+// match site by site, the site-to-site hops of NaiveDistributed and
+// FullDist included, and the counted total is one per request message.
 func TestReportMatchesSiteStats(t *testing.T) {
 	w := newTCPWorld(t)
 	ctx := context.Background()
@@ -202,12 +199,11 @@ func TestReportMatchesSiteStats(t *testing.T) {
 					local += centralSteps
 				}
 				eq("steps net of coordinator-local work", rep.TotalSteps-local, after.Steps-before.Steps)
-				recursive := algo == core.AlgoNaiveDistributed || algo == core.AlgoFullDist
 				var counted uint64
 				for site, n := range visitsAfter {
 					d := n - visitsBefore[site]
 					counted += d
-					if r := uint64(rep.Visits[site]); r != d && (!recursive || r > d) {
+					if r := uint64(rep.Visits[site]); r != d {
 						t.Errorf("%s: visits[%s] report=%d site stats=%d", name, site, r, d)
 					}
 				}
