@@ -422,7 +422,7 @@ func (e *Engine) localFragment(id xmltree.FragmentID) (*frag.Fragment, error) {
 // NaiveDistributed performs the distributed sequential bottom-up traversal
 // of Section 3: control passes from a fragment to each of its
 // sub-fragments' sites in turn, so a site is visited once per fragment it
-// stores and nothing runs in parallel.
+// stores (below a fragment of another site) and nothing runs in parallel.
 func (e *Engine) NaiveDistributed(ctx context.Context, prog *xpath.Program) (Report, error) {
 	return e.withRetry(ctx, func(e *Engine) (Report, error) {
 		return e.resolve(ctx, time.Now(), newRecorder(), AlgoNaiveDistributed, prog, "")
@@ -454,9 +454,12 @@ func (e *Engine) resolve(ctx context.Context, start time.Time, rec *recorder, al
 	if err != nil {
 		return Report{}, err
 	}
-	ans, err := resolvedAnswer(t, prog, algo)
-	if err != nil {
-		return Report{}, err
+	if len(t.V) != len(prog.Subs) {
+		return Report{}, fmt.Errorf("%w: %s resolved triplet has arity %d, want %d", ErrBadMessage, algo, len(t.V), len(prog.Subs))
+	}
+	ans, ok := t.A.ConstValue(t.V[prog.Root()])
+	if !ok {
+		return Report{}, fmt.Errorf("core: %s produced a residual answer %v", algo, t.A.String(t.V[prog.Root()]))
 	}
 	rec.mu.Lock()
 	rec.bytes += stats.bytes
@@ -477,20 +480,6 @@ func (e *Engine) resolve(ctx context.Context, start time.Time, rec *recorder, al
 	}
 	rec.fill(&rep)
 	return rep, nil
-}
-
-// resolvedAnswer reads the query answer off the root fragment's resolved
-// triplet, as the site-side unification of algo returned it.
-func resolvedAnswer(t eval.Triplet, prog *xpath.Program, algo Algorithm) (bool, error) {
-	if len(t.V) != len(prog.Subs) {
-		return false, fmt.Errorf("%w: %s resolved triplet has arity %d, want %d", ErrBadMessage, algo, len(t.V), len(prog.Subs))
-	}
-	ansF := t.V[prog.Root()]
-	ans, ok := t.A.ConstValue(ansF)
-	if !ok {
-		return false, fmt.Errorf("core: %s produced a residual answer %v", algo, t.A.String(ansF))
-	}
-	return ans, nil
 }
 
 // Hybrid is HybridParBoX (Section 4): ParBoX while card(F) < |T|/|q|,
@@ -516,53 +505,47 @@ func (e *Engine) Hybrid(ctx context.Context, prog *xpath.Program) (Report, error
 // runs evalDistrST — triplets are unified site-by-site up the source tree,
 // so no variables ever travel and the coordinator is no bottleneck.
 func (e *Engine) FullDist(ctx context.Context, prog *xpath.Program) (Report, error) {
-	return e.withRetry(ctx, func(e *Engine) (Report, error) { return e.fullDist(ctx, prog) })
-}
+	return e.withRetry(ctx, func(e *Engine) (Report, error) {
+		start := time.Now()
+		rec := newRecorder()
+		// Zero-padded so the key's wire length is independent of how many
+		// runs preceded this one — byte accounting stays differentially
+		// comparable across transports and runs.
+		runKey := fmt.Sprintf("%s-%016x-%010d", e.coord, runNonce, runSeq.Add(1))
+		sites := e.st.Sites()
 
-func (e *Engine) fullDist(ctx context.Context, prog *xpath.Program) (Report, error) {
-	start := time.Now()
-	rec := newRecorder()
-	// Zero-padded so the key's wire length is independent of how many
-	// runs preceded this one — byte accounting stays differentially
-	// comparable across transports and runs.
-	runKey := fmt.Sprintf("%s-%016x-%010d", e.coord, runNonce, runSeq.Add(1))
-	sites := e.st.Sites()
-
-	// Stage 2 (parallel): evalQual with caching.
-	jobs := make([]scatterJob[struct{}], len(sites))
-	for i, site := range sites {
-		jobs[i] = scatterJob[struct{}]{
-			to: site,
-			req: cluster.Request{
-				Kind: KindEvalQualKeep,
-				Payload: encodeEvalQualReq(evalQualReq{
-					prog:   prog,
-					ids:    e.st.FragmentsAt(site),
-					runKey: runKey,
-					st:     e.st,
-				}),
-			},
-			dec: func(cluster.Response, cluster.CallCost) (struct{}, error) { return struct{}{}, nil },
+		// Stage 2 (parallel): evalQual with caching.
+		jobs := make([]scatterJob[struct{}], len(sites))
+		for i, site := range sites {
+			jobs[i] = scatterJob[struct{}]{
+				to: site,
+				req: cluster.Request{
+					Kind:    KindEvalQualKeep,
+					Payload: encodeEvalQualReq(evalQualReq{prog: prog, ids: e.st.FragmentsAt(site), runKey: runKey, st: e.st}),
+				},
+				// The response is an empty acknowledgement.
+				dec: func(cluster.Response, cluster.CallCost) (struct{}, error) { return struct{}{}, nil },
+			}
 		}
-	}
-	_, simStage2, err := scatter(ctx, e.tr, e.coord, e.maxInflight, rec, jobs, e.obs())
-	if err != nil {
-		e.cleanup(ctx, runKey)
-		return Report{}, err
-	}
+		_, simStage2, err := scatter(ctx, e.tr, e.coord, e.maxInflight, rec, jobs, e.obs())
+		if err != nil {
+			e.cleanup(ctx, runKey)
+			return Report{}, err
+		}
 
-	// Stage 3: resolve the root fragment; unification cascades down/up the
-	// source tree between the sites themselves. No cleanup on success: run
-	// states self-destruct once each site's last fragment has been
-	// resolved, keeping the per-site visit count at the paper's
-	// 1 + card(F_Si).
-	rep, err := e.resolve(ctx, start, rec, AlgoFullDist, prog, runKey)
-	if err != nil {
-		e.cleanup(ctx, runKey)
-		return Report{}, err
-	}
-	rep.SimTime += simStage2
-	return rep, nil
+		// Stage 3: resolve the root fragment; unification cascades down/up the
+		// source tree between the sites themselves. No cleanup on success: run
+		// states self-destruct once each site's last fragment has been
+		// resolved, keeping the per-site visit count at the paper's
+		// 1 + card(F_Si).
+		rep, err := e.resolve(ctx, start, rec, AlgoFullDist, prog, runKey)
+		if err != nil {
+			e.cleanup(ctx, runKey)
+			return Report{}, err
+		}
+		rep.SimTime += simStage2
+		return rep, nil
+	})
 }
 
 // cleanup drops a failed run's cached state at every site, fanned out

@@ -371,15 +371,12 @@ func handleResolve(tr cluster.Transport, cost cluster.CostModel) cluster.Handler
 		}
 		jobs := make([]scatterJob[resolved], len(entry.Children))
 		for i, child := range entry.Children {
-			centry, ok := q.st.Entry(child)
-			if !ok {
-				return cluster.Response{}, fmt.Errorf("core: fragment %d not in source tree", child)
-			}
+			to, _ := q.st.Site(child) // a source tree derives Children from its entries
 			creq := q
 			creq.id = child
-			remote := centry.Site != site.ID()
+			remote := to != site.ID()
 			jobs[i] = scatterJob[resolved]{
-				to:  centry.Site,
+				to:  to,
 				req: cluster.Request{Kind: KindResolve, Payload: encodeResolveReq(creq)},
 				dec: func(resp cluster.Response, cc cluster.CallCost) (resolved, error) {
 					t, cst, err := decodeResolveResp(resp.Payload)
