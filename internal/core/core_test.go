@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -62,57 +63,149 @@ func TestAllAlgorithmsAgreeOnFig2(t *testing.T) {
 	}
 }
 
-// TestParBoXVisitsOnce pins the paper's headline guarantee (Fig. 4 row
-// ParBoX): every site is visited exactly once, even S2 which stores two
-// fragments.
-func TestParBoXVisitsOnce(t *testing.T) {
-	_, eng, _ := deployFig2(t)
-	prog := xpath.MustCompileString(fig2Queries[0])
-	rep, err := eng.ParBoX(context.Background(), prog)
-	if err != nil {
-		t.Fatal(err)
+// visitPlacements are the deployments the visit table runs on: the
+// running example, whose S2 stores F3 below the root and F2 below S1's F1,
+// and a three-branch document split as a star or along one chain, with
+// every fragment on its own site or the sub-fragments sharing sites.
+func visitPlacements(t *testing.T) map[string]func() (*frag.Forest, frag.Assignment) {
+	t.Helper()
+	doc := func() *xmltree.Node {
+		root := xmltree.NewElement("r", "")
+		for i := 0; i < 3; i++ {
+			d := xmltree.NewElement("d", "x")
+			root.AppendChild(xmltree.NewElement("a", "", xmltree.NewElement("b", "", xmltree.NewElement("c", "", d))))
+		}
+		return root
 	}
-	if got := rep.Visits["S1"]; got != 1 {
-		t.Errorf("S1 visits = %d, want 1", got)
+	split := func(shape int, place func(id xmltree.FragmentID) frag.SiteID) func() (*frag.Forest, frag.Assignment) {
+		return func() (*frag.Forest, frag.Assignment) {
+			forest, _, err := fragmentForFuzz(rand.New(rand.NewSource(1)), doc(), shape, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if forest.Count() != 4 {
+				t.Fatalf("shape %d split into %d fragments, want 4", shape, forest.Count())
+			}
+			assign := frag.Assignment{}
+			for _, id := range forest.IDs() {
+				assign[id] = place(id)
+			}
+			return forest, assign
+		}
 	}
-	if got := rep.Visits["S2"]; got != 1 {
-		t.Errorf("S2 visits = %d, want 1 (it stores F2 AND F3)", got)
+	own := func(id xmltree.FragmentID) frag.SiteID { return frag.SiteID(fmt.Sprintf("S%d", id)) }
+	shared := func(id xmltree.FragmentID) frag.SiteID {
+		if id == 0 {
+			return "S0"
+		}
+		return "S1"
 	}
-	if got := rep.Visits["S0"]; got != 0 {
-		t.Errorf("coordinator visits = %d, want 0 (local work is free)", got)
+	alternating := func(id xmltree.FragmentID) frag.SiteID {
+		if id == 0 {
+			return "S0"
+		}
+		return frag.SiteID(fmt.Sprintf("S%d", 1+id%2))
+	}
+	return map[string]func() (*frag.Forest, frag.Assignment){
+		"fig2": func() (*frag.Forest, frag.Assignment) {
+			forest, _, err := fixtures.Fig2Forest()
+			if err != nil {
+				t.Fatal(err)
+			}
+			return forest, frag.Assignment{0: "S0", 1: "S1", 2: "S2", 3: "S2"}
+		},
+		"star":                   split(shapeStar, own),
+		"star, one shared site":  split(shapeStar, shared),
+		"chain":                  split(shapeChain, own),
+		"chain, one shared site": split(shapeChain, shared),
+		"chain, two sites":       split(shapeChain, alternating),
 	}
 }
 
-// TestNaiveDistributedVisits pins the card(F_Si) visits of the
-// NaiveDistributed row: S2 stores two fragments and is visited twice.
-func TestNaiveDistributedVisits(t *testing.T) {
-	_, eng, _ := deployFig2(t)
-	prog := xpath.MustCompileString(fig2Queries[0])
-	rep, err := eng.NaiveDistributed(context.Background(), prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := rep.Visits["S2"]; got != 2 {
-		// The coordinator's recorder only sees its own calls; count from
-		// the cluster metrics instead.
-		t.Logf("coordinator-recorded visits: %v", rep.Visits)
-	}
-}
-
-// TestNaiveDistributedVisitsViaMetrics counts S2's visits from the global
-// cluster metrics, which see the nested site-to-site calls.
-func TestNaiveDistributedVisitsViaMetrics(t *testing.T) {
-	c, eng, _ := deployFig2(t)
-	prog := xpath.MustCompileString(fig2Queries[0])
-	c.Metrics().Reset()
-	if _, err := eng.NaiveDistributed(context.Background(), prog); err != nil {
-		t.Fatal(err)
-	}
-	if got := c.Metrics().Site("S2").Visits; got != 2 {
-		t.Errorf("S2 visits = %d, want 2 (one per fragment stored)", got)
-	}
-	if got := c.Metrics().Site("S1").Visits; got != 1 {
-		t.Errorf("S1 visits = %d, want 1", got)
+// TestVisitTable pins every algorithm's Report.Visits, site by site, to
+// the paper's counts (Fig. 4), and its Messages to one request and one
+// response per visit:
+//   - ParBoX, NaiveCentralized and Hybrid visit every remote site once;
+//   - NaiveDistributed visits a site once per fragment it stores below a
+//     fragment of another site (card(F_Si) when no parent shares its site);
+//   - FullDist visits a remote site once more, for its stage 2;
+//   - Lazy visits a site at most once per step it reaches, a step being a
+//     source-tree level (the first covers depths 0 and 1).
+func TestVisitTable(t *testing.T) {
+	queries := []string{`//c[d = "x"]`, `!(//zzz)`, `/r/a/b`, `//stock[code = "GOOG" && buy = "370"]`}
+	for name, place := range visitPlacements(t) {
+		forest, assign := place()
+		eng, err := Deploy(cluster.New(cluster.DefaultCostModel()), forest, assign)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, coord := eng.SourceTree(), eng.Coordinator()
+		once := map[frag.SiteID]int64{}
+		nested := map[frag.SiteID]int64{}
+		lazySteps := map[frag.SiteID]int64{}
+		for _, id := range st.Fragments() {
+			e, _ := st.Entry(id)
+			if e.Site != coord {
+				once[e.Site] = 1
+			}
+			if p, ok := st.Entry(e.Parent); ok && p.Site != e.Site {
+				nested[e.Site]++
+			}
+		}
+		steps := st.Levels()
+		if len(steps) >= 2 {
+			steps = append([][]xmltree.FragmentID{append(append([]xmltree.FragmentID(nil), steps[0]...), steps[1]...)}, steps[2:]...)
+		}
+		for _, step := range steps {
+			seen := map[frag.SiteID]bool{}
+			for _, id := range step {
+				if site, _ := st.Site(id); site != coord && !seen[site] {
+					seen[site] = true
+					lazySteps[site]++
+				}
+			}
+		}
+		fullDist := map[frag.SiteID]int64{}
+		for site, n := range once {
+			fullDist[site] += n
+		}
+		for site, n := range nested {
+			fullDist[site] += n
+		}
+		want := map[Algorithm]map[frag.SiteID]int64{
+			AlgoParBoX:           once,
+			AlgoNaiveCentralized: once,
+			AlgoHybrid:           once,
+			AlgoNaiveDistributed: nested,
+			AlgoFullDist:         fullDist,
+		}
+		for _, src := range queries {
+			prog := xpath.MustCompileString(src)
+			for _, algo := range Algorithms() {
+				rep, err := eng.Run(context.Background(), algo, prog)
+				if err != nil {
+					t.Fatalf("%s %s(%q): %v", name, algo, src, err)
+				}
+				var total int64
+				for _, v := range rep.Visits {
+					total += v
+				}
+				if rep.Messages != 2*total {
+					t.Errorf("%s %s(%q): %d messages for %d visits", name, algo, src, rep.Messages, total)
+				}
+				if algo == AlgoLazy {
+					for site, v := range rep.Visits {
+						if v > lazySteps[site] {
+							t.Errorf("%s lazy(%q): %s visited %d times, it holds fragments in %d steps", name, src, site, v, lazySteps[site])
+						}
+					}
+					continue
+				}
+				if fmt.Sprint(rep.Visits) != fmt.Sprint(want[algo]) {
+					t.Errorf("%s %s(%q): visits %v, want %v", name, algo, src, rep.Visits, want[algo])
+				}
+			}
+		}
 	}
 }
 
