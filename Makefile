@@ -49,7 +49,10 @@ bench-smoke:
 # decode → encode → decode is a fixed point), the XPath parser (print →
 # reparse is a fixed point and keeps EvalRaw's answer), the selection
 # differential (distributed select and count over star, chain, random
-# and shared-site fragmentations must match the AST interpreter), WAL
+# and shared-site fragmentations must match the AST interpreter), the
+# algorithm differential (all six Boolean algorithms over the same
+# fragmentations must answer as EvalRaw does, and each run's
+# Report.Visits must equal the sites' own visit counts), WAL
 # replay, the v2 frame decoder (demux, torn frames, push frames, hostile
 # span blocks), and
 # every other payload decoder, one FuzzPayloadDecoders per package over
@@ -65,6 +68,7 @@ fuzz: fuzz-fused
 	go test ./internal/eval -run Fuzz -fuzz FuzzDecodeTriplet -fuzztime 30s
 	go test ./internal/xpath -run Fuzz -fuzz FuzzParse -fuzztime 30s
 	go test ./internal/core -run Fuzz -fuzz FuzzSelectTransfer -fuzztime 30s
+	go test ./internal/core -run Fuzz -fuzz FuzzAlgorithms -fuzztime 30s
 	go test ./internal/store -run Fuzz -fuzz FuzzWALReplay -fuzztime 30s
 	go test ./internal/cluster -run Fuzz -fuzz FuzzV2ResponseDemux -fuzztime 30s
 	for p in $(PAYLOAD_FUZZ_PACKAGES); do \
