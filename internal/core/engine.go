@@ -439,11 +439,8 @@ func (e *Engine) NaiveDistributed(ctx context.Context, prog *xpath.Program) (Rep
 // whose parent fragment is stored at another site.
 func (e *Engine) resolve(ctx context.Context, start time.Time, rec *recorder, algo Algorithm, prog *xpath.Program, runKey string) (Report, error) {
 	root := e.st.Root()
-	rootEntry, ok := e.st.Entry(root)
-	if !ok {
-		return Report{}, fmt.Errorf("core: source tree has no root entry")
-	}
-	resp, cost, err := e.call(ctx, rec, rootEntry.Site, cluster.Request{
+	rootSite, _ := e.st.Site(root) // a source tree always has its root entry
+	resp, cost, err := e.call(ctx, rec, rootSite, cluster.Request{
 		Kind:    KindResolve,
 		Payload: encodeResolveReq(resolveReq{runKey: runKey, id: root, prog: prog, st: e.st}),
 	})

@@ -37,8 +37,9 @@ func runStateKey(runKey string) string { return "parbox.run." + runKey }
 
 // RegisterHandlers installs the ParBoX protocol handlers on a site. tr is
 // the transport the site uses to reach its peers (needed by the
-// site-to-site resolve of NaiveDistributed and FullDistParBoX) and cost is the cost model
-// the site uses to report modeled times for its own computation.
+// site-to-site resolve of NaiveDistributed and FullDistParBoX) and cost
+// is the cost model the site uses to report modeled times for its own
+// computation.
 //
 // The same registration serves the in-process cluster and a TCP site
 // daemon.

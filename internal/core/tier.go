@@ -116,9 +116,9 @@ func (e *Engine) Tier() Tier { return e.tier }
 //     re-runs against a saturated or flapping site are the retry storms
 //     this exists to prevent), re-probes site health and re-plans. This
 //     covers what job-level failover cannot: nested hops the coordinator
-//     never observed (FullDist's resolve cascade), stages bound to
-//     per-site run state, and jobs whose replicas were all excluded
-//     within one round.
+//     never observed (the site-to-site resolve of NaiveDistributed and
+//     FullDist), stages bound to per-site run state, and jobs whose
+//     replicas were all excluded within one round.
 //
 // Cancellation, an expired deadline and ErrFragmentUnavailable are
 // final. Report.Failovers is set here and nowhere else.
