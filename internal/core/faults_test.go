@@ -116,7 +116,7 @@ func TestConcurrentQueries(t *testing.T) {
 	}
 	var jobs []job
 	for _, src := range fig2Queries {
-		for _, algo := range []Algorithm{AlgoParBoX, AlgoFullDist, AlgoLazy} {
+		for _, algo := range []Algorithm{AlgoParBoX, AlgoNaiveDistributed, AlgoFullDist, AlgoLazy} {
 			jobs = append(jobs, job{src, algo})
 		}
 	}
