@@ -63,65 +63,6 @@ func TestAllAlgorithmsAgreeOnFig2(t *testing.T) {
 	}
 }
 
-// visitPlacements are the deployments the visit table runs on: the
-// running example, whose S2 stores F3 below the root and F2 below S1's F1,
-// and a three-branch document split as a star or along one chain, with
-// every fragment on its own site or the sub-fragments sharing sites.
-func visitPlacements(t *testing.T) map[string]func() (*frag.Forest, frag.Assignment) {
-	t.Helper()
-	doc := func() *xmltree.Node {
-		root := xmltree.NewElement("r", "")
-		for i := 0; i < 3; i++ {
-			d := xmltree.NewElement("d", "x")
-			root.AppendChild(xmltree.NewElement("a", "", xmltree.NewElement("b", "", xmltree.NewElement("c", "", d))))
-		}
-		return root
-	}
-	split := func(shape int, place func(id xmltree.FragmentID) frag.SiteID) func() (*frag.Forest, frag.Assignment) {
-		return func() (*frag.Forest, frag.Assignment) {
-			forest, _, err := fragmentForFuzz(rand.New(rand.NewSource(1)), doc(), shape, 3)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if forest.Count() != 4 {
-				t.Fatalf("shape %d split into %d fragments, want 4", shape, forest.Count())
-			}
-			assign := frag.Assignment{}
-			for _, id := range forest.IDs() {
-				assign[id] = place(id)
-			}
-			return forest, assign
-		}
-	}
-	own := func(id xmltree.FragmentID) frag.SiteID { return frag.SiteID(fmt.Sprintf("S%d", id)) }
-	shared := func(id xmltree.FragmentID) frag.SiteID {
-		if id == 0 {
-			return "S0"
-		}
-		return "S1"
-	}
-	alternating := func(id xmltree.FragmentID) frag.SiteID {
-		if id == 0 {
-			return "S0"
-		}
-		return frag.SiteID(fmt.Sprintf("S%d", 1+id%2))
-	}
-	return map[string]func() (*frag.Forest, frag.Assignment){
-		"fig2": func() (*frag.Forest, frag.Assignment) {
-			forest, _, err := fixtures.Fig2Forest()
-			if err != nil {
-				t.Fatal(err)
-			}
-			return forest, frag.Assignment{0: "S0", 1: "S1", 2: "S2", 3: "S2"}
-		},
-		"star":                   split(shapeStar, own),
-		"star, one shared site":  split(shapeStar, shared),
-		"chain":                  split(shapeChain, own),
-		"chain, one shared site": split(shapeChain, shared),
-		"chain, two sites":       split(shapeChain, alternating),
-	}
-}
-
 // TestVisitTable pins every algorithm's Report.Visits, site by site, to
 // the paper's counts (Fig. 4), and its Messages to one request and one
 // response per visit:
@@ -131,10 +72,53 @@ func visitPlacements(t *testing.T) map[string]func() (*frag.Forest, frag.Assignm
 //   - FullDist visits a remote site once more, for its stage 2;
 //   - Lazy visits a site at most once per step it reaches, a step being a
 //     source-tree level (the first covers depths 0 and 1).
+//
+// It runs on the running example, whose S2 stores F3 below the root and F2
+// below S1's F1, and on a three-branch document split into four fragments
+// as a star or along one chain, with every fragment on its own site or the
+// sub-fragments sharing sites.
 func TestVisitTable(t *testing.T) {
+	doc := func() *xmltree.Node {
+		root := xmltree.NewElement("r", "")
+		for i := 0; i < 3; i++ {
+			d := xmltree.NewElement("d", "x")
+			root.AppendChild(xmltree.NewElement("a", "", xmltree.NewElement("b", "", xmltree.NewElement("c", "", d))))
+		}
+		return root
+	}
+	const fig2 = -1
+	placements := []struct {
+		name  string
+		shape int
+		sites []frag.SiteID // the site of fragment i
+	}{
+		{"fig2", fig2, []frag.SiteID{"S0", "S1", "S2", "S2"}},
+		{"star", shapeStar, []frag.SiteID{"S0", "S1", "S2", "S3"}},
+		{"star, one shared site", shapeStar, []frag.SiteID{"S0", "S1", "S1", "S1"}},
+		{"chain", shapeChain, []frag.SiteID{"S0", "S1", "S2", "S3"}},
+		{"chain, one shared site", shapeChain, []frag.SiteID{"S0", "S1", "S1", "S1"}},
+		{"chain, two sites", shapeChain, []frag.SiteID{"S0", "S2", "S1", "S2"}},
+	}
 	queries := []string{`//c[d = "x"]`, `!(//zzz)`, `/r/a/b`, `//stock[code = "GOOG" && buy = "370"]`}
-	for name, place := range visitPlacements(t) {
-		forest, assign := place()
+	for _, pl := range placements {
+		name := pl.name
+		var forest *frag.Forest
+		var err error
+		if pl.shape == fig2 {
+			forest, _, err = fixtures.Fig2Forest()
+		} else {
+			forest, _, err = fragmentForFuzz(rand.New(rand.NewSource(1)), doc(), pl.shape, len(pl.sites)-1)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if forest.Count() != len(pl.sites) {
+			t.Fatalf("%s: %d fragments, want %d", name, forest.Count(), len(pl.sites))
+		}
+		assign := frag.Assignment{}
+		for i, site := range pl.sites {
+			assign[xmltree.FragmentID(i)] = site
+		}
 		eng, err := Deploy(cluster.New(cluster.DefaultCostModel()), forest, assign)
 		if err != nil {
 			t.Fatal(err)
