@@ -193,6 +193,65 @@ func TestVisitTable(t *testing.T) {
 	}
 }
 
+// TestParBoXVisitsOnce pins the paper's headline guarantee (Fig. 4 row
+// ParBoX): every site is visited exactly once, even S2 which stores two
+// fragments.
+func TestParBoXVisitsOnce(t *testing.T) {
+	_, eng, _ := deployFig2(t)
+	prog := xpath.MustCompileString(fig2Queries[0])
+	rep, err := eng.ParBoX(context.Background(), prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := rep.Visits["S1"]; got != 1 {
+		t.Errorf("S1 visits = %d, want 1", got)
+	}
+	if got := rep.Visits["S2"]; got != 1 {
+		t.Errorf("S2 visits = %d, want 1 (it stores F2 AND F3)", got)
+	}
+	if got := rep.Visits["S0"]; got != 0 {
+		t.Errorf("coordinator visits = %d, want 0 (local work is free)", got)
+	}
+}
+
+// TestNaiveDistributedVisits pins the card(F_Si) visits of the
+// NaiveDistributed row in the Report: S2 stores two fragments, each below
+// a fragment of another site, and is visited twice, once of them by S1.
+func TestNaiveDistributedVisits(t *testing.T) {
+	_, eng, _ := deployFig2(t)
+	prog := xpath.MustCompileString(fig2Queries[0])
+	rep, err := eng.NaiveDistributed(context.Background(), prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := rep.Visits["S2"]; got != 2 {
+		t.Errorf("S2 visits = %d, want 2 (one per fragment stored)", got)
+	}
+	if got := rep.Visits["S1"]; got != 1 {
+		t.Errorf("S1 visits = %d, want 1", got)
+	}
+	if got := rep.Visits["S0"]; got != 0 {
+		t.Errorf("coordinator visits = %d, want 0 (local work is free)", got)
+	}
+}
+
+// TestNaiveDistributedVisitsViaMetrics counts S2's visits from the global
+// cluster metrics, which see the nested site-to-site calls.
+func TestNaiveDistributedVisitsViaMetrics(t *testing.T) {
+	c, eng, _ := deployFig2(t)
+	prog := xpath.MustCompileString(fig2Queries[0])
+	c.Metrics().Reset()
+	if _, err := eng.NaiveDistributed(context.Background(), prog); err != nil {
+		t.Fatal(err)
+	}
+	if got := c.Metrics().Site("S2").Visits; got != 2 {
+		t.Errorf("S2 visits = %d, want 2 (one per fragment stored)", got)
+	}
+	if got := c.Metrics().Site("S1").Visits; got != 1 {
+		t.Errorf("S1 visits = %d, want 1", got)
+	}
+}
+
 // TestParBoXTrafficIndependentOfData: the communication of ParBoX must not
 // grow with |T| (Fig. 4: O(|q|·card(F))), while NaiveCentralized's must.
 func TestParBoXTrafficIndependentOfData(t *testing.T) {
