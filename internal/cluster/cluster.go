@@ -642,15 +642,22 @@ func (s *Site) Delete(key string) {
 	delete(s.state, key)
 }
 
+// admittedAt is the context key dispatch marks a handler's context with:
+// the site whose dispatch runs that handler.
+type admittedAt struct{}
+
 // dispatch runs the registered handler for the request, behind the
 // site's admission controller (when one is set): requests past the
 // watermarks are shed with an OverloadError before any work happens, and
 // a context that is already expired is declined for free — both the
 // in-process transport and both TCP server paths funnel through here, so
-// admission and accounting are uniform across transports. remote says
-// whether the caller is another site: only remote calls count as visits,
-// messages and bytes (the paper's rule — local work costs no
-// communication); steps, cache, outcome and latency count every call.
+// admission and accounting are uniform across transports. A call that a
+// handler makes to its own site runs under the admission its parent
+// already holds: admitting it again would let a parent that waits on it
+// shed its own child on an idle site. remote says whether the caller is
+// another site: only remote calls count as visits, messages and bytes
+// (the paper's rule — local work costs no communication); steps, cache,
+// outcome and latency count every call.
 func (s *Site) dispatch(ctx context.Context, req Request, remote bool) (Response, error) {
 	if err := ctx.Err(); err != nil {
 		return Response{}, err
@@ -674,7 +681,8 @@ func (s *Site) dispatch(ctx context.Context, req Request, remote bool) (Response
 	s.mu.RLock()
 	h, ok := s.handlers[req.Kind]
 	adm := s.admit
-	if adm != nil && s.admitExempt[req.Kind] {
+	held, _ := ctx.Value(admittedAt{}).(*Site)
+	if adm != nil && (held == s || s.admitExempt[req.Kind]) {
 		adm = nil
 	}
 	s.mu.RUnlock()
@@ -698,9 +706,15 @@ func (s *Site) dispatch(ctx context.Context, req Request, remote bool) (Response
 	}
 	defer release()
 	hctx := ctx
+	if held != s && (adm != nil || held != nil) {
+		// Replace another site's mark too: its admission does not cover
+		// this site. A site without admission and no mark to replace
+		// allocates nothing.
+		hctx = context.WithValue(ctx, admittedAt{}, s)
+	}
 	var hsp *obs.ActiveSpan
 	if traced {
-		hctx, hsp = obs.StartSpan(ctx, string(s.id), "handle "+req.Kind)
+		hctx, hsp = obs.StartSpan(hctx, string(s.id), "handle "+req.Kind)
 	}
 	resp, err := h(hctx, s, req)
 	if hsp != nil {

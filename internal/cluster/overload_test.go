@@ -288,6 +288,56 @@ func TestAdmissionShedOverTCP(t *testing.T) {
 	}
 }
 
+// TestNestedSameSiteCallRunsUnderParentAdmission: a handler's call to
+// its own site runs under the admission the handler holds, in process and
+// through a TCP daemon's local short-circuit; a hop that leaves the site
+// and comes back is admitted afresh, even through a site without
+// admission control.
+func TestNestedSameSiteCallRunsUnderParentAdmission(t *testing.T) {
+	ctx := context.Background()
+	nest := func(tr Transport, to frag.SiteID, kind string) Handler {
+		return func(ctx context.Context, site *Site, _ Request) (Response, error) {
+			resp, _, err := tr.Call(ctx, site.ID(), to, Request{Kind: kind})
+			return resp, err
+		}
+	}
+
+	c := New(CostModel{})
+	a, b := c.AddSite("A"), c.AddSite("B")
+	a.SetAdmission(AdmissionLimits{MaxInflight: 1})
+	a.Handle("leaf", echoHandler)
+	a.Handle("self", nest(c, "A", "leaf"))
+	a.Handle("cycle", nest(c, "B", "back"))
+	b.Handle("back", nest(c, "A", "leaf"))
+	if _, _, err := c.Call(ctx, "C", "A", Request{Kind: "self"}); err != nil {
+		t.Fatalf("same-site nested call: %v", err)
+	}
+	if _, _, err := c.Call(ctx, "C", "A", Request{Kind: "cycle"}); !errors.Is(err, ErrOverloaded) {
+		t.Fatalf("A→B→A under a limit of 1: err = %v, want overloaded", err)
+	}
+
+	site := NewSite("R")
+	site.SetAdmission(AdmissionLimits{MaxInflight: 1})
+	srv, err := Serve(site, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	daemon := NewTCPTransport(nil)
+	defer daemon.Close()
+	daemon.Local(site)
+	site.Handle("leaf", echoHandler)
+	site.Handle("self", nest(daemon, "R", "leaf"))
+	client := NewTCPTransport(map[frag.SiteID]string{"R": srv.Addr()})
+	defer client.Close()
+	if _, _, err := client.Call(ctx, "C", "R", Request{Kind: "self"}); err != nil {
+		t.Fatalf("same-site nested call over TCP: %v", err)
+	}
+	if n := site.Stats().Snapshot().Sheds; n != 0 {
+		t.Fatalf("daemon shed %d calls, want 0", n)
+	}
+}
+
 // okTransport answers every call successfully; the fault injectors wrap
 // it so tests observe exactly the injected behavior.
 type okTransport struct{}
