@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"path/filepath"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -12,6 +13,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/fixtures"
 	"repro/internal/frag"
+	"repro/internal/store"
 	"repro/internal/xmltree"
 	"repro/internal/xpath"
 )
@@ -412,6 +414,99 @@ func TestEvalQualRefusesForeignFingerprint(t *testing.T) {
 	// The refusal left the honest program's cache and answers intact.
 	if rep, err := eng.ParBoX(ctx, nope); err != nil || rep.Answer {
 		t.Errorf("NOPE after the forged requests: %v, %v; want false", rep.Answer, err)
+	}
+}
+
+// TestForeignFingerprintRefusedAfterRestart: a site whose store journals
+// GOOG's cache fill is restarted from that store through RestoreTriplet;
+// the warm cache still refuses NOPE's program sent under GOOG's
+// fingerprint, and NOPE answers false.
+func TestForeignFingerprintRefusedAfterRestart(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	goog := xpath.MustCompileString(`//stock[code = "GOOG"]`)
+	nope := xpath.MustCompileString(`//stock[code = "NOPE"]`)
+	sites := []frag.SiteID{"S0", "S1", "S2"}
+	open := func(site frag.SiteID) *store.Store {
+		st, err := store.Open(filepath.Join(dir, string(site)), store.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+
+	c, eng, _ := deployFig2(t)
+	eng.EnableTripletCache(true)
+	var before []*store.Store
+	for _, id := range sites {
+		site, _ := c.Site(id)
+		st := open(id)
+		before = append(before, st)
+		for _, fid := range site.FragmentIDs() {
+			fr, _ := site.Fragment(fid)
+			if err := st.PutFragment(fr, site.FragmentVersion(fid)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		site.AttachStore(st, 0)
+	}
+	if rep, err := eng.ParBoX(ctx, goog); err != nil || !rep.Answer {
+		t.Fatalf("warm-up: %v, %v", rep.Answer, err)
+	}
+	for _, id := range sites {
+		site, _ := c.Site(id)
+		if err := site.StoreErr(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, st := range before {
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// The restart: a fresh cluster over a fresh copy of the document,
+	// versions and cached triplets read back from the journal.
+	c2, eng2, _ := deployFig2(t)
+	eng2.EnableTripletCache(true)
+	restored := 0
+	for _, id := range sites {
+		site, _ := c2.Site(id)
+		st := open(id)
+		defer st.Close()
+		for fid, v := range st.Versions() {
+			site.RestoreVersion(fid, v)
+		}
+		site.AttachStore(st, 0)
+		ts, err := st.Triplets()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, te := range ts {
+			if RestoreTriplet(site, te.Frag, te.Version, te.FP, te.Enc) {
+				restored++
+			}
+		}
+	}
+	if restored != eng2.SourceTree().Count() {
+		t.Fatalf("restored %d cached triplets, want one per fragment (%d)", restored, eng2.SourceTree().Count())
+	}
+	for _, id := range []frag.SiteID{"S1", "S2"} {
+		_, _, err := c2.Call(ctx, "S0", id, cluster.Request{
+			Kind:    KindEvalQual,
+			Payload: encodeEvalQualReq(evalQualReq{prog: nope, ids: eng2.SourceTree().FragmentsAt(id), fp: goog.Fingerprint()}),
+		})
+		var mismatch *FingerprintMismatchError
+		if !errors.As(err, &mismatch) {
+			t.Errorf("%s after restart: err = %v, want FingerprintMismatchError", id, err)
+		}
+	}
+	if rep, err := eng2.ParBoX(ctx, nope); err != nil || rep.Answer {
+		t.Errorf("NOPE after restart: %v, %v; want false", rep.Answer, err)
+	}
+	// The restored cache was live: GOOG answers from it without bottomUp.
+	if rep, err := eng2.ParBoX(ctx, goog); err != nil || !rep.Answer || rep.CacheMisses != 0 {
+		t.Errorf("GOOG after restart: answer %v, %d misses, %v; want true from the cache", rep.Answer, rep.CacheMisses, err)
 	}
 }
 
