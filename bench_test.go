@@ -551,13 +551,14 @@ func BenchmarkAblationPlacement(b *testing.B) {
 		4: {"S0", "S2", "S3"},
 	}
 	c := cluster.New(cluster.DefaultCostModel())
-	if _, err := core.DeployReplicated(c, forest, replicas, core.PlaceFirst); err != nil {
+	base, err := core.DeployReplicated(c, forest, replicas, core.PlaceFirst)
+	if err != nil {
 		b.Fatal(err)
 	}
 	prog := xpath.MustCompileString(xmark.Queries[8])
 	ctx := context.Background()
 	for _, strategy := range []core.PlacementStrategy{core.PlaceFirst, core.PlaceMinSites, core.PlaceBalanced} {
-		eng, err := core.Replan(c, forest, replicas, strategy)
+		eng, err := base.Replan(forest, replicas, strategy)
 		if err != nil {
 			b.Fatal(err)
 		}

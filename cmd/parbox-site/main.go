@@ -43,13 +43,11 @@ import (
 	"syscall"
 
 	"repro/internal/cluster"
-	"repro/internal/core"
 	"repro/internal/frag"
 	"repro/internal/manifest"
 	"repro/internal/obs"
 	"repro/internal/serve"
 	"repro/internal/store"
-	"repro/internal/views"
 )
 
 // config collects the daemon's command-line settings.
@@ -170,7 +168,11 @@ func setup(cfg config) (*daemon, error) {
 		}
 	}
 	tr := cluster.NewTCPTransport(peers)
+	var st *store.Store
 	fail := func(err error) (*daemon, error) {
+		if st != nil {
+			st.Discard()
+		}
 		tr.Close()
 		return nil, err
 	}
@@ -180,7 +182,6 @@ func setup(cfg config) (*daemon, error) {
 	// whose sub-fragment lives here too) dispatch in-process instead of
 	// dialing our own listener.
 	tr.Local(site)
-	var st *store.Store
 	if dataDir != "" {
 		// OpenSeedable wipes a first start that crashed mid-seeding (state
 		// but no completing checkpoint): the manifest is still
@@ -191,90 +192,44 @@ func setup(cfg config) (*daemon, error) {
 		}
 	}
 	var origin string
-	var count, total int
+	var count int
 	if st != nil && !st.Empty() {
 		// Restart: the durable store is authoritative; the manifest's XML
 		// files describe the original deployment, not the maintained state.
-		// Versions are restored exactly and fragments load lazily, so a
-		// site with a big forest is serving again without decoding a tree.
-		for id, v := range st.Versions() {
-			site.RestoreVersion(id, v)
-		}
-		site.AttachStore(st, maxResident)
-		ts, err := st.Triplets()
-		if err != nil {
-			st.Discard()
-			return fail(err)
-		}
-		for _, te := range ts {
-			core.RestoreTriplet(site, te.Frag, te.Version, te.FP, te.Enc)
-		}
+		// SetupSite restores versions exactly and fragments load lazily, so
+		// a site with a big forest is serving again without decoding a tree.
 		stats := st.Stats()
 		count = stats.LiveFragments
 		origin = fmt.Sprintf("recovered from %s (snapshot %d, %d cached triplets)",
-			dataDir, stats.SnapshotSeq, len(ts))
+			dataDir, stats.SnapshotSeq, stats.CachedTriplets)
 	} else {
 		frags, _, err := m.LoadFragments(siteID)
 		if err != nil {
-			if st != nil {
-				st.Discard()
-			}
 			return fail(err)
 		}
+		total := 0
 		for _, fr := range frags {
 			site.AddFragment(fr)
 			total += fr.Size()
 		}
 		count = len(frags)
 		origin = fmt.Sprintf("loaded %d nodes from the manifest", total)
-		if st != nil {
-			// Seed the fresh store, then journal everything from here on.
-			// The checkpoint marks seeding complete: a crash before it
-			// leaves a store the next start wipes and reseeds instead of
-			// serving a fragment subset.
-			for _, fr := range frags {
-				if err := st.PutFragment(fr, site.FragmentVersion(fr.ID)); err != nil {
-					st.Discard()
-					return fail(err)
-				}
-			}
-			if err := st.Checkpoint(); err != nil {
-				st.Discard()
-				return fail(err)
-			}
-			site.AttachStore(st, maxResident)
-		}
 	}
-	cost := cluster.DefaultCostModel()
-	core.RegisterHandlers(site, tr, cost)
-	views.RegisterHandlers(site, tr)
-	// Serving-tier protocol: health probes plus the fragment clone/install
-	// pair the live rebalancer migrates replicas with.
-	serve.RegisterHandlers(site)
-	if admission > 0 {
-		// Bounded admission: past the cap, requests are shed with a typed,
-		// retryable overload status instead of queueing without bound. The
-		// cost estimator comes from core.RegisterHandlers above; probes and
-		// the rebalancer's control plane stay exempt (serve.RegisterHandlers)
-		// so a saturated site still proves it is alive.
-		site.SetAdmission(cluster.AdmissionLimits{MaxInflight: admission})
+	// What every site serves (serve.SetupSite), the obs.stats RPC that
+	// `parbox top` scrapes included; admission past -admission; the store,
+	// seeded when fresh, journals everything from here on.
+	if err := serve.SetupSite(site, tr, cluster.DefaultCostModel(), admission, st, maxResident); err != nil {
+		return fail(err)
 	}
 
 	// The daemon serves wire protocol v2 only: a version-skewed v1
 	// coordinator is answered with a clean "requires wire protocol v2"
 	// error instead of interleaved-frame corruption. Close drains
-	// in-flight v2 requests before the connections go away.
-	// Live observability: the obs.stats RPC answers `parbox top` over the
-	// ordinary transport (admission-exempt, excluded from its own
-	// counters), and -http serves the same data as Prometheus text plus
-	// the slow-request trace ring and pprof.
-	cluster.RegisterStatsHandler(site)
-
+	// in-flight v2 requests before the connections go away. -http serves
+	// the site's counters as Prometheus text plus the slow-request trace
+	// ring and pprof.
 	srv, err := cluster.Serve(site, listen)
 	if err != nil {
-		if st != nil {
-			st.Discard()
-		}
 		return fail(err)
 	}
 	d := &daemon{srv: srv, tr: tr, st: st, site: site}

@@ -1,7 +1,9 @@
 package parbox
 
 import (
+	"errors"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"sort"
@@ -11,7 +13,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/frag"
 	"repro/internal/store"
-	"repro/internal/views"
 	"repro/internal/xmltree"
 )
 
@@ -66,10 +67,10 @@ func siteDirName(id SiteID) (string, error) {
 	return string(id), nil
 }
 
-// attachStores opens one store per deployed site, seeds each with the
-// site's fragments at their current versions, and attaches them so every
-// later mutation is journaled. Called by Deploy when WithDurability is
-// given.
+// openSeedStores opens one store per site under o.dataDir for setupSite
+// to seed (Deploy's sites, or the one AddSite adds), wiping torn seeds
+// (store.OpenSeedable), and returns them with the abort that undoes the
+// opening if the setup fails later.
 //
 // It is crash-idempotent across the whole directory, not just per site: a
 // previous Deploy that died between per-site seed checkpoints leaves some
@@ -79,16 +80,14 @@ func siteDirName(id SiteID) (string, error) {
 // any mixed state is a failed seeding: it is wiped wholesale and reseeded
 // from the caller's forest. Only a directory where every site completed
 // is refused as live state ("use Restore").
-func (s *System) attachStores(o options) error {
-	s.stores = make(map[SiteID]*store.Store)
+func openSeedStores(o options, sites []SiteID) (map[SiteID]*store.Store, func(), error) {
 	type opened struct {
-		id    SiteID
 		dir   string
 		st    *store.Store
 		fresh bool // held no completed state when opened (safe to clean up)
 	}
-	var all []opened
-	abort := func(err error) error {
+	all := make(map[SiteID]*opened, len(sites))
+	abort := func() {
 		// Discard, never Close: a checkpoint would stamp an incomplete
 		// seed as complete. Cleanup touches only store-owned files of dirs
 		// that held no completed state, and removes a subdirectory only
@@ -100,71 +99,49 @@ func (s *System) attachStores(o options) error {
 				os.Remove(op.dir)
 			}
 		}
-		s.stores = nil
-		return err
+	}
+	fail := func(err error) (map[SiteID]*store.Store, func(), error) {
+		abort()
+		return nil, nil, err
 	}
 
-	// Pass 1 — open and classify every site's store (OpenSeedable already
-	// wipes per-site torn seeds).
 	completed := 0
-	for _, siteID := range s.engine.SourceTree().Sites() {
-		name, err := siteDirName(siteID)
+	for _, id := range sites {
+		name, err := siteDirName(id)
 		if err != nil {
-			return abort(err)
+			return fail(err)
 		}
 		dir := filepath.Join(o.dataDir, name)
 		st, err := store.OpenSeedable(dir, storeOptions(o))
 		if err != nil {
-			return abort(err)
+			return fail(err)
 		}
-		fresh := st.Empty()
-		if !fresh {
+		all[id] = &opened{dir: dir, st: st, fresh: st.Empty()}
+		if !st.Empty() {
 			completed++
 		}
-		all = append(all, opened{id: siteID, dir: dir, st: st, fresh: fresh})
 	}
 	if completed == len(all) && completed > 0 {
-		return abort(fmt.Errorf("parbox: data dir %s already holds a completed deployment; use Restore to restart from it", o.dataDir))
+		return fail(fmt.Errorf("parbox: data dir %s already holds completed site state; use Restore to restart from it", o.dataDir))
 	}
-	if completed > 0 {
-		// Mixed: a Deploy crashed between per-site seed checkpoints. The
-		// completed sites hold seed data only; wipe and reseed everything.
-		for i := range all {
-			all[i].st.Discard()
-			if err := store.Wipe(all[i].dir); err != nil {
-				return abort(err)
+	stores := make(map[SiteID]*store.Store, len(all))
+	for id, op := range all {
+		if !op.fresh {
+			// Mixed: a Deploy crashed between per-site seed checkpoints.
+			// The completed sites hold seed data only; wipe and reseed.
+			op.st.Discard()
+			if err := store.Wipe(op.dir); err != nil {
+				return fail(err)
 			}
-			st, err := store.Open(all[i].dir, storeOptions(o))
+			st, err := store.Open(op.dir, storeOptions(o))
 			if err != nil {
-				return abort(err)
+				return fail(err)
 			}
-			all[i].st, all[i].fresh = st, true
+			op.st, op.fresh = st, true
 		}
+		stores[id] = op.st
 	}
-
-	// Pass 2 — seed, checkpoint (the seed-completion marker), attach.
-	for _, op := range all {
-		site, _ := s.cluster.Site(op.id)
-		for _, id := range site.FragmentIDs() {
-			fr, _ := site.Fragment(id)
-			if err := op.st.PutFragment(fr, site.FragmentVersion(id)); err != nil {
-				return abort(err)
-			}
-		}
-		if err := op.st.Checkpoint(); err != nil {
-			return abort(err)
-		}
-		site.AttachStore(op.st, o.residentLimit)
-		s.stores[op.id] = op.st
-	}
-	return nil
-}
-
-func (s *System) closeStores() {
-	for _, st := range s.stores {
-		st.Close()
-	}
-	s.stores = nil
+	return stores, abort, nil
 }
 
 // isSiteDir reports whether a Restore candidate subdirectory actually
@@ -189,30 +166,34 @@ func isSiteDir(path string) bool {
 	return false
 }
 
-// sortedStoreSites returns the durable sites in stable order.
-func (s *System) sortedStoreSites() []SiteID {
-	ids := make([]SiteID, 0, len(s.stores))
-	for id := range s.stores {
+// drainStores runs fn on every durable store in site order and returns
+// the first error, a site's accumulated persistence error included.
+func (s *System) drainStores(fn func(*store.Store) error) error {
+	s.mu.RLock()
+	stores := maps.Clone(s.stores)
+	s.mu.RUnlock()
+	ids := make([]SiteID, 0, len(stores))
+	for id := range stores {
 		ids = append(ids, id)
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
+	var first error
+	for _, id := range ids {
+		if site, ok := s.cluster.Site(id); ok && first == nil {
+			first = site.StoreErr()
+		}
+		if err := fn(stores[id]); err != nil && first == nil {
+			first = err
+		}
+	}
+	return first
 }
 
 // Checkpoint snapshots every site's store and truncates its WAL, so the
 // next Restore replays snapshots only. It also surfaces any persistence
 // error a site accumulated while serving. No-op without WithDurability.
 func (s *System) Checkpoint() error {
-	var first error
-	for _, id := range s.sortedStoreSites() {
-		if site, ok := s.cluster.Site(id); ok && first == nil {
-			first = site.StoreErr()
-		}
-		if err := s.stores[id].Checkpoint(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
+	return s.drainStores((*store.Store).Checkpoint)
 }
 
 // Close shuts the system down gracefully: standing subscriptions are
@@ -237,17 +218,11 @@ func (s *System) Close() error {
 	if s.tier != nil {
 		s.tier.Stop()
 	}
-	var first error
-	for _, id := range s.sortedStoreSites() {
-		if site, ok := s.cluster.Site(id); ok && first == nil {
-			first = site.StoreErr()
-		}
-		if err := s.stores[id].Close(); err != nil && first == nil {
-			first = err
-		}
-	}
+	err := s.drainStores((*store.Store).Close)
+	s.mu.Lock()
 	s.stores = nil
-	return first
+	s.mu.Unlock()
+	return err
 }
 
 // Restore rebuilds a durable deployment from its data directory: every
@@ -256,7 +231,12 @@ func (s *System) Close() error {
 // recovered fragments, and fragment versions are restored exactly as
 // persisted — so with WithTripletCache the sites' triplet caches
 // warm-start and unchanged fragments serve evalQual with zero bottomUp
-// steps from the first post-restart query. Options mirror Deploy's.
+// steps from the first post-restart query.
+//
+// Restore sets up sites and the System the way Deploy does, so every
+// Deploy option is honoured, or refused with an error: WithDurability
+// (dir is the data directory), and WithReplication, WithFailover,
+// WithHedging and WithRebalancing (a durable deployment is unreplicated).
 //
 // Recovery is per-site atomic: a crash strictly between maintenance
 // operations restores the exact pre-crash state, while a crash inside a
@@ -264,24 +244,28 @@ func (s *System) Close() error {
 // which Restore reports as a forest-validation error instead of serving
 // inconsistent answers.
 func Restore(dir string, opts ...Option) (*System, error) {
-	o := options{cost: cluster.DefaultCostModel()}
-	for _, opt := range opts {
-		opt(&o)
+	o := newOptions(opts)
+	switch {
+	case o.dataDir != "":
+		return nil, errors.New("parbox: Restore takes its data directory as its argument; WithDurability does not apply")
+	case o.replication != 0:
+		return nil, errors.New("parbox: WithReplication is not supported by Restore (a durable deployment is unreplicated)")
+	}
+	o.dataDir = dir
+	if err := o.check(false); err != nil {
+		return nil, err
 	}
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, fmt.Errorf("parbox: restore: %w", err)
 	}
-	type siteRec struct {
-		id SiteID
-		st *store.Store
-	}
-	var sites []siteRec
+	var sites []SiteID
+	stores := make(map[SiteID]*store.Store)
 	closeAll := func() {
 		// Failure paths leave the on-disk state untouched (no checkpoint):
 		// a Restore that could not complete must not mutate what it read.
-		for _, sr := range sites {
-			sr.st.Discard()
+		for _, st := range stores {
+			st.Discard()
 		}
 	}
 	for _, e := range entries {
@@ -303,7 +287,8 @@ func Restore(dir string, opts ...Option) (*System, error) {
 			closeAll()
 			return nil, fmt.Errorf("parbox: restore site %s: store was never fully seeded; remove it and redeploy", e.Name())
 		}
-		sites = append(sites, siteRec{id: SiteID(e.Name()), st: st})
+		sites = append(sites, SiteID(e.Name()))
+		stores[SiteID(e.Name())] = st
 	}
 	if len(sites) == 0 {
 		return nil, fmt.Errorf("parbox: restore: %s holds no site directories", dir)
@@ -311,18 +296,18 @@ func Restore(dir string, opts ...Option) (*System, error) {
 
 	assign := Assignment{}
 	var frs []*frag.Fragment
-	for _, sr := range sites {
-		for _, id := range sr.st.FragmentIDs() {
-			fr, _, ok, err := sr.st.LoadFragment(id)
+	for _, site := range sites {
+		for _, id := range stores[site].FragmentIDs() {
+			fr, _, ok, err := stores[site].LoadFragment(id)
 			if err != nil || !ok {
 				closeAll()
-				return nil, fmt.Errorf("parbox: restore: loading fragment %d at %s: %w", id, sr.id, err)
+				return nil, fmt.Errorf("parbox: restore: loading fragment %d at %s: %w", id, site, err)
 			}
 			if prev, dup := assign[id]; dup {
 				closeAll()
-				return nil, fmt.Errorf("parbox: restore: fragment %d stored at both %s and %s", id, prev, sr.id)
+				return nil, fmt.Errorf("parbox: restore: fragment %d stored at both %s and %s", id, prev, site)
 			}
-			assign[id] = sr.id
+			assign[id] = site
 			frs = append(frs, fr)
 		}
 	}
@@ -394,45 +379,16 @@ func Restore(dir string, opts ...Option) (*System, error) {
 		closeAll()
 		return nil, fmt.Errorf("parbox: restore: %w", err)
 	}
-	deployed := make(map[SiteID]bool)
-	for _, siteID := range eng.SourceTree().Sites() {
-		site, _ := c.Site(siteID)
-		views.RegisterHandlers(site, c)
-		deployed[siteID] = true
+	for _, site := range sites {
+		// A recovered site holding no live fragments (everything merged
+		// away) still carries dead version counters and may adopt
+		// fragments again: it is set up like the others.
+		c.AddSite(site)
 	}
-	stores := make(map[SiteID]*store.Store, len(sites))
-	for _, sr := range sites {
-		site := c.AddSite(sr.id)
-		if !deployed[sr.id] {
-			// A recovered site holding no live fragments (everything merged
-			// away) still carries dead version counters and may adopt
-			// fragments again; give it the full protocol.
-			core.RegisterHandlers(site, c, c.Cost())
-			views.RegisterHandlers(site, c)
-		}
-		for id, v := range sr.st.Versions() {
-			site.RestoreVersion(id, v)
-		}
-		site.AttachStore(sr.st, o.residentLimit)
-		if o.tripletCache {
-			ts, err := sr.st.Triplets()
-			if err != nil {
-				closeAll()
-				return nil, fmt.Errorf("parbox: restore: triplets at %s: %w", sr.id, err)
-			}
-			for _, te := range ts {
-				core.RestoreTriplet(site, te.Frag, te.Version, te.FP, te.Enc)
-			}
-		}
-		stores[sr.id] = sr.st
+	s := &System{cluster: c, engine: eng, forest: forest, stores: stores}
+	if err := s.assemble(o); err != nil {
+		closeAll()
+		return nil, err
 	}
-	eng.EnableTripletCache(o.tripletCache)
-	eng.SetMaxInflight(o.maxInflight)
-	s := &System{
-		cluster: c, engine: eng, forest: forest,
-		coalesceDefault: o.coalesce, cacheEnabled: o.tripletCache,
-		maxInflight: o.maxInflight, stores: stores,
-	}
-	s.sched = newScheduler(s, o.coalesceWindow, o.coalesceLanes)
 	return s, nil
 }

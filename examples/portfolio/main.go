@@ -76,7 +76,9 @@ func main() {
 	// Administrative re-fragmentation (Section 5): NASDAQ splits Bache's
 	// NYSE market out of the desktop fragment onto its own server — the
 	// cached answer is untouched.
-	sys.AddSite("nyse-site")
+	if err := sys.AddSite("nyse-site"); err != nil {
+		log.Fatal(err)
+	}
 	f0, _ := forest.Fragment(0)
 	nyse := f0.Root.FindAll("market")[0]
 	newID, _, err := view.Split(ctx, 0, parbox.PathOf(nyse), "nyse-site")

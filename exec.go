@@ -305,7 +305,7 @@ func (s *System) Exec(ctx context.Context, q *Prepared, opts ...ExecOption) (*Re
 	// from the parsed form, which would silently discard the minimized
 	// program. Traced calls ride along: the round collects one shared span
 	// tree and the scheduler attributes each caller's lane.
-	if (cfg.coalesce || (s.coalesceDefault && !cfg.noCoalesce)) && !q.precompiled &&
+	if (cfg.coalesce || (s.opts.coalesce && !cfg.noCoalesce)) && !q.precompiled &&
 		cfg.mode == ModeBoolean && cfg.algo == AlgoParBoX && !cfg.batchSet {
 		return s.sched.exec(ctx, q, cfg.trace, cfg.spans)
 	}
@@ -366,8 +366,8 @@ func (s *System) Exec(ctx context.Context, q *Prepared, opts ...ExecOption) (*Re
 		res.Matched = rep.Count
 	case ModeMaterialize:
 		var v *views.View
-		v, *rep, err = views.MaterializeBounded(ctx, s.cluster, eng.Coordinator(), eng.SourceTree(),
-			q.program(), s.maxInflight, s.cluster.Cost())
+		v, *rep, err = views.MaterializeReport(ctx, s.cluster, eng.Coordinator(), eng.SourceTree(),
+			q.program(), s.cluster.Cost())
 		if err == nil {
 			res.View = &View{v: v}
 			res.Answer = v.Answer()

@@ -84,7 +84,12 @@ func TestAddSiteEnablesSplitTarget(t *testing.T) {
 		t.Fatal(err)
 	}
 	view := viewRes.View
-	sys.AddSite("fresh")
+	if err := sys.AddSite("fresh"); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.AddSite("fresh"); err == nil {
+		t.Error("AddSite accepted an existing site")
+	}
 	// F0's first market subtree is at path [1 1] (broker Bache, market).
 	newID, _, err := view.Split(ctx, 0, []int{1, 1}, "fresh")
 	if err != nil {

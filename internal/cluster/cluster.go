@@ -642,8 +642,7 @@ func (s *Site) Delete(key string) {
 	delete(s.state, key)
 }
 
-// admittedAt is the context key dispatch marks a handler's context with:
-// the site whose dispatch runs that handler.
+// admittedAt keys the site whose dispatch runs a handler in its context.
 type admittedAt struct{}
 
 // dispatch runs the registered handler for the request, behind the
@@ -678,10 +677,10 @@ func (s *Site) dispatch(ctx context.Context, req Request, remote bool) (Response
 	// Span names are built only for traced calls: the untraced path
 	// allocates nothing.
 	_, traced := obs.FromContext(ctx)
+	held, _ := ctx.Value(admittedAt{}).(*Site)
 	s.mu.RLock()
 	h, ok := s.handlers[req.Kind]
 	adm := s.admit
-	held, _ := ctx.Value(admittedAt{}).(*Site)
 	if adm != nil && (held == s || s.admitExempt[req.Kind]) {
 		adm = nil
 	}
@@ -707,9 +706,8 @@ func (s *Site) dispatch(ctx context.Context, req Request, remote bool) (Response
 	defer release()
 	hctx := ctx
 	if held != s && (adm != nil || held != nil) {
-		// Replace another site's mark too: its admission does not cover
-		// this site. A site without admission and no mark to replace
-		// allocates nothing.
+		// Another site's mark is replaced: its admission does not cover
+		// this site. Without admission or a mark, nothing is allocated.
 		hctx = context.WithValue(ctx, admittedAt{}, s)
 	}
 	var hsp *obs.ActiveSpan

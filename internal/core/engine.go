@@ -87,11 +87,6 @@ type Engine struct {
 	// the engine starts serving (EnableTripletCache); it is read without
 	// synchronization.
 	cache bool
-	// maxInflight bounds how many site calls any single run of this
-	// engine keeps in flight at once through the scatter/gather layer
-	// (0 = unbounded). Set during setup (SetMaxInflight); read without
-	// synchronization.
-	maxInflight int
 	// tier, when set, is the replica-aware serving tier: every run plans
 	// its source tree through it and failed scatter jobs fail over to
 	// other live replicas (see tier.go). Set during setup (SetTier); read
@@ -115,15 +110,6 @@ type Engine struct {
 // (which never sleep — they run on the round's collector). Call during
 // setup, before the engine serves.
 func (e *Engine) SetRetryPolicy(pol backoff.Policy) { e.retryPol = pol }
-
-// SetMaxInflight bounds the number of concurrent site calls per run
-// (0 = unbounded). Call it during setup, before the engine serves.
-func (e *Engine) SetMaxInflight(n int) {
-	if n < 0 {
-		n = 0
-	}
-	e.maxInflight = n
-}
 
 // EnableTripletCache turns the sites' versioned per-fragment triplet cache
 // on or off for this engine's ParBoX/ParBoXBatch runs. Call it during
@@ -371,7 +357,7 @@ func (e *Engine) naiveCentralized(ctx context.Context, prog *xpath.Program) (Rep
 		}
 		jobs = append(jobs, mkFetch(site, ids))
 	}
-	fetched, _, err := scatterHedged(ctx, e.tr, e.coord, e.maxInflight, rec, jobs, e.obs(), tierRetry(e.tier, e.rr, mkFetch), tierHedge(e.tier, mkFetch))
+	fetched, _, err := scatterHedged(ctx, e.tr, e.coord, 0, rec, jobs, e.obs(), tierRetry(e.tier, e.rr, mkFetch), tierHedge(e.tier, mkFetch))
 	if err != nil {
 		return Report{}, err
 	}
@@ -524,7 +510,7 @@ func (e *Engine) FullDist(ctx context.Context, prog *xpath.Program) (Report, err
 				dec: func(cluster.Response, cluster.CallCost) (struct{}, error) { return struct{}{}, nil },
 			}
 		}
-		_, simStage2, err := scatter(ctx, e.tr, e.coord, e.maxInflight, rec, jobs, e.obs())
+		_, simStage2, err := scatter(ctx, e.tr, e.coord, 0, rec, jobs, e.obs())
 		if err != nil {
 			e.cleanup(ctx, runKey)
 			return Report{}, err

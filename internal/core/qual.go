@@ -44,11 +44,11 @@ func evalQualDec(resp cluster.Response, _ cluster.CallCost) ([]fragTriplet, erro
 }
 
 // gather is stage 2: Procedure evalQual for the fragments ids, grouped
-// by the site the source tree places them at — one visit per site, at
-// most maxInflight calls in flight, the first error cancels the rest,
-// and with a tier attached failed or slow jobs fail over or hedge onto
-// other replicas. The returned triplets join r.triplets. fp is the
-// program fingerprint for the sites' triplet caches (0 bypasses them).
+// by the site the source tree places them at — one visit per site, all
+// in flight at once, the first error cancels the rest, and with a tier
+// attached failed or slow jobs fail over or hedge onto other replicas.
+// The returned triplets join r.triplets. fp is the program fingerprint
+// for the sites' triplet caches (0 bypasses them).
 func (r *round) gather(ctx context.Context, prog *xpath.Program, fp uint64, ids []xmltree.FragmentID) error {
 	e := r.e
 	mk := func(site frag.SiteID, ids []xmltree.FragmentID) scatterJob[[]fragTriplet] {
@@ -68,7 +68,7 @@ func (r *round) gather(ctx context.Context, prog *xpath.Program, fp uint64, ids 
 		bySite[site] = append(bySite[site], id)
 	}
 	jobs := jobsBySite(bySite, mk)
-	perSite, sim, err := scatterHedged(ctx, e.tr, e.coord, e.maxInflight, r.rec, jobs, e.obs(), tierRetry(e.tier, e.rr, mk), tierHedge(e.tier, mk))
+	perSite, sim, err := scatterHedged(ctx, e.tr, e.coord, 0, r.rec, jobs, e.obs(), tierRetry(e.tier, e.rr, mk), tierHedge(e.tier, mk))
 	if err != nil {
 		return err
 	}
@@ -98,9 +98,9 @@ func (r *round) report(algo Algorithm) Report {
 // accounting, the solve's work included, by the same rules as a
 // ModeBoolean ParBoX run; cost prices that solve.
 func GatherTriplets(ctx context.Context, tr cluster.Transport, from frag.SiteID, st *frag.SourceTree,
-	prog *xpath.Program, maxInflight int, cost cluster.CostModel, a *boolexpr.Arena) (map[xmltree.FragmentID]eval.Triplet, Report, error) {
+	prog *xpath.Program, cost cluster.CostModel, a *boolexpr.Arena) (map[xmltree.FragmentID]eval.Triplet, Report, error) {
 	r := round{
-		e:        &Engine{tr: tr, coord: from, st: st, cost: cost, maxInflight: maxInflight},
+		e:        &Engine{tr: tr, coord: from, st: st, cost: cost},
 		start:    time.Now(),
 		rec:      newRecorder(),
 		arena:    a,

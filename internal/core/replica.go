@@ -144,10 +144,9 @@ func PlanPlacement(replicas ReplicaMap, sizes map[xmltree.FragmentID]int, strate
 // DeployReplicated stores every replica of every fragment at its sites
 // (copies are cloned so sites do not share trees), registers handlers,
 // and returns an engine over the placement chosen by the strategy. Use
-// Replan to derive engines for other strategies over the same cluster
-// without moving any data.
+// Engine.Replan to derive engines for other strategies over the same
+// cluster without moving any data.
 func DeployReplicated(c *cluster.Cluster, forest *frag.Forest, replicas ReplicaMap, strategy PlacementStrategy) (*Engine, error) {
-	sizes := make(map[xmltree.FragmentID]int, forest.Count())
 	for _, id := range forest.IDs() {
 		fr, ok := forest.Fragment(id)
 		if !ok {
@@ -157,7 +156,6 @@ func DeployReplicated(c *cluster.Cluster, forest *frag.Forest, replicas ReplicaM
 		if !ok || len(sites) == 0 {
 			return nil, fmt.Errorf("%w: %d", ErrNoReplica, id)
 		}
-		sizes[id] = fr.Size()
 		for _, siteID := range sites {
 			site := c.AddSite(siteID)
 			site.AddFragment(&frag.Fragment{ID: fr.ID, Parent: fr.Parent, Root: fr.Root.Clone()})
@@ -166,12 +164,14 @@ func DeployReplicated(c *cluster.Cluster, forest *frag.Forest, replicas ReplicaM
 	for _, siteID := range c.Sites() {
 		RegisterHandlers(c.AddSite(siteID), c, c.Cost())
 	}
-	return Replan(c, forest, replicas, strategy)
+	return NewEngine(c, "", nil, c.Cost()).Replan(forest, replicas, strategy)
 }
 
-// Replan derives a new engine for a different placement strategy over an
-// already-deployed replicated cluster.
-func Replan(c *cluster.Cluster, forest *frag.Forest, replicas ReplicaMap, strategy PlacementStrategy) (*Engine, error) {
+// Replan returns a copy of e over the placement the strategy chooses
+// from replicas, coordinated from the root fragment's chosen site. The
+// copy keeps e's transport, cost model, triplet cache, tier and retry
+// policy; no data moves.
+func (e *Engine) Replan(forest *frag.Forest, replicas ReplicaMap, strategy PlacementStrategy) (*Engine, error) {
 	sizes := make(map[xmltree.FragmentID]int, forest.Count())
 	for _, id := range forest.IDs() {
 		fr, _ := forest.Fragment(id)
@@ -186,5 +186,7 @@ func Replan(c *cluster.Cluster, forest *frag.Forest, replicas ReplicaMap, strate
 		return nil, err
 	}
 	rootEntry, _ := st.Entry(st.Root())
-	return NewEngine(c, rootEntry.Site, st, c.Cost()), nil
+	cp := *e
+	cp.st, cp.coord = st, rootEntry.Site
+	return &cp, nil
 }

@@ -54,7 +54,7 @@ func TestReplicatedCorrectAcrossStrategies(t *testing.T) {
 	}
 	ctx := context.Background()
 	for _, strategy := range []PlacementStrategy{PlaceFirst, PlaceMinSites, PlaceBalanced} {
-		eng2, err := Replan(c, forest, replicas, strategy)
+		eng2, err := eng.Replan(forest, replicas, strategy)
 		if err != nil {
 			t.Fatalf("%v: %v", strategy, err)
 		}
@@ -138,16 +138,17 @@ func TestPlaceBalancedReducesMakespan(t *testing.T) {
 	// And the balanced plan's ParBoX makespan beats the min-sites plan's
 	// on this size-skewed layout.
 	_, _, c := replicatedSetup(t)
-	if _, err := DeployReplicated(c, forest, replicas, PlaceFirst); err != nil {
+	eng, err := DeployReplicated(c, forest, replicas, PlaceFirst)
+	if err != nil {
 		t.Fatal(err)
 	}
 	prog := xpath.MustCompileString(xmark.Queries[8])
 	ctx := context.Background()
-	engBal, err := Replan(c, forest, replicas, PlaceBalanced)
+	engBal, err := eng.Replan(forest, replicas, PlaceBalanced)
 	if err != nil {
 		t.Fatal(err)
 	}
-	engMin, err := Replan(c, forest, replicas, PlaceMinSites)
+	engMin, err := eng.Replan(forest, replicas, PlaceMinSites)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,14 +201,15 @@ func TestPropReplicatedAgreesWithCentralized(t *testing.T) {
 			replicas[id] = sites
 		}
 		c := cluster.New(cluster.DefaultCostModel())
-		if _, err := DeployReplicated(c, forest, replicas, PlaceFirst); err != nil {
+		base, err := DeployReplicated(c, forest, replicas, PlaceFirst)
+		if err != nil {
 			return false
 		}
 		q := xpath.RandomQuery(r, xpath.RandomSpec{AllowNot: true})
 		prog := xpath.Compile(q)
 		want := xpath.EvalRaw(q, orig)
 		for _, strategy := range []PlacementStrategy{PlaceFirst, PlaceMinSites, PlaceBalanced} {
-			eng, err := Replan(c, forest, replicas, strategy)
+			eng, err := base.Replan(forest, replicas, strategy)
 			if err != nil {
 				return false
 			}

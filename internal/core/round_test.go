@@ -147,7 +147,7 @@ func TestEveryUserGathersTheSameTriplets(t *testing.T) {
 		{"GatherTriplets", boolean, true, func(tap *qualTap, eng *Engine) error {
 			a := eval.GetArena()
 			defer eval.PutArena(a)
-			got, _, err := GatherTriplets(ctx, tap, eng.Coordinator(), eng.SourceTree(), boolean, 0, cluster.CostModel{}, a)
+			got, _, err := GatherTriplets(ctx, tap, eng.Coordinator(), eng.SourceTree(), boolean, cluster.CostModel{}, a)
 			if err != nil {
 				return err
 			}

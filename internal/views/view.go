@@ -41,9 +41,6 @@ type View struct {
 	tr   cluster.Transport
 	home frag.SiteID
 	prog *xpath.Program
-	// maxInflight bounds the site calls a Materialize/Refresh fan-out
-	// keeps in flight (0 = unbounded), mirroring the engine's bound.
-	maxInflight int
 
 	mu       sync.Mutex
 	st       *frag.SourceTree
@@ -64,24 +61,20 @@ func (v *View) compact() {
 // ParBoX over all sites and solving the equation system at the home site.
 func Materialize(ctx context.Context, tr cluster.Transport, home frag.SiteID,
 	st *frag.SourceTree, prog *xpath.Program) (*View, error) {
-	v, _, err := MaterializeBounded(ctx, tr, home, st, prog, 0, cluster.CostModel{})
+	v, _, err := MaterializeReport(ctx, tr, home, st, prog, cluster.CostModel{})
 	return v, err
 }
 
-// MaterializeBounded is Materialize with the fan-out's in-flight site
-// calls capped at maxInflight (0 = unbounded); the bound sticks to the
-// view and applies to later Refresh calls too. It also returns the
-// round's accounting (core.GatherTriplets), with the solve priced by
-// cost.
-func MaterializeBounded(ctx context.Context, tr cluster.Transport, home frag.SiteID,
-	st *frag.SourceTree, prog *xpath.Program, maxInflight int, cost cluster.CostModel) (*View, core.Report, error) {
+// MaterializeReport is Materialize that also returns the round's
+// accounting (core.GatherTriplets), with the solve priced by cost.
+func MaterializeReport(ctx context.Context, tr cluster.Transport, home frag.SiteID,
+	st *frag.SourceTree, prog *xpath.Program, cost cluster.CostModel) (*View, core.Report, error) {
 	v := &View{
-		tr:          tr,
-		home:        home,
-		prog:        prog,
-		maxInflight: maxInflight,
-		st:          st.Clone(),
-		arena:       boolexpr.NewArena(),
+		tr:    tr,
+		home:  home,
+		prog:  prog,
+		st:    st.Clone(),
+		arena: boolexpr.NewArena(),
 	}
 	for _, id := range st.Fragments() {
 		if id >= v.nextID {
@@ -90,7 +83,7 @@ func MaterializeBounded(ctx context.Context, tr cluster.Transport, home frag.Sit
 	}
 	// One scatter/gather round over all sites (the same fan-out layer the
 	// query engine uses), the triplets interned into the view arena.
-	triplets, rep, err := core.GatherTriplets(ctx, tr, home, v.st, prog, maxInflight, cost, v.arena)
+	triplets, rep, err := core.GatherTriplets(ctx, tr, home, v.st, prog, cost, v.arena)
 	if err != nil {
 		return nil, core.Report{}, fmt.Errorf("views: materialize: %w", err)
 	}
@@ -339,7 +332,7 @@ func (v *View) Refresh(ctx context.Context) error {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	arena := boolexpr.NewArena()
-	triplets, rep, err := core.GatherTriplets(ctx, v.tr, v.home, v.st, v.prog, v.maxInflight, cluster.CostModel{}, arena)
+	triplets, rep, err := core.GatherTriplets(ctx, v.tr, v.home, v.st, v.prog, cluster.CostModel{}, arena)
 	if err != nil {
 		return err
 	}

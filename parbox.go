@@ -171,7 +171,6 @@ type options struct {
 	dataDir       string
 	residentLimit int
 	syncWrites    bool
-	maxInflight   int
 	// replication/failover/rebalance configure the replica-aware serving
 	// tier (WithReplication, WithFailover, WithRebalancing).
 	replication int
@@ -214,16 +213,6 @@ func WithCoalescedServing(window time.Duration, lanes int) Option {
 		o.coalesceWindow = window
 		o.coalesceLanes = lanes
 	}
-}
-
-// WithMaxInflight bounds how many site calls any single query run keeps
-// in flight at once through the engine's scatter/gather layer (0, the
-// default, is unbounded — every site of a round is contacted at once).
-// Deployments with very wide fan-outs set it to cap per-run memory and
-// socket pressure; the bound applies per run, so concurrent Exec calls
-// each get their own window.
-func WithMaxInflight(n int) Option {
-	return func(o *options) { o.maxInflight = n }
 }
 
 // WithTripletCache enables the versioned per-fragment triplet cache at the
@@ -331,32 +320,25 @@ func withTransportWrapper(w func(cluster.Transport) cluster.Transport) Option {
 type System struct {
 	cluster *cluster.Cluster
 
-	// sched is the coalescing scheduler; coalesceDefault routes plain
-	// Boolean Exec calls through it without WithCoalescing. cacheEnabled
-	// and maxInflight record the WithTripletCache / WithMaxInflight
-	// deployment choices so Replan can re-apply them to the swapped-in
-	// engine.
-	sched           *scheduler
-	coalesceDefault bool
-	cacheEnabled    bool
-	maxInflight     int
+	// opts are the options the system was built with; setupSite applies
+	// their per-site part to every site, AddSite's included.
+	opts options
+
+	// sched is the coalescing scheduler; WithCoalescedServing routes plain
+	// Boolean Exec calls through it without WithCoalescing.
+	sched *scheduler
 
 	// stores holds the per-site durable fragment stores of a
-	// WithDurability deployment (nil otherwise); Close/Checkpoint drain
-	// them.
+	// WithDurability deployment (nil otherwise), guarded by mu: AddSite
+	// adds to it, Close/Checkpoint drain it.
 	stores map[SiteID]*store.Store
 
 	// tier is the replica-aware serving tier of a WithFailover
 	// deployment (nil otherwise); trans is the transport the engine calls
-	// through when a test wrapped it (nil when the engine talks to the
-	// cluster directly). Both are set at deployment and never change.
+	// through: the cluster, or a test's wrapper around it. Both are set
+	// at deployment and never change.
 	tier  *serve.Tier
 	trans cluster.Transport
-
-	// retryPol is the deployment's per-query retry discipline
-	// (WithRetryBudget), shared by the engine's Boolean rounds and the
-	// facade's select/count round retries.
-	retryPol backoff.Policy
 
 	// obsRing retains recent traced Exec calls for /tracez; httpSrv and
 	// httpLn are the introspection server of a WithIntrospection
@@ -365,9 +347,9 @@ type System struct {
 	httpSrv *http.Server
 	httpLn  net.Listener
 
-	// mu guards engine, which Replan swaps, and subs, which the first
-	// Subscribe creates; forest/replicas are retained for Replan on
-	// replicated deployments and never change.
+	// mu guards engine, which Replan swaps, subs, which the first
+	// Subscribe creates, and stores; forest/replicas are retained for
+	// Replan on replicated deployments and never change.
 	mu       sync.RWMutex
 	engine   *core.Engine
 	forest   *Forest
@@ -392,13 +374,7 @@ func (s *System) eng() *core.Engine {
 // ready for queries. The coordinator is the site holding the root
 // fragment.
 func Deploy(forest *Forest, assign Assignment, opts ...Option) (*System, error) {
-	o := options{cost: cluster.DefaultCostModel()}
-	for _, opt := range opts {
-		opt(&o)
-	}
-	if o.residentLimit > 0 && o.dataDir == "" {
-		return nil, fmt.Errorf("parbox: WithResidentFragments requires WithDurability (evicted fragments must have a store to reload from)")
-	}
+	o := newOptions(opts)
 	if o.replication > 1 {
 		replicas, err := replicateAssignment(forest, assign, o.replication)
 		if err != nil {
@@ -407,57 +383,135 @@ func Deploy(forest *Forest, assign Assignment, opts ...Option) (*System, error) 
 		// PlaceFirst keeps the caller's assignment as the primary copy.
 		return deployReplicated(forest, replicas, PlaceFirst, o)
 	}
-	if o.failover {
-		return nil, fmt.Errorf("parbox: WithFailover requires replicas (WithReplication(n >= 2) or DeployReplicated)")
-	}
-	if o.rebalance {
-		return nil, fmt.Errorf("parbox: WithRebalancing requires WithFailover")
-	}
-	if o.hedging {
-		return nil, fmt.Errorf("parbox: WithHedging requires WithFailover (a hedge needs a second live replica)")
+	if err := o.check(false); err != nil {
+		return nil, err
 	}
 	c := cluster.New(o.cost)
 	eng, err := core.Deploy(c, forest, assign)
 	if err != nil {
 		return nil, err
 	}
-	for _, siteID := range eng.SourceTree().Sites() {
-		site, _ := c.Site(siteID)
-		views.RegisterHandlers(site, c)
-		cluster.RegisterStatsHandler(site)
-		if o.admission > 0 {
-			site.SetAdmission(cluster.AdmissionLimits{MaxInflight: o.admission})
-		}
-	}
-	eng.EnableTripletCache(o.tripletCache)
-	eng.SetMaxInflight(o.maxInflight)
-	eng.SetRetryPolicy(o.retryPol)
-	s := &System{
-		cluster: c, engine: eng, coalesceDefault: o.coalesce,
-		cacheEnabled: o.tripletCache, maxInflight: o.maxInflight,
-		retryPol: o.retryPol,
-	}
-	s.sched = newScheduler(s, o.coalesceWindow, o.coalesceLanes)
+	s := &System{cluster: c, engine: eng}
+	abort := func() {}
 	if o.dataDir != "" {
-		if err := s.attachStores(o); err != nil {
+		if s.stores, abort, err = openSeedStores(o, c.Sites()); err != nil {
 			return nil, err
 		}
 	}
-	if o.introspect != "" {
-		if err := s.startIntrospection(o.introspect); err != nil {
-			return nil, err
-		}
+	if err := s.assemble(o); err != nil {
+		abort()
+		return nil, err
 	}
 	return s, nil
 }
 
-// AddSite creates an additional (initially empty) site with the full
-// protocol registered, e.g. as the target of a View.Split re-assignment.
-func (s *System) AddSite(id SiteID) {
-	site := s.cluster.AddSite(id)
-	core.RegisterHandlers(site, s.cluster, s.cluster.Cost())
-	views.RegisterHandlers(site, s.cluster)
-	cluster.RegisterStatsHandler(site)
+// newOptions applies opts over the defaults.
+func newOptions(opts []Option) options {
+	o := options{cost: cluster.DefaultCostModel()}
+	for _, opt := range opts {
+		opt(&o)
+	}
+	return o
+}
+
+// check refuses the option combinations a system cannot honour, the
+// same way on every entry point; replicated says whether the system
+// keeps replicas.
+func (o *options) check(replicated bool) error {
+	switch {
+	case o.residentLimit > 0 && o.dataDir == "":
+		return errors.New("parbox: WithResidentFragments requires WithDurability (evicted fragments must have a store to reload from)")
+	case replicated && o.dataDir != "":
+		return errors.New("parbox: WithDurability is not supported for replicated deployments")
+	case !replicated && o.failover:
+		return errors.New("parbox: WithFailover requires replicas (WithReplication(n >= 2) or DeployReplicated)")
+	case o.rebalance && !o.failover:
+		return errors.New("parbox: WithRebalancing requires WithFailover")
+	case o.hedging && !o.failover:
+		return errors.New("parbox: WithHedging requires WithFailover (a hedge needs a second live replica)")
+	}
+	return nil
+}
+
+// assemble finishes a System whose cluster and engine an entry point
+// placed — with the stores of a durable system or the forest and
+// replicas of a replicated one. It sets up every site (setupSite), then
+// the engine's settings (transport wrapper, triplet cache, retry policy,
+// serving tier), the scheduler and introspection. Deploy,
+// DeployReplicated and Restore all end here.
+func (s *System) assemble(o options) error {
+	s.opts = o
+	for _, id := range s.cluster.Sites() {
+		if err := s.setupSite(id, s.stores[id]); err != nil {
+			return err
+		}
+	}
+	s.trans = s.cluster
+	if o.wrapTransport != nil {
+		// Route the engine (and below, the tier's probes) through the
+		// wrapper, so injected faults hit exactly what queries use.
+		s.trans = o.wrapTransport(s.cluster)
+		s.engine = core.NewEngine(s.trans, s.engine.Coordinator(), s.engine.SourceTree(), s.cluster.Cost())
+	}
+	s.engine.EnableTripletCache(o.tripletCache)
+	s.engine.SetRetryPolicy(o.retryPol)
+	if o.failover {
+		so := o.serveOpts
+		if o.hedging {
+			so.Hedging, so.HedgeDelay = true, o.hedgeDelay
+		}
+		s.tier = serve.NewTier(s.trans, s.engine.Coordinator(), s.forest, s.replicas, so)
+		s.tier.AttachMetrics(s.cluster.Metrics())
+		if o.rebalance {
+			s.tier.StartRebalancer(o.rbOpts)
+		}
+		s.engine.SetTier(s.tier)
+	}
+	s.sched = newScheduler(s, o.coalesceWindow, o.coalesceLanes)
+	if o.introspect != "" {
+		if err := s.startIntrospection(o.introspect); err != nil {
+			return err
+		}
+	}
+	if s.tier != nil {
+		s.tier.Start()
+	}
+	return nil
+}
+
+// setupSite sets site id up the way every site is (serve.SetupSite):
+// the whole site protocol, the system's admission limit, and on a
+// durable system the site's store st.
+func (s *System) setupSite(id SiteID, st *store.Store) error {
+	site, _ := s.cluster.Site(id)
+	return serve.SetupSite(site, s.cluster, s.cluster.Cost(), s.opts.admission, st, s.opts.residentLimit)
+}
+
+// AddSite creates an additional, initially empty site, set up like every
+// deployed one — the whole protocol, admission control, and on a durable
+// system a store of its own — e.g. as the target of a View.Split
+// re-assignment. A site that already exists is an error.
+func (s *System) AddSite(id SiteID) error {
+	// mu orders AddSite with itself and with Close and Checkpoint.
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if _, ok := s.cluster.Site(id); ok {
+		return fmt.Errorf("parbox: site %s already exists", id)
+	}
+	var st *store.Store
+	if s.opts.dataDir != "" {
+		if s.stores == nil {
+			return errors.New("parbox: AddSite on a closed system")
+		}
+		stores, _, err := openSeedStores(s.opts, []SiteID{id})
+		if err != nil {
+			return err
+		}
+		st = stores[id]
+		s.stores[id] = st
+	}
+	s.cluster.AddSite(id)
+	return s.setupSite(id, st)
 }
 
 // SelectionResult, BatchResult and CountResult are the per-mode names of
@@ -627,9 +681,9 @@ func (s *System) Replicas() ReplicaMap {
 // the strategy. Because ParBoX never moves data, switching strategies is
 // free: call Replan.
 func DeployReplicated(forest *Forest, replicas ReplicaMap, strategy PlacementStrategy, opts ...Option) (*System, error) {
-	o := options{cost: cluster.DefaultCostModel()}
-	for _, opt := range opts {
-		opt(&o)
+	o := newOptions(opts)
+	if o.replication != 0 {
+		return nil, errors.New("parbox: DeployReplicated takes its replicas from the map; WithReplication does not apply")
 	}
 	return deployReplicated(forest, replicas, strategy, o)
 }
@@ -669,95 +723,34 @@ func replicateAssignment(forest *Forest, assign Assignment, n int) (ReplicaMap, 
 }
 
 // deployReplicated is the shared replicated-deployment path of Deploy
-// (WithReplication) and DeployReplicated, including the serving tier of
-// WithFailover deployments.
+// (WithReplication) and DeployReplicated.
 func deployReplicated(forest *Forest, replicas ReplicaMap, strategy PlacementStrategy, o options) (*System, error) {
-	if o.dataDir != "" {
-		return nil, fmt.Errorf("parbox: WithDurability is not supported for replicated deployments")
-	}
-	if o.rebalance && !o.failover {
-		return nil, fmt.Errorf("parbox: WithRebalancing requires WithFailover")
-	}
-	if o.hedging && !o.failover {
-		return nil, fmt.Errorf("parbox: WithHedging requires WithFailover (the serving tier plans the hedges)")
-	}
-	if o.hedging {
-		o.serveOpts.Hedging = true
-		o.serveOpts.HedgeDelay = o.hedgeDelay
+	if err := o.check(true); err != nil {
+		return nil, err
 	}
 	c := cluster.New(o.cost)
 	eng, err := core.DeployReplicated(c, forest, replicas, strategy)
 	if err != nil {
 		return nil, err
 	}
-	for _, siteID := range c.Sites() {
-		site, _ := c.Site(siteID)
-		views.RegisterHandlers(site, c)
-		cluster.RegisterStatsHandler(site)
-		if o.failover {
-			serve.RegisterHandlers(site)
-		}
-		if o.admission > 0 {
-			site.SetAdmission(cluster.AdmissionLimits{MaxInflight: o.admission})
-		}
-	}
-	var trans cluster.Transport
-	if o.wrapTransport != nil {
-		// Route the engine (and below, the tier's probes) through the
-		// wrapper, so injected faults hit exactly what queries use.
-		trans = o.wrapTransport(c)
-		eng = core.NewEngine(trans, eng.Coordinator(), eng.SourceTree(), c.Cost())
-	}
-	eng.EnableTripletCache(o.tripletCache)
-	eng.SetMaxInflight(o.maxInflight)
-	eng.SetRetryPolicy(o.retryPol)
-	s := &System{
-		cluster: c, engine: eng, forest: forest, replicas: replicas,
-		coalesceDefault: o.coalesce, cacheEnabled: o.tripletCache,
-		maxInflight: o.maxInflight, trans: trans, retryPol: o.retryPol,
-	}
-	if o.failover {
-		tr := cluster.Transport(c)
-		if trans != nil {
-			tr = trans
-		}
-		tier := serve.NewTier(tr, eng.Coordinator(), forest, replicas, o.serveOpts)
-		tier.AttachMetrics(c.Metrics())
-		if o.rebalance {
-			tier.StartRebalancer(o.rbOpts)
-		}
-		eng.SetTier(tier)
-		tier.Start()
-		s.tier = tier
-	}
-	s.sched = newScheduler(s, o.coalesceWindow, o.coalesceLanes)
-	if o.introspect != "" {
-		if err := s.startIntrospection(o.introspect); err != nil {
-			return nil, err
-		}
+	s := &System{cluster: c, engine: eng, forest: forest, replicas: replicas}
+	if err := s.assemble(o); err != nil {
+		return nil, err
 	}
 	return s, nil
 }
 
 // Replan switches a replicated system to a different placement strategy
-// without moving any data. Exec calls already in flight finish against
+// without moving any data: the new engine is a copy of the current one
+// over the new placement. Exec calls already in flight finish against
 // the placement they started with.
 func (s *System) Replan(strategy PlacementStrategy) error {
 	if s.replicas == nil {
 		return fmt.Errorf("parbox: Replan requires a system deployed with DeployReplicated")
 	}
-	eng, err := core.Replan(s.cluster, s.forest, s.replicas, strategy)
+	eng, err := s.eng().Replan(s.forest, s.replicas, strategy)
 	if err != nil {
 		return err
-	}
-	if s.trans != nil {
-		eng = core.NewEngine(s.trans, eng.Coordinator(), eng.SourceTree(), s.cluster.Cost())
-	}
-	eng.EnableTripletCache(s.cacheEnabled)
-	eng.SetMaxInflight(s.maxInflight)
-	eng.SetRetryPolicy(s.retryPol)
-	if s.tier != nil {
-		eng.SetTier(s.tier)
 	}
 	s.mu.Lock()
 	s.engine = eng

@@ -56,7 +56,9 @@ func TestDurableAddSiteSplitSurvivesRestore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys.AddSite("S3")
+	if err := sys.AddSite("S3"); err != nil {
+		t.Fatal(err)
+	}
 	vRes, err := sys.Exec(ctx, MustPrepare(durableQueries[1]), WithMode(ModeMaterialize))
 	if err != nil {
 		t.Fatal(err)
@@ -146,7 +148,9 @@ func TestEverySetupPathSetsUpEverySite(t *testing.T) {
 			if sys.IntrospectionAddr() == "" {
 				t.Error("WithIntrospection started no server")
 			}
-			sys.AddSite("added")
+			if err := sys.AddSite("added"); err != nil {
+				t.Fatal(err)
+			}
 			ids := sys.cluster.Sites()
 			if len(ids) < 4 {
 				t.Fatalf("sites = %v, want the three deployed plus the added one", ids)

@@ -166,20 +166,15 @@ const (
 
 var subFaultReasons = [numSubFaults]string{"undecodable_delta", "undecodable_triplet", "solve_failed"}
 
-// deltaTransport returns the transport subscriptions ride: the wrapped
-// transport when it supports push delivery, the in-process cluster
-// otherwise.
-func (s *System) deltaTransport() (cluster.Transport, cluster.DeltaSubscriber, error) {
-	var tr cluster.Transport = s.cluster
-	if s.trans != nil {
-		tr = s.trans
+// deltaSubscriber returns what subscriptions take their deltas from: the
+// engine's transport when it supports push delivery, the in-process
+// cluster otherwise (a wrapper without push support still carries the
+// registration calls).
+func (s *System) deltaSubscriber() cluster.DeltaSubscriber {
+	if ds, ok := s.trans.(cluster.DeltaSubscriber); ok {
+		return ds
 	}
-	if ds, ok := tr.(cluster.DeltaSubscriber); ok {
-		return tr, ds, nil
-	}
-	// A wrapper without push support still carries the registration
-	// calls; deltas flow from the underlying cluster directly.
-	return tr, s.cluster, nil
+	return s.cluster
 }
 
 // subMgr returns the System's subscription manager, starting it (site
@@ -190,10 +185,7 @@ func (s *System) subMgr(ctx context.Context) (*subManager, error) {
 	if s.subs != nil {
 		return s.subs, nil
 	}
-	_, ds, err := s.deltaTransport()
-	if err != nil {
-		return nil, err
-	}
+	ds := s.deltaSubscriber()
 	m := &subManager{
 		sys:     s,
 		deltas:  make(chan []byte, 256),
@@ -416,10 +408,7 @@ func (s *System) Subscribe(ctx context.Context, q *Prepared) (*Subscription, err
 // answer from the returned per-fragment triplets — one visit per site,
 // no data shipped, exactly the ParBoX round shape.
 func (m *subManager) baseline(ctx context.Context, st *subState) error {
-	tr, _, err := m.sys.deltaTransport()
-	if err != nil {
-		return err
-	}
+	tr := m.sys.trans
 	eng := m.sys.eng()
 	coord := eng.Coordinator()
 	source := eng.SourceTree().Clone()
