@@ -23,10 +23,13 @@ lint: vet
 	@unformatted="$$(gofmt -l .)"; if [ -n "$$unformatted" ]; then echo "gofmt wants to rewrite:"; echo "$$unformatted"; exit 1; fi
 	staticcheck ./...
 
-# loc prints the size the simplicity PRs are measured by: non-test Go
-# lines outside benchmark/ (CHANGES.md quotes it before and after).
+# loc prints the sizes the simplicity PRs are measured by (CHANGES.md
+# quotes both before and after): non-test Go lines outside benchmark/,
+# then the facade's option count — its exported functions returning an
+# Option or ExecOption, the set TestREADMENamesEveryOption checks.
 loc:
 	@git ls-files '*.go' | grep -v _test.go | grep -v '^benchmark/' | xargs cat | wc -l
+	@git ls-files '*.go' | grep -v _test.go | grep -v / | xargs grep -hE '^func [A-Z][A-Za-z]*\(.*\) (Option|ExecOption) \{' | wc -l
 
 # benchmark builds and runs the repo benchmark (BENCHMARK.json): five
 # workloads, end-to-end metrics plus the per-layer trace. Numbers and how
