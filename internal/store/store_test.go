@@ -159,6 +159,34 @@ func TestCheckpointTruncatesWAL(t *testing.T) {
 	}
 }
 
+// TestRepeatedCheckpoints: a fragment and a triplet unchanged since the
+// last checkpoint live in that checkpoint's snapshot; the next checkpoint
+// must carry them over and repoint them before it deletes that snapshot.
+func TestRepeatedCheckpoints(t *testing.T) {
+	dir := t.TempDir()
+	s := mustOpen(t, dir, Options{})
+	f0 := testFragment(0, frag.NoParent, "root")
+	mustPut(t, s, f0, 1)
+	if err := s.PutTriplet(0, 1, 99, []byte{1, 2, 3}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if err := s.Checkpoint(); err != nil {
+			t.Fatalf("checkpoint %d: %v", i, err)
+		}
+		checkFragment(t, s, f0, 1)
+	}
+	if trips, err := s.Triplets(); err != nil || len(trips) != 1 {
+		t.Fatalf("Triplets = %v, %v; want 1 entry", trips, err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s2 := mustOpen(t, dir, Options{})
+	defer s2.Close()
+	checkFragment(t, s2, f0, 1)
+}
+
 func TestTornTailTruncated(t *testing.T) {
 	dir := t.TempDir()
 	s := mustOpen(t, dir, Options{})
