@@ -743,10 +743,15 @@ func (s *Store) checkpoint(minWAL int64) error {
 		return nil
 	}
 	oldFiles := make(map[int64]*os.File, len(s.files))
-	oldSet := make(map[*os.File]bool, len(s.files))
+	oldSet := make(map[*os.File]bool, len(s.files)+1)
 	for seq, f := range s.files {
 		oldFiles[seq] = f
 		oldSet[f] = true
+	}
+	// Entries unchanged since the previous checkpoint live in its
+	// snapshot, which phase 3 deletes too: they must be repointed as well.
+	if s.snap != nil {
+		oldSet[s.snap] = true
 	}
 	newSeq := s.seq + 1
 	if err := s.createSegment(newSeq); err != nil {
