@@ -3,6 +3,8 @@ package parbox
 import (
 	"context"
 	"errors"
+	"fmt"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -213,5 +215,46 @@ func TestRestoreRefusesReplicationOptions(t *testing.T) {
 			rest.Close()
 			t.Errorf("Restore accepted %s", name)
 		}
+	}
+}
+
+// TestConcurrentAddSiteAndCheckpoint: AddSite adds durable stores while
+// Checkpoint drains them, and every added site's store survives into
+// Restore.
+func TestConcurrentAddSiteAndCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	forest, assign := durableForest(t)
+	sys, err := Deploy(forest, assign, WithDurability(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const added = 4
+	var wg sync.WaitGroup
+	for i := 0; i < added; i++ {
+		wg.Add(2)
+		go func(id SiteID) {
+			defer wg.Done()
+			if err := sys.AddSite(id); err != nil {
+				t.Error(err)
+			}
+		}(SiteID(fmt.Sprintf("N%d", i)))
+		go func() {
+			defer wg.Done()
+			if err := sys.Checkpoint(); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	if err := sys.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rest, err := Restore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rest.Close()
+	if got, want := len(rest.cluster.Sites()), 3+added; got != want {
+		t.Errorf("restored %d sites %v, want %d", got, rest.cluster.Sites(), want)
 	}
 }
