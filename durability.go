@@ -166,12 +166,10 @@ func isSiteDir(path string) bool {
 	return false
 }
 
-// drainStores runs fn on every durable store in site order and returns
-// the first error, a site's accumulated persistence error included.
-func (s *System) drainStores(fn func(*store.Store) error) error {
-	s.mu.RLock()
-	stores := maps.Clone(s.stores)
-	s.mu.RUnlock()
+// drainStores runs fn on each of the durable stores in site order and
+// returns the first error, a site's accumulated persistence error
+// included.
+func (s *System) drainStores(stores map[SiteID]*store.Store, fn func(*store.Store) error) error {
 	ids := make([]SiteID, 0, len(stores))
 	for id := range stores {
 		ids = append(ids, id)
@@ -193,7 +191,10 @@ func (s *System) drainStores(fn func(*store.Store) error) error {
 // next Restore replays snapshots only. It also surfaces any persistence
 // error a site accumulated while serving. No-op without WithDurability.
 func (s *System) Checkpoint() error {
-	return s.drainStores((*store.Store).Checkpoint)
+	s.mu.RLock()
+	stores := maps.Clone(s.stores)
+	s.mu.RUnlock()
+	return s.drainStores(stores, (*store.Store).Checkpoint)
 }
 
 // Close shuts the system down gracefully: standing subscriptions are
@@ -206,8 +207,8 @@ func (s *System) Checkpoint() error {
 // WithDurability, WithFailover, WithIntrospection or subscriptions.
 func (s *System) Close() error {
 	s.mu.Lock()
-	subs := s.subs
-	s.subs = nil
+	subs, stores := s.subs, s.stores
+	s.subs, s.stores = nil, nil
 	s.mu.Unlock()
 	if subs != nil {
 		subs.close()
@@ -218,11 +219,7 @@ func (s *System) Close() error {
 	if s.tier != nil {
 		s.tier.Stop()
 	}
-	err := s.drainStores((*store.Store).Close)
-	s.mu.Lock()
-	s.stores = nil
-	s.mu.Unlock()
-	return err
+	return s.drainStores(stores, (*store.Store).Close)
 }
 
 // Restore rebuilds a durable deployment from its data directory: every
