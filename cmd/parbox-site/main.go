@@ -29,7 +29,7 @@
 // counters and latency histogram), /healthz, /tracez (recent traced
 // requests as span trees, ?min= filters by duration), and
 // /debug/pprof. The same counters are also answered over the data
-// plane via the admission-exempt obs.stats RPC, which is what
+// plane via the obs.stats RPC (a Control kind: never shed), which is what
 // `parbox top -manifest …` scrapes.
 package main
 

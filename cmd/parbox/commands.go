@@ -452,9 +452,9 @@ func cmdHealth(args []string) error {
 // RPC) over the ordinary transport and renders the paper's evaluation
 // quantities — visits, messages, bytes, steps — plus cache, shed and
 // latency-quantile columns as a live table. With -watch it refreshes at
-// that interval until interrupted. The scrape is admission-exempt and
-// excluded from the counters it reports, so watching a site does not
-// perturb what it measures.
+// that interval until interrupted. The scrape is a Control kind: never
+// shed and excluded from the counters it reports, so watching a site
+// does not perturb what it measures.
 func cmdTop(args []string) error {
 	fs := flag.NewFlagSet("top", flag.ExitOnError)
 	manifestPath := fs.String("manifest", "", "manifest file (required)")

@@ -218,7 +218,7 @@ type Site struct {
 	id frag.SiteID
 
 	mu        sync.RWMutex
-	handlers  map[string]Handler
+	handlers  map[string]handlerEntry
 	fragments map[xmltree.FragmentID]*frag.Fragment
 	// versions holds each stored fragment's monotonic version: bumped on
 	// every add, removal and in-place mutation (view maintenance calls
@@ -238,13 +238,10 @@ type Site struct {
 	lastUse     map[xmltree.FragmentID]uint64
 	storeErr    error
 
-	// admit, when set, is the site's admission controller (SetAdmission):
-	// dispatch sheds requests past its watermarks with an OverloadError
-	// instead of queueing them. admitEstimate prices requests for the
-	// cost watermark (SetAdmissionEstimator).
-	admit         *admission
-	admitEstimate func(req Request) int64
-	admitExempt   map[string]bool
+	// admit, when set, is the site's admission limit (SetAdmission):
+	// dispatch sheds requests past it with an OverloadError instead of
+	// queueing them.
+	admit *admission
 
 	// stats is the site's always-on observability counter block
 	// (visits, messages, bytes, steps, cache, sheds + a latency
@@ -268,7 +265,7 @@ type Site struct {
 func NewSite(id frag.SiteID) *Site {
 	return &Site{
 		id:        id,
-		handlers:  make(map[string]Handler),
+		handlers:  make(map[string]handlerEntry),
 		fragments: make(map[xmltree.FragmentID]*frag.Fragment),
 		versions:  make(map[xmltree.FragmentID]uint64),
 		state:     make(map[string]any),
@@ -323,12 +320,18 @@ func (s *Site) TraceRing() *obs.TraceRing { return s.ring }
 // ID returns the site's name.
 func (s *Site) ID() frag.SiteID { return s.id }
 
+// handlerEntry is a registered handler with its kind's declared class.
+type handlerEntry struct {
+	h     Handler
+	class Class
+}
+
 // Handle registers a handler for a request kind, replacing any previous
-// one.
+// one. The kind keeps its declared class (ClassOf) whoever registers it.
 func (s *Site) Handle(kind string, h Handler) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.handlers[kind] = h
+	s.handlers[kind] = handlerEntry{h: h, class: ClassOf(kind)}
 }
 
 // HandlerFor returns the registered handler for a kind, if any —
@@ -337,8 +340,8 @@ func (s *Site) Handle(kind string, h Handler) {
 func (s *Site) HandlerFor(kind string) (Handler, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	h, ok := s.handlers[kind]
-	return h, ok
+	e, ok := s.handlers[kind]
+	return e.h, ok
 }
 
 // AddFragment stores a fragment at the site and bumps its version. With a
@@ -645,26 +648,34 @@ func (s *Site) Delete(key string) {
 // admittedAt keys the site whose dispatch runs a handler in its context.
 type admittedAt struct{}
 
-// dispatch runs the registered handler for the request, behind the
-// site's admission controller (when one is set): requests past the
-// watermarks are shed with an OverloadError before any work happens, and
-// a context that is already expired is declined for free — both the
-// in-process transport and both TCP server paths funnel through here, so
-// admission and accounting are uniform across transports. A call that a
-// handler makes to its own site runs under the admission its parent
-// already holds: admitting it again would let a parent that waits on it
-// shed its own child on an idle site. remote says whether the caller is
-// another site: only remote calls count as visits, messages and bytes
-// (the paper's rule — local work costs no communication); steps, cache,
-// outcome and latency count every call.
+// ErrHandlerPanic is wrapped by the error a site answers when its
+// handler panicked: the panic is contained to that one request.
+var ErrHandlerPanic = errors.New("cluster: handler panicked")
+
+// dispatch runs the registered handler for the request, and is the one
+// place a site decides admission: both the in-process transport and the
+// TCP server funnel through here, so admission and accounting are
+// uniform across transports. A context that is already expired is
+// declined for free. A kind's class (see Class) decides the rest: a
+// Control kind is never shed and touches no counter; every other kind is
+// shed past the site's admission limit (SetAdmission) before any work
+// happens, and counted. A call that a handler makes to its own site runs
+// under the admission its parent already holds: admitting it again would
+// let a parent that waits on it shed its own child on an idle site.
+// remote says whether the caller is another site: only remote calls count
+// as visits, messages and bytes (the paper's rule — local work costs no
+// communication); steps, cache, outcome and latency count every call.
 func (s *Site) dispatch(ctx context.Context, req Request, remote bool) (Response, error) {
 	if err := ctx.Err(); err != nil {
 		return Response{}, err
 	}
-	// observe gates the stats counters: the obs.stats scrape itself is
-	// excluded so monitoring does not pollute the paper's per-site
-	// visit/message/byte table.
-	observe := req.Kind != StatsKind
+	held, _ := ctx.Value(admittedAt{}).(*Site)
+	s.mu.RLock()
+	e, ok := s.handlers[req.Kind]
+	adm := s.admit
+	s.mu.RUnlock()
+	// A kind no handler serves is a SiteBound miss: counted, and an error.
+	observe := e.class != Control
 	var start time.Time
 	if observe {
 		start = time.Now()
@@ -674,36 +685,31 @@ func (s *Site) dispatch(ctx context.Context, req Request, remote bool) (Response
 			s.stats.BytesIn.Add(uint64(len(req.Payload)))
 		}
 	}
+	if !ok {
+		s.stats.Errors.Add(1)
+		return Response{}, fmt.Errorf("cluster: site %s has no handler for %q", s.id, req.Kind)
+	}
+	if !observe || held == s {
+		adm = nil
+	}
 	// Span names are built only for traced calls: the untraced path
 	// allocates nothing.
 	_, traced := obs.FromContext(ctx)
-	held, _ := ctx.Value(admittedAt{}).(*Site)
-	s.mu.RLock()
-	h, ok := s.handlers[req.Kind]
-	adm := s.admit
-	if adm != nil && (held == s || s.admitExempt[req.Kind]) {
-		adm = nil
-	}
-	s.mu.RUnlock()
-	if !ok {
-		return Response{}, fmt.Errorf("cluster: site %s has no handler for %q", s.id, req.Kind)
-	}
-	release, err := adm.admit(s.id, req)
-	if err != nil {
-		if observe {
+	if adm != nil {
+		if err := adm.admit(s.id); err != nil {
 			s.stats.Sheds.Add(1)
+			// The admission decision is itself a span-worthy event: a
+			// traced request that was shed shows up in the tree as a
+			// zero-work "admit" span instead of vanishing.
+			if traced {
+				_, asp := obs.StartSpan(ctx, string(s.id), "admit "+req.Kind)
+				asp.SetAttr("shed", 1)
+				asp.End()
+			}
+			return Response{}, err
 		}
-		// The admission decision is itself a span-worthy event: a
-		// traced request that was shed shows up in the tree as a
-		// zero-work "admit" span instead of vanishing.
-		if traced {
-			_, asp := obs.StartSpan(ctx, string(s.id), "admit "+req.Kind)
-			asp.SetAttr("shed", 1)
-			asp.End()
-		}
-		return Response{}, err
+		defer adm.release()
 	}
-	defer release()
 	hctx := ctx
 	if held != s && (adm != nil || held != nil) {
 		// Another site's mark is replaced: its admission does not cover
@@ -714,7 +720,7 @@ func (s *Site) dispatch(ctx context.Context, req Request, remote bool) (Response
 	if traced {
 		hctx, hsp = obs.StartSpan(hctx, string(s.id), "handle "+req.Kind)
 	}
-	resp, err := h(hctx, s, req)
+	resp, err := s.run(hctx, e.h, req)
 	if hsp != nil {
 		hsp.SetAttr("steps", resp.Steps)
 		hsp.End()
@@ -738,6 +744,17 @@ func (s *Site) dispatch(ctx context.Context, req Request, remote bool) (Response
 		}
 	}
 	return resp, err
+}
+
+// run calls a handler, turning a panic into an error that wraps
+// ErrHandlerPanic: one bad request must not take the site down.
+func (s *Site) run(ctx context.Context, h Handler, req Request) (resp Response, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			resp, err = Response{}, fmt.Errorf("%w: site %s, kind %q: %v", ErrHandlerPanic, s.id, req.Kind, p)
+		}
+	}()
+	return h(ctx, s, req)
 }
 
 // Cluster is the in-process simulated LAN.

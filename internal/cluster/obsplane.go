@@ -13,14 +13,13 @@ import (
 const StatsKind = "obs.stats"
 
 // RegisterStatsHandler installs the obs.stats endpoint on a site. The
-// scrape is admission-exempt (monitoring must answer precisely when
-// the site is overloaded) and excluded from the counters it reports,
-// so scraping does not perturb the measurement.
+// kind is Control: never shed (monitoring must answer precisely when the
+// site is overloaded) and excluded from the counters it reports, so
+// scraping does not perturb the measurement.
 func RegisterStatsHandler(s *Site) {
 	s.Handle(StatsKind, func(ctx context.Context, site *Site, req Request) (Response, error) {
 		snap := site.stats.Snapshot()
 		snap.Site = string(site.id)
 		return Response{Payload: snap.Encode(nil)}, nil
 	})
-	s.ExemptFromAdmission(StatsKind)
 }

@@ -15,7 +15,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/frag"
@@ -101,130 +101,43 @@ func decodeRetryAfter(body []byte) time.Duration {
 
 // --- per-site admission control --------------------------------------------
 
-// AdmissionLimits bounds how much work a site accepts concurrently; work
-// past a watermark is shed with an OverloadError instead of queued.
-type AdmissionLimits struct {
-	// MaxInflight bounds concurrently dispatched requests (queue depth);
-	// 0 = unbounded.
-	MaxInflight int
-	// MaxCost bounds the summed estimated cost of in-flight requests, in
-	// the units of the estimator (node×subquery steps for the ParBoX
-	// handlers); 0 = unbounded. Requests with no estimate weigh 1.
-	MaxCost int64
-	// RetryAfterBase scales the shed hint: the hint is the base times the
-	// number of in-flight requests (deeper queue → later retry). Zero
-	// means DefaultRetryAfterBase.
-	RetryAfterBase time.Duration
-}
+// retryAfterPerInflight scales the shed hint: a shed asks the caller to
+// come back after this long per request the site is already running.
+const retryAfterPerInflight = 500 * time.Microsecond
 
-// DefaultRetryAfterBase is the per-queued-request retry-after scale.
-const DefaultRetryAfterBase = 500 * time.Microsecond
-
-// admission is a site's admission controller. A nil *admission admits
-// everything (the default — admission is opt-in per deployment).
+// admission bounds how many requests a site runs at once; a request past
+// the limit is shed with an OverloadError instead of queued. A nil
+// *admission admits everything (the default — admission is opt-in per
+// deployment).
 type admission struct {
-	mu       sync.Mutex
-	lim      AdmissionLimits
-	estimate func(req Request) int64
-	inflight int
-	cost     int64
+	limit    int64
+	inflight atomic.Int64
 }
 
-// admit accepts the request (returning a release func) or sheds it with
-// an OverloadError carrying the retry-after hint.
-func (a *admission) admit(site frag.SiteID, req Request) (func(), error) {
-	if a == nil {
-		return func() {}, nil
-	}
-	var c int64 = 1
-	if a.estimate != nil {
-		if est := a.estimate(req); est > 1 {
-			c = est
-		}
-	}
-	a.mu.Lock()
-	over := (a.lim.MaxInflight > 0 && a.inflight >= a.lim.MaxInflight) ||
-		// Cost watermark: always admit into an empty site (a single huge
-		// request must not deadlock against its own weight).
-		(a.lim.MaxCost > 0 && a.inflight > 0 && a.cost+c > a.lim.MaxCost)
-	if over {
-		base := a.lim.RetryAfterBase
-		if base <= 0 {
-			base = DefaultRetryAfterBase
-		}
-		hint := time.Duration(a.inflight) * base
+// admit takes a slot (give it back with release) or sheds the request
+// with an OverloadError whose hint grows with the queue depth.
+func (a *admission) admit(site frag.SiteID) error {
+	if n := a.inflight.Add(1); n > a.limit {
+		a.inflight.Add(-1)
+		hint := time.Duration(n-1) * retryAfterPerInflight
 		if hint > maxRetryAfter {
 			hint = maxRetryAfter
 		}
-		a.mu.Unlock()
-		return nil, &OverloadError{Site: site, RetryAfter: hint}
+		return &OverloadError{Site: site, RetryAfter: hint}
 	}
-	a.inflight++
-	a.cost += c
-	a.mu.Unlock()
-	return func() {
-		a.mu.Lock()
-		a.inflight--
-		a.cost -= c
-		a.mu.Unlock()
-	}, nil
+	return nil
 }
 
-// SetAdmission installs (or, with zero limits, removes) the site's
-// admission controller. Call during setup, before the site serves.
-func (s *Site) SetAdmission(lim AdmissionLimits) {
+func (a *admission) release() { a.inflight.Add(-1) }
+
+// SetAdmission makes the site shed requests past n running at once (n ≤
+// 0 removes the bound). Control kinds are never shed. Call during setup,
+// before the site serves.
+func (s *Site) SetAdmission(n int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if lim.MaxInflight <= 0 && lim.MaxCost <= 0 {
-		s.admit = nil
-		return
-	}
-	est := s.admitEstimate
-	s.admit = &admission{lim: lim, estimate: est}
-}
-
-// SetAdmissionEstimator installs the per-request cost estimator the
-// admission controller weighs requests with (core registers one that
-// prices evaluation requests by the fragment sizes they touch). Safe to
-// call before or after SetAdmission.
-func (s *Site) SetAdmissionEstimator(est func(req Request) int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.admitEstimate = est
-	if s.admit != nil {
-		s.admit.mu.Lock()
-		s.admit.estimate = est
-		s.admit.mu.Unlock()
-	}
-}
-
-// admissionEnabled reports whether the site runs admission control; the
-// TCP server's per-connection shedding keys off it (no admission → plain
-// backpressure, today's behavior).
-func (s *Site) admissionEnabled() bool {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.admit != nil
-}
-
-// admissionExempt reports whether a request kind bypasses admission.
-func (s *Site) admissionExempt(kind string) bool {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.admitExempt[kind]
-}
-
-// ExemptFromAdmission marks request kinds the admission controller must
-// always accept: control-plane traffic (health probes, fragment
-// migration) whose whole point is reaching a site that is busy — shedding
-// a probe would make an overloaded site look dead.
-func (s *Site) ExemptFromAdmission(kinds ...string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.admitExempt == nil {
-		s.admitExempt = make(map[string]bool, len(kinds))
-	}
-	for _, k := range kinds {
-		s.admitExempt[k] = true
+	s.admit = nil
+	if n > 0 {
+		s.admit = &admission{limit: int64(n)}
 	}
 }

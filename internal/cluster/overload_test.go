@@ -18,68 +18,30 @@ import (
 )
 
 func TestAdmissionInflightWatermark(t *testing.T) {
-	a := &admission{lim: AdmissionLimits{MaxInflight: 2}}
-	r1, err := a.admit("S", Request{})
-	if err != nil {
-		t.Fatal(err)
+	a := &admission{limit: 2}
+	for i := 0; i < 2; i++ {
+		if err := a.admit("S"); err != nil {
+			t.Fatal(err)
+		}
 	}
-	r2, err := a.admit("S", Request{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := a.admit("S", Request{}); !errors.Is(err, ErrOverloaded) {
+	err := a.admit("S")
+	if !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("third admit error = %v, want overloaded", err)
 	}
-	if hint := RetryAfterHint(errShed(t, a)); hint != 2*DefaultRetryAfterBase {
-		t.Fatalf("hint = %v, want %v (2 inflight × base)", hint, 2*DefaultRetryAfterBase)
+	if hint := RetryAfterHint(err); hint != 2*retryAfterPerInflight {
+		t.Fatalf("hint = %v, want %v (2 inflight × 500µs)", hint, 2*retryAfterPerInflight)
 	}
-	r1()
-	r3, err := a.admit("S", Request{})
-	if err != nil {
+	a.release()
+	if err := a.admit("S"); err != nil {
 		t.Fatalf("admit after release: %v", err)
 	}
-	r2()
-	r3()
-}
-
-func errShed(t *testing.T, a *admission) error {
-	t.Helper()
-	_, err := a.admit("S", Request{})
-	if err == nil {
-		t.Fatal("admit unexpectedly succeeded")
+	// A limit of 0 removes the controller: the site admits everything.
+	site := NewSite("S")
+	site.SetAdmission(1)
+	site.SetAdmission(0)
+	if site.admit != nil {
+		t.Fatal("SetAdmission(0) left an admission controller")
 	}
-	return err
-}
-
-func TestAdmissionCostWatermark(t *testing.T) {
-	a := &admission{
-		lim:      AdmissionLimits{MaxCost: 100},
-		estimate: func(req Request) int64 { return int64(len(req.Payload)) },
-	}
-	// A single request heavier than the watermark must still admit into an
-	// empty site — otherwise it deadlocks against its own weight.
-	release, err := a.admit("S", Request{Payload: make([]byte, 500)})
-	if err != nil {
-		t.Fatalf("oversized request into empty site: %v", err)
-	}
-	if _, err := a.admit("S", Request{Payload: make([]byte, 10)}); !errors.Is(err, ErrOverloaded) {
-		t.Fatalf("second admit past cost watermark: err = %v, want overloaded", err)
-	}
-	release()
-	if release, err = a.admit("S", Request{Payload: make([]byte, 10)}); err != nil {
-		t.Fatalf("admit after release: %v", err)
-	}
-	release()
-	if a == nil {
-		t.Fatal("unreachable")
-	}
-	// nil controller admits everything.
-	var nilAdm *admission
-	rel, err := nilAdm.admit("S", Request{})
-	if err != nil || rel == nil {
-		t.Fatalf("nil admission: %v", err)
-	}
-	rel()
 }
 
 // rawV2Call dials the server, handshakes v2, and exchanges exactly one
@@ -238,8 +200,8 @@ func TestDeadlinePropagatesThroughTransport(t *testing.T) {
 }
 
 // TestAdmissionShedOverTCP: a saturated site sheds with a typed,
-// retryable overload error carrying a retry-after hint; exempt kinds
-// (probes) pass; the client transport counts the sheds it observes.
+// retryable overload error carrying a retry-after hint; Control kinds
+// pass; the client transport counts the sheds it observes.
 func TestAdmissionShedOverTCP(t *testing.T) {
 	site := NewSite("R")
 	block := make(chan struct{})
@@ -249,9 +211,8 @@ func TestAdmissionShedOverTCP(t *testing.T) {
 		<-block
 		return Response{Payload: []byte("done")}, nil
 	})
-	site.Handle("probe", echoHandler)
-	site.SetAdmission(AdmissionLimits{MaxInflight: 1})
-	site.ExemptFromAdmission("probe")
+	site.Handle(testControl, echoHandler)
+	site.SetAdmission(1)
 	srv, err := Serve(site, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -272,8 +233,9 @@ func TestAdmissionShedOverTCP(t *testing.T) {
 	if !errors.As(err, &oe) || oe.Site != "R" || oe.RetryAfter <= 0 {
 		t.Fatalf("shed error = %#v, want typed with site R and a positive hint", err)
 	}
-	// Probes must never shed: an overloaded site is busy, not dead.
-	if resp, _, err := tr.Call(ctx, "C", "R", Request{Kind: "probe", Payload: []byte("up?")}); err != nil || string(resp.Payload) != "up?" {
+	// Control kinds (probes) never shed: an overloaded site is busy, not
+	// dead.
+	if resp, _, err := tr.Call(ctx, "C", "R", Request{Kind: testControl, Payload: []byte("up?")}); err != nil || string(resp.Payload) != "up?" {
 		t.Fatalf("probe under overload: %v %q", err, resp.Payload)
 	}
 	close(block)
@@ -304,7 +266,7 @@ func TestNestedSameSiteCallRunsUnderParentAdmission(t *testing.T) {
 
 	c := New(CostModel{})
 	a, b := c.AddSite("A"), c.AddSite("B")
-	a.SetAdmission(AdmissionLimits{MaxInflight: 1})
+	a.SetAdmission(1)
 	a.Handle("leaf", echoHandler)
 	a.Handle("self", nest(c, "A", "leaf"))
 	a.Handle("cycle", nest(c, "B", "back"))
@@ -317,7 +279,7 @@ func TestNestedSameSiteCallRunsUnderParentAdmission(t *testing.T) {
 	}
 
 	site := NewSite("R")
-	site.SetAdmission(AdmissionLimits{MaxInflight: 1})
+	site.SetAdmission(1)
 	srv, err := Serve(site, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

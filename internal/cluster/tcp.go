@@ -336,26 +336,9 @@ func (s *Server) serveV2(conn net.Conn, r *bufio.Reader) {
 			continue
 		}
 		recv := time.Now()
-		// Per-connection admission: when the site runs admission control,
-		// a full handler semaphore sheds (status 3 + retry-after hint)
-		// instead of parking the reader — bounded queueing end to end.
-		// Without admission control the reader blocks as before, so a
-		// flooding peer sees TCP backpressure, never errors. Exempt kinds
-		// (health probes) always take the blocking path: shedding a probe
-		// would make a merely-busy site look dead.
-		if s.site.admissionEnabled() && !s.site.admissionExempt(kind) {
-			select {
-			case sem <- struct{}{}:
-			default:
-				hint := time.Duration(len(sem)) * DefaultRetryAfterBase
-				body := appendRetryAfter(nil, hint)
-				s.site.stats.Sheds.Add(1)
-				respCh <- appendV2Response(nil, id, tcpStatusOverload, Response{Payload: body})
-				continue
-			}
-		} else {
-			sem <- struct{}{}
-		}
+		// The handler bound is backpressure only: a flooding peer waits
+		// on TCP, and dispatch alone decides what to shed.
+		sem <- struct{}{}
 		handlers.Add(1)
 		go func(id, deadlineMicros, traceID, parentSpan uint64, kind string, payload []byte, recv time.Time) {
 			defer handlers.Done()
@@ -719,11 +702,13 @@ func (t *TCPTransport) goRemote(ctx context.Context, from, to frag.SiteID, req R
 		// typed overload/deadline responses included, since the
 		// coordinator's view is what the operator (and the smoke tests)
 		// can actually see. Latency stays with the callee's own block and
-		// the serving tier's health tracker.
-		st := c.stats
+		// the serving tier's health tracker. Control kinds stay outside
+		// the ledger here as they do at the callee.
+		st, ledger := c.stats, ClassOf(req.Kind) != Control
 		if err != nil {
 			var de *DeadlineError
 			switch {
+			case !ledger:
 			case errors.Is(err, ErrOverloaded):
 				st.Sheds.Add(1)
 			case errors.As(err, &de):
@@ -734,14 +719,16 @@ func (t *TCPTransport) goRemote(ctx context.Context, from, to frag.SiteID, req R
 			ch <- Reply{Cost: cost, Err: err}
 			return
 		}
-		st.Visits.Add(1)
-		st.MessagesIn.Add(1)
-		st.BytesIn.Add(uint64(cost.ReqBytes))
-		st.MessagesOut.Add(1)
-		st.BytesOut.Add(uint64(cost.RespBytes))
-		st.Steps.Add(uint64(resp.Steps))
-		st.CacheHits.Add(uint64(resp.CacheHits))
-		st.CacheMisses.Add(uint64(resp.CacheMisses))
+		if ledger {
+			st.Visits.Add(1)
+			st.MessagesIn.Add(1)
+			st.BytesIn.Add(uint64(cost.ReqBytes))
+			st.MessagesOut.Add(1)
+			st.BytesOut.Add(uint64(cost.RespBytes))
+			st.Steps.Add(uint64(resp.Steps))
+			st.CacheHits.Add(uint64(resp.CacheHits))
+			st.CacheMisses.Add(uint64(resp.CacheMisses))
+		}
 		cost.Steps = resp.Steps
 		cost.Net = cost.Wall // real network: measured, not modeled
 		ch <- Reply{Resp: resp, Cost: cost}

@@ -242,24 +242,6 @@ func (r *recorder) fill(rep *Report) {
 	}
 }
 
-// call is a thin wrapper recording accounting (and, with a tier
-// attached, feeding its passive health signals).
-func (e *Engine) call(ctx context.Context, rec *recorder, to frag.SiteID, req cluster.Request) (cluster.Response, cluster.CallCost, error) {
-	var done func(error)
-	if o := e.obs(); o != nil {
-		done = o(to)
-	}
-	resp, cost, err := e.tr.Call(ctx, e.coord, to, req)
-	if done != nil {
-		done(err)
-	}
-	if err != nil {
-		return resp, cost, err
-	}
-	rec.record(e.coord, to, cost, resp)
-	return resp, cost, nil
-}
-
 // ParBoX is Algorithm ParBoX (Fig. 3a): broadcast the QList to every site
 // holding fragments (each visited exactly once), collect the triplets
 // computed in parallel, and solve the Boolean equation system over the
@@ -327,7 +309,7 @@ func (e *Engine) naiveCentralized(ctx context.Context, prog *xpath.Program) (Rep
 	// concurrently) instead of taking scatter's parallel makespan.
 	var netNanos atomic.Int64
 	// Fetching is a pure function of the fragment list, so a dead site's
-	// fetch can fail over to any other replica (tierRetry below).
+	// fetch can fail over to any other replica (its kind is Pure).
 	mkFetch := func(site frag.SiteID, ids []xmltree.FragmentID) scatterJob[[]*frag.Fragment] {
 		return scatterJob[[]*frag.Fragment]{
 			to:    site,
@@ -357,7 +339,7 @@ func (e *Engine) naiveCentralized(ctx context.Context, prog *xpath.Program) (Rep
 		}
 		jobs = append(jobs, mkFetch(site, ids))
 	}
-	fetched, _, err := scatterHedged(ctx, e.tr, e.coord, 0, rec, jobs, e.obs(), tierRetry(e.tier, e.rr, mkFetch), tierHedge(e.tier, mkFetch))
+	fetched, _, err := scatter(ctx, e.fanout(rec), jobs, mkFetch)
 	if err != nil {
 		return Report{}, err
 	}
@@ -426,17 +408,20 @@ func (e *Engine) NaiveDistributed(ctx context.Context, prog *xpath.Program) (Rep
 func (e *Engine) resolve(ctx context.Context, start time.Time, rec *recorder, algo Algorithm, prog *xpath.Program, runKey string) (Report, error) {
 	root := e.st.Root()
 	rootSite, _ := e.st.Site(root) // a source tree always has its root entry
-	resp, cost, err := e.call(ctx, rec, rootSite, cluster.Request{
-		Kind:    KindResolve,
-		Payload: encodeResolveReq(resolveReq{runKey: runKey, id: root, prog: prog, st: e.st}),
-	})
+	out, _, err := scatter(ctx, e.fanout(rec), []scatterJob[resolved]{{
+		to:  rootSite,
+		req: cluster.Request{Kind: KindResolve, Payload: encodeResolveReq(resolveReq{runKey: runKey, id: root, prog: prog, st: e.st})},
+		dec: func(resp cluster.Response, cost cluster.CallCost) (resolved, error) {
+			t, stats, err := decodeResolveResp(resp.Payload)
+			stats.simNanos += int64(cost.Net)
+			stats.steps -= resp.Steps // the call recorded the root's own steps
+			return resolved{t, stats}, err
+		},
+	}}, nil)
 	if err != nil {
 		return Report{}, err
 	}
-	t, stats, err := decodeResolveResp(resp.Payload)
-	if err != nil {
-		return Report{}, err
-	}
+	t, stats := out[0].t, out[0].stats
 	if len(t.V) != len(prog.Subs) {
 		return Report{}, fmt.Errorf("%w: %s resolved triplet has arity %d, want %d", ErrBadMessage, algo, len(t.V), len(prog.Subs))
 	}
@@ -447,7 +432,7 @@ func (e *Engine) resolve(ctx context.Context, start time.Time, rec *recorder, al
 	rec.mu.Lock()
 	rec.bytes += stats.bytes
 	rec.messages += stats.messages
-	rec.steps += stats.steps - resp.Steps // the root's own steps are recorded
+	rec.steps += stats.steps
 	for _, id := range e.st.Fragments() {
 		entry, _ := e.st.Entry(id)
 		if parent, ok := e.st.Entry(entry.Parent); ok && parent.Site != entry.Site {
@@ -458,7 +443,7 @@ func (e *Engine) resolve(ctx context.Context, start time.Time, rec *recorder, al
 	rep := Report{
 		Algorithm: algo,
 		Answer:    ans,
-		SimTime:   time.Duration(stats.simNanos) + cost.Net,
+		SimTime:   time.Duration(stats.simNanos),
 		Wall:      time.Since(start),
 	}
 	rec.fill(&rep)
@@ -510,7 +495,7 @@ func (e *Engine) FullDist(ctx context.Context, prog *xpath.Program) (Report, err
 				dec: func(cluster.Response, cluster.CallCost) (struct{}, error) { return struct{}{}, nil },
 			}
 		}
-		_, simStage2, err := scatter(ctx, e.tr, e.coord, 0, rec, jobs, e.obs())
+		_, simStage2, err := scatter(ctx, e.fanout(rec), jobs, nil)
 		if err != nil {
 			e.cleanup(ctx, runKey)
 			return Report{}, err

@@ -50,51 +50,6 @@ func RegisterHandlers(site *cluster.Site, tr cluster.Transport, cost cluster.Cos
 	site.Handle(KindCleanup, handleCleanup)
 	site.Handle(KindFetchFragments, handleFetchFragments)
 	site.Handle(KindSelectTransfer, handleSelectTransfer)
-	site.SetAdmissionEstimator(admissionEstimate(site))
-}
-
-// admissionEstimate prices a request for the site's admission controller
-// in fragment nodes: an evaluation or fetch touching big fragments
-// weighs proportionally more against the cost watermark than one
-// touching leaves. A resolve that evaluates its fragment on arrival
-// (NaiveDistributed) is priced by that fragment; one that reads run state
-// runs no bottomUp. Unknown kinds (and undecodable payloads — they will
-// fail in the handler anyway) weigh the minimum.
-func admissionEstimate(site *cluster.Site) func(req cluster.Request) int64 {
-	sizeOf := func(ids []xmltree.FragmentID) int64 {
-		var total int64
-		for _, id := range ids {
-			if fr, ok := site.Fragment(id); ok {
-				total += int64(fr.Size())
-			}
-		}
-		return total
-	}
-	return func(req cluster.Request) int64 {
-		switch req.Kind {
-		case KindEvalQual, KindEvalQualKeep:
-			if q, err := decodeEvalQualReq(req.Payload); err == nil {
-				return sizeOf(q.ids)
-			}
-		case KindFetchFragments:
-			if ids, err := decodeFetchReq(req.Payload); err == nil {
-				return sizeOf(ids)
-			}
-		case KindResolve:
-			if q, err := decodeResolveReq(req.Payload); err == nil && q.runKey == "" {
-				return sizeOf([]xmltree.FragmentID{q.id})
-			}
-		case KindSelectTransfer:
-			if _, q, err := decodeSelectTransferReq(req.Payload); err == nil {
-				ids := make([]xmltree.FragmentID, len(q.frags))
-				for i, f := range q.frags {
-					ids[i] = f.id
-				}
-				return sizeOf(ids)
-			}
-		}
-		return 1
-	}
 }
 
 // handleEvalQual is Procedure evalQual (Fig. 3b): run bottomUp over each
@@ -366,10 +321,6 @@ func handleResolve(tr cluster.Transport, cost cluster.CostModel) cluster.Handler
 		if !ok {
 			return cluster.Response{}, fmt.Errorf("core: fragment %d not in source tree", q.id)
 		}
-		type resolved struct {
-			t     eval.Triplet
-			stats resolveStats
-		}
 		jobs := make([]scatterJob[resolved], len(entry.Children))
 		for i, child := range entry.Children {
 			to, _ := q.st.Site(child) // a source tree derives Children from its entries
@@ -392,7 +343,7 @@ func handleResolve(tr cluster.Transport, cost cluster.CostModel) cluster.Handler
 				},
 			}
 		}
-		children, _, err := scatter(ctx, tr, site.ID(), limit, nil, jobs, nil)
+		children, _, err := scatter(ctx, fanout{tr: tr, from: site.ID(), limit: limit}, jobs, nil)
 		if err != nil {
 			return cluster.Response{}, err
 		}

@@ -20,6 +20,7 @@ import (
 	"fmt"
 
 	"repro/internal/boolexpr"
+	"repro/internal/cluster"
 	"repro/internal/eval"
 	"repro/internal/frag"
 	"repro/internal/wire"
@@ -54,6 +55,20 @@ const (
 	// (NaiveCentralized).
 	KindFetchFragments = "parbox.fetchFragments"
 )
+
+// kinds is this package's kind table. evalQual, fetchFragments and
+// selectTransfer are pure functions of the fragment list, so any replica
+// answers them alike; the rest read or leave per-run state at one site.
+var kinds = map[string]cluster.Class{
+	KindEvalQual:       cluster.Pure,
+	KindFetchFragments: cluster.Pure,
+	KindSelectTransfer: cluster.Pure,
+	KindEvalQualKeep:   cluster.SiteBound,
+	KindResolve:        cluster.SiteBound,
+	KindCleanup:        cluster.SiteBound,
+}
+
+func init() { cluster.Declare(kinds) }
 
 // ErrBadMessage is wrapped by every failure to read this package's own
 // payload framing. A program, source tree, fragment or triplet nested in a
@@ -224,6 +239,12 @@ type resolveStats struct {
 	bytes    int64
 	messages int64
 	steps    int64
+}
+
+// resolved is a decoded resolve answer.
+type resolved struct {
+	t     eval.Triplet
+	stats resolveStats
 }
 
 // resolveResp: the resolved triplet plus the sub-computation's stats. The

@@ -68,7 +68,7 @@ func (r *round) gather(ctx context.Context, prog *xpath.Program, fp uint64, ids 
 		bySite[site] = append(bySite[site], id)
 	}
 	jobs := jobsBySite(bySite, mk)
-	perSite, sim, err := scatterHedged(ctx, e.tr, e.coord, 0, r.rec, jobs, e.obs(), tierRetry(e.tier, e.rr, mk), tierHedge(e.tier, mk))
+	perSite, sim, err := scatter(ctx, e.fanout(r.rec), jobs, mk)
 	if err != nil {
 		return err
 	}

@@ -218,6 +218,10 @@ func (s *stubTier) Reassign(ids []xmltree.FragmentID, _ map[frag.SiteID]bool) (m
 
 func (s *stubTier) Started(frag.SiteID)                        {}
 func (s *stubTier) Finished(frag.SiteID, time.Duration, error) {}
+func (s *stubTier) HedgeLost(frag.SiteID, time.Duration)       {}
+func (s *stubTier) PlanHedge(frag.SiteID, []xmltree.FragmentID) (frag.SiteID, time.Duration, bool) {
+	return "", 0, false
+}
 func (s *stubTier) Recheck(context.Context) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"time"
 
+	"repro/internal/backoff"
 	"repro/internal/cluster"
 	"repro/internal/frag"
 	"repro/internal/xmltree"
@@ -34,8 +35,8 @@ type scatterJob[T any] struct {
 	req cluster.Request
 	dec func(resp cluster.Response, cost cluster.CallCost) (T, error)
 	// frags lists the fragments this job serves, for failover re-planning
-	// (scatterHedged's retry hook); empty for jobs that are not per-fragment
-	// work.
+	// (scatter's failover and hedging); empty for jobs that are not
+	// per-fragment work.
 	frags []xmltree.FragmentID
 }
 
@@ -54,37 +55,24 @@ func jobsBySite[T any](placement map[frag.SiteID][]xmltree.FragmentID, mk func(s
 	return jobs
 }
 
-// tierObs is the serving tier's per-call observation hook: called with
-// the target site as a call launches; the returned func is called with
-// the transport error (nil on success) when it completes. nil disables
-// observation.
-type tierObs func(to frag.SiteID) func(error)
-
-// scatterRetry is scatterHedged's failover hook: given a job that failed at
-// the transport (site dead, timeout — not a decode error), return the
-// replacement jobs that re-place its fragments on other replicas. An
-// empty replacement set declines, letting the original error stand. The
-// hook runs serially on the round's collector goroutine.
-type scatterRetry[T any] func(j scatterJob[T]) []scatterJob[T]
-
-// hedgePlan is one armed hedge: the equivalent job on the next-best
-// replica, the delay to arm the hedge timer with (the primary site's
-// latency p95), and an optional loss-feedback hook — called with how
-// long the primary had been outstanding when the hedge won, the only
-// latency evidence a cancelled loser ever produces.
-type hedgePlan[T any] struct {
-	alt   scatterJob[T]
-	delay time.Duration
-	lost  func(elapsed time.Duration)
+// fanout is where a scatter round runs: the transport, the calling
+// site, at most limit calls in flight (≤ 0: unbounded), the recorder
+// (nil skips accounting) and, on a serving deployment, the tier and the
+// query's retry budget (nil tier: static placement).
+type fanout struct {
+	tr    cluster.Transport
+	from  frag.SiteID
+	limit int
+	rec   *recorder
+	tier  Tier
+	rr    *backoff.Retry
 }
 
-// scatterHedge is the speculative-retry hook: given a job about to
-// launch, return the hedge plan for it. If the primary has not answered
-// when the timer fires, the hedge launches and the first answer wins;
-// the loser's context is cancelled. Only sound for pure jobs — work any
-// replica can serve identically — so the hook declines (ok=false)
-// everything else.
-type scatterHedge[T any] func(j scatterJob[T]) (hedgePlan[T], bool)
+// fanout is the engine's own round: from the coordinator, through its
+// tier.
+func (e *Engine) fanout(rec *recorder) fanout {
+	return fanout{tr: e.tr, from: e.coord, rec: rec, tier: e.tier, rr: e.rr}
+}
 
 // scatter is the engine's single fan-out/fan-in primitive, replacing
 // the per-algorithm goroutine loops:
@@ -92,44 +80,65 @@ type scatterHedge[T any] func(j scatterJob[T]) (hedgePlan[T], bool)
 //   - jobs are issued through the transport's async path
 //     (cluster.Go), so over the v2 TCP transport every call to one
 //     site pipelines onto a single multiplexed connection;
-//   - at most limit calls are in flight at once (limit ≤ 0 means
-//     unbounded — every job launches immediately);
+//   - at most f.limit calls are in flight at once;
 //   - the first failure cancels the round's remaining calls
 //     (cancel-on-first-error), and the reported error is deterministic:
 //     the lowest-job-index failure that is not a cancellation echo;
 //   - results merge in job order — out[i] is job i's decoded value —
 //     so callers that fold them are deterministic regardless of
 //     completion order;
-//   - accounting goes to rec (nil to skip) exactly as Engine.call
-//     records it, obs (nil to skip) observes every call for the serving
-//     tier's passive health tracking, and the returned duration is the
-//     round's modeled makespan: the max of the successful calls'
-//     cost.Total().
+//   - accounting goes to f.rec, the tier (if any) observes every call
+//     (Started/Finished) for its passive health tracking, and the
+//     returned duration is the round's modeled makespan: the max of the
+//     successful calls' cost.Total().
 //
-// It is for the stages whose jobs are bound to one site — they read run
-// state that site cached — so a failed job has nowhere else to go; pure
-// jobs take scatterHedged's hooks.
-func scatter[T any](ctx context.Context, tr cluster.Transport, from frag.SiteID, limit int, rec *recorder,
-	jobs []scatterJob[T], obs tierObs) ([]T, time.Duration, error) {
-	return scatterHedged(ctx, tr, from, limit, rec, jobs, obs, nil, nil)
-}
-
-// scatterHedged is scatter plus the serving tier's two hooks for pure
-// jobs. retry turns a transport failure into replacement jobs on other
-// replicas (in-flight failover); the job list is then dynamic, so results
-// merge in launch order (originals first, replacements appended) — the
-// serving callers fold triplets into a map and are order-insensitive.
-// hedge races jobs it accepts against a speculative duplicate on another
-// replica once the primary has been quiet past the hedge delay. The
-// first answer wins and is the only one recorded (a hedge must never
+// With a tier, the jobs of a cluster.Pure kind may move: mk, which made
+// them, builds the same job for other replicas. A job that fails at the
+// transport (site dead, timeout — not a decode error) fails over: its
+// fragments are re-placed through the tier onto other live replicas,
+// excluding every site that already failed this round, and the job list
+// grows, so results merge in launch order (originals first, replacements
+// appended) — the pure callers fold triplets into a map and are
+// order-insensitive. Re-placements draw on the query's retry budget
+// f.rr but never sleep: the re-placed job targets a different site, so
+// the backoff delay belongs to same-site retries only. With the budget
+// spent, or no replica left outside the exclusion set, the original
+// error stands, and withRetry re-probes and re-plans the round. A job
+// also races a speculative duplicate on the replica the tier's
+// PlanHedge picks once the primary has been quiet past the hedge delay.
+// The first answer wins and is the only one recorded (a hedge must never
 // double-count bytes, messages or steps); the loser is cancelled and its
 // outcome feeds only the tier's health observation (where cancellation
-// is neutral).
-func scatterHedged[T any](ctx context.Context, tr cluster.Transport, from frag.SiteID, limit int, rec *recorder,
-	jobs []scatterJob[T], obs tierObs, retry scatterRetry[T], hedge scatterHedge[T]) ([]T, time.Duration, error) {
+// is neutral). Other kinds are bound to one site — they read run state
+// that site cached — so a failed job has nowhere else to go; they pass
+// a nil mk.
+func scatter[T any](ctx context.Context, f fanout, jobs []scatterJob[T],
+	mk func(site frag.SiteID, ids []xmltree.FragmentID) scatterJob[T]) ([]T, time.Duration, error) {
 	n := len(jobs)
 	if n == 0 {
 		return make([]T, 0), 0, nil
+	}
+	tr, from, limit, rec, tier := f.tr, f.from, f.limit, f.rec, f.tier
+	pure := tier != nil && mk != nil && cluster.ClassOf(jobs[0].req.Kind) == cluster.Pure
+	var excluded map[frag.SiteID]bool
+	// replace re-places a failed job (nil declines). It runs serially on
+	// the round's collector goroutine, so excluded needs no lock.
+	replace := func(j scatterJob[T]) []scatterJob[T] {
+		if len(j.frags) == 0 {
+			return nil
+		}
+		if _, ok := f.rr.Next(0); !ok {
+			return nil
+		}
+		if excluded == nil {
+			excluded = make(map[frag.SiteID]bool)
+		}
+		excluded[j.to] = true
+		placement, err := tier.Reassign(j.frags, excluded)
+		if err != nil {
+			return nil
+		}
+		return jobsBySite(placement, mk)
 	}
 	if limit <= 0 || limit > n {
 		limit = n
@@ -153,14 +162,13 @@ func scatterHedged[T any](ctx context.Context, tr cluster.Transport, from frag.S
 	// issue runs one attempt of a job, bracketing it with the tier's
 	// health observation.
 	issue := func(callCtx context.Context, j scatterJob[T]) cluster.Reply {
-		var done func(error)
-		if obs != nil {
-			done = obs(j.to)
+		if tier == nil {
+			return <-cluster.Go(callCtx, tr, from, j.to, j.req)
 		}
+		tier.Started(j.to)
+		start := time.Now()
 		r := <-cluster.Go(callCtx, tr, from, j.to, j.req)
-		if done != nil {
-			done(r.Err)
-		}
+		tier.Finished(j.to, time.Since(start), r.Err)
 		return r
 	}
 	var launch func(idx int, j scatterJob[T])
@@ -172,17 +180,20 @@ func scatterHedged[T any](ctx context.Context, tr cluster.Transport, from frag.S
 				arrivals <- arrival{idx: idx, err: ctx.Err(), transport: true, job: j}
 				return
 			}
-			var plan hedgePlan[T]
-			hedged := false
-			if hedge != nil {
-				plan, hedged = hedge(j)
+			var (
+				alt    frag.SiteID
+				delay  time.Duration
+				hedged bool
+			)
+			if pure && len(j.frags) > 0 {
+				alt, delay, hedged = tier.PlanHedge(j.to, j.frags)
 			}
 			var r cluster.Reply
 			won := j
 			if !hedged {
 				r = issue(ctx, j)
 			} else {
-				hj, delay := plan.alt, plan.delay
+				hj := mk(alt, j.frags)
 				// Race the primary against a delayed speculative duplicate.
 				// The hedge shares the primary's concurrency slot: it is a
 				// duplicate of admitted work, not new work, so it must not
@@ -216,9 +227,7 @@ func scatterHedged[T any](ctx context.Context, tr cluster.Transport, from frag.S
 								// The cancelled primary took at least this
 								// long — the planner's only latency evidence
 								// about a replica it keeps hedging around.
-								if plan.lost != nil {
-									plan.lost(time.Since(primStart))
-								}
+								tier.HedgeLost(j.to, time.Since(primStart))
 							}
 							decided = true
 						case outstanding > 0:
@@ -288,8 +297,8 @@ func scatterHedged[T any](ctx context.Context, tr cluster.Transport, from frag.S
 			}
 			continue
 		}
-		if retry != nil && a.transport && !failed && ctx.Err() == nil && !errors.Is(a.err, context.Canceled) {
-			if repl := retry(a.job); len(repl) > 0 {
+		if pure && a.transport && !failed && ctx.Err() == nil && !errors.Is(a.err, context.Canceled) {
+			if repl := replace(a.job); len(repl) > 0 {
 				for _, rj := range repl {
 					launch(next, rj)
 					next++

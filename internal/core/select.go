@@ -116,7 +116,7 @@ func (e *Engine) twoVisits(ctx context.Context, sp *xpath.SelectProgram, paths b
 			placement[site] = e.st.FragmentsAt(site)
 		}
 		jobs := jobsBySite(placement, mk)
-		answers, sim, err := scatterHedged(ctx, e.tr, e.coord, 0, r.rec, jobs, e.obs(), tierRetry(e.tier, e.rr, mk), tierHedge(e.tier, mk))
+		answers, sim, err := scatter(ctx, e.fanout(r.rec), jobs, mk)
 		if err != nil {
 			return Report{}, err
 		}

@@ -40,53 +40,16 @@ type Tier interface {
 	// state — the engine calls it between round-level retries so a
 	// re-plan sees failures the coordinator did not observe directly.
 	Recheck(ctx context.Context)
-}
-
-// HedgePlanner is the optional hedging capability of a serving tier
-// (asserted with a type switch, so Tier implementers that predate it
-// keep compiling). PlanHedge picks the next-best live replica able to
-// serve all of ids besides primary, and the delay to arm the hedge
-// timer with — the primary's observed latency p95, or the deployment's
-// fixed override. ok=false declines (no other replica, hedging off).
-type HedgePlanner interface {
+	// PlanHedge picks the next-best live replica able to serve all of ids
+	// besides primary, and the delay to arm the hedge timer with — the
+	// primary's observed latency p95, or the deployment's fixed
+	// override. ok=false declines (no other replica, hedging off).
 	PlanHedge(primary frag.SiteID, ids []xmltree.FragmentID) (alt frag.SiteID, delay time.Duration, ok bool)
-}
-
-// HedgeLossReporter is the optional feedback half of hedging: when a
-// hedge wins its race, the primary's call is cancelled and never yields
-// an RTT sample, so the planner is told the primary took *at least*
-// elapsed. Tiers use it to keep routing scores honest for replicas that
-// are consistently hedged around (see serve.Tier.HedgeLost).
-type HedgeLossReporter interface {
+	// HedgeLost reports that a hedge won its race: the primary's call was
+	// cancelled and never yields an RTT sample, so the tier is told it
+	// took at least elapsed — keeping routing scores honest for replicas
+	// that are consistently hedged around.
 	HedgeLost(primary frag.SiteID, elapsed time.Duration)
-}
-
-// tierHedge adapts a tier's HedgePlanner to a scatter round's hedge
-// hook, building the speculative job with the same constructor the round
-// uses for failover re-placement. nil when the tier cannot hedge. Only
-// pure jobs — where mk(site, ids) is equivalent on any replica — may
-// pass a non-nil result to scatterHedged.
-func tierHedge[T any](t Tier, mk func(site frag.SiteID, ids []xmltree.FragmentID) scatterJob[T]) scatterHedge[T] {
-	hp, ok := t.(HedgePlanner)
-	if !ok {
-		return nil
-	}
-	lr, _ := t.(HedgeLossReporter)
-	return func(j scatterJob[T]) (hedgePlan[T], bool) {
-		if len(j.frags) == 0 {
-			return hedgePlan[T]{}, false
-		}
-		alt, delay, ok := hp.PlanHedge(j.to, j.frags)
-		if !ok {
-			return hedgePlan[T]{}, false
-		}
-		plan := hedgePlan[T]{alt: mk(alt, j.frags), delay: delay}
-		if lr != nil {
-			primary := j.to
-			plan.lost = func(elapsed time.Duration) { lr.HedgeLost(primary, elapsed) }
-		}
-		return plan, true
-	}
 }
 
 // SetTier attaches a serving tier: from now on every query plans its own
@@ -109,8 +72,8 @@ func (e *Engine) Tier() Tier { return e.tier }
 // that each attempt binds to a source tree freshly planned through the
 // tier, and shared by the two ways a query recovers:
 //
-//   - job-level failover inside an attempt (tierRetry): a failed pure
-//     scatter job is re-placed onto other live replicas at once;
+//   - job-level failover inside an attempt (scatter): a failed job of
+//     a Pure kind is re-placed onto other live replicas at once;
 //   - round-level retry here: a failed attempt backs off (exponential,
 //     full jitter, floored at a shed's retry-after hint — immediate
 //     re-runs against a saturated or flapping site are the retry storms
@@ -147,60 +110,6 @@ func (e *Engine) withRetry(ctx context.Context, attempt func(e *Engine) (Report,
 			return Report{}, err
 		}
 		e.tier.Recheck(ctx)
-	}
-}
-
-// tierRetry returns a scatter round's in-flight failover hook (nil
-// without a tier): a job that failed at the transport re-places its
-// fragments onto other live replicas through the tier, excluding every
-// site that already failed this round. Sound only when the work is a
-// pure function of the fragment list — any replica can serve it (evalQual,
-// NaiveCentralized's fetches); stages that depend on per-site cached run
-// state (FullDist's stage 2, the two-pass propagation levels) must not
-// re-place jobs and instead recover by round retry.
-//
-// Re-placements draw on the query's retry budget rr but never sleep —
-// the hook runs serially on the round's collector goroutine (so the
-// exclusion set needs no lock), and the re-placed job targets a different
-// site, so the backoff delay belongs to same-site retries only. With the
-// budget spent, or no replica left outside this round's exclusion set,
-// the hook declines and the original transport error stands: exhausting
-// the exclusion set does not mean the replicas are gone — a shed means
-// "try later" and a flake may pass next time — so the round-level retry
-// re-probes and re-plans from scratch, and genuinely dead replicas still
-// fail loudly there, with ErrFragmentUnavailable at planning.
-func tierRetry[T any](t Tier, rr *backoff.Retry, mk func(site frag.SiteID, ids []xmltree.FragmentID) scatterJob[T]) scatterRetry[T] {
-	if t == nil {
-		return nil
-	}
-	excluded := make(map[frag.SiteID]bool)
-	return func(j scatterJob[T]) []scatterJob[T] {
-		if len(j.frags) == 0 {
-			return nil
-		}
-		if _, ok := rr.Next(0); !ok {
-			return nil
-		}
-		excluded[j.to] = true
-		placement, err := t.Reassign(j.frags, excluded)
-		if err != nil {
-			return nil
-		}
-		return jobsBySite(placement, mk)
-	}
-}
-
-// obs returns the scatter-level observation hook feeding the tier's
-// passive health signals, or nil without a tier.
-func (e *Engine) obs() tierObs {
-	t := e.tier
-	if t == nil {
-		return nil
-	}
-	return func(to frag.SiteID) func(error) {
-		t.Started(to)
-		start := time.Now()
-		return func(err error) { t.Finished(to, time.Since(start), err) }
 	}
 }
 

@@ -29,20 +29,28 @@ const (
 	KindInstallFragment = "serve.installFragment"
 )
 
+// kinds is this package's kind table: the tier's control plane is
+// Control, so a saturated site still answers probes (shedding them would
+// read as the site dying, amplifying the overload onto its siblings) and
+// still accepts rebalancer traffic, and none of it counts as query work.
+var kinds = map[string]cluster.Class{
+	KindProbe:           cluster.Control,
+	KindCloneFragment:   cluster.Control,
+	KindInstallFragment: cluster.Control,
+}
+
+func init() { cluster.Declare(kinds) }
+
 // ErrBadServeMessage is wrapped by the tier's decoders.
 var ErrBadServeMessage = errors.New("serve: bad message")
 
-// RegisterHandlers installs the tier's site-side handlers. Every
-// replica site of a failover deployment needs them (the daemon and the
-// facade both call this during setup). The tier's control plane is
-// exempt from admission control: a saturated site must still answer
-// probes (shedding them would read as the site dying, amplifying the
-// overload onto its siblings) and still accept rebalancer traffic.
+// RegisterHandlers installs the tier's site-side handlers. SetupSite
+// calls it on every site, so any site can be probed, hold a replica or
+// take part in a rebalance.
 func RegisterHandlers(site *cluster.Site) {
 	site.Handle(KindProbe, handleProbe)
 	site.Handle(KindCloneFragment, handleCloneFragment)
 	site.Handle(KindInstallFragment, handleInstallFragment)
-	site.ExemptFromAdmission(KindProbe, KindCloneFragment, KindInstallFragment)
 }
 
 func handleProbe(_ context.Context, site *cluster.Site, _ cluster.Request) (cluster.Response, error) {

@@ -299,7 +299,7 @@ func (t *Tier) score(site frag.SiteID, base float64, planned int64) float64 {
 	return ewma * float64(1+inflight+planned)
 }
 
-// PlanHedge implements core.HedgePlanner: pick the best-scored live
+// PlanHedge implements core.Tier: pick the best-scored live
 // site besides primary that replicates ALL of ids, and the delay to arm
 // the hedge timer with — the fixed Options.HedgeDelay, or (when 0) the
 // primary's observed latency p95. Declines when hedging is off, no such
@@ -364,7 +364,7 @@ func (t *Tier) PlanHedge(primary frag.SiteID, ids []xmltree.FragmentID) (frag.Si
 	return best, delay, true
 }
 
-// HedgeLost implements core.HedgeLossReporter: the hedge on a job won,
+// HedgeLost implements core.Tier: the hedge on a job won,
 // so its primary demonstrably took at least elapsed. The loser's call is
 // cancelled — it never produces an RTT sample of its own — so this floor
 // is the router's only way to learn that a hedged-around replica is

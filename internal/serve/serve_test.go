@@ -335,3 +335,43 @@ func TestRebalancePicksLargestExclusiveFragment(t *testing.T) {
 		t.Fatalf("pickMigration = %d,%v, want the larger fragment %d", id, ok, big)
 	}
 }
+
+// TestControlPlaneAnswersAFullSite: with a set-up site's only admission
+// slot held by query work, its probe, clone and install handlers still
+// answer, and none of it counts as a visit — the tier's table declares
+// them Control.
+func TestControlPlaneAnswersAFullSite(t *testing.T) {
+	c := cluster.New(cluster.CostModel{})
+	site := c.AddSite("S")
+	site.AddFragment(fixtureFragment())
+	if err := SetupSite(site, c, cluster.CostModel{}, 1, nil, 0); err != nil {
+		t.Fatal(err)
+	}
+	entered, release := make(chan struct{}), make(chan struct{})
+	site.Handle(core.KindEvalQual, func(context.Context, *cluster.Site, cluster.Request) (cluster.Response, error) {
+		close(entered)
+		<-release
+		return cluster.Response{}, nil
+	})
+	ctx := context.Background()
+	held := cluster.Go(ctx, c, "C", "S", cluster.Request{Kind: core.KindEvalQual})
+	<-entered
+	visits := site.Stats().Snapshot().Visits
+	fr := fixtureFragment()
+	for _, req := range []cluster.Request{
+		{Kind: KindProbe},
+		{Kind: KindCloneFragment, Payload: encodeFragIDReq(fr.ID)},
+		{Kind: KindInstallFragment, Payload: encodeInstallReq(fr.ID+1, fr.Parent, fr.Root)},
+	} {
+		if _, _, err := c.Call(ctx, "C", "S", req); err != nil {
+			t.Errorf("%s on a full site: %v", req.Kind, err)
+		}
+	}
+	if got := site.Stats().Snapshot().Visits; got != visits {
+		t.Errorf("the control plane counted %d visits", got-visits)
+	}
+	close(release)
+	if r := <-held; r.Err != nil {
+		t.Fatal(r.Err)
+	}
+}

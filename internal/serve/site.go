@@ -21,11 +21,7 @@ func SetupSite(site *cluster.Site, tr cluster.Transport, cost cluster.CostModel,
 	views.RegisterHandlers(site, tr)
 	cluster.RegisterStatsHandler(site)
 	RegisterHandlers(site)
-	if admission > 0 {
-		// Probes, the rebalancer's control plane and obs.stats stay
-		// exempt, so a saturated site still proves it is alive.
-		site.SetAdmission(cluster.AdmissionLimits{MaxInflight: admission})
-	}
+	site.SetAdmission(admission)
 	if st == nil {
 		return nil
 	}

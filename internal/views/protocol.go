@@ -23,6 +23,7 @@ import (
 	"errors"
 	"fmt"
 
+	"repro/internal/cluster"
 	"repro/internal/wire"
 	"repro/internal/xmltree"
 )
@@ -57,6 +58,20 @@ const (
 	// cached triplets) stays valid.
 	KindSetParent = "views.setParent"
 )
+
+// kinds is this package's kind table: every view-maintenance message
+// reads or mutates state of the one site that stores the fragment.
+var kinds = map[string]cluster.Class{
+	KindApplyUpdate:  cluster.SiteBound,
+	KindSplit:        cluster.SiteBound,
+	KindAdopt:        cluster.SiteBound,
+	KindMerge:        cluster.SiteBound,
+	KindYield:        cluster.SiteBound,
+	KindRegisterProg: cluster.SiteBound,
+	KindSetParent:    cluster.SiteBound,
+}
+
+func init() { cluster.Declare(kinds) }
 
 // OpKind is the content-update operation type.
 type OpKind uint8
