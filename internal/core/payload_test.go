@@ -82,15 +82,15 @@ func recodeSelectTransferResp(paths bool) func([]byte) ([]byte, error) {
 }
 
 var payloadCodecs = []golden.Codec{
-	{Name: "evalqual_req", Sample: func() []byte {
+	{Name: "evalqual_req", Kinds: []string{KindEvalQual}, Sample: func() []byte {
 		_, _, prog, _ := payloadFixture()
 		return encodeEvalQualReq(evalQualReq{prog: prog, ids: []xmltree.FragmentID{2, 3}, fp: prog.Fingerprint()})
 	}, Recode: recodeEvalQualReq},
-	{Name: "evalqual_keep_req", Sample: func() []byte {
+	{Name: "evalqual_keep_req", Kinds: []string{KindEvalQualKeep}, Sample: func() []byte {
 		_, st, prog, _ := payloadFixture()
 		return encodeEvalQualReq(evalQualReq{prog: prog, ids: []xmltree.FragmentID{0}, runKey: "run-0000000007", st: st})
 	}, Recode: recodeEvalQualReq},
-	{Name: "evalqual_resp", Sample: func() []byte {
+	{Name: "evalqual_resp", Kinds: []string{KindEvalQual}, Sample: func() []byte {
 		forest, _, prog, _ := payloadFixture()
 		return encodeEvalQualResp([]fragTriplet{
 			{id: 0, enc: fixtureTriplet(forest, prog, 0).Encode()},
@@ -103,14 +103,14 @@ var payloadCodecs = []golden.Codec{
 		}
 		return encodeEvalQualResp(fts), nil
 	}},
-	{Name: "resolve_req", Sample: func() []byte {
+	{Name: "resolve_req", Kinds: []string{KindResolve}, Sample: func() []byte {
 		return encodeResolveReq(resolveReq{runKey: "run-0000000007", id: 3})
 	}, Recode: recodeResolveReq},
-	{Name: "resolve_arrival_req", Sample: func() []byte {
+	{Name: "resolve_arrival_req", Kinds: []string{KindResolve}, Sample: func() []byte {
 		_, st, prog, _ := payloadFixture()
 		return encodeResolveReq(resolveReq{id: 1, prog: prog, st: st})
 	}, Recode: recodeResolveReq},
-	{Name: "resolve_resp", Sample: func() []byte {
+	{Name: "resolve_resp", Kinds: []string{KindResolve}, Sample: func() []byte {
 		forest, _, prog, _ := payloadFixture()
 		return encodeResolveResp(fixtureTriplet(forest, prog, 1), resolveStats{simNanos: 1234567, bytes: 890, messages: 4, steps: 321})
 	}, Recode: func(buf []byte) ([]byte, error) {
@@ -120,7 +120,7 @@ var payloadCodecs = []golden.Codec{
 		}
 		return encodeResolveResp(t, st), nil
 	}},
-	{Name: "fetch_req", Sample: func() []byte {
+	{Name: "fetch_req", Kinds: []string{KindFetchFragments}, Sample: func() []byte {
 		return encodeFetchReq([]xmltree.FragmentID{0, 3, 200})
 	}, Recode: func(buf []byte) ([]byte, error) {
 		ids, err := decodeFetchReq(buf)
@@ -129,7 +129,7 @@ var payloadCodecs = []golden.Codec{
 		}
 		return encodeFetchReq(ids), nil
 	}},
-	{Name: "fetch_resp", Sample: func() []byte {
+	{Name: "fetch_resp", Kinds: []string{KindFetchFragments}, Sample: func() []byte {
 		forest, _, _, _ := payloadFixture()
 		f0, _ := forest.Fragment(0)
 		f2, _ := forest.Fragment(2)
@@ -141,7 +141,7 @@ var payloadCodecs = []golden.Codec{
 		}
 		return encodeFetchResp(frs), nil
 	}},
-	{Name: "select_req", Sample: func() []byte {
+	{Name: "select_req", Kinds: []string{KindSelectTransfer}, Sample: func() []byte {
 		_, _, _, sp := payloadFixture()
 		return encodeSelectTransferReq(encodeSelectProgram(sp), selectTransferReq{
 			paths: true,
@@ -155,10 +155,10 @@ var payloadCodecs = []golden.Codec{
 		}
 		return encodeSelectTransferReq(encodeSelectProgram(sp), q), nil
 	}},
-	{Name: "select_resp", Sample: func() []byte {
+	{Name: "select_resp", Kinds: []string{KindSelectTransfer}, Sample: func() []byte {
 		return encodeSelectTransferResp(fixtureTransfers(true), true)
 	}, Recode: recodeSelectTransferResp(true)},
-	{Name: "count_resp", Sample: func() []byte {
+	{Name: "count_resp", Kinds: []string{KindSelectTransfer}, Sample: func() []byte {
 		return encodeSelectTransferResp(fixtureTransfers(false), false)
 	}, Recode: recodeSelectTransferResp(false)},
 }
@@ -179,10 +179,17 @@ func recodeEvalQualReq(buf []byte) ([]byte, error) {
 	return encodeEvalQualReq(q), nil
 }
 
+// unpinnedKinds are the declared kinds without a codec, and why.
+var unpinnedKinds = map[string]string{
+	KindCleanup: "its payload is the raw run key",
+}
+
 // TestPayloadGoldens pins every payload format of the ParBoX protocol to
-// the bytes recorded before the codecs moved onto internal/wire.
+// the bytes recorded before the codecs moved onto internal/wire, and
+// every kind of the package's table to a codec.
 func TestPayloadGoldens(t *testing.T) {
 	golden.Pin(t, payloadCodecs)
+	golden.Covers(t, kinds, payloadCodecs, unpinnedKinds)
 }
 
 // FuzzPayloadDecoders drives every payload decoder of the ParBoX protocol

@@ -52,9 +52,34 @@ func Check(t testing.TB, name string, got []byte) {
 // Recode decodes a buffer and re-encodes what it read. Each package keeps
 // its own table of them beside its codecs.
 type Codec struct {
-	Name   string // fixture name
+	Name   string   // fixture name
+	Kinds  []string // the request kinds whose request or response it encodes
 	Sample func() []byte
 	Recode func([]byte) ([]byte, error)
+}
+
+// Covers fails the test for every kind of a package's kind table that no
+// codec encodes for — such a kind has no golden and no FuzzPayloadDecoders
+// seed — unless unpinned names it, with the reason it has no codec. An
+// unpinned kind that is undeclared or has a codec fails too.
+func Covers[C any](t *testing.T, kinds map[string]C, codecs []Codec, unpinned map[string]string) {
+	t.Helper()
+	covered := make(map[string]bool)
+	for _, c := range codecs {
+		for _, k := range c.Kinds {
+			covered[k] = true
+		}
+	}
+	for k := range kinds {
+		if _, ok := unpinned[k]; !covered[k] && !ok {
+			t.Errorf("kind %q has no codec: no golden pins its payloads", k)
+		}
+	}
+	for k := range unpinned {
+		if _, declared := kinds[k]; !declared || covered[k] {
+			t.Errorf("unpinned kind %q is undeclared or has a codec", k)
+		}
+	}
 }
 
 // Pin checks every codec's Sample against its fixture and that Recode

@@ -28,7 +28,7 @@ func cloneResp(fr *frag.Fragment) []byte {
 }
 
 var payloadCodecs = []golden.Codec{
-	{Name: "fragid_req", Sample: func() []byte {
+	{Name: "fragid_req", Kinds: []string{KindCloneFragment}, Sample: func() []byte {
 		return encodeFragIDReq(300)
 	}, Recode: func(buf []byte) ([]byte, error) {
 		id, err := decodeFragIDReq(buf)
@@ -37,7 +37,7 @@ var payloadCodecs = []golden.Codec{
 		}
 		return encodeFragIDReq(id), nil
 	}},
-	{Name: "clone_resp", Sample: func() []byte {
+	{Name: "clone_resp", Kinds: []string{KindCloneFragment}, Sample: func() []byte {
 		return cloneResp(fixtureFragment())
 	}, Recode: func(buf []byte) ([]byte, error) {
 		parent, root, err := decodeCloneResp(buf)
@@ -46,7 +46,7 @@ var payloadCodecs = []golden.Codec{
 		}
 		return cloneResp(&frag.Fragment{ID: 4, Parent: parent, Root: root}), nil
 	}},
-	{Name: "clone_resp_root", Sample: func() []byte { // the root fragment's parent is -1: a signed varint
+	{Name: "clone_resp_root", Kinds: []string{KindCloneFragment}, Sample: func() []byte { // the root fragment's parent is -1: a signed varint
 		return cloneResp(&frag.Fragment{ID: 0, Parent: frag.NoParent, Root: xmltree.NewElement("site", "")})
 	}, Recode: func(buf []byte) ([]byte, error) {
 		parent, root, err := decodeCloneResp(buf)
@@ -55,7 +55,7 @@ var payloadCodecs = []golden.Codec{
 		}
 		return cloneResp(&frag.Fragment{ID: 0, Parent: parent, Root: root}), nil
 	}},
-	{Name: "install_req", Sample: func() []byte {
+	{Name: "install_req", Kinds: []string{KindInstallFragment}, Sample: func() []byte {
 		fr := fixtureFragment()
 		return encodeInstallReq(fr.ID, fr.Parent, fr.Root)
 	}, Recode: func(buf []byte) ([]byte, error) {
@@ -67,10 +67,17 @@ var payloadCodecs = []golden.Codec{
 	}},
 }
 
+// unpinnedKinds are the declared kinds without a codec, and why.
+var unpinnedKinds = map[string]string{
+	KindProbe: "an empty request answered with the site's name",
+}
+
 // TestPayloadGoldens pins the serving tier's payload formats to the bytes
-// recorded before the codecs moved onto internal/wire.
+// recorded before the codecs moved onto internal/wire, and every kind of
+// the package's table to a codec.
 func TestPayloadGoldens(t *testing.T) {
 	golden.Pin(t, payloadCodecs)
+	golden.Covers(t, kinds, payloadCodecs, unpinnedKinds)
 }
 
 // FuzzPayloadDecoders drives the serving tier's payload decoders with

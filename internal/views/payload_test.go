@@ -19,7 +19,7 @@ var (
 )
 
 var payloadCodecs = []golden.Codec{
-	{Name: "applyupdate_req", Sample: func() []byte {
+	{Name: "applyupdate_req", Kinds: []string{KindApplyUpdate}, Sample: func() []byte {
 		return encodeApplyUpdateReq(fixtureProg, 3, fixtureOps)
 	}, Recode: func(buf []byte) ([]byte, error) {
 		prog, id, ops, err := decodeApplyUpdateReq(buf)
@@ -28,7 +28,7 @@ var payloadCodecs = []golden.Codec{
 		}
 		return encodeApplyUpdateReq(prog, id, ops), nil
 	}},
-	{Name: "tripletsize_resp", Sample: func() []byte { // applyUpdate, adopt and merge all answer with it
+	{Name: "tripletsize_resp", Kinds: []string{KindApplyUpdate, KindAdopt, KindMerge}, Sample: func() []byte { // applyUpdate, adopt and merge all answer with it
 		return encodeTripletSizeResp(fixtureTriplet, 10007)
 	}, Recode: func(buf []byte) ([]byte, error) {
 		t, size, err := decodeTripletSizeResp(buf)
@@ -37,7 +37,7 @@ var payloadCodecs = []golden.Codec{
 		}
 		return encodeTripletSizeResp(t, size), nil
 	}},
-	{Name: "register_req", Sample: func() []byte {
+	{Name: "register_req", Kinds: []string{KindRegisterProg}, Sample: func() []byte {
 		return encodeRegisterReq(fixtureProg, []xmltree.FragmentID{0, 2, 130})
 	}, Recode: func(buf []byte) ([]byte, error) {
 		prog, ids, err := decodeRegisterReq(buf)
@@ -46,7 +46,7 @@ var payloadCodecs = []golden.Codec{
 		}
 		return encodeRegisterReq(prog, ids), nil
 	}},
-	{Name: "register_resp", Sample: func() []byte {
+	{Name: "register_resp", Kinds: []string{KindRegisterProg}, Sample: func() []byte {
 		return encodeRegisterResp([]RegItem{
 			{Frag: 0, Version: 1, Triplet: fixtureTriplet},
 			{Frag: 130, Version: 1 << 33, Triplet: nil},
@@ -58,7 +58,7 @@ var payloadCodecs = []golden.Codec{
 		}
 		return encodeRegisterResp(items), nil
 	}},
-	{Name: "delta", Sample: func() []byte {
+	{Name: "delta", Kinds: []string{KindRegisterProg}, Sample: func() []byte {
 		return Delta{Frag: 3, Version: 42, FP: 0xfeedfacecafebeef, FlipV: 1, FlipCV: 0, FlipDV: 1 << 63, Triplet: fixtureTriplet}.Encode()
 	}, Recode: func(buf []byte) ([]byte, error) {
 		d, err := DecodeDelta(buf)
@@ -67,7 +67,7 @@ var payloadCodecs = []golden.Codec{
 		}
 		return d.Encode(), nil
 	}},
-	{Name: "split_req", Sample: func() []byte {
+	{Name: "split_req", Kinds: []string{KindSplit}, Sample: func() []byte {
 		return encodeSplitReq(fixtureProg, 1, []int{0, 2, 1}, 4, "S2")
 	}, Recode: func(buf []byte) ([]byte, error) {
 		prog, id, path, newID, target, err := decodeSplitReq(buf)
@@ -76,7 +76,7 @@ var payloadCodecs = []golden.Codec{
 		}
 		return encodeSplitReq(prog, id, path, newID, target), nil
 	}},
-	{Name: "split_resp", Sample: func() []byte {
+	{Name: "split_resp", Kinds: []string{KindSplit}, Sample: func() []byte {
 		return encodeSplitResp(fixtureTriplet, 17, fixtureTriplet[:6], 5, []xmltree.FragmentID{2, 9})
 	}, Recode: func(buf []byte) ([]byte, error) {
 		own, ownSize, nw, newSize, moved, err := decodeSplitResp(buf)
@@ -85,7 +85,7 @@ var payloadCodecs = []golden.Codec{
 		}
 		return encodeSplitResp(own, ownSize, nw, newSize, moved), nil
 	}},
-	{Name: "setparent_req", Sample: func() []byte {
+	{Name: "setparent_req", Kinds: []string{KindSetParent}, Sample: func() []byte {
 		return encodeSetParentReq(2, 4)
 	}, Recode: func(buf []byte) ([]byte, error) {
 		id, parent, err := decodeSetParentReq(buf)
@@ -94,7 +94,7 @@ var payloadCodecs = []golden.Codec{
 		}
 		return encodeSetParentReq(id, parent), nil
 	}},
-	{Name: "adopt_req", Sample: func() []byte {
+	{Name: "adopt_req", Kinds: []string{KindAdopt}, Sample: func() []byte {
 		subtree := xmltree.Encode(xmltree.NewElement("market", "",
 			xmltree.NewElement("name", "NASDAQ"), xmltree.NewVirtual(2)))
 		return encodeAdoptReq(fixtureProg, 4, 1, subtree)
@@ -105,7 +105,7 @@ var payloadCodecs = []golden.Codec{
 		}
 		return encodeAdoptReq(prog, id, parent, subtree), nil
 	}},
-	{Name: "fragid_req", Sample: func() []byte { // yield
+	{Name: "fragid_req", Kinds: []string{KindYield}, Sample: func() []byte { // yield
 		return encodeFragIDReq(300)
 	}, Recode: func(buf []byte) ([]byte, error) {
 		id, err := decodeFragIDReq(buf)
@@ -114,7 +114,7 @@ var payloadCodecs = []golden.Codec{
 		}
 		return encodeFragIDReq(id), nil
 	}},
-	{Name: "merge_req", Sample: func() []byte {
+	{Name: "merge_req", Kinds: []string{KindMerge}, Sample: func() []byte {
 		return encodeMergeReq(fixtureProg, 1, 2, "S2")
 	}, Recode: func(buf []byte) ([]byte, error) {
 		prog, id, child, site, err := decodeMergeReq(buf)
@@ -130,6 +130,7 @@ var payloadCodecs = []golden.Codec{
 // internal/wire.
 func TestPayloadGoldens(t *testing.T) {
 	golden.Pin(t, payloadCodecs)
+	golden.Covers(t, kinds, payloadCodecs, nil)
 }
 
 // FuzzPayloadDecoders drives every payload decoder of the view-maintenance
