@@ -127,8 +127,11 @@ update-churn-smoke:
 # be absorbed by a budgeted, backed-off retry with zero wrong answers),
 # then a second pass shims one replica 50x slower and hedging must keep
 # the burst's p99 far below the injected delay. Plus the in-process
-# seeded chaos differential and the already-expired-deadline semantics,
-# all under the race detector.
+# seeded chaos differential, the already-expired-deadline semantics and
+# the unit tests proving that Site.dispatch is the one place a site
+# sheds (by kind class, under a panicking handler, for a nested
+# same-site call), all under the race detector.
 overload-smoke:
 	go test -race -run 'TestDaemonOverloadShedding' ./cmd/parbox-site
 	go test -race -run 'TestChaosDifferentialSeeded|TestExecTimeoutAlreadyExpired' .
+	go test -race -run 'TestAdmission|TestKindClass|TestHandlerPanic|TestNestedSameSiteCallRunsUnderParentAdmission' ./internal/cluster
