@@ -106,8 +106,8 @@ func decodeRetryAfter(body []byte) time.Duration {
 const retryAfterPerInflight = 500 * time.Microsecond
 
 // admission bounds how many requests a site runs at once; a request past
-// the limit is shed with an OverloadError instead of queued. A nil
-// *admission admits everything (the default — admission is opt-in per
+// the limit is shed with an OverloadError instead of queued. A site
+// without one admits everything (the default — admission is opt-in per
 // deployment).
 type admission struct {
 	limit    int64
