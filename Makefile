@@ -88,10 +88,14 @@ fuzz-fused:
 
 # recovery-smoke is CI's crash-recovery gate: SIGKILL a durable site
 # daemon mid-run and restart it from its data dir, plus the in-process
-# crash differential, all under the race detector.
+# crash differential, plus the update journal's own tests (op-list
+# replay against the in-memory tree, a crash after every WAL record,
+# updates appended during a checkpoint, a failed batch journaling
+# nothing), all under the race detector.
 recovery-smoke:
 	go test -race -run 'TestDaemonCrashRecovery' ./cmd/parbox-site
 	go test -race -run 'TestCrashRecoveryDifferential|TestVersionMonotonicityAndStaleCacheRejection|TestTopologyChangeRecovery' .
+	go test -race -run 'TestOps|TestCrashPrefix|TestCheckpointDuringUpdates|TestFailedBatchIsNoOp' ./internal/store ./internal/views .
 
 # transport-soak is CI's wire-protocol gate: the v2-TCP differential
 # (answers and byte/message/cache counters of all six algorithms pinned

@@ -4,6 +4,7 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -692,5 +693,56 @@ func TestRestoreTrustsSplitMovedParents(t *testing.T) {
 		if res.Answer != want {
 			t.Errorf("%q = %v, centralized reference says %v", src, res.Answer, want)
 		}
+	}
+}
+
+// TestFailedBatchIsNoOpAcrossRestore: an update batch that fails on its
+// second op leaves a durable deployment as it was. Its first op, a valid
+// setText, is undone, so the fragment keeps its version and content in
+// memory, and nothing reaches the WAL: after a crash, Restore brings back
+// the pre-batch fragment at the pre-batch version.
+func TestFailedBatchIsNoOpAcrossRestore(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	forest, assign := durableForest(t)
+	dur, err := Deploy(forest, assign, WithDurability(dir), WithTripletCache())
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := applyUpdates(t, ctx, dur)
+	wantVersions := captureVersions(dur)
+	fragment := func(s *System) string {
+		site, _ := s.cluster.Site("S1")
+		fr, ok := site.Fragment(2)
+		if !ok {
+			t.Fatal("S1 lost fragment 2")
+		}
+		return fr.Root.String()
+	}
+	want := fragment(dur)
+	if _, err := v.Update(ctx, 2, []UpdateOp{
+		{Op: OpSetText, Path: []int{0, 0}, Text: "half-applied"},
+		{Op: OpInsert, Path: []int{9}, Label: "x"},
+	}); err == nil {
+		t.Fatal("a batch with an out-of-range op must fail")
+	}
+	if got := fragment(dur); got != want {
+		t.Errorf("fragment 2 after the failed batch = %s, want %s", got, want)
+	}
+	if got := captureVersions(dur); !reflect.DeepEqual(got, wantVersions) {
+		t.Errorf("versions after the failed batch = %v, want %v", got, wantVersions)
+	}
+
+	// Crash: abandon the deployment without Close.
+	rest, err := Restore(dir, WithTripletCache())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rest.Close()
+	if got := fragment(rest); got != want {
+		t.Errorf("restored fragment 2 = %s, want %s", got, want)
+	}
+	if got := captureVersions(rest); !reflect.DeepEqual(got, wantVersions) {
+		t.Errorf("restored versions = %v, want %v", got, wantVersions)
 	}
 }

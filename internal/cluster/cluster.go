@@ -195,12 +195,17 @@ func goViaCall(ctx context.Context, tr Transport, from, to frag.SiteID, req Requ
 
 // FragmentStore is the durable backing a site may be attached to
 // (implemented by internal/store): every fragment add, removal and
-// in-place mutation is logged through it, cached triplet encodings are
+// in-place mutation is logged through it — a content update as its op
+// list, anything else as the full fragment — cached triplet encodings are
 // persisted for warm restarts, and non-resident fragments are loaded back
 // on demand. Implementations must be safe for concurrent use.
 type FragmentStore interface {
 	// PutFragment records the fragment's full content at the version.
 	PutFragment(f *frag.Fragment, version uint64) error
+	// PutOps records one committed content update, in one append: the
+	// ops that took f (the fragment after them) to the version, and the
+	// triplet-cache entries the update produced at that version.
+	PutOps(f *frag.Fragment, version uint64, ops []xmltree.UpdateOp, trips []frag.Triplet) error
 	// DeleteFragment records a removal; the version counter must survive.
 	DeleteFragment(id xmltree.FragmentID, version uint64) error
 	// PutTriplet records a triplet-cache entry (fragment version, program
@@ -222,8 +227,9 @@ type Site struct {
 	fragments map[xmltree.FragmentID]*frag.Fragment
 	// versions holds each stored fragment's monotonic version: bumped on
 	// every add, removal and in-place mutation (view maintenance calls
-	// BumpFragment). Entries survive removal so a re-added fragment keeps
-	// counting up — version-keyed caches must never see a number reused.
+	// CommitUpdate or BumpFragment). Entries survive removal so a
+	// re-added fragment keeps counting up — version-keyed caches must
+	// never see a number reused.
 	versions map[xmltree.FragmentID]uint64
 	state    map[string]any
 
@@ -373,16 +379,31 @@ func (s *Site) RemoveFragment(id xmltree.FragmentID) {
 	}
 }
 
-// BumpFragment advances a fragment's version after an in-place mutation of
-// its tree (view maintenance: content updates, split, merge) and returns
-// the new version. Every cached triplet of the fragment is thereby
-// invalidated — cache keys embed the version. The caller passes the
-// mutated fragment itself: it is re-installed in the resident table (the
-// mutated tree is authoritative even if the table evicted the fragment
-// while the handler held it) and, with a store attached, re-journaled at
-// the new version — so an acknowledged mutation can never be lost to a
-// concurrent eviction.
+// BumpFragment advances a fragment's version after a structural in-place
+// mutation of its tree (split, merge) and returns the new version. Every
+// cached triplet of the fragment is thereby invalidated — cache keys
+// embed the version. The caller passes the mutated fragment itself: it is
+// re-installed in the resident table (the mutated tree is authoritative
+// even if the table evicted the fragment while the handler held it) and,
+// with a store attached, journaled in full at the new version — so an
+// acknowledged mutation can never be lost to a concurrent eviction.
+// Content updates go through CommitUpdate instead.
 func (s *Site) BumpFragment(f *frag.Fragment) uint64 {
+	return s.commit(f, func(v uint64) error { return s.store.PutFragment(f, v) })
+}
+
+// CommitUpdate is BumpFragment for a committed content update: ops have
+// been applied to f's tree, and trips are the triplet encodings the
+// update produced. With a store attached the site journals the ops and
+// the triplets, at the new version, in one append instead of the whole
+// fragment; the caller still fills its triplet cache itself.
+func (s *Site) CommitUpdate(f *frag.Fragment, ops []xmltree.UpdateOp, trips []frag.Triplet) uint64 {
+	return s.commit(f, func(v uint64) error { return s.store.PutOps(f, v, ops, trips) })
+}
+
+// commit bumps f's version, re-installs f and, with a store attached,
+// journals it through put before eviction can see it.
+func (s *Site) commit(f *frag.Fragment, put func(version uint64) error) uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.versions[f.ID]++
@@ -390,7 +411,7 @@ func (s *Site) BumpFragment(f *frag.Fragment) uint64 {
 	s.fragments[f.ID] = f
 	if s.store != nil {
 		s.touchLocked(f.ID)
-		s.noteStoreErr(s.store.PutFragment(f, v))
+		s.noteStoreErr(put(v))
 		s.evictLocked(f.ID)
 	}
 	return v
@@ -515,8 +536,9 @@ func (s *Site) touchLocked(id xmltree.FragmentID) {
 
 // evictLocked drops least-recently-used fragments (never keep) until the
 // resident table fits its bound. Evicted content is always reloadable:
-// every mutation journals the full fragment before eviction can see it —
-// which is exactly why eviction stops once a journal write has failed:
+// every mutation is journaled — in full, or as the ops of a content
+// update, which the store replays on load — before eviction can see it.
+// That is exactly why eviction stops once a journal write has failed:
 // with the store sticky-failed, disk may lag the resident trees, and
 // evicting would let a later load resurrect pre-mutation content at a
 // bumped version. A site with a broken store serves from memory only.
@@ -711,9 +733,11 @@ func (s *Site) dispatch(ctx context.Context, req Request, remote bool) (resp Res
 		defer adm.release()
 	}
 	hctx := ctx
-	if held != s && (adm != nil || held != nil) {
+	if e.class == SiteBound && held != s && (adm != nil || held != nil) {
 		// Another site's mark is replaced: its admission does not cover
-		// this site. Without admission or a mark, nothing is allocated.
+		// this site. Only a SiteBound handler can call its own site (the
+		// resolve recursion); a Pure or Control one never calls out, so
+		// it gets no mark and nothing is allocated.
 		hctx = context.WithValue(ctx, admittedAt{}, s)
 	}
 	var hsp *obs.ActiveSpan

@@ -36,6 +36,13 @@ func (m *memStore) PutFragment(f *frag.Fragment, version uint64) error {
 	return nil
 }
 
+// PutOps keeps the fragment after the ops, as the real store's replay
+// yields it.
+func (m *memStore) PutOps(f *frag.Fragment, version uint64, _ []xmltree.UpdateOp, trips []frag.Triplet) error {
+	m.triplets += len(trips)
+	return m.PutFragment(f, version)
+}
+
 func (m *memStore) DeleteFragment(id xmltree.FragmentID, version uint64) error {
 	delete(m.frags, id)
 	m.versions[id] = version
@@ -73,15 +80,19 @@ func TestSiteJournalsMutations(t *testing.T) {
 	if v := site.BumpFragment(f1); v != 2 || ms.versions[1] != 2 {
 		t.Fatalf("bump: site=%d store=%d, want 2", v, ms.versions[1])
 	}
+	f1.Root.Text = "edited"
+	if v := site.CommitUpdate(f1, []xmltree.UpdateOp{{Op: xmltree.OpSetText, Text: "edited"}}, []frag.Triplet{{FP: 42, Enc: []byte{1}}}); v != 3 || ms.versions[1] != 3 || ms.frags[1].Root.Text != "edited" {
+		t.Fatalf("commit: site=%d store=%d, want 3 with the edit journaled", v, ms.versions[1])
+	}
 	site.RemoveFragment(1)
 	if _, ok := ms.frags[1]; ok {
 		t.Fatal("removal not journaled")
 	}
-	if ms.versions[1] != 3 {
-		t.Fatalf("dead counter = %d, want 3", ms.versions[1])
+	if ms.versions[1] != 4 {
+		t.Fatalf("dead counter = %d, want 4", ms.versions[1])
 	}
-	site.PersistTriplet(1, 3, 42, []byte{1})
-	if ms.triplets != 1 {
+	site.PersistTriplet(1, 4, 42, []byte{1})
+	if ms.triplets != 2 {
 		t.Fatalf("triplet journal count = %d", ms.triplets)
 	}
 }

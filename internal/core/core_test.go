@@ -753,3 +753,28 @@ func TestSimTimesOrdering(t *testing.T) {
 		t.Errorf("ParBoX sim %v not better than centralized %v on a data-heavy layout", p.SimTime, n.SimTime)
 	}
 }
+
+// TestAdmissionAddsNoAllocation: with an admission limit set, an admitted
+// in-process evalQual allocates exactly what it allocates without one.
+// evalQual is Pure, so its handler never calls out and dispatch gives it
+// no same-site admission mark.
+func TestAdmissionAddsNoAllocation(t *testing.T) {
+	c, _, _ := deployFig2(t)
+	ctx := context.Background()
+	req := cluster.Request{
+		Kind:    KindEvalQual,
+		Payload: encodeEvalQualReq(evalQualReq{prog: xpath.MustCompileString(fig2Queries[3]), ids: []xmltree.FragmentID{3}}),
+	}
+	call := func() {
+		if _, _, err := c.Call(ctx, "S0", "S2", req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	without := testing.AllocsPerRun(200, call)
+	s2, _ := c.Site("S2")
+	s2.SetAdmission(1)
+	with := testing.AllocsPerRun(200, call)
+	if with != without {
+		t.Errorf("evalQual allocates %v times with admission, %v without", with, without)
+	}
+}

@@ -34,6 +34,15 @@ type Fragment struct {
 // placeholders.
 func (f *Fragment) Size() int { return f.Root.Size() }
 
+// Triplet is one program's encoded triplet over a fragment, keyed by the
+// program's fingerprint: what a content update leaves in the site's
+// triplet cache, and what the durable store journals beside the update's
+// ops.
+type Triplet struct {
+	FP  uint64
+	Enc []byte
+}
+
 // SubFragments returns the IDs referenced by the fragment's virtual nodes,
 // in document order.
 func (f *Fragment) SubFragments() []xmltree.FragmentID {

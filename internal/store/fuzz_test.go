@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -12,17 +13,38 @@ import (
 )
 
 // fuzzRecordSeeds are framed record streams — the shapes Open replays —
-// plus torn and corrupt tails.
+// plus torn and corrupt tails, and updates that do not apply.
 func fuzzRecordSeeds() [][]byte {
 	tree := xmltree.Encode(xmltree.NewElement("a", "x",
 		xmltree.NewElement("b", ""), xmltree.NewVirtual(7)))
 	put, _ := putBody(0, frag.NoParent, 3, tree)
 	trip, _ := tripletBody(2, 5, 0xfeed, []byte{1, 2, 3, 4})
+	update, _ := opsBody(0, 4, xmltree.AppendOps(nil, []xmltree.UpdateOp{
+		{Op: xmltree.OpInsert, Label: "c", Text: "new"},
+		{Op: xmltree.OpSetText, Path: []int{0}, Text: "y"},
+		{Op: xmltree.OpDelete, Path: []int{2}},
+	}))
+	updTrip, _ := tripletBody(0, 4, 0xbeef, []byte{5, 6})
 	var stream []byte
-	for _, body := range [][]byte{put, deleteBody(1, 9), versionBody(4, 2), trip} {
+	for _, body := range [][]byte{put, deleteBody(1, 9), versionBody(4, 2), trip, update, updTrip} {
 		stream = frameRecord(stream, body)
 	}
+	framed := func(bodies ...[]byte) []byte {
+		var out []byte
+		for _, b := range bodies {
+			out = frameRecord(out, b)
+		}
+		return out
+	}
+	deleteVirtual, _ := opsBody(0, 4, xmltree.AppendOps(nil, []xmltree.UpdateOp{{Op: xmltree.OpDelete, Path: []int{1}}}))
+	outOfRange, _ := opsBody(0, 4, xmltree.AppendOps(nil, []xmltree.UpdateOp{{Op: xmltree.OpSetText, Path: []int{0, 3}}}))
+	garbled, _ := opsBody(0, 4, []byte{2, 9})
+	orphan, _ := opsBody(5, 1, xmltree.AppendOps(nil, nil))
 	return [][]byte{
+		framed(put, deleteVirtual), // ops that do not apply
+		framed(put, outOfRange),
+		framed(put, garbled),
+		framed(put, orphan), // an update of a fragment with no content
 		nil,
 		stream,
 		stream[:len(stream)-3],               // torn final record
@@ -57,14 +79,16 @@ func FuzzWALReplay(f *testing.F) {
 		}
 		state1, ok := captureState(t, s)
 		// Close checkpoints whatever replayed; recovery through the
-		// snapshot must reproduce the WAL-replayed state exactly.
-		if err := s.Close(); err != nil {
+		// snapshot must reproduce the WAL-replayed state exactly. The
+		// checkpoint folds pending updates, so one that does not apply
+		// fails it, as corruption.
+		if err := s.Close(); err != nil && (ok || !errors.Is(err, ErrCorrupt)) {
 			t.Fatalf("Close: %v", err)
 		}
 		if !ok {
-			// A CRC-valid record carrying an undecodable tree: the load
-			// surfaced a codec error. Still no panic, and reopening must
-			// agree it is undecodable rather than crash.
+			// A CRC-valid record carrying an undecodable tree or an update
+			// that does not apply: the load surfaced ErrCorrupt. Still no
+			// panic, and reopening must agree rather than crash.
 			s2, err := Open(dir, Options{})
 			if err == nil {
 				s2.Close()
@@ -110,6 +134,9 @@ func captureState(t *testing.T, s *Store) (fuzzState, bool) {
 	}
 	for _, id := range s.FragmentIDs() {
 		fr, _, ok, err := s.LoadFragment(id)
+		if err != nil && !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("LoadFragment(%d) = %v, want nil or ErrCorrupt", id, err)
+		}
 		if err != nil || !ok {
 			return st, false
 		}

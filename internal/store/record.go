@@ -16,9 +16,11 @@
 //	uint32 LE body length | uint32 LE CRC-32C of body | body
 //
 // The body's first byte is the record kind; fragment content rides in the
-// existing xmltree wire encoding and cached triplets in the boolexpr-based
-// triplet encoding, so the WAL introduces no third codec for trees or
-// formulas. Numbers are uvarints, matching those codecs.
+// existing xmltree wire encoding, a content update in xmltree's op-list
+// encoding (the bytes the applyUpdate request carries), and cached
+// triplets in the boolexpr-based triplet encoding, so the WAL introduces
+// no codec of its own for trees, edits or formulas. Numbers are uvarints,
+// matching those codecs.
 //
 // Recovery replays the newest valid snapshot and then every segment at or
 // after its sequence number. A torn record at the tail of the final
@@ -56,6 +58,11 @@ const (
 	// recSnapEnd is the snapshot footer: the count of preceding records.
 	// A snapshot without a matching footer is not trusted.
 	recSnapEnd = byte(5)
+	// recOps logs one committed content update: id, version, then the
+	// xmltree op-list encoding (xmltree.AppendOps). It applies on top of
+	// the fragment's latest recPut and the recOps records since; only WAL
+	// segments hold it, since a checkpoint folds the ops into a recPut.
+	recOps = byte(6)
 )
 
 const (
@@ -120,6 +127,16 @@ func tripletBody(id xmltree.FragmentID, version, fp uint64, enc []byte) (body []
 	return body, payloadOff
 }
 
+func opsBody(id xmltree.FragmentID, version uint64, ops []byte) (body []byte, payloadOff int) {
+	body = make([]byte, 0, 1+2*binary.MaxVarintLen64+len(ops))
+	body = append(body, recOps)
+	body = xmltree.AppendFragmentID(body, id)
+	body = binary.AppendUvarint(body, version)
+	payloadOff = len(body)
+	body = append(body, ops...)
+	return body, payloadOff
+}
+
 func snapEndBody(count uint64) []byte {
 	body := make([]byte, 0, 1+binary.MaxVarintLen64)
 	body = append(body, recSnapEnd)
@@ -127,10 +144,10 @@ func snapEndBody(count uint64) []byte {
 	return body
 }
 
-// record is a decoded record body. Payload bytes (tree or triplet
-// encoding) are identified by their offset within the body rather than
-// copied: the replay loop turns the offset into a file location for the
-// in-memory index.
+// record is a decoded record body. Payload bytes (tree, op list or
+// triplet encoding) are identified by their offset within the body rather
+// than copied: the replay loop turns the offset into a file location for
+// the in-memory index.
 type record struct {
 	kind       byte
 	id         xmltree.FragmentID
@@ -142,8 +159,9 @@ type record struct {
 }
 
 // decodeRecord parses one record body. Payload bytes are not validated
-// here — a tree or triplet that passes the CRC but fails its own codec is
-// surfaced when first decoded (LoadFragment / triplet restore).
+// here — a tree, op list or triplet that passes the CRC but fails its own
+// codec is surfaced when first decoded (LoadFragment, a checkpoint's
+// fold, triplet restore).
 func decodeRecord(body []byte) (record, error) {
 	r := wire.NewReader(body, ErrCorrupt)
 	rec := record{kind: r.Byte()}
@@ -157,6 +175,11 @@ func decodeRecord(body []byte) (record, error) {
 	case recDelete, recVersion:
 		rec.id = xmltree.ReadFragmentID(&r)
 		rec.version = r.Uvarint()
+	case recOps:
+		rec.id = xmltree.ReadFragmentID(&r)
+		rec.version = r.Uvarint()
+		rec.payloadOff = r.Offset()
+		r.Rest()
 	case recTriplet:
 		rec.id = xmltree.ReadFragmentID(&r)
 		rec.version = r.Uvarint()

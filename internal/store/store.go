@@ -55,10 +55,16 @@ func (l loc) read() ([]byte, error) {
 	return buf, nil
 }
 
+// fragMeta indexes one live fragment: its base content (the latest
+// recPut) and the op lists of the updates committed since (recOps), which
+// replay on top of it in order. opsBytes sums the op lists' sizes, for the
+// fold-on-write rule in PutOps.
 type fragMeta struct {
-	version uint64
-	parent  xmltree.FragmentID
-	tree    loc
+	version  uint64
+	parent   xmltree.FragmentID
+	tree     loc
+	ops      []loc
+	opsBytes int
 }
 
 type tripKey struct {
@@ -125,6 +131,10 @@ type Store struct {
 	// spawn one goroutine per append while it waits.
 	cpMu       sync.Mutex
 	cpInFlight bool
+	// afterCheckpointPhase1, when set (by tests), runs once a checkpoint
+	// has rotated the WAL and copied the index, before it writes the
+	// snapshot: the window in which appends land beside a checkpoint.
+	afterCheckpointPhase1 func()
 
 	scratch []byte
 	err     error
@@ -306,7 +316,10 @@ func (s *Store) loadSnapshot(path string, seq int64) error {
 			off = next
 			continue
 		}
-		s.applyRecord(rec, body, f, off+recordHeaderLen)
+		if err := s.applyRecord(rec, body, f, off+recordHeaderLen); err != nil {
+			f.Close()
+			return fmt.Errorf("store: snapshot %s: %w", filepath.Base(path), err)
+		}
 		count++
 		off = next
 	}
@@ -387,7 +400,12 @@ func (s *Store) replaySegment(path string, seq int64, last bool) error {
 			}
 			break
 		}
-		s.applyRecord(rec, body, f, off+recordHeaderLen)
+		if err := s.applyRecord(rec, body, f, off+recordHeaderLen); err != nil {
+			// An intact record that does not fit the state before it is
+			// corruption wherever it sits, never a torn tail.
+			f.Close()
+			return fmt.Errorf("store: segment %s: %w", filepath.Base(path), err)
+		}
 		off = next
 	}
 	s.files[seq] = f
@@ -410,17 +428,23 @@ func checkMagic(f *os.File, magic string) error {
 }
 
 // applyRecord folds one decoded record into the in-memory index. bodyOff
-// is the file offset of the record body, so payload locs address the tree
-// or triplet bytes directly.
-func (s *Store) applyRecord(rec record, body []byte, f *os.File, bodyOff int64) {
+// is the file offset of the record body, so payload locs address the
+// tree, op list or triplet bytes directly. An update to a fragment the
+// index does not hold is corruption: the log never holds one.
+func (s *Store) applyRecord(rec record, body []byte, f *os.File, bodyOff int64) error {
+	payload := loc{f: f, off: bodyOff + int64(rec.payloadOff), n: len(body) - rec.payloadOff}
 	switch rec.kind {
 	case recPut:
-		s.frags[rec.id] = &fragMeta{
-			version: rec.version,
-			parent:  rec.parent,
-			tree:    loc{f: f, off: bodyOff + int64(rec.payloadOff), n: len(body) - rec.payloadOff},
-		}
+		s.frags[rec.id] = &fragMeta{version: rec.version, parent: rec.parent, tree: payload}
 		delete(s.dead, rec.id)
+	case recOps:
+		m, live := s.frags[rec.id]
+		if !live {
+			return fmt.Errorf("%w: update of fragment %d, which holds no content", ErrCorrupt, rec.id)
+		}
+		m.version = rec.version
+		m.ops = append(m.ops, payload)
+		m.opsBytes += payload.n
 	case recDelete:
 		delete(s.frags, rec.id)
 		s.dead[rec.id] = rec.version
@@ -429,11 +453,9 @@ func (s *Store) applyRecord(rec record, body []byte, f *os.File, bodyOff int64) 
 			s.dead[rec.id] = rec.version
 		}
 	case recTriplet:
-		s.insertTriplet(tripKey{id: rec.id, fp: rec.fp}, &tripMeta{
-			version: rec.version,
-			enc:     loc{f: f, off: bodyOff + int64(rec.payloadOff), n: len(body) - rec.payloadOff},
-		})
+		s.insertTriplet(tripKey{id: rec.id, fp: rec.fp}, &tripMeta{version: rec.version, enc: payload})
 	}
+	return nil
 }
 
 // insertTriplet stores a triplet index entry under the size bound,
@@ -467,16 +489,21 @@ func (s *Store) createSegment(seq int64) error {
 	return nil
 }
 
-// appendLocked frames and appends one record body to the active segment,
-// rotating first if the segment is full, and returns the file offset of
-// the body. Callers hold s.mu and have checked s.err.
-func (s *Store) appendLocked(body []byte) (*os.File, int64, error) {
+// appendLocked frames record bodies and appends them to the active
+// segment in one write, rotating first if the segment is full, and
+// returns the file offset of the first body (each next body starts
+// recordHeaderLen past the end of the one before). Callers hold s.mu and
+// have checked s.err.
+func (s *Store) appendLocked(bodies ...[]byte) (*os.File, int64, error) {
 	if s.wOff >= s.opts.SegmentBytes {
 		if err := s.createSegment(s.seq + 1); err != nil {
 			return nil, 0, err
 		}
 	}
-	s.scratch = frameRecord(s.scratch[:0], body)
+	s.scratch = s.scratch[:0]
+	for _, body := range bodies {
+		s.scratch = frameRecord(s.scratch, body)
+	}
 	if _, err := s.w.WriteAt(s.scratch, s.wOff); err != nil {
 		return nil, 0, fmt.Errorf("store: append: %w", err)
 	}
@@ -566,8 +593,65 @@ func (s *Store) PutTriplet(id xmltree.FragmentID, version, fp uint64, enc []byte
 	return nil
 }
 
-// LoadFragment reads a live fragment's latest persisted content from disk.
-// ok is false for fragments the store does not (or no longer) hold.
+// PutOps logs one committed content update in a single append: the op
+// list that took f's tree to version, then the update's triplet-cache
+// entries at that version, each its own record. f is the fragment after
+// the ops, which the store encodes in full instead (a recPut, "fold on
+// write") when the op lists pending on its base have reached the base's
+// encoded size, so a load never replays more bytes of ops than of tree.
+func (s *Store) PutOps(f *frag.Fragment, version uint64, ops []xmltree.UpdateOp, trips []frag.Triplet) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if err := s.checkLocked(); err != nil {
+		return err
+	}
+	m, live := s.frags[f.ID]
+	fold := !live || m.opsBytes >= m.tree.n
+	var body []byte
+	var payloadOff int
+	if fold {
+		body, payloadOff = putBody(f.ID, f.Parent, version, xmltree.Encode(f.Root))
+	} else {
+		body, payloadOff = opsBody(f.ID, version, xmltree.AppendOps(nil, ops))
+	}
+	bodies := make([][]byte, 0, 1+len(trips))
+	bodies = append(bodies, body)
+	tripOffs := make([]int, len(trips))
+	for i, t := range trips {
+		var tb []byte
+		tb, tripOffs[i] = tripletBody(f.ID, version, t.FP, t.Enc)
+		bodies = append(bodies, tb)
+	}
+	file, bodyOff, err := s.appendLocked(bodies...)
+	if err != nil {
+		return s.fail(err)
+	}
+	payload := loc{f: file, off: bodyOff + int64(payloadOff), n: len(body) - payloadOff}
+	if fold {
+		// A fresh entry, never m.ops[:0]: a running checkpoint may still
+		// be reading the old slice's elements.
+		s.frags[f.ID] = &fragMeta{version: version, parent: f.Parent, tree: payload}
+		delete(s.dead, f.ID)
+	} else {
+		m.version = version
+		m.ops = append(m.ops, payload)
+		m.opsBytes += payload.n
+	}
+	for i, t := range trips {
+		bodyOff += int64(len(bodies[i])) + recordHeaderLen
+		s.insertTriplet(tripKey{id: f.ID, fp: t.FP}, &tripMeta{
+			version: version,
+			enc:     loc{f: file, off: bodyOff + int64(tripOffs[i]), n: len(t.Enc)},
+		})
+	}
+	s.maybeCheckpointLocked()
+	return nil
+}
+
+// LoadFragment reads a live fragment's latest persisted content from disk:
+// its base tree with the updates since replayed on top. ok is false for
+// fragments the store does not (or no longer) hold. Content that does not
+// decode, or an update that does not apply, is ErrCorrupt.
 func (s *Store) LoadFragment(id xmltree.FragmentID) (*frag.Fragment, uint64, bool, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -575,15 +659,52 @@ func (s *Store) LoadFragment(id xmltree.FragmentID) (*frag.Fragment, uint64, boo
 	if !ok {
 		return nil, 0, false, nil
 	}
-	buf, err := meta.tree.read()
+	tree, ops, err := meta.read()
 	if err != nil {
 		return nil, 0, false, s.fail(fmt.Errorf("store: loading fragment %d: %w", id, err))
 	}
-	root, err := xmltree.Decode(buf)
+	root, err := replay(id, tree, ops)
 	if err != nil {
-		return nil, 0, false, fmt.Errorf("store: fragment %d: %w", id, err)
+		return nil, 0, false, err
 	}
 	return &frag.Fragment{ID: id, Parent: meta.parent, Root: root}, meta.version, true, nil
+}
+
+// read returns the fragment's base tree bytes and its pending op lists.
+func (m *fragMeta) read() (tree []byte, ops [][]byte, err error) {
+	if tree, err = m.tree.read(); err != nil {
+		return nil, nil, err
+	}
+	ops = make([][]byte, len(m.ops))
+	for i, l := range m.ops {
+		if ops[i], err = l.read(); err != nil {
+			return nil, nil, err
+		}
+	}
+	return tree, ops, nil
+}
+
+// replay decodes a base tree and applies the op lists to it in order.
+// Every op list in the log applied to exactly this state when it was
+// committed, so one that does not decode or apply is corruption, never a
+// step to skip.
+func replay(id xmltree.FragmentID, tree []byte, ops [][]byte) (*xmltree.Node, error) {
+	root, err := xmltree.Decode(tree)
+	if err != nil {
+		return nil, fmt.Errorf("%w: fragment %d: %w", ErrCorrupt, id, err)
+	}
+	for i, buf := range ops {
+		list, err := xmltree.DecodeOps(buf)
+		if err != nil {
+			return nil, fmt.Errorf("%w: fragment %d, update %d: %w", ErrCorrupt, id, i, err)
+		}
+		for j, op := range list {
+			if err := op.Apply(root); err != nil {
+				return nil, fmt.Errorf("%w: fragment %d, update %d, op %d: %w", ErrCorrupt, id, i, j, err)
+			}
+		}
+	}
+	return root, nil
 }
 
 // Empty reports whether the store holds no state at all (a fresh
@@ -672,11 +793,6 @@ func (s *Store) Err() error {
 }
 
 // maybeCheckpointLocked schedules a background checkpoint once the WAL
-// passes the threshold. It runs asynchronously on the store's own mutex:
-// mutations arrive via site methods that hold the site lock, and a
-// multi-megabyte snapshot written inline would stall every read on the
-// site for its whole duration.
-// maybeCheckpointLocked schedules a background checkpoint once the WAL
 // passes the threshold. Callers hold s.mu; the checkpoint goroutine only
 // briefly re-acquires it for the index-copy and install phases, so
 // neither appends (often made under the site lock) nor reads stall
@@ -695,7 +811,8 @@ func (s *Store) maybeCheckpointLocked() {
 }
 
 // Checkpoint writes a snapshot of the store's full state (live fragments,
-// dead version counters, valid triplet entries) to a new file — written to
+// each one recPut of its current content with pending updates folded in;
+// dead version counters; valid triplet entries) to a new file — written to
 // a temp path, synced, then atomically renamed — and truncates the WAL:
 // every older segment and snapshot is deleted, and appends continue in a
 // fresh segment. Recovery after a checkpoint replays only the snapshot
@@ -782,6 +899,9 @@ func (s *Store) checkpoint(minWAL int64) error {
 		}
 	}
 	s.mu.Unlock()
+	if s.afterCheckpointPhase1 != nil {
+		s.afterCheckpointPhase1()
+	}
 	// Sorted, for a deterministic snapshot file.
 	sort.Slice(st.fragIDs, func(i, j int) bool { return st.fragIDs[i] < st.fragIDs[j] })
 	sort.Slice(st.deadIDs, func(i, j int) bool { return st.deadIDs[i] < st.deadIDs[j] })
@@ -814,9 +934,16 @@ func (s *Store) checkpoint(minWAL int64) error {
 		f.Close()
 		return s.err
 	}
+	// A fragment whose base is still the one phase 1 copied rebases onto
+	// the snapshot, which folded in the updates phase 1 saw; updates
+	// appended since (in segments this checkpoint keeps) stay pending on
+	// top. A fragment re-put since has its base in a kept segment already.
 	for id, nl := range newFragLocs {
-		if cur, ok := s.frags[id]; ok && oldSet[cur.tree.f] && cur.version == st.frags[id].version {
+		old := st.frags[id]
+		if cur, ok := s.frags[id]; ok && cur.tree == old.tree {
 			cur.tree = nl
+			cur.ops = cur.ops[len(old.ops):]
+			cur.opsBytes -= old.opsBytes
 		}
 	}
 	for k, nt := range newTripLocs {
@@ -877,14 +1004,22 @@ func (s *Store) writeSnapshot(newSeq int64, st *cpState) (*os.File, string, map[
 		return bodyOff, nil
 	}
 
-	// Live fragments, copied byte-for-byte from their locs — no
-	// re-encoding.
+	// Live fragments: copied byte-for-byte from their locs, or — with
+	// updates pending — decoded, replayed and encoded once, so the
+	// snapshot holds exactly what PutFragment of the current tree writes.
 	newFragLocs := make(map[xmltree.FragmentID]loc, len(st.fragIDs))
 	for _, id := range st.fragIDs {
 		m := st.frags[id]
-		tree, err := m.tree.read()
+		tree, ops, err := m.read()
 		if err != nil {
 			return abort(fmt.Errorf("store: checkpoint: fragment %d: %w", id, err))
+		}
+		if len(ops) > 0 {
+			root, err := replay(id, tree, ops)
+			if err != nil {
+				return abort(fmt.Errorf("store: checkpoint: %w", err))
+			}
+			tree = xmltree.Encode(root)
 		}
 		body, payloadOff := putBody(id, m.parent, m.version, tree)
 		bodyOff, err := write(body)

@@ -38,6 +38,13 @@ func decodeProg(buf []byte) (*xpath.Program, error) {
 // changed) per maintained program, the triplet cache is patched in place
 // at the post-update version (no invalidation miss on the next visit),
 // and standing programs whose root formulas flipped publish a Delta.
+//
+// A batch commits whole or not at all: if an op fails, or the requesting
+// program cannot be evaluated over the result, the ops already applied
+// are undone in reverse, and the error leaves the fragment at its old
+// version and content, its cached triplets valid and nothing journaled.
+// A committed batch is journaled as its op list plus the maintained
+// programs' triplets, in one append (cluster.Site.CommitUpdate).
 func handleApplyUpdate(_ context.Context, site *cluster.Site, req cluster.Request) (cluster.Response, error) {
 	progBytes, id, ops, err := decodeApplyUpdateReq(req.Payload)
 	if err != nil {
@@ -54,22 +61,23 @@ func handleApplyUpdate(_ context.Context, site *cluster.Site, req cluster.Reques
 	fm := maintOf(site).fragment(id)
 	fm.mu.Lock()
 	defer fm.mu.Unlock()
+	applied := make([]xmltree.Touched, 0, len(ops))
+	// abort undoes the applied ops, newest first. The retained planes
+	// were patched (or built) against the abandoned state: drop them.
+	abort := func(err error) (cluster.Response, error) {
+		for i := len(applied) - 1; i >= 0; i-- {
+			applied[i].Undo()
+		}
+		fm.reset()
+		return cluster.Response{}, err
+	}
 	var fresh, dirty, removed []*xmltree.Node
 	for i, op := range ops {
 		tch, err := op.ApplyTracked(fr.Root)
 		if err != nil {
-			// Ops apply in place, so earlier ops of the batch have already
-			// mutated the tree. Bump before failing: the half-applied state
-			// is what the site now serves, and it must not be served
-			// against pre-batch cached triplets (or, durably, resurrect as
-			// the pre-batch tree after a restart). The retained planes and
-			// baselines no longer match either state — drop them.
-			if i > 0 {
-				site.BumpFragment(fr)
-			}
-			fm.reset()
-			return cluster.Response{}, fmt.Errorf("views: op %d: %w", i, err)
+			return abort(fmt.Errorf("views: op %d: %w", i, err))
 		}
+		applied = append(applied, tch)
 		if tch.Fresh != nil {
 			fresh = append(fresh, tch.Fresh)
 		}
@@ -80,10 +88,6 @@ func handleApplyUpdate(_ context.Context, site *cluster.Site, req cluster.Reques
 			removed = append(removed, tch.Removed)
 		}
 	}
-	// The fragment's tree changed: advance its version. Stale cached
-	// triplets are invalidated by the version key; the patched entries
-	// stored below make the new version hit immediately.
-	version := site.BumpFragment(fr)
 
 	// Maintain the requesting program (its triplet is the response) and
 	// every other maintained program — standing subscriptions included.
@@ -91,10 +95,9 @@ func handleApplyUpdate(_ context.Context, site *cluster.Site, req cluster.Reques
 	pm := fm.prog(prog, false)
 	enc, delta, changed, steps, err := pm.recompute(site, fr, fresh, dirty, removed)
 	if err != nil {
-		fm.reset()
-		return cluster.Response{}, err
+		return abort(err)
 	}
-	pm.patchAndPush(site, id, version, enc, delta, changed)
+	done := []maintained{{pm, enc, delta, changed}}
 	total := steps
 	for fp, other := range fm.progs {
 		if fp == reqFP {
@@ -108,12 +111,33 @@ func handleApplyUpdate(_ context.Context, site *cluster.Site, req cluster.Reques
 			delete(fm.progs, fp)
 			continue
 		}
-		other.patchAndPush(site, id, version, oenc, odelta, ochanged)
+		done = append(done, maintained{other, oenc, odelta, ochanged})
+	}
+
+	// Commit: advance the version and journal the ops with every new
+	// triplet. Stale cached triplets are invalidated by the version key;
+	// the patched entries stored below make the new version hit at once.
+	trips := make([]frag.Triplet, len(done))
+	for i, d := range done {
+		trips[i] = frag.Triplet{FP: d.pm.prog.Fingerprint(), Enc: d.enc}
+	}
+	version := site.CommitUpdate(fr, ops, trips)
+	for _, d := range done {
+		d.pm.patchAndPush(site, id, version, d.enc, d.delta, d.changed)
 	}
 	return cluster.Response{
 		Payload: encodeTripletSizeResp(enc, fr.Size()),
 		Steps:   total,
 	}, nil
+}
+
+// maintained is one program's recomputed state, waiting for the commit's
+// version.
+type maintained struct {
+	pm      *progMaint
+	enc     []byte
+	delta   eval.TripletDelta
+	changed bool
 }
 
 // handleSplit is splitFragments(v) at the owning site: the subtree at the

@@ -219,14 +219,13 @@ func (pm *progMaint) recompute(site *cluster.Site, fr *frag.Fragment, fresh, dir
 	return enc, delta, changed, steps, nil
 }
 
-// patchAndPush stores pm's new encoding in the triplet cache and the
-// durable store at the post-update version, and — for a standing program
-// whose root actually changed — publishes the Delta. The caller holds
-// fm.mu.
+// patchAndPush stores pm's new encoding in the triplet cache at the
+// post-update version (the update's commit journaled it already), and —
+// for a standing program whose root actually changed — publishes the
+// Delta. The caller holds fm.mu.
 func (pm *progMaint) patchAndPush(site *cluster.Site, id xmltree.FragmentID, version uint64, enc []byte, delta eval.TripletDelta, changed bool) {
 	fp := pm.prog.Fingerprint()
 	core.StoreTriplet(site, id, version, fp, enc)
-	site.PersistTriplet(id, version, fp, enc)
 	if pm.standing && changed {
 		site.PushDelta(Delta{
 			Frag:    id,

@@ -20,8 +20,6 @@ package views
 
 import (
 	"encoding/binary"
-	"errors"
-	"fmt"
 
 	"repro/internal/cluster"
 	"repro/internal/wire"
@@ -73,171 +71,48 @@ var kinds = map[string]cluster.Class{
 
 func init() { cluster.Declare(kinds) }
 
-// OpKind is the content-update operation type.
-type OpKind uint8
-
-const (
-	// OpInsert is insNode(A, v): insert a node labeled Label (with
-	// optional Text) as the last child of the node at Path.
-	OpInsert OpKind = iota
-	// OpDelete is delNode(v): delete the node at Path (and its subtree).
-	OpDelete
-	// OpSetText replaces the text content of the node at Path. (A
-	// convenience composite of delNode/insNode on text, needed by every
-	// realistic workload — e.g. a stock's sell price changing.)
-	OpSetText
+// The content-update vocabulary lives in xmltree, where the durable
+// store replays the same ops from its WAL; these names keep it at hand
+// for view callers.
+type (
+	// OpKind is the content-update operation type.
+	OpKind = xmltree.OpKind
+	// UpdateOp is one primitive update, addressed by the child-index
+	// path from the fragment root (empty path = the root itself).
+	UpdateOp = xmltree.UpdateOp
 )
 
-// UpdateOp is one primitive update, addressed by the child-index path from
-// the fragment root (empty path = the root itself).
-type UpdateOp struct {
-	Op    OpKind
-	Path  []int
-	Label string // OpInsert
-	Text  string // OpInsert, OpSetText
-}
+// The content-update operations (see xmltree.OpKind).
+const (
+	OpInsert  = xmltree.OpInsert
+	OpDelete  = xmltree.OpDelete
+	OpSetText = xmltree.OpSetText
+)
 
 // ErrBadUpdate is wrapped by update decoding/application failures.
-var ErrBadUpdate = errors.New("views: bad update")
+var ErrBadUpdate = xmltree.ErrBadUpdate
 
 // NodeAt resolves a child-index path from root.
-func NodeAt(root *xmltree.Node, path []int) (*xmltree.Node, error) {
-	n := root
-	for depth, i := range path {
-		if i < 0 || i >= len(n.Children) {
-			return nil, fmt.Errorf("%w: index %d out of range at depth %d", ErrBadUpdate, i, depth)
-		}
-		n = n.Children[i]
-	}
-	return n, nil
-}
+func NodeAt(root *xmltree.Node, path []int) (*xmltree.Node, error) { return xmltree.NodeAt(root, path) }
 
 // PathOf computes the child-index path of a node within its fragment
 // (climbing Parent pointers to the fragment root).
-func PathOf(node *xmltree.Node) []int {
-	var rev []int
-	for n := node; n.Parent != nil; n = n.Parent {
-		idx := -1
-		for i, c := range n.Parent.Children {
-			if c == n {
-				idx = i
-				break
-			}
-		}
-		rev = append(rev, idx)
-	}
-	path := make([]int, len(rev))
-	for i := range rev {
-		path[i] = rev[len(rev)-1-i]
-	}
-	return path
-}
-
-// Touched reports the nodes one applied op affected, in the vocabulary
-// of eval.Plane.Patch: a freshly inserted subtree root, a node whose
-// in-place inputs changed (a setText target, or the parent a child was
-// deleted from), and a detached subtree root.
-type Touched struct {
-	Fresh   *xmltree.Node
-	Dirty   *xmltree.Node
-	Removed *xmltree.Node
-}
-
-// Apply executes the op against a fragment root, mutating it in place.
-func (op UpdateOp) Apply(root *xmltree.Node) error {
-	_, err := op.ApplyTracked(root)
-	return err
-}
-
-// ApplyTracked executes the op and reports which nodes it touched, so
-// incremental maintenance can recompute only the affected spines.
-func (op UpdateOp) ApplyTracked(root *xmltree.Node) (Touched, error) {
-	n, err := NodeAt(root, op.Path)
-	if err != nil {
-		return Touched{}, err
-	}
-	switch op.Op {
-	case OpInsert:
-		if n.Virtual {
-			return Touched{}, fmt.Errorf("%w: cannot insert under a virtual node", ErrBadUpdate)
-		}
-		c := n.AppendChild(xmltree.NewElement(op.Label, op.Text))
-		return Touched{Fresh: c}, nil
-	case OpDelete:
-		if n.Parent == nil {
-			return Touched{}, fmt.Errorf("%w: cannot delete the fragment root", ErrBadUpdate)
-		}
-		if len(n.VirtualNodes()) > 0 {
-			return Touched{}, fmt.Errorf("%w: subtree contains virtual nodes; merge sub-fragments first", ErrBadUpdate)
-		}
-		parent := n.Parent
-		parent.RemoveChild(n)
-		return Touched{Dirty: parent, Removed: n}, nil
-	case OpSetText:
-		if n.Virtual {
-			return Touched{}, fmt.Errorf("%w: virtual nodes carry no text", ErrBadUpdate)
-		}
-		n.Text = op.Text
-		return Touched{Dirty: n}, nil
-	default:
-		return Touched{}, fmt.Errorf("%w: unknown op %d", ErrBadUpdate, op.Op)
-	}
-}
+func PathOf(node *xmltree.Node) []int { return xmltree.PathOf(node) }
 
 // --- codecs ----------------------------------------------------------------
-
-func appendPath(dst []byte, path []int) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(path)))
-	for _, i := range path {
-		dst = binary.AppendUvarint(dst, uint64(i))
-	}
-	return dst
-}
-
-func childPath(r *wire.Reader) []int {
-	path := make([]int, r.Count(1))
-	for i := range path {
-		path[i] = int(r.Uvarint())
-	}
-	return path
-}
-
-func appendOp(dst []byte, op UpdateOp) []byte {
-	dst = append(dst, byte(op.Op))
-	dst = appendPath(dst, op.Path)
-	dst = wire.AppendString(dst, op.Label)
-	return wire.AppendString(dst, op.Text)
-}
-
-func updateOp(r *wire.Reader) UpdateOp {
-	op := UpdateOp{Op: OpKind(r.Byte())}
-	op.Path = childPath(r)
-	op.Label = r.String()
-	op.Text = r.String()
-	return op
-}
 
 // applyUpdateReq: program, fragment ID, ops.
 func encodeApplyUpdateReq(prog []byte, id xmltree.FragmentID, ops []UpdateOp) []byte {
 	dst := wire.AppendBytes(nil, prog)
 	dst = xmltree.AppendFragmentID(dst, id)
-	dst = binary.AppendUvarint(dst, uint64(len(ops)))
-	for _, op := range ops {
-		dst = appendOp(dst, op)
-	}
-	return dst
+	return xmltree.AppendOps(dst, ops)
 }
 
 func decodeApplyUpdateReq(buf []byte) (prog []byte, id xmltree.FragmentID, ops []UpdateOp, err error) {
 	r := wire.NewReader(buf, ErrBadUpdate)
 	prog = r.Bytes()
 	id = xmltree.ReadFragmentID(&r)
-	// An op spends four bytes on itself: kind, path length, label
-	// length, text length.
-	ops = make([]UpdateOp, r.Count(4))
-	for i := range ops {
-		ops[i] = updateOp(&r)
-	}
+	ops = xmltree.ReadOps(&r)
 	return prog, id, ops, r.Done()
 }
 
@@ -342,7 +217,7 @@ func DecodeDelta(buf []byte) (Delta, error) {
 func encodeSplitReq(prog []byte, id xmltree.FragmentID, path []int, newID xmltree.FragmentID, target string) []byte {
 	dst := wire.AppendBytes(nil, prog)
 	dst = xmltree.AppendFragmentID(dst, id)
-	dst = appendPath(dst, path)
+	dst = xmltree.AppendPath(dst, path)
 	dst = xmltree.AppendFragmentID(dst, newID)
 	return wire.AppendString(dst, target)
 }
@@ -351,7 +226,7 @@ func decodeSplitReq(buf []byte) (prog []byte, id xmltree.FragmentID, path []int,
 	r := wire.NewReader(buf, ErrBadUpdate)
 	prog = r.Bytes()
 	id = xmltree.ReadFragmentID(&r)
-	path = childPath(&r)
+	path = xmltree.ReadPath(&r)
 	newID = xmltree.ReadFragmentID(&r)
 	target = r.String()
 	return prog, id, path, newID, target, r.Done()

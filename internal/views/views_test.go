@@ -215,7 +215,7 @@ func TestUpdateTrafficIndependentOfDataAndUpdateSize(t *testing.T) {
 func opsSize(ops []UpdateOp) int {
 	n := 0
 	for _, op := range ops {
-		n += len(appendOp(nil, op))
+		n += len(xmltree.AppendOp(nil, op))
 	}
 	return n
 }
