@@ -387,3 +387,58 @@ func TestOpsThatDoNotApplyAreCorrupt(t *testing.T) {
 		t.Errorf("update of a fragment with no content: Open error = %v, want ErrCorrupt", err)
 	}
 }
+
+// TestCheckpointDuringUpdatesConcurrent runs checkpoints back to back in
+// one goroutine while another commits updates (some folding on write):
+// every checkpoint reads pending op lists while appends extend them, so
+// under -race this checks that they share nothing unsynchronized, and
+// the end state must still load, crash-reopen and reopen as the mirror.
+func TestCheckpointDuringUpdatesConcurrent(t *testing.T) {
+	r := rand.New(rand.NewSource(13))
+	dir := t.TempDir()
+	s := mustOpen(t, dir, Options{CheckpointBytes: -1})
+	mirror := make(map[xmltree.FragmentID]*frag.Fragment)
+	versions := make(map[xmltree.FragmentID]uint64)
+	for id := xmltree.FragmentID(0); id < 4; id++ {
+		mirror[id], versions[id] = randomFragment(r, id, 0, 5+r.Intn(30)), 1
+		mustPut(t, s, mirror[id], 1)
+	}
+	stop := make(chan struct{})
+	cpErr := make(chan error, 1)
+	go func() {
+		for {
+			select {
+			case <-stop:
+				cpErr <- nil
+				return
+			default:
+			}
+			if err := s.Checkpoint(); err != nil {
+				cpErr <- err
+				return
+			}
+		}
+	}()
+	for u := 0; u < 400; u++ {
+		id := xmltree.FragmentID(r.Intn(4))
+		f := mirror[id]
+		versions[id]++
+		if err := s.PutOps(f, versions[id], randomBatch(t, r, f.Root, 1+r.Intn(3)), []frag.Triplet{{FP: 1, Enc: []byte{byte(u)}}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	if err := <-cpErr; err != nil {
+		t.Fatal(err)
+	}
+	checkMirror(t, s, mirror, versions)
+	crashed := mustOpen(t, dir, Options{})
+	checkMirror(t, crashed, mirror, versions)
+	crashed.Discard()
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	reopened := mustOpen(t, dir, Options{})
+	defer reopened.Close()
+	checkMirror(t, reopened, mirror, versions)
+}
