@@ -202,15 +202,15 @@ func goViaCall(ctx context.Context, tr Transport, from, to frag.SiteID, req Requ
 type FragmentStore interface {
 	// PutFragment records the fragment's full content at the version.
 	PutFragment(f *frag.Fragment, version uint64) error
-	// PutOps records one committed content update, in one append: the
-	// ops that took f (the fragment after them) to the version, and the
-	// triplet-cache entries the update produced at that version.
-	PutOps(f *frag.Fragment, version uint64, ops []xmltree.UpdateOp, trips []frag.Triplet) error
+	// PutOps records one committed content update: the ops that took f
+	// (the fragment after them) to the version.
+	PutOps(f *frag.Fragment, version uint64, ops []xmltree.UpdateOp) error
 	// DeleteFragment records a removal; the version counter must survive.
 	DeleteFragment(id xmltree.FragmentID, version uint64) error
-	// PutTriplet records a triplet-cache entry (fragment version, program
-	// fingerprint, encoded triplet) for warm-cache restarts.
-	PutTriplet(id xmltree.FragmentID, version, fp uint64, enc []byte) error
+	// PutTriplets records triplet-cache entries (program fingerprint,
+	// encoded triplet) of one fragment version, in one append, for
+	// warm-cache restarts.
+	PutTriplets(id xmltree.FragmentID, version uint64, trips []frag.Triplet) error
 	// LoadFragment returns the latest persisted content of a live
 	// fragment; ok is false for unknown or removed fragments.
 	LoadFragment(id xmltree.FragmentID) (*frag.Fragment, uint64, bool, error)
@@ -392,13 +392,11 @@ func (s *Site) BumpFragment(f *frag.Fragment) uint64 {
 	return s.commit(f, func(v uint64) error { return s.store.PutFragment(f, v) })
 }
 
-// CommitUpdate is BumpFragment for a committed content update: ops have
-// been applied to f's tree, and trips are the triplet encodings the
-// update produced. With a store attached the site journals the ops and
-// the triplets, at the new version, in one append instead of the whole
-// fragment; the caller still fills its triplet cache itself.
-func (s *Site) CommitUpdate(f *frag.Fragment, ops []xmltree.UpdateOp, trips []frag.Triplet) uint64 {
-	return s.commit(f, func(v uint64) error { return s.store.PutOps(f, v, ops, trips) })
+// CommitUpdate is BumpFragment for a content update whose ops have been
+// applied to f's tree: with a store attached the site journals the ops,
+// not the whole fragment.
+func (s *Site) CommitUpdate(f *frag.Fragment, ops []xmltree.UpdateOp) uint64 {
+	return s.commit(f, func(v uint64) error { return s.store.PutOps(f, v, ops) })
 }
 
 // commit bumps f's version, re-installs f and, with a store attached,
@@ -584,17 +582,18 @@ func (s *Site) ResidentFragments() int {
 	return len(s.fragments)
 }
 
-// PersistTriplet journals a triplet-cache entry when a store is attached;
-// otherwise it is a no-op. The serving layer calls it alongside every
-// cache fill so a restart can warm-start the cache.
-func (s *Site) PersistTriplet(id xmltree.FragmentID, version, fp uint64, enc []byte) {
+// PersistTriplets journals triplet-cache entries of one fragment version,
+// in one append, when a store is attached; otherwise it is a no-op. The
+// serving layer calls it alongside every cache fill so a restart can
+// warm-start the cache.
+func (s *Site) PersistTriplets(id xmltree.FragmentID, version uint64, trips []frag.Triplet) {
 	s.mu.RLock()
 	fs := s.store
 	s.mu.RUnlock()
 	if fs == nil {
 		return
 	}
-	if err := fs.PutTriplet(id, version, fp, enc); err != nil {
+	if err := fs.PutTriplets(id, version, trips); err != nil {
 		s.mu.Lock()
 		s.noteStoreErr(err)
 		s.mu.Unlock()

@@ -38,8 +38,7 @@ func (m *memStore) PutFragment(f *frag.Fragment, version uint64) error {
 
 // PutOps keeps the fragment after the ops, as the real store's replay
 // yields it.
-func (m *memStore) PutOps(f *frag.Fragment, version uint64, _ []xmltree.UpdateOp, trips []frag.Triplet) error {
-	m.triplets += len(trips)
+func (m *memStore) PutOps(f *frag.Fragment, version uint64, _ []xmltree.UpdateOp) error {
 	return m.PutFragment(f, version)
 }
 
@@ -49,8 +48,8 @@ func (m *memStore) DeleteFragment(id xmltree.FragmentID, version uint64) error {
 	return nil
 }
 
-func (m *memStore) PutTriplet(xmltree.FragmentID, uint64, uint64, []byte) error {
-	m.triplets++
+func (m *memStore) PutTriplets(_ xmltree.FragmentID, _ uint64, trips []frag.Triplet) error {
+	m.triplets += len(trips)
 	return nil
 }
 
@@ -81,7 +80,7 @@ func TestSiteJournalsMutations(t *testing.T) {
 		t.Fatalf("bump: site=%d store=%d, want 2", v, ms.versions[1])
 	}
 	f1.Root.Text = "edited"
-	if v := site.CommitUpdate(f1, []xmltree.UpdateOp{{Op: xmltree.OpSetText, Text: "edited"}}, []frag.Triplet{{FP: 42, Enc: []byte{1}}}); v != 3 || ms.versions[1] != 3 || ms.frags[1].Root.Text != "edited" {
+	if v := site.CommitUpdate(f1, []xmltree.UpdateOp{{Op: xmltree.OpSetText, Text: "edited"}}); v != 3 || ms.versions[1] != 3 || ms.frags[1].Root.Text != "edited" {
 		t.Fatalf("commit: site=%d store=%d, want 3 with the edit journaled", v, ms.versions[1])
 	}
 	site.RemoveFragment(1)
@@ -91,7 +90,7 @@ func TestSiteJournalsMutations(t *testing.T) {
 	if ms.versions[1] != 4 {
 		t.Fatalf("dead counter = %d, want 4", ms.versions[1])
 	}
-	site.PersistTriplet(1, 4, 42, []byte{1})
+	site.PersistTriplets(1, 4, []frag.Triplet{{FP: 42, Enc: []byte{1}}, {FP: 43, Enc: []byte{2}}})
 	if ms.triplets != 2 {
 		t.Fatalf("triplet journal count = %d", ms.triplets)
 	}

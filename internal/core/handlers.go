@@ -159,7 +159,7 @@ func evalQualCached(ctx context.Context, site *cluster.Site, q evalQualReq) (clu
 			cache.store(q.ids[i], vers[i], q.fp, fts[i].enc)
 			// Journal the fill so a restarted site warm-starts its cache
 			// (no-op without an attached durable store).
-			site.PersistTriplet(q.ids[i], vers[i], q.fp, fts[i].enc)
+			site.PersistTriplets(q.ids[i], vers[i], []frag.Triplet{{FP: q.fp, Enc: fts[i].enc}})
 		}
 	}
 	_, esp := obs.StartSpan(ctx, string(site.ID()), "encode")

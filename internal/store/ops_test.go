@@ -108,8 +108,10 @@ func TestOpsReplayMatchesTree(t *testing.T) {
 			f := mirror[id]
 			ops := randomBatch(t, r, f.Root, 1+r.Intn(4))
 			versions[id]++
-			trips := []frag.Triplet{{FP: uint64(b % 4), Enc: []byte{byte(b), 1}}}
-			if err := s.PutOps(f, versions[id], ops, trips); err != nil {
+			if err := s.PutOps(f, versions[id], ops); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.PutTriplets(id, versions[id], []frag.Triplet{{FP: uint64(b % 4), Enc: []byte{byte(b), 1}}}); err != nil {
 				t.Fatal(err)
 			}
 			if len(s.frags[id].ops) == 0 {
@@ -153,7 +155,7 @@ func TestOpsCheckpointMatchesPutFragment(t *testing.T) {
 	v := uint64(1)
 	for i := 0; i < 12; i++ {
 		v++
-		if err := a.PutOps(f, v, randomBatch(t, r, f.Root, 1+r.Intn(3)), nil); err != nil {
+		if err := a.PutOps(f, v, randomBatch(t, r, f.Root, 1+r.Intn(3))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -201,8 +203,10 @@ func TestCrashPrefixReplaysLastCommittedUpdate(t *testing.T) {
 	states := []state{{xmltree.Encode(f.Root), 1}}
 	for u := 0; u < 30; u++ {
 		v := uint64(u + 2)
-		trips := []frag.Triplet{{FP: 1, Enc: []byte{byte(u)}}, {FP: 2, Enc: []byte{byte(u), 9}}}
-		if err := s.PutOps(f, v, randomBatch(t, r, f.Root, 1+r.Intn(3)), trips); err != nil {
+		if err := s.PutOps(f, v, randomBatch(t, r, f.Root, 1+r.Intn(3))); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.PutTriplets(0, v, []frag.Triplet{{FP: 1, Enc: []byte{byte(u)}}, {FP: 2, Enc: []byte{byte(u), 9}}}); err != nil {
 			t.Fatal(err)
 		}
 		states = append(states, state{xmltree.Encode(f.Root), v})
@@ -283,7 +287,10 @@ func TestCheckpointDuringUpdatesRebases(t *testing.T) {
 	update := func(id xmltree.FragmentID, n int) {
 		f := mirror[id]
 		versions[id]++
-		if err := s.PutOps(f, versions[id], randomBatch(t, r, f.Root, n), []frag.Triplet{{FP: 5, Enc: []byte{byte(versions[id])}}}); err != nil {
+		if err := s.PutOps(f, versions[id], randomBatch(t, r, f.Root, n)); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.PutTriplets(id, versions[id], []frag.Triplet{{FP: 5, Enc: []byte{byte(versions[id])}}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -423,7 +430,10 @@ func TestCheckpointDuringUpdatesConcurrent(t *testing.T) {
 		id := xmltree.FragmentID(r.Intn(4))
 		f := mirror[id]
 		versions[id]++
-		if err := s.PutOps(f, versions[id], randomBatch(t, r, f.Root, 1+r.Intn(3)), []frag.Triplet{{FP: 1, Enc: []byte{byte(u)}}}); err != nil {
+		if err := s.PutOps(f, versions[id], randomBatch(t, r, f.Root, 1+r.Intn(3))); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.PutTriplets(id, versions[id], []frag.Triplet{{FP: 1, Enc: []byte{byte(u)}}}); err != nil {
 			t.Fatal(err)
 		}
 	}

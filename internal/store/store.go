@@ -572,34 +572,41 @@ func (s *Store) DeleteFragment(id xmltree.FragmentID, version uint64) error {
 	return nil
 }
 
-// PutTriplet logs a triplet-cache entry so a restart can warm-start the
-// site's versioned triplet cache.
-func (s *Store) PutTriplet(id xmltree.FragmentID, version, fp uint64, enc []byte) error {
-	body, payloadOff := tripletBody(id, version, fp, enc)
+// PutTriplets logs triplet-cache entries of one fragment version, one
+// record each, in a single append, so a restart can warm-start the site's
+// versioned triplet cache.
+func (s *Store) PutTriplets(id xmltree.FragmentID, version uint64, trips []frag.Triplet) error {
+	bodies := make([][]byte, len(trips))
+	offs := make([]int, len(trips))
+	for i, t := range trips {
+		bodies[i], offs[i] = tripletBody(id, version, t.FP, t.Enc)
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err := s.checkLocked(); err != nil {
 		return err
 	}
-	file, bodyOff, err := s.appendLocked(body)
+	file, bodyOff, err := s.appendLocked(bodies...)
 	if err != nil {
 		return s.fail(err)
 	}
-	s.insertTriplet(tripKey{id: id, fp: fp}, &tripMeta{
-		version: version,
-		enc:     loc{f: file, off: bodyOff + int64(payloadOff), n: len(enc)},
-	})
+	for i, t := range trips {
+		s.insertTriplet(tripKey{id: id, fp: t.FP}, &tripMeta{
+			version: version,
+			enc:     loc{f: file, off: bodyOff + int64(offs[i]), n: len(t.Enc)},
+		})
+		bodyOff += int64(len(bodies[i])) + recordHeaderLen
+	}
 	s.maybeCheckpointLocked()
 	return nil
 }
 
-// PutOps logs one committed content update in a single append: the op
-// list that took f's tree to version, then the update's triplet-cache
-// entries at that version, each its own record. f is the fragment after
-// the ops, which the store encodes in full instead (a recPut, "fold on
-// write") when the op lists pending on its base have reached the base's
-// encoded size, so a load never replays more bytes of ops than of tree.
-func (s *Store) PutOps(f *frag.Fragment, version uint64, ops []xmltree.UpdateOp, trips []frag.Triplet) error {
+// PutOps logs one committed content update: the op list that took f's
+// tree to version. f is the fragment after the ops, which the store
+// encodes in full instead (a recPut, "fold on write") when the op lists
+// pending on its base have reached the base's encoded size, so a load
+// never replays more bytes of ops than of tree.
+func (s *Store) PutOps(f *frag.Fragment, version uint64, ops []xmltree.UpdateOp) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err := s.checkLocked(); err != nil {
@@ -614,15 +621,7 @@ func (s *Store) PutOps(f *frag.Fragment, version uint64, ops []xmltree.UpdateOp,
 	} else {
 		body, payloadOff = opsBody(f.ID, version, xmltree.AppendOps(nil, ops))
 	}
-	bodies := make([][]byte, 0, 1+len(trips))
-	bodies = append(bodies, body)
-	tripOffs := make([]int, len(trips))
-	for i, t := range trips {
-		var tb []byte
-		tb, tripOffs[i] = tripletBody(f.ID, version, t.FP, t.Enc)
-		bodies = append(bodies, tb)
-	}
-	file, bodyOff, err := s.appendLocked(bodies...)
+	file, bodyOff, err := s.appendLocked(body)
 	if err != nil {
 		return s.fail(err)
 	}
@@ -636,13 +635,6 @@ func (s *Store) PutOps(f *frag.Fragment, version uint64, ops []xmltree.UpdateOp,
 		m.version = version
 		m.ops = append(m.ops, payload)
 		m.opsBytes += payload.n
-	}
-	for i, t := range trips {
-		bodyOff += int64(len(bodies[i])) + recordHeaderLen
-		s.insertTriplet(tripKey{id: f.ID, fp: t.FP}, &tripMeta{
-			version: version,
-			enc:     loc{f: file, off: bodyOff + int64(tripOffs[i]), n: len(t.Enc)},
-		})
 	}
 	s.maybeCheckpointLocked()
 	return nil

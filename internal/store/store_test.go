@@ -117,7 +117,7 @@ func TestCheckpointTruncatesWAL(t *testing.T) {
 		frs[i] = testFragment(xmltree.FragmentID(i), frag.NoParent, "f")
 		mustPut(t, s, frs[i], uint64(i)+1)
 	}
-	if err := s.PutTriplet(0, 1, 99, []byte{1, 2, 3}); err != nil {
+	if err := s.PutTriplets(0, 1, []frag.Triplet{{FP: 99, Enc: []byte{1, 2, 3}}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Checkpoint(); err != nil {
@@ -167,7 +167,7 @@ func TestRepeatedCheckpoints(t *testing.T) {
 	s := mustOpen(t, dir, Options{})
 	f0 := testFragment(0, frag.NoParent, "root")
 	mustPut(t, s, f0, 1)
-	if err := s.PutTriplet(0, 1, 99, []byte{1, 2, 3}); err != nil {
+	if err := s.PutTriplets(0, 1, []frag.Triplet{{FP: 99, Enc: []byte{1, 2, 3}}}); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
@@ -315,12 +315,12 @@ func TestTripletVersionFiltering(t *testing.T) {
 	dir := t.TempDir()
 	s := mustOpen(t, dir, Options{})
 	mustPut(t, s, testFragment(0, frag.NoParent, "f"), 1)
-	if err := s.PutTriplet(0, 1, 11, []byte("old")); err != nil {
+	if err := s.PutTriplets(0, 1, []frag.Triplet{{FP: 11, Enc: []byte("old")}}); err != nil {
 		t.Fatal(err)
 	}
 	// The fragment moves on; the cached entry is now stale.
 	mustPut(t, s, testFragment(0, frag.NoParent, "f2"), 2)
-	if err := s.PutTriplet(0, 2, 22, []byte("new")); err != nil {
+	if err := s.PutTriplets(0, 2, []frag.Triplet{{FP: 22, Enc: []byte("new")}}); err != nil {
 		t.Fatal(err)
 	}
 	s2 := mustOpen(t, dir, Options{})

@@ -43,8 +43,10 @@ func decodeProg(buf []byte) (*xpath.Program, error) {
 // program cannot be evaluated over the result, the ops already applied
 // are undone in reverse, and the error leaves the fragment at its old
 // version and content, its cached triplets valid and nothing journaled.
-// A committed batch is journaled as its op list plus the maintained
-// programs' triplets, in one append (cluster.Site.CommitUpdate).
+// A committed batch is journaled as its op list (cluster.Site.
+// CommitUpdate) before any Delta is published, so a subscriber never
+// hears of an update a crash could still lose; the maintained programs'
+// new triplets follow in one more append.
 func handleApplyUpdate(_ context.Context, site *cluster.Site, req cluster.Request) (cluster.Response, error) {
 	progBytes, id, ops, err := decodeApplyUpdateReq(req.Payload)
 	if err != nil {
@@ -97,7 +99,13 @@ func handleApplyUpdate(_ context.Context, site *cluster.Site, req cluster.Reques
 	if err != nil {
 		return abort(err)
 	}
-	done := []maintained{{pm, enc, delta, changed}}
+	// Commit: advance the version and journal the ops. Stale cached
+	// triplets are invalidated by the version key; the patched entries
+	// stored below make the new version hit at once.
+	version := site.CommitUpdate(fr, ops)
+	pm.patchAndPush(site, id, version, enc, delta, changed)
+	trips := make([]frag.Triplet, 1, 1+len(fm.progs))
+	trips[0] = frag.Triplet{FP: reqFP, Enc: enc}
 	total := steps
 	for fp, other := range fm.progs {
 		if fp == reqFP {
@@ -111,33 +119,14 @@ func handleApplyUpdate(_ context.Context, site *cluster.Site, req cluster.Reques
 			delete(fm.progs, fp)
 			continue
 		}
-		done = append(done, maintained{other, oenc, odelta, ochanged})
+		other.patchAndPush(site, id, version, oenc, odelta, ochanged)
+		trips = append(trips, frag.Triplet{FP: fp, Enc: oenc})
 	}
-
-	// Commit: advance the version and journal the ops with every new
-	// triplet. Stale cached triplets are invalidated by the version key;
-	// the patched entries stored below make the new version hit at once.
-	trips := make([]frag.Triplet, len(done))
-	for i, d := range done {
-		trips[i] = frag.Triplet{FP: d.pm.prog.Fingerprint(), Enc: d.enc}
-	}
-	version := site.CommitUpdate(fr, ops, trips)
-	for _, d := range done {
-		d.pm.patchAndPush(site, id, version, d.enc, d.delta, d.changed)
-	}
+	site.PersistTriplets(id, version, trips)
 	return cluster.Response{
 		Payload: encodeTripletSizeResp(enc, fr.Size()),
 		Steps:   total,
 	}, nil
-}
-
-// maintained is one program's recomputed state, waiting for the commit's
-// version.
-type maintained struct {
-	pm      *progMaint
-	enc     []byte
-	delta   eval.TripletDelta
-	changed bool
 }
 
 // handleSplit is splitFragments(v) at the owning site: the subtree at the

@@ -220,9 +220,9 @@ func (pm *progMaint) recompute(site *cluster.Site, fr *frag.Fragment, fresh, dir
 }
 
 // patchAndPush stores pm's new encoding in the triplet cache at the
-// post-update version (the update's commit journaled it already), and —
-// for a standing program whose root actually changed — publishes the
-// Delta. The caller holds fm.mu.
+// post-update version (the update handler journals the batch of them),
+// and — for a standing program whose root actually changed — publishes
+// the Delta. The caller holds fm.mu.
 func (pm *progMaint) patchAndPush(site *cluster.Site, id xmltree.FragmentID, version uint64, enc []byte, delta eval.TripletDelta, changed bool) {
 	fp := pm.prog.Fingerprint()
 	core.StoreTriplet(site, id, version, fp, enc)
@@ -273,7 +273,7 @@ func handleRegisterProg(_ context.Context, site *cluster.Site, req cluster.Reque
 		}
 		version := site.FragmentVersion(id)
 		core.StoreTriplet(site, id, version, prog.Fingerprint(), pm.lastEnc)
-		site.PersistTriplet(id, version, prog.Fingerprint(), pm.lastEnc)
+		site.PersistTriplets(id, version, []frag.Triplet{{FP: prog.Fingerprint(), Enc: pm.lastEnc}})
 		items = append(items, RegItem{Frag: id, Version: version, Triplet: pm.lastEnc})
 		fm.mu.Unlock()
 	}
