@@ -35,9 +35,9 @@ type Fragment struct {
 func (f *Fragment) Size() int { return f.Root.Size() }
 
 // Triplet is one program's encoded triplet over a fragment, keyed by the
-// program's fingerprint: what a content update leaves in the site's
-// triplet cache, and what the durable store journals beside the update's
-// ops.
+// program's fingerprint: what the site's triplet cache holds at a
+// fragment version, and what the durable store journals so a restarted
+// site warm-starts that cache.
 type Triplet struct {
 	FP  uint64
 	Enc []byte
