@@ -34,15 +34,6 @@ type Fragment struct {
 // placeholders.
 func (f *Fragment) Size() int { return f.Root.Size() }
 
-// Triplet is one program's encoded triplet over a fragment, keyed by the
-// program's fingerprint: what the site's triplet cache holds at a
-// fragment version, and what the durable store journals so a restarted
-// site warm-starts that cache.
-type Triplet struct {
-	FP  uint64
-	Enc []byte
-}
-
 // SubFragments returns the IDs referenced by the fragment's virtual nodes,
 // in document order.
 func (f *Fragment) SubFragments() []xmltree.FragmentID {
@@ -51,6 +42,15 @@ func (f *Fragment) SubFragments() []xmltree.FragmentID {
 		ids = append(ids, v.Frag)
 	}
 	return ids
+}
+
+// Triplet is one program's encoded triplet over a fragment, keyed by the
+// program's fingerprint: what the site's triplet cache holds at a
+// fragment version, and what the durable store journals so a restarted
+// site warm-starts that cache.
+type Triplet struct {
+	FP  uint64
+	Enc []byte
 }
 
 // Forest is a fragmented document: a set of fragments linked by virtual
