@@ -533,7 +533,8 @@ func (s *Store) checkLocked() error {
 }
 
 // PutFragment logs the fragment's full content at the given version: an
-// add, or an in-place mutation (view-maintenance update, split, merge).
+// add, or a structural in-place mutation (split, merge); content updates
+// use PutOps.
 func (s *Store) PutFragment(f *frag.Fragment, version uint64) error {
 	tree := xmltree.Encode(f.Root)
 	body, payloadOff := putBody(f.ID, f.Parent, version, tree)
@@ -607,35 +608,29 @@ func (s *Store) PutTriplets(id xmltree.FragmentID, version uint64, trips []frag.
 // pending on its base have reached the base's encoded size, so a load
 // never replays more bytes of ops than of tree.
 func (s *Store) PutOps(f *frag.Fragment, version uint64, ops []xmltree.UpdateOp) error {
+	// The caller serializes writes to f (Site.CommitUpdate holds the
+	// site lock), so the fold decision cannot go stale before the put.
+	s.mu.Lock()
+	m, live := s.frags[f.ID]
+	fold := !live || m.opsBytes >= m.tree.n
+	s.mu.Unlock()
+	if fold {
+		return s.PutFragment(f, version)
+	}
+	body, payloadOff := opsBody(f.ID, version, xmltree.AppendOps(nil, ops))
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err := s.checkLocked(); err != nil {
 		return err
 	}
-	m, live := s.frags[f.ID]
-	fold := !live || m.opsBytes >= m.tree.n
-	var body []byte
-	var payloadOff int
-	if fold {
-		body, payloadOff = putBody(f.ID, f.Parent, version, xmltree.Encode(f.Root))
-	} else {
-		body, payloadOff = opsBody(f.ID, version, xmltree.AppendOps(nil, ops))
-	}
 	file, bodyOff, err := s.appendLocked(body)
 	if err != nil {
 		return s.fail(err)
 	}
-	payload := loc{f: file, off: bodyOff + int64(payloadOff), n: len(body) - payloadOff}
-	if fold {
-		// A fresh entry, never m.ops[:0]: a running checkpoint may still
-		// be reading the old slice's elements.
-		s.frags[f.ID] = &fragMeta{version: version, parent: f.Parent, tree: payload}
-		delete(s.dead, f.ID)
-	} else {
-		m.version = version
-		m.ops = append(m.ops, payload)
-		m.opsBytes += payload.n
-	}
+	// m is still f's entry: a checkpoint rebases an entry in place.
+	m.version = version
+	m.ops = append(m.ops, loc{f: file, off: bodyOff + int64(payloadOff), n: len(body) - payloadOff})
+	m.opsBytes += len(body) - payloadOff
 	s.maybeCheckpointLocked()
 	return nil
 }
