@@ -231,7 +231,11 @@ type Site struct {
 	// re-added fragment keeps counting up — version-keyed caches must
 	// never see a number reused.
 	versions map[xmltree.FragmentID]uint64
-	state    map[string]any
+	// edits is each fragment's in-place edit sequence (BeginEdit,
+	// EndEdit): odd while an edit that may be undone without a version
+	// bump is in flight.
+	edits map[xmltree.FragmentID]uint64
+	state map[string]any
 
 	// store, when attached, journals every fragment mutation and backs the
 	// bounded resident table: fragments holds at most maxResident entries
@@ -274,6 +278,7 @@ func NewSite(id frag.SiteID) *Site {
 		handlers:  make(map[string]handlerEntry),
 		fragments: make(map[xmltree.FragmentID]*frag.Fragment),
 		versions:  make(map[xmltree.FragmentID]uint64),
+		edits:     make(map[xmltree.FragmentID]uint64),
 		state:     make(map[string]any),
 		ring:      obs.NewTraceRing(0),
 	}
@@ -452,6 +457,31 @@ func (s *Site) SetFragmentParent(id, parent xmltree.FragmentID) bool {
 		s.evictLocked(id)
 	}
 	return true
+}
+
+// BeginEdit and EndEdit bracket an in-place edit of fragment id's tree
+// that may end without a version bump (a content update that fails is
+// undone at its old version). A reader that evaluated the tree while an
+// edit was in flight must not cache the result at the version it read:
+// it compares EditSeq before and after evaluating, and fills the cache
+// only when the two reads are equal and even.
+func (s *Site) BeginEdit(id xmltree.FragmentID) { s.stepEdit(id) }
+
+// EndEdit ends the edit BeginEdit started.
+func (s *Site) EndEdit(id xmltree.FragmentID) { s.stepEdit(id) }
+
+func (s *Site) stepEdit(id xmltree.FragmentID) {
+	s.mu.Lock()
+	s.edits[id]++
+	s.mu.Unlock()
+}
+
+// EditSeq returns fragment id's edit sequence: odd while an edit is in
+// flight, and moved by every edit since an earlier read.
+func (s *Site) EditSeq(id xmltree.FragmentID) uint64 {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.edits[id]
 }
 
 // FragmentVersion returns the fragment's current version (0 if the site

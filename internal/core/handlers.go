@@ -119,7 +119,10 @@ func handleEvalQual(keep bool) cluster.Handler {
 // (answered by memoized encodings) and misses (evaluated on the worker
 // pool, then memoized at the version observed before evaluation — a
 // concurrent maintenance bump makes such an entry mismatch on its next
-// lookup and recompute, so staleness is self-healing).
+// lookup and recompute, so staleness is self-healing). A miss evaluated
+// while an in-place edit was in flight (Site.EditSeq moved or was odd)
+// is answered but not memoized: the edit may be undone at the same
+// version.
 func evalQualCached(ctx context.Context, site *cluster.Site, q evalQualReq) (cluster.Response, error) {
 	cache := siteTripletCache(site)
 	fts := make([]fragTriplet, len(q.ids))
@@ -143,6 +146,10 @@ func evalQualCached(ctx context.Context, site *cluster.Site, q evalQualReq) (clu
 	}
 	var steps int64
 	if len(missIDs) > 0 {
+		seqs := make([]uint64, len(missIDs))
+		for j, id := range missIDs {
+			seqs[j] = site.EditSeq(id)
+		}
 		bctx, bsp := obs.StartSpan(ctx, string(site.ID()), "bottomUp")
 		mfts, s, err := evalFragments(bctx, site, q.prog, missIDs)
 		if bsp != nil {
@@ -156,6 +163,9 @@ func evalQualCached(ctx context.Context, site *cluster.Site, q evalQualReq) (clu
 		steps = s
 		for j, i := range missIdx {
 			fts[i] = mfts[j]
+			if seqs[j]%2 != 0 || site.EditSeq(q.ids[i]) != seqs[j] {
+				continue // evaluated during an in-place edit: don't cache it
+			}
 			cache.store(q.ids[i], vers[i], q.fp, fts[i].enc)
 			// Journal the fill so a restarted site warm-starts its cache
 			// (no-op without an attached durable store).

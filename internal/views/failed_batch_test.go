@@ -112,3 +112,60 @@ func TestFailedBatchIsNoOp(t *testing.T) {
 		})
 	}
 }
+
+// TestFailedBatchIsNoOpForConcurrentFill: a reader that misses the triplet
+// cache while a batch is half-applied must not cache what it evaluated.
+// The batch may still fail and be undone at the same version, and such an
+// entry would then stay a hit for a tree that never committed. The
+// handler brackets its edit (Site.BeginEdit/EndEdit, checked on a failed
+// batch); the reader's fill is then replayed deterministically inside
+// such a bracket: op 1 applied, the reader queries, op 1 undone.
+func TestFailedBatchIsNoOpForConcurrentFill(t *testing.T) {
+	c, forest, st := deploy(t)
+	ctx := context.Background()
+	site, _ := c.Site("S2") // stores fragment 3
+	v, err := Materialize(ctx, c, "S0", st, xpath.MustCompileString(`//stock[code = "GOOG"]`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	seq := site.EditSeq(3)
+	if _, err := v.Update(ctx, 3, []UpdateOp{
+		{Op: OpSetText, Path: []int{0}, Text: "half-applied"},
+		{Op: OpInsert, Path: []int{99}, Label: "x"},
+	}); err == nil {
+		t.Fatal("a batch with an out-of-range op must fail")
+	}
+	if got := site.EditSeq(3); got != seq+2 {
+		t.Fatalf("edit sequence after a failed batch = %d, want %d (one bracketed edit)", got, seq+2)
+	}
+
+	probe := xpath.MustCompileString(`//market[name = "half-applied"]`)
+	eng := core.NewEngine(c, "S0", st, c.Cost())
+	eng.EnableTripletCache(true)
+	fr, _ := site.Fragment(3)
+	version := site.FragmentVersion(3)
+	site.BeginEdit(3)
+	tch, err := xmltree.UpdateOp{Op: xmltree.OpSetText, Path: []int{0}, Text: "half-applied"}.ApplyTracked(fr.Root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mid, err := eng.ParBoX(ctx, probe)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !mid.Answer || mid.CacheMisses == 0 {
+		t.Fatalf("mid-edit reader: answer %v with %d misses; want a miss that sees the half-applied tree", mid.Answer, mid.CacheMisses)
+	}
+	tch.Undo()
+	site.EndEdit(3)
+	if got := site.FragmentVersion(3); got != version {
+		t.Fatalf("version moved during the edit: %d, want %d", got, version)
+	}
+	rep, err := eng.ParBoX(ctx, probe)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := oracle(t, forest, probe); rep.Answer != want {
+		t.Errorf("after the undone edit: answer %v, want %v (a half-applied fill was cached at version %d)", rep.Answer, want, version)
+	}
+}

@@ -63,6 +63,10 @@ func handleApplyUpdate(_ context.Context, site *cluster.Site, req cluster.Reques
 	fm := maintOf(site).fragment(id)
 	fm.mu.Lock()
 	defer fm.mu.Unlock()
+	// Readers evaluate the tree without fm.mu; the edit bracket, closed
+	// by the undo or the commit, keeps them from caching a half-applied
+	// tree at a version an abort keeps.
+	site.BeginEdit(id)
 	applied := make([]xmltree.Touched, 0, len(ops))
 	// abort undoes the applied ops, newest first. The retained planes
 	// were patched (or built) against the abandoned state: drop them.
@@ -70,6 +74,7 @@ func handleApplyUpdate(_ context.Context, site *cluster.Site, req cluster.Reques
 		for i := len(applied) - 1; i >= 0; i-- {
 			applied[i].Undo()
 		}
+		site.EndEdit(id)
 		fm.reset()
 		return cluster.Response{}, err
 	}
@@ -103,6 +108,7 @@ func handleApplyUpdate(_ context.Context, site *cluster.Site, req cluster.Reques
 	// triplets are invalidated by the version key; the patched entries
 	// stored below make the new version hit at once.
 	version := site.CommitUpdate(fr, ops)
+	site.EndEdit(id)
 	pm.patchAndPush(site, id, version, enc, delta, changed)
 	trips := make([]frag.Triplet, 1, 1+len(fm.progs))
 	trips[0] = frag.Triplet{FP: reqFP, Enc: enc}
