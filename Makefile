@@ -91,11 +91,13 @@ fuzz-fused:
 # crash differential, plus the update journal's own tests (op-list
 # replay against the in-memory tree, a crash after every WAL record,
 # updates appended during a checkpoint, a failed batch journaling
-# nothing), all under the race detector.
+# nothing), plus readers beside in-place edits (updates, split and
+# merge, and aborted batches no reader may answer from), all under the
+# race detector.
 recovery-smoke:
 	go test -race -run 'TestDaemonCrashRecovery' ./cmd/parbox-site
 	go test -race -run 'TestCrashRecoveryDifferential|TestVersionMonotonicityAndStaleCacheRejection|TestTopologyChangeRecovery' .
-	go test -race -run 'TestOps|TestCrashPrefix|TestCheckpointDuringUpdates|TestFailedBatchIsNoOp' ./internal/store ./internal/views .
+	go test -race -run 'TestOps|TestCrashPrefix|TestCheckpointDuringUpdates|TestFailedBatchIsNoOp|TestReadersBesideEdits|TestAbortedBatchNeverAnswers' ./internal/store ./internal/views .
 
 # transport-soak is CI's wire-protocol gate: the v2-TCP differential
 # (answers and byte/message/cache counters of all six algorithms pinned

@@ -231,10 +231,9 @@ type Site struct {
 	// re-added fragment keeps counting up — version-keyed caches must
 	// never see a number reused.
 	versions map[xmltree.FragmentID]uint64
-	// edits is each fragment's in-place edit sequence (BeginEdit,
-	// EndEdit): odd while an edit that may be undone without a version
-	// bump is in flight.
-	edits map[xmltree.FragmentID]uint64
+	// locks maps each fragment id to its *sync.RWMutex (ReadFragment,
+	// EditFragment). Like versions, entries outlive removal.
+	locks sync.Map
 	state map[string]any
 
 	// store, when attached, journals every fragment mutation and backs the
@@ -278,7 +277,6 @@ func NewSite(id frag.SiteID) *Site {
 		handlers:  make(map[string]handlerEntry),
 		fragments: make(map[xmltree.FragmentID]*frag.Fragment),
 		versions:  make(map[xmltree.FragmentID]uint64),
-		edits:     make(map[xmltree.FragmentID]uint64),
 		state:     make(map[string]any),
 		ring:      obs.NewTraceRing(0),
 	}
@@ -426,62 +424,23 @@ func (s *Site) commit(f *frag.Fragment, put func(version uint64) error) uint64 {
 // valid — only the durable source-tree edge moves. Split handlers use it
 // to persist the re-parenting of sub-fragments under a freshly split-off
 // fragment; Restore then trusts the journaled Parent instead of
-// recomputing it from virtual-node structure. Returns false when the site
-// does not store the fragment.
-func (s *Site) SetFragmentParent(id, parent xmltree.FragmentID) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	f, ok := s.fragments[id]
-	if !ok && s.store != nil {
-		lf, _, found, err := s.store.LoadFragment(id)
-		if err != nil {
-			s.noteStoreErr(err)
-			return false
+// recomputing it from virtual-node structure. It holds the fragment's
+// write lock.
+func (s *Site) SetFragmentParent(id, parent xmltree.FragmentID) error {
+	return s.EditFragment(id, func(f *frag.Fragment, version uint64) error {
+		if f.Parent == parent {
+			return nil
 		}
-		if !found {
-			return false
+		f.Parent = parent
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		if s.store != nil {
+			s.touchLocked(id)
+			s.noteStoreErr(s.store.PutFragment(f, version))
+			s.evictLocked(id)
 		}
-		f, ok = lf, true
-		s.fragments[id] = f
-	}
-	if !ok {
-		return false
-	}
-	if f.Parent == parent {
-		return true
-	}
-	f.Parent = parent
-	if s.store != nil {
-		s.touchLocked(id)
-		s.noteStoreErr(s.store.PutFragment(f, s.versions[id]))
-		s.evictLocked(id)
-	}
-	return true
-}
-
-// BeginEdit and EndEdit bracket an in-place edit of fragment id's tree
-// that may end without a version bump (a content update that fails is
-// undone at its old version). A reader that evaluated the tree while an
-// edit was in flight must not cache the result at the version it read:
-// it compares EditSeq before and after evaluating, and fills the cache
-// only when the two reads are equal and even.
-func (s *Site) BeginEdit(id xmltree.FragmentID) { s.stepEdit(id) }
-
-// EndEdit ends the edit BeginEdit started.
-func (s *Site) EndEdit(id xmltree.FragmentID) { s.stepEdit(id) }
-
-func (s *Site) stepEdit(id xmltree.FragmentID) {
-	s.mu.Lock()
-	s.edits[id]++
-	s.mu.Unlock()
-}
-
-// EditSeq returns fragment id's edit sequence: odd while an edit is in
-// flight, and moved by every edit since an earlier read.
-func (s *Site) EditSeq(id xmltree.FragmentID) uint64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.edits[id]
+		return nil
+	})
 }
 
 // FragmentVersion returns the fragment's current version (0 if the site
@@ -492,13 +451,58 @@ func (s *Site) FragmentVersion(id xmltree.FragmentID) uint64 {
 	return s.versions[id]
 }
 
-// Fragment returns a stored fragment. With a store attached, a fragment
-// evicted from the resident table is transparently reloaded from disk (at
-// its exact persisted version — loads never bump). Resident hits stay on
-// the read lock unless a residency bound is set (only then is there LRU
-// state to stamp), so the evaluation pool's fan-out does not serialize.
-// A disk failure during a reload is reported as a miss — handlers answer
-// "does not store fragment" — with the underlying cause recorded in
+// ErrNoFragment is wrapped by the error ReadFragment and EditFragment
+// return for a fragment the site does not store.
+var ErrNoFragment = errors.New("cluster: fragment not stored")
+
+// ReadFragment runs fn on fragment id holding the fragment's read lock:
+// the one way a handler reads a tree. Every in-place edit holds the write
+// side (EditFragment) until it commits or is undone, so fn reads a
+// committed tree, and a result computed in fn may be cached under
+// version. fn must not call another site nor lock the fragment again.
+func (s *Site) ReadFragment(id xmltree.FragmentID, fn func(fr *frag.Fragment, version uint64) error) error {
+	return s.holdFragment(id, false, fn)
+}
+
+// EditFragment runs fn on fragment id holding the fragment's write lock.
+// fn must not call another site; a second fragment of the site is locked
+// inside fn, parent before child.
+func (s *Site) EditFragment(id xmltree.FragmentID, fn func(fr *frag.Fragment, version uint64) error) error {
+	return s.holdFragment(id, true, fn)
+}
+
+func (s *Site) holdFragment(id xmltree.FragmentID, write bool, fn func(*frag.Fragment, uint64) error) error {
+	v, ok := s.locks.Load(id)
+	if !ok {
+		v, _ = s.locks.LoadOrStore(id, new(sync.RWMutex))
+	}
+	l := v.(*sync.RWMutex)
+	if write {
+		l.Lock()
+		defer l.Unlock()
+	} else {
+		l.RLock()
+		defer l.RUnlock()
+	}
+	// The version is read first: a concurrent AddFragment can then only
+	// pair it with newer content, and an entry cached under a version
+	// that has since moved is never looked up again.
+	version := s.FragmentVersion(id)
+	fr, ok := s.Fragment(id)
+	if !ok {
+		return fmt.Errorf("%w: site %s, fragment %d", ErrNoFragment, s.id, id)
+	}
+	return fn(fr, version)
+}
+
+// Fragment returns a stored fragment with no lock held: for setup and
+// inspection, never for a handler serving requests (ReadFragment). With a
+// store attached, a fragment evicted from the resident table is
+// transparently reloaded from disk (at its exact persisted version —
+// loads never bump). Resident hits stay on the read lock unless a
+// residency bound is set (only then is there LRU state to stamp), so the
+// evaluation pool's fan-out does not serialize. A disk failure during a
+// reload is reported as a miss, with the underlying cause recorded in
 // StoreErr, which Checkpoint/Close surface.
 func (s *Site) Fragment(id xmltree.FragmentID) (*frag.Fragment, bool) {
 	s.mu.RLock()

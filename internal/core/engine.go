@@ -301,7 +301,6 @@ func (e *Engine) naiveCentralized(ctx context.Context, prog *xpath.Program) (Rep
 	rec := newRecorder()
 	sites := e.st.Sites()
 
-	var local []*frag.Fragment
 	var jobs []scatterJob[[]*frag.Fragment]
 	// The coordinator's link is the bottleneck resource: its transfer
 	// times add up rather than overlap, so the modeled time is the SUM of
@@ -324,26 +323,16 @@ func (e *Engine) naiveCentralized(ctx context.Context, prog *xpath.Program) (Rep
 			},
 		}
 	}
+	// The coordinator fetches its own fragments too: a local call, free
+	// of traffic, that copies each tree under its read lock.
 	for _, site := range sites {
-		ids := e.st.FragmentsAt(site)
-		if site == e.coord {
-			// The coordinator's own fragments are read from local storage.
-			for _, id := range ids {
-				fr, err := e.localFragment(id)
-				if err != nil {
-					return Report{}, err
-				}
-				local = append(local, fr)
-			}
-			continue
-		}
-		jobs = append(jobs, mkFetch(site, ids))
+		jobs = append(jobs, mkFetch(site, e.st.FragmentsAt(site)))
 	}
 	fetched, _, err := scatter(ctx, e.fanout(rec), jobs, mkFetch)
 	if err != nil {
 		return Report{}, err
 	}
-	frs := local
+	var frs []*frag.Fragment
 	for _, part := range fetched {
 		frs = append(frs, part...)
 	}
@@ -370,21 +359,6 @@ func (e *Engine) naiveCentralized(ctx context.Context, prog *xpath.Program) (Rep
 	rec.steps += steps
 	rec.fill(&rep)
 	return rep, nil
-}
-
-// localFragment reads a fragment from the coordinator's own site storage.
-func (e *Engine) localFragment(id xmltree.FragmentID) (*frag.Fragment, error) {
-	type fragmentStore interface {
-		Site(frag.SiteID) (*cluster.Site, bool)
-	}
-	if c, ok := e.tr.(fragmentStore); ok {
-		if s, ok := c.Site(e.coord); ok {
-			if fr, ok := s.Fragment(id); ok {
-				return fr, nil
-			}
-		}
-	}
-	return nil, fmt.Errorf("core: coordinator %s does not store fragment %d locally", e.coord, id)
 }
 
 // NaiveDistributed performs the distributed sequential bottom-up traversal

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"runtime"
@@ -64,11 +65,12 @@ func RegisterHandlers(site *cluster.Site, tr cluster.Transport, cost cluster.Cos
 // paths send it, see Engine.EnableTripletCache), the site's versioned
 // triplet cache is consulted first: fragments unchanged since the same
 // program last visited answer from their memoized encoding with zero
-// bottomUp steps, and only the remaining fragments are evaluated. The
-// response reports hits and misses so coordinator- and cluster-level
-// accounting can see the cache working. The cache is keyed only by a
-// fingerprint the site computed: a request whose fingerprint is not its
-// program's is refused with a FingerprintMismatchError.
+// bottomUp steps, and only the remaining fragments are evaluated. A hit
+// takes no tree lock: it answers the last committed version, which is
+// admissible. The response reports hits and misses so coordinator- and
+// cluster-level accounting can see the cache working. The cache is keyed
+// only by a fingerprint the site computed: a request whose fingerprint is
+// not its program's is refused with a FingerprintMismatchError.
 //
 // With keep=true (FullDistParBoX's stage 2) the triplets stay at the site
 // for the resolve that follows, and the response is an empty
@@ -82,21 +84,44 @@ func handleEvalQual(keep bool) cluster.Handler {
 		if keep && q.st == nil {
 			return cluster.Response{}, fmt.Errorf("%w: evalQualKeep without source tree", ErrBadMessage)
 		}
-		if q.fp != 0 && !keep {
+		if keep {
+			q.fp = 0 // stage 2 of FullDist keeps its triplets, not the cache's
+		}
+		fts := make([]fragTriplet, len(q.ids))
+		todo := len(q.ids)
+		for i, id := range q.ids {
+			fts[i].id = id
+		}
+		if q.fp != 0 {
 			if fp := q.prog.Fingerprint(); fp != q.fp {
 				return cluster.Response{}, &FingerprintMismatchError{Sent: q.fp, Computed: fp}
 			}
-			return evalQualCached(ctx, site, q)
+			_, csp := obs.StartSpan(ctx, string(site.ID()), "triplet-cache")
+			cache := siteTripletCache(site)
+			for i, id := range q.ids {
+				if enc, ok := cache.lookup(id, site.FragmentVersion(id), q.fp); ok {
+					fts[i].enc = enc
+					todo--
+				}
+			}
+			if csp != nil {
+				csp.SetAttr("hits", int64(len(q.ids)-todo))
+				csp.SetAttr("misses", int64(todo))
+				csp.End()
+			}
 		}
-		bctx, bsp := obs.StartSpan(ctx, string(site.ID()), "bottomUp")
-		fts, steps, err := evalFragments(bctx, site, q.prog, q.ids)
-		if bsp != nil {
-			bsp.SetAttr("fragments", int64(len(q.ids)))
-			bsp.SetAttr("steps", steps)
-			bsp.End()
-		}
-		if err != nil {
-			return cluster.Response{}, err
+		var steps, misses int64
+		if todo > 0 {
+			bctx, bsp := obs.StartSpan(ctx, string(site.ID()), "bottomUp")
+			steps, misses, err = evalFragments(bctx, site, q.prog, fts, q.fp)
+			if bsp != nil {
+				bsp.SetAttr("fragments", int64(todo))
+				bsp.SetAttr("steps", steps)
+				bsp.End()
+			}
+			if err != nil {
+				return cluster.Response{}, err
+			}
 		}
 		if keep {
 			state := &runState{prog: q.prog, st: q.st, triplets: make(map[xmltree.FragmentID][]byte, len(fts))}
@@ -110,121 +135,78 @@ func handleEvalQual(keep bool) cluster.Handler {
 		_, esp := obs.StartSpan(ctx, string(site.ID()), "encode")
 		payload := encodeEvalQualResp(fts)
 		esp.End()
-		return cluster.Response{Payload: payload, Steps: steps}, nil
+		resp := cluster.Response{Payload: payload, Steps: steps}
+		if q.fp != 0 {
+			resp.CacheHits, resp.CacheMisses = int64(len(q.ids))-misses, misses
+		}
+		return resp, nil
 	}
 }
 
-// evalQualCached is handleEvalQual's fast path through the site's
-// versioned triplet cache: split the requested fragments into hits
-// (answered by memoized encodings) and misses (evaluated on the worker
-// pool, then memoized at the version observed before evaluation — a
-// concurrent maintenance bump makes such an entry mismatch on its next
-// lookup and recompute, so staleness is self-healing). A miss evaluated
-// while an in-place edit was in flight (Site.EditSeq moved or was odd)
-// is answered but not memoized: the edit may be undone at the same
-// version.
-func evalQualCached(ctx context.Context, site *cluster.Site, q evalQualReq) (cluster.Response, error) {
-	cache := siteTripletCache(site)
-	fts := make([]fragTriplet, len(q.ids))
-	vers := make([]uint64, len(q.ids))
-	var missIdx []int
-	var missIDs []xmltree.FragmentID
-	_, csp := obs.StartSpan(ctx, string(site.ID()), "triplet-cache")
-	for i, id := range q.ids {
-		vers[i] = site.FragmentVersion(id)
-		if enc, ok := cache.lookup(id, vers[i], q.fp); ok {
-			fts[i] = fragTriplet{id: id, enc: enc}
-		} else {
-			missIdx = append(missIdx, i)
-			missIDs = append(missIDs, id)
-		}
-	}
-	if csp != nil {
-		csp.SetAttr("hits", int64(len(q.ids)-len(missIDs)))
-		csp.SetAttr("misses", int64(len(missIDs)))
-		csp.End()
-	}
-	var steps int64
-	if len(missIDs) > 0 {
-		seqs := make([]uint64, len(missIDs))
-		for j, id := range missIDs {
-			seqs[j] = site.EditSeq(id)
-		}
-		bctx, bsp := obs.StartSpan(ctx, string(site.ID()), "bottomUp")
-		mfts, s, err := evalFragments(bctx, site, q.prog, missIDs)
-		if bsp != nil {
-			bsp.SetAttr("fragments", int64(len(missIDs)))
-			bsp.SetAttr("steps", s)
-			bsp.End()
-		}
-		if err != nil {
-			return cluster.Response{}, err
-		}
-		steps = s
-		for j, i := range missIdx {
-			fts[i] = mfts[j]
-			if seqs[j]%2 != 0 || site.EditSeq(q.ids[i]) != seqs[j] {
-				continue // evaluated during an in-place edit: don't cache it
-			}
-			cache.store(q.ids[i], vers[i], q.fp, fts[i].enc)
-			// Journal the fill so a restarted site warm-starts its cache
-			// (no-op without an attached durable store).
-			site.PersistTriplets(q.ids[i], vers[i], []frag.Triplet{{FP: q.fp, Enc: fts[i].enc}})
-		}
-	}
-	_, esp := obs.StartSpan(ctx, string(site.ID()), "encode")
-	payload := encodeEvalQualResp(fts)
-	esp.End()
-	return cluster.Response{
-		Payload:     payload,
-		Steps:       steps,
-		CacheHits:   int64(len(q.ids) - len(missIDs)),
-		CacheMisses: int64(len(missIDs)),
-	}, nil
-}
-
-// evalFragments runs BottomUp over the given locally stored fragments,
-// fanning out over a bounded worker pool, and returns the encoded triplets
-// in request order plus the summed step count. Each triplet is encoded
+// evalFragments fills every entry of fts that has no encoding yet: it runs
+// BottomUp over the locally stored fragment, under the fragment's read
+// lock, fanning out over a bounded worker pool, and returns the summed
+// step count and how many fragments it evaluated. Each triplet is encoded
 // straight from the arena it was computed in, which then goes back to the
-// evaluator's pool.
-func evalFragments(ctx context.Context, site *cluster.Site, prog *xpath.Program, ids []xmltree.FragmentID) ([]fragTriplet, int64, error) {
+// evaluator's pool. With a program fingerprint fp != 0 the site's triplet
+// cache is looked up again under the lock, at the version the lock holds:
+// a reader that queued behind an update then hits the entry the update
+// patched. A fragment still missing is memoized at that exact version —
+// and journaled, so a restarted site warm-starts its cache (a no-op
+// without an attached store).
+func evalFragments(ctx context.Context, site *cluster.Site, prog *xpath.Program, fts []fragTriplet, fp uint64) (int64, int64, error) {
 	// Programs decoded off the wire arrive without a compiled lane kernel;
 	// compile it once here rather than racing to build it (each winning
 	// once, wasting the losers' work) inside the first fragment of every
 	// worker.
 	prog.PrecompileKernel()
-	fts := make([]fragTriplet, len(ids))
-	evalOne := func(i int, id xmltree.FragmentID) (int64, error) {
+	cache := siteTripletCache(site)
+	var evaluated atomic.Int64
+	evalOne := func(i int) (steps int64, err error) {
+		if fts[i].enc != nil {
+			return 0, nil
+		}
 		if err := ctx.Err(); err != nil {
 			return 0, err
 		}
-		fr, ok := site.Fragment(id)
-		if !ok {
-			return 0, fmt.Errorf("core: site %s does not store fragment %d", site.ID(), id)
-		}
-		t, s, err := eval.BottomUp(fr.Root, prog)
-		if err != nil {
-			return s, fmt.Errorf("core: fragment %d: %w", id, err)
-		}
-		fts[i] = fragTriplet{id: id, enc: t.Encode()}
-		eval.PutArena(t.A)
-		return s, nil
+		id := fts[i].id
+		err = site.ReadFragment(id, func(fr *frag.Fragment, version uint64) error {
+			if fp != 0 {
+				if enc, ok := cache.lookup(id, version, fp); ok {
+					fts[i].enc = enc
+					return nil
+				}
+			}
+			t, s, err := eval.BottomUp(fr.Root, prog)
+			steps = s
+			if err != nil {
+				return fmt.Errorf("core: fragment %d: %w", id, err)
+			}
+			fts[i].enc = t.Encode()
+			eval.PutArena(t.A)
+			evaluated.Add(1)
+			if fp != 0 {
+				cache.store(id, version, fp, fts[i].enc)
+				site.PersistTriplets(id, version, []frag.Triplet{{FP: fp, Enc: fts[i].enc}})
+			}
+			return nil
+		})
+		return steps, err
 	}
 	workers := runtime.GOMAXPROCS(0)
-	if workers > len(ids) {
-		workers = len(ids)
+	if workers > len(fts) {
+		workers = len(fts)
 	}
 	if workers <= 1 {
 		var steps int64
-		for i, id := range ids {
-			s, err := evalOne(i, id)
+		for i := range fts {
+			s, err := evalOne(i)
 			steps += s
 			if err != nil {
-				return nil, steps, err
+				return steps, evaluated.Load(), err
 			}
 		}
-		return fts, steps, nil
+		return steps, evaluated.Load(), nil
 	}
 	// On the first failure the shared context is cancelled so sibling
 	// workers stop at their next fragment instead of finishing work whose
@@ -238,17 +220,17 @@ func evalFragments(ctx context.Context, site *cluster.Site, prog *xpath.Program,
 		next  atomic.Int64
 		steps atomic.Int64
 	)
-	errs := make([]error, len(ids))
+	errs := make([]error, len(fts))
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
 			for {
 				i := int(next.Add(1)) - 1
-				if i >= len(ids) {
+				if i >= len(fts) {
 					return
 				}
-				s, err := evalOne(i, ids[i])
+				s, err := evalOne(i)
 				steps.Add(s)
 				if err != nil {
 					errs[i] = err
@@ -261,15 +243,15 @@ func evalFragments(ctx context.Context, site *cluster.Site, prog *xpath.Program,
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil && !errors.Is(err, context.Canceled) {
-			return nil, steps.Load(), err
+			return steps.Load(), evaluated.Load(), err
 		}
 	}
 	for _, err := range errs {
 		if err != nil {
-			return nil, steps.Load(), err
+			return steps.Load(), evaluated.Load(), err
 		}
 	}
-	return fts, steps.Load(), nil
+	return steps.Load(), evaluated.Load(), nil
 }
 
 // handleResolve is the site-to-site recursion of NaiveDistributed and of
@@ -303,11 +285,11 @@ func handleResolve(tr cluster.Transport, cost cluster.CostModel) cluster.Handler
 			limit = 1
 		)
 		if q.runKey == "" {
-			fr, ok := site.Fragment(q.id)
-			if !ok {
-				return cluster.Response{}, fmt.Errorf("core: site %s does not store fragment %d", site.ID(), q.id)
-			}
-			if own, steps, err = eval.BottomUp(fr.Root, q.prog); err != nil {
+			err := site.ReadFragment(q.id, func(fr *frag.Fragment, _ uint64) (err error) {
+				own, steps, err = eval.BottomUp(fr.Root, q.prog)
+				return err
+			})
+			if err != nil {
 				return cluster.Response{}, err
 			}
 		} else {
@@ -399,22 +381,23 @@ func handleCleanup(_ context.Context, site *cluster.Site, req cluster.Request) (
 }
 
 // handleFetchFragments ships whole fragments, the data movement
-// NaiveCentralized pays for.
+// NaiveCentralized pays for, each encoded under its read lock.
 func handleFetchFragments(ctx context.Context, site *cluster.Site, req cluster.Request) (cluster.Response, error) {
 	ids, err := decodeFetchReq(req.Payload)
 	if err != nil {
 		return cluster.Response{}, err
 	}
-	frs := make([]*frag.Fragment, 0, len(ids))
+	dst := binary.AppendUvarint(nil, uint64(len(ids)))
 	for _, id := range ids {
 		if err := ctx.Err(); err != nil {
 			return cluster.Response{}, err
 		}
-		fr, ok := site.Fragment(id)
-		if !ok {
-			return cluster.Response{}, fmt.Errorf("core: site %s does not store fragment %d", site.ID(), id)
+		if err := site.ReadFragment(id, func(fr *frag.Fragment, _ uint64) error {
+			dst = appendFetchedFragment(dst, fr)
+			return nil
+		}); err != nil {
+			return cluster.Response{}, err
 		}
-		frs = append(frs, fr)
 	}
-	return cluster.Response{Payload: encodeFetchResp(frs)}, nil
+	return cluster.Response{Payload: dst}, nil
 }

@@ -289,11 +289,16 @@ func decodeFetchReq(buf []byte) ([]xmltree.FragmentID, error) {
 func encodeFetchResp(frs []*frag.Fragment) []byte {
 	dst := binary.AppendUvarint(nil, uint64(len(frs)))
 	for _, fr := range frs {
-		dst = xmltree.AppendFragmentID(dst, fr.ID)
-		dst = xmltree.AppendFragmentID(dst, fr.Parent+1)
-		dst = wire.AppendBytes(dst, xmltree.Encode(fr.Root))
+		dst = appendFetchedFragment(dst, fr)
 	}
 	return dst
+}
+
+// appendFetchedFragment appends one fragment of a fetch response.
+func appendFetchedFragment(dst []byte, fr *frag.Fragment) []byte {
+	dst = xmltree.AppendFragmentID(dst, fr.ID)
+	dst = xmltree.AppendFragmentID(dst, fr.Parent+1)
+	return wire.AppendBytes(dst, xmltree.Encode(fr.Root))
 }
 
 func decodeFetchResp(buf []byte) ([]*frag.Fragment, error) {

@@ -186,16 +186,18 @@ func handleSelectTransfer(ctx context.Context, site *cluster.Site, req cluster.R
 	fts := make([]fragTransfer, len(q.frags))
 	var steps int64
 	for i, fd := range q.frags {
-		fr, ok := site.Fragment(fd.id)
-		if !ok {
-			return cluster.Response{}, fmt.Errorf("core: site %s does not store fragment %d", site.ID(), fd.id)
-		}
-		t, err := eval.SelectTransfer(fr.Root, sp, q.vecs, fd.domain, q.paths)
+		err := site.ReadFragment(fd.id, func(fr *frag.Fragment, _ uint64) error {
+			t, err := eval.SelectTransfer(fr.Root, sp, q.vecs, fd.domain, q.paths)
+			if err != nil {
+				return fmt.Errorf("core: fragment %d: %w", fd.id, err)
+			}
+			steps += t.Steps
+			fts[i] = fragTransfer{id: fd.id, Transfer: t}
+			return nil
+		})
 		if err != nil {
-			return cluster.Response{}, fmt.Errorf("core: fragment %d: %w", fd.id, err)
+			return cluster.Response{}, err
 		}
-		steps += t.Steps
-		fts[i] = fragTransfer{id: fd.id, Transfer: t}
 	}
 	span.SetAttr("fragments", int64(len(fts)))
 	span.SetAttr("steps", steps)

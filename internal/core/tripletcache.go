@@ -26,8 +26,7 @@ type tripletCache struct {
 	entries map[tcKey]*tcEntry
 	// order is a FIFO of insertions for bounded-size eviction; keys already
 	// evicted (or replaced) are skipped when popped.
-	order        []tcKey
-	hits, misses int64
+	order []tcKey
 }
 
 type tcKey struct {
@@ -68,10 +67,8 @@ func (c *tripletCache) lookup(id xmltree.FragmentID, version, fp uint64) ([]byte
 	defer c.mu.Unlock()
 	e, ok := c.entries[k]
 	if !ok || e.version != version {
-		c.misses++
 		return nil, false
 	}
-	c.hits++
 	return e.enc, true
 }
 
@@ -95,13 +92,6 @@ func (c *tripletCache) store(id xmltree.FragmentID, version, fp uint64, enc []by
 			c.order = append(c.order, victim)
 		}
 	}
-}
-
-// stats returns the cache's cumulative hit/miss counters.
-func (c *tripletCache) stats() (hits, misses int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hits, c.misses
 }
 
 // StoreTriplet installs an externally computed triplet encoding in the

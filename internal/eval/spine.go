@@ -18,7 +18,7 @@ import (
 // word and its outgoing DV word — so a Plane (the per-node word map) is
 // a few bytes per node and a spine step is one table OR over the
 // children plus one kern.EvalConstWord. The recurrence is bit-for-bit
-// the one bottomUpArena1 runs:
+// the one bottomUpIn1 runs:
 //
 //	cw   = OR of the children's V words
 //	dwIn = OR of the children's outgoing DV words
@@ -41,7 +41,7 @@ type planeWords struct {
 // or re-fragmented tree needs a rebuild — compare Root()).
 //
 // A Plane is not safe for concurrent use; the maintenance layer holds
-// its per-fragment lock across Patch.
+// the fragment's write lock (cluster.Site.EditFragment) across Patch.
 type Plane struct {
 	kern  *xpath.LaneKernel
 	lanes int

@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"time"
 
 	"repro/internal/backoff"
@@ -62,11 +61,12 @@ func handleCloneFragment(_ context.Context, site *cluster.Site, req cluster.Requ
 	if err != nil {
 		return cluster.Response{}, err
 	}
-	fr, ok := site.Fragment(id)
-	if !ok {
-		return cluster.Response{}, fmt.Errorf("serve: site %s does not store fragment %d", site.ID(), id)
-	}
-	return cluster.Response{Payload: appendFragment(nil, fr.Parent, fr.Root)}, nil
+	var resp cluster.Response
+	err = site.ReadFragment(id, func(fr *frag.Fragment, _ uint64) error {
+		resp.Payload = appendFragment(nil, fr.Parent, fr.Root)
+		return nil
+	})
+	return resp, err
 }
 
 func handleInstallFragment(_ context.Context, site *cluster.Site, req cluster.Request) (cluster.Response, error) {

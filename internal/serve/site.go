@@ -3,6 +3,7 @@ package serve
 import (
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/frag"
 	"repro/internal/store"
 	"repro/internal/views"
 )
@@ -27,8 +28,9 @@ func SetupSite(site *cluster.Site, tr cluster.Transport, cost cluster.CostModel,
 	}
 	if st.Empty() {
 		for _, id := range site.FragmentIDs() {
-			fr, _ := site.Fragment(id)
-			if err := st.PutFragment(fr, site.FragmentVersion(id)); err != nil {
+			if err := site.ReadFragment(id, func(fr *frag.Fragment, version uint64) error {
+				return st.PutFragment(fr, version)
+			}); err != nil {
 				return err
 			}
 		}

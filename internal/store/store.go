@@ -608,8 +608,8 @@ func (s *Store) PutTriplets(id xmltree.FragmentID, version uint64, trips []frag.
 // pending on its base have reached the base's encoded size, so a load
 // never replays more bytes of ops than of tree.
 func (s *Store) PutOps(f *frag.Fragment, version uint64, ops []xmltree.UpdateOp) error {
-	// The caller serializes writes to f (Site.CommitUpdate holds the
-	// site lock), so the fold decision cannot go stale before the put.
+	// The caller serializes writes to f (it holds the fragment's write
+	// lock), so the fold decision cannot go stale before the put.
 	s.mu.Lock()
 	m, live := s.frags[f.ID]
 	fold := !live || m.opsBytes >= m.tree.n

@@ -3,6 +3,8 @@ package views
 import (
 	"bytes"
 	"context"
+	"fmt"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
@@ -114,12 +116,13 @@ func TestFailedBatchIsNoOp(t *testing.T) {
 }
 
 // TestFailedBatchIsNoOpForConcurrentFill: a reader that misses the triplet
-// cache while a batch is half-applied must not cache what it evaluated.
-// The batch may still fail and be undone at the same version, and such an
-// entry would then stay a hit for a tree that never committed. The
-// handler brackets its edit (Site.BeginEdit/EndEdit, checked on a failed
-// batch); the reader's fill is then replayed deterministically inside
-// such a bracket: op 1 applied, the reader queries, op 1 undone.
+// cache beside a batch that fails must neither answer from the
+// half-applied tree nor cache what it evaluated there — the batch is
+// undone at the same version, so such an entry would stay a hit for a
+// tree that never committed. A writer loops on failing batches while a
+// reader runs fresh probes (every one a miss, filled at the fragment's
+// version); each answer, and each cached fill replayed afterwards, must
+// be the oracle's.
 func TestFailedBatchIsNoOpForConcurrentFill(t *testing.T) {
 	c, forest, st := deploy(t)
 	ctx := context.Background()
@@ -128,44 +131,47 @@ func TestFailedBatchIsNoOpForConcurrentFill(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq := site.EditSeq(3)
-	if _, err := v.Update(ctx, 3, []UpdateOp{
-		{Op: OpSetText, Path: []int{0}, Text: "half-applied"},
-		{Op: OpInsert, Path: []int{99}, Label: "x"},
-	}); err == nil {
-		t.Fatal("a batch with an out-of-range op must fail")
-	}
-	if got := site.EditSeq(3); got != seq+2 {
-		t.Fatalf("edit sequence after a failed batch = %d, want %d (one bracketed edit)", got, seq+2)
-	}
-
-	probe := xpath.MustCompileString(`//market[name = "half-applied"]`)
+	version := site.FragmentVersion(3)
+	var stop atomic.Bool
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for !stop.Load() {
+			if _, err := v.Update(ctx, 3, []UpdateOp{
+				{Op: OpSetText, Path: []int{0}, Text: "half-applied"},
+				{Op: OpInsert, Path: []int{99}, Label: "x"},
+			}); err == nil {
+				t.Error("a batch with an out-of-range op must fail")
+				return
+			}
+		}
+	}()
 	eng := core.NewEngine(c, "S0", st, c.Cost())
 	eng.EnableTripletCache(true)
-	fr, _ := site.Fragment(3)
-	version := site.FragmentVersion(3)
-	site.BeginEdit(3)
-	tch, err := xmltree.UpdateOp{Op: xmltree.OpSetText, Path: []int{0}, Text: "half-applied"}.ApplyTracked(fr.Root)
-	if err != nil {
-		t.Fatal(err)
+	probes := make([]*xpath.Program, 1000)
+	for i := range probes {
+		probes[i] = xpath.MustCompileString(fmt.Sprintf(`//market[name = "half-applied"] || //absent%d`, i))
+		rep, err := eng.ParBoX(ctx, probes[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Answer {
+			t.Errorf("probe %d answered from a half-applied tree", i)
+		}
 	}
-	mid, err := eng.ParBoX(ctx, probe)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !mid.Answer || mid.CacheMisses == 0 {
-		t.Fatalf("mid-edit reader: answer %v with %d misses; want a miss that sees the half-applied tree", mid.Answer, mid.CacheMisses)
-	}
-	tch.Undo()
-	site.EndEdit(3)
+	stop.Store(true)
+	<-done
 	if got := site.FragmentVersion(3); got != version {
-		t.Fatalf("version moved during the edit: %d, want %d", got, version)
+		t.Fatalf("failed batches moved the version: %d, want %d", got, version)
 	}
-	rep, err := eng.ParBoX(ctx, probe)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := oracle(t, forest, probe); rep.Answer != want {
-		t.Errorf("after the undone edit: answer %v, want %v (a half-applied fill was cached at version %d)", rep.Answer, want, version)
+	for i, prog := range probes {
+		rep, err := eng.ParBoX(ctx, prog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := oracle(t, forest, prog); rep.Answer != want || rep.CacheMisses != 0 {
+			t.Fatalf("probe %d replayed: answer %v with %d misses, want %v from the cache (a half-applied fill was cached at version %d)",
+				i, rep.Answer, rep.CacheMisses, want, version)
+		}
 	}
 }

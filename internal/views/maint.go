@@ -3,7 +3,6 @@ package views
 import (
 	"bytes"
 	"context"
-	"fmt"
 	"sync"
 
 	"repro/internal/cluster"
@@ -38,10 +37,15 @@ type siteMaint struct {
 	frags map[xmltree.FragmentID]*fragMaint
 }
 
+// fragMaint is one fragment's maintenance state, guarded by the
+// fragment's write lock (cluster.Site.EditFragment).
 type fragMaint struct {
-	mu    sync.Mutex
 	progs map[uint64]*progMaint
 	order []uint64 // insertion FIFO for eviction
+	// size counts the nodes under sized: once, then moved by each
+	// committed update, so an update never walks its fragment.
+	sized *xmltree.Node
+	size  int
 }
 
 // progMaint is one maintained (fragment, program) pair: the spine plane
@@ -64,7 +68,7 @@ func maintOf(site *cluster.Site) *siteMaint {
 }
 
 // fragment returns (creating if needed) the maintenance state of one
-// fragment. Callers lock the returned fragMaint around any use.
+// fragment. Callers hold the fragment's write lock.
 func (m *siteMaint) fragment(id xmltree.FragmentID) *fragMaint {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -77,19 +81,18 @@ func (m *siteMaint) fragment(id xmltree.FragmentID) *fragMaint {
 }
 
 // invalidate drops all retained planes and baselines of one fragment
-// after a structural change (split, adopt, merge) rebuilt its tree out
+// after a structural change (split, merge) rebuilt its tree out
 // from under the node-keyed planes. Standing registrations survive; the
-// next update recomputes their baseline in full.
+// next update recomputes their baseline in full. The caller holds the
+// fragment's write lock.
 func (m *siteMaint) invalidate(id xmltree.FragmentID) {
 	m.mu.Lock()
 	fm, ok := m.frags[id]
 	m.mu.Unlock()
-	if !ok {
-		return
+	if ok {
+		fm.reset()
+		fm.sized = nil
 	}
-	fm.mu.Lock()
-	fm.reset()
-	fm.mu.Unlock()
 }
 
 // drop forgets a fragment's maintenance state entirely (yield/remove).
@@ -109,7 +112,7 @@ func (fm *fragMaint) reset() {
 
 // prog returns (creating if needed) the maintenance entry for p,
 // evicting the oldest non-standing entry past the per-fragment bound.
-// The caller holds fm.mu.
+// The caller holds the fragment's write lock.
 func (fm *fragMaint) prog(p *xpath.Program, standing bool) *progMaint {
 	fp := p.Fingerprint()
 	pm, ok := fm.progs[fp]
@@ -151,7 +154,8 @@ func (fm *fragMaint) evictOne() bool {
 // applied ops (the touched nodes in Plane.Patch vocabulary; all nil for
 // a from-scratch baseline). It returns the new root encoding, the root
 // flip delta (meaningful only when changed and the plane path ran), and
-// whether the root formulas changed at all. The caller holds fm.mu.
+// whether the root formulas changed at all. The caller holds the
+// fragment's write lock.
 func (pm *progMaint) recompute(site *cluster.Site, fr *frag.Fragment, fresh, dirty, removed []*xmltree.Node) (enc []byte, delta eval.TripletDelta, changed bool, steps int64, err error) {
 	stats := site.Stats()
 	oldEnc := pm.lastEnc
@@ -219,24 +223,26 @@ func (pm *progMaint) recompute(site *cluster.Site, fr *frag.Fragment, fresh, dir
 	return enc, delta, changed, steps, nil
 }
 
-// patchAndPush stores pm's new encoding in the triplet cache at the
-// post-update version (the update handler journals the batch of them),
-// and — for a standing program whose root actually changed — publishes
-// the Delta. The caller holds fm.mu.
-func (pm *progMaint) patchAndPush(site *cluster.Site, id xmltree.FragmentID, version uint64, enc []byte, delta eval.TripletDelta, changed bool) {
+// patch stores pm's new encoding in the triplet cache at the post-update
+// version (the update handler journals the batch of them) and, for a
+// standing program whose root actually changed, appends the Delta to
+// publish to deltas. The caller holds the fragment's write lock and
+// publishes the Deltas once it has released it.
+func (pm *progMaint) patch(site *cluster.Site, id xmltree.FragmentID, version uint64, enc []byte, delta eval.TripletDelta, changed bool, deltas [][]byte) [][]byte {
 	fp := pm.prog.Fingerprint()
 	core.StoreTriplet(site, id, version, fp, enc)
-	if pm.standing && changed {
-		site.PushDelta(Delta{
-			Frag:    id,
-			Version: version,
-			FP:      fp,
-			FlipV:   delta.V,
-			FlipCV:  delta.CV,
-			FlipDV:  delta.DV,
-			Triplet: enc,
-		}.Encode())
+	if !pm.standing || !changed {
+		return deltas
 	}
+	return append(deltas, Delta{
+		Frag:    id,
+		Version: version,
+		FP:      fp,
+		FlipV:   delta.V,
+		FlipCV:  delta.CV,
+		FlipDV:  delta.DV,
+		Triplet: enc,
+	}.Encode())
 }
 
 // handleRegisterProg registers a standing program for a set of fragments
@@ -252,30 +258,28 @@ func handleRegisterProg(_ context.Context, site *cluster.Site, req cluster.Reque
 		return cluster.Response{}, err
 	}
 	m := maintOf(site)
+	fp := prog.Fingerprint()
 	items := make([]RegItem, 0, len(ids))
 	var steps int64
 	for _, id := range ids {
-		fr, ok := site.Fragment(id)
-		if !ok {
-			return cluster.Response{}, fmt.Errorf("views: site %s does not store fragment %d", site.ID(), id)
-		}
-		fm := m.fragment(id)
-		fm.mu.Lock()
-		pm := fm.prog(prog, true)
-		if pm.lastEnc == nil {
-			enc, _, _, s, err := pm.recompute(site, fr, nil, nil, nil)
-			steps += s
-			if err != nil {
-				fm.mu.Unlock()
-				return cluster.Response{}, err
+		err := site.EditFragment(id, func(fr *frag.Fragment, version uint64) error {
+			pm := m.fragment(id).prog(prog, true)
+			if pm.lastEnc == nil {
+				enc, _, _, s, err := pm.recompute(site, fr, nil, nil, nil)
+				steps += s
+				if err != nil {
+					return err
+				}
+				pm.lastEnc = enc
 			}
-			pm.lastEnc = enc
+			core.StoreTriplet(site, id, version, fp, pm.lastEnc)
+			site.PersistTriplets(id, version, []frag.Triplet{{FP: fp, Enc: pm.lastEnc}})
+			items = append(items, RegItem{Frag: id, Version: version, Triplet: pm.lastEnc})
+			return nil
+		})
+		if err != nil {
+			return cluster.Response{}, err
 		}
-		version := site.FragmentVersion(id)
-		core.StoreTriplet(site, id, version, prog.Fingerprint(), pm.lastEnc)
-		site.PersistTriplets(id, version, []frag.Triplet{{FP: prog.Fingerprint(), Enc: pm.lastEnc}})
-		items = append(items, RegItem{Frag: id, Version: version, Triplet: pm.lastEnc})
-		fm.mu.Unlock()
 	}
 	return cluster.Response{Payload: encodeRegisterResp(items), Steps: steps}, nil
 }

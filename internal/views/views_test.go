@@ -395,8 +395,21 @@ func TestPropIncrementalMatchesRecompute(t *testing.T) {
 					op = UpdateOp{Op: OpDelete, Path: PathOf(node)}
 				}
 			}
+			if r.Intn(3) == 0 {
+				// The same op in a batch that fails: undone, it must leave
+				// no trace, the site's node count included.
+				bad := UpdateOp{Op: OpInsert, Path: []int{len(fr.Root.Children) + 1}, Label: "x"}
+				if _, err := v.Update(ctx, id, []UpdateOp{op, bad}); err == nil {
+					t.Logf("a batch with an out-of-range op committed (seed %d)", seed)
+					return false
+				}
+			}
 			if _, err := v.Update(ctx, id, []UpdateOp{op}); err != nil {
 				t.Logf("update: %v (seed %d)", err, seed)
+				return false
+			}
+			if e, _ := v.SourceTree().Entry(id); e.Size != fr.Root.Size() {
+				t.Logf("reported size %d, fragment has %d nodes (seed %d)", e.Size, fr.Root.Size(), seed)
 				return false
 			}
 			want := oracleQuiet(forest, prog)
